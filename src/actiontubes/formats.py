@@ -1,20 +1,26 @@
 """On-disk formats: versioned record files and a binary array container.
 
-Sparse records (detections, proposals, point matches, tube entries,
-ground truth, clip scores, metrics) live in tab-separated text files
-with a two-line header naming the record kind, format version and
-column layout.  Dense numeric payloads (flow grids, scorer weights,
-mixture parameters, cell accuracies) live in a little-endian container
-of named arrays.  Writers emit records in a canonical sort order so
-identical data always produces identical bytes.  See FORMATS.md for
-the field-by-field reference.
+Sparse records (detections, proposals, tube entries, ground truth, clip
+scores, metrics) live in tab-separated text files with a two-line
+header naming the record kind, format version and column layout.
+Dense numeric payloads (point matches, flow grids, scorer weights,
+cell accuracies) live in a little-endian container of named arrays,
+read back as read-only views of the file's bytes.  Writers emit
+records and arrays in a canonical order so identical data always
+produces identical bytes, and every file is written to a temp file
+beside its target and then renamed onto it, so a failed write never
+leaves a truncated file.  See FORMATS.md for the field-by-field
+reference.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import struct
-from collections.abc import Iterable, Mapping, Sequence
+import threading
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +48,6 @@ SCHEMAS = {
         "video_id", "frame", "x0", "y0", "x1", "y1", "source", "scores")),
     "proposals": RecordSchema("proposals", (
         "video_id", "frame", "x0", "y0", "x1", "y1", "objectness")),
-    "matches": RecordSchema("matches", (
-        "video_id", "from_frame", "to_frame", "from_x", "from_y",
-        "to_x", "to_y")),
     "tubes": RecordSchema("tubes", (
         "video_id", "tube_id", "frame", "x0", "y0", "x1", "y1", "source",
         "scores", "label", "score")),
@@ -72,10 +75,36 @@ def _check_id(value: str, path, line: int | None, field: str) -> str:
     return value
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs) -> Iterator:
+    """A file opened beside ``path`` that replaces it only on success.
+
+    The body writes to a temp file in the same directory, private to
+    this process and thread; a normal exit renames it onto ``path`` with
+    ``os.replace``, an exception removes it.  A failed write therefore
+    leaves no partial ``path`` and keeps any previous one intact.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    temp = os.path.join(
+        head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    fh = open(temp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def write_records(path, kind: str, rows: Iterable[Sequence[str]]) -> None:
     schema = SCHEMAS[kind]
     width = len(schema.columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#{MAGIC_WORD} {schema.kind} {FORMAT_VERSION}\n")
         fh.write("#columns\t" + "\t".join(schema.columns) + "\n")
         for row in rows:
@@ -237,46 +266,6 @@ def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
         acc.setdefault(video_id, {}).setdefault(frame, []).append(prop)
     return {vid: {frame: tuple(props) for frame, props in frames.items()}
             for vid, frames in acc.items()}
-
-
-# -- point matches ------------------------------------------------------
-
-def write_matches(
-        path,
-        pairs: Mapping[tuple[str, int, int], PointMatchSet]) -> None:
-    rows = []
-    for (video_id, from_frame, to_frame), matches in pairs.items():
-        _check_id(video_id, str(path), None, "video_id")
-        fp, tp = matches.from_points, matches.to_points
-        for i in range(len(matches)):
-            rows.append((video_id, from_frame, to_frame,
-                         fp[i, 0], fp[i, 1], tp[i, 0], tp[i, 1]))
-    rows.sort()
-    write_records(path, "matches", (
-        (vid, str(ff), str(tf), *map(_format_float, pts))
-        for vid, ff, tf, *pts in rows))
-
-
-def read_matches(path) -> dict[tuple[str, int, int], PointMatchSet]:
-    acc: dict[tuple[str, int, int], list[tuple[float, ...]]] = {}
-    for line, fields in read_records(path, "matches"):
-        video_id = _check_id(fields[0], str(path), line, "video_id")
-        from_frame = _parse_int(fields[1], path, line, "from_frame")
-        to_frame = _parse_int(fields[2], path, line, "to_frame")
-        if abs(to_frame - from_frame) != 1:
-            raise SchemaError(
-                f"match spans frames {from_frame} to {to_frame}; only "
-                f"adjacent frames are supported",
-                path=str(path), line=line, field="to_frame")
-        names = ("from_x", "from_y", "to_x", "to_y")
-        point = tuple(_parse_float(fields[3 + i], path, line, names[i])
-                      for i in range(4))
-        acc.setdefault((video_id, from_frame, to_frame), []).append(point)
-    out = {}
-    for key, points in acc.items():
-        arr = np.asarray(points)
-        out[key] = PointMatchSet(arr[:, :2], arr[:, 2:])
-    return out
 
 
 # -- tubes --------------------------------------------------------------
@@ -461,7 +450,7 @@ _CODE_FOR_KIND = {"f": 0, "i": 1, "u": 2}
 
 def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
     """Named arrays to the binary container, sorted by name."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<HI", FORMAT_VERSION, len(arrays)))
         for name in sorted(arrays):
@@ -476,13 +465,14 @@ def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<BB", code, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:
+    """Named arrays of a container, as read-only views of its bytes."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = memoryview(fh.read())
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", path=str(path))
     if blob[:4] != BINARY_MAGIC:
@@ -490,7 +480,7 @@ def read_arrays(path) -> dict[str, np.ndarray]:
                           path=str(path))
     offset = 4
 
-    def take(count: int) -> bytes:
+    def take(count: int) -> memoryview:
         nonlocal offset
         if offset + count > len(blob):
             raise SchemaError(
@@ -506,7 +496,14 @@ def read_arrays(path) -> dict[str, np.ndarray]:
     arrays = {}
     for _ in range(count):
         name_len, = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise SchemaError(f"array name at byte {offset - name_len} is "
+                              f"not UTF-8", path=str(path)) from None
+        if name in arrays:
+            raise SchemaError(f"array {name!r} appears twice",
+                              path=str(path))
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPE_CODES:
             raise SchemaError(f"array {name!r} has unknown dtype code "
@@ -515,7 +512,7 @@ def read_arrays(path) -> dict[str, np.ndarray]:
         dtype = np.dtype(_DTYPE_CODES[code])
         total = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         data = take(total * dtype.itemsize)
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape)
     if offset != len(blob):
         raise SchemaError(
             f"{len(blob) - offset} trailing bytes after the last array",
@@ -551,23 +548,64 @@ def read_weights(path):
         raise SchemaError(str(exc), path=str(path)) from None
 
 
-def write_gmm(path, gmm) -> None:
-    write_arrays(path, {"weights": gmm.weights, "means": gmm.means,
-                        "variances": gmm.variances})
+_FRAME_NAME = re.compile(r"([A-Za-z0-9_.:-]+)/([0-9]+)\Z")
 
 
-def read_gmm(path):
-    from .footprint import DiagonalGaussianMixture
-    arrays = read_arrays(path)
-    missing = {"weights", "means", "variances"} - arrays.keys()
-    if missing:
-        raise SchemaError(f"mixture container missing {sorted(missing)}",
-                          path=str(path))
-    try:
-        return DiagonalGaussianMixture(arrays["weights"], arrays["means"],
-                                       arrays["variances"])
-    except InputError as exc:
-        raise SchemaError(str(exc), path=str(path)) from None
+def _parse_frame_name(name: str, path, kind: str) -> tuple[str, int]:
+    """``(video_id, frame)`` of a per-frame array name ``<id>/<frame:08d>``."""
+    found = _FRAME_NAME.match(name)
+    if found is None or name != f"{found[1]}/{int(found[2]):08d}":
+        raise SchemaError(f"bad {kind} array name {name!r}, expected "
+                          f"<video_id>/<frame:08d>", path=str(path))
+    return found[1], int(found[2])
+
+
+def write_matches(
+        path,
+        pairs: Mapping[tuple[str, int, int], PointMatchSet]) -> None:
+    """One (N, 4) array per adjacent frame pair, named by its earlier frame.
+
+    Columns are ``from_x from_y to_x to_y`` and rows are sorted
+    lexicographically.  A backward pair ``(f, f-1)`` is stored as the
+    forward pair ``(f-1, f)`` with its point roles swapped.
+    """
+    arrays = {}
+    for (video_id, from_frame, to_frame), matches in pairs.items():
+        _check_id(video_id, str(path), None, "video_id")
+        if abs(to_frame - from_frame) != 1:
+            raise InputError(
+                f"matches in {video_id!r} span frames {from_frame} to "
+                f"{to_frame}; only adjacent frames are supported")
+        if to_frame < from_frame:
+            matches = matches.reversed()
+        frame = min(from_frame, to_frame)
+        if frame < 0:
+            raise InputError(f"matches in {video_id!r} start at negative "
+                             f"frame {frame}")
+        name = f"{video_id}/{frame:08d}"
+        if name in arrays:
+            raise InputError(f"two match sets cover frames {frame} and "
+                             f"{frame + 1} of {video_id!r}")
+        rows = np.hstack([matches.from_points, matches.to_points])
+        arrays[name] = rows[np.lexsort(rows.T[::-1])]
+    write_arrays(path, arrays)
+
+
+def read_matches(path) -> dict[tuple[str, int, int], PointMatchSet]:
+    out = {}
+    for name, rows in read_arrays(path).items():
+        video_id, frame = _parse_frame_name(name, path, "match")
+        if rows.dtype.kind != "f" or rows.ndim != 2 or rows.shape[1] != 4:
+            raise SchemaError(
+                f"match array {name!r} is {rows.dtype} {rows.shape}, "
+                f"expected (N, 4) float64", path=str(path))
+        try:
+            matches = PointMatchSet(rows[:, :2], rows[:, 2:])
+        except InputError as exc:
+            raise SchemaError(f"match array {name!r}: {exc}",
+                              path=str(path)) from None
+        out[(video_id, frame, frame + 1)] = matches
+    return out
 
 
 def write_alphas(path, alphas: np.ndarray) -> None:
@@ -595,11 +633,7 @@ def write_flow(path, by_video: Mapping[str, Mapping[int, FlowMagnitudeGrid]]
 def read_flow(path) -> dict[str, dict[int, FlowMagnitudeGrid]]:
     out: dict[str, dict[int, FlowMagnitudeGrid]] = {}
     for name, values in read_arrays(path).items():
-        video_id, _, frame_text = name.rpartition("/")
-        if not video_id or not frame_text.isdigit():
-            raise SchemaError(f"bad flow grid name {name!r}",
-                              path=str(path))
-        frame = int(frame_text)
+        video_id, frame = _parse_frame_name(name, path, "flow grid")
         try:
             grid = FlowMagnitudeGrid(frame, values)
         except InputError as exc:

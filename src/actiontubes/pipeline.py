@@ -33,10 +33,9 @@ FILE_DETECTIONS = {"static": "detections_static.tsv",
 FILE_FUSED = "detections_fused.tsv"
 FILE_PROPOSALS = "proposals.tsv"
 FILE_SALIENT = "proposals_salient.tsv"
-FILE_MATCHES = "matches.tsv"
+FILE_MATCHES = "matches.atb"
 FILE_FLOW = "flow.atb"
 FILE_WEIGHTS = "weights.atb"
-FILE_GMM = "gmm.atb"
 FILE_ALPHAS = "alphas.atb"
 FILE_DRIFT = "drift_tubes.tsv"
 FILE_TRACKED = "tubes_tracked.tsv"
@@ -104,8 +103,6 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
         pairs.update(part)
     formats.write_matches(directory / FILE_MATCHES, pairs)
     formats.write_weights(directory / FILE_WEIGHTS, bundle.weights)
-    if bundle.gmm is not None:
-        formats.write_gmm(directory / FILE_GMM, bundle.gmm)
     if bundle.alphas is not None:
         formats.write_alphas(directory / FILE_ALPHAS, bundle.alphas)
     if scenario.with_flow:
@@ -361,8 +358,8 @@ def run_evaluate(directory: Path, config: PipelineConfig) -> EvalReport:
     report = evaluate(tubes, ground_truth, eval_config(config))
     formats.write_metrics(directory / FILE_METRICS,
                           _metric_rows(report, config))
-    with open(directory / FILE_REPORT, "w", encoding="utf-8",
-              newline="\n") as fh:
+    with formats.atomic_open(directory / FILE_REPORT, "w", encoding="utf-8",
+                             newline="\n") as fh:
         fh.write(report.to_text() + "\n")
     return report
 

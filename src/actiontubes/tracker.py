@@ -16,7 +16,7 @@ points moved to.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -224,6 +224,39 @@ def _consume_or_predict(box: BoundingBox, scores: np.ndarray, label: int,
                      tuple(float(s) for s in scores), Source.TRACKED)
 
 
+def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
+              scorer: RegionScorer, pool: UntrackedPool, cfg: TrackerConfig,
+              video_id: str) -> Detection:
+    """The best scoring candidate for ``label``, merged or predicted.
+
+    Ties break suppression-style (larger, then lexicographically smaller
+    box).  Any scorer failure, including too few classes for ``label``,
+    is raised as ``ScorerError``.
+    """
+    best = None
+    best_key = None
+    best_scores = None
+    for prop in candidates:
+        try:
+            scores = np.asarray(
+                scorer.class_scores(video_id, next_frame, prop.box),
+                dtype=np.float64)
+        except ScorerError:
+            raise
+        except Exception as exc:
+            raise ScorerError(
+                f"region scorer failed at frame {next_frame}: {exc}") from exc
+        if scores.ndim != 1 or label >= scores.shape[0]:
+            raise ScorerError(
+                f"scorer returned {scores.size} classes, tube label is "
+                f"{label}")
+        key = _candidate_key(prop, float(scores[label]))
+        if best_key is None or key < best_key:
+            best, best_key, best_scores = prop, key, scores
+    return _consume_or_predict(best.box, best_scores, label, next_frame,
+                               pool, cfg)
+
+
 def track_step(region: BoundingBox, label: int, next_frame: int,
                proposals: Sequence[Proposal], matches: PointMatchSet,
                scorer: RegionScorer, pool: UntrackedPool,
@@ -243,66 +276,44 @@ def track_step(region: BoundingBox, label: int, next_frame: int,
                   and iou(p.box, region) >= cfg.min_prev_overlap]
     if not candidates:
         return None
-    best = None
-    best_key = None
-    best_scores = None
-    for prop in candidates:
-        try:
-            scores = np.asarray(
-                scorer.class_scores(video_id, next_frame, prop.box),
-                dtype=np.float64)
-        except ScorerError:
-            raise
-        except Exception as exc:
-            raise ScorerError(
-                f"region scorer failed at frame {next_frame}: {exc}") from exc
-        if label >= scores.shape[0]:
-            raise ScorerError(
-                f"scorer returned {scores.shape[0]} classes, tube label is "
-                f"{label}")
-        key = _candidate_key(prop, float(scores[label]))
-        if best_key is None or key < best_key:
-            best, best_key, best_scores = prop, key, scores
-    return _consume_or_predict(best.box, best_scores, label, next_frame,
-                               pool, cfg)
+    return _continue(candidates, label, next_frame, scorer, pool, cfg,
+                     video_id)
 
 
-def _extend(seed: Detection, frames: range, direction_step: int,
-            video_id: str, proposals_by_frame: dict[int, Sequence[Proposal]],
-            matcher: PointMatcher, scorer: RegionScorer, pool: UntrackedPool,
+# (seed, current entry, next frame, pool) -> next entry, or None to stop
+StepFn = Callable[[Detection, Detection, int, UntrackedPool],
+                  Detection | None]
+
+
+def _extend(seed: Detection, frames: range, step: StepFn,
+            pool: UntrackedPool,
             cfg: TrackerConfig) -> tuple[list[Detection], bool]:
     """Grow one direction until termination; True flags a scorer abort."""
     entries: list[Detection] = []
     current = seed
     predicted_run = 0
     for frame in frames:
-        matches = matcher.match(video_id, frame - direction_step, frame,
-                                current.box)
         try:
-            step = track_step(current.box, seed.label, frame,
-                              proposals_by_frame.get(frame, ()), matches,
-                              scorer, pool, cfg, video_id)
+            nxt = step(seed, current, frame, pool)
         except ScorerError:
             return entries, True
-        if step is None:
+        if nxt is None:
             break
-        if step.source is Source.TRACKED:
+        if nxt.source is Source.TRACKED:
             if predicted_run >= cfg.max_predicted_run:
                 break
             predicted_run += 1
         else:
             predicted_run = 0
-        entries.append(step)
-        current = step
+        entries.append(nxt)
+        current = nxt
     return entries, False
 
 
-def build_tubes(video_id: str,
+def _grow_tubes(video_id: str,
                 detections_by_frame: dict[int, Sequence[Detection]],
-                proposals_by_frame: dict[int, Sequence[Proposal]],
-                extent: FrameInterval, matcher: PointMatcher,
-                scorer: RegionScorer,
-                cfg: TrackerConfig = TrackerConfig()) -> list[Tube]:
+                extent: FrameInterval, step: StepFn,
+                cfg: TrackerConfig) -> list[Tube]:
     """Track every pooled detection into a tube, best seeds first.
 
     Each tube is seeded from the best remaining detection, grown forward
@@ -316,17 +327,37 @@ def build_tubes(video_id: str,
     tubes: list[Tube] = []
     while (seed := pool.take_best()) is not None:
         forward, aborted = _extend(
-            seed, range(seed.frame_index + 1, extent.end), 1, video_id,
-            proposals_by_frame, matcher, scorer, pool, cfg)
+            seed, range(seed.frame_index + 1, extent.end), step, pool, cfg)
         backward: list[Detection] = []
         if not aborted:
             backward, _ = _extend(
-                seed, range(seed.frame_index - 1, extent.start - 1, -1), -1,
-                video_id, proposals_by_frame, matcher, scorer, pool, cfg)
+                seed, range(seed.frame_index - 1, extent.start - 1, -1),
+                step, pool, cfg)
         entries = list(reversed(backward)) + [seed] + forward
         tubes.append(Tube(video_id, f"t{len(tubes):03d}", tuple(entries),
                           label=seed.label))
     return tubes
+
+
+def build_tubes(video_id: str,
+                detections_by_frame: dict[int, Sequence[Detection]],
+                proposals_by_frame: dict[int, Sequence[Proposal]],
+                extent: FrameInterval, matcher: PointMatcher,
+                scorer: RegionScorer,
+                cfg: TrackerConfig = TrackerConfig()) -> list[Tube]:
+    """Point-matching tracker: every step follows ``track_step``.
+
+    The tube keeps its seed's class; matches are queried from the
+    current entry's frame and box to the next frame.
+    """
+    def step(seed, current, frame, pool):
+        matches = matcher.match(video_id, current.frame_index, frame,
+                                current.box)
+        return track_step(current.box, seed.label, frame,
+                          proposals_by_frame.get(frame, ()), matches,
+                          scorer, pool, cfg, video_id)
+
+    return _grow_tubes(video_id, detections_by_frame, extent, step, cfg)
 
 
 def build_tubes_neighborhood(
@@ -337,15 +368,13 @@ def build_tubes_neighborhood(
         search_radius: float = 20.0) -> list[Tube]:
     """Baseline tracker constrained to a spatial neighborhood.
 
-    Identical seeding and consumption, but continuation candidates are
-    the proposals whose center lies within ``search_radius`` pixels of
-    the previous center.  Kept for contrast: it cannot follow motion
+    Identical seeding, consumption and scorer-failure handling, but
+    continuation candidates are the proposals whose center lies within
+    ``search_radius`` pixels of the previous center, scored for the
+    current entry's class.  Kept for contrast: it cannot follow motion
     larger than the radius between consecutive frames.
     """
-    pool = UntrackedPool(detections_by_frame)
-    tubes: list[Tube] = []
-
-    def step(current: Detection, frame: int) -> Detection | None:
+    def step(seed, current, frame, pool):
         cx, cy = current.box.center()
         candidates = []
         for prop in proposals_by_frame.get(frame, ()):
@@ -354,51 +383,7 @@ def build_tubes_neighborhood(
                 candidates.append(prop)
         if not candidates:
             return None
-        best = None
-        best_key = None
-        best_scores = None
-        for prop in candidates:
-            scores = np.asarray(
-                scorer.class_scores(video_id, frame, prop.box),
-                dtype=np.float64)
-            key = _candidate_key(prop, float(scores[current.label]))
-            if best_key is None or key < best_key:
-                best, best_key, best_scores = prop, key, scores
-        return _consume_or_predict(best.box, best_scores, current.label,
-                                   frame, pool, cfg)
+        return _continue(candidates, current.label, frame, scorer, pool,
+                         cfg, video_id)
 
-    while (seed := pool.take_best()) is not None:
-        entries = [seed]
-        current = seed
-        run = 0
-        for frame in range(seed.frame_index + 1, extent.end):
-            nxt = step(current, frame)
-            if nxt is None:
-                break
-            if nxt.source is Source.TRACKED:
-                if run >= cfg.max_predicted_run:
-                    break
-                run += 1
-            else:
-                run = 0
-            entries.append(nxt)
-            current = nxt
-        current = seed
-        run = 0
-        backward = []
-        for frame in range(seed.frame_index - 1, extent.start - 1, -1):
-            nxt = step(current, frame)
-            if nxt is None:
-                break
-            if nxt.source is Source.TRACKED:
-                if run >= cfg.max_predicted_run:
-                    break
-                run += 1
-            else:
-                run = 0
-            backward.append(nxt)
-            current = nxt
-        entries = list(reversed(backward)) + entries
-        tubes.append(Tube(video_id, f"t{len(tubes):03d}", tuple(entries),
-                          label=seed.label))
-    return tubes
+    return _grow_tubes(video_id, detections_by_frame, extent, step, cfg)

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actiontubes import formats
-from actiontubes.errors import SchemaError
-from actiontubes.footprint import DiagonalGaussianMixture
+from actiontubes.errors import InputError, SchemaError
 from actiontubes.fusion import FlowMagnitudeGrid
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Proposal,
                                Source, Tube)
 from actiontubes.scoring import RecurrentScorerWeights
 from actiontubes.synth import ScenarioConfig, generate
-from actiontubes.tracker import PointMatchSet, PrecomputedMatcher
+from actiontubes.tracker import (EMPTY_MATCHES, PointMatchSet,
+                                 PrecomputedMatcher)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestProposalsRoundTrip:
 
 class TestMatchesRoundTrip:
     def test_matcher_equivalence(self, bundle, tmp_path):
-        path = tmp_path / "m.tsv"
+        path = tmp_path / "m.atb"
         matcher = bundle.matcher()
         pairs = {}
         for video in bundle.videos:
@@ -111,7 +111,7 @@ class TestMatchesRoundTrip:
                                np.sort(b.to_points, axis=0))
 
     def test_backward_queries_served_from_forward_records(self, tmp_path):
-        path = tmp_path / "m.tsv"
+        path = tmp_path / "m.atb"
         pairs = {("v0", 3, 4): PointMatchSet(np.array([[1.0, 2.0]]),
                                              np.array([[5.0, 6.0]]))}
         formats.write_matches(path, pairs)
@@ -120,13 +120,92 @@ class TestMatchesRoundTrip:
         assert np.array_equal(back.from_points, [[5.0, 6.0]])
         assert np.array_equal(back.to_points, [[1.0, 2.0]])
 
-    def test_non_adjacent_record_rejected(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        formats.write_records(path, "matches",
-                              [("v0", "0", "2", "1.0", "1.0", "2.0", "2.0")])
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        path = tmp_path / "m.atb"
+        rng = np.random.default_rng(3)
+        pairs = {(vid, f, f + 1): PointMatchSet(rng.normal(size=(n, 2)),
+                                                rng.normal(size=(n, 2)))
+                 for vid, f, n in (("v0", 0, 5), ("v0", 1, 0),
+                                   ("v1.a", 7, 3))}
+        formats.write_matches(path, pairs)
+        back = formats.read_matches(path)
+        assert set(back) == set(pairs)
+        for key, matches in pairs.items():
+            rows = np.hstack([matches.from_points, matches.to_points])
+            want = np.array(sorted(map(tuple, rows))).reshape(-1, 4)
+            got = np.hstack([back[key].from_points, back[key].to_points])
+            assert got.tobytes() == want.tobytes()
+
+    def test_backward_pair_stored_forward(self, tmp_path):
+        path = tmp_path / "m.atb"
+        pairs = {("v0", 4, 3): PointMatchSet(np.array([[1.0, 2.0]]),
+                                             np.array([[5.0, 6.0]]))}
+        formats.write_matches(path, pairs)
+        assert list(formats.read_arrays(path)) == ["v0/00000003"]
+        back = formats.read_matches(path)[("v0", 3, 4)]
+        assert np.array_equal(back.from_points, [[5.0, 6.0]])
+        assert np.array_equal(back.to_points, [[1.0, 2.0]])
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.atb", tmp_path / "b.atb"
+        rng = np.random.default_rng(5)
+        pairs = {("v0", f, f + 1): PointMatchSet(rng.uniform(size=(4, 2)),
+                                                 rng.uniform(size=(4, 2)))
+                 for f in range(3)}
+        formats.write_matches(a, pairs)
+        formats.write_matches(b, dict(reversed(pairs.items())))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("key", [("v0", 0, 2), ("v0", 3, 3)])
+    def test_non_adjacent_pair_rejected_on_write(self, tmp_path, key):
+        with pytest.raises(InputError):
+            formats.write_matches(tmp_path / "m.atb", {key: EMPTY_MATCHES})
+
+    def test_duplicate_pair_rejected_on_write(self, tmp_path):
+        pairs = {("v0", 3, 4): EMPTY_MATCHES, ("v0", 4, 3): EMPTY_MATCHES}
+        with pytest.raises(InputError):
+            formats.write_matches(tmp_path / "m.atb", pairs)
+        assert not (tmp_path / "m.atb").exists()
+
+    @pytest.mark.parametrize("name", ["v0/x", "v0", "v 0/00000001",
+                                      "v0/1", "/00000001"])
+    def test_bad_array_name_rejected(self, tmp_path, name):
+        path = tmp_path / "m.atb"
+        formats.write_arrays(path, {name: np.zeros((1, 4))})
         with pytest.raises(SchemaError) as info:
             formats.read_matches(path)
-        assert info.value.line == 3
+        assert "name" in str(info.value)
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 3)), np.zeros(4),
+                                      np.zeros((2, 4), dtype=np.int64),
+                                      np.zeros((1, 2, 4))])
+    def test_bad_array_shape_or_dtype_rejected(self, tmp_path, rows):
+        path = tmp_path / "m.atb"
+        formats.write_arrays(path, {"v0/00000000": rows})
+        with pytest.raises(SchemaError) as info:
+            formats.read_matches(path)
+        assert "(N, 4)" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.atb"
+        formats.write_arrays(path, {"v0/00000000": np.array([[0, 1, bad, 2]])})
+        with pytest.raises(SchemaError) as info:
+            formats.read_matches(path)
+        assert "finite" in str(info.value)
+
+    def test_truncated_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.atb"
+        pairs = {("v0", 0, 1): PointMatchSet(np.ones((3, 2)),
+                                             np.zeros((3, 2)))}
+        formats.write_matches(path, pairs)
+        blob = path.read_bytes()
+        for broken, word in ((blob[:-1], "truncated"),
+                             (blob + b"\x00", "trailing")):
+            path.write_bytes(broken)
+            with pytest.raises(SchemaError) as info:
+                formats.read_matches(path)
+            assert word in str(info.value)
 
 
 class TestTubesRoundTrip:
@@ -336,6 +415,26 @@ class TestArrayContainer:
             formats.read_arrays(path)
         assert "truncated" in str(info.value)
 
+    def test_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "a.atb"
+        formats.write_arrays(path, {"x": np.arange(4.0),
+                                    "y": np.eye(2, dtype=np.int64)})
+        for arr in formats.read_arrays(path).values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7
+
+    @pytest.mark.parametrize("name, word", [(b"a", "twice"),
+                                            (b"\xff", "UTF-8")])
+    def test_bad_array_name_detected(self, tmp_path, name, word):
+        path = tmp_path / "a.atb"
+        formats.write_arrays(path, {"a": np.zeros(2), "b": np.zeros(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00" + name))
+        with pytest.raises(SchemaError) as info:
+            formats.read_arrays(path)
+        assert word in str(info.value)
+
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "a.atb"
         formats.write_arrays(path, {"x": np.arange(4.0)})
@@ -364,17 +463,6 @@ class TestArrayContainer:
             formats.read_weights(path)
         assert "missing" in str(info.value)
 
-    def test_gmm_round_trip(self, tmp_path):
-        path = tmp_path / "g.atb"
-        gmm = DiagonalGaussianMixture(
-            np.array([0.4, 0.6]), np.array([[0.0, 1.0], [2.0, 3.0]]),
-            np.array([[1.0, 1.0], [0.5, 2.0]]))
-        formats.write_gmm(path, gmm)
-        back = formats.read_gmm(path)
-        assert np.array_equal(back.weights, gmm.weights)
-        assert np.array_equal(back.means, gmm.means)
-        assert np.array_equal(back.variances, gmm.variances)
-
     def test_alphas_round_trip(self, tmp_path):
         path = tmp_path / "al.atb"
         alphas = np.random.default_rng(0).uniform(size=(3, 49))
@@ -393,6 +481,14 @@ class TestArrayContainer:
                 assert np.array_equal(back[video_id][frame].values,
                                       grid.values)
 
+    @pytest.mark.parametrize("name", ["v0/\u00b2", "v0/1", "v 0/00000001"])
+    def test_flow_bad_name_rejected(self, tmp_path, name):
+        path = tmp_path / "f.atb"
+        formats.write_arrays(path, {name: np.ones((2, 2))})
+        with pytest.raises(SchemaError) as info:
+            formats.read_flow(path)
+        assert "name" in str(info.value)
+
     @given(st.lists(st.floats(-1e12, 1e12, allow_nan=False, width=64),
                     min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -401,3 +497,33 @@ class TestArrayContainer:
         formats.write_arrays(path, {"v": np.asarray(values)})
         assert np.array_equal(formats.read_arrays(path)["v"],
                               np.asarray(values))
+
+
+class TestAtomicWrites:
+    def test_failed_record_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        rows = [("map", "video", "0.5", "-", "1.0")]
+        formats.write_metrics(path, rows)
+        good = path.read_bytes()
+        with pytest.raises(InputError):
+            formats.write_records(path, "metrics",
+                                  [*rows, ("map", "video", "0.5")])
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["m.tsv"]
+
+    def test_failed_record_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(InputError):
+            formats.write_records(tmp_path / "m.tsv", "metrics",
+                                  [("map", "video", "0.5", "-", "1.0"),
+                                   ("short",)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_array_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.atb"
+        formats.write_arrays(path, {"x": np.arange(3.0)})
+        good = path.read_bytes()
+        with pytest.raises(InputError):
+            formats.write_arrays(path, {"a": np.arange(3.0),
+                                        "b": np.array(["text"])})
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["a.atb"]

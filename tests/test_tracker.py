@@ -314,3 +314,25 @@ class TestNeighborhoodBaseline:
                               TrackerConfig(min_prev_overlap=0.0))
         assert len(tracked) == 1
         assert tracked[0].interval() == FrameInterval(0, 5)
+
+    @pytest.mark.parametrize("failure", ["raise", "too_few_classes"])
+    def test_scorer_failure_keeps_partial_tube(self, failure):
+        gt = single_actor_world(5, shift=(6.0, 0.0))
+        dets = {f: [det(f, gt[f], (0.9, 0.0))] for f in range(5)}
+        props = {f: [Proposal(f, gt[f])] for f in range(5)}
+
+        class FlakyScorer(WorldScorer):
+            def class_scores(self, video_id, frame_index, box):
+                if frame_index != 3:
+                    return super().class_scores(video_id, frame_index, box)
+                if failure == "raise":
+                    raise RuntimeError("no scores on this frame")
+                return np.zeros(0)
+
+        tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
+                                         FlakyScorer(gt), search_radius=20.0)
+        # The first tube stops before frame 3 and is kept; reseeding
+        # covers the rest.
+        assert tubes[0].interval() == FrameInterval(0, 3)
+        covered = {f for t in tubes for f in t.interval().frames()}
+        assert {3, 4} <= covered
