@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed", type=int, metavar="N",
         help="scenario seed; wins over synth.seed from other sources")
-    common.add_argument(
-        "--threads", type=int, metavar="N",
-        help="worker threads; wins over run.threads from other sources")
 
     parser = argparse.ArgumentParser(
         prog="actiontubes",
@@ -65,8 +62,6 @@ def _assemble_config(args: argparse.Namespace) -> PipelineConfig:
     late = []
     if args.seed is not None:
         late.append(f"synth.seed={args.seed}")
-    if args.threads is not None:
-        late.append(f"run.threads={args.threads}")
     return apply_overrides(config, late)
 
 

@@ -26,15 +26,14 @@ class _Key:
     doc: str
 
 
-def _parse_int(lo: int, hi: int | None = None):
+def _parse_int(lo: int):
     def parse(text: str, name: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise ConfigError(f"{name}: not an integer: {text!r}") from None
-        if value < lo or (hi is not None and value > hi):
-            top = "" if hi is None else f" and <= {hi}"
-            raise ConfigError(f"{name}: must be >= {lo}{top}, got {value}")
+        if value < lo:
+            raise ConfigError(f"{name}: must be >= {lo}, got {value}")
         return value
     return parse
 
@@ -186,8 +185,6 @@ _DECLARATIONS = [
      "minimum overlap counting as localized at all"),
     ("eval.fpr_cap", 0.6, _parse_float(0.0, 1.0, lo_open=True),
      "false positive rate integration cap"),
-    # execution
-    ("run.threads", 1, _parse_int(1, 64), "worker threads per stage"),
 ]
 
 KEYS: dict[str, _Key] = {

@@ -11,6 +11,7 @@ full outcome list.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ class BoxPrediction:
     def __post_init__(self):
         if self.label < 0:
             raise InputError(f"label must be non-negative, got {self.label}")
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise InputError("prediction score must be finite")
 
 

@@ -15,6 +15,7 @@ reference.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -167,7 +168,7 @@ def _parse_float(value: str, path, line: int, field: str) -> float:
     except ValueError:
         raise SchemaError(f"not a number: {value!r}",
                           path=str(path), line=line, field=field) from None
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise SchemaError(f"non-finite value: {value!r}",
                           path=str(path), line=line, field=field)
     return out

@@ -8,7 +8,7 @@ top left corner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -119,25 +119,23 @@ class Detection:
 
     ``class_scores`` holds one real score per action class.  The
     detection's label is the argmax of that vector and its scalar score
-    is the value at the label.
+    is the value at the label; both are computed once, on construction
+    (``dataclasses.replace`` constructs anew, so they stay in step).
     """
 
     frame_index: int
     box: BoundingBox
     class_scores: tuple[float, ...]
     source: Source = Source.STATIC
+    label: int = field(init=False, repr=False, compare=False)
+    score: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "class_scores",
-                           _validated_scores(self.class_scores))
-
-    @property
-    def label(self) -> int:
-        return argmax_label(self.class_scores)
-
-    @property
-    def score(self) -> float:
-        return self.class_scores[self.label]
+        scores = _validated_scores(self.class_scores)
+        label = argmax_label(scores)
+        object.__setattr__(self, "class_scores", scores)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "score", scores[label])
 
     def score_for(self, class_index: int) -> float:
         if not 0 <= class_index < len(self.class_scores):

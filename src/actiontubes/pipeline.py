@@ -2,15 +2,13 @@
 
 Every stage reads its inputs from the directory, transforms them, and
 writes its outputs back under fixed names, so running a stage twice on
-the same inputs produces byte-identical files.  Per-video work can run
-on a bounded thread pool; results are keyed by video and written in
-canonical order, so the thread count never changes output bytes.
+the same inputs produces byte-identical files.  Per-video work runs in
+canonical video order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 from . import formats
@@ -56,16 +54,6 @@ def _require(directory: Path, name: str, producer: str) -> Path:
     return path
 
 
-def _map_videos(keys: Sequence, fn: Callable, threads: int) -> dict:
-    """Apply ``fn`` per key, possibly on a pool; result order is fixed."""
-    keys = list(keys)
-    if threads <= 1 or len(keys) <= 1:
-        return {key: fn(key) for key in keys}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {key: pool.submit(fn, key) for key in keys}
-        return {key: future.result() for key, future in futures.items()}
-
-
 def _group_by_frame(detections) -> dict[int, list[Detection]]:
     out: dict[int, list[Detection]] = {}
     for det in detections:
@@ -89,18 +77,11 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
     width, height = scenario.frame_size
     full = BoundingBox(0.0, 0.0, float(width), float(height))
 
-    def pairs_for(index):
-        video = bundle.videos[index]
-        out = {}
-        for frame in list(video.extent.frames())[:-1]:
-            out[(video.video_id, frame, frame + 1)] = matcher.match(
-                video.video_id, frame, frame + 1, full)
-        return out
-
     pairs = {}
-    for part in _map_videos(range(len(bundle.videos)), pairs_for,
-                            config["run.threads"]).values():
-        pairs.update(part)
+    for video in bundle.videos:
+        for frame in list(video.extent.frames())[:-1]:
+            pairs[(video.video_id, frame, frame + 1)] = matcher.match(
+                video.video_id, frame, frame + 1, full)
     formats.write_matches(directory / FILE_MATCHES, pairs)
     formats.write_weights(directory / FILE_WEIGHTS, bundle.weights)
     if bundle.alphas is not None:
@@ -142,7 +123,7 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
             out.extend(merge_early_late(early, late, overlap))
         return out
 
-    fused = _map_videos(video_ids, fuse_one, config["run.threads"])
+    fused = {video_id: fuse_one(video_id) for video_id in video_ids}
     formats.write_detections(directory / FILE_FUSED, fused)
     result = {"videos": len(video_ids),
               "detections": sum(len(d) for d in fused.values())}
@@ -165,8 +146,8 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
                     out[frame] = tuple(saliency_prune(props, grid, threshold))
             return out
 
-        salient = _map_videos(sorted(proposals), prune_one,
-                              config["run.threads"])
+        salient = {video_id: prune_one(video_id)
+                   for video_id in sorted(proposals)}
         formats.write_proposals(directory / FILE_SALIENT, salient)
         result["salient_proposals"] = sum(
             len(p) for frames in salient.values() for p in frames.values())
@@ -212,8 +193,7 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
                            scorer, tcfg)
 
     video_ids = sorted(detections)
-    tracked = _map_videos(video_ids, track_one, config["run.threads"])
-    tubes = [tube for video_id in video_ids for tube in tracked[video_id]]
+    tubes = [tube for video_id in video_ids for tube in track_one(video_id)]
     formats.write_tubes(directory / FILE_TRACKED, tubes)
     return {"videos": len(video_ids), "tubes": len(tubes)}
 
@@ -252,10 +232,11 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
             out.append((tube.with_label(ts.label, ts.score), clips))
         return out
 
-    scored = _map_videos(sorted(by_video), score_one, config["run.threads"])
-    labeled = [tube for pairs in scored.values() for tube, _ in pairs]
+    scored = [pair for video_id in sorted(by_video)
+              for pair in score_one(video_id)]
+    labeled = [tube for tube, _ in scored]
     clip_map = {(tube.video_id, tube.tube_id): clips
-                for pairs in scored.values() for tube, clips in pairs}
+                for tube, clips in scored}
     formats.write_tubes(directory / FILE_SCORED, labeled)
     formats.write_clip_scores(directory / FILE_CLIP_SCORES, clip_map)
     return {"tubes": len(labeled)}

@@ -12,7 +12,7 @@ to zero the scorer reduces exactly to a feed-forward network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,19 +163,14 @@ class TubeScore:
 
 
 def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
-               fusion: Literal["add", "multiply"] = "add",
                label: int | None = None) -> TubeScore:
-    """Combine mean frame scores with mean clip scores.
+    """Fuse mean frame scores with mean clip scores by addition.
 
-    The default fuses by addition; ``multiply`` is available as a
-    config-selectable alternative.  Without an explicit ``label`` the
-    label is the argmax of the fused vector with ties resolved to the
-    lowest class index; passing one pins the label and reports that
-    class's fused value as the score, for tubes whose class is already
-    decided.
+    Without an explicit ``label`` the label is the argmax of the fused
+    vector with ties resolved to the lowest class index; passing one
+    pins the label and reports that class's fused value as the score,
+    for tubes whose class is already decided.
     """
-    if fusion not in ("add", "multiply"):
-        raise InputError(f"unknown fusion {fusion!r}")
     if clip_scores.span() != tube.interval():
         raise InputError(
             f"clip span {clip_scores.span()} does not cover tube extent "
@@ -188,10 +183,7 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
             f"scores have {clip_scores.num_classes}")
     avg_cnn = frame_scores.mean(axis=0)
     avg_rnn = np.array(clip_scores.scores, dtype=np.float64).mean(axis=0)
-    if fusion == "add":
-        traj = avg_cnn + avg_rnn
-    else:
-        traj = avg_cnn * avg_rnn
+    traj = avg_cnn + avg_rnn
     if label is None:
         label = int(np.argmax(traj))
     elif not 0 <= label < traj.shape[0]:
@@ -213,20 +205,24 @@ def prune_overlapped(scored: Sequence[tuple[Tube, TubeScore]],
     ties) and dropped when their spatio-temporal overlap with any kept
     tube of the same video strictly exceeds ``threshold``.  Labels play
     no role: overlapping tubes suppress each other across classes.
+    Kept tubes are held per video with their frame extents, and
+    ``st_iou`` runs only for extents that intersect: elsewhere it is 0,
+    which never exceeds a threshold in [0, 1].
     """
     if not 0.0 <= threshold <= 1.0:
         raise InputError(f"prune threshold must be in [0, 1], got {threshold}")
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1].score, i))
     kept: list[tuple[Tube, TubeScore]] = []
+    kept_by_video: dict[str, list[tuple[int, int, Tube]]] = {}
     for idx in order:
         tube, ts = scored[idx]
-        suppressed = False
-        for kept_tube, _ in kept:
-            if kept_tube.video_id != tube.video_id:
-                continue
-            if st_iou(kept_tube, tube) > threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append((tube, ts))
+        start = tube.entries[0].frame_index
+        end = start + len(tube.entries)
+        same_video = kept_by_video.setdefault(tube.video_id, [])
+        if any(k_start < end and start < k_end
+               and st_iou(kept_tube, tube) > threshold
+               for k_start, k_end, kept_tube in same_video):
+            continue
+        same_video.append((start, end, tube))
+        kept.append((tube, ts))
     return kept

@@ -60,11 +60,11 @@ class ActorSpec:
     def __post_init__(self):
         if self.label < 0:
             raise ConfigError(f"actor label must be >= 0, got {self.label}")
-        if not self.size > 0 or not np.isfinite(self.size):
+        if not self.size > 0 or not math.isfinite(self.size):
             raise ConfigError(f"actor size must be positive, got {self.size}")
         if self.motion not in MOTIONS:
             raise ConfigError(f"unknown motion model: {self.motion!r}")
-        if self.speed < 0 or not np.isfinite(self.speed):
+        if self.speed < 0 or not math.isfinite(self.speed):
             raise ConfigError(f"speed must be >= 0, got {self.speed}")
 
 
@@ -122,7 +122,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
         for name in ("jitter_sigma", "match_noise", "feature_noise"):
             value = getattr(self, name)
-            if value < 0 or not np.isfinite(value):
+            if value < 0 or not math.isfinite(value):
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.near_miss_count < 0 or self.distractor_count < 0:
             raise ConfigError("proposal counts must be >= 0")
@@ -503,22 +503,30 @@ class SyntheticMatcher:
 
 
 class SyntheticRegionScorer:
-    """Per-class score of a region: its best IOU with that class's truth."""
+    """Per-class score of a region: its best IOU with that class's truth.
+
+    The truth present on each frame is indexed once per video, as
+    ``frame -> [(label, box)]`` in ground-truth order.
+    """
 
     def __init__(self, config: ScenarioConfig,
                  gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
         self._num_classes = config.num_classes
-        self._gt = dict(gt_by_video)
+        self._by_frame: dict[str, dict[int, list]] = {}
+        for video_id, tubes in gt_by_video.items():
+            index = self._by_frame[video_id] = {}
+            for gt in tubes:
+                for frame, box in gt.iter_frames():
+                    index.setdefault(frame, []).append((gt.label, box))
 
     def class_scores(self, video_id: str, frame_index: int,
                      box: BoundingBox) -> tuple[float, ...]:
         scores = [0.0] * self._num_classes
-        for gt in self._gt.get(video_id, ()):
-            if frame_index not in gt.interval():
-                continue
-            ov = iou(box, gt.box_at(frame_index))
-            if ov > scores[gt.label]:
-                scores[gt.label] = ov
+        for label, gt_box in self._by_frame.get(video_id, {}).get(
+                frame_index, ()):
+            ov = iou(box, gt_box)
+            if ov > scores[label]:
+                scores[label] = ov
         return tuple(scores)
 
 
@@ -560,9 +568,10 @@ class SyntheticFeaturizer:
         for t, interval in enumerate(intervals):
             best_label, best_ov = None, 0.0
             for gt in self._gt.get(video_id, ()):
-                overlaps = [iou(boxes[f], gt.box_at(f))
-                            for f in interval.frames()
-                            if f in boxes and f in gt.interval()]
+                lo = max(interval.start, gt.start)
+                hi = min(interval.end, gt.start + len(gt.boxes))
+                overlaps = [iou(boxes[f], gt.boxes[f - gt.start])
+                            for f in range(lo, hi) if f in boxes]
                 if not overlaps:
                     continue
                 ov = float(np.mean(overlaps))
@@ -589,10 +598,12 @@ class SyntheticFeaturizer:
         for t, interval in enumerate(intervals):
             covered = np.zeros((side, side), dtype=bool)
             for gt in self._gt.get(video_id, ()):
-                frames = [f for f in interval.frames() if f in gt.interval()]
-                if not frames:
+                lo = max(interval.start, gt.start)
+                hi = min(interval.end, gt.start + len(gt.boxes))
+                if lo >= hi:
                     continue
-                stack = np.array([gt.box_at(f).as_tuple() for f in frames])
+                stack = np.array([gt.boxes[f - gt.start].as_tuple()
+                                  for f in range(lo, hi)])
                 x0, y0 = stack[:, 0].min(), stack[:, 1].min()
                 x1, y1 = stack[:, 2].max(), stack[:, 3].max()
                 ci0 = max(0, int(math.floor(y0 / cell_h)))

@@ -21,7 +21,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import InputError, ScorerError
-from .geometry import iou
+from .geometry import iou, iou_many
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
 
 
@@ -108,6 +108,12 @@ def match_ratio(box: BoundingBox, matches: PointMatchSet) -> float:
     inside = ((tp[:, 0] >= box.x_min) & (tp[:, 0] <= box.x_max)
               & (tp[:, 1] >= box.y_min) & (tp[:, 1] <= box.y_max))
     return float(np.count_nonzero(inside)) / len(matches)
+
+
+def box_array(proposals: Sequence[Proposal]) -> np.ndarray:
+    """Proposal boxes as an (n, 4) array of ``x_min, y_min, x_max, y_max``."""
+    return np.array([p.box.as_tuple() for p in proposals],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -257,25 +263,45 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
                                pool, cfg)
 
 
+def match_gate(region: BoundingBox, boxes: np.ndarray,
+               matches: PointMatchSet, cfg: TrackerConfig) -> np.ndarray:
+    """Indices of the rows of ``boxes`` that may continue ``region``.
+
+    A row passes when ``match_ratio`` of its box is at least
+    ``min_match_ratio`` and its ``iou`` with ``region`` is at least
+    ``min_prev_overlap``; both are computed for all rows at once, with
+    one points-in-boxes count matrix and one overlap vector, and equal
+    the scalar primitives exactly.  Indices come in row order.
+    """
+    if not len(matches):
+        return np.empty(0, dtype=np.intp)
+    tp = matches.to_points
+    inside = ((tp[None, :, 0] >= boxes[:, 0, None])
+              & (tp[None, :, 0] <= boxes[:, 2, None])
+              & (tp[None, :, 1] >= boxes[:, 1, None])
+              & (tp[None, :, 1] <= boxes[:, 3, None]))
+    ratios = np.count_nonzero(inside, axis=1) / len(matches)
+    return np.flatnonzero((ratios >= cfg.min_match_ratio)
+                          & (iou_many(boxes, region) >= cfg.min_prev_overlap))
+
+
 def track_step(region: BoundingBox, label: int, next_frame: int,
                proposals: Sequence[Proposal], matches: PointMatchSet,
                scorer: RegionScorer, pool: UntrackedPool,
                cfg: TrackerConfig, video_id: str = "") -> Detection | None:
     """Extend a tube by one frame; ``None`` means the tube terminates.
 
-    Candidates are the proposals capturing at least ``min_match_ratio``
-    of the matches from the current region and overlapping it by at
-    least ``min_prev_overlap``.  The best scoring candidate for the
-    tube's class wins, with suppression-style tie breaking, and is then
-    either merged with a pooled detection or kept as a prediction.
+    Candidates are the proposals passing ``match_gate``: they capture
+    at least ``min_match_ratio`` of the matches from the current region
+    and overlap it by at least ``min_prev_overlap``.  The best scoring
+    candidate for the tube's class wins, with suppression-style tie
+    breaking, and is then either merged with a pooled detection or kept
+    as a prediction.
     """
-    if not len(matches):
+    keep = match_gate(region, box_array(proposals), matches, cfg)
+    if not keep.size:
         return None
-    candidates = [p for p in proposals
-                  if match_ratio(p.box, matches) >= cfg.min_match_ratio
-                  and iou(p.box, region) >= cfg.min_prev_overlap]
-    if not candidates:
-        return None
+    candidates = [proposals[i] for i in keep]
     return _continue(candidates, label, next_frame, scorer, pool, cfg,
                      video_id)
 
@@ -372,18 +398,25 @@ def build_tubes_neighborhood(
     continuation candidates are the proposals whose center lies within
     ``search_radius`` pixels of the previous center, scored for the
     current entry's class.  Kept for contrast: it cannot follow motion
-    larger than the radius between consecutive frames.
+    larger than the radius between consecutive frames.  Proposal
+    centers are computed once per frame and gated as one array.
     """
+    centers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    radius_sq = search_radius ** 2
+
     def step(seed, current, frame, pool):
+        proposals = proposals_by_frame.get(frame, ())
+        if frame not in centers:
+            boxes = box_array(proposals)
+            centers[frame] = (0.5 * (boxes[:, 0] + boxes[:, 2]),
+                              0.5 * (boxes[:, 1] + boxes[:, 3]))
+        px, py = centers[frame]
         cx, cy = current.box.center()
-        candidates = []
-        for prop in proposals_by_frame.get(frame, ()):
-            px, py = prop.box.center()
-            if (px - cx) ** 2 + (py - cy) ** 2 <= search_radius ** 2:
-                candidates.append(prop)
-        if not candidates:
+        dx, dy = px - cx, py - cy
+        keep = np.flatnonzero(dx * dx + dy * dy <= radius_sq)
+        if not keep.size:
             return None
-        return _continue(candidates, current.label, frame, scorer, pool,
-                         cfg, video_id)
+        return _continue([proposals[i] for i in keep], current.label, frame,
+                         scorer, pool, cfg, video_id)
 
     return _grow_tubes(video_id, detections_by_frame, extent, step, cfg)

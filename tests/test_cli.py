@@ -49,14 +49,6 @@ class TestStageComposition:
         assert run_cli("track", "--out", out, "--seed", 3, *FAST) == 0
         assert (out / FILE_TRACKED).read_bytes() == first
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        one, four = tmp_path / "one", tmp_path / "four"
-        assert run_cli("pipeline", "--out", one, "--seed", 5,
-                       "--threads", 1, *FAST) == 0
-        assert run_cli("pipeline", "--out", four, "--seed", 5,
-                       "--threads", 4, *FAST) == 0
-        assert tree_bytes(one) == tree_bytes(four)
-
 
 class TestExitCodes:
     def test_success_returns_zero(self, tmp_path, capsys):

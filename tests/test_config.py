@@ -42,7 +42,6 @@ class TestRegistry:
         ("eval.sigmas", "0.5,0.3"),
         ("eval.sigmas", ""),
         ("eval.fpr_cap", "0"),
-        ("run.threads", "100"),
     ])
     def test_out_of_range_values_rejected(self, name, text):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +57,19 @@ class TestDetection:
         d = make_det(scores=(0.2, 0.7, 0.1))
         assert d.score == 0.7
         assert d.score_for(2) == 0.1
+
+    def test_label_and_score_follow_replace(self):
+        d = make_det(scores=(0.2, 0.7, 0.1))
+        e = replace(d, class_scores=(0.6, 0.1, 0.3))
+        assert (e.label, e.score) == (0, 0.6)
+        f = replace(e, frame_index=4, source=Source.MERGED)
+        assert (f.label, f.score) == (0, 0.6)
+        assert (d.label, d.score) == (1, 0.7)
+
+    def test_cached_fields_do_not_change_equality_or_repr(self):
+        a, b = make_det(scores=(0.2, 0.7)), make_det(scores=(0.2, 0.7))
+        assert a == b and hash(a) == hash(b)
+        assert "label" not in repr(a)
 
     def test_rejects_empty_scores(self):
         with pytest.raises(InputError):

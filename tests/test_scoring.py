@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from actiontubes.errors import InputError
+from actiontubes.geometry import st_iou
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, Tube)
-from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
-                                 recurrent_forward, score_clips, score_tube,
-                                 slice_clips, softmax)
+from actiontubes.scoring import (RecurrentScorerWeights, TubeScore,
+                                 prune_overlapped, recurrent_forward,
+                                 score_clips, score_tube, slice_clips,
+                                 softmax)
 from oracles import recurrent_reference, softmax_reference
 
 
@@ -149,11 +151,6 @@ class TestScoreTube:
                 assert ts.s_traj[c] == pytest.approx(
                     ts.s_avg_cnn[c] + ts.s_avg_rnn[c], abs=1e-12)
 
-    def test_multiplicative_fusion(self):
-        tube = tube_with_scores([(0.6, 0.4), (0.8, 0.2)])
-        ts = score_tube(tube, clips_for(tube, (0.5, 0.5)), fusion="multiply")
-        assert ts.s_traj == pytest.approx((0.35, 0.15))
-
     def test_tie_takes_lowest_label(self):
         tube = tube_with_scores([(0.5, 0.5)])
         ts = score_tube(tube, clips_for(tube, (0.5, 0.5)))
@@ -234,6 +231,57 @@ class TestPruneOverlapped:
         b = scored_tube("v", "b", 0, 10, BoundingBox(50, 0, 70, 20), 0.8)
         c = scored_tube("v", "c", 0, 10, BoundingBox(100, 0, 120, 20), 0.5)
         assert prune_overlapped([a, b, c], 0.3) == [b, c, a]
+
+
+def prune_reference(scored, threshold):
+    """The all-pairs loop ``prune_overlapped`` replaces."""
+    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1].score, i))
+    kept = []
+    for idx in order:
+        tube, ts = scored[idx]
+        if not any(k.video_id == tube.video_id and st_iou(k, tube) > threshold
+                   for k, _ in kept):
+            kept.append((tube, ts))
+    return kept
+
+
+def random_scored(rng, count):
+    out = []
+    for i in range(count):
+        start = int(rng.integers(0, 12))
+        x, y = (float(v) for v in rng.integers(0, 30, 2))
+        entries = []
+        for f in range(start, start + int(rng.integers(1, 7))):
+            dx, dy = (float(v) for v in rng.integers(-2, 3, 2))
+            entries.append(Detection(
+                f, BoundingBox(x + dx, y + dy, x + dx + 20, y + dy + 20),
+                (1.0, 0.0)))
+        tube = Tube(f"v{int(rng.integers(0, 3))}", f"t{i}", tuple(entries),
+                    label=0)
+        score = float(rng.choice([0.2, 0.5, 0.9]))   # ties are common
+        out.append((tube, TubeScore((score, 0.0), (0.0, 0.0), (score, 0.0),
+                                    0, score)))
+    return out
+
+
+class TestPruneMatchesAllPairs:
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.3, 0.5, 1.0])
+    def test_random_videos(self, threshold):
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            scored = random_scored(rng, int(rng.integers(0, 25)))
+            got = prune_overlapped(scored, threshold)
+            want = prune_reference(scored, threshold)
+            assert [t.tube_id for t, _ in got] == \
+                [t.tube_id for t, _ in want]
+
+    def test_abutting_extents_survive_threshold_zero(self):
+        box = BoundingBox(0, 0, 20, 20)
+        a = scored_tube("v", "a", 0, 5, box, 0.9)
+        b = scored_tube("v", "b", 5, 3, box, 0.5)
+        c = scored_tube("v", "c", 4, 2, box, 0.4)
+        assert prune_overlapped([a, b, c], 0.0) == [a, b]
+        assert prune_reference([a, b, c], 0.0) == [a, b]
 
 
 def test_score_clips_bundles_intervals():

@@ -5,12 +5,14 @@ import pytest
 
 from actiontubes.errors import ConfigError, InputError
 from actiontubes.geometry import iou, st_iou
-from actiontubes.model import BoundingBox, Source
+from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
+                               Source)
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
-from actiontubes.synth import (ActorSpec, ScenarioConfig, analytic_weights,
-                               generate, home_region, inject_drift,
-                               is_injected)
+from actiontubes.synth import (ActorSpec, ScenarioConfig,
+                               SyntheticFeaturizer, SyntheticRegionScorer,
+                               analytic_weights, generate, home_region,
+                               inject_drift, is_injected)
 from actiontubes.tracker import TrackerConfig, build_tubes, match_ratio
 
 
@@ -277,6 +279,23 @@ class TestMatcher:
         assert np.sum(disp < 1e-12) > len(disp) / 2
 
 
+def random_box(rng):
+    x, y = (float(v) for v in rng.integers(0, 40, 2))
+    return BoundingBox(x, y, x + float(rng.integers(5, 30)),
+                       y + float(rng.integers(5, 30)))
+
+
+def random_gt_tubes(rng, video_id, count=4):
+    """Static ground truth with staggered spans over frames 0-20."""
+    out = []
+    for i in range(count):
+        start = int(rng.integers(0, 12))
+        box = random_box(rng)
+        out.append(GroundTruthTube(video_id, f"g{i}", int(rng.integers(0, 3)),
+                                   start, (box,) * int(rng.integers(1, 9))))
+    return out
+
+
 class TestRegionScorer:
     def test_exact_box_scores_one_for_true_class(self):
         bundle = generate(small_config())
@@ -293,6 +312,25 @@ class TestRegionScorer:
         scores = scorer.class_scores("v000", 3, BoundingBox(0, 0, 4, 4))
         assert scores == (0.0, 0.0, 0.0)
 
+    def test_frame_index_equals_scan_over_all_tubes(self):
+        # Truth with staggered spans and a repeated label, so frames
+        # with none, some and all of it present are all queried.
+        rng = np.random.default_rng(61)
+        gt_map = {"v0": random_gt_tubes(rng, "v0"),
+                  "v1": random_gt_tubes(rng, "v1")}
+        scorer = SyntheticRegionScorer(small_config(), gt_map)
+        for video_id, tubes in gt_map.items():
+            for frame in range(-1, 22):
+                box = random_box(rng)
+                want = [0.0] * 3
+                for gt in tubes:
+                    if frame in gt.interval():
+                        want[gt.label] = max(want[gt.label],
+                                             iou(box, gt.box_at(frame)))
+                assert scorer.class_scores(video_id, frame, box) == \
+                    tuple(want)
+        assert scorer.class_scores("v9", 3, box) == (0.0, 0.0, 0.0)
+
 
 class TestFeaturizer:
     def test_clip_features_point_along_class_direction(self):
@@ -307,6 +345,33 @@ class TestFeaturizer:
         expected = np.zeros(config.feature_dim)
         expected[gt.label] = config.feature_margin
         assert np.allclose(feats, expected[None, :])
+
+    def test_clip_features_equal_scan_over_tube_frames(self):
+        config = small_config(feature_noise=0.0)
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            tubes = random_gt_tubes(rng, "v0")
+            featurizer = SyntheticFeaturizer(config, {"v0": tubes},
+                                             {"v0": 0})
+            # a tube wandering near the truth, with a gap in its boxes
+            boxes = {f: tubes[f % len(tubes)].boxes[0].translated(
+                         float(rng.integers(-4, 5)), 0.0)
+                     for f in range(2, 20) if f != 9}
+            intervals = slice_clips(FrameInterval(2, 20), 4)
+            want = np.zeros((len(intervals), config.feature_dim))
+            for t, interval in enumerate(intervals):
+                best_label, best_ov = None, 0.0
+                for gt in tubes:
+                    overlaps = [iou(boxes[f], gt.box_at(f))
+                                for f in interval.frames()
+                                if f in boxes and f in gt.interval()]
+                    if overlaps and float(np.mean(overlaps)) > best_ov:
+                        best_label = gt.label
+                        best_ov = float(np.mean(overlaps))
+                if best_label is not None:
+                    want[t] = featurizer.class_direction(best_label)
+            got = featurizer.clip_features("v0", boxes, intervals)
+            assert np.array_equal(got, want)
 
     def test_off_actor_boxes_give_null_features(self):
         config = small_config(feature_noise=0.0)

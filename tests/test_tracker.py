@@ -4,11 +4,12 @@ import pytest
 from actiontubes.errors import InputError, ScorerError
 from actiontubes.model import (BoundingBox, Detection, FrameInterval,
                                Proposal, Source)
+from actiontubes.geometry import iou
 from actiontubes.tracker import (EMPTY_MATCHES, PointMatchSet,
                                  PrecomputedMatcher, TrackerConfig,
-                                 UntrackedPool, build_tubes,
-                                 build_tubes_neighborhood, match_ratio,
-                                 track_step)
+                                 UntrackedPool, box_array, build_tubes,
+                                 build_tubes_neighborhood, match_gate,
+                                 match_ratio, track_step)
 
 
 def grid_points(box, n=4):
@@ -207,6 +208,109 @@ class TestTrackStep:
         assert out is not None and out.box == far_box
 
 
+def gate_reference(region, proposals, matches, cfg):
+    """The per-proposal loop ``match_gate`` replaces."""
+    if not len(matches):
+        return []
+    return [i for i, p in enumerate(proposals)
+            if match_ratio(p.box, matches) >= cfg.min_match_ratio
+            and iou(p.box, region) >= cfg.min_prev_overlap]
+
+
+def lattice_box(rng, lo=0, hi=30, max_side=12):
+    x0, y0 = (int(v) for v in rng.integers(lo, hi, 2))
+    w, h = (int(v) for v in rng.integers(1, max_side, 2))
+    return BoundingBox(x0, y0, x0 + w, y0 + h)
+
+
+class TestMatchGate:
+    """``match_gate`` against the scalar ``match_ratio`` and ``iou``."""
+
+    def gate(self, region, proposals, matches, cfg):
+        return match_gate(region, box_array(proposals), matches,
+                          cfg).tolist()
+
+    def test_matches_scalar_loop_on_lattice(self):
+        # Integer coordinates put many points exactly on box edges and
+        # many ratios and overlaps exactly on round thresholds.
+        rng = np.random.default_rng(41)
+        for trial in range(300):
+            region = lattice_box(rng)
+            props = [Proposal(1, lattice_box(rng))
+                     for _ in range(int(rng.integers(0, 8)))]
+            pts = rng.integers(0, 40, (int(rng.integers(0, 12)), 2))
+            matches = PointMatchSet(pts, pts)
+            cfg = TrackerConfig(
+                min_match_ratio=float(rng.choice([0.0, 0.25, 0.5, 1.0])),
+                min_prev_overlap=float(rng.choice([0.0, 0.1, 0.2, 0.5])))
+            assert self.gate(region, props, matches, cfg) == \
+                gate_reference(region, props, matches, cfg), trial
+
+    def test_points_on_edges_count(self):
+        box = BoundingBox(0, 0, 10, 10)
+        pts = np.array([[0.0, 0.0], [10.0, 10.0], [0.0, 10.0],
+                        [10.0, 5.0]])
+        matches = PointMatchSet(pts, pts)
+        cfg = TrackerConfig(min_match_ratio=1.0)
+        assert self.gate(box, [Proposal(1, box)], matches, cfg) == [0]
+
+    def test_ratio_exactly_at_threshold_passes(self):
+        box = BoundingBox(0, 0, 10, 10)
+        pts = np.array([[1.0, 1.0], [9.0, 9.0], [20.0, 1.0], [30.0, 1.0]])
+        matches = PointMatchSet(pts, pts)
+        assert match_ratio(box, matches) == 0.5
+        props = [Proposal(1, box)]
+        assert self.gate(box, props, matches,
+                         TrackerConfig(min_match_ratio=0.5)) == [0]
+        assert self.gate(box, props, matches,
+                         TrackerConfig(min_match_ratio=0.51)) == []
+
+    def test_overlap_exactly_at_threshold_passes(self):
+        region = BoundingBox(0, 0, 10, 10)
+        strip = BoundingBox(0, 0, 10, 2)
+        assert iou(strip, region) == 0.2
+        pts = np.array([[5.0, 1.0]])
+        matches = PointMatchSet(pts, pts)
+        props = [Proposal(1, strip)]
+        assert self.gate(region, props, matches,
+                         TrackerConfig(min_prev_overlap=0.2)) == [0]
+        assert self.gate(region, props, matches,
+                         TrackerConfig(min_prev_overlap=0.21)) == []
+
+    def test_touching_boxes_overlap_zero(self):
+        region = BoundingBox(0, 0, 10, 10)
+        touching = BoundingBox(10, 0, 20, 10)
+        pts = np.array([[10.0, 5.0]])
+        matches = PointMatchSet(pts, pts)
+        props = [Proposal(1, touching)]
+        for overlap in (0.0, 0.2):
+            cfg = TrackerConfig(min_prev_overlap=overlap)
+            assert self.gate(region, props, matches, cfg) == \
+                gate_reference(region, props, matches, cfg)
+        assert self.gate(region, props, matches,
+                         TrackerConfig(min_prev_overlap=0.0)) == [0]
+        assert self.gate(region, props, matches, TrackerConfig()) == []
+
+    def test_keeps_proposal_order(self):
+        box = BoundingBox(0, 0, 10, 10)
+        pts = np.array([[5.0, 5.0]])
+        matches = PointMatchSet(pts, pts)
+        props = [Proposal(1, box), Proposal(1, BoundingBox(50, 50, 60, 60)),
+                 Proposal(1, BoundingBox(1, 1, 10, 10)), Proposal(1, box)]
+        assert self.gate(box, props, matches, TrackerConfig()) == [0, 2, 3]
+
+    def test_no_proposals_or_no_matches(self):
+        box = BoundingBox(0, 0, 10, 10)
+        pts = np.array([[5.0, 5.0]])
+        assert self.gate(box, [], PointMatchSet(pts, pts),
+                         TrackerConfig()) == []
+        assert self.gate(box, [Proposal(1, box)], EMPTY_MATCHES,
+                         TrackerConfig()) == []
+        assert track_step(box, 0, 1, [], PointMatchSet(pts, pts),
+                          WorldScorer({}), UntrackedPool({}),
+                          TrackerConfig()) is None
+
+
 class TestBuildTubes:
     def make_inputs(self, frames=5, miss=()):
         gt = single_actor_world(frames)
@@ -314,6 +418,33 @@ class TestNeighborhoodBaseline:
                               TrackerConfig(min_prev_overlap=0.0))
         assert len(tracked) == 1
         assert tracked[0].interval() == FrameInterval(0, 5)
+
+    def test_center_exactly_at_radius_is_kept(self):
+        # The frame-1 proposal's center is 12 right and 16 down of the
+        # seed's: exactly 20 px away.
+        seed = BoundingBox(40, 40, 60, 60)
+        moved = seed.translated(12.0, 16.0)
+        dets = {0: [det(0, seed, (0.9, 0.0))]}
+        props = {1: [Proposal(1, moved)]}
+        for radius, frames in ((20.0, 2), (19.999, 1)):
+            tubes = build_tubes_neighborhood(
+                "v", dets, props, FrameInterval(0, 2),
+                WorldScorer({1: moved}), search_radius=radius)
+            assert [len(t.entries) for t in tubes] == [frames]
+
+    def test_center_gate_picks_from_the_right_frame(self):
+        # Gating runs on per-frame center arrays; the candidate that
+        # wins must be a proposal of the frame being extended into.  The
+        # true box sits at a different index on every frame.
+        gt = single_actor_world(4, shift=(6.0, 0.0))
+        dets = {0: [det(0, gt[0], (0.9, 0.0))]}
+        far = BoundingBox(200, 200, 230, 230)
+        props = {f: [Proposal(f, far)] * f + [Proposal(f, gt[f])]
+                 for f in range(4)}
+        tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 4),
+                                         WorldScorer(gt), search_radius=20.0)
+        assert len(tubes) == 1
+        assert [e.box for e in tubes[0].entries] == [gt[f] for f in range(4)]
 
     @pytest.mark.parametrize("failure", ["raise", "too_few_classes"])
     def test_scorer_failure_keeps_partial_tube(self, failure):
