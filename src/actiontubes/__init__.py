@@ -12,8 +12,7 @@ from .config import (PipelineConfig, apply_overrides, default_config,
 from .errors import (ActionTubesError, ConfigError, InputError,
                      ProcessingError, SchemaError, ScorerError)
 from .evaluation import (EvalConfig, EvalReport, FalseCounts,
-                         average_precision, auc_curve, evaluate,
-                         recall_track)
+                         average_precision, evaluate, recall_track)
 from .footprint import (CellLayout, DiagonalGaussianMixture, FootprintMap,
                         build_footprint_map, fisher_vector, fit_gmm,
                         prune_drifted)
@@ -41,7 +40,7 @@ __all__ = [
     "PrecomputedMatcher", "ProcessingError", "Proposal",
     "RecurrentScorerWeights", "STAGES", "ScenarioConfig", "SchemaError",
     "ScorerError", "Source", "TrackerConfig", "Tube", "TubeScore",
-    "apply_overrides", "auc_curve", "average_precision",
+    "apply_overrides", "average_precision",
     "build_footprint_map", "build_tubes", "build_tubes_neighborhood",
     "default_config", "evaluate", "fisher_vector", "fit_gmm", "generate",
     "inject_drift", "iou", "late_fuse", "load_config", "localize",

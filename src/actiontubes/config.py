@@ -172,8 +172,6 @@ _DECLARATIONS = [
     # temporal localization
     ("localize.enabled", True, _parse_bool, "run temporal trimming"),
     ("localize.tau", 0.3, _parse_float(0.0, 1.0), "clip score threshold"),
-    ("localize.mode", "trim", _parse_enum(("trim", "literal")),
-     "keep the thresholded span, or mark the low span only"),
     # evaluation
     ("eval.sigmas", (0.05, 0.1, 0.2, 0.3, 0.5), _parse_sigmas,
      "overlap thresholds, comma separated, increasing"),

@@ -194,15 +194,6 @@ def mean_average_precision(result: MatchResult) -> float:
     return float(np.mean(list(per_class.values())))
 
 
-def map_over_classes(predictions, ground_truth: Sequence[GroundTruthTube],
-                     sigmas: Sequence[float],
-                     mode: str = "video") -> dict[float, float]:
-    """Mean AP over ground-truth classes, at each IOU threshold."""
-    return {float(s): mean_average_precision(
-        match_and_label(predictions, ground_truth, s, mode))
-        for s in sigmas}
-
-
 def auc_from_outcomes(outcomes: Sequence[MatchOutcome], num_gt: int,
                       fpr_cap: float = 0.6) -> float:
     """Area under the ROC curve traced by sweeping a score threshold.
@@ -245,18 +236,6 @@ def auc_from_outcomes(outcomes: Sequence[MatchOutcome], num_gt: int,
     if points[-1][0] < fpr_cap:
         area += (fpr_cap - points[-1][0]) * points[-1][1]
     return area / fpr_cap
-
-
-def auc_curve(predictions, ground_truth: Sequence[GroundTruthTube],
-              sigmas: Sequence[float], mode: str = "video",
-              fpr_cap: float = 0.6) -> dict[float, float]:
-    """AUC at each IOU threshold."""
-    out = {}
-    for s in sigmas:
-        result = match_and_label(predictions, ground_truth, s, mode)
-        out[float(s)] = auc_from_outcomes(result.outcomes, result.num_gt,
-                                          fpr_cap)
-    return out
 
 
 def recall_track(tubes: Sequence[Tube],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import BoundingBox, Tube
-from .scoring import TubeScore
+from .scoring import require_scored
 
 VARIANCE_FLOOR = 1e-6
 
@@ -306,9 +306,8 @@ def cells_overlapping(layout: CellLayout, box: BoundingBox,
     return cells
 
 
-def prune_drifted(scored: Sequence[tuple[Tube, TubeScore]],
-                  fmap: FootprintMap,
-                  frame_size: tuple[float, float]) -> list[tuple[Tube, TubeScore]]:
+def prune_drifted(tubes: Sequence[Tube], fmap: FootprintMap,
+                  frame_size: tuple[float, float]) -> list[Tube]:
     """Drop tubes projecting onto low-weight regions of their class map.
 
     The tube's temporally averaged box selects the overlap cell set O;
@@ -318,8 +317,9 @@ def prune_drifted(scored: Sequence[tuple[Tube, TubeScore]],
     removed as well.
     """
     kept = []
-    for tube, ts in scored:
-        label = ts.label
+    for tube in tubes:
+        require_scored(tube)
+        label = tube.label
         if not 0 <= label < fmap.num_classes:
             raise InputError(
                 f"tube label {label} outside the map's {fmap.num_classes} "
@@ -331,7 +331,7 @@ def prune_drifted(scored: Sequence[tuple[Tube, TubeScore]],
         s_proj = float(w[cells].sum()) / len(cells)
         s_map = float(w.sum()) / fmap.layout.num_cells
         if s_proj >= s_map:
-            kept.append((tube, ts))
+            kept.append(tube)
     return kept
 
 

@@ -8,7 +8,6 @@ canonical video order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 from . import formats
@@ -242,41 +241,25 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
     return {"tubes": len(labeled)}
 
 
-def _scored_pairs(tubes: Sequence[Tube],
-                  clip_map: Mapping) -> list[tuple[Tube, object]]:
-    pairs = []
-    for tube in tubes:
-        clips = clip_map.get((tube.video_id, tube.tube_id))
-        if clips is None:
-            raise InputError(
-                f"no clip scores for tube {tube.tube_id!r} in "
-                f"{tube.video_id!r}; rerun the 'score' command")
-        pairs.append((tube, score_tube(tube, clips, label=tube.label)))
-    return pairs
-
-
 def run_prune(directory: Path, config: PipelineConfig) -> dict:
     """Drop overlap duplicates, then tubes off their class footprint."""
     tubes = formats.read_tubes(_require(directory, FILE_SCORED, "score"))
-    clip_map = formats.read_clip_scores(
-        _require(directory, FILE_CLIP_SCORES, "score"))
-    pairs = _scored_pairs(tubes, clip_map)
     removed_overlap = removed_footprint = 0
     if config["prune.enabled"]:
-        kept = prune_overlapped(pairs, config["prune.st_overlap"])
-        removed_overlap = len(pairs) - len(kept)
-        pairs = kept
+        kept = prune_overlapped(tubes, config["prune.st_overlap"])
+        removed_overlap = len(tubes) - len(kept)
+        tubes = kept
     alphas_path = directory / FILE_ALPHAS
     if config["prune.footprint"] and alphas_path.exists():
         fmap = build_footprint_map(formats.read_alphas(alphas_path),
                                    cell_layout(config))
         frame_size = (float(config["synth.frame_width"]),
                       float(config["synth.frame_height"]))
-        kept = prune_drifted(pairs, fmap, frame_size)
-        removed_footprint = len(pairs) - len(kept)
-        pairs = kept
-    formats.write_tubes(directory / FILE_PRUNED, [t for t, _ in pairs])
-    return {"tubes": len(pairs), "removed_overlap": removed_overlap,
+        kept = prune_drifted(tubes, fmap, frame_size)
+        removed_footprint = len(tubes) - len(kept)
+        tubes = kept
+    formats.write_tubes(directory / FILE_PRUNED, tubes)
+    return {"tubes": len(tubes), "removed_overlap": removed_overlap,
             "removed_footprint": removed_footprint}
 
 
@@ -289,7 +272,6 @@ def run_localize(directory: Path, config: PipelineConfig) -> dict:
     clip_map = formats.read_clip_scores(
         _require(directory, FILE_CLIP_SCORES, "score"))
     tau = config["localize.tau"]
-    mode = config["localize.mode"]
     out = []
     for tube in tubes:
         clips = clip_map.get((tube.video_id, tube.tube_id))
@@ -297,7 +279,7 @@ def run_localize(directory: Path, config: PipelineConfig) -> dict:
             raise InputError(
                 f"no clip scores for tube {tube.tube_id!r} in "
                 f"{tube.video_id!r}; rerun the 'score' command")
-        result = localize(tube, clips, tau=tau, mode=mode)
+        result = localize(tube, clips, tau=tau)
         if result is not None:
             out.append(result)
     formats.write_tubes(directory / FILE_FINAL, out)

@@ -197,11 +197,24 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
         score=float(traj[label]))
 
 
-def prune_overlapped(scored: Sequence[tuple[Tube, TubeScore]],
-                     threshold: float = 0.3) -> list[tuple[Tube, TubeScore]]:
+def require_scored(tube: Tube) -> float:
+    """The score the 'score' stage wrote onto a labeled tube.
+
+    The pruners rank by it and select by the label, so a tube that
+    never went through scoring is rejected rather than guessed at.
+    """
+    if tube.label is None or tube.score is None:
+        raise InputError(
+            f"tube {tube.tube_id!r} in {tube.video_id!r} has no label or "
+            f"no score; run the 'score' command first")
+    return tube.score
+
+
+def prune_overlapped(tubes: Sequence[Tube],
+                     threshold: float = 0.3) -> list[Tube]:
     """Greedy removal of tubes overlapping a better scored kept tube.
 
-    Tubes are visited by descending trajectory score (input order breaks
+    Tubes are visited by descending ``Tube.score`` (input order breaks
     ties) and dropped when their spatio-temporal overlap with any kept
     tube of the same video strictly exceeds ``threshold``.  Labels play
     no role: overlapping tubes suppress each other across classes.
@@ -211,11 +224,12 @@ def prune_overlapped(scored: Sequence[tuple[Tube, TubeScore]],
     """
     if not 0.0 <= threshold <= 1.0:
         raise InputError(f"prune threshold must be in [0, 1], got {threshold}")
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1].score, i))
-    kept: list[tuple[Tube, TubeScore]] = []
+    scores = [require_scored(tube) for tube in tubes]
+    order = sorted(range(len(tubes)), key=lambda i: (-scores[i], i))
+    kept: list[Tube] = []
     kept_by_video: dict[str, list[tuple[int, int, Tube]]] = {}
     for idx in order:
-        tube, ts = scored[idx]
+        tube = tubes[idx]
         start = tube.entries[0].frame_index
         end = start + len(tube.entries)
         same_video = kept_by_video.setdefault(tube.video_id, [])
@@ -224,5 +238,5 @@ def prune_overlapped(scored: Sequence[tuple[Tube, TubeScore]],
                for k_start, k_end, kept_tube in same_video):
             continue
         same_video.append((start, end, tube))
-        kept.append((tube, ts))
+        kept.append(tube)
     return kept

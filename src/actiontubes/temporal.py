@@ -1,17 +1,12 @@
 """Trimming tubes to the clips where their action actually scores.
 
-The default mode drops leading and trailing clips whose score for the
-tube's label falls below the threshold and removes tubes with no clip
-left.  The alternative ``literal`` mode instead spans between the first
-and the last below-threshold clip; it mirrors a plausible reading of
-the original formulation and is kept selectable for comparison, but it
-cannot remove a tube and does not trim one without below-threshold
-clips.
+Leading and trailing clips whose score for the tube's label falls
+below the threshold are dropped, and a tube with no clip left is
+removed.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Literal
 
 from .errors import InputError
 from .model import ClipScoreSequence, Tube
@@ -32,17 +27,14 @@ def _sliced(tube: Tube, clips: ClipScoreSequence, first: int,
 
 
 def localize(tube: Tube, clips: ClipScoreSequence | None = None,
-             tau: float = 0.3,
-             mode: Literal["trim", "literal"] = "trim") -> Tube | None:
+             tau: float = 0.3) -> Tube | None:
     """Restrict a tube to its high scoring clip span, or remove it.
 
     ``clips`` defaults to the tube's attached clip scores.  Returns the
-    localized tube, or None when every clip scores below ``tau`` in
-    trim mode.  The result carries the surviving clip scores, so
-    localizing it again with the same threshold is the identity.
+    localized tube, or None when every clip scores below ``tau``.  The
+    result carries the surviving clip scores, so localizing it again
+    with the same threshold is the identity.
     """
-    if mode not in ("trim", "literal"):
-        raise InputError(f"unknown localization mode {mode!r}")
     if tube.label is None:
         raise InputError("tube must be labeled before temporal localization")
     if clips is None:
@@ -58,12 +50,7 @@ def localize(tube: Tube, clips: ClipScoreSequence | None = None,
             f"tube label {tube.label} outside the {clips.num_classes} "
             f"scored classes")
     values = [vec[tube.label] for vec in clips.scores]
-    if mode == "trim":
-        above = [i for i, v in enumerate(values) if v >= tau]
-        if not above:
-            return None
-        return _sliced(tube, clips, above[0], above[-1])
-    below = [i for i, v in enumerate(values) if v < tau]
-    if not below:
-        return replace(tube, clip_scores=clips)
-    return _sliced(tube, clips, below[0], below[-1])
+    above = [i for i, v in enumerate(values) if v >= tau]
+    if not above:
+        return None
+    return _sliced(tube, clips, above[0], above[-1])

@@ -17,17 +17,17 @@ import pytest
 
 from actiontubes import formats
 from actiontubes.config import apply_overrides, cell_layout, default_config
-from actiontubes.evaluation import (MatchOutcome, auc_curve,
+from actiontubes.evaluation import (EvalConfig, MatchOutcome,
                                     auc_from_outcomes, average_precision,
-                                    match_and_label, recall_track)
+                                    evaluate, match_and_label, recall_track)
 from actiontubes.footprint import (DiagonalGaussianMixture,
                                    build_footprint_map, fisher_vector,
                                    prune_drifted)
 from actiontubes.geometry import iou, nms, st_iou, temporal_iou
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Source, Tube)
-from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_SCORES, FILE_DRIFT,
-                                  FILE_FINAL, FILE_METRICS, FILE_SCORED,
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_FINAL,
+                                  FILE_METRICS, FILE_SCORED,
                                   run_fuse, run_pipeline, run_score,
                                   run_synth, run_track)
 from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
@@ -207,7 +207,7 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
         indices = {vid: i for i, vid in enumerate(sorted(gt_map))}
         featurizer = SyntheticFeaturizer(scenario, gt_map, indices)
 
-        pairs = []
+        scored = []
         for video in bundle.videos:
             gt = video.gt_tubes[0]
             twin_label = (gt.label + 1) % scenario.num_classes
@@ -225,21 +225,21 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
                 clips = score_clips(features, bundle.weights, intervals,
                                     scenario.clip_length)
                 ts = score_tube(tube, clips, label=label)
-                pairs.append((tube.with_label(ts.label, ts.score), ts))
+                scored.append(tube.with_label(ts.label, ts.score))
 
         by_video: dict[str, list] = {}
-        for tube, ts in pairs:
-            by_video.setdefault(tube.video_id, []).append((tube, ts))
+        for tube in scored:
+            by_video.setdefault(tube.video_id, []).append(tube)
         for twins in by_video.values():
-            assert st_iou(twins[0][0], twins[1][0]) > 0.3
+            assert st_iou(twins[0], twins[1]) > 0.3
 
-        kept = prune_overlapped(pairs, 0.3)
+        kept = prune_overlapped(scored, 0.3)
         assert len(kept) == len(bundle.videos), \
             "exactly one tube must survive per actor"
-        for tube, ts in kept:
+        for tube in kept:
             twins = by_video[tube.video_id]
-            best = max(twins, key=lambda pair: pair[1].score)
-            assert tube.tube_id == best[0].tube_id, \
+            best = max(twins, key=lambda twin: twin.score)
+            assert tube.tube_id == best.tube_id, \
                 "the survivor must carry the higher trajectory score"
             assert tube.tube_id == "own"
             assert tube.label == gt_map[tube.video_id][0].label
@@ -261,11 +261,7 @@ def test_criterion_07_footprint_pruning_removes_drifted_tubes(tmp_path):
         assert injected_total == 50
 
         scored = formats.read_tubes(tmp_path / FILE_SCORED)
-        clip_map = formats.read_clip_scores(tmp_path / FILE_CLIP_SCORES)
-        pairs = [(t, score_tube(t, clip_map[(t.video_id, t.tube_id)],
-                                label=t.label))
-                 for t in scored]
-        kept = prune_overlapped(pairs, config["prune.st_overlap"])
+        kept = prune_overlapped(scored, config["prune.st_overlap"])
         fmap = build_footprint_map(
             formats.read_alphas(tmp_path / FILE_ALPHAS),
             cell_layout(config))
@@ -274,10 +270,10 @@ def test_criterion_07_footprint_pruning_removes_drifted_tubes(tmp_path):
         def drifted(tube):
             return tube.tube_id.startswith("drift")
 
-        injected_left = sum(1 for t, _ in surviving if drifted(t))
+        injected_left = sum(1 for t in surviving if drifted(t))
         removed = injected_total - injected_left
-        true_in = sum(1 for t, _ in kept if not drifted(t))
-        true_out = sum(1 for t, _ in surviving if not drifted(t))
+        true_in = sum(1 for t in kept if not drifted(t))
+        true_out = sum(1 for t in surviving if not drifted(t))
         assert removed >= 0.9 * injected_total, \
             f"only {removed} of {injected_total} injected tubes removed"
         assert true_in - true_out <= 0.05 * true_in, \
@@ -392,9 +388,10 @@ def test_criterion_10_ap_and_auc_match_enumeration():
                             for f, box in enumerate(boxes)),
                       label=0, score=score)
                  for name, score in (("a", 0.9), ("b", 0.4))]
-        curve = auc_curve(tubes, gt, [0.5], fpr_cap=0.6)
+        auc = evaluate(tubes, gt, EvalConfig(iou_thresholds=(0.5,),
+                                             fpr_cap=0.6)).auc[0.5]
         result = match_and_label(tubes, gt, 0.5)
-        assert curve[0.5] == pytest.approx(
+        assert auc == pytest.approx(
             auc_sweep_reference(result.outcomes, result.num_gt, 0.6),
             abs=1e-9)
 

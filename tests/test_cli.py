@@ -14,6 +14,7 @@ from actiontubes import formats
 from actiontubes.cli import STAGES, main
 from actiontubes.errors import ProcessingError
 from actiontubes.pipeline import (FILE_FINAL, FILE_FUSED, FILE_GT,
+                                  FILE_PRUNED, FILE_SALIENT, FILE_SCORED,
                                   FILE_TRACKED, PIPELINE_ORDER)
 
 FAST = ("--stage-override", "synth.video_count=3",
@@ -64,6 +65,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "synth.bogus" in err
+        # a retired key that old config files may still set
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("localize.mode = trim\n")
+        assert run_cli("synth", "--out", tmp_path, "--config", cfg) == 2
+        assert "localize.mode" in capsys.readouterr().err
 
     def test_unreadable_config_file_returns_two(self, tmp_path, capsys):
         code = run_cli("synth", "--out", tmp_path,
@@ -90,6 +96,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert FILE_FUSED in err
         assert "line" in err
+
+    def test_unscored_tubes_rejected_by_prune(self, tmp_path, capsys):
+        for stage in ("synth", "fuse", "track", "score"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        tracked = tmp_path / FILE_TRACKED
+        (tmp_path / FILE_SCORED).write_bytes(tracked.read_bytes())
+        first = formats.read_tubes(tracked)[0]
+        assert first.score is None
+        capsys.readouterr()
+        assert run_cli("prune", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert f"tube {first.tube_id!r} in {first.video_id!r}" in err
+        assert not (tmp_path / FILE_PRUNED).exists()
 
     def test_processing_error_returns_four(self, tmp_path, capsys,
                                            monkeypatch):
@@ -154,6 +173,50 @@ class TestEvaluate:
         assert f"false_neg {gt_frames}" in out
         assert "mAP    0.0000" in out
         assert "recall-track: 0.0000" in out
+
+
+# A scenario where each switchable stage visibly changes its input:
+# prune removes overlaps, localize trims, and fuse writes salient
+# proposals because flow is on.
+SWITCHED = ("--seed", 1,
+            "--stage-override", "synth.video_count=3",
+            "--stage-override", "synth.frames_per_video=40",
+            "--stage-override", "synth.with_footprint=false",
+            "--stage-override", "synth.with_flow=true",
+            "--stage-override", "synth.false_positive_rate=0.5",
+            "--stage-override", "synth.duplicate_label_rate=0.3",
+            "--stage-override", "synth.span_fraction=0.7",
+            "--stage-override", "synth.jitter_sigma=2")
+
+
+def _skipped_prune(out, printed):
+    return "removed_overlap=0" in printed["prune"]
+
+
+def _skipped_localize(out, printed):
+    return (out / FILE_FINAL).read_bytes() == (out / FILE_PRUNED).read_bytes()
+
+
+def _skipped_saliency(out, printed):
+    return not (out / FILE_SALIENT).exists()
+
+
+class TestStageSwitches:
+    @pytest.mark.parametrize("key,skipped", [
+        ("prune.enabled", _skipped_prune),
+        ("localize.enabled", _skipped_localize),
+        ("fuse.enabled", _skipped_saliency),
+    ], ids=["prune", "localize", "fuse"])
+    def test_switch_turns_its_stage_off(self, tmp_path, capsys, key,
+                                        skipped):
+        for enabled in ("true", "false"):
+            out = tmp_path / enabled
+            printed = {}
+            for stage in PIPELINE_ORDER:
+                assert run_cli(stage, "--out", out, *SWITCHED,
+                               "--stage-override", f"{key}={enabled}") == 0
+                printed[stage] = capsys.readouterr().out
+            assert skipped(out, printed) == (enabled == "false")
 
 
 def test_module_runs_as_script(tmp_path):

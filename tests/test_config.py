@@ -23,9 +23,11 @@ class TestRegistry:
         assert config["cells.map_side"] == 7
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as info:
-            parse_value("track.typo", "1")
-        assert "unknown config key" in str(info.value)
+        # localize.mode is a retired key that old config files may still set
+        for name in ("track.typo", "localize.mode"):
+            with pytest.raises(ConfigError) as info:
+                parse_value(name, "1")
+            assert "unknown config key" in str(info.value)
 
     def test_unknown_key_rejected_on_lookup(self):
         with pytest.raises(ConfigError):
@@ -38,7 +40,6 @@ class TestRegistry:
         ("localize.tau", "-0.1"),
         ("clip.length", "zero"),
         ("fuse.enabled", "yes"),
-        ("localize.mode", "cut"),
         ("eval.sigmas", "0.5,0.3"),
         ("eval.sigmas", ""),
         ("eval.fpr_cap", "0"),
@@ -51,7 +52,7 @@ class TestRegistry:
         ("synth.seed", "17", 17),
         ("track.min_prev_overlap", "0.0", 0.0),
         ("fuse.enabled", "false", False),
-        ("localize.mode", "literal", "literal"),
+        ("localize.tau", "0.5", 0.5),
         ("eval.sigmas", "0.1, 0.5", (0.1, 0.5)),
     ])
     def test_valid_values_parse(self, name, text, expected):

@@ -9,7 +9,6 @@ from actiontubes.footprint import (CellLayout, DiagonalGaussianMixture,
                                    nearest_centroid_alphas, posteriors,
                                    prune_drifted)
 from actiontubes.model import BoundingBox, Detection, Tube
-from actiontubes.scoring import TubeScore
 from oracles import fisher_reference, softmax_reference
 
 
@@ -167,13 +166,9 @@ class TestCellsOverlapping:
         assert cells == []
 
 
-def tube_at(box, video="v", tube_id="t", frames=4, label=0):
+def tube_at(box, video="v", tube_id="t", frames=4, label=0, score=1.0):
     entries = tuple(Detection(i, box, (0.9, 0.1)) for i in range(frames))
-    return Tube(video, tube_id, entries, label=label)
-
-
-def ts_for(label=0, score=1.0):
-    return TubeScore((1.0, 0.0), (0.0, 0.0), (score, 0.0), label, score)
+    return Tube(video, tube_id, entries, label=label, score=score)
 
 
 class TestPruneDrifted:
@@ -187,23 +182,21 @@ class TestPruneDrifted:
     def test_center_kept_corner_removed(self):
         fmap = self.center_heavy_map()
         frame = (140.0, 140.0)
-        center = (tube_at(BoundingBox(55, 55, 85, 85), tube_id="c"),
-                  ts_for())
-        corner = (tube_at(BoundingBox(1, 1, 18, 18), tube_id="k"), ts_for())
+        center = tube_at(BoundingBox(55, 55, 85, 85), tube_id="c")
+        corner = tube_at(BoundingBox(1, 1, 18, 18), tube_id="k")
         kept = prune_drifted([center, corner], fmap, frame)
         assert kept == [center]
 
     def test_uniform_map_keeps_everything(self):
         fmap = build_footprint_map(np.full((2, 49), 0.4))
         frame = (140.0, 140.0)
-        tubes = [(tube_at(BoundingBox(1, 1, 10, 10)), ts_for()),
-                 (tube_at(BoundingBox(100, 100, 139, 139), tube_id="u"),
-                  ts_for())]
+        tubes = [tube_at(BoundingBox(1, 1, 10, 10)),
+                 tube_at(BoundingBox(100, 100, 139, 139), tube_id="u")]
         assert prune_drifted(tubes, fmap, frame) == tubes
 
     def test_projection_outside_map_removed(self):
         fmap = self.center_heavy_map()
-        off = (tube_at(BoundingBox(500, 500, 540, 540)), ts_for())
+        off = tube_at(BoundingBox(500, 500, 540, 540))
         assert prune_drifted([off], fmap, (140.0, 140.0)) == []
 
     def test_label_selects_map_row(self):
@@ -212,16 +205,24 @@ class TestPruneDrifted:
         alphas[0, 24] = 1.0  # class 0 in the center cell
         fmap = build_footprint_map(alphas)
         corner_box = BoundingBox(1, 1, 18, 18)
-        as_class1 = (tube_at(corner_box, label=1), ts_for(label=1))
-        as_class0 = (tube_at(corner_box, tube_id="z"), ts_for(label=0))
+        as_class1 = tube_at(corner_box, label=1)
+        as_class0 = tube_at(corner_box, tube_id="z", label=0)
         kept = prune_drifted([as_class1, as_class0], fmap, (140.0, 140.0))
         assert kept == [as_class1]
 
     def test_unknown_label_rejected(self):
         fmap = self.center_heavy_map()
-        bad = (tube_at(BoundingBox(1, 1, 10, 10)), ts_for(label=7))
+        bad = tube_at(BoundingBox(1, 1, 10, 10), label=7)
         with pytest.raises(InputError):
             prune_drifted([bad], fmap, (140.0, 140.0))
+
+    @pytest.mark.parametrize("label,score", [(None, 1.0), (0, None)])
+    def test_unscored_tube_rejected(self, label, score):
+        fmap = build_footprint_map(np.full((2, 49), 0.4))
+        bare = tube_at(BoundingBox(55, 55, 85, 85), tube_id="u", label=label,
+                       score=score)
+        with pytest.raises(InputError, match="'u'"):
+            prune_drifted([bare], fmap, (140.0, 140.0))
 
 
 class TestMeanBox:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from actiontubes import formats
+from actiontubes.config import apply_overrides, default_config
 from actiontubes.errors import InputError
 from actiontubes.geometry import st_iou
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, Tube)
-from actiontubes.scoring import (RecurrentScorerWeights, TubeScore,
-                                 prune_overlapped, recurrent_forward,
+from actiontubes.pipeline import (FILE_CLIP_SCORES, FILE_DRIFT, FILE_SCORED,
+                                  FILE_TRACKED, run_fuse, run_score,
+                                  run_synth, run_track)
+from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
+                                 recurrent_forward,
                                  score_clips, score_tube, slice_clips,
                                  softmax)
 from oracles import recurrent_reference, softmax_reference
@@ -184,10 +189,7 @@ class TestScoreTube:
 def scored_tube(video, tube_id, start, length, box, score, label=0):
     entries = tuple(
         Detection(start + i, box, (score, 0.0)) for i in range(length))
-    tube = Tube(video, tube_id, entries, label=label)
-    from actiontubes.scoring import TubeScore
-    return tube, TubeScore((score, 0.0), (0.0, 0.0), (score, 0.0), label,
-                           score)
+    return Tube(video, tube_id, entries, label=label, score=score)
 
 
 class TestPruneOverlapped:
@@ -232,16 +234,24 @@ class TestPruneOverlapped:
         c = scored_tube("v", "c", 0, 10, BoundingBox(100, 0, 120, 20), 0.5)
         assert prune_overlapped([a, b, c], 0.3) == [b, c, a]
 
+    @pytest.mark.parametrize("label,score", [(None, 0.5), (0, None)])
+    def test_unscored_tube_rejected(self, label, score):
+        box = BoundingBox(0, 0, 20, 20)
+        good = scored_tube("v", "a", 0, 10, box, 0.9)
+        bare = Tube("v", "b", good.entries, label=label, score=score)
+        with pytest.raises(InputError, match="'b'"):
+            prune_overlapped([good, bare], 0.3)
+
 
 def prune_reference(scored, threshold):
     """The all-pairs loop ``prune_overlapped`` replaces."""
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1].score, i))
+    order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
     kept = []
     for idx in order:
-        tube, ts = scored[idx]
+        tube = scored[idx]
         if not any(k.video_id == tube.video_id and st_iou(k, tube) > threshold
-                   for k, _ in kept):
-            kept.append((tube, ts))
+                   for k in kept):
+            kept.append(tube)
     return kept
 
 
@@ -256,11 +266,9 @@ def random_scored(rng, count):
             entries.append(Detection(
                 f, BoundingBox(x + dx, y + dy, x + dx + 20, y + dy + 20),
                 (1.0, 0.0)))
-        tube = Tube(f"v{int(rng.integers(0, 3))}", f"t{i}", tuple(entries),
-                    label=0)
         score = float(rng.choice([0.2, 0.5, 0.9]))   # ties are common
-        out.append((tube, TubeScore((score, 0.0), (0.0, 0.0), (score, 0.0),
-                                    0, score)))
+        out.append(Tube(f"v{int(rng.integers(0, 3))}", f"t{i}",
+                        tuple(entries), label=0, score=score))
     return out
 
 
@@ -272,8 +280,7 @@ class TestPruneMatchesAllPairs:
             scored = random_scored(rng, int(rng.integers(0, 25)))
             got = prune_overlapped(scored, threshold)
             want = prune_reference(scored, threshold)
-            assert [t.tube_id for t, _ in got] == \
-                [t.tube_id for t, _ in want]
+            assert [t.tube_id for t in got] == [t.tube_id for t in want]
 
     def test_abutting_extents_survive_threshold_zero(self):
         box = BoundingBox(0, 0, 20, 20)
@@ -282,6 +289,28 @@ class TestPruneMatchesAllPairs:
         c = scored_tube("v", "c", 4, 2, box, 0.4)
         assert prune_overlapped([a, b, c], 0.0) == [a, b]
         assert prune_reference([a, b, c], 0.0) == [a, b]
+
+
+def test_score_stage_stores_the_exact_trajectory_score(tmp_path):
+    # The pruners rank by the stored score, so it must equal a fresh one.
+    config = apply_overrides(default_config(), [
+        "synth.seed=4", "synth.video_count=4", "synth.frames_per_video=40",
+        "synth.with_footprint=false", "synth.drift_rate=0.5",
+        "synth.false_positive_rate=0.3"])
+    for stage in (run_synth, run_fuse, run_track, run_score):
+        stage(tmp_path, config)
+    inputs = (formats.read_tubes(tmp_path / FILE_TRACKED)
+              + formats.read_tubes(tmp_path / FILE_DRIFT))
+    input_labels = {(t.video_id, t.tube_id): t.label for t in inputs}
+    scored = formats.read_tubes(tmp_path / FILE_SCORED)
+    clip_map = formats.read_clip_scores(tmp_path / FILE_CLIP_SCORES)
+    assert len(scored) == len(inputs)
+    assert any(t.tube_id.startswith("drift") for t in scored)
+    for tube in scored:
+        key = (tube.video_id, tube.tube_id)
+        rescored = score_tube(tube, clip_map[key], label=tube.label)
+        assert tube.label == input_labels[key] == rescored.label
+        assert tube.score == rescored.score
 
 
 def test_score_clips_bundles_intervals():

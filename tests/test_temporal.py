@@ -85,24 +85,6 @@ class TestTrim:
         assert out.clip_scores.span() == out.interval()
 
 
-class TestLiteralMode:
-    def test_span_between_first_and_last_low_clip(self):
-        tube = build([0.5, 0.1, 0.6, 0.5, 0.2, 0.6])
-        out = localize(tube, tau=0.3, mode="literal")
-        # Clips 1 through 4 (0-based) survive.
-        assert out.interval() == FrameInterval(4, 20)
-
-    def test_no_low_clip_means_unchanged(self):
-        tube = build([0.5, 0.9])
-        out = localize(tube, tau=0.3, mode="literal")
-        assert out.interval() == tube.interval()
-
-    def test_never_removes(self):
-        tube = build([0.1, 0.05])
-        out = localize(tube, tau=0.3, mode="literal")
-        assert out is not None
-
-
 class TestValidation:
     def test_unlabeled_tube_rejected(self):
         tube = build([0.5])
@@ -122,7 +104,3 @@ class TestValidation:
         foreign = ClipScoreSequence(4, (FrameInterval(0, 4),), ((0.5, 0.5),))
         with pytest.raises(InputError):
             localize(tube, clips=foreign)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InputError):
-            localize(build([0.5]), mode="clamp")
