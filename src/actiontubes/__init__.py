@@ -26,8 +26,8 @@ from .scoring import (RecurrentScorerWeights, TubeScore, prune_overlapped,
                       slice_clips)
 from .synth import ActorSpec, ScenarioConfig, generate, inject_drift
 from .temporal import localize
-from .tracker import (PointMatchSet, PrecomputedMatcher, TrackerConfig,
-                      build_tubes, build_tubes_neighborhood)
+from .tracker import (PrecomputedMatcher, TrackerConfig, build_tubes,
+                      build_tubes_neighborhood)
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,8 @@ __all__ = [
     "ClipScoreSequence", "ConfigError", "Detection",
     "DiagonalGaussianMixture", "EvalConfig", "EvalReport", "FalseCounts",
     "FlowMagnitudeGrid", "FootprintMap", "FrameInterval", "GroundTruthTube",
-    "InputError", "PIPELINE_ORDER", "PipelineConfig", "PointMatchSet",
-    "PrecomputedMatcher", "ProcessingError", "Proposal",
+    "InputError", "PIPELINE_ORDER", "PipelineConfig", "PrecomputedMatcher",
+    "ProcessingError", "Proposal",
     "RecurrentScorerWeights", "STAGES", "ScenarioConfig", "SchemaError",
     "ScorerError", "Source", "TrackerConfig", "Tube", "TubeScore",
     "apply_overrides", "average_precision",

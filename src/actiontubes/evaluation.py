@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import iou, st_iou
 from .model import BoundingBox, GroundTruthTube, Tube
+from .scoring import require_scored
 
 MODES = ("video", "frame")
 
@@ -48,8 +49,7 @@ def box_predictions_from_tubes(tubes: Sequence[Tube]) -> list[BoxPrediction]:
     """
     out = []
     for tube in tubes:
-        if tube.label is None or tube.score is None:
-            raise InputError("frame explosion needs labeled, scored tubes")
+        require_scored(tube)
         for entry in tube.entries:
             out.append(BoxPrediction(tube.video_id, entry.frame_index,
                                      entry.box, tube.label, tube.score))
@@ -94,9 +94,8 @@ def _check_sigma(sigma: float) -> None:
 def _tube_records(tubes: Sequence[Tube]):
     records = []
     for tube in tubes:
-        if tube.label is None or tube.score is None:
-            raise InputError("video matching needs labeled, scored tubes")
-        records.append((tube.video_id, tube.label, tube.score, tube))
+        records.append((tube.video_id, tube.label, require_scored(tube),
+                        tube))
     return records
 
 
@@ -252,7 +251,9 @@ def recall_track(tubes: Sequence[Tube],
     by_video: dict[str, list[Tube]] = {}
     for tube in tubes:
         if tube.label is None:
-            raise InputError("recall-track needs labeled tubes")
+            raise InputError(
+                f"tube {tube.tube_id!r} in {tube.video_id!r} has no label; "
+                f"recall-track needs labeled tubes")
         by_video.setdefault(tube.video_id, []).append(tube)
     covered = 0
     for gt in ground_truth:

@@ -30,7 +30,6 @@ from .errors import InputError, SchemaError
 from .fusion import FlowMagnitudeGrid
 from .model import (BoundingBox, ClipScoreSequence, Detection, FrameInterval,
                     GroundTruthTube, Proposal, Source, Tube)
-from .tracker import PointMatchSet
 
 MAGIC_WORD = "actiontubes"
 FORMAT_VERSION = 1
@@ -561,38 +560,33 @@ def _parse_frame_name(name: str, path, kind: str) -> tuple[str, int]:
     return found[1], int(found[2])
 
 
-def write_matches(
-        path,
-        pairs: Mapping[tuple[str, int, int], PointMatchSet]) -> None:
+def write_matches(path,
+                  pairs: Mapping[tuple[str, int], np.ndarray]) -> None:
     """One (N, 4) array per adjacent frame pair, named by its earlier frame.
 
-    Columns are ``from_x from_y to_x to_y`` and rows are sorted
-    lexicographically.  A backward pair ``(f, f-1)`` is stored as the
-    forward pair ``(f-1, f)`` with its point roles swapped.
+    ``pairs`` maps ``(video_id, frame)`` to the matches from ``frame``
+    to ``frame + 1``.  Columns are ``from_x from_y to_x to_y`` and rows
+    are sorted lexicographically.
     """
     arrays = {}
-    for (video_id, from_frame, to_frame), matches in pairs.items():
+    for (video_id, frame), rows in pairs.items():
         _check_id(video_id, str(path), None, "video_id")
-        if abs(to_frame - from_frame) != 1:
-            raise InputError(
-                f"matches in {video_id!r} span frames {from_frame} to "
-                f"{to_frame}; only adjacent frames are supported")
-        if to_frame < from_frame:
-            matches = matches.reversed()
-        frame = min(from_frame, to_frame)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise InputError(f"matches at frame {frame} of {video_id!r} "
+                             f"are {rows.shape}, expected (N, 4)")
+        if not np.all(np.isfinite(rows)):
+            raise InputError(f"matches at frame {frame} of {video_id!r} "
+                             f"are not all finite")
         if frame < 0:
             raise InputError(f"matches in {video_id!r} start at negative "
                              f"frame {frame}")
-        name = f"{video_id}/{frame:08d}"
-        if name in arrays:
-            raise InputError(f"two match sets cover frames {frame} and "
-                             f"{frame + 1} of {video_id!r}")
-        rows = np.hstack([matches.from_points, matches.to_points])
-        arrays[name] = rows[np.lexsort(rows.T[::-1])]
+        arrays[f"{video_id}/{frame:08d}"] = rows[np.lexsort(rows.T[::-1])]
     write_arrays(path, arrays)
 
 
-def read_matches(path) -> dict[tuple[str, int, int], PointMatchSet]:
+def read_matches(path) -> dict[tuple[str, int], np.ndarray]:
+    """``(video_id, frame) -> rows`` as written by ``write_matches``."""
     out = {}
     for name, rows in read_arrays(path).items():
         video_id, frame = _parse_frame_name(name, path, "match")
@@ -600,12 +594,10 @@ def read_matches(path) -> dict[tuple[str, int, int], PointMatchSet]:
             raise SchemaError(
                 f"match array {name!r} is {rows.dtype} {rows.shape}, "
                 f"expected (N, 4) float64", path=str(path))
-        try:
-            matches = PointMatchSet(rows[:, :2], rows[:, 2:])
-        except InputError as exc:
-            raise SchemaError(f"match array {name!r}: {exc}",
-                              path=str(path)) from None
-        out[(video_id, frame, frame + 1)] = matches
+        if not np.all(np.isfinite(rows)):
+            raise SchemaError(f"match array {name!r}: match points must "
+                              f"be finite", path=str(path))
+        out[(video_id, frame)] = rows
     return out
 
 

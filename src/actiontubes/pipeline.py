@@ -18,7 +18,8 @@ from .evaluation import EvalReport, evaluate
 from .footprint import build_footprint_map, prune_drifted
 from .fusion import late_fuse, merge_early_late, saliency_prune
 from .model import BoundingBox, Detection, FrameInterval, Tube
-from .scoring import prune_overlapped, score_clips, score_tube, slice_clips
+from .scoring import (prune_overlapped, require_scored, score_clips,
+                      score_tube, slice_clips)
 from .synth import SyntheticFeaturizer, SyntheticRegionScorer, generate
 from .temporal import localize
 from .tracker import PrecomputedMatcher, build_tubes, build_tubes_neighborhood
@@ -79,7 +80,7 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
     pairs = {}
     for video in bundle.videos:
         for frame in list(video.extent.frames())[:-1]:
-            pairs[(video.video_id, frame, frame + 1)] = matcher.match(
+            pairs[(video.video_id, frame)] = matcher.match(
                 video.video_id, frame, frame + 1, full)
     formats.write_matches(directory / FILE_MATCHES, pairs)
     formats.write_weights(directory / FILE_WEIGHTS, bundle.weights)
@@ -244,6 +245,8 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
 def run_prune(directory: Path, config: PipelineConfig) -> dict:
     """Drop overlap duplicates, then tubes off their class footprint."""
     tubes = formats.read_tubes(_require(directory, FILE_SCORED, "score"))
+    for tube in tubes:
+        require_scored(tube)
     removed_overlap = removed_footprint = 0
     if config["prune.enabled"]:
         kept = prune_overlapped(tubes, config["prune.st_overlap"])

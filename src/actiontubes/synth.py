@@ -27,7 +27,7 @@ from .geometry import iou
 from .model import (BoundingBox, Detection, FrameInterval, GroundTruthTube,
                     Proposal, Source, Tube)
 from .scoring import RecurrentScorerWeights, slice_clips
-from .tracker import PointMatchSet
+from .tracker import query_matches
 
 MOTIONS = ("linear", "sinusoidal", "random_walk")
 STREAMS = ("static", "flow", "early")
@@ -437,20 +437,14 @@ class SyntheticMatcher:
         self._config = config
         self._gt = dict(gt_by_video)
         self._indices = dict(video_indices)
-        self._cache: dict[tuple[str, int], PointMatchSet] = {}
+        self._cache: dict[tuple[str, int], np.ndarray] = {}
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
-              box: BoundingBox) -> PointMatchSet:
-        if abs(to_frame - from_frame) != 1:
-            raise InputError(
-                f"matcher queried across {abs(to_frame - from_frame)} "
-                f"frames; only adjacent frames are supported")
+              box: BoundingBox) -> np.ndarray:
         field = self._field(video_id, min(from_frame, to_frame))
-        if from_frame > to_frame:
-            field = field.reversed()
-        return field.restrict(box)
+        return query_matches(field, from_frame, to_frame, box)
 
-    def _field(self, video_id: str, lo: int) -> PointMatchSet:
+    def _field(self, video_id: str, lo: int) -> np.ndarray:
         key = (video_id, lo)
         cached = self._cache.get(key)
         if cached is not None:
@@ -497,7 +491,7 @@ class SyntheticMatcher:
                                                to_pts.shape)
         if len(self._cache) >= 512:
             self._cache.clear()
-        result = PointMatchSet(from_pts, to_pts)
+        result = np.hstack([from_pts, to_pts])
         self._cache[key] = result
         return result
 

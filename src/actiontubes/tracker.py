@@ -16,7 +16,7 @@ points moved to.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -25,48 +25,14 @@ from .geometry import iou, iou_many
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
 
 
-@dataclass(frozen=True, eq=False)
-class PointMatchSet:
-    """Point correspondences between two frames, one row per match."""
-
-    from_points: np.ndarray
-    to_points: np.ndarray
-
-    def __post_init__(self):
-        fp = np.asarray(self.from_points, dtype=np.float64).reshape(-1, 2)
-        tp = np.asarray(self.to_points, dtype=np.float64).reshape(-1, 2)
-        if fp.shape != tp.shape:
-            raise InputError(
-                f"{fp.shape[0]} from-points but {tp.shape[0]} to-points")
-        if fp.size and not (np.all(np.isfinite(fp)) and np.all(np.isfinite(tp))):
-            raise InputError("match points must be finite")
-        object.__setattr__(self, "from_points", fp)
-        object.__setattr__(self, "to_points", tp)
-
-    def __len__(self) -> int:
-        return self.from_points.shape[0]
-
-    def restrict(self, box: BoundingBox) -> "PointMatchSet":
-        """Matches whose from-point lies inside ``box`` (closed bounds)."""
-        fp = self.from_points
-        if not len(self):
-            return self
-        inside = ((fp[:, 0] >= box.x_min) & (fp[:, 0] <= box.x_max)
-                  & (fp[:, 1] >= box.y_min) & (fp[:, 1] <= box.y_max))
-        return PointMatchSet(fp[inside], self.to_points[inside])
-
-    def reversed(self) -> "PointMatchSet":
-        return PointMatchSet(self.to_points, self.from_points)
-
-
-EMPTY_MATCHES = PointMatchSet(np.empty((0, 2)), np.empty((0, 2)))
-
-
 class PointMatcher(Protocol):
-    """Produces point matches between adjacent frames for a query box."""
+    """Produces point matches between adjacent frames for a query box.
+
+    Matches are ``(N, 4)`` float64 rows ``from_x from_y to_x to_y``.
+    """
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
-              box: BoundingBox) -> PointMatchSet: ...
+              box: BoundingBox) -> np.ndarray: ...
 
 
 class RegionScorer(Protocol):
@@ -76,35 +42,50 @@ class RegionScorer(Protocol):
                      box: BoundingBox) -> np.ndarray: ...
 
 
-class PrecomputedMatcher:
-    """Point matcher backed by full-frame match sets per frame pair.
+def query_matches(pair: np.ndarray, from_frame: int, to_frame: int,
+                  box: BoundingBox) -> np.ndarray:
+    """The rows of an adjacent frame pair answering one matcher query.
 
-    Queries restrict the stored set to the from-points inside the query
-    box.  A pair stored in one direction answers queries in the other
-    by swapping point roles; an unknown pair yields no matches.
+    ``pair`` holds the pair's matches from its earlier frame to its
+    later one.  A backward query swaps the point roles; either way only
+    the rows whose from-point lies inside ``box`` (closed bounds) are
+    kept.
+    """
+    if abs(to_frame - from_frame) != 1:
+        raise InputError(
+            f"matcher queried across {abs(to_frame - from_frame)} "
+            f"frames; only adjacent frames are supported")
+    backward = from_frame > to_frame
+    x, y = (pair[:, 2], pair[:, 3]) if backward else (pair[:, 0], pair[:, 1])
+    rows = pair[(x >= box.x_min) & (x <= box.x_max)
+                & (y >= box.y_min) & (y <= box.y_max)]
+    return rows[:, [2, 3, 0, 1]] if backward else rows
+
+
+class PrecomputedMatcher:
+    """Point matcher over stored match rows, keyed ``(video_id, frame)``.
+
+    Each entry holds the full-frame matches from ``frame`` to
+    ``frame + 1``, as ``read_matches`` returns them; an unknown pair
+    yields no matches.
     """
 
-    def __init__(self, pairs: dict[tuple[str, int, int], PointMatchSet]):
+    def __init__(self, pairs: Mapping[tuple[str, int], np.ndarray]):
         self._pairs = dict(pairs)
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
-              box: BoundingBox) -> PointMatchSet:
-        if abs(to_frame - from_frame) != 1:
-            raise InputError(
-                f"matcher queried across {abs(to_frame - from_frame)} "
-                f"frames; only adjacent frames are supported")
-        full = self._pairs.get((video_id, from_frame, to_frame))
-        if full is None:
-            rev = self._pairs.get((video_id, to_frame, from_frame))
-            full = rev.reversed() if rev is not None else EMPTY_MATCHES
-        return full.restrict(box)
+              box: BoundingBox) -> np.ndarray:
+        pair = self._pairs.get((video_id, min(from_frame, to_frame)))
+        if pair is None:
+            pair = np.empty((0, 4))
+        return query_matches(pair, from_frame, to_frame, box)
 
 
-def match_ratio(box: BoundingBox, matches: PointMatchSet) -> float:
+def match_ratio(box: BoundingBox, matches: np.ndarray) -> float:
     """Fraction of match points landing inside ``box`` on the target frame."""
     if not len(matches):
         return 0.0
-    tp = matches.to_points
+    tp = matches[:, 2:]
     inside = ((tp[:, 0] >= box.x_min) & (tp[:, 0] <= box.x_max)
               & (tp[:, 1] >= box.y_min) & (tp[:, 1] <= box.y_max))
     return float(np.count_nonzero(inside)) / len(matches)
@@ -264,7 +245,7 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
 
 
 def match_gate(region: BoundingBox, boxes: np.ndarray,
-               matches: PointMatchSet, cfg: TrackerConfig) -> np.ndarray:
+               matches: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     """Indices of the rows of ``boxes`` that may continue ``region``.
 
     A row passes when ``match_ratio`` of its box is at least
@@ -275,7 +256,7 @@ def match_gate(region: BoundingBox, boxes: np.ndarray,
     """
     if not len(matches):
         return np.empty(0, dtype=np.intp)
-    tp = matches.to_points
+    tp = matches[:, 2:]
     inside = ((tp[None, :, 0] >= boxes[:, 0, None])
               & (tp[None, :, 0] <= boxes[:, 2, None])
               & (tp[None, :, 1] >= boxes[:, 1, None])
@@ -286,7 +267,7 @@ def match_gate(region: BoundingBox, boxes: np.ndarray,
 
 
 def track_step(region: BoundingBox, label: int, next_frame: int,
-               proposals: Sequence[Proposal], matches: PointMatchSet,
+               proposals: Sequence[Proposal], matches: np.ndarray,
                scorer: RegionScorer, pool: UntrackedPool,
                cfg: TrackerConfig, video_id: str = "") -> Detection | None:
     """Extend a tube by one frame; ``None`` means the tube terminates.

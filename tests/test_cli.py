@@ -13,9 +13,9 @@ import pytest
 from actiontubes import formats
 from actiontubes.cli import STAGES, main
 from actiontubes.errors import ProcessingError
-from actiontubes.pipeline import (FILE_FINAL, FILE_FUSED, FILE_GT,
-                                  FILE_PRUNED, FILE_SALIENT, FILE_SCORED,
-                                  FILE_TRACKED, PIPELINE_ORDER)
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_FINAL, FILE_FUSED,
+                                  FILE_GT, FILE_PRUNED, FILE_SALIENT,
+                                  FILE_SCORED, FILE_TRACKED, PIPELINE_ORDER)
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -98,17 +98,23 @@ class TestExitCodes:
         assert "line" in err
 
     def test_unscored_tubes_rejected_by_prune(self, tmp_path, capsys):
+        # Rejected whether or not a pruner runs (FAST writes no alphas,
+        # so with prune.enabled=false neither pruner reads the tubes).
         for stage in ("synth", "fuse", "track", "score"):
             assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        assert not (tmp_path / FILE_ALPHAS).exists()
         tracked = tmp_path / FILE_TRACKED
         (tmp_path / FILE_SCORED).write_bytes(tracked.read_bytes())
         first = formats.read_tubes(tracked)[0]
         assert first.score is None
-        capsys.readouterr()
-        assert run_cli("prune", "--out", tmp_path, *FAST) == 3
-        err = capsys.readouterr().err
-        assert f"tube {first.tube_id!r} in {first.video_id!r}" in err
-        assert not (tmp_path / FILE_PRUNED).exists()
+        for enabled in ("true", "false"):
+            capsys.readouterr()
+            assert run_cli("prune", "--out", tmp_path, *FAST,
+                           "--stage-override",
+                           f"prune.enabled={enabled}") == 3, enabled
+            err = capsys.readouterr().err
+            assert f"tube {first.tube_id!r} in {first.video_id!r}" in err
+            assert not (tmp_path / FILE_PRUNED).exists()
 
     def test_processing_error_returns_four(self, tmp_path, capsys,
                                            monkeypatch):

@@ -326,6 +326,13 @@ class TestRecallTrack:
         tubes = [tube_still("v", "t0", 0, 10, BOX, 1, 0.9)]
         assert recall_track(tubes, truth) == 0.0
 
+    def test_unlabeled_tube_named(self):
+        truth = [gt_still("v", 0, 0, 10, BOX)]
+        bare = tube_still("v", "t7", 0, 10, BOX, None, 0.9)
+        with pytest.raises(InputError) as info:
+            recall_track([bare], truth)
+        assert "tube 't7' in 'v'" in str(info.value)
+
 
 class TestFalseTaxonomy:
     def test_wrong_label_on_gt_location(self):
@@ -392,6 +399,14 @@ class TestEvalReport:
         assert report.recall_track == 1.0
         assert report.false_counts.false_positives == 0
         assert report.false_counts.false_neg == 0
+
+    @pytest.mark.parametrize("label, score", [(None, 0.8), (1, None)])
+    def test_unscored_tube_named(self, label, score):
+        tubes, truth = self.make_perfect()
+        tubes[1] = tube_still("v1", "t5", 0, 10, BOX, label, score)
+        with pytest.raises(InputError) as info:
+            evaluate(tubes, truth)
+        assert "tube 't5' in 'v1'" in str(info.value)
 
     def test_explode_tubes(self):
         tubes, _ = self.make_perfect()

@@ -245,8 +245,8 @@ class TestMatcher:
         gt = bundle.videos[0].gt_tubes[0]
         fwd = matcher.match("v000", 4, 5, gt.box_at(4))
         back = matcher.match("v000", 5, 4, gt.box_at(5))
-        assert np.allclose(np.sort(fwd.to_points, axis=0),
-                           np.sort(back.from_points, axis=0))
+        assert np.allclose(np.sort(fwd[:, 2:], axis=0),
+                           np.sort(back[:, :2], axis=0))
 
     def test_pure_across_instances_and_cache(self):
         bundle = generate(small_config(match_noise=0.4))
@@ -256,15 +256,14 @@ class TestMatcher:
         for frame in range(20):
             m.match("v000", frame, frame + 1, box)
         b = m.match("v000", 7, 8, box)
-        assert np.array_equal(a.from_points, b.from_points)
-        assert np.array_equal(a.to_points, b.to_points)
+        assert np.array_equal(a, b)
 
     def test_restrict_respected(self):
         bundle = generate(small_config())
         matcher = bundle.matcher()
         box = bundle.videos[0].gt_tubes[0].box_at(0)
         matches = matcher.match("v000", 0, 1, box)
-        fp = matches.from_points
+        fp = matches[:, :2]
         assert np.all((fp[:, 0] >= box.x_min) & (fp[:, 0] <= box.x_max))
         assert np.all((fp[:, 1] >= box.y_min) & (fp[:, 1] <= box.y_max))
 
@@ -275,7 +274,7 @@ class TestMatcher:
         w, h = video.frame_size
         full = BoundingBox(0, 0, w, h)
         matches = matcher.match("v000", 0, 1, full)
-        disp = np.linalg.norm(matches.to_points - matches.from_points, axis=1)
+        disp = np.linalg.norm(matches[:, 2:] - matches[:, :2], axis=1)
         assert np.sum(disp < 1e-12) > len(disp) / 2
 
 

@@ -5,11 +5,16 @@ from actiontubes.errors import InputError, ScorerError
 from actiontubes.model import (BoundingBox, Detection, FrameInterval,
                                Proposal, Source)
 from actiontubes.geometry import iou
-from actiontubes.tracker import (EMPTY_MATCHES, PointMatchSet,
-                                 PrecomputedMatcher, TrackerConfig,
+from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
                                  UntrackedPool, box_array, build_tubes,
                                  build_tubes_neighborhood, match_gate,
-                                 match_ratio, track_step)
+                                 match_ratio, query_matches, track_step)
+
+NO_MATCHES = np.empty((0, 4))
+
+
+def rows(src, dst):
+    return np.hstack([src, dst]).astype(np.float64)
 
 
 def grid_points(box, n=4):
@@ -29,7 +34,7 @@ class ShiftMatcher:
         sign = to_frame - from_frame
         src = grid_points(box)
         dst = src + np.array([self.dx * sign, self.dy * sign])
-        return PointMatchSet(src, dst)
+        return rows(src, dst)
 
 
 class WorldScorer:
@@ -56,43 +61,36 @@ def det(frame, box, scores=(1.0, 0.0), source=Source.MERGED):
 class TestMatchRatio:
     def test_all_inside(self):
         box = BoundingBox(0, 0, 10, 10)
-        m = PointMatchSet(grid_points(box), grid_points(box))
+        m = rows(grid_points(box), grid_points(box))
         assert match_ratio(box, m) == 1.0
 
     def test_half_inside(self):
         src = np.array([[1.0, 1.0], [2.0, 2.0], [20.0, 20.0], [30.0, 30.0]])
-        m = PointMatchSet(src, src)
+        m = rows(src, src)
         assert match_ratio(BoundingBox(0, 0, 10, 10), m) == 0.5
 
     def test_empty_is_zero(self):
-        assert match_ratio(BoundingBox(0, 0, 5, 5), EMPTY_MATCHES) == 0.0
+        assert match_ratio(BoundingBox(0, 0, 5, 5), NO_MATCHES) == 0.0
 
     def test_boundary_points_count(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0]])
-        m = PointMatchSet(pts, pts)
+        m = rows(pts, pts)
         assert match_ratio(BoundingBox(0, 0, 10, 10), m) == 1.0
 
 
-class TestPointMatchSet:
+class TestQueryMatches:
     def test_restrict_filters_from_points(self):
         src = np.array([[1.0, 1.0], [50.0, 50.0]])
         dst = np.array([[2.0, 2.0], [51.0, 51.0]])
-        kept = PointMatchSet(src, dst).restrict(BoundingBox(0, 0, 10, 10))
-        assert len(kept) == 1
-        assert kept.to_points[0].tolist() == [2.0, 2.0]
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(InputError):
-            PointMatchSet(np.zeros((3, 2)), np.zeros((2, 2)))
+        kept = query_matches(rows(src, dst), 0, 1, BoundingBox(0, 0, 10, 10))
+        assert kept.tolist() == [[1.0, 1.0, 2.0, 2.0]]
 
     def test_precomputed_reverses_direction(self):
         src = np.array([[5.0, 5.0]])
         dst = np.array([[8.0, 5.0]])
-        matcher = PrecomputedMatcher(
-            {("v", 0, 1): PointMatchSet(src, dst)})
+        matcher = PrecomputedMatcher({("v", 0): rows(src, dst)})
         back = matcher.match("v", 1, 0, BoundingBox(6, 3, 10, 7))
-        assert len(back) == 1
-        assert back.to_points[0].tolist() == [5.0, 5.0]
+        assert back.tolist() == [[8.0, 5.0, 5.0, 5.0]]
         assert len(matcher.match("v", 4, 5, BoundingBox(0, 0, 9, 9))) == 0
 
     def test_precomputed_rejects_non_adjacent(self):
@@ -182,7 +180,7 @@ class TestTrackStep:
     def test_terminates_without_matches(self):
         pool = UntrackedPool({})
         props = [Proposal(1, self.gt[1])]
-        assert track_step(self.gt[0], 0, 1, props, EMPTY_MATCHES,
+        assert track_step(self.gt[0], 0, 1, props, NO_MATCHES,
                           self.scorer, pool, self.cfg) is None
 
     def test_terminates_when_no_candidate_passes_ratio(self):
@@ -239,7 +237,7 @@ class TestMatchGate:
             props = [Proposal(1, lattice_box(rng))
                      for _ in range(int(rng.integers(0, 8)))]
             pts = rng.integers(0, 40, (int(rng.integers(0, 12)), 2))
-            matches = PointMatchSet(pts, pts)
+            matches = rows(pts, pts)
             cfg = TrackerConfig(
                 min_match_ratio=float(rng.choice([0.0, 0.25, 0.5, 1.0])),
                 min_prev_overlap=float(rng.choice([0.0, 0.1, 0.2, 0.5])))
@@ -250,14 +248,14 @@ class TestMatchGate:
         box = BoundingBox(0, 0, 10, 10)
         pts = np.array([[0.0, 0.0], [10.0, 10.0], [0.0, 10.0],
                         [10.0, 5.0]])
-        matches = PointMatchSet(pts, pts)
+        matches = rows(pts, pts)
         cfg = TrackerConfig(min_match_ratio=1.0)
         assert self.gate(box, [Proposal(1, box)], matches, cfg) == [0]
 
     def test_ratio_exactly_at_threshold_passes(self):
         box = BoundingBox(0, 0, 10, 10)
         pts = np.array([[1.0, 1.0], [9.0, 9.0], [20.0, 1.0], [30.0, 1.0]])
-        matches = PointMatchSet(pts, pts)
+        matches = rows(pts, pts)
         assert match_ratio(box, matches) == 0.5
         props = [Proposal(1, box)]
         assert self.gate(box, props, matches,
@@ -270,7 +268,7 @@ class TestMatchGate:
         strip = BoundingBox(0, 0, 10, 2)
         assert iou(strip, region) == 0.2
         pts = np.array([[5.0, 1.0]])
-        matches = PointMatchSet(pts, pts)
+        matches = rows(pts, pts)
         props = [Proposal(1, strip)]
         assert self.gate(region, props, matches,
                          TrackerConfig(min_prev_overlap=0.2)) == [0]
@@ -281,7 +279,7 @@ class TestMatchGate:
         region = BoundingBox(0, 0, 10, 10)
         touching = BoundingBox(10, 0, 20, 10)
         pts = np.array([[10.0, 5.0]])
-        matches = PointMatchSet(pts, pts)
+        matches = rows(pts, pts)
         props = [Proposal(1, touching)]
         for overlap in (0.0, 0.2):
             cfg = TrackerConfig(min_prev_overlap=overlap)
@@ -294,7 +292,7 @@ class TestMatchGate:
     def test_keeps_proposal_order(self):
         box = BoundingBox(0, 0, 10, 10)
         pts = np.array([[5.0, 5.0]])
-        matches = PointMatchSet(pts, pts)
+        matches = rows(pts, pts)
         props = [Proposal(1, box), Proposal(1, BoundingBox(50, 50, 60, 60)),
                  Proposal(1, BoundingBox(1, 1, 10, 10)), Proposal(1, box)]
         assert self.gate(box, props, matches, TrackerConfig()) == [0, 2, 3]
@@ -302,11 +300,11 @@ class TestMatchGate:
     def test_no_proposals_or_no_matches(self):
         box = BoundingBox(0, 0, 10, 10)
         pts = np.array([[5.0, 5.0]])
-        assert self.gate(box, [], PointMatchSet(pts, pts),
+        assert self.gate(box, [], rows(pts, pts),
                          TrackerConfig()) == []
-        assert self.gate(box, [Proposal(1, box)], EMPTY_MATCHES,
+        assert self.gate(box, [Proposal(1, box)], NO_MATCHES,
                          TrackerConfig()) == []
-        assert track_step(box, 0, 1, [], PointMatchSet(pts, pts),
+        assert track_step(box, 0, 1, [], rows(pts, pts),
                           WorldScorer({}), UntrackedPool({}),
                           TrackerConfig()) is None
 
