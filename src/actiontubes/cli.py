@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import PipelineConfig, apply_overrides, default_config, load_config
-from .errors import ActionTubesError
+from .errors import ActionTubesError, InputError
 from .pipeline import PIPELINE_ORDER, STAGES, run_pipeline
 
 _STAGE_HELP = {
@@ -70,7 +70,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _assemble_config(args)
         directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"--out {directory} is not a usable "
+                             f"directory: {exc.strerror}") from None
         if args.command == "pipeline":
             print(run_pipeline(directory, config).to_text())
         elif args.command == "evaluate":

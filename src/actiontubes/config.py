@@ -8,14 +8,14 @@ rejected up front so a typo cannot silently run with defaults.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import ConfigError, InputError
-from .evaluation import EvalConfig
-from .footprint import CellLayout
-from .synth import MOTIONS, ActorSpec, ScenarioConfig
-from .tracker import TrackerConfig
+from .errors import ConfigError
+
+# The motion models of synth.actor_motion; synth.ActorSpec checks the same.
+MOTIONS = ("linear", "sinusoidal", "random_walk")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def _parse_float(lo: float, hi: float | None = None,
             value = float(text)
         except ValueError:
             raise ConfigError(f"{name}: not a number: {text!r}") from None
-        if value != value:
-            raise ConfigError(f"{name}: not a number: {text!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: not a finite number: {text!r}")
         low_ok = value > lo if lo_open else value >= lo
         if not low_ok or (hi is not None and value > hi):
             bound = ">" if lo_open else ">="
@@ -271,76 +271,3 @@ def apply_overrides(config: PipelineConfig,
             raise ConfigError(f"override needs key=value, got {item!r}")
         values[name.strip()] = parse_value(name.strip(), value_text.strip())
     return config.with_values(values)
-
-
-# -- bridges into the module-level config types --------------------------
-
-def cell_layout(config: PipelineConfig) -> CellLayout:
-    try:
-        return CellLayout(cell_size=config["cells.cell_size"],
-                          map_side=config["cells.map_side"])
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def scenario_config(config: PipelineConfig) -> ScenarioConfig:
-    actor = ActorSpec(label=0, size=config["synth.actor_size"],
-                      motion=config["synth.actor_motion"],
-                      speed=config["synth.actor_speed"])
-    actors = tuple(
-        ActorSpec(label=c, size=actor.size, motion=actor.motion,
-                  speed=actor.speed)
-        for c in range(config["synth.num_classes"]))
-    return ScenarioConfig(
-        seed=config["synth.seed"],
-        video_count=config["synth.video_count"],
-        frames_per_video=config["synth.frames_per_video"],
-        frame_size=(config["synth.frame_width"],
-                    config["synth.frame_height"]),
-        num_classes=config["synth.num_classes"],
-        actors=actors,
-        actors_per_video=config["synth.actors_per_video"],
-        span_fraction=config["synth.span_fraction"],
-        jitter_sigma=config["synth.jitter_sigma"],
-        miss_rate=config["synth.miss_rate"],
-        false_positive_rate=config["synth.false_positive_rate"],
-        label_confusion=config["synth.label_confusion"],
-        duplicate_label_rate=config["synth.duplicate_label_rate"],
-        match_noise=config["synth.match_noise"],
-        proposal_recall=config["synth.proposal_recall"],
-        near_miss_count=config["synth.near_miss_count"],
-        distractor_count=config["synth.distractor_count"],
-        drift_rate=config["synth.drift_rate"],
-        clip_length=config["clip.length"],
-        feature_dim=config["synth.feature_dim"],
-        feature_noise=config["synth.feature_noise"],
-        feature_margin=config["synth.feature_margin"],
-        layout=cell_layout(config),
-        gmm_components=config["synth.gmm_components"],
-        descriptor_cap=config["synth.descriptor_cap"],
-        with_footprint=config["synth.with_footprint"],
-        with_flow=config["synth.with_flow"],
-        grid_step=config["synth.grid_step"])
-
-
-def tracker_config(config: PipelineConfig) -> TrackerConfig:
-    try:
-        return TrackerConfig(
-            min_match_ratio=config["track.min_match_ratio"],
-            min_prev_overlap=config["track.min_prev_overlap"],
-            consume_overlap=config["track.consume_overlap"],
-            max_predicted_run=config["track.max_predicted_run"])
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def eval_config(config: PipelineConfig) -> EvalConfig:
-    try:
-        return EvalConfig(
-            iou_thresholds=config["eval.sigmas"],
-            recall_track_sigma=config["eval.recall_sigma"],
-            taxonomy_sigma=config["eval.taxonomy_sigma"],
-            taxonomy_floor=config["eval.taxonomy_floor"],
-            fpr_cap=config["eval.fpr_cap"])
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None

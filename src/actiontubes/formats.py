@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SchemaError
-from .fusion import FlowMagnitudeGrid
-from .model import (BoundingBox, ClipScoreSequence, Detection, FrameInterval,
-                    GroundTruthTube, Proposal, Source, Tube)
+from .model import (BoundingBox, ClipScoreSequence, Detection,
+                    FlowMagnitudeGrid, FrameInterval, GroundTruthTube,
+                    Proposal, Source, Tube)
 
 MAGIC_WORD = "actiontubes"
 FORMAT_VERSION = 1
@@ -327,8 +327,9 @@ def read_tubes(path) -> list[Tube]:
             tubes.append(Tube(key[0], key[1], tuple(entries),
                               label=label, score=score))
         except InputError as exc:
+            bad = "label" if label is not None and label < 0 else "frame"
             raise SchemaError(str(exc), path=str(path), line=first_line,
-                              field="frame") from None
+                              field=bad) from None
     return tubes
 
 

@@ -9,40 +9,12 @@ near-static regions before tracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InputError
 from .geometry import nms
-from .model import Detection, Proposal, Source
-
-
-@dataclass(frozen=True, eq=False)
-class FlowMagnitudeGrid:
-    """Per-pixel optical flow magnitude for one frame, row major."""
-
-    frame_index: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InputError(
-                f"flow grid must be a non-empty 2d array, got shape "
-                f"{arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise InputError("flow magnitudes must be finite and >= 0")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+from .model import Detection, FlowMagnitudeGrid, Proposal, Source
 
 
 def mean_magnitude_inside(grid: FlowMagnitudeGrid, proposal: Proposal) -> float | None:

@@ -1,4 +1,4 @@
-"""Core value types for frame-level detections and action tubes.
+"""Core value types for frame-level detections, flow grids and action tubes.
 
 Everything here is an immutable dataclass validated on construction.
 Frame intervals are half-open ``[start, end)`` over integer frame
@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -216,6 +218,8 @@ class Tube:
     clip_scores: ClipScoreSequence | None = None
 
     def __post_init__(self):
+        if self.label is not None and self.label < 0:
+            raise InputError(f"label must be non-negative, got {self.label}")
         if not self.entries:
             raise InputError("tube must contain at least one entry")
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -271,3 +275,29 @@ class GroundTruthTube:
     def iter_frames(self) -> Iterator[tuple[int, BoundingBox]]:
         for offset, box in enumerate(self.boxes):
             yield self.start + offset, box
+
+
+@dataclass(frozen=True, eq=False)
+class FlowMagnitudeGrid:
+    """Per-pixel optical flow magnitude for one frame, row major."""
+
+    frame_index: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim != 2 or arr.size == 0:
+            raise InputError(
+                f"flow grid must be a non-empty 2d array, got shape "
+                f"{arr.shape}")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise InputError("flow magnitudes must be finite and >= 0")
+        object.__setattr__(self, "values", arr)
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]

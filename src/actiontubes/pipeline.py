@@ -3,26 +3,25 @@
 Every stage reads its inputs from the directory, transforms them, and
 writes its outputs back under fixed names, so running a stage twice on
 the same inputs produces byte-identical files.  Per-video work runs in
-canonical video order.
+canonical video order.  Each stage imports the modules it runs inside
+its driver, so a stage's process loads only those.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import formats
-from .config import (PipelineConfig, cell_layout, eval_config,
-                     scenario_config, tracker_config)
-from .errors import InputError
-from .evaluation import EvalReport, evaluate
-from .footprint import build_footprint_map, prune_drifted
-from .fusion import late_fuse, merge_early_late, saliency_prune
+from .config import PipelineConfig
+from .errors import ConfigError, InputError
 from .model import BoundingBox, Detection, FrameInterval, Tube
-from .scoring import (prune_overlapped, require_scored, score_clips,
-                      score_tube, slice_clips)
-from .synth import SyntheticFeaturizer, SyntheticRegionScorer, generate
-from .temporal import localize
-from .tracker import PrecomputedMatcher, build_tubes, build_tubes_neighborhood
+
+if TYPE_CHECKING:
+    from .evaluation import EvalConfig, EvalReport
+    from .footprint import CellLayout
+    from .synth import ScenarioConfig
+    from .tracker import TrackerConfig
 
 FILE_GT = "gt_tubes.tsv"
 FILE_DETECTIONS = {"static": "detections_static.tsv",
@@ -61,8 +60,86 @@ def _group_by_frame(detections) -> dict[int, list[Detection]]:
     return out
 
 
+# -- bridges from the key registry into the modules' config types ------
+
+def cell_layout(config: PipelineConfig) -> CellLayout:
+    from .footprint import CellLayout
+    try:
+        return CellLayout(cell_size=config["cells.cell_size"],
+                          map_side=config["cells.map_side"])
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def scenario_config(config: PipelineConfig) -> ScenarioConfig:
+    from .synth import ActorSpec, ScenarioConfig
+    actor = ActorSpec(label=0, size=config["synth.actor_size"],
+                      motion=config["synth.actor_motion"],
+                      speed=config["synth.actor_speed"])
+    actors = tuple(
+        ActorSpec(label=c, size=actor.size, motion=actor.motion,
+                  speed=actor.speed)
+        for c in range(config["synth.num_classes"]))
+    return ScenarioConfig(
+        seed=config["synth.seed"],
+        video_count=config["synth.video_count"],
+        frames_per_video=config["synth.frames_per_video"],
+        frame_size=(config["synth.frame_width"],
+                    config["synth.frame_height"]),
+        num_classes=config["synth.num_classes"],
+        actors=actors,
+        actors_per_video=config["synth.actors_per_video"],
+        span_fraction=config["synth.span_fraction"],
+        jitter_sigma=config["synth.jitter_sigma"],
+        miss_rate=config["synth.miss_rate"],
+        false_positive_rate=config["synth.false_positive_rate"],
+        label_confusion=config["synth.label_confusion"],
+        duplicate_label_rate=config["synth.duplicate_label_rate"],
+        match_noise=config["synth.match_noise"],
+        proposal_recall=config["synth.proposal_recall"],
+        near_miss_count=config["synth.near_miss_count"],
+        distractor_count=config["synth.distractor_count"],
+        drift_rate=config["synth.drift_rate"],
+        clip_length=config["clip.length"],
+        feature_dim=config["synth.feature_dim"],
+        feature_noise=config["synth.feature_noise"],
+        feature_margin=config["synth.feature_margin"],
+        layout=cell_layout(config),
+        gmm_components=config["synth.gmm_components"],
+        descriptor_cap=config["synth.descriptor_cap"],
+        with_footprint=config["synth.with_footprint"],
+        with_flow=config["synth.with_flow"],
+        grid_step=config["synth.grid_step"])
+
+
+def tracker_config(config: PipelineConfig) -> TrackerConfig:
+    from .tracker import TrackerConfig
+    try:
+        return TrackerConfig(
+            min_match_ratio=config["track.min_match_ratio"],
+            min_prev_overlap=config["track.min_prev_overlap"],
+            consume_overlap=config["track.consume_overlap"],
+            max_predicted_run=config["track.max_predicted_run"])
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def eval_config(config: PipelineConfig) -> EvalConfig:
+    from .evaluation import EvalConfig
+    try:
+        return EvalConfig(
+            iou_thresholds=config["eval.sigmas"],
+            recall_track_sigma=config["eval.recall_sigma"],
+            taxonomy_sigma=config["eval.taxonomy_sigma"],
+            taxonomy_floor=config["eval.taxonomy_floor"],
+            fpr_cap=config["eval.fpr_cap"])
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def run_synth(directory: Path, config: PipelineConfig) -> dict:
     """Generate the scenario and write every input artifact."""
+    from .synth import generate
     directory.mkdir(parents=True, exist_ok=True)
     scenario = scenario_config(config)
     bundle = generate(scenario)
@@ -99,6 +176,7 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
 
 def run_fuse(directory: Path, config: PipelineConfig) -> dict:
     """Combine the detection streams; prune static proposals by flow."""
+    from .fusion import late_fuse, merge_early_late, saliency_prune
     streams = {
         stream: formats.read_detections(
             _require(directory, name, "synth"))
@@ -156,6 +234,9 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
 
 def run_track(directory: Path, config: PipelineConfig) -> dict:
     """Grow tubes from the fused detections, one pass per video."""
+    from .synth import SyntheticRegionScorer
+    from .tracker import (PrecomputedMatcher, build_tubes,
+                          build_tubes_neighborhood)
     detections = formats.read_detections(
         _require(directory, FILE_FUSED, "fuse"))
     salient_path = directory / FILE_SALIENT
@@ -200,6 +281,8 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
 
 def run_score(directory: Path, config: PipelineConfig) -> dict:
     """Label each tube from its clip features; injected tubes join here."""
+    from .scoring import score_clips, score_tube, slice_clips
+    from .synth import SyntheticFeaturizer
     tubes = formats.read_tubes(_require(directory, FILE_TRACKED, "track"))
     drift_path = directory / FILE_DRIFT
     if drift_path.exists():
@@ -244,6 +327,8 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
 
 def run_prune(directory: Path, config: PipelineConfig) -> dict:
     """Drop overlap duplicates, then tubes off their class footprint."""
+    from .footprint import build_footprint_map, prune_drifted
+    from .scoring import prune_overlapped, require_scored
     tubes = formats.read_tubes(_require(directory, FILE_SCORED, "score"))
     for tube in tubes:
         require_scored(tube)
@@ -268,6 +353,7 @@ def run_prune(directory: Path, config: PipelineConfig) -> dict:
 
 def run_localize(directory: Path, config: PipelineConfig) -> dict:
     """Trim each tube to its confident clip span."""
+    from .temporal import localize
     tubes = formats.read_tubes(_require(directory, FILE_PRUNED, "prune"))
     if not config["localize.enabled"]:
         formats.write_tubes(directory / FILE_FINAL, tubes)
@@ -318,6 +404,7 @@ def _metric_rows(report: EvalReport, config: PipelineConfig) -> list[tuple]:
 
 def run_evaluate(directory: Path, config: PipelineConfig) -> EvalReport:
     """Score the final tubes against the ground truth and write reports."""
+    from .evaluation import evaluate
     tubes = formats.read_tubes(_require(directory, FILE_FINAL, "localize"))
     ground_truth = formats.read_gt_tubes(
         _require(directory, FILE_GT, "synth"))

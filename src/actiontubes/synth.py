@@ -18,18 +18,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import MOTIONS
 from .errors import ConfigError, InputError, ProcessingError
 from .footprint import (CellLayout, DiagonalGaussianMixture,
                         FeatureGridSequence, aggregate_cells, fit_gmm,
                         nearest_centroid_alphas)
-from .fusion import FlowMagnitudeGrid
 from .geometry import iou
-from .model import (BoundingBox, Detection, FrameInterval, GroundTruthTube,
-                    Proposal, Source, Tube)
+from .model import (BoundingBox, Detection, FlowMagnitudeGrid, FrameInterval,
+                    GroundTruthTube, Proposal, Source, Tube)
 from .scoring import RecurrentScorerWeights, slice_clips
 from .tracker import query_matches
 
-MOTIONS = ("linear", "sinusoidal", "random_walk")
 STREAMS = ("static", "flow", "early")
 
 # Stream ids feeding the per-(seed, stream, video) seed sequences.

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from actiontubes import formats
-from actiontubes.config import apply_overrides, cell_layout, default_config
+from actiontubes.config import apply_overrides, default_config
 from actiontubes.evaluation import (EvalConfig, MatchOutcome,
                                     auc_from_outcomes, average_precision,
                                     evaluate, match_and_label, recall_track)
@@ -27,7 +27,7 @@ from actiontubes.geometry import iou, nms, st_iou, temporal_iou
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Source, Tube)
 from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_FINAL,
-                                  FILE_METRICS, FILE_SCORED,
+                                  FILE_METRICS, FILE_SCORED, cell_layout,
                                   run_fuse, run_pipeline, run_score,
                                   run_synth, run_track)
 from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,

@@ -116,6 +116,29 @@ class TestExitCodes:
             assert f"tube {first.tube_id!r} in {first.video_id!r}" in err
             assert not (tmp_path / FILE_PRUNED).exists()
 
+    def test_negative_tube_label_returns_three(self, tmp_path, capsys):
+        for stage in ("synth", "fuse", "track", "score", "prune"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        pruned = tmp_path / FILE_PRUNED
+        rows = [(*fields[:9], "-1", fields[10])
+                for _, fields in formats.read_records(pruned, "tubes")]
+        formats.write_records(pruned, "tubes", rows)
+        capsys.readouterr()
+        assert run_cli("localize", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert FILE_PRUNED in err
+        assert "field 'label'" in err
+        assert not (tmp_path / FILE_FINAL).exists()
+
+    def test_out_naming_a_file_returns_three(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "below"):
+            assert run_cli("synth", "--out", out, *FAST) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert str(out) in err
+
     def test_processing_error_returns_four(self, tmp_path, capsys,
                                            monkeypatch):
         def explode(directory, config):
@@ -225,11 +248,11 @@ class TestStageSwitches:
             assert skipped(out, printed) == (enabled == "false")
 
 
-def test_module_runs_as_script(tmp_path):
+def test_module_runs_as_script(tmp_path, child_env):
     result = subprocess.run(
         [sys.executable, "-m", "actiontubes.cli", "synth",
          "--out", str(tmp_path), *FAST],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("synth:")
 

@@ -3,9 +3,9 @@
 import pytest
 
 from actiontubes.config import (KEYS, apply_overrides, default_config,
-                                eval_config, load_config, parse_config_text,
-                                parse_value, scenario_config, tracker_config)
+                                load_config, parse_config_text, parse_value)
 from actiontubes.errors import ConfigError
+from actiontubes.pipeline import eval_config, scenario_config, tracker_config
 
 
 class TestRegistry:
@@ -43,6 +43,8 @@ class TestRegistry:
         ("eval.sigmas", "0.5,0.3"),
         ("eval.sigmas", ""),
         ("eval.fpr_cap", "0"),
+        ("track.search_radius", "inf"),
+        ("synth.feature_margin", "inf"),
     ])
     def test_out_of_range_values_rejected(self, name, text):
         with pytest.raises(ConfigError):

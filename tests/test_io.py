@@ -246,6 +246,16 @@ class TestTubesRoundTrip:
             formats.read_tubes(path)
         assert info.value.field == "label"
 
+    def test_negative_label_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        rows = [("v0", "t0", str(f), "0.0", "0.0", "5.0", "5.0", "static",
+                 "1.0", "-1", "0.5") for f in (0, 1)]
+        formats.write_records(path, "tubes", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_tubes(path)
+        assert info.value.field == "label"
+        assert info.value.line == 3
+
     def test_gap_in_frames_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
         rows = [("v0", "t0", str(f), "0.0", "0.0", "5.0", "5.0", "static",
