@@ -50,9 +50,9 @@ def box_predictions_from_tubes(tubes: Sequence[Tube]) -> list[BoxPrediction]:
     out = []
     for tube in tubes:
         require_scored(tube)
-        for entry in tube.entries:
-            out.append(BoxPrediction(tube.video_id, entry.frame_index,
-                                     entry.box, tube.label, tube.score))
+        for frame, box in tube.iter_frames():
+            out.append(BoxPrediction(tube.video_id, frame, box, tube.label,
+                                     tube.score))
     return out
 
 

@@ -280,7 +280,7 @@ def build_footprint_map(alphas, layout: CellLayout = CellLayout()) -> FootprintM
 
 def mean_box(tube: Tube) -> BoundingBox:
     """Coordinate-wise mean of the tube's boxes."""
-    coords = np.array([e.box.as_tuple() for e in tube.entries])
+    coords = np.array([box.as_tuple() for box in tube.boxes])
     x1, y1, x2, y2 = coords.mean(axis=0)
     return BoundingBox(float(x1), float(y1), float(x2), float(y2))
 

@@ -1,6 +1,6 @@
 """On-disk formats: versioned record files and a binary array container.
 
-Sparse records (detections, proposals, tube entries, ground truth, clip
+Sparse records (detections, proposals, tube frames, ground truth, clip
 scores, metrics) live in tab-separated text files with a two-line
 header naming the record kind, format version and column layout.
 Dense numeric payloads (point matches, flow grids, scorer weights,
@@ -270,6 +270,32 @@ def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
 
 # -- tubes --------------------------------------------------------------
 
+def _tube_rows(path, kind: str, frame_column: int
+               ) -> Iterator[tuple[str, str, int, list]]:
+    """Each tube's ``(video_id, tube_id, start, [(line, fields), ...])``.
+
+    Tubes come in id order and rows by frame; the rows must cover
+    consecutive frames, each exactly once.
+    """
+    groups: dict[tuple[str, str], list] = {}
+    for line, fields in read_records(path, kind):
+        key = (_check_id(fields[0], str(path), line, "video_id"),
+               _check_id(fields[1], str(path), line, "tube_id"))
+        frame = _parse_int(fields[frame_column], path, line, "frame")
+        groups.setdefault(key, []).append((frame, line, fields))
+    for key in sorted(groups):
+        rows = sorted(groups[key], key=lambda row: row[0])
+        start = rows[0][0]
+        for offset, (frame, line, _) in enumerate(rows):
+            if frame != start + offset:
+                problem = "repeats" if frame < start + offset else "skips"
+                raise SchemaError(
+                    f"tube {key[1]!r} {problem} frame "
+                    f"{min(frame, start + offset)}",
+                    path=str(path), line=line, field="frame")
+        yield key[0], key[1], start, [(line, f) for _, line, f in rows]
+
+
 def write_tubes(path, tubes: Iterable[Tube]) -> None:
     ordered = sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
     seen = set()
@@ -284,50 +310,36 @@ def write_tubes(path, tubes: Iterable[Tube]) -> None:
         _check_id(tube.tube_id, str(path), None, "tube_id")
         label = "-" if tube.label is None else str(tube.label)
         score = "-" if tube.score is None else _format_float(tube.score)
-        for entry in tube.entries:
-            rows.append((tube.video_id, tube.tube_id,
-                         str(entry.frame_index),
-                         *map(_format_float, entry.box.as_tuple()),
-                         entry.source.name.lower(),
-                         _format_scores(entry.class_scores), label, score))
+        for (frame, box), scores, source in zip(
+                tube.iter_frames(), tube.class_scores, tube.sources):
+            rows.append((tube.video_id, tube.tube_id, str(frame),
+                         *map(_format_float, box.as_tuple()),
+                         source.name.lower(), _format_scores(scores),
+                         label, score))
     write_records(path, "tubes", rows)
 
 
 def read_tubes(path) -> list[Tube]:
-    groups: dict[tuple[str, str], list] = {}
-    meta: dict[tuple[str, str], tuple[str, str, int]] = {}
-    for line, fields in read_records(path, "tubes"):
-        video_id = _check_id(fields[0], str(path), line, "video_id")
-        tube_id = _check_id(fields[1], str(path), line, "tube_id")
-        frame = _parse_int(fields[2], path, line, "frame")
-        box = _parse_box(fields, 3, path, line)
-        source = _parse_source(fields[7], path, line)
-        scores = _parse_scores(fields[8], path, line)
-        key = (video_id, tube_id)
-        if key in meta and meta[key][:2] != (fields[9], fields[10]):
-            raise SchemaError(
-                f"tube {tube_id!r} carries conflicting label or score",
-                path=str(path), line=line, field="label")
-        meta.setdefault(key, (fields[9], fields[10], line))
-        try:
-            entry = Detection(frame, box, scores, source)
-        except InputError as exc:
-            raise SchemaError(str(exc), path=str(path), line=line,
-                              field="scores") from None
-        groups.setdefault(key, []).append(entry)
     tubes = []
-    for key in sorted(groups):
-        label_text, score_text, first_line = meta[key]
-        label = None if label_text == "-" else \
-            _parse_int(label_text, path, first_line, "label")
-        score = None if score_text == "-" else \
-            _parse_float(score_text, path, first_line, "score")
-        entries = sorted(groups[key], key=lambda e: e.frame_index)
+    for video_id, tube_id, start, rows in _tube_rows(path, "tubes", 2):
+        first_line, first = rows[0]
+        for line, fields in rows:
+            if fields[9:] != first[9:]:
+                raise SchemaError(
+                    f"tube {tube_id!r} carries conflicting label or score",
+                    path=str(path), line=line, field="label")
+        label = None if first[9] == "-" else \
+            _parse_int(first[9], path, first_line, "label")
+        score = None if first[10] == "-" else \
+            _parse_float(first[10], path, first_line, "score")
+        boxes = tuple(_parse_box(f, 3, path, line) for line, f in rows)
+        sources = tuple(_parse_source(f[7], path, line) for line, f in rows)
+        scores = tuple(_parse_scores(f[8], path, line) for line, f in rows)
         try:
-            tubes.append(Tube(key[0], key[1], tuple(entries),
-                              label=label, score=score))
+            tubes.append(Tube(video_id, tube_id, start, boxes, scores,
+                              sources, label=label, score=score))
         except InputError as exc:
-            bad = "label" if label is not None and label < 0 else "frame"
+            bad = "label" if label is not None and label < 0 else "scores"
             raise SchemaError(str(exc), path=str(path), line=first_line,
                               field=bad) from None
     return tubes
@@ -348,36 +360,19 @@ def write_gt_tubes(path, tubes: Iterable[GroundTruthTube]) -> None:
 
 
 def read_gt_tubes(path) -> list[GroundTruthTube]:
-    groups: dict[tuple[str, str], list[tuple[int, BoundingBox]]] = {}
-    labels: dict[tuple[str, str], tuple[int, int]] = {}
-    for line, fields in read_records(path, "gttubes"):
-        video_id = _check_id(fields[0], str(path), line, "video_id")
-        tube_id = _check_id(fields[1], str(path), line, "tube_id")
-        label = _parse_int(fields[2], path, line, "label")
-        frame = _parse_int(fields[3], path, line, "frame")
-        box = _parse_box(fields, 4, path, line)
-        key = (video_id, tube_id)
-        if key in labels and labels[key][0] != label:
-            raise SchemaError(
-                f"ground truth tube {tube_id!r} has conflicting labels",
-                path=str(path), line=line, field="label")
-        labels.setdefault(key, (label, line))
-        groups.setdefault(key, []).append((frame, box))
     tubes = []
-    for key in sorted(groups):
-        label, first_line = labels[key]
-        frames = sorted(groups[key])
-        start = frames[0][0]
-        for offset, (frame, _) in enumerate(frames):
-            if frame != start + offset:
+    for video_id, tube_id, start, rows in _tube_rows(path, "gttubes", 3):
+        first_line, first = rows[0]
+        label = _parse_int(first[2], path, first_line, "label")
+        for line, fields in rows:
+            if _parse_int(fields[2], path, line, "label") != label:
                 raise SchemaError(
-                    f"ground truth tube {key[1]!r} skips frame "
-                    f"{start + offset}",
-                    path=str(path), line=first_line, field="frame")
+                    f"ground truth tube {tube_id!r} has conflicting labels",
+                    path=str(path), line=line, field="label")
+        boxes = tuple(_parse_box(f, 4, path, line) for line, f in rows)
         try:
-            tubes.append(GroundTruthTube(
-                key[0], key[1], label, start,
-                tuple(box for _, box in frames)))
+            tubes.append(GroundTruthTube(video_id, tube_id, label, start,
+                                         boxes))
         except InputError as exc:
             raise SchemaError(str(exc), path=str(path), line=first_line,
                               field="label") from None

@@ -9,20 +9,12 @@ cover.
 """
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .model import BoundingBox, Detection, FrameInterval
-
-
-class TubeLike(Protocol):
-    video_id: str
-
-    def interval(self) -> FrameInterval: ...
-
-    def box_at(self, frame: int) -> BoundingBox: ...
+from .model import BoundingBox, Detection, FrameInterval, GroundTruthTube, Tube
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -63,12 +55,13 @@ def temporal_iou(a: FrameInterval, b: FrameInterval) -> float:
     return inter / union
 
 
-def st_iou(a: TubeLike, b: TubeLike) -> float:
+def st_iou(a: Tube | GroundTruthTube, b: Tube | GroundTruthTube) -> float:
     """Spatio-temporal overlap between two tubes of the same video.
 
     Returns the temporal overlap of the tube extents multiplied by the
     mean spatial overlap over the frames present in both tubes, and 0
-    when the extents do not intersect.
+    when the extents do not intersect.  The per-frame overlaps are
+    summed in frame order.
     """
     if a.video_id != b.video_id:
         raise InputError(
@@ -81,8 +74,9 @@ def st_iou(a: TubeLike, b: TubeLike) -> float:
     lo = max(ia.start, ib.start)
     hi = min(ia.end, ib.end)
     total = 0.0
-    for frame in range(lo, hi):
-        total += iou(a.box_at(frame), b.box_at(frame))
+    for box_a, box_b in zip(a.boxes[lo - a.start:hi - a.start],
+                            b.boxes[lo - b.start:hi - b.start]):
+        total += iou(box_a, box_b)
     return t * (total / (hi - lo))
 
 

@@ -3,12 +3,14 @@
 Everything here is an immutable dataclass validated on construction.
 Frame intervals are half-open ``[start, end)`` over integer frame
 indices; boxes are continuous pixel coordinates with the origin at the
-top left corner.
+top left corner.  Predicted and annotated tubes both keep their frames
+as a start frame plus one box per consecutive frame, and share one
+implementation of frame access.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -206,13 +208,36 @@ class ClipScoreSequence:
         return FrameInterval(self.intervals[0].start, self.intervals[-1].end)
 
 
+class _FrameRun:
+    """Frame access for both tube kinds: ``boxes`` on frames from ``start``."""
+
+    def interval(self) -> FrameInterval:
+        return FrameInterval(self.start, self.start + len(self.boxes))
+
+    def box_at(self, frame: int) -> BoundingBox:
+        if not (self.start <= frame < self.start + len(self.boxes)):
+            raise InputError(f"frame {frame} outside tube {self.interval()}")
+        return self.boxes[frame - self.start]
+
+    def iter_frames(self) -> Iterator[tuple[int, BoundingBox]]:
+        return enumerate(self.boxes, self.start)
+
+
 @dataclass(frozen=True)
-class Tube:
-    """Spatio-temporal action tube: one detection per consecutive frame."""
+class Tube(_FrameRun):
+    """Spatio-temporal action tube over consecutive frames from ``start``.
+
+    Each frame has a box, a class score vector and the stage that
+    produced it, in the parallel tuples ``boxes``, ``class_scores`` and
+    ``sources``; every score vector has the same class count.
+    """
 
     video_id: str
     tube_id: str
-    entries: tuple[Detection, ...]
+    start: int
+    boxes: tuple[BoundingBox, ...]
+    class_scores: tuple[tuple[float, ...], ...]
+    sources: tuple[Source, ...]
     label: int | None = None
     score: float | None = None
     clip_scores: ClipScoreSequence | None = None
@@ -220,35 +245,23 @@ class Tube:
     def __post_init__(self):
         if self.label is not None and self.label < 0:
             raise InputError(f"label must be non-negative, got {self.label}")
-        if not self.entries:
-            raise InputError("tube must contain at least one entry")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        start = self.entries[0].frame_index
-        for offset, det in enumerate(self.entries):
-            if det.frame_index != start + offset:
-                raise InputError(
-                    f"tube entries must cover consecutive frames; entry "
-                    f"{offset} is at frame {det.frame_index}, expected "
-                    f"{start + offset}")
+        n = len(self.boxes)
+        if not n or not n == len(self.class_scores) == len(self.sources):
+            raise InputError(
+                f"tube has {n} boxes, {len(self.class_scores)} score vectors "
+                f"and {len(self.sources)} sources, expected one per frame")
+        scores = tuple(_validated_scores(s) for s in self.class_scores)
+        if any(len(vec) != len(scores[0]) for vec in scores):
+            raise InputError("tube class score vectors differ in class count")
+        object.__setattr__(self, "boxes", tuple(self.boxes))
+        object.__setattr__(self, "class_scores", scores)
+        object.__setattr__(self, "sources", tuple(self.sources))
         if self.score is not None:
             _require_finite("tube score", self.score)
 
-    def interval(self) -> FrameInterval:
-        start = self.entries[0].frame_index
-        return FrameInterval(start, start + len(self.entries))
-
-    def box_at(self, frame: int) -> BoundingBox:
-        start = self.entries[0].frame_index
-        if not (start <= frame < start + len(self.entries)):
-            raise InputError(f"frame {frame} outside tube {self.interval()}")
-        return self.entries[frame - start].box
-
-    def with_label(self, label: int, score: float | None = None) -> "Tube":
-        return replace(self, label=label, score=score)
-
 
 @dataclass(frozen=True)
-class GroundTruthTube:
+class GroundTruthTube(_FrameRun):
     """Annotated tube: one box per consecutive frame plus a class label."""
 
     video_id: str
@@ -263,18 +276,6 @@ class GroundTruthTube:
         if self.label < 0:
             raise InputError(f"label must be non-negative, got {self.label}")
         object.__setattr__(self, "boxes", tuple(self.boxes))
-
-    def interval(self) -> FrameInterval:
-        return FrameInterval(self.start, self.start + len(self.boxes))
-
-    def box_at(self, frame: int) -> BoundingBox:
-        if not (self.start <= frame < self.start + len(self.boxes)):
-            raise InputError(f"frame {frame} outside tube {self.interval()}")
-        return self.boxes[frame - self.start]
-
-    def iter_frames(self) -> Iterator[tuple[int, BoundingBox]]:
-        for offset, box in enumerate(self.boxes):
-            yield self.start + offset, box
 
 
 @dataclass(frozen=True, eq=False)

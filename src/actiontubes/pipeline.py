@@ -9,6 +9,7 @@ its driver, so a stage's process loads only those.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -307,12 +308,10 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
         out = []
         for tube in by_video[video_id]:
             intervals = slice_clips(tube.interval(), clip_length)
-            features = featurizer.clip_features(
-                video_id, {e.frame_index: e.box for e in tube.entries},
-                intervals)
+            features = featurizer.clip_features(tube, intervals)
             clips = score_clips(features, weights, intervals, clip_length)
             ts = score_tube(tube, clips, label=tube.label)
-            out.append((tube.with_label(ts.label, ts.score), clips))
+            out.append((replace(tube, label=ts.label, score=ts.score), clips))
         return out
 
     scored = [pair for video_id in sorted(by_video)

@@ -175,8 +175,7 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
         raise InputError(
             f"clip span {clip_scores.span()} does not cover tube extent "
             f"{tube.interval()}")
-    frame_scores = np.array([e.class_scores for e in tube.entries],
-                            dtype=np.float64)
+    frame_scores = np.array(tube.class_scores, dtype=np.float64)
     if frame_scores.shape[1] != clip_scores.num_classes:
         raise InputError(
             f"frame scores have {frame_scores.shape[1]} classes, clip "
@@ -230,8 +229,7 @@ def prune_overlapped(tubes: Sequence[Tube],
     kept_by_video: dict[str, list[tuple[int, int, Tube]]] = {}
     for idx in order:
         tube = tubes[idx]
-        start = tube.entries[0].frame_index
-        end = start + len(tube.entries)
+        start, end = tube.start, tube.start + len(tube.boxes)
         same_video = kept_by_video.setdefault(tube.video_id, [])
         if any(k_start < end and start < k_end
                and st_iou(kept_tube, tube) > threshold

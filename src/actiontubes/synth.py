@@ -47,6 +47,13 @@ def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence((seed, stream) + key)))
 
 
+def _video_index(indices: Mapping[str, int], video_id: str) -> int:
+    """The video's noise key; a video outside the scenario is rejected."""
+    if video_id not in indices:
+        raise InputError(f"no ground truth for video {video_id!r}")
+    return indices[video_id]
+
+
 @dataclass(frozen=True)
 class ActorSpec:
     """One moving square: class, side length, motion model and speed."""
@@ -448,6 +455,7 @@ class SyntheticMatcher:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        index = _video_index(self._indices, video_id)
         config = self._config
         w, h = config.frame_size
         step = config.grid_step
@@ -484,8 +492,7 @@ class SyntheticMatcher:
         from_pts = np.concatenate(from_parts)
         to_pts = np.concatenate(to_parts)
         if config.match_noise > 0:
-            noise_rng = _rng(config.seed, _MATCH,
-                             self._indices.get(video_id, 0), lo)
+            noise_rng = _rng(config.seed, _MATCH, index, lo)
             to_pts = to_pts + noise_rng.normal(0.0, config.match_noise,
                                                to_pts.shape)
         if len(self._cache) >= 512:
@@ -549,22 +556,25 @@ class SyntheticFeaturizer:
     def background_direction(self, video_id: str) -> np.ndarray:
         """Unit direction of the video's background, scaled like a class."""
         config = self._config
-        rng = _rng(config.seed, _BACKGROUND, self._indices.get(video_id, 0))
+        rng = _rng(config.seed, _BACKGROUND,
+                   _video_index(self._indices, video_id))
         v = rng.normal(0.0, 1.0, config.feature_dim)
         return config.feature_margin * v / np.linalg.norm(v)
 
-    def clip_features(self, video_id: str,
-                      boxes: Mapping[int, BoundingBox],
+    def clip_features(self, tube: Tube | GroundTruthTube,
                       intervals: Sequence[FrameInterval]) -> np.ndarray:
+        """Per clip, the class direction of the truth ``tube`` covers best."""
         config = self._config
+        index = _video_index(self._indices, tube.video_id)
+        end = tube.start + len(tube.boxes)
         out = np.zeros((len(intervals), config.feature_dim))
         for t, interval in enumerate(intervals):
             best_label, best_ov = None, 0.0
-            for gt in self._gt.get(video_id, ()):
-                lo = max(interval.start, gt.start)
-                hi = min(interval.end, gt.start + len(gt.boxes))
-                overlaps = [iou(boxes[f], gt.boxes[f - gt.start])
-                            for f in range(lo, hi) if f in boxes]
+            for gt in self._gt.get(tube.video_id, ()):
+                lo = max(interval.start, gt.start, tube.start)
+                hi = min(interval.end, gt.start + len(gt.boxes), end)
+                overlaps = [iou(tube.boxes[f - tube.start],
+                                gt.boxes[f - gt.start]) for f in range(lo, hi)]
                 if not overlaps:
                     continue
                 ov = float(np.mean(overlaps))
@@ -573,8 +583,7 @@ class SyntheticFeaturizer:
             if best_label is not None:
                 out[t] = self.class_direction(best_label)
             if config.feature_noise > 0:
-                rng = _rng(config.seed, _CLIP,
-                           self._indices.get(video_id, 0), interval.start)
+                rng = _rng(config.seed, _CLIP, index, interval.start)
                 out[t] += rng.normal(0.0, config.feature_noise,
                                      config.feature_dim)
         return out
@@ -582,6 +591,7 @@ class SyntheticFeaturizer:
     def feature_grid(self, video_id: str,
                      intervals: Sequence[FrameInterval]) -> np.ndarray:
         config = self._config
+        index = _video_index(self._indices, video_id)
         side = config.layout.grid_side
         dim = config.feature_dim
         w, h = config.frame_size
@@ -608,8 +618,7 @@ class SyntheticFeaturizer:
                 covered[ci0:ci1, cj0:cj1] = True
             out[t][~covered] += background
             if config.feature_noise > 0:
-                rng = _rng(config.seed, _GRID,
-                           self._indices.get(video_id, 0), interval.start)
+                rng = _rng(config.seed, _GRID, index, interval.start)
                 out[t] += rng.normal(0.0, config.feature_noise,
                                      (side, side, dim))
         return out
@@ -741,10 +750,10 @@ def inject_drift(bundle: ScenarioBundle, rate: float) -> ScenarioBundle:
                 f"drifted tube")
         scores = tuple(0.1 + 0.02 * float(u)
                        for u in rng.uniform(size=config.num_classes))
-        entries = tuple(Detection(f, box, scores, Source.TRACKED)
-                        for f in video.extent.frames())
-        drift.setdefault(video.video_id, []).append(
-            Tube(video.video_id, f"drift{k:03d}", entries, label=label))
+        n = len(video.extent)
+        drift.setdefault(video.video_id, []).append(Tube(
+            video.video_id, f"drift{k:03d}", video.extent.start, (box,) * n,
+            (scores,) * n, (Source.TRACKED,) * n, label=label))
     merged = {vid: tuple(tubes) for vid, tubes in drift.items()}
     for vid, tubes in bundle.drift_tubes.items():
         merged[vid] = merged.get(vid, ()) + tubes

@@ -21,9 +21,10 @@ def _sliced(tube: Tube, clips: ClipScoreSequence, first: int,
         intervals=clips.intervals[first:last + 1],
         scores=clips.scores[first:last + 1])
     span = kept.span()
-    offset = tube.interval().start
-    entries = tube.entries[span.start - offset:span.end - offset]
-    return replace(tube, entries=entries, clip_scores=kept)
+    lo, hi = span.start - tube.start, span.end - tube.start
+    return replace(tube, start=span.start, boxes=tube.boxes[lo:hi],
+                   class_scores=tube.class_scores[lo:hi],
+                   sources=tube.sources[lo:hi], clip_scores=kept)
 
 
 def localize(tube: Tube, clips: ClipScoreSequence | None = None,

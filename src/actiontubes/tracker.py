@@ -126,7 +126,7 @@ class UntrackedPool:
     """
 
     def __init__(self, detections_by_frame: dict[int, Sequence[Detection]]):
-        self._entries: list[Detection] = []
+        self._dets: list[Detection] = []
         self._frames: list[int] = []
         self._by_frame: dict[int, list[int]] = {}
         for frame in sorted(detections_by_frame):
@@ -135,32 +135,32 @@ class UntrackedPool:
                     raise InputError(
                         f"detection at frame {det.frame_index} filed under "
                         f"frame {frame}")
-                idx = len(self._entries)
-                self._entries.append(det)
+                idx = len(self._dets)
+                self._dets.append(det)
                 self._frames.append(frame)
                 self._by_frame.setdefault(frame, []).append(idx)
-        self._alive = [True] * len(self._entries)
-        self._remaining = len(self._entries)
+        self._alive = [True] * len(self._dets)
+        self._remaining = len(self._dets)
 
         def seed_key(idx: int):
-            det = self._entries[idx]
+            det = self._dets[idx]
             b = det.box
             return (-det.score, det.frame_index, -b.area(),
                     b.x_min, b.y_min, b.x_max, b.y_max, idx)
 
-        self._order = sorted(range(len(self._entries)), key=seed_key)
+        self._order = sorted(range(len(self._dets)), key=seed_key)
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._remaining
 
     def pending(self, frame: int) -> list[Detection]:
-        return [self._entries[i] for i in self._by_frame.get(frame, [])
+        return [self._dets[i] for i in self._by_frame.get(frame, [])
                 if self._alive[i]]
 
     def discard(self, detection: Detection) -> None:
         for idx in self._by_frame.get(detection.frame_index, []):
-            if self._alive[idx] and self._entries[idx] is detection:
+            if self._alive[idx] and self._dets[idx] is detection:
                 self._alive[idx] = False
                 self._remaining -= 1
                 return
@@ -173,7 +173,7 @@ class UntrackedPool:
             if self._alive[idx]:
                 self._alive[idx] = False
                 self._remaining -= 1
-                return self._entries[idx]
+                return self._dets[idx]
         return None
 
 
@@ -287,7 +287,7 @@ def track_step(region: BoundingBox, label: int, next_frame: int,
                      video_id)
 
 
-# (seed, current entry, next frame, pool) -> next entry, or None to stop
+# (seed, current detection, next frame, pool) -> the next one, or None to stop
 StepFn = Callable[[Detection, Detection, int, UntrackedPool],
                   Detection | None]
 
@@ -296,14 +296,14 @@ def _extend(seed: Detection, frames: range, step: StepFn,
             pool: UntrackedPool,
             cfg: TrackerConfig) -> tuple[list[Detection], bool]:
     """Grow one direction until termination; True flags a scorer abort."""
-    entries: list[Detection] = []
+    grown: list[Detection] = []
     current = seed
     predicted_run = 0
     for frame in frames:
         try:
             nxt = step(seed, current, frame, pool)
         except ScorerError:
-            return entries, True
+            return grown, True
         if nxt is None:
             break
         if nxt.source is Source.TRACKED:
@@ -312,9 +312,9 @@ def _extend(seed: Detection, frames: range, step: StepFn,
             predicted_run += 1
         else:
             predicted_run = 0
-        entries.append(nxt)
+        grown.append(nxt)
         current = nxt
-    return entries, False
+    return grown, False
 
 
 def _grow_tubes(video_id: str,
@@ -340,9 +340,11 @@ def _grow_tubes(video_id: str,
             backward, _ = _extend(
                 seed, range(seed.frame_index - 1, extent.start - 1, -1),
                 step, pool, cfg)
-        entries = list(reversed(backward)) + [seed] + forward
-        tubes.append(Tube(video_id, f"t{len(tubes):03d}", tuple(entries),
-                          label=seed.label))
+        dets = list(reversed(backward)) + [seed] + forward
+        tubes.append(Tube(
+            video_id, f"t{len(tubes):03d}", dets[0].frame_index,
+            tuple(d.box for d in dets), tuple(d.class_scores for d in dets),
+            tuple(d.source for d in dets), label=seed.label))
     return tubes
 
 

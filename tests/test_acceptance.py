@@ -11,6 +11,7 @@ metric enumeration, temporal trimming laws, and the throughput target.
 import itertools
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,8 +137,9 @@ def test_criterion_03_noiseless_pipeline_is_perfect(tmp_path):
 def _label_by_mean_score(tubes):
     out = []
     for tube in tubes:
-        mean = np.mean([e.class_scores for e in tube.entries], axis=0)
-        out.append(tube.with_label(int(np.argmax(mean)), float(np.max(mean))))
+        mean = np.mean(tube.class_scores, axis=0)
+        out.append(replace(tube, label=int(np.argmax(mean)),
+                           score=float(np.max(mean))))
     return out
 
 
@@ -214,18 +216,16 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
             for tag, label in (("own", gt.label), ("twin", twin_label)):
                 onehot = tuple(1.0 if c == label else 0.0
                                for c in range(scenario.num_classes))
-                entries = tuple(Detection(f, box, onehot, Source.TRACKED)
-                                for f, box in gt.iter_frames())
-                tube = Tube(video.video_id, tag, entries)
+                n = len(gt.boxes)
+                tube = Tube(video.video_id, tag, gt.start, gt.boxes,
+                            (onehot,) * n, (Source.TRACKED,) * n)
                 intervals = slice_clips(tube.interval(),
                                         scenario.clip_length)
-                features = featurizer.clip_features(
-                    video.video_id,
-                    {e.frame_index: e.box for e in tube.entries}, intervals)
+                features = featurizer.clip_features(tube, intervals)
                 clips = score_clips(features, bundle.weights, intervals,
                                     scenario.clip_length)
                 ts = score_tube(tube, clips, label=label)
-                scored.append(tube.with_label(ts.label, ts.score))
+                scored.append(replace(tube, label=ts.label, score=ts.score))
 
         by_video: dict[str, list] = {}
         for tube in scored:
@@ -383,10 +383,8 @@ def test_criterion_10_ap_and_auc_match_enumeration():
                               tuple(BoundingBox(0.0, 0.0, 10.0, 10.0)
                                     for _ in range(4)))]
         boxes = tuple(BoundingBox(0.0, 0.0, 10.0, 10.0) for _ in range(4))
-        tubes = [Tube("v", name,
-                      tuple(Detection(f, box, (1.0,), Source.TRACKED)
-                            for f, box in enumerate(boxes)),
-                      label=0, score=score)
+        tubes = [Tube("v", name, 0, boxes, ((1.0,),) * 4,
+                      (Source.TRACKED,) * 4, label=0, score=score)
                  for name, score in (("a", 0.9), ("b", 0.4))]
         auc = evaluate(tubes, gt, EvalConfig(iou_thresholds=(0.5,),
                                              fpr_cap=0.6)).auc[0.5]
@@ -399,8 +397,6 @@ def test_criterion_10_ap_and_auc_match_enumeration():
 def _clip_tube(values, clip_length, tail, label=0):
     frames = clip_length * (len(values) - 1) + tail
     box = BoundingBox(10.0, 10.0, 30.0, 30.0)
-    entries = tuple(Detection(f, box, (1.0, 0.0), Source.TRACKED)
-                    for f in range(frames))
     intervals = []
     for i in range(len(values)):
         start = i * clip_length
@@ -409,7 +405,8 @@ def _clip_tube(values, clip_length, tail, label=0):
     clips = ClipScoreSequence(
         clip_length, tuple(intervals),
         tuple((float(v), float(1.0 - v)) for v in values))
-    return Tube("v", "t", entries, label=label, score=1.0), clips
+    return Tube("v", "t", 0, (box,) * frames, ((1.0, 0.0),) * frames,
+                (Source.TRACKED,) * frames, label=label, score=1.0), clips
 
 
 def test_criterion_11_trimming_is_idempotent_and_monotone():

@@ -130,6 +130,49 @@ class TestExitCodes:
         assert "field 'label'" in err
         assert not (tmp_path / FILE_FINAL).exists()
 
+    @pytest.mark.parametrize("x0_shift", [0.0, 1.0])
+    def test_repeated_truth_frame_returns_three(self, tmp_path, capsys,
+                                                x0_shift):
+        for stage in ("synth", "fuse", "track", "score", "prune",
+                      "localize"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        gt = tmp_path / FILE_GT
+        rows = [fields for _, fields in formats.read_records(gt, "gttubes")]
+        twin = list(rows[3])
+        twin[4] = repr(float(twin[4]) + x0_shift)
+        formats.write_records(gt, "gttubes", rows[:4] + [twin] + rows[4:])
+        capsys.readouterr()
+        assert run_cli("evaluate", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert "field 'frame'" in err
+        assert f"repeats frame {rows[3][3]}" in err
+
+    def _tracked_rows(self, tmp_path):
+        for stage in ("synth", "fuse", "track"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        tracked = tmp_path / FILE_TRACKED
+        return tracked, [list(fields) for _, fields
+                         in formats.read_records(tracked, "tubes")]
+
+    def test_unequal_class_counts_return_three(self, tmp_path, capsys):
+        tracked, rows = self._tracked_rows(tmp_path)
+        rows[1][8] = ",".join(rows[1][8].split(",")[:-1])
+        formats.write_records(tracked, "tubes", rows)
+        capsys.readouterr()
+        assert run_cli("score", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert FILE_TRACKED in err
+        assert "field 'scores'" in err
+
+    def test_tubes_of_an_unknown_video_return_three(self, tmp_path, capsys):
+        tracked, rows = self._tracked_rows(tmp_path)
+        for row in rows:
+            row[0] = row[0].replace("v000", "v999")
+        formats.write_records(tracked, "tubes", rows)
+        capsys.readouterr()
+        assert run_cli("score", "--out", tmp_path, *FAST) == 3
+        assert "'v999'" in capsys.readouterr().err
+
     def test_out_naming_a_file_returns_three(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

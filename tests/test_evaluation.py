@@ -11,8 +11,8 @@ from actiontubes.evaluation import (BoxPrediction, EvalConfig,
                                     false_taxonomy, match_and_label,
                                     mean_average_precision, recall_track)
 from actiontubes.geometry import iou, st_iou
-from actiontubes.model import (BoundingBox, Detection, FrameInterval,
-                               GroundTruthTube, Tube)
+from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
+                               Source, Tube)
 from oracles import ap_reference
 
 
@@ -26,9 +26,9 @@ def gt_still(video, label, start, length, box):
 
 
 def tube_from_boxes(video, tube_id, start, boxes, label, score):
-    entries = tuple(Detection(start + i, b, (1.0,)) for i, b in
-                    enumerate(boxes))
-    return Tube(video, tube_id, entries, label=label, score=score)
+    n = len(boxes)
+    return Tube(video, tube_id, start, tuple(boxes), ((1.0,),) * n,
+                (Source.STATIC,) * n, label=label, score=score)
 
 
 def tube_still(video, tube_id, start, length, box, label, score):
@@ -145,7 +145,7 @@ class TestMatching:
                 assert tp <= min(npred, res.gt_labels.count(label))
 
     def test_unlabeled_tube_rejected(self):
-        bare = Tube("v", "t", (Detection(0, BOX, (1.0,)),))
+        bare = Tube("v", "t", 0, (BOX,), ((1.0,),), (Source.STATIC,))
         with pytest.raises(InputError):
             match_and_label([bare], [], 0.5, mode="video")
 

@@ -8,7 +8,7 @@ from actiontubes.footprint import (CellLayout, DiagonalGaussianMixture,
                                    fisher_vector, fit_gmm, mean_box,
                                    nearest_centroid_alphas, posteriors,
                                    prune_drifted)
-from actiontubes.model import BoundingBox, Detection, Tube
+from actiontubes.model import BoundingBox, Source, Tube
 from oracles import fisher_reference, softmax_reference
 
 
@@ -167,8 +167,8 @@ class TestCellsOverlapping:
 
 
 def tube_at(box, video="v", tube_id="t", frames=4, label=0, score=1.0):
-    entries = tuple(Detection(i, box, (0.9, 0.1)) for i in range(frames))
-    return Tube(video, tube_id, entries, label=label, score=score)
+    return Tube(video, tube_id, 0, (box,) * frames, ((0.9, 0.1),) * frames,
+                (Source.STATIC,) * frames, label=label, score=score)
 
 
 class TestPruneDrifted:
@@ -227,9 +227,9 @@ class TestPruneDrifted:
 
 class TestMeanBox:
     def test_average_of_coordinates(self):
-        t = Tube("v", "t", (
-            Detection(0, BoundingBox(0, 0, 10, 10), (1.0,)),
-            Detection(1, BoundingBox(10, 10, 20, 20), (1.0,))))
+        t = Tube("v", "t", 0,
+                 (BoundingBox(0, 0, 10, 10), BoundingBox(10, 10, 20, 20)),
+                 ((1.0,), (1.0,)), (Source.STATIC, Source.STATIC))
         assert mean_box(t) == BoundingBox(5, 5, 15, 15)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from actiontubes.errors import InputError
 from actiontubes.geometry import iou, iou_many, nms, st_iou, temporal_iou
 from actiontubes.model import (BoundingBox, Detection, FrameInterval,
-                               GroundTruthTube, Tube)
+                               GroundTruthTube, Source, Tube)
 from oracles import (interval_iou_sets, lattice_iou, nms_reference,
                      st_iou_reference)
 
@@ -128,7 +128,47 @@ def random_gt_tube(rng, video="v0", label=0):
     return GroundTruthTube(video, f"g{start}", label, start, boxes)
 
 
+def layout_extents(rng, layout):
+    """Two (start, length) extents placed as ``layout`` says."""
+    sa, la = int(rng.integers(0, 10)), int(rng.integers(2, 12))
+    if layout == "partial":
+        sb = sa + int(rng.integers(1, la))
+        lb = sa + la - sb + int(rng.integers(1, 6))
+    elif layout == "nested":
+        sb = sa + int(rng.integers(0, la))
+        lb = int(rng.integers(1, sa + la - sb + 1))
+    elif layout == "abutting":
+        sb, lb = sa + la, int(rng.integers(1, 12))
+    else:
+        sb, lb = sa + la + int(rng.integers(1, 5)), int(rng.integers(1, 12))
+    return (sa, la), (sb, lb)
+
+
+def tube_of_kind(kind, rng, name, start, length):
+    boxes = tuple(int_box(rng) for _ in range(length))
+    if kind == "gt":
+        return GroundTruthTube("v0", name, 0, start, boxes)
+    return Tube("v0", name, start, boxes, ((1.0,),) * length,
+                (Source.TRACKED,) * length)
+
+
 class TestStIou:
+    @pytest.mark.parametrize("kinds", [("tube", "tube"), ("tube", "gt"),
+                                       ("gt", "gt")])
+    @pytest.mark.parametrize("layout", ["partial", "nested", "abutting",
+                                        "disjoint"])
+    def test_tube_kinds_match_reference(self, kinds, layout):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            (sa, la), (sb, lb) = layout_extents(rng, layout)
+            a = tube_of_kind(kinds[0], rng, "a", sa, la)
+            b = tube_of_kind(kinds[1], rng, "b", sb, lb)
+            want = st_iou_reference(a, b)
+            assert st_iou(a, b) == pytest.approx(want, abs=1e-9)
+            assert st_iou(b, a) == pytest.approx(want, abs=1e-9)
+            if layout in ("abutting", "disjoint"):
+                assert st_iou(a, b) == 0.0
+
     def test_no_temporal_overlap_is_zero(self):
         a = GroundTruthTube("v", "a", 0, 0, (BoundingBox(0, 0, 5, 5),))
         b = GroundTruthTube("v", "b", 0, 5, (BoundingBox(0, 0, 5, 5),))
@@ -162,8 +202,8 @@ class TestStIou:
         assert st_iou(a, b) == pytest.approx((2 / 6) * (1 / 3), abs=1e-12)
 
     def test_works_on_mixed_tube_kinds(self):
-        det = Detection(0, BoundingBox(0, 0, 10, 10), (1.0,))
-        tube = Tube("v", "t", (det,))
+        tube = Tube("v", "t", 0, (BoundingBox(0, 0, 10, 10),), ((1.0,),),
+                    (Source.STATIC,))
         gt = GroundTruthTube("v", "g", 0, 0, (BoundingBox(0, 0, 10, 10),))
         assert st_iou(tube, gt) == 1.0
 

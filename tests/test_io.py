@@ -207,14 +207,15 @@ class TestTubesRoundTrip:
     def _tubes(self, bundle):
         tubes = []
         for i, video in enumerate(bundle.videos):
-            entries = tuple(
-                Detection(f, video.gt_tubes[0].box_at(f), (0.3, 0.7),
-                          Source.TRACKED if f % 2 else Source.MERGED)
-                for f in video.gt_tubes[0].interval().frames())
+            gt = video.gt_tubes[0]
+            frames = gt.interval().frames()
             label = None if i == 0 else 1
             score = None if i == 0 else 1.25
-            tubes.append(Tube(video.video_id, f"t{i}", entries,
-                              label=label, score=score))
+            tubes.append(Tube(
+                video.video_id, f"t{i}", gt.start, gt.boxes,
+                ((0.3, 0.7),) * len(frames),
+                tuple(Source.TRACKED if f % 2 else Source.MERGED
+                      for f in frames), label=label, score=score))
         return tubes
 
     def test_round_trip(self, bundle, tmp_path):
@@ -223,6 +224,14 @@ class TestTubesRoundTrip:
         formats.write_tubes(path, tubes)
         back = formats.read_tubes(path)
         assert back == sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
+
+    def test_round_trip_keeps_every_source(self, bundle, tmp_path):
+        path = tmp_path / "t.tsv"
+        tubes = self._tubes(bundle)
+        formats.write_tubes(path, tubes)
+        for tube, back in zip(tubes, formats.read_tubes(path)):
+            assert back.sources == tube.sources
+            assert set(back.sources) == {Source.TRACKED, Source.MERGED}
 
     def test_rewrite_is_byte_identical(self, bundle, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -264,6 +273,31 @@ class TestTubesRoundTrip:
         with pytest.raises(SchemaError):
             formats.read_tubes(path)
 
+    @pytest.mark.parametrize("x0", ["0.0", "1.0"])
+    def test_repeated_frame_rejected(self, tmp_path, x0):
+        path = tmp_path / "t.tsv"
+        rows = [("v0", "t0", str(f), "0.0", "0.0", "5.0", "5.0", "static",
+                 "1.0", "-", "-") for f in (2, 3, 4)]
+        rows.insert(2, ("v0", "t0", "3", x0, "0.0", "5.0", "5.0", "static",
+                        "1.0", "-", "-"))
+        formats.write_records(path, "tubes", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_tubes(path)
+        assert info.value.field == "frame"
+        assert info.value.line == 5
+        assert "repeats frame 3" in str(info.value)
+
+    def test_unequal_class_counts_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        rows = [("v0", "t0", str(f), "0.0", "0.0", "5.0", "5.0", "static",
+                 scores, "-", "-")
+                for f, scores in ((0, "0.2,0.3,0.5"), (1, "0.2,0.8"))]
+        formats.write_records(path, "tubes", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_tubes(path)
+        assert info.value.field == "scores"
+        assert "class count" in str(info.value)
+
 
 class TestGroundTruthRoundTrip:
     def test_round_trip(self, bundle, tmp_path):
@@ -281,6 +315,19 @@ class TestGroundTruthRoundTrip:
         with pytest.raises(SchemaError) as info:
             formats.read_gt_tubes(path)
         assert "skips frame 4" in str(info.value)
+
+    @pytest.mark.parametrize("x0", ["0.0", "1.0"])
+    def test_repeated_frame_rejected(self, tmp_path, x0):
+        path = tmp_path / "gt.tsv"
+        rows = [("v0", "a0", "1", str(f), "0.0", "0.0", "5.0", "5.0")
+                for f in (2, 3, 4)]
+        rows.insert(2, ("v0", "a0", "1", "3", x0, "0.0", "5.0", "5.0"))
+        formats.write_records(path, "gttubes", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_gt_tubes(path)
+        assert info.value.field == "frame"
+        assert info.value.line == 5
+        assert "repeats frame 3" in str(info.value)
 
     def test_conflicting_labels_rejected(self, tmp_path):
         path = tmp_path / "gt.tsv"

@@ -13,6 +13,11 @@ def make_det(frame=0, box=(0, 0, 10, 10), scores=(0.5, 0.5)):
     return Detection(frame, BoundingBox(*box), tuple(scores))
 
 
+def make_tube(start=0, length=1, box=(0, 0, 10, 10), scores=(0.5, 0.5)):
+    return Tube("v0", "t0", start, (BoundingBox(*box),) * length,
+                (tuple(scores),) * length, (Source.STATIC,) * length)
+
+
 class TestBoundingBox:
     def test_area_and_center(self):
         b = BoundingBox(1.0, 2.0, 4.0, 8.0)
@@ -103,20 +108,30 @@ class TestClipScoreSequence:
 
 class TestTube:
     def test_contiguous_entries(self):
-        t = Tube("v0", "t0", tuple(make_det(frame=f) for f in range(3, 6)))
+        t = make_tube(start=3, length=3)
         assert t.interval() == FrameInterval(3, 6)
         assert t.box_at(4) == BoundingBox(0, 0, 10, 10)
+        assert [f for f, _ in t.iter_frames()] == [3, 4, 5]
 
-    def test_rejects_gap(self):
-        with pytest.raises(InputError):
-            Tube("v0", "t0", (make_det(frame=0), make_det(frame=2)))
+    def test_rejects_unequal_lengths(self):
+        # frames are positions from ``start``, so a gap cannot be held;
+        # the per-frame tuples must agree in length instead
+        t = make_tube(length=3)
+        for field in ("boxes", "class_scores", "sources"):
+            with pytest.raises(InputError, match="3 boxes|2 boxes"):
+                replace(t, **{field: getattr(t, field)[:2]})
+
+    def test_rejects_unequal_class_counts(self):
+        t = make_tube(length=2)
+        with pytest.raises(InputError, match="class count"):
+            replace(t, class_scores=((0.5, 0.5), (1.0,)))
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):
-            Tube("v0", "t0", ())
+            Tube("v0", "t0", 0, (), (), ())
 
     def test_box_at_outside_extent(self):
-        t = Tube("v0", "t0", (make_det(frame=2),))
+        t = make_tube(start=2)
         with pytest.raises(InputError):
             t.box_at(3)
 

@@ -4,8 +4,9 @@ The tracer wraps library functions by name at start-up, so renaming one
 of them under ``src/`` breaks ``perfbench/run.py --trace 1`` without any
 library test noticing.  The pipeline drivers import their stage modules
 when they run, so a driver that bound a name the tracer cannot reach
-would drop its span out of the trace.  Running every stage traced on a
-tiny scenario catches both.
+would drop its span out of the trace, and a primitive rewritten to stop
+calling ``geometry.iou`` would zero its counter.  Running every stage
+traced on a tiny scenario catches all three.
 """
 
 import json
@@ -26,7 +27,7 @@ STAGES = ("synth", "fuse", "track", "score", "prune", "localize",
 
 def test_traced_stages_record_their_spans(tmp_path, child_env):
     out = tmp_path / "run"
-    spans = {}
+    spans, counts = {}, {}
     for stage in STAGES:
         trace = tmp_path / f"{stage}.json"
         result = subprocess.run(
@@ -34,8 +35,14 @@ def test_traced_stages_record_their_spans(tmp_path, child_env):
              "--out", str(out), *TINY],
             capture_output=True, text=True, env=child_env)
         assert result.returncode == 0, result.stderr
-        spans.update(json.loads(trace.read_text())["spans"])
+        traced = json.loads(trace.read_text())
+        spans.update(traced["spans"])
+        counts[stage] = traced["counts"]
     for name in ("synth.match", "fusion.fuse", "tracker.build_tubes",
                  "scoring.score_clips", "scoring.prune_overlapped",
                  "temporal.localize", "evaluation.evaluate"):
         assert spans[name]["calls"] > 0, name
+    # the counted primitives must still be reached through their names
+    assert counts["evaluate"].get("geometry.st_iou", 0) > 0
+    assert counts["evaluate"].get("geometry.iou", 0) > 0
+    assert counts["score"].get("geometry.iou", 0) > 0

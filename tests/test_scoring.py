@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from actiontubes import formats
 from actiontubes.config import apply_overrides, default_config
 from actiontubes.errors import InputError
 from actiontubes.geometry import st_iou
-from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
-                               FrameInterval, Tube)
+from actiontubes.model import (BoundingBox, ClipScoreSequence, FrameInterval,
+                               Source, Tube)
 from actiontubes.pipeline import (FILE_CLIP_SCORES, FILE_DRIFT, FILE_SCORED,
                                   FILE_TRACKED, run_fuse, run_score,
                                   run_synth, run_track)
@@ -121,10 +123,9 @@ class TestRecurrentForward:
 
 
 def tube_with_scores(frame_scores, video="v", tube_id="t0", start=0):
-    entries = tuple(
-        Detection(start + i, BoundingBox(0, 0, 10, 10), scores)
-        for i, scores in enumerate(frame_scores))
-    return Tube(video, tube_id, entries)
+    n = len(frame_scores)
+    return Tube(video, tube_id, start, (BoundingBox(0, 0, 10, 10),) * n,
+                tuple(frame_scores), (Source.STATIC,) * n)
 
 
 def clips_for(tube, scores):
@@ -187,9 +188,9 @@ class TestScoreTube:
 
 
 def scored_tube(video, tube_id, start, length, box, score, label=0):
-    entries = tuple(
-        Detection(start + i, box, (score, 0.0)) for i in range(length))
-    return Tube(video, tube_id, entries, label=label, score=score)
+    return Tube(video, tube_id, start, (box,) * length,
+                ((score, 0.0),) * length, (Source.STATIC,) * length,
+                label=label, score=score)
 
 
 class TestPruneOverlapped:
@@ -238,7 +239,7 @@ class TestPruneOverlapped:
     def test_unscored_tube_rejected(self, label, score):
         box = BoundingBox(0, 0, 20, 20)
         good = scored_tube("v", "a", 0, 10, box, 0.9)
-        bare = Tube("v", "b", good.entries, label=label, score=score)
+        bare = replace(good, tube_id="b", label=label, score=score)
         with pytest.raises(InputError, match="'b'"):
             prune_overlapped([good, bare], 0.3)
 
@@ -260,15 +261,16 @@ def random_scored(rng, count):
     for i in range(count):
         start = int(rng.integers(0, 12))
         x, y = (float(v) for v in rng.integers(0, 30, 2))
-        entries = []
-        for f in range(start, start + int(rng.integers(1, 7))):
+        boxes = []
+        for _ in range(int(rng.integers(1, 7))):
             dx, dy = (float(v) for v in rng.integers(-2, 3, 2))
-            entries.append(Detection(
-                f, BoundingBox(x + dx, y + dy, x + dx + 20, y + dy + 20),
-                (1.0, 0.0)))
+            boxes.append(
+                BoundingBox(x + dx, y + dy, x + dx + 20, y + dy + 20))
+        n = len(boxes)
         score = float(rng.choice([0.2, 0.5, 0.9]))   # ties are common
-        out.append(Tube(f"v{int(rng.integers(0, 3))}", f"t{i}",
-                        tuple(entries), label=0, score=score))
+        out.append(Tube(f"v{int(rng.integers(0, 3))}", f"t{i}", start,
+                        tuple(boxes), ((1.0, 0.0),) * n,
+                        (Source.STATIC,) * n, label=0, score=score))
     return out
 
 

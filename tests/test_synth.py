@@ -1,12 +1,14 @@
 """Tests for the synthetic scenario generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from actiontubes.errors import ConfigError, InputError
 from actiontubes.geometry import iou, st_iou
 from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
-                               Source)
+                               Source, Tube)
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
@@ -339,8 +341,7 @@ class TestFeaturizer:
         video = bundle.videos[2]
         gt = video.gt_tubes[0]
         intervals = slice_clips(gt.interval(), config.clip_length)
-        feats = featurizer.clip_features(video.video_id, dict(gt.iter_frames()),
-                                         intervals)
+        feats = featurizer.clip_features(gt, intervals)
         expected = np.zeros(config.feature_dim)
         expected[gt.label] = config.feature_margin
         assert np.allclose(feats, expected[None, :])
@@ -352,24 +353,27 @@ class TestFeaturizer:
             tubes = random_gt_tubes(rng, "v0")
             featurizer = SyntheticFeaturizer(config, {"v0": tubes},
                                              {"v0": 0})
-            # a tube wandering near the truth, with a gap in its boxes
-            boxes = {f: tubes[f % len(tubes)].boxes[0].translated(
-                         float(rng.integers(-4, 5)), 0.0)
-                     for f in range(2, 20) if f != 9}
-            intervals = slice_clips(FrameInterval(2, 20), 4)
+            # a tube wandering near the truth over frames 2-19, scored
+            # on clips that run past both of its ends
+            boxes = tuple(tubes[f % len(tubes)].boxes[0].translated(
+                              float(rng.integers(-4, 5)), 0.0)
+                          for f in range(2, 20))
+            tube = Tube("v0", "w", 2, boxes, ((1.0,),) * len(boxes),
+                        (Source.TRACKED,) * len(boxes))
+            intervals = slice_clips(FrameInterval(0, 22), 4)
             want = np.zeros((len(intervals), config.feature_dim))
             for t, interval in enumerate(intervals):
                 best_label, best_ov = None, 0.0
                 for gt in tubes:
-                    overlaps = [iou(boxes[f], gt.box_at(f))
+                    overlaps = [iou(tube.box_at(f), gt.box_at(f))
                                 for f in interval.frames()
-                                if f in boxes and f in gt.interval()]
+                                if f in tube.interval() and f in gt.interval()]
                     if overlaps and float(np.mean(overlaps)) > best_ov:
                         best_label = gt.label
                         best_ov = float(np.mean(overlaps))
                 if best_label is not None:
                     want[t] = featurizer.class_direction(best_label)
-            got = featurizer.clip_features("v0", boxes, intervals)
+            got = featurizer.clip_features(tube, intervals)
             assert np.array_equal(got, want)
 
     def test_off_actor_boxes_give_null_features(self):
@@ -377,9 +381,12 @@ class TestFeaturizer:
         bundle = generate(config)
         featurizer = bundle.featurizer()
         video = bundle.videos[0]
-        boxes = {f: BoundingBox(0, 0, 5, 5) for f in video.extent.frames()}
+        n = len(video.extent)
+        tube = Tube(video.video_id, "t", video.extent.start,
+                    (BoundingBox(0, 0, 5, 5),) * n, ((1.0,),) * n,
+                    (Source.TRACKED,) * n)
         intervals = slice_clips(video.extent, config.clip_length)
-        feats = featurizer.clip_features(video.video_id, boxes, intervals)
+        feats = featurizer.clip_features(tube, intervals)
         assert np.allclose(feats, 0.0)
 
     def test_feature_grid_marks_home_cells(self):
@@ -403,6 +410,21 @@ class TestFeaturizer:
         assert on_blob.any() and not on_blob.all()
         assert np.allclose(flat[~on_blob], background)
 
+    def test_video_outside_the_scenario_rejected(self):
+        # noise is keyed by the video's index; an unknown video has none
+        bundle = generate(small_config(feature_noise=0.2, match_noise=1.0))
+        gt = bundle.videos[0].gt_tubes[0]
+        stray = replace(gt, video_id="v999")
+        intervals = slice_clips(gt.interval(), 4)
+        featurizer = bundle.featurizer()
+        calls = (lambda: featurizer.clip_features(stray, intervals),
+                 lambda: featurizer.feature_grid("v999", intervals),
+                 lambda: featurizer.background_direction("v999"),
+                 lambda: bundle.matcher().match("v999", 0, 1, gt.boxes[0]))
+        for call in calls:
+            with pytest.raises(InputError, match="'v999'"):
+                call()
+
     def test_background_differs_between_videos(self):
         config = small_config()
         bundle = generate(config)
@@ -418,10 +440,8 @@ class TestFeaturizer:
         video = bundle.videos[1]
         gt = video.gt_tubes[0]
         intervals = slice_clips(gt.interval(), config.clip_length)
-        a = featurizer.clip_features(video.video_id, dict(gt.iter_frames()),
-                                     intervals)
-        b = bundle.featurizer().clip_features(
-            video.video_id, dict(gt.iter_frames()), intervals)
+        a = featurizer.clip_features(gt, intervals)
+        b = bundle.featurizer().clip_features(gt, intervals)
         assert np.array_equal(a, b)
 
 
@@ -433,8 +453,7 @@ class TestAnalyticWeights:
         for video in bundle.videos:
             gt = video.gt_tubes[0]
             intervals = slice_clips(gt.interval(), config.clip_length)
-            feats = featurizer.clip_features(
-                video.video_id, dict(gt.iter_frames()), intervals)
+            feats = featurizer.clip_features(gt, intervals)
             scores = recurrent_forward(feats, bundle.weights)
             assert np.all(np.argmax(scores, axis=1) == gt.label)
 
@@ -473,8 +492,7 @@ class TestDrift:
         for tubes in bundle.drift_tubes.values():
             for tube in tubes:
                 hx0, hy0, hx1, hy1 = home_region(config, tube.label)
-                for entry in tube.entries:
-                    b = entry.box
+                for b in tube.boxes:
                     overlaps = (b.x_min < hx1 and hx0 < b.x_max
                                 and b.y_min < hy1 and hy0 < b.y_max)
                     assert not overlaps
@@ -494,9 +512,8 @@ class TestDrift:
                 assert tube.score is None
 
     def test_real_tubes_not_flagged(self):
-        from actiontubes.model import Detection, Tube
-        tube = Tube("v000", "t0", (Detection(0, BoundingBox(0, 0, 5, 5),
-                                             (1.0,)),))
+        tube = Tube("v000", "t0", 0, (BoundingBox(0, 0, 5, 5),), ((1.0,),),
+                    (Source.STATIC,))
         assert not is_injected(tube)
 
 
@@ -558,9 +575,7 @@ class TestEndToEnd:
             assert st_iou(tubes[0], gt) == pytest.approx(1.0)
             tube = tubes[0]
             intervals = slice_clips(tube.interval(), config.clip_length)
-            feats = featurizer.clip_features(
-                video.video_id, {e.frame_index: e.box for e in tube.entries},
-                intervals)
+            feats = featurizer.clip_features(tube, intervals)
             clips = score_clips(feats, bundle.weights, intervals,
                                 config.clip_length)
             assert score_tube(tube, clips).label == gt.label

@@ -1,17 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from actiontubes.errors import InputError
-from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
-                               FrameInterval, Tube)
+from actiontubes.model import (BoundingBox, ClipScoreSequence, FrameInterval,
+                               Source, Tube)
 from actiontubes.temporal import localize
 
 
 def build(label_scores, clip_length=4, label=0, num_classes=2):
     """Tube with one clip per entry of label_scores, clip_length frames each."""
     frames = clip_length * len(label_scores)
-    entries = tuple(Detection(f, BoundingBox(0, 0, 10, 10), (1.0, 0.0))
-                    for f in range(frames))
     intervals = tuple(FrameInterval(i * clip_length, (i + 1) * clip_length)
                       for i in range(len(label_scores)))
     scores = tuple(
@@ -19,7 +19,9 @@ def build(label_scores, clip_length=4, label=0, num_classes=2):
                      for _ in range(num_classes - 1))
         for s in label_scores)
     clips = ClipScoreSequence(clip_length, intervals, scores)
-    return Tube("v", "t", entries, label=label, clip_scores=clips)
+    return Tube("v", "t", 0, (BoundingBox(0, 0, 10, 10),) * frames,
+                ((1.0, 0.0),) * frames, (Source.STATIC,) * frames,
+                label=label, clip_scores=clips)
 
 
 class TestTrim:
@@ -88,14 +90,13 @@ class TestTrim:
 class TestValidation:
     def test_unlabeled_tube_rejected(self):
         tube = build([0.5])
-        tube = Tube(tube.video_id, tube.tube_id, tube.entries,
-                    label=None, clip_scores=tube.clip_scores)
+        tube = replace(tube, label=None)
         with pytest.raises(InputError):
             localize(tube)
 
     def test_missing_clip_scores_rejected(self):
         tube = build([0.5])
-        bare = Tube(tube.video_id, tube.tube_id, tube.entries, label=0)
+        bare = replace(tube, clip_scores=None)
         with pytest.raises(InputError):
             localize(bare)
 

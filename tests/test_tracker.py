@@ -327,8 +327,8 @@ class TestBuildTubes:
         tube = tubes[0]
         assert tube.interval() == FrameInterval(0, 5)
         assert tube.label == 0
-        assert [e.box for e in tube.entries] == [gt[f] for f in range(5)]
-        assert all(e.source is not Source.TRACKED for e in tube.entries)
+        assert list(tube.boxes) == [gt[f] for f in range(5)]
+        assert all(s is not Source.TRACKED for s in tube.sources)
 
     def test_backward_extension_from_late_seed(self):
         gt, dets, props = self.make_inputs()
@@ -344,8 +344,8 @@ class TestBuildTubes:
         all_dets = [d for ds in dets.values() for d in ds]
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
                             ShiftMatcher(6.0, 0.0), WorldScorer(gt))
-        used = [e for t in tubes for e in t.entries
-                if e.source is not Source.TRACKED]
+        used = [s for t in tubes for s in t.sources
+                if s is not Source.TRACKED]
         assert len(used) == len(all_dets)
 
     def test_predicted_gap_bridged(self):
@@ -353,7 +353,7 @@ class TestBuildTubes:
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
                             ShiftMatcher(6.0, 0.0), WorldScorer(gt))
         assert len(tubes) == 1
-        assert tubes[0].entries[2].source is Source.TRACKED
+        assert tubes[0].sources[2] is Source.TRACKED
 
     def test_max_predicted_run_caps_extension(self):
         frames = 15
@@ -364,7 +364,7 @@ class TestBuildTubes:
         tubes = build_tubes("v", dets, props, FrameInterval(0, frames),
                             ShiftMatcher(2.0, 0.0), WorldScorer(gt), cfg)
         assert len(tubes) == 1
-        assert len(tubes[0].entries) == 4  # seed plus three predictions
+        assert len(tubes[0].boxes) == 4  # seed plus three predictions
 
     def test_scorer_failure_keeps_partial_tube(self):
         gt, dets, props = self.make_inputs()
@@ -409,7 +409,7 @@ class TestNeighborhoodBaseline:
         props = {f: [Proposal(f, gt[f])] for f in range(5)}
         tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
                                          WorldScorer(gt), search_radius=20.0)
-        assert all(len(t.entries) == 1 for t in tubes)
+        assert all(len(t.boxes) == 1 for t in tubes)
         # The point matcher handles the same motion.
         tracked = build_tubes("v", dets, props, FrameInterval(0, 5),
                               ShiftMatcher(80.0, 0.0), WorldScorer(gt),
@@ -428,7 +428,7 @@ class TestNeighborhoodBaseline:
             tubes = build_tubes_neighborhood(
                 "v", dets, props, FrameInterval(0, 2),
                 WorldScorer({1: moved}), search_radius=radius)
-            assert [len(t.entries) for t in tubes] == [frames]
+            assert [len(t.boxes) for t in tubes] == [frames]
 
     def test_center_gate_picks_from_the_right_frame(self):
         # Gating runs on per-frame center arrays; the candidate that
@@ -442,7 +442,7 @@ class TestNeighborhoodBaseline:
         tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 4),
                                          WorldScorer(gt), search_radius=20.0)
         assert len(tubes) == 1
-        assert [e.box for e in tubes[0].entries] == [gt[f] for f in range(4)]
+        assert list(tubes[0].boxes) == [gt[f] for f in range(4)]
 
     @pytest.mark.parametrize("failure", ["raise", "too_few_classes"])
     def test_scorer_failure_keeps_partial_tube(self, failure):
