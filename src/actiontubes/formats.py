@@ -5,7 +5,7 @@ scores, metrics) live in tab-separated text files with a two-line
 header naming the record kind, format version and column layout.
 Dense numeric payloads (point matches, flow grids, scorer weights,
 cell accuracies) live in a little-endian container of named arrays,
-read back as read-only views of the file's bytes.  Writers emit
+written and read back one read-only array at a time.  Writers emit
 records and arrays in a canonical order so identical data always
 produces identical bytes, and every file is written to a temp file
 beside its target and then renamed onto it, so a failed write never
@@ -444,13 +444,25 @@ _DTYPE_CODES = {0: "<f8", 1: "<i8", 2: "|u1"}
 _CODE_FOR_KIND = {"f": 0, "i": 1, "u": 2}
 
 
-def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Named arrays to the binary container, sorted by name."""
+def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+    """``(name, array)`` pairs to the binary container, one at a time.
+
+    Names must come in strictly ascending order; a mapping's caller
+    passes ``sorted(mapping.items())``.  Each array is written as it
+    arrives and the array count is patched into the header at the end,
+    so a generator of pairs is never held in memory as a whole.
+    """
     with atomic_open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<HI", FORMAT_VERSION, len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name])
+        fh.write(struct.pack("<HI", FORMAT_VERSION, 0))
+        count = 0
+        previous = None
+        for name, arr in arrays:
+            if previous is not None and name <= previous:
+                raise InputError(f"array {name!r} comes after {previous!r}; "
+                                 f"names must be strictly ascending")
+            previous = name
+            arr = np.asarray(arr)
             code = _CODE_FOR_KIND.get(arr.dtype.kind)
             if code is None:
                 raise InputError(
@@ -462,69 +474,92 @@ def write_arrays(path, arrays: Mapping[str, np.ndarray]) -> None:
             fh.write(struct.pack("<BB", code, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             fh.write(arr.data)
+            count += 1
+        fh.seek(len(BINARY_MAGIC) + 2)
+        fh.write(struct.pack("<I", count))
+
+
+def iter_arrays(path) -> Iterator[tuple[str, np.ndarray]]:
+    """``(name, array)`` pairs of a container, in file order.
+
+    The file is walked once and each array is read into its own
+    read-only buffer, so a consumer that drops an array before taking
+    the next holds one at a time.  Damage is reported where the walk
+    finds it: only a consumer that exhausts the iterator has seen every
+    check, trailing bytes included.
+    """
+    try:
+        fh = open(path, "rb")
+        size = os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise SchemaError(f"cannot read file: {exc}", path=str(path))
+    with fh:
+        if fh.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
+            raise SchemaError("not an array container (bad magic)",
+                              path=str(path))
+        offset = len(BINARY_MAGIC)
+
+        def take(count: int, alloc=bytearray):
+            """The next ``count`` bytes, read into a new ``alloc(count)``.
+
+            The file size is checked first, so a damaged length never
+            allocates a buffer the file cannot fill.
+            """
+            nonlocal offset
+            if offset + count <= size:
+                buffer = alloc(count)
+                if fh.readinto(buffer) == count:
+                    offset += count
+                    return buffer
+            raise SchemaError(
+                f"truncated container at byte {offset}", path=str(path))
+
+        version, count = struct.unpack("<HI", take(6))
+        if version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported container version {version}",
+                              path=str(path))
+        seen = set()
+        for _ in range(count):
+            name_len, = struct.unpack("<H", take(2))
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise SchemaError(f"array name at byte {offset - name_len} "
+                                  f"is not UTF-8", path=str(path)) from None
+            if name in seen:
+                raise SchemaError(f"array {name!r} appears twice",
+                                  path=str(path))
+            seen.add(name)
+            code, ndim = struct.unpack("<BB", take(2))
+            if code not in _DTYPE_CODES:
+                raise SchemaError(f"array {name!r} has unknown dtype code "
+                                  f"{code}", path=str(path))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            dtype = np.dtype(_DTYPE_CODES[code])
+            nbytes = math.prod(shape) * dtype.itemsize
+            arr = take(nbytes, lambda _: np.empty(shape, dtype))
+            arr.flags.writeable = False
+            yield name, arr
+        if offset != size:
+            raise SchemaError(
+                f"{size - offset} trailing bytes after the last array",
+                path=str(path))
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:
-    """Named arrays of a container, as read-only views of its bytes."""
-    try:
-        with open(path, "rb") as fh:
-            blob = memoryview(fh.read())
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", path=str(path))
-    if blob[:4] != BINARY_MAGIC:
-        raise SchemaError("not an array container (bad magic)",
-                          path=str(path))
-    offset = 4
-
-    def take(count: int) -> memoryview:
-        nonlocal offset
-        if offset + count > len(blob):
-            raise SchemaError(
-                f"truncated container at byte {offset}", path=str(path))
-        out = blob[offset:offset + count]
-        offset += count
-        return out
-
-    version, count = struct.unpack("<HI", take(6))
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"unsupported container version {version}",
-                          path=str(path))
-    arrays = {}
-    for _ in range(count):
-        name_len, = struct.unpack("<H", take(2))
-        try:
-            name = str(take(name_len), "utf-8")
-        except UnicodeDecodeError:
-            raise SchemaError(f"array name at byte {offset - name_len} is "
-                              f"not UTF-8", path=str(path)) from None
-        if name in arrays:
-            raise SchemaError(f"array {name!r} appears twice",
-                              path=str(path))
-        code, ndim = struct.unpack("<BB", take(2))
-        if code not in _DTYPE_CODES:
-            raise SchemaError(f"array {name!r} has unknown dtype code "
-                              f"{code}", path=str(path))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        dtype = np.dtype(_DTYPE_CODES[code])
-        total = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = take(total * dtype.itemsize)
-        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape)
-    if offset != len(blob):
-        raise SchemaError(
-            f"{len(blob) - offset} trailing bytes after the last array",
-            path=str(path))
-    return arrays
+    """Every named array of a container, read-only."""
+    return dict(iter_arrays(path))
 
 
 # -- typed container views ----------------------------------------------
 
 def write_weights(path, weights) -> None:
-    write_arrays(path, {
+    write_arrays(path, sorted({
         "w_io": weights.w_io, "w_hh": weights.w_hh, "b_y": weights.b_y,
         "w_cls": weights.w_cls, "b_cls": weights.b_cls,
         "activation": np.frombuffer(weights.activation.encode("utf-8"),
                                     dtype=np.uint8),
-    })
+    }.items()))
 
 
 def read_weights(path):
@@ -578,7 +613,7 @@ def write_matches(path,
             raise InputError(f"matches in {video_id!r} start at negative "
                              f"frame {frame}")
         arrays[f"{video_id}/{frame:08d}"] = rows[np.lexsort(rows.T[::-1])]
-    write_arrays(path, arrays)
+    write_arrays(path, sorted(arrays.items()))
 
 
 def read_matches(path) -> dict[tuple[str, int], np.ndarray]:
@@ -598,7 +633,7 @@ def read_matches(path) -> dict[tuple[str, int], np.ndarray]:
 
 
 def write_alphas(path, alphas: np.ndarray) -> None:
-    write_arrays(path, {"alphas": alphas})
+    write_arrays(path, [("alphas", alphas)])
 
 
 def read_alphas(path) -> np.ndarray:
@@ -609,23 +644,31 @@ def read_alphas(path) -> np.ndarray:
     return arrays["alphas"]
 
 
-def write_flow(path, by_video: Mapping[str, Mapping[int, FlowMagnitudeGrid]]
+def write_flow(path, grids: Iterable[tuple[str, FlowMagnitudeGrid]]
                ) -> None:
-    arrays = {}
-    for video_id, grids in by_video.items():
-        _check_id(video_id, str(path), None, "video_id")
-        for frame, grid in grids.items():
-            arrays[f"{video_id}/{frame:08d}"] = grid.values
-    write_arrays(path, arrays)
+    """``(video_id, grid)`` pairs to a flow container, one at a time.
+
+    Pairs must come in array-name order, video by video and frame by
+    frame, so a generator of grids is written without holding them.
+    """
+    def arrays():
+        for video_id, grid in grids:
+            _check_id(video_id, str(path), None, "video_id")
+            yield f"{video_id}/{grid.frame_index:08d}", grid.values
+    write_arrays(path, arrays())
 
 
-def read_flow(path) -> dict[str, dict[int, FlowMagnitudeGrid]]:
-    out: dict[str, dict[int, FlowMagnitudeGrid]] = {}
-    for name, values in read_arrays(path).items():
+def read_flow(path) -> Iterator[tuple[str, FlowMagnitudeGrid]]:
+    """``(video_id, grid)`` pairs of a flow container, in file order.
+
+    Grids are read and validated one at a time; the container's own
+    checks finish only when the iterator is exhausted, so a consumer
+    must exhaust it before it writes anything derived from the grids.
+    """
+    for name, values in iter_arrays(path):
         video_id, frame = _parse_frame_name(name, path, "flow grid")
         try:
             grid = FlowMagnitudeGrid(frame, values)
         except InputError as exc:
             raise SchemaError(str(exc), path=str(path)) from None
-        out.setdefault(video_id, {})[frame] = grid
-    return out
+        yield video_id, grid

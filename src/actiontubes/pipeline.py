@@ -140,7 +140,7 @@ def eval_config(config: PipelineConfig) -> EvalConfig:
 
 def run_synth(directory: Path, config: PipelineConfig) -> dict:
     """Generate the scenario and write every input artifact."""
-    from .synth import generate
+    from .synth import generate, video_flow
     directory.mkdir(parents=True, exist_ok=True)
     scenario = scenario_config(config)
     bundle = generate(scenario)
@@ -165,8 +165,11 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
     if bundle.alphas is not None:
         formats.write_alphas(directory / FILE_ALPHAS, bundle.alphas)
     if scenario.with_flow:
-        formats.write_flow(directory / FILE_FLOW,
-                           {v.video_id: v.flow for v in bundle.videos})
+        # grids are made as they are written, in array-name order
+        order = sorted(enumerate(bundle.videos), key=lambda p: p[1].video_id)
+        formats.write_flow(directory / FILE_FLOW, (
+            (video.video_id, grid) for index, video in order
+            for grid in video_flow(scenario, index, video.gt_tubes)))
     drift = [t for tubes in bundle.drift_tubes.values() for t in tubes]
     if drift:
         formats.write_tubes(directory / FILE_DRIFT, drift)
@@ -203,33 +206,25 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
         return out
 
     fused = {video_id: fuse_one(video_id) for video_id in video_ids}
-    formats.write_detections(directory / FILE_FUSED, fused)
     result = {"videos": len(video_ids),
               "detections": sum(len(d) for d in fused.values())}
     flow_path = directory / FILE_FLOW
     if enabled and flow_path.exists():
-        proposals = formats.read_proposals(
+        salient = formats.read_proposals(
             _require(directory, FILE_PROPOSALS, "synth"))
-        grids = formats.read_flow(flow_path)
         threshold = config["fuse.min_mean_magnitude"]
-
-        def prune_one(video_id):
-            frames = proposals.get(video_id, {})
-            video_grids = grids.get(video_id, {})
-            out = {}
-            for frame, props in frames.items():
-                grid = video_grids.get(frame)
-                if grid is None:
-                    out[frame] = props
-                else:
-                    out[frame] = tuple(saliency_prune(props, grid, threshold))
-            return out
-
-        salient = {video_id: prune_one(video_id)
-                   for video_id in sorted(proposals)}
+        # each grid prunes its frame as it is read and is then dropped;
+        # frames without a grid keep their proposals
+        for video_id, grid in formats.read_flow(flow_path):
+            frames = salient.get(video_id, {})
+            props = frames.get(grid.frame_index)
+            if props is not None:
+                frames[grid.frame_index] = tuple(
+                    saliency_prune(props, grid, threshold))
         formats.write_proposals(directory / FILE_SALIENT, salient)
         result["salient_proposals"] = sum(
             len(p) for frames in salient.values() for p in frames.values())
+    formats.write_detections(directory / FILE_FUSED, fused)
     return result
 
 

@@ -13,8 +13,9 @@ be generated in any order.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 import numpy as np
 
@@ -47,8 +48,14 @@ def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence((seed, stream) + key)))
 
 
-def _video_index(indices: Mapping[str, int], video_id: str) -> int:
-    """The video's noise key; a video outside the scenario is rejected."""
+_T = TypeVar("_T")
+
+
+def _video_index(indices: Mapping[str, _T], video_id: str) -> _T:
+    """The video's entry in a per-video table, such as its noise key.
+
+    A video outside the scenario is rejected.
+    """
     if video_id not in indices:
         raise InputError(f"no ground truth for video {video_id!r}")
     return indices[video_id]
@@ -237,7 +244,6 @@ class VideoBundle:
     gt_tubes: tuple[GroundTruthTube, ...]
     detections: Mapping[str, tuple[Detection, ...]]
     proposals: Mapping[int, tuple[Proposal, ...]]
-    flow: Mapping[int, FlowMagnitudeGrid]
 
 
 @dataclass(frozen=True)
@@ -374,12 +380,16 @@ def _video_proposals(config: ScenarioConfig, video_index: int,
     return out
 
 
-def _video_flow(config: ScenarioConfig, video_index: int,
-                gt_tubes: Sequence[GroundTruthTube]
-                ) -> dict[int, FlowMagnitudeGrid]:
+def video_flow(config: ScenarioConfig, video_index: int,
+               gt_tubes: Sequence[GroundTruthTube]
+               ) -> Iterator[FlowMagnitudeGrid]:
+    """The video's flow magnitude grids, one per frame in frame order.
+
+    Grids are made as they are taken, so a consumer that writes each
+    one out before taking the next holds a single frame's grid.
+    """
     rng = _rng(config.seed, _FLOW_GRID, video_index)
     w, h = config.frame_size
-    grids = {}
     for frame in range(config.frames_per_video):
         mag = rng.uniform(0.0, 0.2, (h, w))
         for gt in gt_tubes:
@@ -398,8 +408,7 @@ def _video_flow(config: ScenarioConfig, video_index: int,
             y1 = min(h, int(math.ceil(box.y_max)))
             mag[y0:y1, x0:x1] = disp + rng.uniform(0.0, 0.2,
                                                    (y1 - y0, x1 - x0))
-        grids[frame] = FlowMagnitudeGrid(frame, mag)
-    return grids
+        yield FlowMagnitudeGrid(frame, mag)
 
 
 def _generate_video(config: ScenarioConfig, index: int) -> VideoBundle:
@@ -421,10 +430,9 @@ def _generate_video(config: ScenarioConfig, index: int) -> VideoBundle:
         "flow": _stream_detections(config, index, gt_tubes, _FLOW_DET),
         "early": _stream_detections(config, index, gt_tubes, _EARLY),
     }
-    flow = _video_flow(config, index, gt_tubes) if config.with_flow else {}
     return VideoBundle(video_id, FrameInterval(0, frames),
                        config.frame_size, gt_tubes, detections,
-                       _video_proposals(config, index, gt_tubes), flow)
+                       _video_proposals(config, index, gt_tubes))
 
 
 class SyntheticMatcher:
@@ -506,7 +514,8 @@ class SyntheticRegionScorer:
     """Per-class score of a region: its best IOU with that class's truth.
 
     The truth present on each frame is indexed once per video, as
-    ``frame -> [(label, box)]`` in ground-truth order.
+    ``frame -> [(label, box)]`` in ground-truth order.  A video with no
+    ground truth is rejected, not scored as background.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -522,7 +531,7 @@ class SyntheticRegionScorer:
     def class_scores(self, video_id: str, frame_index: int,
                      box: BoundingBox) -> tuple[float, ...]:
         scores = [0.0] * self._num_classes
-        for label, gt_box in self._by_frame.get(video_id, {}).get(
+        for label, gt_box in _video_index(self._by_frame, video_id).get(
                 frame_index, ()):
             ov = iou(box, gt_box)
             if ov > scores[label]:

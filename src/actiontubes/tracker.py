@@ -36,7 +36,11 @@ class PointMatcher(Protocol):
 
 
 class RegionScorer(Protocol):
-    """Scores an arbitrary region on a frame for every action class."""
+    """Scores an arbitrary region on a frame for every action class.
+
+    A scorer raises ``InputError`` for a video it has no data for; that
+    fails the whole run instead of one tube.
+    """
 
     def class_scores(self, video_id: str, frame_index: int,
                      box: BoundingBox) -> np.ndarray: ...
@@ -218,7 +222,7 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
 
     Ties break suppression-style (larger, then lexicographically smaller
     box).  Any scorer failure, including too few classes for ``label``,
-    is raised as ``ScorerError``.
+    is raised as ``ScorerError``, except an ``InputError``, which passes.
     """
     best = None
     best_key = None
@@ -228,7 +232,7 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
             scores = np.asarray(
                 scorer.class_scores(video_id, next_frame, prop.box),
                 dtype=np.float64)
-        except ScorerError:
+        except (ScorerError, InputError):
             raise
         except Exception as exc:
             raise ScorerError(

@@ -13,9 +13,10 @@ import pytest
 from actiontubes import formats
 from actiontubes.cli import STAGES, main
 from actiontubes.errors import ProcessingError
-from actiontubes.pipeline import (FILE_ALPHAS, FILE_FINAL, FILE_FUSED,
-                                  FILE_GT, FILE_PRUNED, FILE_SALIENT,
-                                  FILE_SCORED, FILE_TRACKED, PIPELINE_ORDER)
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_FINAL, FILE_FLOW,
+                                  FILE_FUSED, FILE_GT, FILE_PROPOSALS,
+                                  FILE_PRUNED, FILE_SALIENT, FILE_SCORED,
+                                  FILE_TRACKED, PIPELINE_ORDER)
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -172,6 +173,39 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli("score", "--out", tmp_path, *FAST) == 3
         assert "'v999'" in capsys.readouterr().err
+
+    def test_detections_of_an_unknown_video_return_three(self, tmp_path,
+                                                         capsys):
+        baseline = ("--stage-override", "track.baseline=true")
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, *FAST, *baseline) == 0
+        for name, kind in ((FILE_FUSED, "detections"),
+                           (FILE_PROPOSALS, "proposals")):
+            path = tmp_path / name
+            rows = [(fields[0].replace("v000", "v999"), *fields[1:])
+                    for _, fields in formats.read_records(path, kind)]
+            formats.write_records(path, kind, rows)
+        capsys.readouterr()
+        assert run_cli("track", "--out", tmp_path, *FAST, *baseline) == 3
+        assert "'v999'" in capsys.readouterr().err
+        assert not (tmp_path / FILE_TRACKED).exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    def test_damaged_flow_returns_three_and_writes_nothing(
+            self, tmp_path, capsys, damage):
+        flow = ("--stage-override", "synth.with_flow=true")
+        assert run_cli("synth", "--out", tmp_path, *FAST, *flow) == 0
+        path = tmp_path / FILE_FLOW
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1000] if damage == "truncated"
+                         else blob + b"\x00")
+        capsys.readouterr()
+        assert run_cli("fuse", "--out", tmp_path, *FAST, *flow) == 3
+        err = capsys.readouterr().err
+        assert FILE_FLOW in err
+        assert damage in err
+        assert not (tmp_path / FILE_SALIENT).exists()
+        assert not (tmp_path / FILE_FUSED).exists()
 
     def test_out_naming_a_file_returns_three(self, tmp_path, capsys):
         taken = tmp_path / "taken"

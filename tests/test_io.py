@@ -12,7 +12,7 @@ from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Proposal,
                                Source, Tube)
 from actiontubes.scoring import RecurrentScorerWeights
-from actiontubes.synth import ScenarioConfig, generate
+from actiontubes.synth import ScenarioConfig, generate, video_flow
 from actiontubes.tracker import PrecomputedMatcher
 
 
@@ -21,7 +21,22 @@ def bundle():
     return generate(ScenarioConfig(
         seed=11, video_count=3, frames_per_video=12, num_classes=2,
         clip_length=4, jitter_sigma=1.5, false_positive_rate=0.3,
-        frame_size=(160, 120), with_footprint=False, with_flow=True))
+        frame_size=(160, 120), with_footprint=False))
+
+
+def flow_grids(bundle):
+    """Every ``(video_id, grid)`` of a bundle, in flow-file order."""
+    return [(video.video_id, grid)
+            for index, video in enumerate(bundle.videos)
+            for grid in video_flow(bundle.config, index, video.gt_tubes)]
+
+
+# header (magic, version 1, 3 arrays), then "a" (2 float64), "b" (1x2
+# int64) and "c" (2 bytes)
+GOLDEN_CONTAINER = (
+    "4154424e01000300000001006100010200000000000000000000000000e03f00"
+    "0000000000f4bf01006201020100000000000000020000000000000001000000"
+    "00000000feffffffffffffff010063020102000000000000006f6b")
 
 
 def coords(strategy_max=500.0):
@@ -168,7 +183,7 @@ class TestMatchesRoundTrip:
                                       "v0/1", "/00000001"])
     def test_bad_array_name_rejected(self, tmp_path, name):
         path = tmp_path / "m.atb"
-        formats.write_arrays(path, {name: np.zeros((1, 4))})
+        formats.write_arrays(path, [(name, np.zeros((1, 4)))])
         with pytest.raises(SchemaError) as info:
             formats.read_matches(path)
         assert "name" in str(info.value)
@@ -178,7 +193,7 @@ class TestMatchesRoundTrip:
                                       np.zeros((1, 2, 4))])
     def test_bad_array_shape_or_dtype_rejected(self, tmp_path, rows):
         path = tmp_path / "m.atb"
-        formats.write_arrays(path, {"v0/00000000": rows})
+        formats.write_arrays(path, [("v0/00000000", rows)])
         with pytest.raises(SchemaError) as info:
             formats.read_matches(path)
         assert "(N, 4)" in str(info.value)
@@ -186,7 +201,8 @@ class TestMatchesRoundTrip:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, tmp_path, bad):
         path = tmp_path / "m.atb"
-        formats.write_arrays(path, {"v0/00000000": np.array([[0, 1, bad, 2]])})
+        formats.write_arrays(path,
+                            [("v0/00000000", np.array([[0, 1, bad, 2]]))])
         with pytest.raises(SchemaError) as info:
             formats.read_matches(path)
         assert "finite" in str(info.value)
@@ -445,7 +461,7 @@ class TestArrayContainer:
             "vector": np.array([1.5, -2.5]),
             "deep": np.arange(24, dtype=np.float64).reshape(2, 3, 2, 2),
         }
-        formats.write_arrays(path, arrays)
+        formats.write_arrays(path, sorted(arrays.items()))
         back = formats.read_arrays(path)
         assert set(back) == set(arrays)
         for name, arr in arrays.items():
@@ -460,7 +476,7 @@ class TestArrayContainer:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "a.atb"
-        formats.write_arrays(path, {"x": np.arange(10.0)})
+        formats.write_arrays(path, [("x", np.arange(10.0))])
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(SchemaError) as info:
@@ -469,8 +485,8 @@ class TestArrayContainer:
 
     def test_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "a.atb"
-        formats.write_arrays(path, {"x": np.arange(4.0),
-                                    "y": np.eye(2, dtype=np.int64)})
+        formats.write_arrays(path, [("x", np.arange(4.0)),
+                                    ("y", np.eye(2, dtype=np.int64))])
         for arr in formats.read_arrays(path).values():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -480,7 +496,7 @@ class TestArrayContainer:
                                             (b"\xff", "UTF-8")])
     def test_bad_array_name_detected(self, tmp_path, name, word):
         path = tmp_path / "a.atb"
-        formats.write_arrays(path, {"a": np.zeros(2), "b": np.zeros(2)})
+        formats.write_arrays(path, [("a", np.zeros(2)), ("b", np.zeros(2))])
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00" + name))
         with pytest.raises(SchemaError) as info:
@@ -489,7 +505,7 @@ class TestArrayContainer:
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "a.atb"
-        formats.write_arrays(path, {"x": np.arange(4.0)})
+        formats.write_arrays(path, [("x", np.arange(4.0))])
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SchemaError) as info:
             formats.read_arrays(path)
@@ -510,7 +526,7 @@ class TestArrayContainer:
 
     def test_weights_missing_entry(self, tmp_path):
         path = tmp_path / "w.atb"
-        formats.write_arrays(path, {"w_io": np.eye(2)})
+        formats.write_arrays(path, [("w_io", np.eye(2))])
         with pytest.raises(SchemaError) as info:
             formats.read_weights(path)
         assert "missing" in str(info.value)
@@ -523,30 +539,69 @@ class TestArrayContainer:
 
     def test_flow_round_trip(self, bundle, tmp_path):
         path = tmp_path / "f.atb"
-        data = {v.video_id: v.flow for v in bundle.videos}
-        formats.write_flow(path, data)
-        back = formats.read_flow(path)
-        assert set(back) == set(data)
-        for video_id, grids in data.items():
-            assert set(back[video_id]) == set(grids)
-            for frame, grid in grids.items():
-                assert np.array_equal(back[video_id][frame].values,
-                                      grid.values)
+        data = flow_grids(bundle)
+        formats.write_flow(path, (pair for pair in data))
+        back = list(formats.read_flow(path))
+        assert {v for v, _ in back} == {v for v, _ in data}
+        for video_id in {v for v, _ in data}:
+            assert [g.frame_index for v, g in back if v == video_id] == \
+                [g.frame_index for v, g in data if v == video_id]
+        for (_, got), (_, grid) in zip(back, data):
+            assert np.array_equal(got.values, grid.values)
 
     @pytest.mark.parametrize("name", ["v0/\u00b2", "v0/1", "v 0/00000001"])
     def test_flow_bad_name_rejected(self, tmp_path, name):
         path = tmp_path / "f.atb"
-        formats.write_arrays(path, {name: np.ones((2, 2))})
+        formats.write_arrays(path, [(name, np.ones((2, 2)))])
         with pytest.raises(SchemaError) as info:
-            formats.read_flow(path)
+            list(formats.read_flow(path))
         assert "name" in str(info.value)
+
+    def test_flow_truncated_mid_grid_fails_when_reached(self, bundle,
+                                                          tmp_path):
+        path = tmp_path / "f.atb"
+        formats.write_flow(path, flow_grids(bundle)[:3])
+        path.write_bytes(path.read_bytes()[:-100])
+        grids = formats.read_flow(path)
+        assert [next(grids)[1].frame_index for _ in range(2)] == [0, 1]
+        with pytest.raises(SchemaError) as info:
+            next(grids)
+        assert "truncated" in str(info.value)
+
+    def test_flow_checks_every_grid(self, tmp_path):
+        path = tmp_path / "f.atb"
+        formats.write_arrays(path, [("v0/00000000", np.ones((2, 2))),
+                                    ("v0/00000001", -np.ones((2, 2)))])
+        with pytest.raises(SchemaError) as info:
+            list(formats.read_flow(path))
+        assert ">= 0" in str(info.value)
+
+    @pytest.mark.parametrize("names", [("b", "a"), ("a", "a")])
+    def test_unordered_names_rejected_leaving_no_file(self, tmp_path,
+                                                      names):
+        path = tmp_path / "a.atb"
+        with pytest.raises(InputError) as info:
+            formats.write_arrays(path, [(n, np.zeros(2)) for n in names])
+        assert "ascending" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_streamed_bytes_equal_golden_container(self, tmp_path):
+        path = tmp_path / "g.atb"
+        arrays = {"b": np.array([[1, -2]], dtype=np.int64),
+                  "a": np.array([0.5, -1.25]),
+                  "c": np.frombuffer(b"ok", dtype=np.uint8)}
+        formats.write_arrays(path, (pair for pair in sorted(arrays.items())))
+        assert path.read_bytes() == bytes.fromhex(GOLDEN_CONTAINER)
+        back = formats.read_arrays(path)
+        for name, arr in arrays.items():
+            assert np.array_equal(back[name], arr)
 
     @given(st.lists(st.floats(-1e12, 1e12, allow_nan=False, width=64),
                     min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_floats_survive_exactly(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("io") / "x.atb"
-        formats.write_arrays(path, {"v": np.asarray(values)})
+        formats.write_arrays(path, [("v", np.asarray(values))])
         assert np.array_equal(formats.read_arrays(path)["v"],
                               np.asarray(values))
 
@@ -572,10 +627,10 @@ class TestAtomicWrites:
 
     def test_failed_array_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "a.atb"
-        formats.write_arrays(path, {"x": np.arange(3.0)})
+        formats.write_arrays(path, [("x", np.arange(3.0))])
         good = path.read_bytes()
         with pytest.raises(InputError):
-            formats.write_arrays(path, {"a": np.arange(3.0),
-                                        "b": np.array(["text"])})
+            formats.write_arrays(path, [("a", np.arange(3.0)),
+                                        ("b", np.array(["text"]))])
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["a.atb"]

@@ -5,16 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from actiontubes import formats
+from actiontubes.config import PipelineConfig
 from actiontubes.errors import ConfigError, InputError
 from actiontubes.geometry import iou, st_iou
 from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
                                Source, Tube)
+from actiontubes.pipeline import FILE_FLOW, run_synth
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
                                SyntheticFeaturizer, SyntheticRegionScorer,
                                analytic_weights, generate, home_region,
-                               inject_drift, is_injected)
+                               inject_drift, is_injected, video_flow)
 from actiontubes.tracker import TrackerConfig, build_tubes, match_ratio
 
 
@@ -86,18 +89,20 @@ class TestDeterminism:
     def test_same_seed_same_bundle(self):
         config = small_config(jitter_sigma=2.0, miss_rate=0.1,
                               false_positive_rate=0.2, drift_rate=0.4,
-                              match_noise=0.5, with_flow=True,
-                              with_footprint=True)
-        a, b = generate(config), generate(config)
+                              match_noise=0.5, with_footprint=True)
+        a, b = generate(config), generate(replace(config))
         assert len(a.videos) == len(b.videos)
-        for va, vb in zip(a.videos, b.videos):
+        for index, (va, vb) in enumerate(zip(a.videos, b.videos)):
             assert va.gt_tubes == vb.gt_tubes
             for stream in va.detections:
                 assert va.detections[stream] == vb.detections[stream]
             assert va.proposals == vb.proposals
-            for frame in va.flow:
-                assert np.array_equal(va.flow[frame].values,
-                                      vb.flow[frame].values)
+            flow_a = list(video_flow(a.config, index, va.gt_tubes))
+            flow_b = list(video_flow(b.config, index, vb.gt_tubes))
+            assert len(flow_a) == len(flow_b) == config.frames_per_video
+            for ga, gb in zip(flow_a, flow_b):
+                assert ga.frame_index == gb.frame_index
+                assert np.array_equal(ga.values, gb.values)
         assert a.drift_tubes == b.drift_tubes
         assert np.array_equal(a.alphas, b.alphas)
         assert np.array_equal(a.gmm.means, b.gmm.means)
@@ -330,7 +335,8 @@ class TestRegionScorer:
                                              iou(box, gt.box_at(frame)))
                 assert scorer.class_scores(video_id, frame, box) == \
                     tuple(want)
-        assert scorer.class_scores("v9", 3, box) == (0.0, 0.0, 0.0)
+        with pytest.raises(InputError, match="'v9'"):
+            scorer.class_scores("v9", 3, box)
 
 
 class TestFeaturizer:
@@ -519,14 +525,16 @@ class TestDrift:
 
 class TestFlowGrids:
     def test_actor_region_carries_motion_magnitude(self):
-        config = small_config(with_flow=True,
-                              actors=(ActorSpec(label=0, speed=4.0),
+        config = small_config(actors=(ActorSpec(label=0, speed=4.0),
                                       ActorSpec(label=1, speed=4.0),
                                       ActorSpec(label=2, speed=4.0)))
         bundle = generate(config)
         video = bundle.videos[0]
         gt = video.gt_tubes[0]
-        grid = video.flow[5]
+        grids = list(video_flow(config, 0, video.gt_tubes))
+        assert [g.frame_index for g in grids] == \
+            list(range(config.frames_per_video))
+        grid = grids[5]
         box = gt.box_at(5)
         ys = slice(int(box.y_min) + 2, int(box.y_max) - 2)
         xs = slice(int(box.x_min) + 2, int(box.x_max) - 2)
@@ -534,9 +542,17 @@ class TestFlowGrids:
         assert inside > 2.0
         assert float(np.median(grid.values)) < 0.5
 
-    def test_without_flag_no_grids(self):
-        bundle = generate(small_config())
-        assert all(v.flow == {} for v in bundle.videos)
+    def test_without_flag_no_grids(self, tmp_path):
+        config = PipelineConfig({"synth.video_count": 2,
+                                 "synth.frames_per_video": 6,
+                                 "synth.with_footprint": False})
+        run_synth(tmp_path / "off", config)
+        assert not (tmp_path / "off" / FILE_FLOW).exists()
+        run_synth(tmp_path / "on",
+                  config.with_values({"synth.with_flow": True}))
+        grids = list(formats.read_flow(tmp_path / "on" / FILE_FLOW))
+        assert [(v, g.frame_index) for v, g in grids] == \
+            [(f"v00{i}", f) for i in range(2) for f in range(6)]
 
 
 class TestFootprintStats:

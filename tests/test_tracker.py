@@ -386,6 +386,17 @@ class TestBuildTubes:
         covered = sorted(f for t in tubes for f in t.interval().frames())
         assert 3 in covered and 4 in covered
 
+    def test_scorer_input_error_fails_the_run(self):
+        gt, dets, props = self.make_inputs()
+
+        class UnknownVideoScorer(WorldScorer):
+            def class_scores(self, video_id, frame_index, box):
+                raise InputError(f"no ground truth for video {video_id!r}")
+
+        with pytest.raises(InputError, match="'v'"):
+            build_tubes("v", dets, props, FrameInterval(0, 5),
+                        ShiftMatcher(6.0, 0.0), UnknownVideoScorer(gt))
+
     def test_deterministic_output(self):
         gt, dets, props = self.make_inputs()
         run = lambda: build_tubes("v", dets, props, FrameInterval(0, 5),
