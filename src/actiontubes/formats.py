@@ -16,6 +16,7 @@ reference.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import struct
@@ -23,10 +24,12 @@ import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, compress, count, repeat
 
 import numpy as np
 
-from .errors import InputError, SchemaError
+from .errors import (ActionTubesError, InputError, ProcessingError,
+                     SchemaError)
 from .model import (BoundingBox, ClipScoreSequence, Detection,
                     FlowMagnitudeGrid, FrameInterval, GroundTruthTube,
                     Proposal, Source, Tube)
@@ -101,12 +104,19 @@ def atomic_open(path, mode: str = "w", **kwargs) -> Iterator:
         raise
 
 
-def write_records(path, kind: str, rows: Iterable[Sequence[str]]) -> None:
+@contextmanager
+def _record_file(path, kind: str) -> Iterator:
+    """An atomically written record file of ``kind``, its header written."""
     schema = SCHEMAS[kind]
-    width = len(schema.columns)
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#{MAGIC_WORD} {schema.kind} {FORMAT_VERSION}\n")
         fh.write("#columns\t" + "\t".join(schema.columns) + "\n")
+        yield fh
+
+
+def write_records(path, kind: str, rows: Iterable[Sequence[str]]) -> None:
+    width = len(SCHEMAS[kind].columns)
+    with _record_file(path, kind) as fh:
         for row in rows:
             if len(row) != width:
                 raise InputError(
@@ -114,8 +124,8 @@ def write_records(path, kind: str, rows: Iterable[Sequence[str]]) -> None:
             fh.write("\t".join(row) + "\n")
 
 
-def read_records(path, kind: str) -> list[tuple[int, tuple[str, ...]]]:
-    """Header-checked rows of a record file, as (line number, fields)."""
+def _record_lines(path, kind: str) -> list[str]:
+    """The lines after a record file's checked header, from line 3 on."""
     schema = SCHEMAS[kind]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,9 +149,15 @@ def read_records(path, kind: str) -> list[tuple[int, tuple[str, ...]]]:
             ["#columns", *schema.columns]:
         raise SchemaError("column header does not match the schema",
                           path=str(path), line=2)
+    del lines[:2]
+    return lines
+
+
+def read_records(path, kind: str) -> list[tuple[int, tuple[str, ...]]]:
+    """Header-checked rows of a record file, as (line number, fields)."""
     out = []
-    width = len(schema.columns)
-    for number, line in enumerate(lines[2:], start=3):
+    width = len(SCHEMAS[kind].columns)
+    for number, line in enumerate(_record_lines(path, kind), start=3):
         if not line:
             continue
         fields = tuple(line.split("\t"))
@@ -159,6 +175,15 @@ def _parse_int(value: str, path, line: int, field: str) -> int:
     except ValueError:
         raise SchemaError(f"not an integer: {value!r}",
                           path=str(path), line=line, field=field) from None
+
+
+def _parse_frame(value: str, path, line: int, field: str = "frame") -> int:
+    """A frame index: a non-negative integer in ASCII base-10 digits."""
+    if not (value.isascii() and value.isdigit()):
+        _parse_int(value, path, line, field)
+        raise SchemaError(f"not a non-negative base-10 integer: {value!r}",
+                          path=str(path), line=line, field=field)
+    return _parse_int(value, path, line, field)
 
 
 def _parse_float(value: str, path, line: int, field: str) -> float:
@@ -220,7 +245,7 @@ def read_detections(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
     for line, fields in read_records(path, "detections"):
         video_id = _check_id(fields[0], str(path), line, "video_id")
-        frame = _parse_int(fields[1], path, line, "frame")
+        frame = _parse_frame(fields[1], path, line)
         box = _parse_box(fields, 2, path, line)
         source = _parse_source(fields[6], path, line)
         scores = _parse_scores(fields[7], path, line)
@@ -255,7 +280,7 @@ def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
     acc: dict[str, dict[int, list[Proposal]]] = {}
     for line, fields in read_records(path, "proposals"):
         video_id = _check_id(fields[0], str(path), line, "video_id")
-        frame = _parse_int(fields[1], path, line, "frame")
+        frame = _parse_frame(fields[1], path, line)
         box = _parse_box(fields, 2, path, line)
         objectness = _parse_float(fields[6], path, line, "objectness")
         try:
@@ -270,79 +295,187 @@ def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
 
 # -- tubes --------------------------------------------------------------
 
-def _tube_rows(path, kind: str, frame_column: int
-               ) -> Iterator[tuple[str, str, int, list]]:
-    """Each tube's ``(video_id, tube_id, start, [(line, fields), ...])``.
+def _tube_columns(path, kind: str):
+    """A tube file's columns plus each tube's rows, checked column-wise.
 
-    Tubes come in id order and rows by frame; the rows must cover
-    consecutive frames, each exactly once.
+    The rows are split in one pass over the joined lines, sliced into
+    columns and, unless the file already is, put in (video_id, tube_id,
+    frame) order, keeping file order among equals.  Returns ``(columns,
+    tubes)``: ``columns`` maps each column but the ids and the frame to
+    its values in that order, and ``tubes`` lists ``(video_id, tube_id,
+    start, rows)`` in id order, ``rows`` being the slice of the tube's
+    rows.  Identifiers, frame syntax and frame runs (consecutive, each
+    exactly once) are checked here; a failed check raises ``ValueError``
+    and leaves the report to ``_tube_error``.
     """
+    names = SCHEMAS[kind].columns
+    lines = list(filter(None, _record_lines(path, kind)))
+    if not lines:
+        return {}, []
+    if set(map(str.count, lines, repeat("\t"))) != {len(names) - 1}:
+        raise ValueError("row width")
+    fields = "\t".join(lines).split("\t")
+    del lines
+    columns = {name: fields[i::len(names)] for i, name in enumerate(names)}
+    del fields
+    video_ids, tube_ids = columns.pop("video_id"), columns.pop("tube_id")
+    if not all(map(_ID_PATTERN.match, {*video_ids, *tube_ids})):
+        raise ValueError("invalid identifier")
+    frame_text = columns.pop("frame")
+    digits = "".join(frame_text)
+    if not (digits.isascii() and digits.isdigit() and all(frame_text)):
+        raise ValueError("invalid frame")
+    frames = list(map(int, frame_text))
+    keys = list(zip(video_ids, tube_ids))
+    del frame_text, digits, video_ids, tube_ids
+    order = list(zip(keys, frames))
+    if not all(map(operator.le, order, order[1:])):
+        order = sorted(range(len(order)), key=order.__getitem__)
+        keys = [keys[i] for i in order]
+        frames = [frames[i] for i in order]
+        columns = {name: [column[i] for i in order]
+                   for name, column in columns.items()}
+    del order
+    starts = [0, *compress(count(1), map(operator.ne, keys[1:], keys))]
+    tubes = []
+    for a, b in zip(starts, [*starts[1:], len(keys)]):
+        start = frames[a]
+        if frames[a:b] != list(range(start, start + b - a)):
+            raise ValueError("broken frame run")
+        tubes.append((*keys[a], start, slice(a, b)))
+    return columns, tubes
+
+
+def _box_column(columns: dict) -> list[BoundingBox]:
+    """One box per row, consuming the four coordinate columns."""
+    coords = [list(map(float, columns.pop(name)))
+              for name in ("x0", "y0", "x1", "y1")]
+    return list(map(BoundingBox, *coords))
+
+
+def _score_column(column: Sequence[str]) -> list[tuple[float, ...]]:
+    """One class score tuple per row of a comma-separated column."""
+    values = list(map(float, ",".join(column).split(",")))
+    commas = map(str.count, column, repeat(","))
+    ends = list(accumulate(c + 1 for c in commas))
+    return [tuple(values[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _tube_error(path, kind: str, check_tube, failure: Exception
+                ) -> ActionTubesError:
+    """The error a tube file's row-by-row checks meet first.
+
+    Called once a column-wise check has failed, it reports the failure
+    with the per-field parsers: identifiers and frames in file order,
+    then tube by tube in id order its frame run and
+    ``check_tube(path, video_id, tube_id, start, rows)``, ``rows`` being
+    the tube's ``(line, fields)`` by frame.  Should every row pass, the
+    two readers disagree about the file; that is a fault of this module,
+    reported with the column-wise ``failure``.
+    """
+    frame_column = SCHEMAS[kind].columns.index("frame")
     groups: dict[tuple[str, str], list] = {}
-    for line, fields in read_records(path, kind):
-        key = (_check_id(fields[0], str(path), line, "video_id"),
-               _check_id(fields[1], str(path), line, "tube_id"))
-        frame = _parse_int(fields[frame_column], path, line, "frame")
-        groups.setdefault(key, []).append((frame, line, fields))
-    for key in sorted(groups):
-        rows = sorted(groups[key], key=lambda row: row[0])
-        start = rows[0][0]
-        for offset, (frame, line, _) in enumerate(rows):
-            if frame != start + offset:
-                problem = "repeats" if frame < start + offset else "skips"
-                raise SchemaError(
-                    f"tube {key[1]!r} {problem} frame "
-                    f"{min(frame, start + offset)}",
-                    path=str(path), line=line, field="frame")
-        yield key[0], key[1], start, [(line, f) for _, line, f in rows]
+    try:
+        for line, fields in read_records(path, kind):
+            key = (_check_id(fields[0], str(path), line, "video_id"),
+                   _check_id(fields[1], str(path), line, "tube_id"))
+            frame = _parse_frame(fields[frame_column], path, line)
+            groups.setdefault(key, []).append((frame, line, fields))
+        for (video_id, tube_id), rows in sorted(groups.items()):
+            rows.sort(key=lambda row: row[0])
+            start = rows[0][0]
+            for offset, (frame, line, _) in enumerate(rows):
+                if frame != start + offset:
+                    problem = "repeats" if frame < start + offset else "skips"
+                    raise SchemaError(
+                        f"tube {tube_id!r} {problem} frame "
+                        f"{min(frame, start + offset)}",
+                        path=str(path), line=line, field="frame")
+            check_tube(path, video_id, tube_id, start,
+                       [(line, fields) for _, line, fields in rows])
+    except SchemaError as exc:
+        return exc
+    return ProcessingError(
+        f"{path}: the column-wise {kind} reader rejected the file "
+        f"({failure!r}) but every row passes the row-wise checks")
 
 
 def write_tubes(path, tubes: Iterable[Tube]) -> None:
     ordered = sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
-    seen = set()
-    rows = []
-    for tube in ordered:
-        key = (tube.video_id, tube.tube_id)
-        if key in seen:
-            raise InputError(
-                f"duplicate tube id {tube.tube_id!r} in {tube.video_id!r}")
-        seen.add(key)
-        _check_id(tube.video_id, str(path), None, "video_id")
-        _check_id(tube.tube_id, str(path), None, "tube_id")
-        label = "-" if tube.label is None else str(tube.label)
-        score = "-" if tube.score is None else _format_float(tube.score)
-        for (frame, box), scores, source in zip(
-                tube.iter_frames(), tube.class_scores, tube.sources):
-            rows.append((tube.video_id, tube.tube_id, str(frame),
-                         *map(_format_float, box.as_tuple()),
-                         source.name.lower(), _format_scores(scores),
-                         label, score))
-    write_records(path, "tubes", rows)
+    previous = None
+    with _record_file(path, "tubes") as fh:
+        for tube in ordered:
+            key = (tube.video_id, tube.tube_id)
+            if key == previous:
+                raise InputError(f"duplicate tube id {tube.tube_id!r} in "
+                                 f"{tube.video_id!r}")
+            previous = key
+            _check_id(tube.video_id, str(path), None, "video_id")
+            _check_id(tube.tube_id, str(path), None, "tube_id")
+            head = f"{tube.video_id}\t{tube.tube_id}\t"
+            label = "-" if tube.label is None else tube.label
+            score = "-" if tube.score is None else _format_float(tube.score)
+            tail = f"\t{label}\t{score}\n"
+            fh.write("".join([
+                f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
+                f"\t{float(box.x_max)!r}\t{float(box.y_max)!r}"
+                f"\t{source.value}\t{','.join(map(repr, scores))}{tail}"
+                for frame, box, scores, source in zip(
+                    count(tube.start), tube.boxes, tube.class_scores,
+                    tube.sources)]))
 
 
 def read_tubes(path) -> list[Tube]:
-    tubes = []
-    for video_id, tube_id, start, rows in _tube_rows(path, "tubes", 2):
-        first_line, first = rows[0]
-        for line, fields in rows:
-            if fields[9:] != first[9:]:
-                raise SchemaError(
-                    f"tube {tube_id!r} carries conflicting label or score",
-                    path=str(path), line=line, field="label")
-        label = None if first[9] == "-" else \
-            _parse_int(first[9], path, first_line, "label")
-        score = None if first[10] == "-" else \
-            _parse_float(first[10], path, first_line, "score")
-        boxes = tuple(_parse_box(f, 3, path, line) for line, f in rows)
-        sources = tuple(_parse_source(f[7], path, line) for line, f in rows)
-        scores = tuple(_parse_scores(f[8], path, line) for line, f in rows)
-        try:
-            tubes.append(Tube(video_id, tube_id, start, boxes, scores,
-                              sources, label=label, score=score))
-        except InputError as exc:
-            bad = "label" if label is not None and label < 0 else "scores"
-            raise SchemaError(str(exc), path=str(path), line=first_line,
-                              field=bad) from None
-    return tubes
+    try:
+        columns, groups = _tube_columns(path, "tubes")
+        if not groups:
+            return []
+        boxes = _box_column(columns)
+        names = columns.pop("source")
+        known = {name: Source[name.upper()] for name in set(names)}
+        sources = list(map(known.__getitem__, names))
+        del names
+        scores = _score_column(columns.pop("scores"))
+        tails = list(zip(columns.pop("label"), columns.pop("score")))
+        tubes = []
+        for video_id, tube_id, start, rows in groups:
+            if len(set(tails[rows])) != 1:
+                raise ValueError("conflicting label or score")
+            label, score = tails[rows.start]
+            tubes.append(Tube(
+                video_id, tube_id, start, boxes[rows], scores[rows],
+                sources[rows], label=None if label == "-" else int(label),
+                score=None if score == "-" else float(score)))
+        return tubes
+    except SchemaError:
+        raise
+    except (ValueError, KeyError) as exc:
+        raise _tube_error(path, "tubes", _check_tube, exc) from None
+
+
+def _check_tube(path, video_id: str, tube_id: str, start: int,
+                rows: Sequence[tuple[int, Sequence[str]]]) -> None:
+    """Raises the ``SchemaError`` of one tube's first bad field."""
+    first_line, first = rows[0]
+    for line, fields in rows:
+        if fields[9:] != first[9:]:
+            raise SchemaError(
+                f"tube {tube_id!r} carries conflicting label or score",
+                path=str(path), line=line, field="label")
+    label = None if first[9] == "-" else \
+        _parse_int(first[9], path, first_line, "label")
+    score = None if first[10] == "-" else \
+        _parse_float(first[10], path, first_line, "score")
+    boxes = [_parse_box(f, 3, path, line) for line, f in rows]
+    sources = [_parse_source(f[7], path, line) for line, f in rows]
+    scores = [_parse_scores(f[8], path, line) for line, f in rows]
+    try:
+        Tube(video_id, tube_id, start, boxes, scores, sources, label=label,
+             score=score)
+    except InputError as exc:
+        bad = "label" if label is not None and label < 0 else "scores"
+        raise SchemaError(str(exc), path=str(path), line=first_line,
+                          field=bad) from None
 
 
 # -- ground truth -------------------------------------------------------
@@ -360,23 +493,42 @@ def write_gt_tubes(path, tubes: Iterable[GroundTruthTube]) -> None:
 
 
 def read_gt_tubes(path) -> list[GroundTruthTube]:
-    tubes = []
-    for video_id, tube_id, start, rows in _tube_rows(path, "gttubes", 3):
-        first_line, first = rows[0]
-        label = _parse_int(first[2], path, first_line, "label")
-        for line, fields in rows:
-            if _parse_int(fields[2], path, line, "label") != label:
-                raise SchemaError(
-                    f"ground truth tube {tube_id!r} has conflicting labels",
-                    path=str(path), line=line, field="label")
-        boxes = tuple(_parse_box(f, 4, path, line) for line, f in rows)
-        try:
-            tubes.append(GroundTruthTube(video_id, tube_id, label, start,
-                                         boxes))
-        except InputError as exc:
-            raise SchemaError(str(exc), path=str(path), line=first_line,
-                              field="label") from None
-    return tubes
+    try:
+        columns, groups = _tube_columns(path, "gttubes")
+        if not groups:
+            return []
+        boxes = _box_column(columns)
+        labels = list(map(int, columns.pop("label")))
+        tubes = []
+        for video_id, tube_id, start, rows in groups:
+            if len(set(labels[rows])) != 1:
+                raise ValueError("conflicting labels")
+            tubes.append(GroundTruthTube(
+                video_id, tube_id, labels[rows.start], start, boxes[rows]))
+        return tubes
+    except SchemaError:
+        raise
+    except (ValueError, KeyError) as exc:
+        raise _tube_error(path, "gttubes", _check_gt_tube, exc) from None
+
+
+def _check_gt_tube(path, video_id: str, tube_id: str, start: int,
+                   rows: Sequence[tuple[int, Sequence[str]]]) -> None:
+    """Raises the ``SchemaError`` of one ground truth tube's first bad
+    field."""
+    first_line, first = rows[0]
+    label = _parse_int(first[2], path, first_line, "label")
+    for line, fields in rows:
+        if _parse_int(fields[2], path, line, "label") != label:
+            raise SchemaError(
+                f"ground truth tube {tube_id!r} has conflicting labels",
+                path=str(path), line=line, field="label")
+    boxes = [_parse_box(f, 4, path, line) for line, f in rows]
+    try:
+        GroundTruthTube(video_id, tube_id, label, start, boxes)
+    except InputError as exc:
+        raise SchemaError(str(exc), path=str(path), line=first_line,
+                          field="label") from None
 
 
 # -- clip scores --------------------------------------------------------
@@ -402,8 +554,8 @@ def read_clip_scores(path) -> dict[tuple[str, str], ClipScoreSequence]:
         video_id = _check_id(fields[0], str(path), line, "video_id")
         tube_id = _check_id(fields[1], str(path), line, "tube_id")
         clip_length = _parse_int(fields[2], path, line, "clip_length")
-        start = _parse_int(fields[3], path, line, "start")
-        end = _parse_int(fields[4], path, line, "end")
+        start = _parse_frame(fields[3], path, line, "start")
+        end = _parse_frame(fields[4], path, line, "end")
         scores = _parse_scores(fields[5], path, line)
         key = (video_id, tube_id)
         if key in lengths and lengths[key][0] != clip_length:

@@ -33,9 +33,9 @@ class Source(str, Enum):
 
 
 def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise InputError(f"{name} must be finite, got {v!r}")
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise InputError(f"{name} must be finite, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,12 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
-        _require_finite("box coordinate", self.x_min, self.y_min,
-                        self.x_max, self.y_max)
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise InputError(
-                f"degenerate box ({self.x_min}, {self.y_min}, "
-                f"{self.x_max}, {self.y_max})")
+        x0, y0, x1, y1 = self.x_min, self.y_min, self.x_max, self.y_max
+        if not (math.isfinite(x0) and math.isfinite(y0)
+                and math.isfinite(x1) and math.isfinite(y1)):
+            _require_finite("box coordinate", x0, y0, x1, y1)
+        if not (x0 < x1 and y0 < y1):
+            raise InputError(f"degenerate box ({x0}, {y0}, {x1}, {y1})")
 
     @property
     def width(self) -> float:
@@ -101,7 +101,7 @@ class FrameInterval:
 
 
 def _validated_scores(scores: Sequence[float]) -> tuple[float, ...]:
-    out = tuple(float(s) for s in scores)
+    out = tuple(map(float, scores))
     if not out:
         raise InputError("class score vector must be non-empty")
     _require_finite("class score", *out)
@@ -183,7 +183,7 @@ class ClipScoreSequence:
         if not self.scores:
             raise InputError("clip score sequence must be non-empty")
         object.__setattr__(
-            self, "scores", tuple(_validated_scores(s) for s in self.scores))
+            self, "scores", tuple(map(_validated_scores, self.scores)))
         width = len(self.scores[0])
         for vec in self.scores:
             if len(vec) != width:
@@ -250,8 +250,8 @@ class Tube(_FrameRun):
             raise InputError(
                 f"tube has {n} boxes, {len(self.class_scores)} score vectors "
                 f"and {len(self.sources)} sources, expected one per frame")
-        scores = tuple(_validated_scores(s) for s in self.class_scores)
-        if any(len(vec) != len(scores[0]) for vec in scores):
+        scores = tuple(map(_validated_scores, self.class_scores))
+        if len(set(map(len, scores))) != 1:
             raise InputError("tube class score vectors differ in class count")
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "class_scores", scores)

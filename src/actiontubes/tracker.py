@@ -38,12 +38,37 @@ class PointMatcher(Protocol):
 class RegionScorer(Protocol):
     """Scores an arbitrary region on a frame for every action class.
 
-    A scorer raises ``InputError`` for a video it has no data for; that
-    fails the whole run instead of one tube.
+    Scores depend only on ``(video_id, frame_index, box)``, so the
+    trackers ask about each region at most once per call.  A scorer
+    raises ``InputError`` for a video it has no data for; that fails
+    the whole run instead of one tube.
     """
 
     def class_scores(self, video_id: str, frame_index: int,
                      box: BoundingBox) -> np.ndarray: ...
+
+
+class _ScoreMemo:
+    """A region scorer that answers each region once, for one tracker call.
+
+    Answers are kept as private float64 copies; a failed query is not
+    kept, so asking again asks the scorer again.
+    """
+
+    def __init__(self, scorer: RegionScorer):
+        self._scorer = scorer
+        self._known: dict[tuple, np.ndarray] = {}
+
+    def class_scores(self, video_id: str, frame_index: int,
+                     box: BoundingBox) -> np.ndarray:
+        key = (video_id, frame_index, box.x_min, box.y_min, box.x_max,
+               box.y_max)
+        scores = self._known.get(key)
+        if scores is None:
+            scores = self._known[key] = np.array(
+                self._scorer.class_scores(video_id, frame_index, box),
+                dtype=np.float64)
+        return scores
 
 
 def query_matches(pair: np.ndarray, from_frame: int, to_frame: int,
@@ -363,6 +388,8 @@ def build_tubes(video_id: str,
     The tube keeps its seed's class; matches are queried from the
     current entry's frame and box to the next frame.
     """
+    scorer = _ScoreMemo(scorer)
+
     def step(seed, current, frame, pool):
         matches = matcher.match(video_id, current.frame_index, frame,
                                 current.box)
@@ -390,6 +417,7 @@ def build_tubes_neighborhood(
     """
     centers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     radius_sq = search_radius ** 2
+    scorer = _ScoreMemo(scorer)
 
     def step(seed, current, frame, pool):
         proposals = proposals_by_frame.get(frame, ())

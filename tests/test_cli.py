@@ -165,6 +165,22 @@ class TestExitCodes:
         assert FILE_TRACKED in err
         assert "field 'scores'" in err
 
+    def test_tube_before_frame_zero_returns_three(self, tmp_path, capsys):
+        tracked, rows = self._tracked_rows(tmp_path)
+        key = rows[0][:2]
+        start = min(int(row[2]) for row in rows if row[:2] == key)
+        for row in rows:
+            if row[:2] == key:
+                row[2] = str(int(row[2]) - start - 2)
+        formats.write_records(tracked, "tubes", rows)
+        capsys.readouterr()
+        assert run_cli("score", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert FILE_TRACKED in err
+        assert "field 'frame'" in err
+        assert "not a non-negative base-10 integer: '-2'" in err
+        assert not (tmp_path / FILE_SCORED).exists()
+
     def test_tubes_of_an_unknown_video_return_three(self, tmp_path, capsys):
         tracked, rows = self._tracked_rows(tmp_path)
         for row in rows:

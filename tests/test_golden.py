@@ -1,0 +1,94 @@
+"""Golden digests of the pipeline's tube, clip-score and metrics files.
+
+Performance work on the readers, writers and tracker must not move a
+single output byte.  Each scenario runs all seven stages in-process on
+a tiny input and compares the sha256 of six files against digests
+recorded before that work began (see CHANGES.md).  A change that means
+to alter these bytes must update the digests and justify it there.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from actiontubes.cli import main
+from actiontubes.pipeline import PIPELINE_ORDER
+
+SCENARIOS = {
+    "clean": {"synth.video_count": 2, "synth.frames_per_video": 16},
+    # flow-pruned proposals, drift tubes and the footprint prune
+    "noisy": {"synth.video_count": 3, "synth.frames_per_video": 24,
+              "synth.actors_per_video": 3, "synth.jitter_sigma": 3,
+              "synth.miss_rate": 0.1, "synth.false_positive_rate": 0.3,
+              "synth.label_confusion": 0.1,
+              "synth.duplicate_label_rate": 0.1, "synth.drift_rate": 0.5,
+              "synth.with_flow": "true", "synth.match_noise": 1.0,
+              "synth.span_fraction": 0.7},
+    # the center-search baseline tracker on duplicated detections
+    "crowd": {"track.baseline": "true", "synth.video_count": 2,
+              "synth.frames_per_video": 16, "synth.actors_per_video": 4,
+              "synth.num_classes": 4, "synth.jitter_sigma": 2,
+              "synth.false_positive_rate": 0.5,
+              "synth.duplicate_label_rate": 0.3,
+              "synth.label_confusion": 0.1, "synth.miss_rate": 0.05,
+              "synth.span_fraction": 0.8},
+}
+
+GOLDEN = {
+    "clean": {
+        "tubes_tracked.tsv": "561e0faffca99a26108fa78f0320fbb6"
+                             "b94508b4ea1bc71465d0f1e5c3f1b671",
+        "tubes_scored.tsv": "7ce122f8462d710405204115417a4f86"
+                            "f97ef7bfb09312ea357c7d68834ef261",
+        "tubes_pruned.tsv": "7ce122f8462d710405204115417a4f86"
+                            "f97ef7bfb09312ea357c7d68834ef261",
+        "tubes_final.tsv": "7ce122f8462d710405204115417a4f86"
+                           "f97ef7bfb09312ea357c7d68834ef261",
+        "clip_scores.tsv": "ca0a2fd1d55502fafa2e7675161b0be6"
+                           "e379fd4c76a463e3feeadef10d05e3e6",
+        "metrics.tsv": "672fe1372fb52140f4e7d96f45d94cf8"
+                       "dca7b37c4ef36aa512b10613c17c9be6",
+    },
+    "noisy": {
+        "tubes_tracked.tsv": "9a616af9f3b149844321497f7a9c6037"
+                             "8962de9a253247ca52f6ccc1d6ee1025",
+        "tubes_scored.tsv": "ef204c52d3fba8edf06a795961c0d585"
+                            "327da94e54684ff5755023b0a71b7a5d",
+        "tubes_pruned.tsv": "c1af8b29eafb9c437fd017994e4bf899"
+                            "b5a5555d2cdbee98cf49e533610dac9d",
+        "tubes_final.tsv": "ff625a3c14112b5927376c7383f5d7c7"
+                           "53c98931c721ad4f8e7df9e9558ae561",
+        "clip_scores.tsv": "c7a516f4d7f9fddbf98b86f7bff63039"
+                           "97c345506584a2e3e7edb648994eb87d",
+        "metrics.tsv": "863b7e69b8bb301b6d67e240cf1eeb43"
+                       "f7719a932778b42f7a86cf7a159cbc21",
+    },
+    "crowd": {
+        "tubes_tracked.tsv": "1b302bb0d36b21885e67f3a7f4ada9dd"
+                             "89831f3ae06dcd8b3c0fa870bca5d849",
+        "tubes_scored.tsv": "ca45b9ef688e9230df1b87b05e7790e9"
+                            "602aced392b70d02809be0a08ca32a11",
+        "tubes_pruned.tsv": "441b03d8bf4ad5183ffe8755be34f63f"
+                            "939d229b58ddb7c7d8e0cd66a0dec2e5",
+        "tubes_final.tsv": "2a8bb58d17a39c07aaec4c5b90bf2128"
+                           "bd438eafec3e5532250e73cb7d00b3a9",
+        "clip_scores.tsv": "848ac3495aa53e9a7716f6f925ead4f1"
+                           "e45c12c4f90191143396d5d0558acc69",
+        "metrics.tsv": "54435815e69f5e1b4d8a3b5f81b88b17"
+                       "90d11ee8237e14033b60c12789f18c03",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_stage_outputs_match_golden_digests(name, tmp_path):
+    overrides = [arg for key, value in SCENARIOS[name].items()
+                 for arg in ("--stage-override", f"{key}={value}")]
+    for stage in PIPELINE_ORDER:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([stage, "--out", str(tmp_path), *overrides]) == 0
+    digests = {file: hashlib.sha256((tmp_path / file).read_bytes())
+               .hexdigest() for file in GOLDEN[name]}
+    assert digests == GOLDEN[name]

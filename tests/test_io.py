@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actiontubes import formats
-from actiontubes.errors import InputError, SchemaError
+from actiontubes.errors import InputError, ProcessingError, SchemaError
 from actiontubes.fusion import FlowMagnitudeGrid
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Proposal,
@@ -352,6 +352,211 @@ class TestGroundTruthRoundTrip:
         formats.write_records(path, "gttubes", rows)
         with pytest.raises(SchemaError):
             formats.read_gt_tubes(path)
+
+
+def _tube_rows():
+    """Two valid tubes of one video: t0 on frames 0-2, t1 on 3-4."""
+    return [
+        ["v0", "t0", "0", "0.0", "0.0", "5.0", "5.0", "static", "0.2,0.8",
+         "1", "0.5"],
+        ["v0", "t0", "1", "1.0", "0.0", "6.0", "5.0", "merged", "0.3,0.7",
+         "1", "0.5"],
+        ["v0", "t0", "2", "2.0", "0.0", "7.0", "5.0", "tracked", "0.4,0.6",
+         "1", "0.5"],
+        ["v0", "t1", "3", "0.0", "1.0", "5.0", "6.0", "static", "0.9,0.1",
+         "0", "0.25"],
+        ["v0", "t1", "4", "0.0", "2.0", "5.0", "7.0", "static", "0.8,0.2",
+         "0", "0.25"],
+    ]
+
+
+TUBE_COLUMNS = formats.SCHEMAS["tubes"].columns
+
+# (rows, column) -> value edits; then the message, line and field the
+# reader reports.  Rows 0-4 are file lines 3-7.
+TUBE_CORRUPTIONS = {
+    "video_id": ({(1, "video_id"): "v 0"},
+                 "invalid identifier 'v 0'", 4, "video_id"),
+    "tube_id": ({(1, "tube_id"): "t/1"},
+                "invalid identifier 't/1'", 4, "tube_id"),
+    "frame_not_integer": ({(1, "frame"): "1.5"},
+                          "not an integer: '1.5'", 4, "frame"),
+    "nan_coordinate": ({(1, "x1"): "nan"},
+                       "non-finite value: 'nan'", 4, "x1"),
+    "inf_coordinate": ({(3, "y0"): "-inf"},
+                       "non-finite value: '-inf'", 6, "y0"),
+    "bad_coordinate": ({(2, "y1"): "five"},
+                       "not a number: 'five'", 5, "y1"),
+    "degenerate_box": ({(2, "x1"): "2.0"},
+                       "degenerate box (2.0, 0.0, 2.0, 5.0)", 5, "x0"),
+    "unknown_source": ({(1, "source"): "magic"},
+                       "unknown source 'magic'", 4, "source"),
+    "bad_class_score": ({(1, "scores"): "0.3,x"},
+                        "not a number: 'x'", 4, "scores"),
+    "nan_class_score": ({(4, "scores"): "nan,0.2"},
+                        "non-finite value: 'nan'", 7, "scores"),
+    "empty_score": ({(0, "score"): "", (1, "score"): "", (2, "score"): ""},
+                    "not a number: ''", 3, "score"),
+    "nan_score": ({(3, "score"): "nan", (4, "score"): "nan"},
+                  "non-finite value: 'nan'", 6, "score"),
+    "bad_label": ({(3, "label"): "zero", (4, "label"): "zero"},
+                  "not an integer: 'zero'", 6, "label"),
+    "unequal_class_counts": ({(1, "scores"): "0.3,0.6,0.1"},
+                             "tube class score vectors differ in class "
+                             "count", 3, "scores"),
+    "conflicting_label": ({(2, "label"): "0"},
+                          "tube 't0' carries conflicting label or score",
+                          5, "label"),
+    "conflicting_score": ({(4, "score"): "0.5"},
+                          "tube 't1' carries conflicting label or score",
+                          7, "label"),
+    "repeated_frame": ({(2, "frame"): "1"},
+                       "tube 't0' repeats frame 1", 5, "frame"),
+    "skipped_frame": ({(4, "frame"): "5"},
+                      "tube 't1' skips frame 4", 7, "frame"),
+    "negative_label": ({(3, "label"): "-1", (4, "label"): "-1"},
+                       "label must be non-negative, got -1", 6, "label"),
+    "two_bad_rows": ({(1, "x0"): "nan", (3, "y1"): "inf"},
+                     "non-finite value: 'nan'", 4, "x0"),
+    "two_bad_rows_in_one_tube": ({(1, "x1"): "1.0", (2, "x1"): "2.0"},
+                                 "degenerate box (1.0, 0.0, 1.0, 5.0)", 4,
+                                 "x0"),
+}
+
+
+class TestTubeReaderErrors:
+    """Each corruption is reported with the message, line and field of
+    the row-by-row checks: identifiers and frames in file order, then
+    each tube in id order, its rows by frame."""
+
+    @pytest.mark.parametrize("case", sorted(TUBE_CORRUPTIONS))
+    def test_corruption_reported_where_it_is(self, tmp_path, case):
+        edits, message, line, field = TUBE_CORRUPTIONS[case]
+        rows = _tube_rows()
+        for (row, column), value in edits.items():
+            rows[row][TUBE_COLUMNS.index(column)] = value
+        path = tmp_path / "t.tsv"
+        formats.write_records(path, "tubes", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_tubes(path)
+        assert str(info.value).endswith(": " + message)
+        assert (info.value.line, info.value.field) == (line, field)
+
+    def test_clean_file_reads(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        formats.write_records(path, "tubes", _tube_rows())
+        tubes = formats.read_tubes(path)
+        assert [(t.tube_id, t.start, len(t.boxes)) for t in tubes] == \
+            [("t0", 0, 3), ("t1", 3, 2)]
+        assert tubes[0].sources == (Source.STATIC, Source.MERGED,
+                                    Source.TRACKED)
+        assert tubes[1].class_scores == ((0.9, 0.1), (0.8, 0.2))
+        assert (tubes[1].label, tubes[1].score) == (0, 0.25)
+
+    def test_tubes_may_differ_in_class_count(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        rows = _tube_rows()
+        rows[3][8], rows[4][8] = "0.7,0.2,0.1", "0.6,0.3,0.1"
+        formats.write_records(path, "tubes", rows)
+        tubes = formats.read_tubes(path)
+        assert tubes[0].class_scores[0] == (0.2, 0.8)
+        assert tubes[1].class_scores == ((0.7, 0.2, 0.1), (0.6, 0.3, 0.1))
+
+    def test_rows_out_of_order_are_grouped(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        rows = _tube_rows()
+        formats.write_records(path, "tubes", rows)
+        expected = formats.read_tubes(path)
+        formats.write_records(path, "tubes", rows[::-1])
+        assert formats.read_tubes(path) == expected
+
+    @pytest.mark.parametrize("kind", ["tubes", "gttubes"])
+    def test_disagreeing_checks_are_a_processing_error(
+            self, tmp_path, monkeypatch, kind):
+        """A clean file the column-wise checks reject is not reported
+        as a schema error of some row."""
+        def reject(columns):
+            raise ValueError("rejected")
+        monkeypatch.setattr(formats, "_box_column", reject)
+        rows = _tube_rows() if kind == "tubes" else \
+            [["v0", "a0", "1", "0", "0.0", "0.0", "5.0", "5.0"]]
+        path = tmp_path / "t.tsv"
+        formats.write_records(path, kind, rows)
+        reader = {"tubes": formats.read_tubes,
+                  "gttubes": formats.read_gt_tubes}[kind]
+        with pytest.raises(ProcessingError, match="rejected"):
+            reader(path)
+
+    @pytest.mark.parametrize("edits, message, line, field", [
+        ({(1, 2): "x"}, "not an integer: 'x'", 4, "label"),
+        ({(1, 2): "2"}, "ground truth tube 'a0' has conflicting labels",
+         4, "label"),
+        ({(0, 2): "-1", (1, 2): "-1"},
+         "label must be non-negative, got -1", 3, "label"),
+        ({(1, 5): "inf"}, "non-finite value: 'inf'", 4, "y0"),
+        ({(1, 3): "3"}, "tube 'a0' skips frame 2", 4, "frame"),
+    ])
+    def test_ground_truth_corruption(self, tmp_path, edits, message, line,
+                                     field):
+        rows = [["v0", "a0", "1", str(f), "0.0", "0.0", "5.0", "5.0"]
+                for f in (1, 2)]
+        for (row, column), value in edits.items():
+            rows[row][column] = value
+        path = tmp_path / "gt.tsv"
+        formats.write_records(path, "gttubes", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_gt_tubes(path)
+        assert str(info.value).endswith(": " + message)
+        assert (info.value.line, info.value.field) == (line, field)
+
+
+class TestFrameFields:
+    """Frames are non-negative base-10 integers in every record kind."""
+
+    ROWS = {
+        "detections": ("v0", "{}", "0.0", "0.0", "5.0", "5.0", "static",
+                       "1.0"),
+        "proposals": ("v0", "{}", "0.0", "0.0", "5.0", "5.0", "0.5"),
+        "tubes": ("v0", "t0", "{}", "0.0", "0.0", "5.0", "5.0", "static",
+                  "1.0", "-", "-"),
+        "gttubes": ("v0", "a0", "1", "{}", "0.0", "0.0", "5.0", "5.0"),
+        "clipscores": ("v0", "t0", "4", "{}", "4", "1.0"),
+    }
+    READERS = {"detections": formats.read_detections,
+               "proposals": formats.read_proposals,
+               "tubes": formats.read_tubes,
+               "gttubes": formats.read_gt_tubes,
+               "clipscores": formats.read_clip_scores}
+    FIELD = {"clipscores": "start"}
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    @pytest.mark.parametrize("value", ["-2", "+3", " 3", "3 ", "3_0",
+                                       "٣", "３"])
+    def test_other_integer_forms_rejected(self, tmp_path, kind, value):
+        path = tmp_path / "r.tsv"
+        row = tuple(f.format(value) for f in self.ROWS[kind])
+        formats.write_records(path, kind, [row])
+        with pytest.raises(SchemaError) as info:
+            self.READERS[kind](path)
+        assert info.value.field == self.FIELD.get(kind, "frame")
+        assert info.value.line == 3
+        assert f"not a non-negative base-10 integer: {value!r}" in \
+            str(info.value)
+
+    def test_clip_end_checked_too(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        formats.write_records(path, "clipscores",
+                              [("v0", "t0", "4", "0", "+4", "1.0")])
+        with pytest.raises(SchemaError) as info:
+            formats.read_clip_scores(path)
+        assert info.value.field == "end"
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_leading_zeros_accepted(self, tmp_path, kind):
+        path = tmp_path / "r.tsv"
+        row = tuple(f.format("0003") for f in self.ROWS[kind])
+        formats.write_records(path, kind, [row])
+        self.READERS[kind](path)
 
 
 class TestClipScoresRoundTrip:

@@ -476,3 +476,84 @@ class TestNeighborhoodBaseline:
         assert tubes[0].interval() == FrameInterval(0, 3)
         covered = {f for t in tubes for f in t.interval().frames()}
         assert {3, 4} <= covered
+
+
+class CountingScorer(WorldScorer):
+    """Counts the queries for each ``(video, frame, box)``."""
+
+    def __init__(self, boxes_by_frame, **kwargs):
+        super().__init__(boxes_by_frame, **kwargs)
+        self.asked = {}
+
+    def class_scores(self, video_id, frame_index, box):
+        key = (video_id, frame_index, box)
+        self.asked[key] = self.asked.get(key, 0) + 1
+        return super().class_scores(video_id, frame_index, box)
+
+
+class TestScoreMemo:
+    """Each tracker call asks the scorer about a region at most once."""
+
+    def crowded(self, frames=6):
+        # three duplicate detections per frame seed three tubes that all
+        # gate the same proposals
+        gt = single_actor_world(frames, shift=(6.0, 0.0))
+        dets = {f: [det(f, gt[f], (0.9 - 0.1 * k, 0.0)) for k in range(3)]
+                for f in (0, frames - 1)}
+        props = {f: [Proposal(f, gt[f]), Proposal(f, gt[f].translated(2, 2))]
+                 for f in range(frames)}
+        return gt, dets, props
+
+    def trackers(self, dets, props, frames):
+        extent = FrameInterval(0, frames)
+        yield lambda video_id, scorer: build_tubes(
+            video_id, dets, props, extent, ShiftMatcher(6.0, 0.0), scorer)
+        yield lambda video_id, scorer: build_tubes_neighborhood(
+            video_id, dets, props, extent, scorer, search_radius=20.0)
+
+    def test_each_region_scored_once_per_call(self):
+        gt, dets, props = self.crowded()
+        for track in self.trackers(dets, props, 6):
+            scorer = CountingScorer(gt)
+            tubes = track("v", scorer)
+            assert len(tubes) == 3
+            assert scorer.asked
+            assert max(scorer.asked.values()) == 1
+
+    def test_memo_matches_unmemoised_scoring(self):
+        # the same tubes as asking the scorer afresh every time
+        gt, dets, props = self.crowded()
+        for track in self.trackers(dets, props, 6):
+            assert track("v", CountingScorer(gt)) == \
+                track("v", WorldScorer(gt))
+
+    def test_nothing_kept_across_calls(self):
+        gt, dets, props = self.crowded()
+        for track in self.trackers(dets, props, 6):
+            scorer = CountingScorer(gt)
+            track("v", scorer)
+            first = dict(scorer.asked)
+            track("v", scorer)
+            track("w", scorer)
+            for (video_id, frame, box), count in first.items():
+                assert scorer.asked[(video_id, frame, box)] == 2 * count
+                assert scorer.asked[("w", frame, box)] == count
+
+    def test_failures_are_asked_again(self):
+        gt, dets, props = self.crowded()
+
+        class FailsOnce(CountingScorer):
+            def class_scores(self, video_id, frame_index, box):
+                answer = super().class_scores(video_id, frame_index, box)
+                if frame_index == 3 and \
+                        self.asked[(video_id, frame_index, box)] == 1:
+                    raise RuntimeError("transient failure")
+                return answer
+
+        for track in self.trackers(dets, props, 6):
+            scorer = FailsOnce(gt)
+            tubes = track("v", scorer)
+            failed = [key for key in scorer.asked if key[1] == 3]
+            assert failed
+            assert max(scorer.asked[key] for key in failed) == 2
+            assert sum(len(t.boxes) for t in tubes) > 0
