@@ -295,39 +295,59 @@ def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
 
 # -- tubes --------------------------------------------------------------
 
-def _tube_columns(path, kind: str):
-    """A tube file's columns plus each tube's rows, checked column-wise.
+# Rows a tube reader splits and parses at a time.  Columns of the whole
+# file would leave megabytes of freed heap behind, which the C allocator
+# returns or keeps depending on the heap's layout, so the peak RSS of
+# the work that follows would swing by ~3 MiB between runs of one input
+# (crowd-12 `score`).  Blocks keep every list but the per-row results
+# small.
+_BLOCK_ROWS = 1024
 
-    The rows are split in one pass over the joined lines, sliced into
-    columns and, unless the file already is, put in (video_id, tube_id,
-    frame) order, keeping file order among equals.  Returns ``(columns,
-    tubes)``: ``columns`` maps each column but the ids and the frame to
-    its values in that order, and ``tubes`` lists ``(video_id, tube_id,
-    start, rows)`` in id order, ``rows`` being the slice of the tube's
-    rows.  Identifiers, frame syntax and frame runs (consecutive, each
-    exactly once) are checked here; a failed check raises ``ValueError``
-    and leaves the report to ``_tube_error``.
+
+def _tube_columns(path, kind: str, parse):
+    """A tube file's parsed columns plus each tube's rows, checked
+    column-wise.
+
+    The rows are taken in blocks of ``_BLOCK_ROWS``: a block's lines are
+    split in one pass over their join and sliced into columns, and
+    ``parse`` turns the columns but the ids and the frame into a dict of
+    per-row lists, which grow block by block.  Unless the file already
+    is, the rows are then put in (video_id, tube_id, frame) order,
+    keeping file order among equals.  Returns ``(columns, tubes)``:
+    ``columns`` is the parsed dict in that order, and ``tubes`` lists
+    ``(video_id, tube_id, start, rows)`` in id order, ``rows`` being the
+    slice of the tube's rows.  Identifiers, frame syntax and frame runs
+    (consecutive, each exactly once) are checked here; a failed check
+    raises ``ValueError`` and leaves the report to ``_tube_error``.
     """
     names = SCHEMAS[kind].columns
-    lines = list(filter(None, _record_lines(path, kind)))
-    if not lines:
-        return {}, []
-    if set(map(str.count, lines, repeat("\t"))) != {len(names) - 1}:
-        raise ValueError("row width")
-    fields = "\t".join(lines).split("\t")
+    lines = _record_lines(path, kind)
+    keys: list[tuple[str, str]] = []
+    frames: list[int] = []
+    columns: dict[str, list] = {}
+    for at in range(0, len(lines), _BLOCK_ROWS):
+        block = list(filter(None, lines[at:at + _BLOCK_ROWS]))
+        if not block:
+            continue
+        if set(map(str.count, block, repeat("\t"))) != {len(names) - 1}:
+            raise ValueError("row width")
+        fields = "\t".join(block).split("\t")
+        text = {name: fields[i::len(names)] for i, name in enumerate(names)}
+        del block, fields
+        video_ids, tube_ids = text.pop("video_id"), text.pop("tube_id")
+        if not all(map(_ID_PATTERN.match, {*video_ids, *tube_ids})):
+            raise ValueError("invalid identifier")
+        frame_text = text.pop("frame")
+        digits = "".join(frame_text)
+        if not (digits.isascii() and digits.isdigit() and all(frame_text)):
+            raise ValueError("invalid frame")
+        keys += zip(video_ids, tube_ids)
+        frames += map(int, frame_text)
+        for name, values in parse(text).items():
+            columns.setdefault(name, []).extend(values)
     del lines
-    columns = {name: fields[i::len(names)] for i, name in enumerate(names)}
-    del fields
-    video_ids, tube_ids = columns.pop("video_id"), columns.pop("tube_id")
-    if not all(map(_ID_PATTERN.match, {*video_ids, *tube_ids})):
-        raise ValueError("invalid identifier")
-    frame_text = columns.pop("frame")
-    digits = "".join(frame_text)
-    if not (digits.isascii() and digits.isdigit() and all(frame_text)):
-        raise ValueError("invalid frame")
-    frames = list(map(int, frame_text))
-    keys = list(zip(video_ids, tube_ids))
-    del frame_text, digits, video_ids, tube_ids
+    if not keys:
+        return {}, []
     order = list(zip(keys, frames))
     if not all(map(operator.le, order, order[1:])):
         order = sorted(range(len(order)), key=order.__getitem__)
@@ -427,16 +447,11 @@ def write_tubes(path, tubes: Iterable[Tube]) -> None:
 
 def read_tubes(path) -> list[Tube]:
     try:
-        columns, groups = _tube_columns(path, "tubes")
+        columns, groups = _tube_columns(path, "tubes", _parse_tube_block)
         if not groups:
             return []
-        boxes = _box_column(columns)
-        names = columns.pop("source")
-        known = {name: Source[name.upper()] for name in set(names)}
-        sources = list(map(known.__getitem__, names))
-        del names
-        scores = _score_column(columns.pop("scores"))
-        tails = list(zip(columns.pop("label"), columns.pop("score")))
+        boxes, sources = columns["boxes"], columns["sources"]
+        scores, tails = columns["scores"], columns["tails"]
         tubes = []
         for video_id, tube_id, start, rows in groups:
             if len(set(tails[rows])) != 1:
@@ -451,6 +466,16 @@ def read_tubes(path) -> list[Tube]:
         raise
     except (ValueError, KeyError) as exc:
         raise _tube_error(path, "tubes", _check_tube, exc) from None
+
+
+def _parse_tube_block(text: dict) -> dict[str, list]:
+    """A block's boxes, sources, score tuples and (label, score) text."""
+    names = text["source"]
+    known = {name: Source[name.upper()] for name in set(names)}
+    return {"boxes": _box_column(text),
+            "sources": list(map(known.__getitem__, names)),
+            "scores": _score_column(text["scores"]),
+            "tails": list(zip(text["label"], text["score"]))}
 
 
 def _check_tube(path, video_id: str, tube_id: str, start: int,
@@ -494,11 +519,10 @@ def write_gt_tubes(path, tubes: Iterable[GroundTruthTube]) -> None:
 
 def read_gt_tubes(path) -> list[GroundTruthTube]:
     try:
-        columns, groups = _tube_columns(path, "gttubes")
+        columns, groups = _tube_columns(path, "gttubes", _parse_gt_block)
         if not groups:
             return []
-        boxes = _box_column(columns)
-        labels = list(map(int, columns.pop("label")))
+        boxes, labels = columns["boxes"], columns["labels"]
         tubes = []
         for video_id, tube_id, start, rows in groups:
             if len(set(labels[rows])) != 1:
@@ -510,6 +534,12 @@ def read_gt_tubes(path) -> list[GroundTruthTube]:
         raise
     except (ValueError, KeyError) as exc:
         raise _tube_error(path, "gttubes", _check_gt_tube, exc) from None
+
+
+def _parse_gt_block(text: dict) -> dict[str, list]:
+    """A block's boxes and labels."""
+    return {"boxes": _box_column(text),
+            "labels": list(map(int, text["label"]))}
 
 
 def _check_gt_tube(path, video_id: str, tube_id: str, start: int,

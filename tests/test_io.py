@@ -470,6 +470,56 @@ class TestTubeReaderErrors:
         formats.write_records(path, "tubes", rows[::-1])
         assert formats.read_tubes(path) == expected
 
+    @pytest.mark.parametrize("case", sorted(TUBE_CORRUPTIONS))
+    def test_corruption_reported_across_blocks(self, tmp_path, monkeypatch,
+                                               case):
+        """With blocks of two rows, tubes and bad rows straddle blocks;
+        the report is the same."""
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
+        self.test_corruption_reported_where_it_is(tmp_path, case)
+
+    def test_blocks_read_like_one_pass(self, tmp_path, monkeypatch):
+        rows = _tube_rows()
+        rows[3][8], rows[4][8] = "0.7,0.2,0.1", "0.6,0.3,0.1"
+        lines = ["\t".join(row) for row in rows[::-1]]
+        path = tmp_path / "t.tsv"
+        formats.write_records(path, "tubes", [])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n\n" + "\n".join(lines[:2]) + "\n\n\n"
+                     + "\n".join(lines[2:]) + "\n")
+        expected = formats.read_tubes(path)
+        assert [t.tube_id for t in expected] == ["t0", "t1"]
+        for block in (1, 2, 3):
+            monkeypatch.setattr(formats, "_BLOCK_ROWS", block)
+            assert formats.read_tubes(path) == expected
+
+    def test_rows_parsed_in_blocks(self, tmp_path, monkeypatch):
+        """No column spans the whole file: each parse sees one block."""
+        seen = []
+        parse = formats._parse_tube_block
+
+        def spy(text):
+            seen.append(len(text["source"]))
+            return parse(text)
+        monkeypatch.setattr(formats, "_parse_tube_block", spy)
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
+        path = tmp_path / "t.tsv"
+        formats.write_records(path, "tubes", _tube_rows())
+        formats.read_tubes(path)
+        assert seen == [2, 2, 1]
+
+    def test_ground_truth_blocks_read_like_one_pass(self, tmp_path,
+                                                     monkeypatch):
+        rows = [["v0", tube, "1", str(f), "0.0", "0.0", "5.0", "5.0"]
+                for tube in ("a1", "a0") for f in (3, 1, 2)]
+        path = tmp_path / "gt.tsv"
+        formats.write_records(path, "gttubes", rows)
+        expected = formats.read_gt_tubes(path)
+        assert [(t.tube_id, t.start) for t in expected] == \
+            [("a0", 1), ("a1", 1)]
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
+        assert formats.read_gt_tubes(path) == expected
+
     @pytest.mark.parametrize("kind", ["tubes", "gttubes"])
     def test_disagreeing_checks_are_a_processing_error(
             self, tmp_path, monkeypatch, kind):
