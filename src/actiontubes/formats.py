@@ -25,14 +25,18 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (ActionTubesError, InputError, ProcessingError,
                      SchemaError)
 from .model import (BoundingBox, ClipScoreSequence, Detection,
                     FlowMagnitudeGrid, FrameInterval, GroundTruthTube,
                     Proposal, Source, Tube)
+
+# numpy is for annotations only: the array container functions import it,
+# so the record files load without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC_WORD = "actiontubes"
 FORMAT_VERSION = 1
@@ -634,6 +638,7 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
     arrives and the array count is patched into the header at the end,
     so a generator of pairs is never held in memory as a whole.
     """
+    import numpy as np
     with atomic_open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<HI", FORMAT_VERSION, 0))
@@ -670,6 +675,7 @@ def iter_arrays(path) -> Iterator[tuple[str, np.ndarray]]:
     finds it: only a consumer that exhausts the iterator has seen every
     check, trailing bytes included.
     """
+    import numpy as np
     try:
         fh = open(path, "rb")
         size = os.fstat(fh.fileno()).st_size
@@ -736,6 +742,7 @@ def read_arrays(path) -> dict[str, np.ndarray]:
 # -- typed container views ----------------------------------------------
 
 def write_weights(path, weights) -> None:
+    import numpy as np
     write_arrays(path, sorted({
         "w_io": weights.w_io, "w_hh": weights.w_hh, "b_y": weights.b_y,
         "w_cls": weights.w_cls, "b_cls": weights.b_cls,
@@ -781,6 +788,7 @@ def write_matches(path,
     to ``frame + 1``.  Columns are ``from_x from_y to_x to_y`` and rows
     are sorted lexicographically.
     """
+    import numpy as np
     arrays = {}
     for (video_id, frame), rows in pairs.items():
         _check_id(video_id, str(path), None, "video_id")
@@ -800,6 +808,7 @@ def write_matches(path,
 
 def read_matches(path) -> dict[tuple[str, int], np.ndarray]:
     """``(video_id, frame) -> rows`` as written by ``write_matches``."""
+    import numpy as np
     out = {}
     for name, rows in read_arrays(path).items():
         video_id, frame = _parse_frame_name(name, path, "match")

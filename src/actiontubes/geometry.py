@@ -9,12 +9,15 @@ cover.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError
 from .model import BoundingBox, Detection, FrameInterval, GroundTruthTube, Tube
+
+# numpy is for annotations only: ``iou_many`` imports it, so the scalar
+# measures load without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -36,6 +39,7 @@ def iou_many(coords: np.ndarray, box: BoundingBox) -> np.ndarray:
     bit: the same operations run in the same order, and rows that do
     not intersect ``box`` are 0.
     """
+    import numpy as np
     ix = (np.minimum(coords[:, 2], box.x_max)
           - np.maximum(coords[:, 0], box.x_min))
     iy = (np.minimum(coords[:, 3], box.y_max)
@@ -97,33 +101,21 @@ def nms(detections: Sequence[Detection], class_index: int,
     """Greedy non-maximum suppression for one class.
 
     Keeps the best remaining detection by ``suppression_key`` and drops
-    every detection whose overlap with it exceeds ``threshold``.  The
-    result is sorted by descending class score and every surviving pair
-    overlaps by at most ``threshold``.
+    every detection whose overlap with it exceeds ``threshold``: visited
+    in key order, a detection is kept unless its ``iou`` with one kept
+    before it exceeds ``threshold``.  The result is sorted by descending
+    class score and every surviving pair overlaps by at most
+    ``threshold``.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InputError(f"nms threshold must be in [0, 1], got {threshold}")
-    if not detections:
-        return []
-    order = sorted(range(len(detections)),
-                   key=lambda i: suppression_key(detections[i], class_index))
-    coords = np.array(
-        [detections[i].box.as_tuple() for i in order], dtype=np.float64)
-    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
-    alive = np.ones(len(order), dtype=bool)
     kept: list[Detection] = []
-    for i in range(len(order)):
-        if not alive[i]:
-            continue
-        kept.append(detections[order[i]])
-        rest = np.flatnonzero(alive[i + 1:]) + i + 1
-        if rest.size == 0:
-            continue
-        ix = (np.minimum(coords[i, 2], coords[rest, 2])
-              - np.maximum(coords[i, 0], coords[rest, 0]))
-        iy = (np.minimum(coords[i, 3], coords[rest, 3])
-              - np.maximum(coords[i, 1], coords[rest, 1]))
-        inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        overlap = inter / (areas[i] + areas[rest] - inter)
-        alive[rest[overlap > threshold]] = False
+    for det in sorted(detections,
+                      key=lambda d: suppression_key(d, class_index)):
+        box = det.box
+        for prior in kept:
+            if iou(prior.box, box) > threshold:
+                break
+        else:
+            kept.append(det)
     return kept

@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError
+
+# numpy is for annotations only: ``FlowMagnitudeGrid`` imports it, so the
+# other types load without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 SCORE_SUM_TOL = 1e-6
 
@@ -286,6 +289,7 @@ class FlowMagnitudeGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise InputError(

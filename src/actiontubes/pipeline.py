@@ -162,17 +162,25 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
                 video.video_id, frame, frame + 1, full)
     formats.write_matches(directory / FILE_MATCHES, pairs)
     formats.write_weights(directory / FILE_WEIGHTS, bundle.weights)
+    # an optional artifact this run does not write is removed, so a later
+    # stage never reads one left by an earlier run
     if bundle.alphas is not None:
         formats.write_alphas(directory / FILE_ALPHAS, bundle.alphas)
+    else:
+        (directory / FILE_ALPHAS).unlink(missing_ok=True)
     if scenario.with_flow:
         # grids are made as they are written, in array-name order
         order = sorted(enumerate(bundle.videos), key=lambda p: p[1].video_id)
         formats.write_flow(directory / FILE_FLOW, (
             (video.video_id, grid) for index, video in order
             for grid in video_flow(scenario, index, video.gt_tubes)))
+    else:
+        (directory / FILE_FLOW).unlink(missing_ok=True)
     drift = [t for tubes in bundle.drift_tubes.values() for t in tubes]
     if drift:
         formats.write_tubes(directory / FILE_DRIFT, drift)
+    else:
+        (directory / FILE_DRIFT).unlink(missing_ok=True)
     return {"videos": len(bundle.videos),
             "gt_tubes": len(bundle.all_gt()),
             "drift_tubes": len(drift)}
@@ -224,6 +232,9 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
         formats.write_proposals(directory / FILE_SALIENT, salient)
         result["salient_proposals"] = sum(
             len(p) for frames in salient.values() for p in frames.values())
+    else:
+        # track reads salient proposals whenever they exist
+        (directory / FILE_SALIENT).unlink(missing_ok=True)
     formats.write_detections(directory / FILE_FUSED, fused)
     return result
 

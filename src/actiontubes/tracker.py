@@ -38,36 +38,50 @@ class PointMatcher(Protocol):
 class RegionScorer(Protocol):
     """Scores an arbitrary region on a frame for every action class.
 
-    Scores depend only on ``(video_id, frame_index, box)``, so the
-    trackers ask about each region at most once per call.  A scorer
-    raises ``InputError`` for a video it has no data for; that fails
-    the whole run instead of one tube.
+    An answer is a 1-D sequence of floats, one per class (a tuple, a
+    list or a 1-D array).  Scores depend only on ``(video_id,
+    frame_index, box)``, so the trackers ask about each region at most
+    once per call.  A scorer raises ``InputError`` for a video it has
+    no data for; that fails the whole run instead of one tube.
     """
 
     def class_scores(self, video_id: str, frame_index: int,
-                     box: BoundingBox) -> np.ndarray: ...
+                     box: BoundingBox) -> Sequence[float]: ...
 
 
 class _ScoreMemo:
     """A region scorer that answers each region once, for one tracker call.
 
-    Answers are kept as private float64 copies; a failed query is not
-    kept, so asking again asks the scorer again.
+    Each answer is checked once, when it arrives: a scorer that fails,
+    or answers with anything but a 1-D vector, raises ``ScorerError``,
+    except an ``InputError``, which passes.  Answers are kept as tuples
+    of floats; a failed query is not kept, so asking again asks the
+    scorer again.
     """
 
     def __init__(self, scorer: RegionScorer):
         self._scorer = scorer
-        self._known: dict[tuple, np.ndarray] = {}
+        self._known: dict[tuple, tuple[float, ...]] = {}
 
     def class_scores(self, video_id: str, frame_index: int,
-                     box: BoundingBox) -> np.ndarray:
+                     box: BoundingBox) -> tuple[float, ...]:
         key = (video_id, frame_index, box.x_min, box.y_min, box.x_max,
                box.y_max)
         scores = self._known.get(key)
         if scores is None:
-            scores = self._known[key] = np.array(
-                self._scorer.class_scores(video_id, frame_index, box),
-                dtype=np.float64)
+            try:
+                answer = np.asarray(
+                    self._scorer.class_scores(video_id, frame_index, box),
+                    dtype=np.float64)
+            except (ScorerError, InputError):
+                raise
+            except Exception as exc:
+                raise ScorerError(f"region scorer failed at frame "
+                                  f"{frame_index}: {exc}") from exc
+            if answer.ndim != 1:
+                raise ScorerError(f"scorer returned scores of shape "
+                                  f"{answer.shape}, expected one per class")
+            scores = self._known[key] = tuple(answer.tolist())
         return scores
 
 
@@ -211,8 +225,8 @@ def _candidate_key(proposal: Proposal, score: float):
     return (-score, -b.area(), b.x_min, b.y_min, b.x_max, b.y_max)
 
 
-def _consume_or_predict(box: BoundingBox, scores: np.ndarray, label: int,
-                        next_frame: int, pool: UntrackedPool,
+def _consume_or_predict(box: BoundingBox, scores: tuple[float, ...],
+                        label: int, next_frame: int, pool: UntrackedPool,
                         cfg: TrackerConfig) -> Detection:
     """Replace the chosen region with an overlapping pooled detection.
 
@@ -236,12 +250,11 @@ def _consume_or_predict(box: BoundingBox, scores: np.ndarray, label: int,
     if best is not None:
         pool.discard(best)
         return replace(best, source=Source.MERGED)
-    return Detection(next_frame, box,
-                     tuple(float(s) for s in scores), Source.TRACKED)
+    return Detection(next_frame, box, scores, Source.TRACKED)
 
 
 def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
-              scorer: RegionScorer, pool: UntrackedPool, cfg: TrackerConfig,
+              scorer: _ScoreMemo, pool: UntrackedPool, cfg: TrackerConfig,
               video_id: str) -> Detection:
     """The best scoring candidate for ``label``, merged or predicted.
 
@@ -253,20 +266,12 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
     best_key = None
     best_scores = None
     for prop in candidates:
-        try:
-            scores = np.asarray(
-                scorer.class_scores(video_id, next_frame, prop.box),
-                dtype=np.float64)
-        except (ScorerError, InputError):
-            raise
-        except Exception as exc:
+        scores = scorer.class_scores(video_id, next_frame, prop.box)
+        if label >= len(scores):
             raise ScorerError(
-                f"region scorer failed at frame {next_frame}: {exc}") from exc
-        if scores.ndim != 1 or label >= scores.shape[0]:
-            raise ScorerError(
-                f"scorer returned {scores.size} classes, tube label is "
+                f"scorer returned {len(scores)} classes, tube label is "
                 f"{label}")
-        key = _candidate_key(prop, float(scores[label]))
+        key = _candidate_key(prop, scores[label])
         if best_key is None or key < best_key:
             best, best_key, best_scores = prop, key, scores
     return _consume_or_predict(best.box, best_scores, label, next_frame,
@@ -306,11 +311,14 @@ def track_step(region: BoundingBox, label: int, next_frame: int,
     and overlap it by at least ``min_prev_overlap``.  The best scoring
     candidate for the tube's class wins, with suppression-style tie
     breaking, and is then either merged with a pooled detection or kept
-    as a prediction.
+    as a prediction.  A scorer that is not already a tracker call's
+    memo is asked through a memo of this step alone.
     """
     keep = match_gate(region, box_array(proposals), matches, cfg)
     if not keep.size:
         return None
+    if not isinstance(scorer, _ScoreMemo):
+        scorer = _ScoreMemo(scorer)
     candidates = [proposals[i] for i in keep]
     return _continue(candidates, label, next_frame, scorer, pool, cfg,
                      video_id)
@@ -413,25 +421,26 @@ def build_tubes_neighborhood(
     ``search_radius`` pixels of the previous center, scored for the
     current entry's class.  Kept for contrast: it cannot follow motion
     larger than the radius between consecutive frames.  Proposal
-    centers are computed once per frame and gated as one array.
+    centers are computed once per frame.
     """
-    centers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    centers: dict[int, list[tuple[float, float]]] = {}
     radius_sq = search_radius ** 2
     scorer = _ScoreMemo(scorer)
 
     def step(seed, current, frame, pool):
         proposals = proposals_by_frame.get(frame, ())
-        if frame not in centers:
-            boxes = box_array(proposals)
-            centers[frame] = (0.5 * (boxes[:, 0] + boxes[:, 2]),
-                              0.5 * (boxes[:, 1] + boxes[:, 3]))
-        px, py = centers[frame]
+        around = centers.get(frame)
+        if around is None:
+            around = centers[frame] = [p.box.center() for p in proposals]
         cx, cy = current.box.center()
-        dx, dy = px - cx, py - cy
-        keep = np.flatnonzero(dx * dx + dy * dy <= radius_sq)
-        if not keep.size:
+        candidates = []
+        for prop, (px, py) in zip(proposals, around):
+            dx, dy = px - cx, py - cy
+            if dx * dx + dy * dy <= radius_sq:
+                candidates.append(prop)
+        if not candidates:
             return None
-        return _continue([proposals[i] for i in keep], current.label, frame,
-                         scorer, pool, cfg, video_id)
+        return _continue(candidates, current.label, frame, scorer, pool,
+                         cfg, video_id)
 
     return _grow_tubes(video_id, detections_by_frame, extent, step, cfg)

@@ -13,10 +13,10 @@ import pytest
 from actiontubes import formats
 from actiontubes.cli import STAGES, main
 from actiontubes.errors import ProcessingError
-from actiontubes.pipeline import (FILE_ALPHAS, FILE_FINAL, FILE_FLOW,
-                                  FILE_FUSED, FILE_GT, FILE_PROPOSALS,
-                                  FILE_PRUNED, FILE_SALIENT, FILE_SCORED,
-                                  FILE_TRACKED, PIPELINE_ORDER)
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_FINAL,
+                                  FILE_FLOW, FILE_FUSED, FILE_GT,
+                                  FILE_PROPOSALS, FILE_PRUNED, FILE_SALIENT,
+                                  FILE_SCORED, FILE_TRACKED, PIPELINE_ORDER)
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -240,6 +240,45 @@ class TestExitCodes:
         code = run_cli("track", "--out", tmp_path)
         assert code == 4
         assert "stage gave up" in capsys.readouterr().err
+
+
+class TestStaleArtifacts:
+    """An optional output a stage does not write is removed, so the next
+    stage never reads one an earlier run left in ``--out``."""
+
+    def test_synth_without_drift_drops_old_drift_tubes(self, tmp_path,
+                                                       capsys):
+        drift = ("--stage-override", "synth.drift_rate=0.5")
+        assert run_cli("synth", "--out", tmp_path, *FAST, *drift) == 0
+        assert (tmp_path / FILE_DRIFT).exists()
+        for stage in ("synth", "fuse", "track", "score"):
+            assert run_cli(stage, "--out", tmp_path, "--seed", 5, *FAST) == 0
+        assert not (tmp_path / FILE_DRIFT).exists()
+        tracked = formats.read_tubes(tmp_path / FILE_TRACKED)
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"score: tubes={len(tracked)}"
+
+    def test_synth_without_flow_drops_old_flow_and_salient(self, tmp_path,
+                                                           capsys):
+        flow = ("--stage-override", "synth.with_flow=true")
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, *FAST, *flow) == 0
+        assert (tmp_path / FILE_SALIENT).exists()
+        capsys.readouterr()
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, "--seed", 5, *FAST) == 0
+        assert not (tmp_path / FILE_FLOW).exists()
+        assert not (tmp_path / FILE_SALIENT).exists()
+        assert "salient_proposals" not in capsys.readouterr().out
+
+    def test_synth_without_footprint_drops_old_alphas(self, tmp_path):
+        # six one-actor videos give every class a tube in both splits
+        footprint = ("--stage-override", "synth.with_footprint=true",
+                     "--stage-override", "synth.video_count=6")
+        assert run_cli("synth", "--out", tmp_path, *FAST, *footprint) == 0
+        assert (tmp_path / FILE_ALPHAS).exists()
+        assert run_cli("synth", "--out", tmp_path, *FAST) == 0
+        assert not (tmp_path / FILE_ALPHAS).exists()
 
 
 class TestFlags:

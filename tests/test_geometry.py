@@ -243,6 +243,16 @@ class TestNms:
         out = nms([small, big], 0, 0.3)
         assert out == [big, small]
 
+    def test_tied_duplicates_keep_input_order(self):
+        # equal under the whole suppression key and under ==, so only
+        # identity shows the order they come back in
+        box = BoundingBox(0, 0, 10, 10)
+        dets = [Detection(0, box, (0.7, 0.2)) for _ in range(4)]
+        for given in (dets, dets[::-1]):
+            out = nms(given, 0, 1.0)
+            assert len(out) == len(given)
+            assert all(a is b for a, b in zip(out, given))
+
     def test_matches_reference_on_sample(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -3,7 +3,8 @@
 Every stage is its own process, so a module-level import in a driver or
 in a module it needs is paid by every stage that loads it.  Each case
 runs one stage in a fresh interpreter on a tiny scenario and compares
-the ``actiontubes`` modules in ``sys.modules`` with the stage's set.
+the ``actiontubes`` modules in ``sys.modules`` with the stage's set,
+and whether numpy was loaded with whether the stage computes arrays.
 """
 
 import json
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 from actiontubes.cli import main
-from actiontubes.pipeline import PIPELINE_ORDER
+from actiontubes.pipeline import FILE_SALIENT, PIPELINE_ORDER
 
 TINY = ("--stage-override", "synth.video_count=2",
         "--stage-override", "synth.frames_per_video=12",
@@ -34,23 +35,27 @@ LOADED = {
     "localize": CLI | {"temporal"},
     "evaluate": CLI | {"evaluation", "geometry", "scoring"},
 }
+# The stages that compute with arrays load numpy.  fuse loads it only to
+# read flow grids, which the tiny scenario does not have.
+NUMPY = {"synth", "track", "score", "prune", "evaluate"}
 
 CHILD = """
 import json, sys
 from actiontubes.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, sorted(name.split(".", 1)[1] for name in sys.modules
-                               if name.startswith("actiontubes."))]))
+                               if name.startswith("actiontubes.")),
+                  "numpy" in sys.modules]))
 """
 
 
 def loaded_modules(env, *argv):
-    """Exit code and ``actiontubes`` submodules of one fresh child."""
+    """Exit code, ``actiontubes`` submodules and numpy flag of one child."""
     result = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    code, names = json.loads(result.stdout.splitlines()[-1])
-    return code, set(names)
+    code, names, numpy = json.loads(result.stdout.splitlines()[-1])
+    return code, set(names), numpy
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +67,18 @@ def scenario(tmp_path_factory):
 
 
 def test_cli_import_loads_only_the_front_end(child_env):
-    assert loaded_modules(child_env) == (0, CLI)
+    assert loaded_modules(child_env) == (0, CLI, False)
 
 
 @pytest.mark.parametrize("stage", PIPELINE_ORDER)
 def test_stage_loads_only_what_it_runs(stage, scenario, child_env):
     assert loaded_modules(child_env, stage, "--out", scenario, *TINY) == \
-        (0, LOADED[stage])
+        (0, LOADED[stage], stage in NUMPY)
+
+
+def test_fuse_with_flow_loads_numpy_and_prunes(tmp_path, child_env):
+    flow = ("--stage-override", "synth.with_flow=true")
+    assert main(["synth", "--out", str(tmp_path), *TINY, *flow]) == 0
+    assert loaded_modules(child_env, "fuse", "--out", tmp_path, *TINY,
+                          *flow) == (0, LOADED["fuse"], True)
+    assert (tmp_path / FILE_SALIENT).exists()

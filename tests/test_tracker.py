@@ -58,6 +58,16 @@ def det(frame, box, scores=(1.0, 0.0), source=Source.MERGED):
     return Detection(frame, box, scores, source)
 
 
+# Answers of a two-class scorer on a failing frame that are not one score
+# per class: too few, or not a 1-D vector at all.
+SCORER_FAILURES = {
+    "too_few_classes": np.zeros(0),
+    "scalar": np.array(0.5),
+    "column": np.zeros((2, 1)),
+    "row": np.zeros((1, 2)),
+}
+
+
 class TestMatchRatio:
     def test_all_inside(self):
         box = BoundingBox(0, 0, 10, 10)
@@ -366,7 +376,8 @@ class TestBuildTubes:
         assert len(tubes) == 1
         assert len(tubes[0].boxes) == 4  # seed plus three predictions
 
-    def test_scorer_failure_keeps_partial_tube(self):
+    @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
+    def test_scorer_failure_keeps_partial_tube(self, failure):
         gt, dets, props = self.make_inputs()
 
         class FlakyScorer(WorldScorer):
@@ -375,9 +386,11 @@ class TestBuildTubes:
                 self.fail_at = fail_at
 
             def class_scores(self, video_id, frame_index, box):
-                if frame_index == self.fail_at:
+                if frame_index != self.fail_at:
+                    return super().class_scores(video_id, frame_index, box)
+                if failure == "raise":
                     raise ScorerError("no scores on this frame")
-                return super().class_scores(video_id, frame_index, box)
+                return SCORER_FAILURES[failure]
 
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
                             ShiftMatcher(6.0, 0.0), FlakyScorer(gt, 3))
@@ -442,7 +455,7 @@ class TestNeighborhoodBaseline:
             assert [len(t.boxes) for t in tubes] == [frames]
 
     def test_center_gate_picks_from_the_right_frame(self):
-        # Gating runs on per-frame center arrays; the candidate that
+        # Gating runs on centers cached per frame; the candidate that
         # wins must be a proposal of the frame being extended into.  The
         # true box sits at a different index on every frame.
         gt = single_actor_world(4, shift=(6.0, 0.0))
@@ -455,7 +468,7 @@ class TestNeighborhoodBaseline:
         assert len(tubes) == 1
         assert list(tubes[0].boxes) == [gt[f] for f in range(4)]
 
-    @pytest.mark.parametrize("failure", ["raise", "too_few_classes"])
+    @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
     def test_scorer_failure_keeps_partial_tube(self, failure):
         gt = single_actor_world(5, shift=(6.0, 0.0))
         dets = {f: [det(f, gt[f], (0.9, 0.0))] for f in range(5)}
@@ -467,7 +480,7 @@ class TestNeighborhoodBaseline:
                     return super().class_scores(video_id, frame_index, box)
                 if failure == "raise":
                     raise RuntimeError("no scores on this frame")
-                return np.zeros(0)
+                return SCORER_FAILURES[failure]
 
         tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
                                          FlakyScorer(gt), search_radius=20.0)
