@@ -11,6 +11,11 @@ produces identical bytes, and every file is written to a temp file
 beside its target and then renamed onto it, so a failed write never
 leaves a truncated file.  See FORMATS.md for the field-by-field
 reference.
+
+Every record kind is parsed column-wise, in blocks of rows; any failed
+check hands the file to one row-wise fallback, which reports the first
+problem in the order FORMATS.md gives under "Which problem is
+reported".
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ import os
 import re
 import struct
 import threading
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from typing import TYPE_CHECKING
 
-from .errors import (ActionTubesError, InputError, ProcessingError,
-                     SchemaError)
+from .errors import InputError, ProcessingError, SchemaError
 from .model import (BoundingBox, ClipScoreSequence, Detection,
                     FlowMagnitudeGrid, FrameInterval, GroundTruthTube,
                     Proposal, Source, Tube)
@@ -227,6 +232,109 @@ def _parse_box(fields: Sequence[str], start: int, path,
                           field="x0") from None
 
 
+# -- column-wise reading ------------------------------------------------
+
+# Rows a reader splits and parses at a time.  Columns of the whole file
+# would leave megabytes of freed heap behind, which the C allocator
+# returns or keeps depending on the heap's layout, so the peak RSS of
+# the work that follows would swing by ~3 MiB between runs of one input
+# (crowd-12 `score`).  Blocks keep every list but the per-row results
+# small.
+_BLOCK_ROWS = 1024
+
+# A record file's rows as ``read_records`` gives them: (line, fields).
+_Rows = Iterable[tuple[int, Sequence[str]]]
+
+
+def _read_columns(path, kind: str, parse) -> dict[str, list]:
+    """A record file's rows as typed per-row lists, read block-wise.
+
+    Each block of ``_BLOCK_ROWS`` lines is split in one pass over its
+    join and sliced into text columns by name, which ``parse`` turns
+    into a dict of per-row lists.  The lists grow block by block, and a
+    list no row reached reads as empty.  A failed check raises
+    ``ValueError`` or ``KeyError`` and leaves the report to
+    ``_row_checks``.
+    """
+    names = SCHEMAS[kind].columns
+    lines = _record_lines(path, kind)
+    columns: dict[str, list] = defaultdict(list)
+    for at in range(0, len(lines), _BLOCK_ROWS):
+        block = list(filter(None, lines[at:at + _BLOCK_ROWS]))
+        if not block:
+            continue
+        if set(map(str.count, block, repeat("\t"))) != {len(names) - 1}:
+            raise ValueError("row width")
+        fields = "\t".join(block).split("\t")
+        text = {name: fields[i::len(names)] for i, name in enumerate(names)}
+        del block, fields
+        for name, values in parse(text).items():
+            columns[name] += values
+    return columns
+
+
+@contextmanager
+def _row_checks(path, kind: str, check) -> Iterator[None]:
+    """Reports a failed column-wise read of a ``kind`` file row-wise.
+
+    Should the body raise ``ValueError`` or ``KeyError``,
+    ``check(path, rows)`` runs the per-field parsers over the
+    ``read_records`` rows and raises the ``SchemaError`` of the first
+    bad field, in its kind's order.  Should every row pass, the two
+    paths disagree about the file: a fault of this module.
+    """
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (ValueError, KeyError) as failure:
+        check(path, read_records(path, kind))
+        raise ProcessingError(
+            f"{path}: the column-wise {kind} reader rejected the file "
+            f"({failure!r}) but every row passes the row-wise checks"
+        ) from None
+
+
+def _id_column(values: list[str]) -> list[str]:
+    if not all(map(_ID_PATTERN.match, set(values))):
+        raise ValueError("invalid identifier")
+    return values
+
+
+def _key_column(text: dict) -> list[tuple[str, str]]:
+    return list(zip(_id_column(text["video_id"]),
+                    _id_column(text["tube_id"])))
+
+
+def _frame_column(values: list[str]) -> list[int]:
+    """Frame indices, each in ASCII base-10 digits as ``_parse_frame``
+    takes them."""
+    digits = "".join(values)
+    if not (digits.isascii() and digits.isdigit() and all(values)):
+        raise ValueError("invalid frame")
+    return list(map(int, values))
+
+
+def _box_column(text: dict) -> list[BoundingBox]:
+    """One box per row, consuming the four coordinate columns."""
+    coords = [list(map(float, text.pop(name)))
+              for name in ("x0", "y0", "x1", "y1")]
+    return list(map(BoundingBox, *coords))
+
+
+def _source_column(names: list[str]) -> list[Source]:
+    known = {name: Source[name.upper()] for name in set(names)}
+    return list(map(known.__getitem__, names))
+
+
+def _score_column(column: Sequence[str]) -> list[tuple[float, ...]]:
+    """One class score tuple per row of a comma-separated column."""
+    values = list(map(float, ",".join(column).split(",")))
+    commas = map(str.count, column, repeat(","))
+    ends = list(accumulate(c + 1 for c in commas))
+    return [tuple(values[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 # -- detections ---------------------------------------------------------
 
 def write_detections(path,
@@ -246,20 +354,31 @@ def write_detections(path,
 
 
 def read_detections(path) -> dict[str, list[Detection]]:
+    with _row_checks(path, "detections", _check_detections):
+        columns = _read_columns(path, "detections", _parse_detection_block)
     out: dict[str, list[Detection]] = {}
-    for line, fields in read_records(path, "detections"):
-        video_id = _check_id(fields[0], str(path), line, "video_id")
-        frame = _parse_frame(fields[1], path, line)
-        box = _parse_box(fields, 2, path, line)
-        source = _parse_source(fields[6], path, line)
-        scores = _parse_scores(fields[7], path, line)
-        try:
-            det = Detection(frame, box, scores, source)
-        except InputError as exc:
-            raise SchemaError(str(exc), path=str(path), line=line,
-                              field="scores") from None
+    for video_id, det in zip(columns["video_ids"], columns["detections"]):
         out.setdefault(video_id, []).append(det)
     return out
+
+
+def _parse_detection_block(text: dict) -> dict[str, list]:
+    """A block's video ids and detections."""
+    return {"video_ids": _id_column(text["video_id"]),
+            "detections": list(map(
+                Detection, _frame_column(text["frame"]), _box_column(text),
+                _score_column(text["scores"]),
+                _source_column(text["source"])))}
+
+
+def _check_detections(path, rows: _Rows) -> None:
+    """Raises the ``SchemaError`` of the first bad field, row by row."""
+    for line, fields in rows:
+        _check_id(fields[0], str(path), line, "video_id")
+        _parse_frame(fields[1], path, line)
+        _parse_box(fields, 2, path, line)
+        _parse_source(fields[6], path, line)
+        _parse_scores(fields[7], path, line)
 
 
 # -- proposals ----------------------------------------------------------
@@ -281,147 +400,87 @@ def write_proposals(
 
 
 def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
+    with _row_checks(path, "proposals", _check_proposals):
+        columns = _read_columns(path, "proposals", _parse_proposal_block)
     acc: dict[str, dict[int, list[Proposal]]] = {}
-    for line, fields in read_records(path, "proposals"):
-        video_id = _check_id(fields[0], str(path), line, "video_id")
-        frame = _parse_frame(fields[1], path, line)
-        box = _parse_box(fields, 2, path, line)
-        objectness = _parse_float(fields[6], path, line, "objectness")
-        try:
-            prop = Proposal(frame, box, objectness)
-        except InputError as exc:
-            raise SchemaError(str(exc), path=str(path), line=line,
-                              field="objectness") from None
-        acc.setdefault(video_id, {}).setdefault(frame, []).append(prop)
+    for video_id, prop in zip(columns["video_ids"], columns["proposals"]):
+        acc.setdefault(video_id, {}).setdefault(
+            prop.frame_index, []).append(prop)
     return {vid: {frame: tuple(props) for frame, props in frames.items()}
             for vid, frames in acc.items()}
 
 
+def _parse_proposal_block(text: dict) -> dict[str, list]:
+    """A block's video ids and proposals."""
+    return {"video_ids": _id_column(text["video_id"]),
+            "proposals": list(map(
+                Proposal, _frame_column(text["frame"]), _box_column(text),
+                map(float, text["objectness"])))}
+
+
+def _check_proposals(path, rows: _Rows) -> None:
+    """Raises the ``SchemaError`` of the first bad field, row by row."""
+    for line, fields in rows:
+        _check_id(fields[0], str(path), line, "video_id")
+        _parse_frame(fields[1], path, line)
+        _parse_box(fields, 2, path, line)
+        _parse_float(fields[6], path, line, "objectness")
+
+
 # -- tubes --------------------------------------------------------------
 
-# Rows a tube reader splits and parses at a time.  Columns of the whole
-# file would leave megabytes of freed heap behind, which the C allocator
-# returns or keeps depending on the heap's layout, so the peak RSS of
-# the work that follows would swing by ~3 MiB between runs of one input
-# (crowd-12 `score`).  Blocks keep every list but the per-row results
-# small.
-_BLOCK_ROWS = 1024
+def _tube_runs(columns: dict) -> Iterator[tuple[str, str, int, slice]]:
+    """Each tube's ids, start frame and slice of rows, in id order.
 
-
-def _tube_columns(path, kind: str, parse):
-    """A tube file's parsed columns plus each tube's rows, checked
-    column-wise.
-
-    The rows are taken in blocks of ``_BLOCK_ROWS``: a block's lines are
-    split in one pass over their join and sliced into columns, and
-    ``parse`` turns the columns but the ids and the frame into a dict of
-    per-row lists, which grow block by block.  Unless the file already
-    is, the rows are then put in (video_id, tube_id, frame) order,
-    keeping file order among equals.  Returns ``(columns, tubes)``:
-    ``columns`` is the parsed dict in that order, and ``tubes`` lists
-    ``(video_id, tube_id, start, rows)`` in id order, ``rows`` being the
-    slice of the tube's rows.  Identifiers, frame syntax and frame runs
-    (consecutive, each exactly once) are checked here; a failed check
-    raises ``ValueError`` and leaves the report to ``_tube_error``.
+    Every column is first put in (video_id, tube_id, frame) order,
+    unless it already is, keeping file order among equals.  A tube
+    whose frames do not run consecutively, each once, raises
+    ``ValueError(message, row)`` when reached, ``row`` being the index
+    of its first row out of step.
     """
-    names = SCHEMAS[kind].columns
-    lines = _record_lines(path, kind)
-    keys: list[tuple[str, str]] = []
-    frames: list[int] = []
-    columns: dict[str, list] = {}
-    for at in range(0, len(lines), _BLOCK_ROWS):
-        block = list(filter(None, lines[at:at + _BLOCK_ROWS]))
-        if not block:
-            continue
-        if set(map(str.count, block, repeat("\t"))) != {len(names) - 1}:
-            raise ValueError("row width")
-        fields = "\t".join(block).split("\t")
-        text = {name: fields[i::len(names)] for i, name in enumerate(names)}
-        del block, fields
-        video_ids, tube_ids = text.pop("video_id"), text.pop("tube_id")
-        if not all(map(_ID_PATTERN.match, {*video_ids, *tube_ids})):
-            raise ValueError("invalid identifier")
-        frame_text = text.pop("frame")
-        digits = "".join(frame_text)
-        if not (digits.isascii() and digits.isdigit() and all(frame_text)):
-            raise ValueError("invalid frame")
-        keys += zip(video_ids, tube_ids)
-        frames += map(int, frame_text)
-        for name, values in parse(text).items():
-            columns.setdefault(name, []).extend(values)
-    del lines
-    if not keys:
-        return {}, []
+    keys, frames = columns["keys"], columns["frames"]
     order = list(zip(keys, frames))
     if not all(map(operator.le, order, order[1:])):
         order = sorted(range(len(order)), key=order.__getitem__)
-        keys = [keys[i] for i in order]
-        frames = [frames[i] for i in order]
-        columns = {name: [column[i] for i in order]
-                   for name, column in columns.items()}
+        for name in list(columns):
+            columns[name] = [columns[name][i] for i in order]
+        keys, frames = columns["keys"], columns["frames"]
     del order
-    starts = [0, *compress(count(1), map(operator.ne, keys[1:], keys))]
-    tubes = []
+    starts = list(compress(count(), map(operator.ne, keys, [None, *keys])))
     for a, b in zip(starts, [*starts[1:], len(keys)]):
         start = frames[a]
         if frames[a:b] != list(range(start, start + b - a)):
-            raise ValueError("broken frame run")
-        tubes.append((*keys[a], start, slice(a, b)))
-    return columns, tubes
+            row, want = next((row, want) for row, want in zip(
+                range(a, b), count(start)) if frames[row] != want)
+            problem = "repeats" if frames[row] < want else "skips"
+            raise ValueError(f"tube {keys[a][1]!r} {problem} frame "
+                             f"{min(frames[row], want)}", row)
+        yield (*keys[a], start, slice(a, b))
 
 
-def _box_column(columns: dict) -> list[BoundingBox]:
-    """One box per row, consuming the four coordinate columns."""
-    coords = [list(map(float, columns.pop(name)))
-              for name in ("x0", "y0", "x1", "y1")]
-    return list(map(BoundingBox, *coords))
+def _tube_rows(path, rows: _Rows, frame_column: int) -> Iterator[tuple]:
+    """``_tube_runs`` of rows checked row-wise: each tube's
+    ``(video_id, tube_id, start, rows)``, its ``(line, fields)`` by frame.
 
-
-def _score_column(column: Sequence[str]) -> list[tuple[float, ...]]:
-    """One class score tuple per row of a comma-separated column."""
-    values = list(map(float, ",".join(column).split(",")))
-    commas = map(str.count, column, repeat(","))
-    ends = list(accumulate(c + 1 for c in commas))
-    return [tuple(values[a:b]) for a, b in zip([0, *ends], ends)]
-
-
-def _tube_error(path, kind: str, check_tube, failure: Exception
-                ) -> ActionTubesError:
-    """The error a tube file's row-by-row checks meet first.
-
-    Called once a column-wise check has failed, it reports the failure
-    with the per-field parsers: identifiers and frames in file order,
-    then tube by tube in id order its frame run and
-    ``check_tube(path, video_id, tube_id, start, rows)``, ``rows`` being
-    the tube's ``(line, fields)`` by frame.  Should every row pass, the
-    two readers disagree about the file; that is a fault of this module,
-    reported with the column-wise ``failure``.
+    Identifiers and frames are checked in file order first, then each
+    tube's frame run as it is reached.
     """
-    frame_column = SCHEMAS[kind].columns.index("frame")
-    groups: dict[tuple[str, str], list] = {}
+    columns: dict[str, list] = defaultdict(list)
+    for line, fields in rows:
+        columns["keys"].append(
+            (_check_id(fields[0], str(path), line, "video_id"),
+             _check_id(fields[1], str(path), line, "tube_id")))
+        columns["frames"].append(
+            _parse_frame(fields[frame_column], path, line))
+        columns["rows"].append((line, fields))
     try:
-        for line, fields in read_records(path, kind):
-            key = (_check_id(fields[0], str(path), line, "video_id"),
-                   _check_id(fields[1], str(path), line, "tube_id"))
-            frame = _parse_frame(fields[frame_column], path, line)
-            groups.setdefault(key, []).append((frame, line, fields))
-        for (video_id, tube_id), rows in sorted(groups.items()):
-            rows.sort(key=lambda row: row[0])
-            start = rows[0][0]
-            for offset, (frame, line, _) in enumerate(rows):
-                if frame != start + offset:
-                    problem = "repeats" if frame < start + offset else "skips"
-                    raise SchemaError(
-                        f"tube {tube_id!r} {problem} frame "
-                        f"{min(frame, start + offset)}",
-                        path=str(path), line=line, field="frame")
-            check_tube(path, video_id, tube_id, start,
-                       [(line, fields) for _, line, fields in rows])
-    except SchemaError as exc:
-        return exc
-    return ProcessingError(
-        f"{path}: the column-wise {kind} reader rejected the file "
-        f"({failure!r}) but every row passes the row-wise checks")
+        for video_id, tube_id, start, run in _tube_runs(columns):
+            yield video_id, tube_id, start, columns["rows"][run]
+    except ValueError as exc:
+        message, row = exc.args
+        raise SchemaError(message, path=str(path),
+                          line=columns["rows"][row][0],
+                          field="frame") from None
 
 
 def write_tubes(path, tubes: Iterable[Tube]) -> None:
@@ -450,61 +509,55 @@ def write_tubes(path, tubes: Iterable[Tube]) -> None:
 
 
 def read_tubes(path) -> list[Tube]:
-    try:
-        columns, groups = _tube_columns(path, "tubes", _parse_tube_block)
-        if not groups:
-            return []
-        boxes, sources = columns["boxes"], columns["sources"]
-        scores, tails = columns["scores"], columns["tails"]
+    with _row_checks(path, "tubes", _check_tubes):
+        columns = _read_columns(path, "tubes", _parse_tube_block)
         tubes = []
-        for video_id, tube_id, start, rows in groups:
-            if len(set(tails[rows])) != 1:
+        for video_id, tube_id, start, rows in _tube_runs(columns):
+            tails = columns["tails"][rows]
+            if len(set(tails)) != 1:
                 raise ValueError("conflicting label or score")
-            label, score = tails[rows.start]
+            label, score = tails[0]
             tubes.append(Tube(
-                video_id, tube_id, start, boxes[rows], scores[rows],
-                sources[rows], label=None if label == "-" else int(label),
+                video_id, tube_id, start, columns["boxes"][rows],
+                columns["scores"][rows], columns["sources"][rows],
+                label=None if label == "-" else int(label),
                 score=None if score == "-" else float(score)))
         return tubes
-    except SchemaError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise _tube_error(path, "tubes", _check_tube, exc) from None
 
 
 def _parse_tube_block(text: dict) -> dict[str, list]:
-    """A block's boxes, sources, score tuples and (label, score) text."""
-    names = text["source"]
-    known = {name: Source[name.upper()] for name in set(names)}
-    return {"boxes": _box_column(text),
-            "sources": list(map(known.__getitem__, names)),
+    """A block's keys, frames, boxes, sources, score tuples and
+    (label, score) text."""
+    return {"keys": _key_column(text), "frames": _frame_column(text["frame"]),
+            "boxes": _box_column(text),
+            "sources": _source_column(text["source"]),
             "scores": _score_column(text["scores"]),
             "tails": list(zip(text["label"], text["score"]))}
 
 
-def _check_tube(path, video_id: str, tube_id: str, start: int,
-                rows: Sequence[tuple[int, Sequence[str]]]) -> None:
-    """Raises the ``SchemaError`` of one tube's first bad field."""
-    first_line, first = rows[0]
-    for line, fields in rows:
-        if fields[9:] != first[9:]:
-            raise SchemaError(
-                f"tube {tube_id!r} carries conflicting label or score",
-                path=str(path), line=line, field="label")
-    label = None if first[9] == "-" else \
-        _parse_int(first[9], path, first_line, "label")
-    score = None if first[10] == "-" else \
-        _parse_float(first[10], path, first_line, "score")
-    boxes = [_parse_box(f, 3, path, line) for line, f in rows]
-    sources = [_parse_source(f[7], path, line) for line, f in rows]
-    scores = [_parse_scores(f[8], path, line) for line, f in rows]
-    try:
-        Tube(video_id, tube_id, start, boxes, scores, sources, label=label,
-             score=score)
-    except InputError as exc:
-        bad = "label" if label is not None and label < 0 else "scores"
-        raise SchemaError(str(exc), path=str(path), line=first_line,
-                          field=bad) from None
+def _check_tubes(path, rows: _Rows) -> None:
+    """Raises the ``SchemaError`` of the first bad field, tube by tube."""
+    for video_id, tube_id, start, rows in _tube_rows(path, rows, 2):
+        first_line, first = rows[0]
+        for line, fields in rows:
+            if fields[9:] != first[9:]:
+                raise SchemaError(
+                    f"tube {tube_id!r} carries conflicting label or score",
+                    path=str(path), line=line, field="label")
+        label = None if first[9] == "-" else \
+            _parse_int(first[9], path, first_line, "label")
+        score = None if first[10] == "-" else \
+            _parse_float(first[10], path, first_line, "score")
+        boxes = [_parse_box(f, 3, path, line) for line, f in rows]
+        sources = [_parse_source(f[7], path, line) for line, f in rows]
+        scores = [_parse_scores(f[8], path, line) for line, f in rows]
+        try:
+            Tube(video_id, tube_id, start, boxes, scores, sources,
+                 label=label, score=score)
+        except InputError as exc:
+            bad = "label" if label is not None and label < 0 else "scores"
+            raise SchemaError(str(exc), path=str(path), line=first_line,
+                              field=bad) from None
 
 
 # -- ground truth -------------------------------------------------------
@@ -522,47 +575,41 @@ def write_gt_tubes(path, tubes: Iterable[GroundTruthTube]) -> None:
 
 
 def read_gt_tubes(path) -> list[GroundTruthTube]:
-    try:
-        columns, groups = _tube_columns(path, "gttubes", _parse_gt_block)
-        if not groups:
-            return []
-        boxes, labels = columns["boxes"], columns["labels"]
+    with _row_checks(path, "gttubes", _check_gt_tubes):
+        columns = _read_columns(path, "gttubes", _parse_gt_block)
         tubes = []
-        for video_id, tube_id, start, rows in groups:
-            if len(set(labels[rows])) != 1:
+        for video_id, tube_id, start, rows in _tube_runs(columns):
+            labels = set(columns["labels"][rows])
+            if len(labels) != 1:
                 raise ValueError("conflicting labels")
-            tubes.append(GroundTruthTube(
-                video_id, tube_id, labels[rows.start], start, boxes[rows]))
+            tubes.append(GroundTruthTube(video_id, tube_id, *labels, start,
+                                         columns["boxes"][rows]))
         return tubes
-    except SchemaError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise _tube_error(path, "gttubes", _check_gt_tube, exc) from None
 
 
 def _parse_gt_block(text: dict) -> dict[str, list]:
-    """A block's boxes and labels."""
-    return {"boxes": _box_column(text),
+    """A block's keys, frames, boxes and labels."""
+    return {"keys": _key_column(text), "frames": _frame_column(text["frame"]),
+            "boxes": _box_column(text),
             "labels": list(map(int, text["label"]))}
 
 
-def _check_gt_tube(path, video_id: str, tube_id: str, start: int,
-                   rows: Sequence[tuple[int, Sequence[str]]]) -> None:
-    """Raises the ``SchemaError`` of one ground truth tube's first bad
-    field."""
-    first_line, first = rows[0]
-    label = _parse_int(first[2], path, first_line, "label")
-    for line, fields in rows:
-        if _parse_int(fields[2], path, line, "label") != label:
-            raise SchemaError(
-                f"ground truth tube {tube_id!r} has conflicting labels",
-                path=str(path), line=line, field="label")
-    boxes = [_parse_box(f, 4, path, line) for line, f in rows]
-    try:
-        GroundTruthTube(video_id, tube_id, label, start, boxes)
-    except InputError as exc:
-        raise SchemaError(str(exc), path=str(path), line=first_line,
-                          field="label") from None
+def _check_gt_tubes(path, rows: _Rows) -> None:
+    """Raises the ``SchemaError`` of the first bad field, tube by tube."""
+    for video_id, tube_id, start, rows in _tube_rows(path, rows, 3):
+        first_line, first = rows[0]
+        label = _parse_int(first[2], path, first_line, "label")
+        for line, fields in rows:
+            if _parse_int(fields[2], path, line, "label") != label:
+                raise SchemaError(
+                    f"ground truth tube {tube_id!r} has conflicting labels",
+                    path=str(path), line=line, field="label")
+        boxes = [_parse_box(f, 4, path, line) for line, f in rows]
+        try:
+            GroundTruthTube(video_id, tube_id, label, start, boxes)
+        except InputError as exc:
+            raise SchemaError(str(exc), path=str(path), line=first_line,
+                              field="label") from None
 
 
 # -- clip scores --------------------------------------------------------
@@ -582,45 +629,70 @@ def write_clip_scores(
 
 
 def read_clip_scores(path) -> dict[tuple[str, str], ClipScoreSequence]:
-    acc: dict[tuple[str, str], list] = {}
-    lengths: dict[tuple[str, str], tuple[int, int]] = {}
-    for line, fields in read_records(path, "clipscores"):
-        video_id = _check_id(fields[0], str(path), line, "video_id")
-        tube_id = _check_id(fields[1], str(path), line, "tube_id")
+    with _row_checks(path, "clipscores", _check_clip_scores):
+        columns = _read_columns(path, "clipscores", _parse_clip_block)
+        lengths: dict[tuple[str, str], int] = {}
+        clips: dict[tuple[str, str], list] = {}
+        for key, length, *clip in zip(
+                columns["keys"], columns["lengths"], columns["starts"],
+                columns["ends"], columns["scores"]):
+            if lengths.setdefault(key, length) != length:
+                raise ValueError("mixed clip lengths")
+            clips.setdefault(key, []).append(clip)
+        return {key: _clip_sequence(lengths[key], clips[key])
+                for key in sorted(clips)}
+
+
+def _parse_clip_block(text: dict) -> dict[str, list]:
+    """A block's keys, clip lengths, clip starts and ends and score
+    tuples."""
+    return {"keys": _key_column(text),
+            "lengths": list(map(int, text["clip_length"])),
+            "starts": _frame_column(text["start"]),
+            "ends": _frame_column(text["end"]),
+            "scores": _score_column(text["scores"])}
+
+
+def _clip_sequence(clip_length: int, clips: Iterable[Sequence]
+                   ) -> ClipScoreSequence:
+    """The sequence of one tube's ``(start, end, scores)`` clips, which
+    may come in any order."""
+    clips = sorted(clips)
+    return ClipScoreSequence(
+        clip_length, tuple(FrameInterval(s, e) for s, e, _ in clips),
+        tuple(scores for _, _, scores in clips))
+
+
+def _check_clip_scores(path, rows: _Rows) -> None:
+    """Raises the ``SchemaError`` of the first bad field, row by row,
+    then of the first bad clip sequence, tube by tube in id order."""
+    firsts: dict[tuple[str, str], tuple[int, int]] = {}
+    clips: dict[tuple[str, str], list] = {}
+    for line, fields in rows:
+        key = (_check_id(fields[0], str(path), line, "video_id"),
+               _check_id(fields[1], str(path), line, "tube_id"))
         clip_length = _parse_int(fields[2], path, line, "clip_length")
         start = _parse_frame(fields[3], path, line, "start")
         end = _parse_frame(fields[4], path, line, "end")
         scores = _parse_scores(fields[5], path, line)
-        key = (video_id, tube_id)
-        if key in lengths and lengths[key][0] != clip_length:
+        if firsts.setdefault(key, (clip_length, line))[0] != clip_length:
             raise SchemaError(
-                f"tube {tube_id!r} mixes clip lengths",
+                f"tube {key[1]!r} mixes clip lengths",
                 path=str(path), line=line, field="clip_length")
-        lengths.setdefault(key, (clip_length, line))
-        acc.setdefault(key, []).append((start, end, scores))
-    out = {}
-    for key in sorted(acc):
-        clip_length, first_line = lengths[key]
-        clips = sorted(acc[key])
+        clips.setdefault(key, []).append((start, end, scores))
+    for key in sorted(clips):
+        clip_length, first_line = firsts[key]
         try:
-            out[key] = ClipScoreSequence(
-                clip_length,
-                tuple(FrameInterval(s, e) for s, e, _ in clips),
-                tuple(scores for _, _, scores in clips))
+            _clip_sequence(clip_length, clips[key])
         except InputError as exc:
             raise SchemaError(str(exc), path=str(path), line=first_line,
                               field="start") from None
-    return out
 
 
 # -- metrics ------------------------------------------------------------
 
 def write_metrics(path, rows: Iterable[Sequence[str]]) -> None:
     write_records(path, "metrics", sorted(tuple(r) for r in rows))
-
-
-def read_metrics(path) -> list[tuple[str, ...]]:
-    return [fields for _, fields in read_records(path, "metrics")]
 
 
 # -- binary array container ---------------------------------------------

@@ -337,23 +337,28 @@ def run_prune(directory: Path, config: PipelineConfig) -> dict:
     tubes = formats.read_tubes(_require(directory, FILE_SCORED, "score"))
     for tube in tubes:
         require_scored(tube)
-    removed_overlap = removed_footprint = 0
+    stats = {"removed_overlap": 0}
     if config["prune.enabled"]:
         kept = prune_overlapped(tubes, config["prune.st_overlap"])
-        removed_overlap = len(tubes) - len(kept)
+        stats["removed_overlap"] = len(tubes) - len(kept)
         tubes = kept
+    # a footprint prune that did not run says why, so it never reads as
+    # one that ran and kept every tube
     alphas_path = directory / FILE_ALPHAS
-    if config["prune.footprint"] and alphas_path.exists():
+    if not config["prune.footprint"]:
+        stats["footprint"] = "skipped:disabled"
+    elif not alphas_path.exists():
+        stats["footprint"] = "skipped:no-alphas"
+    else:
         fmap = build_footprint_map(formats.read_alphas(alphas_path),
                                    cell_layout(config))
         frame_size = (float(config["synth.frame_width"]),
                       float(config["synth.frame_height"]))
         kept = prune_drifted(tubes, fmap, frame_size)
-        removed_footprint = len(tubes) - len(kept)
+        stats["removed_footprint"] = len(tubes) - len(kept)
         tubes = kept
     formats.write_tubes(directory / FILE_PRUNED, tubes)
-    return {"tubes": len(tubes), "removed_overlap": removed_overlap,
-            "removed_footprint": removed_footprint}
+    return {"tubes": len(tubes), **stats}
 
 
 def run_localize(directory: Path, config: PipelineConfig) -> dict:

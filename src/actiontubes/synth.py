@@ -767,7 +767,3 @@ def inject_drift(bundle: ScenarioBundle, rate: float) -> ScenarioBundle:
     for vid, tubes in bundle.drift_tubes.items():
         merged[vid] = merged.get(vid, ()) + tubes
     return replace(bundle, drift_tubes=merged)
-
-
-def is_injected(tube: Tube) -> bool:
-    return tube.tube_id.startswith("drift")

@@ -281,6 +281,34 @@ class TestStaleArtifacts:
         assert not (tmp_path / FILE_ALPHAS).exists()
 
 
+class TestFootprintReport:
+    """``prune`` prints ``removed_footprint`` only for a footprint prune
+    that ran, and otherwise says why it did not."""
+
+    @pytest.mark.parametrize("overrides, key, value", [
+        (("synth.video_count=6",), "removed_footprint", None),
+        ((), "footprint", "skipped:no-alphas"),
+        (("synth.video_count=6", "prune.footprint=false"), "footprint",
+         "skipped:disabled"),
+    ], ids=["ran", "no-alphas", "disabled"])
+    def test_prune_says_whether_the_footprint_prune_ran(
+            self, tmp_path, capsys, overrides, key, value):
+        # with fewer than six one-actor videos some class lacks a tube in
+        # one split, and synth writes no alphas.atb
+        args = [arg for override in ("synth.with_footprint=true", *overrides)
+                for arg in ("--stage-override", override)]
+        for stage in ("synth", "fuse", "track", "score", "prune"):
+            assert run_cli(stage, "--out", tmp_path, *FAST, *args) == 0
+        assert (tmp_path / FILE_ALPHAS).exists() == (
+            "synth.video_count=6" in overrides)
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed.startswith("prune: ")
+        stats = dict(part.split("=") for part in printed[7:].split())
+        assert {"removed_footprint", "footprint"} & stats.keys() == {key}
+        if value is not None:
+            assert stats[key] == value
+
+
 class TestFlags:
     def test_seed_changes_the_scenario(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

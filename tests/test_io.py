@@ -520,20 +520,24 @@ class TestTubeReaderErrors:
         monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
         assert formats.read_gt_tubes(path) == expected
 
-    @pytest.mark.parametrize("kind", ["tubes", "gttubes"])
+    @pytest.mark.parametrize("kind", ["tubes", "gttubes", "detections",
+                                      "proposals", "clipscores"])
     def test_disagreeing_checks_are_a_processing_error(
             self, tmp_path, monkeypatch, kind):
         """A clean file the column-wise checks reject is not reported
         as a schema error of some row."""
-        def reject(columns):
+        def reject(column):
             raise ValueError("rejected")
-        monkeypatch.setattr(formats, "_box_column", reject)
-        rows = _tube_rows() if kind == "tubes" else \
-            [["v0", "a0", "1", "0", "0.0", "0.0", "5.0", "5.0"]]
+        monkeypatch.setattr(formats, "_frame_column", reject)
+        rows = {"tubes": _tube_rows(),
+                "gttubes": [["v0", "a0", "1", "0", "0.0", "0.0", "5.0",
+                             "5.0"]],
+                **{name: clean()
+                   for name, (clean, _) in RECORD_CORRUPTIONS.items()}}
         path = tmp_path / "t.tsv"
-        formats.write_records(path, kind, rows)
+        formats.write_records(path, kind, rows[kind])
         reader = {"tubes": formats.read_tubes,
-                  "gttubes": formats.read_gt_tubes}[kind]
+                  "gttubes": formats.read_gt_tubes, **RECORD_READERS}[kind]
         with pytest.raises(ProcessingError, match="rejected"):
             reader(path)
 
@@ -558,6 +562,284 @@ class TestTubeReaderErrors:
             formats.read_gt_tubes(path)
         assert str(info.value).endswith(": " + message)
         assert (info.value.line, info.value.field) == (line, field)
+
+
+def _detection_rows():
+    """Five valid detections of two videos, interleaved."""
+    return [
+        ["v0", "0", "0.0", "0.0", "5.0", "5.0", "static", "0.2,0.8"],
+        ["v0", "1", "1.0", "0.0", "6.0", "5.0", "flow", "0.3,0.7"],
+        ["v1", "0", "2.0", "0.0", "7.0", "5.0", "merged", "0.4,0.6"],
+        ["v0", "1", "0.0", "1.0", "5.0", "6.0", "early_fusion", "0.9,0.1"],
+        ["v1", "2", "0.0", "2.0", "5.0", "7.0", "late_fusion", "0.8,0.2"],
+    ]
+
+
+def _proposal_rows():
+    """Five valid proposals of two videos, interleaved."""
+    return [
+        ["v0", "0", "0.0", "0.0", "5.0", "5.0", "0.5"],
+        ["v0", "1", "1.0", "0.0", "6.0", "5.0", "0.25"],
+        ["v1", "0", "2.0", "0.0", "7.0", "5.0", "1.0"],
+        ["v0", "0", "0.0", "1.0", "5.0", "6.0", "0.75"],
+        ["v1", "3", "0.0", "2.0", "5.0", "7.0", "0.0"],
+    ]
+
+
+def _clip_rows():
+    """Clips of three tubes: v0/t0 on 0-10 (rows 0, 1 and 3), v0/t1 on
+    2-4, v1/t0 on 0-4."""
+    return [
+        ["v0", "t0", "4", "0", "4", "0.25,0.75"],
+        ["v0", "t0", "4", "4", "8", "0.5,0.5"],
+        ["v0", "t1", "2", "2", "4", "1.0,0.0"],
+        ["v0", "t0", "4", "8", "10", "0.125,0.875"],
+        ["v1", "t0", "4", "0", "4", "0.5,0.5"],
+    ]
+
+
+# kind -> (clean rows, {case: (rows, column) -> value edits; then the
+# message, line and field the reader reports}).  Rows 0-4 are file lines
+# 3-7; the column "+" appends a field to its row.
+RECORD_CORRUPTIONS = {
+    "detections": (_detection_rows, {
+        "video_id": ({(1, "video_id"): "v 0"},
+                     "invalid identifier 'v 0'", 4, "video_id"),
+        "frame_not_integer": ({(2, "frame"): "1.5"},
+                              "not an integer: '1.5'", 5, "frame"),
+        "negative_frame": ({(3, "frame"): "-1"},
+                           "not a non-negative base-10 integer: '-1'", 6,
+                           "frame"),
+        "bad_coordinate": ({(2, "y1"): "five"},
+                           "not a number: 'five'", 5, "y1"),
+        "nan_coordinate": ({(1, "x1"): "nan"},
+                           "non-finite value: 'nan'", 4, "x1"),
+        "inf_coordinate": ({(4, "y0"): "-inf"},
+                           "non-finite value: '-inf'", 7, "y0"),
+        "degenerate_box": ({(2, "x1"): "2.0"},
+                           "degenerate box (2.0, 0.0, 2.0, 5.0)", 5, "x0"),
+        "unknown_source": ({(1, "source"): "magic"},
+                           "unknown source 'magic'", 4, "source"),
+        "bad_class_score": ({(1, "scores"): "0.3,x"},
+                            "not a number: 'x'", 4, "scores"),
+        "nan_class_score": ({(4, "scores"): "nan,0.2"},
+                            "non-finite value: 'nan'", 7, "scores"),
+        "empty_scores": ({(3, "scores"): ""}, "not a number: ''", 6,
+                         "scores"),
+        "row_width": ({(3, "+"): "extra"},
+                      "expected 8 fields, found 9", 6, None),
+        "row_width_first": ({(1, "video_id"): "v 0", (4, "+"): "extra"},
+                            "expected 8 fields, found 9", 7, None),
+        "field_order": ({(1, "scores"): "x", (1, "x0"): "nan"},
+                        "non-finite value: 'nan'", 4, "x0"),
+        "box_before_source": ({(2, "x1"): "2.0", (2, "source"): "magic"},
+                              "degenerate box (2.0, 0.0, 2.0, 5.0)", 5,
+                              "x0"),
+        "two_bad_rows": ({(1, "source"): "magic", (3, "video_id"): "v 0"},
+                         "unknown source 'magic'", 4, "source"),
+    }),
+    "proposals": (_proposal_rows, {
+        "video_id": ({(3, "video_id"): "v/0"},
+                     "invalid identifier 'v/0'", 6, "video_id"),
+        "frame_not_integer": ({(1, "frame"): "x"},
+                              "not an integer: 'x'", 4, "frame"),
+        "negative_frame": ({(4, "frame"): "-3"},
+                           "not a non-negative base-10 integer: '-3'", 7,
+                           "frame"),
+        "bad_coordinate": ({(0, "x0"): "zero"},
+                           "not a number: 'zero'", 3, "x0"),
+        "inf_coordinate": ({(2, "y0"): "inf"},
+                           "non-finite value: 'inf'", 5, "y0"),
+        "degenerate_box": ({(1, "y1"): "0.0"},
+                           "degenerate box (1.0, 0.0, 6.0, 0.0)", 4, "x0"),
+        "bad_objectness": ({(2, "objectness"): "high"},
+                           "not a number: 'high'", 5, "objectness"),
+        "nan_objectness": ({(4, "objectness"): "nan"},
+                           "non-finite value: 'nan'", 7, "objectness"),
+        "empty_objectness": ({(1, "objectness"): ""},
+                             "not a number: ''", 4, "objectness"),
+        "row_width": ({(2, "+"): "extra"},
+                      "expected 7 fields, found 8", 5, None),
+        "two_bad_rows": ({(3, "objectness"): "x", (1, "frame"): "y"},
+                         "not an integer: 'y'", 4, "frame"),
+    }),
+    "clipscores": (_clip_rows, {
+        "video_id": ({(4, "video_id"): "v 1"},
+                     "invalid identifier 'v 1'", 7, "video_id"),
+        "tube_id": ({(2, "tube_id"): "t/1"},
+                    "invalid identifier 't/1'", 5, "tube_id"),
+        "bad_clip_length": ({(1, "clip_length"): "four"},
+                            "not an integer: 'four'", 4, "clip_length"),
+        "bad_start": ({(3, "start"): "8.0"},
+                      "not an integer: '8.0'", 6, "start"),
+        "negative_end": ({(2, "end"): "-4"},
+                         "not a non-negative base-10 integer: '-4'", 5,
+                         "end"),
+        "bad_score": ({(1, "scores"): "0.5,half"},
+                      "not a number: 'half'", 4, "scores"),
+        "nan_score": ({(4, "scores"): "nan,0.5"},
+                      "non-finite value: 'nan'", 7, "scores"),
+        "empty_scores": ({(0, "scores"): ""}, "not a number: ''", 3,
+                         "scores"),
+        "row_width": ({(0, "+"): "extra"},
+                      "expected 6 fields, found 7", 3, None),
+        "mixed_clip_lengths": ({(3, "clip_length"): "2"},
+                               "tube 't0' mixes clip lengths", 6,
+                               "clip_length"),
+        "lengths_checked_row_by_row": ({(3, "clip_length"): "2",
+                                        (4, "scores"): "x"},
+                                       "tube 't0' mixes clip lengths", 6,
+                                       "clip_length"),
+        "non_consecutive_clips": ({(1, "start"): "5"},
+                                  "clip intervals must be consecutive", 3,
+                                  "start"),
+        "empty_interval": ({(2, "start"): "4"},
+                           "empty frame interval [4, 4)", 5, "start"),
+        "zero_clip_length": ({(2, "clip_length"): "0"},
+                             "clip_length must be >= 1, got 0", 5, "start"),
+        "unequal_class_counts": ({(1, "scores"): "0.5,0.25,0.25"},
+                                 "clip score vectors differ in class count",
+                                 3, "start"),
+        "scores_not_normalized": ({(4, "scores"): "0.5,0.625"},
+                                  "clip scores sum to 1.125, expected 1 "
+                                  "within 1e-06", 7, "start"),
+        "two_bad_tubes": ({(4, "scores"): "0.5,0.625", (2, "start"): "4"},
+                          "empty frame interval [4, 4)", 5, "start"),
+        "rows_before_tubes": ({(2, "start"): "4", (4, "tube_id"): "t 0"},
+                              "invalid identifier 't 0'", 7, "tube_id"),
+    }),
+}
+
+RECORD_READERS = {"detections": formats.read_detections,
+                  "proposals": formats.read_proposals,
+                  "clipscores": formats.read_clip_scores}
+
+
+def _write_rows(path, kind, rows):
+    """A record file of ``kind`` holding ``rows`` as given, any width."""
+    formats.write_records(path, kind, [])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
+class TestRecordReaderErrors:
+    """Each corruption is reported with the message, line and field of
+    the row-by-row checks: row widths first, then row by row in file
+    order, field by field within a row; clip scores then check each
+    tube's clips in id order."""
+
+    @pytest.mark.parametrize("kind, case", [
+        (kind, case) for kind, (_, cases) in sorted(RECORD_CORRUPTIONS.items())
+        for case in sorted(cases)])
+    def test_corruption_reported_where_it_is(self, tmp_path, kind, case):
+        clean, cases = RECORD_CORRUPTIONS[kind]
+        edits, message, line, field = cases[case]
+        columns = formats.SCHEMAS[kind].columns
+        rows = clean()
+        for (row, column), value in edits.items():
+            if column == "+":
+                rows[row].append(value)
+            else:
+                rows[row][columns.index(column)] = value
+        path = tmp_path / "r.tsv"
+        _write_rows(path, kind, rows)
+        with pytest.raises(SchemaError) as info:
+            RECORD_READERS[kind](path)
+        assert str(info.value).endswith(": " + message)
+        assert (info.value.line, info.value.field) == (line, field)
+
+    @pytest.mark.parametrize("kind, case", [
+        (kind, case) for kind, (_, cases) in sorted(RECORD_CORRUPTIONS.items())
+        for case in sorted(cases)])
+    def test_corruption_reported_across_blocks(self, tmp_path, monkeypatch,
+                                               kind, case):
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
+        self.test_corruption_reported_where_it_is(tmp_path, kind, case)
+
+    def test_clean_files_read(self, tmp_path):
+        box = BoundingBox
+        path = tmp_path / "r.tsv"
+        _write_rows(path, "detections", _detection_rows())
+        assert formats.read_detections(path) == {
+            "v0": [Detection(0, box(0, 0, 5, 5), (0.2, 0.8), Source.STATIC),
+                   Detection(1, box(1, 0, 6, 5), (0.3, 0.7), Source.FLOW),
+                   Detection(1, box(0, 1, 5, 6), (0.9, 0.1),
+                             Source.EARLY_FUSION)],
+            "v1": [Detection(0, box(2, 0, 7, 5), (0.4, 0.6), Source.MERGED),
+                   Detection(2, box(0, 2, 5, 7), (0.8, 0.2),
+                             Source.LATE_FUSION)]}
+        _write_rows(path, "proposals", _proposal_rows())
+        back = formats.read_proposals(path)
+        assert back == {
+            "v0": {0: (Proposal(0, box(0, 0, 5, 5), 0.5),
+                       Proposal(0, box(0, 1, 5, 6), 0.75)),
+                   1: (Proposal(1, box(1, 0, 6, 5), 0.25),)},
+            "v1": {0: (Proposal(0, box(2, 0, 7, 5), 1.0),),
+                   3: (Proposal(3, box(0, 2, 5, 7), 0.0),)}}
+        assert [list(frames) for frames in back.values()] == [[0, 1], [0, 3]]
+        _write_rows(path, "clipscores", _clip_rows())
+        back = formats.read_clip_scores(path)
+        assert back == {
+            ("v0", "t0"): ClipScoreSequence(
+                4, (FrameInterval(0, 4), FrameInterval(4, 8),
+                    FrameInterval(8, 10)),
+                ((0.25, 0.75), (0.5, 0.5), (0.125, 0.875))),
+            ("v0", "t1"): ClipScoreSequence(2, (FrameInterval(2, 4),),
+                                            ((1.0, 0.0),)),
+            ("v1", "t0"): ClipScoreSequence(4, (FrameInterval(0, 4),),
+                                            ((0.5, 0.5),))}
+        assert list(back) == sorted(back)
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_READERS))
+    def test_blocks_read_like_one_pass(self, tmp_path, monkeypatch, kind):
+        rows = RECORD_CORRUPTIONS[kind][0]()
+        path = tmp_path / "r.tsv"
+        formats.write_records(path, kind, [])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + "\t".join(rows[0]) + "\n\n\n"
+                     + "".join("\t".join(row) + "\n" for row in rows[1:]))
+        reader = RECORD_READERS[kind]
+        expected = reader(path)
+        for block in (1, 2, 3):
+            monkeypatch.setattr(formats, "_BLOCK_ROWS", block)
+            assert reader(path) == expected
+
+
+# Field values near the edges of what the column-wise and the row-wise
+# parsers accept.
+EDGE_VALUES = ["", " ", "-", "0", "07", "+1", "-1", " 1", "1.5", "-0.0",
+               "1e400", "nan", "inf", "x", "٣", "1_0", "v 0", "static",
+               "STATIC", "0.5,0.5", "1,", ",1", "0.5,0.25,0.25"]
+
+
+@pytest.mark.parametrize("kind", ["detections", "proposals", "clipscores",
+                                  "tubes", "gttubes"])
+def test_column_and_row_checks_agree(tmp_path, kind):
+    """Whatever one field holds, the column-wise reader accepts the file
+    exactly when the row-wise checks do: a file it reads passes them, and
+    one it rejects is their schema error, not a ``ProcessingError``."""
+    clean = {"tubes": _tube_rows, **{
+        name: rows for name, (rows, _) in RECORD_CORRUPTIONS.items()}}.get(
+        kind, lambda: [["v0", "a0", "1", str(f), "0.0", "0.0", "5.0", "5.0"]
+                       for f in (0, 1)])
+    reader = {"tubes": formats.read_tubes,
+              "gttubes": formats.read_gt_tubes, **RECORD_READERS}[kind]
+    check = {"detections": formats._check_detections,
+             "proposals": formats._check_proposals,
+             "clipscores": formats._check_clip_scores,
+             "tubes": formats._check_tubes,
+             "gttubes": formats._check_gt_tubes}[kind]
+    path = tmp_path / "r.tsv"
+    for column in range(len(formats.SCHEMAS[kind].columns)):
+        for value in EDGE_VALUES:
+            rows = clean()
+            rows[1][column] = value
+            formats.write_records(path, kind, rows)
+            try:
+                reader(path)
+            except SchemaError:
+                continue
+            check(path, formats.read_records(path, kind))
 
 
 class TestFrameFields:
@@ -703,7 +985,8 @@ class TestMetrics:
         rows = [("map", "video", "0.5", "-", "1.0"),
                 ("ap", "video", "0.5", "0", "1.0")]
         formats.write_metrics(path, rows)
-        assert formats.read_metrics(path) == sorted(tuple(r) for r in rows)
+        assert [fields for _, fields in formats.read_records(path, "metrics")] \
+            == sorted(tuple(r) for r in rows)
 
 
 class TestArrayContainer:

@@ -24,25 +24,65 @@ TINY = ("--stage-override", "synth.video_count=2",
 STAGES = ("synth", "fuse", "track", "score", "prune", "localize",
           "evaluate")
 
+# Calls per ``formats.*`` span in each stage of the tiny run.  Every
+# public ``formats.read_*``/``write_*`` is a span, so a helper made
+# public would nest its own span and a reader reached under another name
+# would lose one; either moves time between the ``formats.*_s`` metrics.
+FORMATS_CALLS = {
+    "synth": {"other_write": 6, "matches_write": 1},
+    "fuse": {"other_read": 3, "other_write": 1},
+    "track": {"other_read": 3, "matches_read": 1, "tubes_write": 1},
+    "score": {"tubes_read": 1, "other_read": 2, "tubes_write": 1,
+              "other_write": 1},
+    "prune": {"tubes_read": 1, "tubes_write": 1},
+    "localize": {"tubes_read": 1, "other_read": 1, "tubes_write": 1},
+    "evaluate": {"tubes_read": 1, "other_read": 1, "other_write": 1},
+}
 
-def test_traced_stages_record_their_spans(tmp_path, child_env):
+
+def trace_stages(tmp_path, env, stages, *overrides):
+    """Each stage's trace, the stages run in order into one directory."""
     out = tmp_path / "run"
-    spans, counts = {}, {}
-    for stage in STAGES:
+    traces = {}
+    for stage in stages:
         trace = tmp_path / f"{stage}.json"
         result = subprocess.run(
             [sys.executable, str(TRACE_STAGE), str(trace), stage,
-             "--out", str(out), *TINY],
-            capture_output=True, text=True, env=child_env)
+             "--out", str(out), *TINY, *overrides],
+            capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        traced = json.loads(trace.read_text())
+        traces[stage] = json.loads(trace.read_text())
+    return traces
+
+
+def formats_calls(traced):
+    return {name.removeprefix("formats."): span["calls"]
+            for name, span in traced["spans"].items()
+            if name.startswith("formats.")}
+
+
+def test_traced_stages_record_their_spans(tmp_path, child_env):
+    traces = trace_stages(tmp_path, child_env, STAGES)
+    spans = {}
+    for traced in traces.values():
         spans.update(traced["spans"])
-        counts[stage] = traced["counts"]
     for name in ("synth.match", "fusion.fuse", "tracker.build_tubes",
                  "scoring.score_clips", "scoring.prune_overlapped",
                  "temporal.localize", "evaluation.evaluate"):
         assert spans[name]["calls"] > 0, name
     # the counted primitives must still be reached through their names
+    counts = {stage: traced["counts"] for stage, traced in traces.items()}
     assert counts["evaluate"].get("geometry.st_iou", 0) > 0
     assert counts["evaluate"].get("geometry.iou", 0) > 0
     assert counts["score"].get("geometry.iou", 0) > 0
+    for stage, traced in traces.items():
+        assert formats_calls(traced) == FORMATS_CALLS[stage], stage
+
+
+def test_drift_tubes_are_a_tubes_span(tmp_path, child_env):
+    traces = trace_stages(tmp_path, child_env, STAGES[:4],
+                          "--stage-override", "synth.drift_rate=0.5")
+    assert formats_calls(traces["synth"]) == \
+        {**FORMATS_CALLS["synth"], "tubes_write": 1}
+    assert formats_calls(traces["score"]) == \
+        {**FORMATS_CALLS["score"], "tubes_read": 2}

@@ -17,7 +17,7 @@ from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
                                SyntheticFeaturizer, SyntheticRegionScorer,
                                analytic_weights, generate, home_region,
-                               inject_drift, is_injected, video_flow)
+                               inject_drift, video_flow)
 from actiontubes.tracker import TrackerConfig, build_tubes, match_ratio
 
 
@@ -477,7 +477,7 @@ class TestDrift:
         injected = [t for ts in bundle.drift_tubes.values() for t in ts]
         assert len(injected) == 3
         for tube in injected:
-            assert is_injected(tube)
+            assert tube.tube_id.startswith("drift")
             video = next(v for v in bundle.videos
                          if v.video_id == tube.video_id)
             for gt in video.gt_tubes:
@@ -520,7 +520,7 @@ class TestDrift:
     def test_real_tubes_not_flagged(self):
         tube = Tube("v000", "t0", 0, (BoundingBox(0, 0, 5, 5),), ((1.0,),),
                     (Source.STATIC,))
-        assert not is_injected(tube)
+        assert not tube.tube_id.startswith("drift")
 
 
 class TestFlowGrids:
