@@ -179,7 +179,7 @@ _DECLARATIONS = [
      "tube recall overlap threshold"),
     ("eval.taxonomy_sigma", 0.5, _parse_float(0.0, 1.0, lo_open=True),
      "false positive taxonomy overlap threshold"),
-    ("eval.taxonomy_floor", 0.1, _parse_float(0.0, 1.0),
+    ("eval.taxonomy_floor", 0.1, _parse_float(0.0, 1.0, lo_open=True),
      "minimum overlap counting as localized at all"),
     ("eval.fpr_cap", 0.6, _parse_float(0.0, 1.0, lo_open=True),
      "false positive rate integration cap"),

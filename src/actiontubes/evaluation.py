@@ -22,9 +22,6 @@ from .geometry import iou, st_iou
 from .model import BoundingBox, GroundTruthTube, Tube
 from .scoring import require_scored
 
-MODES = ("video", "frame")
-
-
 @dataclass(frozen=True)
 class BoxPrediction:
     """A single-frame prediction carrying one class label and a score."""
@@ -91,20 +88,65 @@ def _check_sigma(sigma: float) -> None:
         raise InputError(f"IOU threshold must be in (0, 1], got {sigma}")
 
 
-def _tube_records(tubes: Sequence[Tube]):
-    records = []
-    for tube in tubes:
-        records.append((tube.video_id, tube.label, require_scored(tube),
-                        tube))
-    return records
+@dataclass(frozen=True)
+class _OverlapTable:
+    """Every overlap one matching mode needs, each computed once.
+
+    rows holds the predictions in rank order (descending score, input
+    order on ties) as (label, score, overlaps); overlaps pairs the
+    index of each ground-truth item on the prediction's video (video
+    mode) or frame (frame mode), of any class, with its overlap, in
+    ground-truth order.  gt_labels is parallel to the ground-truth
+    items, which in frame mode are the per-frame boxes of every tube.
+    """
+
+    rows: tuple[tuple[int, float, tuple[tuple[int, float], ...]], ...]
+    gt_labels: tuple[int, ...]
 
 
-def _exploded_gt(ground_truth: Sequence[GroundTruthTube]):
-    out = []
-    for gt in ground_truth:
-        for frame, box in gt.iter_frames():
-            out.append(((gt.video_id, frame), gt.label, box))
-    return out
+def _overlap_table(predictions, ground_truth: Sequence[GroundTruthTube],
+                   mode: str) -> _OverlapTable:
+    if mode == "video":
+        preds = [(t.video_id, t.label, require_scored(t), t)
+                 for t in predictions]
+        gts = [(gt.video_id, gt.label, gt) for gt in ground_truth]
+        overlap = st_iou
+    elif mode == "frame":
+        preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
+                 for p in predictions]
+        gts = [((gt.video_id, frame), gt.label, box)
+               for gt in ground_truth for frame, box in gt.iter_frames()]
+        overlap = iou
+    else:
+        raise InputError(f"unknown matching mode: {mode!r}")
+
+    by_bucket: dict = {}
+    for j, (key, _, _) in enumerate(gts):
+        by_bucket.setdefault(key, []).append(j)
+    rows = []
+    # A stable sort: score ties keep input order.
+    for key, label, score, payload in sorted(preds, key=lambda p: -p[2]):
+        rows.append((label, float(score), tuple(
+            (j, overlap(payload, gts[j][2]))
+            for j in by_bucket.get(key, ()))))
+    return _OverlapTable(tuple(rows), tuple(g[1] for g in gts))
+
+
+def _greedy_match(table: _OverlapTable, sigma: float) -> MatchResult:
+    claimed = [False] * len(table.gt_labels)
+    outcomes = []
+    for label, score, overlaps in table.rows:
+        best_j = None
+        best_ov = sigma
+        for j, ov in overlaps:
+            if ov > best_ov and not claimed[j] \
+                    and table.gt_labels[j] == label:
+                best_j, best_ov = j, ov
+        if best_j is not None:
+            claimed[best_j] = True
+        outcomes.append(MatchOutcome(label, score, best_j is not None,
+                                     best_j))
+    return MatchResult(tuple(outcomes), table.gt_labels, tuple(claimed))
 
 
 def match_and_label(predictions, ground_truth: Sequence[GroundTruthTube],
@@ -118,42 +160,8 @@ def match_and_label(predictions, ground_truth: Sequence[GroundTruthTube],
     frame mode they are BoxPrediction records.
     """
     _check_sigma(sigma)
-    if mode == "video":
-        preds = _tube_records(predictions)
-        gts = [(gt.video_id, gt.label, gt) for gt in ground_truth]
-        overlap = st_iou
-    elif mode == "frame":
-        preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
-                 for p in predictions]
-        gts = _exploded_gt(ground_truth)
-        overlap = iou
-    else:
-        raise InputError(f"unknown matching mode: {mode!r}")
-
-    by_bucket: dict = {}
-    for j, (key, _, _) in enumerate(gts):
-        by_bucket.setdefault(key, []).append(j)
-
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], i))
-    claimed = [False] * len(gts)
-    outcomes = []
-    for i in order:
-        key, label, score, payload = preds[i]
-        best_j = None
-        best_ov = sigma
-        for j in by_bucket.get(key, ()):
-            if claimed[j] or gts[j][1] != label:
-                continue
-            ov = overlap(payload, gts[j][2])
-            if ov > best_ov:
-                best_j, best_ov = j, ov
-        if best_j is None:
-            outcomes.append(MatchOutcome(label, float(score), False, None))
-        else:
-            claimed[best_j] = True
-            outcomes.append(MatchOutcome(label, float(score), True, best_j))
-    return MatchResult(tuple(outcomes), tuple(g[1] for g in gts),
-                       tuple(claimed))
+    return _greedy_match(_overlap_table(predictions, ground_truth, mode),
+                         sigma)
 
 
 def average_precision(tp_flags: Sequence[bool], num_gt: int) -> float:
@@ -242,26 +250,22 @@ def recall_track(tubes: Sequence[Tube],
                  sigma: float = 0.5) -> float:
     """Fraction of ground-truth tubes covered by some same-class tube.
 
-    Coverage means spatio-temporal IOU of at least sigma; scores are
-    ignored.  Vacuously 1.0 without ground truth.
+    Coverage means spatio-temporal IOU of at least sigma.  Every tube
+    must be labeled and scored.  Vacuously 1.0 without ground truth.
     """
     _check_sigma(sigma)
-    if not ground_truth:
+    return _covered_fraction(_overlap_table(tubes, ground_truth, "video"),
+                             sigma)
+
+
+def _covered_fraction(table: _OverlapTable, sigma: float) -> float:
+    if not table.gt_labels:
         return 1.0
-    by_video: dict[str, list[Tube]] = {}
-    for tube in tubes:
-        if tube.label is None:
-            raise InputError(
-                f"tube {tube.tube_id!r} in {tube.video_id!r} has no label; "
-                f"recall-track needs labeled tubes")
-        by_video.setdefault(tube.video_id, []).append(tube)
-    covered = 0
-    for gt in ground_truth:
-        for tube in by_video.get(gt.video_id, ()):
-            if tube.label == gt.label and st_iou(tube, gt) >= sigma:
-                covered += 1
-                break
-    return covered / len(ground_truth)
+    covered = set()
+    for label, _, overlaps in table.rows:
+        covered.update(j for j, ov in overlaps
+                       if ov >= sigma and table.gt_labels[j] == label)
+    return len(covered) / len(table.gt_labels)
 
 
 @dataclass(frozen=True)
@@ -294,41 +298,27 @@ def false_taxonomy(predictions: Sequence[BoxPrediction],
     if not 0.0 < overlap_floor <= 1.0:
         raise InputError(
             f"overlap floor must be in (0, 1], got {overlap_floor}")
-    result = match_and_label(predictions, ground_truth, sigma, mode="frame")
+    return _false_counts(_overlap_table(predictions, ground_truth, "frame"),
+                         sigma, overlap_floor)
 
-    gts = _exploded_gt(ground_truth)
-    gt_by_key: dict = {}
-    for j, (key, _, _) in enumerate(gts):
-        gt_by_key.setdefault(key, []).append(j)
-    pred_by_key: dict = {}
-    for p in predictions:
-        pred_by_key.setdefault((p.video_id, p.frame_index), []).append(p)
 
-    order = sorted(range(len(predictions)),
-                   key=lambda i: (-predictions[i].score, i))
+def _false_counts(table: _OverlapTable, sigma: float,
+                  overlap_floor: float) -> FalseCounts:
+    result = _greedy_match(table, sigma)
     false_cls = false_bbox = 0
-    for outcome, i in zip(result.outcomes, order):
+    near = set()
+    for outcome, (label, _, overlaps) in zip(result.outcomes, table.rows):
+        near.update(j for j, ov in overlaps if ov >= overlap_floor)
         if outcome.tp:
             continue
-        pred = predictions[i]
-        best_ov, best_label = 0.0, None
-        for j in gt_by_key.get((pred.video_id, pred.frame_index), ()):
-            ov = iou(pred.box, gts[j][2])
-            if ov > best_ov:
-                best_ov, best_label = ov, gts[j][1]
-        if best_ov >= sigma and best_label != pred.label:
+        # The earliest item of the highest overlap, of any class.
+        j, ov = max(overlaps, key=lambda pair: pair[1], default=(None, 0.0))
+        if ov >= sigma and table.gt_labels[j] != label:
             false_cls += 1
         else:
             false_bbox += 1
-
-    false_neg = 0
-    for j, matched in enumerate(result.gt_matched):
-        if matched:
-            continue
-        key, _, box = gts[j]
-        if not any(iou(p.box, box) >= overlap_floor
-                   for p in pred_by_key.get(key, ())):
-            false_neg += 1
+    false_neg = sum(1 for j, matched in enumerate(result.gt_matched)
+                    if not matched and j not in near)
     return FalseCounts(false_cls, false_bbox, false_neg, result.tp_count)
 
 
@@ -411,16 +401,22 @@ def _class_name(label: int, names: Mapping[int, str] | None) -> str:
 
 def evaluate(tubes: Sequence[Tube], ground_truth: Sequence[GroundTruthTube],
              config: EvalConfig = EvalConfig()) -> EvalReport:
-    """Compute every metric for a final set of scored tubes."""
+    """Compute every metric for a final set of scored tubes.
+
+    Each overlap is computed once per mode; matching at every sigma,
+    recall-track and the false-detection split all read those tables.
+    """
     boxes = box_predictions_from_tubes(tubes)
+    video = _overlap_table(tubes, ground_truth, "video")
+    frame = _overlap_table(boxes, ground_truth, "frame")
     sigmas = tuple(float(s) for s in config.iou_thresholds)
     video_ap, video_map, frame_ap, frame_map, auc = {}, {}, {}, {}, {}
     for s in sigmas:
-        vres = match_and_label(tubes, ground_truth, s, mode="video")
+        vres = _greedy_match(video, s)
         video_ap[s] = class_average_precisions(vres)
         video_map[s] = mean_average_precision(vres)
         auc[s] = auc_from_outcomes(vres.outcomes, vres.num_gt, config.fpr_cap)
-        fres = match_and_label(boxes, ground_truth, s, mode="frame")
+        fres = _greedy_match(frame, s)
         frame_ap[s] = class_average_precisions(fres)
         frame_map[s] = mean_average_precision(fres)
     return EvalReport(
@@ -430,9 +426,7 @@ def evaluate(tubes: Sequence[Tube], ground_truth: Sequence[GroundTruthTube],
         frame_ap=frame_ap,
         frame_map=frame_map,
         auc=auc,
-        recall_track=recall_track(tubes, ground_truth,
-                                  config.recall_track_sigma),
-        false_counts=false_taxonomy(boxes, ground_truth,
-                                    config.taxonomy_sigma,
-                                    config.taxonomy_floor),
+        recall_track=_covered_fraction(video, config.recall_track_sigma),
+        false_counts=_false_counts(frame, config.taxonomy_sigma,
+                                   config.taxonomy_floor),
     )

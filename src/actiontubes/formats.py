@@ -47,6 +47,7 @@ MAGIC_WORD = "actiontubes"
 FORMAT_VERSION = 1
 
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_.:-]+\Z")
+_INT_PATTERN = re.compile(r"-?[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -178,21 +179,37 @@ def read_records(path, kind: str) -> list[tuple[int, tuple[str, ...]]]:
     return out
 
 
+def _integer(value: str) -> int:
+    """A label or clip length: ASCII base-10 digits after at most one
+    leading ``-``; ``ValueError`` otherwise."""
+    if _INT_PATTERN.match(value) is None:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _parse_int(value: str, path, line: int, field: str) -> int:
     try:
-        return int(value)
-    except ValueError:
-        raise SchemaError(f"not an integer: {value!r}",
-                          path=str(path), line=line, field=field) from None
+        return _integer(value)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path=str(path), line=line,
+                          field=field) from None
 
 
 def _parse_frame(value: str, path, line: int, field: str = "frame") -> int:
-    """A frame index: a non-negative integer in ASCII base-10 digits."""
-    if not (value.isascii() and value.isdigit()):
-        _parse_int(value, path, line, field)
-        raise SchemaError(f"not a non-negative base-10 integer: {value!r}",
-                          path=str(path), line=line, field=field)
-    return _parse_int(value, path, line, field)
+    """A frame index: a non-negative integer in ASCII base-10 digits.
+
+    A value Python reads as an integer in another form (``-2``, ``+3``,
+    `` 3``) is reported as such, anything else as not an integer.
+    """
+    if value.isascii() and value.isdigit():
+        return int(value)
+    try:
+        int(value)
+    except ValueError:
+        raise SchemaError(f"not an integer: {value!r}",
+                          path=str(path), line=line, field=field) from None
+    raise SchemaError(f"not a non-negative base-10 integer: {value!r}",
+                      path=str(path), line=line, field=field)
 
 
 def _parse_float(value: str, path, line: int, field: str) -> float:
@@ -312,6 +329,13 @@ def _frame_column(values: list[str]) -> list[int]:
     digits = "".join(values)
     if not (digits.isascii() and digits.isdigit() and all(values)):
         raise ValueError("invalid frame")
+    return list(map(int, values))
+
+
+def _int_column(values: list[str]) -> list[int]:
+    """Integers, each in the form ``_integer`` takes."""
+    if not all(map(_INT_PATTERN.match, set(values))):
+        raise ValueError("invalid integer")
     return list(map(int, values))
 
 
@@ -520,7 +544,7 @@ def read_tubes(path) -> list[Tube]:
             tubes.append(Tube(
                 video_id, tube_id, start, columns["boxes"][rows],
                 columns["scores"][rows], columns["sources"][rows],
-                label=None if label == "-" else int(label),
+                label=None if label == "-" else _integer(label),
                 score=None if score == "-" else float(score)))
         return tubes
 
@@ -591,7 +615,7 @@ def _parse_gt_block(text: dict) -> dict[str, list]:
     """A block's keys, frames, boxes and labels."""
     return {"keys": _key_column(text), "frames": _frame_column(text["frame"]),
             "boxes": _box_column(text),
-            "labels": list(map(int, text["label"]))}
+            "labels": _int_column(text["label"])}
 
 
 def _check_gt_tubes(path, rows: _Rows) -> None:
@@ -647,7 +671,7 @@ def _parse_clip_block(text: dict) -> dict[str, list]:
     """A block's keys, clip lengths, clip starts and ends and score
     tuples."""
     return {"keys": _key_column(text),
-            "lengths": list(map(int, text["clip_length"])),
+            "lengths": _int_column(text["clip_length"]),
             "starts": _frame_column(text["start"]),
             "ends": _frame_column(text["end"]),
             "scores": _score_column(text["scores"])}

@@ -166,3 +166,88 @@ def softmax_reference(values):
     v = np.asarray(values, dtype=np.float64)
     e = np.exp(v - np.max(v))
     return e / np.sum(e)
+
+
+def greedy_match_reference(preds, truth, sigma, overlap):
+    """Greedy TP/FP matching, one prediction at a time.
+
+    preds are (group, label, score, payload) and truth (group, label,
+    payload) tuples, a group being a video or a (video, frame) pair;
+    overlap(payload, payload) is the measure.  Predictions go by
+    descending score, earlier input first on equal scores.  Each takes
+    the unclaimed same-group, same-label item whose overlap is highest
+    and strictly above sigma, the earliest one on equal overlaps.
+    Returns the (prediction index, truth index or None) pairs in that
+    order and the claimed flag of every truth item.
+    """
+    ranked = []
+    for i, pred in enumerate(preds):
+        at = len(ranked)
+        while at > 0 and preds[ranked[at - 1]][2] < pred[2]:
+            at -= 1
+        ranked.insert(at, i)
+    claimed = [False] * len(truth)
+    pairs = []
+    for i in ranked:
+        group, label, _, payload = preds[i]
+        open_items = [j for j, (g, lab, _) in enumerate(truth)
+                      if g == group and lab == label and not claimed[j]]
+        overlaps = {j: overlap(payload, truth[j][2]) for j in open_items}
+        above = {j: ov for j, ov in overlaps.items() if ov > sigma}
+        if not above:
+            pairs.append((i, None))
+            continue
+        best = max(above.values())
+        j = min(j for j, ov in above.items() if ov == best)
+        claimed[j] = True
+        pairs.append((i, j))
+    return pairs, claimed
+
+
+def recall_track_reference(tubes, truth, sigma, overlap) -> float:
+    """Share of truth tubes some same-video, same-label tube overlaps by
+    at least sigma; 1.0 without truth."""
+    if not truth:
+        return 1.0
+    covered = 0
+    for gt in truth:
+        if any(t.video_id == gt.video_id and t.label == gt.label
+               and overlap(t, gt) >= sigma for t in tubes):
+            covered += 1
+    return covered / len(truth)
+
+
+def false_split_reference(boxes, truth, sigma, floor, overlap):
+    """(false_cls, false_bbox, false_neg, true positives) of per-frame
+    predictions with video_id, frame_index, box, label and score.
+
+    A false positive whose best overlap with a box on its frame, of any
+    class and the earliest on equal overlaps, reaches sigma under
+    another label is false_cls, any other false_bbox.  An unclaimed
+    truth box no prediction on its frame overlaps by at least floor is
+    false_neg.
+    """
+    items = [((gt.video_id, frame), gt.label, box)
+             for gt in truth for frame, box in gt.iter_frames()]
+    preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
+             for p in boxes]
+    pairs, claimed = greedy_match_reference(preds, items, sigma, overlap)
+    false_cls = false_bbox = 0
+    for i, j in pairs:
+        if j is not None:
+            continue
+        group, label, _, box = preds[i]
+        here = [k for k, item in enumerate(items) if item[0] == group]
+        overlaps = [overlap(box, items[k][2]) for k in here]
+        best = max(overlaps, default=0.0)
+        if best >= sigma and items[here[overlaps.index(best)]][1] != label:
+            false_cls += 1
+        else:
+            false_bbox += 1
+    false_neg = 0
+    for k, (group, _, box) in enumerate(items):
+        if not claimed[k] and all(overlap(p[3], box) < floor
+                                  for p in preds if p[0] == group):
+            false_neg += 1
+    tp = sum(1 for _, j in pairs if j is not None)
+    return false_cls, false_bbox, false_neg, tp

@@ -43,6 +43,7 @@ class TestRegistry:
         ("eval.sigmas", "0.5,0.3"),
         ("eval.sigmas", ""),
         ("eval.fpr_cap", "0"),
+        ("eval.taxonomy_floor", "0"),
         ("track.search_radius", "inf"),
         ("synth.feature_margin", "inf"),
     ])

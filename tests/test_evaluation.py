@@ -1,8 +1,10 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from actiontubes import evaluation
 from actiontubes.errors import InputError
 from actiontubes.evaluation import (BoxPrediction, EvalConfig,
                                     auc_from_outcomes, average_precision,
@@ -13,7 +15,8 @@ from actiontubes.evaluation import (BoxPrediction, EvalConfig,
 from actiontubes.geometry import iou, st_iou
 from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
                                Source, Tube)
-from oracles import ap_reference
+from oracles import (ap_reference, false_split_reference,
+                     greedy_match_reference, recall_track_reference)
 
 
 def gt(video, label, start, boxes):
@@ -154,6 +157,84 @@ class TestMatching:
             match_and_label([], [], 0.5, mode="clip")
         with pytest.raises(InputError):
             match_and_label([], [], 0.0, mode="frame")
+
+
+# Boxes whose IOUs with each other are exactly 0.5, 1/3, 0.25, 0.2,
+# 0.125 and 0, so that drawing from them alone ties overlaps often and
+# lands on the thresholds.
+PALETTE = (BoundingBox(0, 0, 20, 20), BoundingBox(0, 0, 20, 10),
+           BoundingBox(10, 0, 30, 20), BoundingBox(0, 0, 40, 40),
+           BoundingBox(50, 50, 70, 70))
+
+
+def tie_heavy_case(rng, max_length):
+    """Tubes and truth tubes of two videos over PALETTE boxes, two
+    classes and three scores, so that scores and overlaps tie often."""
+    def boxes(n):
+        return [PALETTE[i] for i in rng.integers(0, len(PALETTE), n)]
+    tubes, truth = [], []
+    for video in ("v0", "v1"):
+        for k in range(int(rng.integers(0, 4))):
+            truth.append(GroundTruthTube(
+                video, f"g{k}", int(rng.integers(0, 2)),
+                int(rng.integers(0, 4)),
+                tuple(boxes(int(rng.integers(1, max_length + 1))))))
+        for k in range(int(rng.integers(0, 6))):
+            tubes.append(tube_from_boxes(
+                video, f"t{k}", int(rng.integers(0, 4)),
+                boxes(int(rng.integers(1, max_length + 1))),
+                int(rng.integers(0, 2)),
+                float(rng.choice([0.3, 0.6, 0.9]))))
+    return tubes, truth
+
+
+class TestAgainstReference:
+    """Matching, recall-track and the false-detection split equal the
+    one-prediction-at-a-time references of ``oracles`` on cases full
+    of score and overlap ties."""
+
+    SIGMAS = (0.05, 0.25, 0.5, 0.7)
+
+    @staticmethod
+    def assert_match_equal(result, preds, items, sigma, overlap):
+        pairs, claimed = greedy_match_reference(preds, items, sigma, overlap)
+        assert [(o.label, o.score, o.tp, o.gt_index)
+                for o in result.outcomes] == \
+            [(preds[i][1], preds[i][2], j is not None, j) for i, j in pairs]
+        assert result.gt_matched == tuple(claimed)
+        assert result.gt_labels == tuple(item[1] for item in items)
+
+    def test_video_mode_and_recall_track(self):
+        rng = np.random.default_rng(71)
+        for _ in range(80):
+            tubes, truth = tie_heavy_case(rng, max_length=4)
+            preds = [(t.video_id, t.label, t.score, t) for t in tubes]
+            items = [(g.video_id, g.label, g) for g in truth]
+            for sigma in self.SIGMAS:
+                self.assert_match_equal(
+                    match_and_label(tubes, truth, sigma, mode="video"),
+                    preds, items, sigma, st_iou)
+                assert recall_track(tubes, truth, sigma) == \
+                    recall_track_reference(tubes, truth, sigma, st_iou)
+
+    def test_frame_mode_and_false_split(self):
+        rng = np.random.default_rng(73)
+        for _ in range(80):
+            tubes, truth = tie_heavy_case(rng, max_length=2)
+            boxes = box_predictions_from_tubes(tubes)
+            preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
+                     for p in boxes]
+            items = [((g.video_id, frame), g.label, box)
+                     for g in truth for frame, box in g.iter_frames()]
+            for sigma in self.SIGMAS:
+                self.assert_match_equal(
+                    match_and_label(boxes, truth, sigma, mode="frame"),
+                    preds, items, sigma, iou)
+                for floor in (0.125, 0.5):
+                    fc = false_taxonomy(boxes, truth, sigma, floor)
+                    assert (fc.false_cls, fc.false_bbox, fc.false_neg,
+                            fc.true_positives) == \
+                        false_split_reference(boxes, truth, sigma, floor, iou)
 
 
 class TestAveragePrecision:
@@ -430,6 +511,42 @@ class TestEvalReport:
         assert len(lines) == 4
         assert lines[1].startswith("walk")
         assert lines[-1].startswith("mAP")
+
+    def test_each_overlap_computed_once(self, monkeypatch):
+        """One st_iou per (tube, same-video truth tube) and one iou per
+        (box prediction, same-frame truth box), whatever the sigmas."""
+        def moving(shift, start, length):
+            return [BoundingBox(10 + 2 * f + shift, 10, 60 + 2 * f + shift,
+                                60) for f in range(start, start + length)]
+        truth = [gt("v0", 0, 0, moving(0, 0, 8)),
+                 gt("v0", 1, 4, moving(5, 4, 8)),
+                 gt("v1", 0, 2, moving(0, 2, 6))]
+        tubes = [tube_from_boxes("v0", "t0", 0, moving(1, 0, 8), 0, 0.9),
+                 tube_from_boxes("v0", "t1", 3, moving(4, 3, 9), 1, 0.9),
+                 tube_from_boxes("v0", "t2", 6, moving(0, 6, 4), 0, 0.5),
+                 tube_from_boxes("v1", "t0", 0, moving(2, 0, 5), 0, 0.7),
+                 tube_from_boxes("v2", "t0", 0, moving(0, 0, 3), 1, 0.8)]
+        calls = {"st_iou": Counter(), "iou": Counter()}
+        for name, seen in calls.items():
+            def counted(a, b, real=getattr(evaluation, name), seen=seen):
+                seen[id(a), id(b)] += 1
+                return real(a, b)
+            monkeypatch.setattr(evaluation, name, counted)
+        evaluate(tubes, truth, EvalConfig(iou_thresholds=(0.1, 0.3, 0.7),
+                                          recall_track_sigma=0.25,
+                                          taxonomy_sigma=0.4,
+                                          taxonomy_floor=0.05))
+        assert calls["st_iou"] == Counter(
+            (id(t), id(g)) for t in tubes for g in truth
+            if t.video_id == g.video_id)
+        assert calls["iou"] == Counter(
+            (id(box), id(truth_box)) for t in tubes
+            for frame, box in t.iter_frames() for g in truth
+            for truth_frame, truth_box in g.iter_frames()
+            if (t.video_id, frame) == (g.video_id, truth_frame))
+        # Shared frames: t0, t1, t2 with the v0 truth 12 + 13 + 6, and
+        # 3 in v1; each box is a distinct object, so each pair once.
+        assert len(calls["iou"]) == 34
 
     def test_config_validation(self):
         with pytest.raises(InputError):

@@ -5,6 +5,7 @@ single output byte.  Each scenario runs all seven stages in-process on
 a tiny input and compares the sha256 of six files against digests
 recorded before that work began (see CHANGES.md).  A change that means
 to alter these bytes must update the digests and justify it there.
+The metrics are pinned under non-default evaluation keys too.
 """
 
 import contextlib
@@ -81,14 +82,41 @@ GOLDEN = {
     },
 }
 
+# Keys the evaluate stage is re-run under; the taxonomy sigma is none of
+# the sigmas, so the false-detection split matches at a threshold of
+# its own.
+EVAL_OVERRIDES = {"eval.sigmas": "0.1,0.3,0.7", "eval.taxonomy_sigma": 0.4,
+                  "eval.recall_sigma": 0.25, "eval.taxonomy_floor": 0.05}
+
+EVAL_GOLDEN = {
+    "noisy": "236fc00d1f1579616d8a16768eedc994"
+             "5a7fbbf50d42dc4d20b5a2b9951a61db",
+    "crowd": "eecd2dc1781161800d561849db72a4c8"
+             "513d89bc8113c11ed7410b8145412d6e",
+}
+
+
+def _run_stages(stages, out, settings) -> None:
+    overrides = [arg for key, value in settings.items()
+                 for arg in ("--stage-override", f"{key}={value}")]
+    for stage in stages:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([stage, "--out", str(out), *overrides]) == 0
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stage_outputs_match_golden_digests(name, tmp_path):
-    overrides = [arg for key, value in SCENARIOS[name].items()
-                 for arg in ("--stage-override", f"{key}={value}")]
-    for stage in PIPELINE_ORDER:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main([stage, "--out", str(tmp_path), *overrides]) == 0
-    digests = {file: hashlib.sha256((tmp_path / file).read_bytes())
-               .hexdigest() for file in GOLDEN[name]}
+    _run_stages(PIPELINE_ORDER, tmp_path, SCENARIOS[name])
+    digests = {file: _digest(tmp_path / file) for file in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_GOLDEN))
+def test_metrics_under_other_eval_keys_match_golden_digest(name, tmp_path):
+    _run_stages(PIPELINE_ORDER, tmp_path, SCENARIOS[name])
+    _run_stages(["evaluate"], tmp_path, {**SCENARIOS[name], **EVAL_OVERRIDES})
+    assert _digest(tmp_path / "metrics.tsv") == EVAL_GOLDEN[name]

@@ -401,6 +401,16 @@ TUBE_CORRUPTIONS = {
                   "non-finite value: 'nan'", 6, "score"),
     "bad_label": ({(3, "label"): "zero", (4, "label"): "zero"},
                   "not an integer: 'zero'", 6, "label"),
+    "label_with_plus": ({(0, "label"): "+1", (1, "label"): "+1",
+                         (2, "label"): "+1"},
+                        "not an integer: '+1'", 3, "label"),
+    "label_with_space": ({(3, "label"): " 0", (4, "label"): " 0"},
+                         "not an integer: ' 0'", 6, "label"),
+    "label_other_digits": ({(3, "label"): "٤", (4, "label"): "٤"},
+                           "not an integer: '٤'", 6, "label"),
+    "label_with_underscore": ({(0, "label"): "4_0", (1, "label"): "4_0",
+                               (2, "label"): "4_0"},
+                              "not an integer: '4_0'", 3, "label"),
     "unequal_class_counts": ({(1, "scores"): "0.3,0.6,0.1"},
                              "tube class score vectors differ in class "
                              "count", 3, "scores"),
@@ -543,6 +553,11 @@ class TestTubeReaderErrors:
 
     @pytest.mark.parametrize("edits, message, line, field", [
         ({(1, 2): "x"}, "not an integer: 'x'", 4, "label"),
+        ({(0, 2): " 1", (1, 2): "+1"}, "not an integer: ' 1'", 3, "label"),
+        ({(1, 2): "+1"}, "not an integer: '+1'", 4, "label"),
+        ({(0, 2): "٤", (1, 2): "٤"}, "not an integer: '٤'", 3, "label"),
+        ({(0, 2): "4_0", (1, 2): "4_0"}, "not an integer: '4_0'", 3,
+         "label"),
         ({(1, 2): "2"}, "ground truth tube 'a0' has conflicting labels",
          4, "label"),
         ({(0, 2): "-1", (1, 2): "-1"},
@@ -670,6 +685,17 @@ RECORD_CORRUPTIONS = {
                     "invalid identifier 't/1'", 5, "tube_id"),
         "bad_clip_length": ({(1, "clip_length"): "four"},
                             "not an integer: 'four'", 4, "clip_length"),
+        "clip_length_with_plus": ({(1, "clip_length"): "+4"},
+                                  "not an integer: '+4'", 4, "clip_length"),
+        "clip_length_with_space": ({(0, "clip_length"): " 4"},
+                                   "not an integer: ' 4'", 3,
+                                   "clip_length"),
+        "clip_length_other_digits": ({(4, "clip_length"): "٤"},
+                                     "not an integer: '٤'", 7,
+                                     "clip_length"),
+        "clip_length_with_underscore": ({(4, "clip_length"): "4_0"},
+                                        "not an integer: '4_0'", 7,
+                                        "clip_length"),
         "bad_start": ({(3, "start"): "8.0"},
                       "not an integer: '8.0'", 6, "start"),
         "negative_end": ({(2, "end"): "-4"},
