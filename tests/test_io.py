@@ -553,17 +553,17 @@ class TestTubeReaderErrors:
 
     @pytest.mark.parametrize("edits, message, line, field", [
         ({(1, 2): "x"}, "not an integer: 'x'", 4, "label"),
-        ({(0, 2): " 1", (1, 2): "+1"}, "not an integer: ' 1'", 3, "label"),
-        ({(1, 2): "+1"}, "not an integer: '+1'", 4, "label"),
-        ({(0, 2): "٤", (1, 2): "٤"}, "not an integer: '٤'", 3, "label"),
-        ({(0, 2): "4_0", (1, 2): "4_0"}, "not an integer: '4_0'", 3,
-         "label"),
         ({(1, 2): "2"}, "ground truth tube 'a0' has conflicting labels",
          4, "label"),
         ({(0, 2): "-1", (1, 2): "-1"},
          "label must be non-negative, got -1", 3, "label"),
         ({(1, 5): "inf"}, "non-finite value: 'inf'", 4, "y0"),
         ({(1, 3): "3"}, "tube 'a0' skips frame 2", 4, "frame"),
+        ({(0, 2): " 1", (1, 2): "+1"}, "not an integer: ' 1'", 3, "label"),
+        ({(1, 2): "+1"}, "not an integer: '+1'", 4, "label"),
+        ({(0, 2): "٤", (1, 2): "٤"}, "not an integer: '٤'", 3, "label"),
+        ({(0, 2): "4_0", (1, 2): "4_0"}, "not an integer: '4_0'", 3,
+         "label"),
     ])
     def test_ground_truth_corruption(self, tmp_path, edits, message, line,
                                      field):
