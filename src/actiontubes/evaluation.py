@@ -94,9 +94,11 @@ class _OverlapTable:
 
     rows holds the predictions in rank order (descending score, input
     order on ties) as (label, score, overlaps); overlaps pairs the
-    index of each ground-truth item on the prediction's video (video
-    mode) or frame (frame mode), of any class, with its overlap, in
-    ground-truth order.  gt_labels is parallel to the ground-truth
+    index of each ground-truth item on the prediction's video and of
+    its class (video mode: matching and recall-track read no other
+    pair), or on its frame and of any class (frame mode: the
+    false-detection split reads the other classes), with its overlap,
+    in ground-truth order.  gt_labels is parallel to the ground-truth
     items, which in frame mode are the per-frame boxes of every tube.
     """
 
@@ -107,9 +109,10 @@ class _OverlapTable:
 def _overlap_table(predictions, ground_truth: Sequence[GroundTruthTube],
                    mode: str) -> _OverlapTable:
     if mode == "video":
-        preds = [(t.video_id, t.label, require_scored(t), t)
+        preds = [((t.video_id, t.label), t.label, require_scored(t), t)
                  for t in predictions]
-        gts = [(gt.video_id, gt.label, gt) for gt in ground_truth]
+        gts = [((gt.video_id, gt.label), gt.label, gt)
+               for gt in ground_truth]
         overlap = st_iou
     elif mode == "frame":
         preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)

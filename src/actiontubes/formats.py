@@ -73,14 +73,6 @@ SCHEMAS = {
 }
 
 
-def _format_float(value) -> str:
-    return repr(float(value))
-
-
-def _format_scores(scores: Sequence[float]) -> str:
-    return ",".join(_format_float(s) for s in scores)
-
-
 def _check_id(value: str, path, line: int | None, field: str) -> str:
     if not _ID_PATTERN.match(value):
         raise SchemaError(f"invalid identifier {value!r}",
@@ -368,13 +360,14 @@ def write_detections(path,
         _check_id(video_id, str(path), None, "video_id")
         for det in dets:
             rows.append((video_id, det.frame_index, det.score,
-                         det.box.as_tuple(), det.source.name.lower(),
+                         det.box.as_tuple(), det.source.value,
                          det.class_scores))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
-    write_records(path, "detections", (
-        (vid, str(frame), *map(_format_float, box), source,
-         _format_scores(scores))
-        for vid, frame, _, box, source, scores in rows))
+    rows.sort()
+    with _record_file(path, "detections") as fh:
+        for vid, frame, _, (x0, y0, x1, y1), source, scores in rows:
+            fh.write(f"{vid}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
+                     f"\t{float(x1)!r}\t{float(y1)!r}\t{source}"
+                     f"\t{','.join(map(repr, scores))}\n")
 
 
 def read_detections(path) -> dict[str, list[Detection]]:
@@ -415,12 +408,17 @@ def write_proposals(
         _check_id(video_id, str(path), None, "video_id")
         for frame, props in frames.items():
             for prop in props:
+                if prop.frame_index != frame:
+                    raise InputError(
+                        f"proposal at frame {prop.frame_index} of "
+                        f"{video_id!r} filed under frame {frame}")
                 rows.append((video_id, frame, prop.objectness,
                              prop.box.as_tuple()))
     rows.sort()
-    write_records(path, "proposals", (
-        (vid, str(frame), *map(_format_float, box), _format_float(obj))
-        for vid, frame, obj, box in rows))
+    with _record_file(path, "proposals") as fh:
+        for vid, frame, obj, (x0, y0, x1, y1) in rows:
+            fh.write(f"{vid}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
+                     f"\t{float(x1)!r}\t{float(y1)!r}\t{float(obj)!r}\n")
 
 
 def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
@@ -507,21 +505,25 @@ def _tube_rows(path, rows: _Rows, frame_column: int) -> Iterator[tuple]:
                           field="frame") from None
 
 
-def write_tubes(path, tubes: Iterable[Tube]) -> None:
-    ordered = sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
+def _sorted_tubes(path, tubes: Iterable) -> Iterator:
+    """``tubes`` by (video_id, tube_id), each id checked, none repeated."""
     previous = None
+    for tube in sorted(tubes, key=lambda t: (t.video_id, t.tube_id)):
+        key = (_check_id(tube.video_id, str(path), None, "video_id"),
+               _check_id(tube.tube_id, str(path), None, "tube_id"))
+        if key == previous:
+            raise InputError(f"duplicate tube id {tube.tube_id!r} in "
+                             f"{tube.video_id!r}")
+        previous = key
+        yield tube
+
+
+def write_tubes(path, tubes: Iterable[Tube]) -> None:
     with _record_file(path, "tubes") as fh:
-        for tube in ordered:
-            key = (tube.video_id, tube.tube_id)
-            if key == previous:
-                raise InputError(f"duplicate tube id {tube.tube_id!r} in "
-                                 f"{tube.video_id!r}")
-            previous = key
-            _check_id(tube.video_id, str(path), None, "video_id")
-            _check_id(tube.tube_id, str(path), None, "tube_id")
+        for tube in _sorted_tubes(path, tubes):
             head = f"{tube.video_id}\t{tube.tube_id}\t"
             label = "-" if tube.label is None else tube.label
-            score = "-" if tube.score is None else _format_float(tube.score)
+            score = "-" if tube.score is None else repr(float(tube.score))
             tail = f"\t{label}\t{score}\n"
             fh.write("".join([
                 f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
@@ -587,15 +589,13 @@ def _check_tubes(path, rows: _Rows) -> None:
 # -- ground truth -------------------------------------------------------
 
 def write_gt_tubes(path, tubes: Iterable[GroundTruthTube]) -> None:
-    ordered = sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
-    rows = []
-    for tube in ordered:
-        _check_id(tube.video_id, str(path), None, "video_id")
-        _check_id(tube.tube_id, str(path), None, "tube_id")
-        for frame, box in tube.iter_frames():
-            rows.append((tube.video_id, tube.tube_id, str(tube.label),
-                         str(frame), *map(_format_float, box.as_tuple())))
-    write_records(path, "gttubes", rows)
+    with _record_file(path, "gttubes") as fh:
+        for tube in _sorted_tubes(path, tubes):
+            head = f"{tube.video_id}\t{tube.tube_id}\t{tube.label}\t"
+            fh.write("".join([
+                f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
+                f"\t{float(box.x_max)!r}\t{float(box.y_max)!r}\n"
+                for frame, box in tube.iter_frames()]))
 
 
 def read_gt_tubes(path) -> list[GroundTruthTube]:
@@ -641,15 +641,14 @@ def _check_gt_tubes(path, rows: _Rows) -> None:
 def write_clip_scores(
         path,
         by_tube: Mapping[tuple[str, str], ClipScoreSequence]) -> None:
-    rows = []
-    for (video_id, tube_id), clips in sorted(by_tube.items()):
-        _check_id(video_id, str(path), None, "video_id")
-        _check_id(tube_id, str(path), None, "tube_id")
-        for interval, scores in zip(clips.intervals, clips.scores):
-            rows.append((video_id, tube_id, str(clips.clip_length),
-                         str(interval.start), str(interval.end),
-                         _format_scores(scores)))
-    write_records(path, "clipscores", rows)
+    with _record_file(path, "clipscores") as fh:
+        for (video_id, tube_id), clips in sorted(by_tube.items()):
+            _check_id(video_id, str(path), None, "video_id")
+            _check_id(tube_id, str(path), None, "tube_id")
+            head = f"{video_id}\t{tube_id}\t{clips.clip_length}\t"
+            for interval, scores in zip(clips.intervals, clips.scores):
+                fh.write(f"{head}{interval.start}\t{interval.end}"
+                         f"\t{','.join(map(repr, scores))}\n")
 
 
 def read_clip_scores(path) -> dict[tuple[str, str], ClipScoreSequence]:

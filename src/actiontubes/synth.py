@@ -40,7 +40,6 @@ _SOURCE_BY_STREAM = {_STATIC: Source.STATIC, _FLOW_DET: Source.FLOW,
                      _EARLY: Source.EARLY_FUSION}
 
 _NEAR_MISS_SIGMA = 2.0
-_GRID_BLOB = 3.0
 
 
 def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:

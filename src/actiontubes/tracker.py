@@ -170,7 +170,6 @@ class UntrackedPool:
 
     def __init__(self, detections_by_frame: dict[int, Sequence[Detection]]):
         self._dets: list[Detection] = []
-        self._frames: list[int] = []
         self._by_frame: dict[int, list[int]] = {}
         for frame in sorted(detections_by_frame):
             for det in detections_by_frame[frame]:
@@ -180,7 +179,6 @@ class UntrackedPool:
                         f"frame {frame}")
                 idx = len(self._dets)
                 self._dets.append(det)
-                self._frames.append(frame)
                 self._by_frame.setdefault(frame, []).append(idx)
         self._alive = [True] * len(self._dets)
         self._remaining = len(self._dets)

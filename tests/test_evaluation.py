@@ -513,8 +513,9 @@ class TestEvalReport:
         assert lines[-1].startswith("mAP")
 
     def test_each_overlap_computed_once(self, monkeypatch):
-        """One st_iou per (tube, same-video truth tube) and one iou per
-        (box prediction, same-frame truth box), whatever the sigmas."""
+        """One st_iou per (tube, same-video same-class truth tube) and one
+        iou per (box prediction, same-frame truth box), whatever the
+        sigmas."""
         def moving(shift, start, length):
             return [BoundingBox(10 + 2 * f + shift, 10, 60 + 2 * f + shift,
                                 60) for f in range(start, start + length)]
@@ -538,7 +539,7 @@ class TestEvalReport:
                                           taxonomy_floor=0.05))
         assert calls["st_iou"] == Counter(
             (id(t), id(g)) for t in tubes for g in truth
-            if t.video_id == g.video_id)
+            if t.video_id == g.video_id and t.label == g.label)
         assert calls["iou"] == Counter(
             (id(box), id(truth_box)) for t in tubes
             for frame, box in t.iter_frames() for g in truth

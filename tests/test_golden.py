@@ -1,9 +1,10 @@
-"""Golden digests of the pipeline's tube, clip-score and metrics files.
+"""Golden digests of every record file the pipeline writes.
 
 Performance work on the readers, writers and tracker must not move a
 single output byte.  Each scenario runs all seven stages in-process on
-a tiny input and compares the sha256 of six files against digests
-recorded before that work began (see CHANGES.md).  A change that means
+a tiny input and compares the sha256 of its record files (ground
+truth, detections, proposals, tubes, clip scores and metrics) against
+digests recorded before that work began (see CHANGES.md).  A change that means
 to alter these bytes must update the digests and justify it there.
 The metrics are pinned under non-default evaluation keys too.
 """
@@ -51,6 +52,18 @@ GOLDEN = {
                            "e379fd4c76a463e3feeadef10d05e3e6",
         "metrics.tsv": "672fe1372fb52140f4e7d96f45d94cf8"
                        "dca7b37c4ef36aa512b10613c17c9be6",
+        "gt_tubes.tsv": "ef20bb9e7946944c0a91c490fbc77cd6"
+                        "144a7a74c08f9f78aa7d0693d8834a71",
+        "detections_static.tsv": "7d8c194ec5d318471a761d145af2f4d4"
+                                 "73e222b05649cc037cc41659ae5ee6b5",
+        "detections_flow.tsv": "07ad72d29dc17a14e0f0a46b940bf19f"
+                               "a74c4645d6f87b88a8b6a5d062776a92",
+        "detections_early.tsv": "e8cbe5c1f618d8997d3afc51e00474bc"
+                                "3f7530636e3377b449265480335938b0",
+        "detections_fused.tsv": "91f6c1dfee06cb10eadad81120e7652b"
+                                "f16dcbbcb55901fb974bb986aabd6563",
+        "proposals.tsv": "70f1746b083497aee8c02abfb2f24b58"
+                         "01441e3b182c40b0c3b4a652a992bbf2",
     },
     "noisy": {
         "tubes_tracked.tsv": "9a616af9f3b149844321497f7a9c6037"
@@ -65,6 +78,22 @@ GOLDEN = {
                            "97c345506584a2e3e7edb648994eb87d",
         "metrics.tsv": "863b7e69b8bb301b6d67e240cf1eeb43"
                        "f7719a932778b42f7a86cf7a159cbc21",
+        "gt_tubes.tsv": "3ae077e1201172c7f5fa035c1410e088"
+                        "c3598a8e0e9df0dc0c4b3d2f4b8cb5e9",
+        "detections_static.tsv": "79a6a2e83f55b4173338761168d6c50d"
+                                 "ca27848a34ba9502afc8644200004c77",
+        "detections_flow.tsv": "faba99a2a4964eceda20975f6c563616"
+                               "36b1cec9e60c6127c750eff5da534fb6",
+        "detections_early.tsv": "52679c1e2dfbfd03d8eceec4896f5563"
+                                "282469dbdbd47f1c508d67794683c1a4",
+        "detections_fused.tsv": "53cf60ff1c589ca9ff955bd57244fc60"
+                                "3463c83ddd3ec48bf488ef812eae2f9c",
+        "proposals.tsv": "faf46404eb23f74b0a3d9c27e637f534"
+                         "3eac5ac9bc747ada3a9beccc6a9ce03d",
+        "proposals_salient.tsv": "d844f3c4efaeed69990597d2dfd4a7be"
+                                 "569db0a408c972e0e95e0bf57a1e23b6",
+        "drift_tubes.tsv": "d80f7cf20037588cb8268653008ea201"
+                           "b5a7149bea1504b761ea36ddc38545bf",
     },
     "crowd": {
         "tubes_tracked.tsv": "1b302bb0d36b21885e67f3a7f4ada9dd"
@@ -79,6 +108,18 @@ GOLDEN = {
                            "e45c12c4f90191143396d5d0558acc69",
         "metrics.tsv": "54435815e69f5e1b4d8a3b5f81b88b17"
                        "90d11ee8237e14033b60c12789f18c03",
+        "gt_tubes.tsv": "794f4ddf44884774035a9e77d4a49e88"
+                        "cc7954e0f743defabfcebaddf0595042",
+        "detections_static.tsv": "6c7b09bd648afe2fe429db7c81f3de1e"
+                                 "90e0e7833e8beb4d6ec912199300e26e",
+        "detections_flow.tsv": "8f56bf02da3b37f4c8d26b45e6450618"
+                               "bb8ffd3005c3e223c56b347c32c771a8",
+        "detections_early.tsv": "f61451f668a1c274c7482725e4ac4e6b"
+                                "0bead360d7e62b34b5fa97e2b69a896a",
+        "detections_fused.tsv": "c4ef6cfde4c1b05c078b83ca669ec945"
+                                "646c73d2abbaf7897b03609dc689bbde",
+        "proposals.tsv": "c5b68e960e3ba6dd647993c8be937af1"
+                         "a5104525698ce06652c585a0e53c3fe6",
     },
 }
 

@@ -101,6 +101,17 @@ class TestProposalsRoundTrip:
                               key=lambda p: p.objectness) == \
                     sorted(props, key=lambda p: p.objectness)
 
+    def test_misfiled_proposal_rejected_on_write(self, tmp_path):
+        """A proposal of frame 5 filed under frame 3 is not written as a
+        proposal of frame 3."""
+        path = tmp_path / "p.tsv"
+        prop = Proposal(5, BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5)
+        with pytest.raises(InputError) as info:
+            formats.write_proposals(path, {"v0": {3: (prop,)}})
+        for needle in ("'v0'", "frame 5", "frame 3"):
+            assert needle in str(info.value)
+        assert not path.exists()
+
 
 def lexsorted(rows):
     return rows[np.lexsort(rows.T[::-1])]
@@ -344,6 +355,19 @@ class TestGroundTruthRoundTrip:
         assert info.value.field == "frame"
         assert info.value.line == 5
         assert "repeats frame 3" in str(info.value)
+
+    @pytest.mark.parametrize("label, start", [(0, 2), (0, 3), (1, 2)])
+    def test_repeated_tube_id_rejected_on_write(self, tmp_path, label,
+                                                start):
+        """A second v0/a0 is rejected, not read back as part of the first
+        (same label, next frame) or reported as a frame gap."""
+        path = tmp_path / "gt.tsv"
+        box = BoundingBox(0.0, 0.0, 5.0, 5.0)
+        tubes = [GroundTruthTube("v0", "a0", 0, 0, (box, box)),
+                 GroundTruthTube("v0", "a0", label, start, (box,))]
+        with pytest.raises(InputError, match="duplicate tube id 'a0' in"):
+            formats.write_gt_tubes(path, tubes)
+        assert not path.exists()
 
     def test_conflicting_labels_rejected(self, tmp_path):
         path = tmp_path / "gt.tsv"
