@@ -258,6 +258,8 @@ def load_config(path) -> PipelineConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     return parse_config_text(text, origin=str(path))
 
 

@@ -34,9 +34,9 @@ from itertools import accumulate, compress, count, repeat
 from typing import TYPE_CHECKING
 
 from .errors import InputError, ProcessingError, SchemaError
-from .model import (BoundingBox, ClipScoreSequence, Detection,
-                    FlowMagnitudeGrid, FrameInterval, GroundTruthTube,
-                    Proposal, Source, Tube)
+from .model import (SCORE_SUM_TOL, BoundingBox, ClipScoreSequence,
+                    Detection, FlowMagnitudeGrid, FrameInterval,
+                    GroundTruthTube, Proposal, Source, Tube)
 
 # numpy is for annotations only: the array container functions import it,
 # so the record files load without it.
@@ -127,13 +127,26 @@ def write_records(path, kind: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def _record_lines(path, kind: str) -> list[str]:
-    """The lines after a record file's checked header, from line 3 on."""
+    """The lines after a record file's checked header, from line 3 on.
+
+    A byte that is not UTF-8 is reported at its line.
+    """
     schema = SCHEMAS[kind]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", path=str(path))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as the lines split below are
+        before = data[:exc.start].decode("utf-8") + "_"
+        raise SchemaError(f"not UTF-8: byte {data[exc.start]:#04x}",
+                          path=str(path),
+                          line=len(before.splitlines())) from None
+    del data    # no more than the text and its lines held at once
+    lines = text.splitlines()
     if not lines:
         raise SchemaError("empty file, expected a header", path=str(path))
     head = lines[0].split(" ")
@@ -688,7 +701,8 @@ def _clip_sequence(clip_length: int, clips: Iterable[Sequence]
 
 def _check_clip_scores(path, rows: _Rows) -> None:
     """Raises the ``SchemaError`` of the first bad field, row by row,
-    then of the first bad clip sequence, tube by tube in id order."""
+    then of the first bad clip sequence, tube by tube in id order, at
+    the clip that carries the fault."""
     firsts: dict[tuple[str, str], tuple[int, int]] = {}
     clips: dict[tuple[str, str], list] = {}
     for line, fields in rows:
@@ -702,14 +716,37 @@ def _check_clip_scores(path, rows: _Rows) -> None:
             raise SchemaError(
                 f"tube {key[1]!r} mixes clip lengths",
                 path=str(path), line=line, field="clip_length")
-        clips.setdefault(key, []).append((start, end, scores))
+        clips.setdefault(key, []).append((start, end, scores, line))
     for key in sorted(clips):
         clip_length, first_line = firsts[key]
+        ordered = sorted(clips[key])
         try:
-            _clip_sequence(clip_length, clips[key])
+            _clip_sequence(clip_length, [clip[:3] for clip in ordered])
         except InputError as exc:
-            raise SchemaError(str(exc), path=str(path), line=first_line,
-                              field="start") from None
+            line, field = _clip_fault(clip_length, first_line, ordered)
+            raise SchemaError(str(exc), path=str(path), line=line,
+                              field=field) from None
+
+
+def _clip_fault(clip_length: int, first_line: int,
+                clips: list[tuple]) -> tuple[int, str]:
+    """The line and field of the fault ``ClipScoreSequence`` reports
+    first for one tube's sorted ``(start, end, scores, line)`` clips:
+    an empty interval, a clip length below 1 (at the tube's first
+    line), a score vector's class count or sum, then a clip that does
+    not start where the one before it ends."""
+    for start, end, _, line in clips:
+        if start >= end:
+            return line, "start"
+    if clip_length < 1:
+        return first_line, "clip_length"
+    width = len(clips[0][2])
+    for _, _, scores, line in clips:
+        if len(scores) != width or abs(sum(scores) - 1.0) > SCORE_SUM_TOL:
+            return line, "scores"
+    gaps = (line for (_, end, _, _), (start, _, _, line)
+            in zip(clips, clips[1:]) if end != start)
+    return next(gaps, first_line), "start"
 
 
 # -- metrics ------------------------------------------------------------

@@ -9,15 +9,10 @@ cover.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .model import BoundingBox, Detection, FrameInterval, GroundTruthTube, Tube
-
-# numpy is for annotations only: ``iou_many`` imports it, so the scalar
-# measures load without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -30,24 +25,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
     area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
     return inter / (area_a + area_b - inter)
-
-
-def iou_many(coords: np.ndarray, box: BoundingBox) -> np.ndarray:
-    """``iou`` of every row of an (n, 4) coordinate array against ``box``.
-
-    Element ``i`` equals ``iou(BoundingBox(*coords[i]), box)`` bit for
-    bit: the same operations run in the same order, and rows that do
-    not intersect ``box`` are 0.
-    """
-    import numpy as np
-    ix = (np.minimum(coords[:, 2], box.x_max)
-          - np.maximum(coords[:, 0], box.x_min))
-    iy = (np.minimum(coords[:, 3], box.y_max)
-          - np.maximum(coords[:, 1], box.y_min))
-    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
-    area_b = (box.x_max - box.x_min) * (box.y_max - box.y_min)
-    return inter / (areas + area_b - inter)
 
 
 def temporal_iou(a: FrameInterval, b: FrameInterval) -> float:

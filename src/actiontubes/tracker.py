@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import InputError, ScorerError
-from .geometry import iou, iou_many
+from .geometry import iou
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
 
 
@@ -124,20 +124,21 @@ class PrecomputedMatcher:
         return query_matches(pair, from_frame, to_frame, box)
 
 
-def match_ratio(box: BoundingBox, matches: np.ndarray) -> float:
-    """Fraction of match points landing inside ``box`` on the target frame."""
+def match_ratio(box: BoundingBox,
+                matches: np.ndarray | list[list[float]]) -> float:
+    """Fraction of match points landing inside ``box`` on the target frame.
+
+    ``matches`` holds ``from_x from_y to_x to_y`` rows, as an ``(N, 4)``
+    array or its ``tolist()``; points on the box edges count as inside.
+    """
     if not len(matches):
         return 0.0
-    tp = matches[:, 2:]
-    inside = ((tp[:, 0] >= box.x_min) & (tp[:, 0] <= box.x_max)
-              & (tp[:, 1] >= box.y_min) & (tp[:, 1] <= box.y_max))
-    return float(np.count_nonzero(inside)) / len(matches)
-
-
-def box_array(proposals: Sequence[Proposal]) -> np.ndarray:
-    """Proposal boxes as an (n, 4) array of ``x_min, y_min, x_max, y_max``."""
-    return np.array([p.box.as_tuple() for p in proposals],
-                    dtype=np.float64).reshape(-1, 4)
+    x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+    inside = 0
+    for _, _, x, y in matches:
+        if x_min <= x <= x_max and y_min <= y <= y_max:
+            inside += 1
+    return inside / len(matches)
 
 
 @dataclass(frozen=True)
@@ -276,26 +277,22 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
                                pool, cfg)
 
 
-def match_gate(region: BoundingBox, boxes: np.ndarray,
-               matches: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
-    """Indices of the rows of ``boxes`` that may continue ``region``.
+def match_gate(region: BoundingBox, proposals: Sequence[Proposal],
+               matches: np.ndarray, cfg: TrackerConfig) -> list[Proposal]:
+    """The proposals that may continue ``region``, in proposal order.
 
-    A row passes when ``match_ratio`` of its box is at least
-    ``min_match_ratio`` and its ``iou`` with ``region`` is at least
-    ``min_prev_overlap``; both are computed for all rows at once, with
-    one points-in-boxes count matrix and one overlap vector, and equal
-    the scalar primitives exactly.  Indices come in row order.
+    A proposal passes when its ``iou`` with ``region`` is at least
+    ``min_prev_overlap`` and its ``match_ratio`` is at least
+    ``min_match_ratio``; without matches none passes.  The overlap is
+    tested first, so distractors are rejected before any point is
+    counted.
     """
     if not len(matches):
-        return np.empty(0, dtype=np.intp)
-    tp = matches[:, 2:]
-    inside = ((tp[None, :, 0] >= boxes[:, 0, None])
-              & (tp[None, :, 0] <= boxes[:, 2, None])
-              & (tp[None, :, 1] >= boxes[:, 1, None])
-              & (tp[None, :, 1] <= boxes[:, 3, None]))
-    ratios = np.count_nonzero(inside, axis=1) / len(matches)
-    return np.flatnonzero((ratios >= cfg.min_match_ratio)
-                          & (iou_many(boxes, region) >= cfg.min_prev_overlap))
+        return []
+    rows = matches.tolist()
+    return [p for p in proposals
+            if iou(p.box, region) >= cfg.min_prev_overlap
+            and match_ratio(p.box, rows) >= cfg.min_match_ratio]
 
 
 def track_step(region: BoundingBox, label: int, next_frame: int,
@@ -312,12 +309,11 @@ def track_step(region: BoundingBox, label: int, next_frame: int,
     as a prediction.  A scorer that is not already a tracker call's
     memo is asked through a memo of this step alone.
     """
-    keep = match_gate(region, box_array(proposals), matches, cfg)
-    if not keep.size:
+    candidates = match_gate(region, proposals, matches, cfg)
+    if not candidates:
         return None
     if not isinstance(scorer, _ScoreMemo):
         scorer = _ScoreMemo(scorer)
-    candidates = [proposals[i] for i in keep]
     return _continue(candidates, label, next_frame, scorer, pool, cfg,
                      video_id)
 

@@ -78,6 +78,12 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_returns_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# café\n".encode("latin-1"))
+        assert run_cli("synth", "--out", tmp_path, "--config", cfg) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_missing_input_names_producer_and_returns_three(
             self, tmp_path, capsys):
         code = run_cli("track", "--out", tmp_path)
@@ -97,6 +103,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert FILE_FUSED in err
         assert "line" in err
+
+    def test_undecodable_input_returns_three(self, tmp_path, capsys):
+        for stage in ("synth", "fuse", "track"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        tracked = tmp_path / FILE_TRACKED
+        tracked.write_bytes(tracked.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert run_cli("score", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert FILE_TRACKED in err
+        assert "not UTF-8: byte 0xff" in err
 
     def test_unscored_tubes_rejected_by_prune(self, tmp_path, capsys):
         # Rejected whether or not a pruner runs (FAST writes no alphas,

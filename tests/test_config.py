@@ -88,6 +88,13 @@ class TestConfigText:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
 
+    def test_load_config_not_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("# café\nsynth.video_count = 2\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: not UTF-8")
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("synth.video_count = 2\nlocalize.tau = 0.4\n")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from actiontubes.errors import InputError
-from actiontubes.geometry import iou, iou_many, nms, st_iou, temporal_iou
+from actiontubes.geometry import iou, nms, st_iou, temporal_iou
 from actiontubes.model import (BoundingBox, Detection, FrameInterval,
                                GroundTruthTube, Source, Tube)
 from oracles import (interval_iou_sets, lattice_iou, nms_reference,
@@ -22,6 +22,12 @@ box_strategy = st.builds(
     lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
     st.integers(-30, 30), st.integers(-30, 30),
     st.integers(1, 40), st.integers(1, 40))
+
+
+def float_box(rng):
+    x, y = rng.uniform(0, 50, 2)
+    w, h = rng.uniform(0.5, 30, 2)
+    return BoundingBox(float(x), float(y), float(x + w), float(y + h))
 
 
 class TestIou:
@@ -58,32 +64,6 @@ class TestIou:
         other = BoundingBox(b.x_min + 3, b.y_min + 3, b.x_max + 3, b.y_max + 3)
         assert iou(b, other) == pytest.approx(
             iou(b.translated(dx, dy), other.translated(dx, dy)), abs=1e-12)
-
-
-def float_box(rng):
-    x, y = rng.uniform(0, 50, 2)
-    w, h = rng.uniform(0.5, 30, 2)
-    return BoundingBox(float(x), float(y), float(x + w), float(y + h))
-
-
-class TestIouMany:
-    """The vector form equals the scalar primitive bit for bit."""
-
-    @pytest.mark.parametrize("make", [int_box, float_box])
-    def test_equals_scalar_iou(self, make):
-        rng = np.random.default_rng(43)
-        for _ in range(100):
-            box = make(rng)
-            rows = [make(rng) for _ in range(int(rng.integers(0, 10)))]
-            coords = np.array([b.as_tuple() for b in rows]).reshape(-1, 4)
-            assert iou_many(coords, box).tolist() == [iou(b, box)
-                                                      for b in rows]
-
-    def test_touching_and_disjoint_rows_are_zero(self):
-        coords = np.array([[1.0, 0.0, 2.0, 1.0], [5.0, 5.0, 6.0, 6.0],
-                           [0.0, 0.0, 1.0, 1.0]])
-        out = iou_many(coords, BoundingBox(0, 0, 1, 1))
-        assert out.tolist() == [0.0, 0.0, 1.0]
 
     def test_scalar_iou_keeps_area_arithmetic(self):
         # iou computes both areas inline; the result must equal the

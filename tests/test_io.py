@@ -741,18 +741,19 @@ RECORD_CORRUPTIONS = {
                                        "tube 't0' mixes clip lengths", 6,
                                        "clip_length"),
         "non_consecutive_clips": ({(1, "start"): "5"},
-                                  "clip intervals must be consecutive", 3,
+                                  "clip intervals must be consecutive", 4,
                                   "start"),
         "empty_interval": ({(2, "start"): "4"},
                            "empty frame interval [4, 4)", 5, "start"),
         "zero_clip_length": ({(2, "clip_length"): "0"},
-                             "clip_length must be >= 1, got 0", 5, "start"),
+                             "clip_length must be >= 1, got 0", 5,
+                             "clip_length"),
         "unequal_class_counts": ({(1, "scores"): "0.5,0.25,0.25"},
                                  "clip score vectors differ in class count",
-                                 3, "start"),
+                                 4, "scores"),
         "scores_not_normalized": ({(4, "scores"): "0.5,0.625"},
                                   "clip scores sum to 1.125, expected 1 "
-                                  "within 1e-06", 7, "start"),
+                                  "within 1e-06", 7, "scores"),
         "two_bad_tubes": ({(4, "scores"): "0.5,0.625", (2, "start"): "4"},
                           "empty frame interval [4, 4)", 5, "start"),
         "rows_before_tubes": ({(2, "start"): "4", (4, "tube_id"): "t 0"},
@@ -1027,6 +1028,44 @@ class TestHeaderValidation:
         with pytest.raises(SchemaError) as info:
             formats.read_detections(path)
         assert info.value.field == "video_id"
+
+
+def _gt_rows():
+    """One ground-truth tube of label 1, v0/a0 on frames 0-4."""
+    return [["v0", "a0", "1", str(f), "0.0", "0.0", "5.0", "5.0"]
+            for f in range(5)]
+
+
+class TestEncoding:
+    """Record files are UTF-8: the first byte that is not is a schema
+    error at its line, whatever the kind."""
+
+    CLEAN = {"detections": _detection_rows, "proposals": _proposal_rows,
+             "clipscores": _clip_rows, "tubes": _tube_rows,
+             "gttubes": _gt_rows}
+    READERS = {"tubes": formats.read_tubes,
+               "gttubes": formats.read_gt_tubes, **RECORD_READERS}
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xe9"],
+                             ids=["0xff", "0xe9"])
+    @pytest.mark.parametrize("kind", sorted(CLEAN))
+    def test_bad_byte_reported_at_its_line(self, tmp_path, kind, byte):
+        path = tmp_path / "r.tsv"
+        formats.write_records(path, kind, self.CLEAN[kind]())
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4][:3] + byte + lines[4][3:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SchemaError) as info:
+            self.READERS[kind](path)
+        assert str(info.value) == \
+            f"{path}, line 5: not UTF-8: byte {byte[0]:#04x}"
+
+    def test_bad_byte_in_header(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(b"#actiontubes tubes 1\xff\n")
+        with pytest.raises(SchemaError) as info:
+            formats.read_tubes(path)
+        assert (info.value.line, info.value.field) == (1, None)
 
 
 class TestMetrics:

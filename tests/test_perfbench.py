@@ -75,6 +75,9 @@ def test_traced_stages_record_their_spans(tmp_path, child_env):
     assert counts["evaluate"].get("geometry.st_iou", 0) > 0
     assert counts["evaluate"].get("geometry.iou", 0) > 0
     assert counts["score"].get("geometry.iou", 0) > 0
+    # the point-match gate tests each candidate with both scalar primitives
+    assert counts["track"].get("tracker.match_ratio", 0) > 0
+    assert counts["track"].get("geometry.iou", 0) > 0
     for stage, traced in traces.items():
         assert formats_calls(traced) == FORMATS_CALLS[stage], stage
 

@@ -6,7 +6,7 @@ from actiontubes.model import (BoundingBox, Detection, FrameInterval,
                                Proposal, Source)
 from actiontubes.geometry import iou
 from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
-                                 UntrackedPool, box_array, build_tubes,
+                                 UntrackedPool, build_tubes,
                                  build_tubes_neighborhood, match_gate,
                                  match_ratio, query_matches, track_step)
 
@@ -86,6 +86,13 @@ class TestMatchRatio:
         pts = np.array([[0.0, 0.0], [10.0, 10.0]])
         m = rows(pts, pts)
         assert match_ratio(BoundingBox(0, 0, 10, 10), m) == 1.0
+
+    def test_list_rows_equal_array_rows(self):
+        src = np.array([[1.0, 1.0], [2.0, 2.0], [20.0, 20.0]])
+        dst = np.array([[0.0, 10.0], [10.5, 2.0], [3.0, 4.0]])
+        m = rows(src, dst)
+        box = BoundingBox(0, 0, 10, 10)
+        assert match_ratio(box, m.tolist()) == match_ratio(box, m) == 2 / 3
 
 
 class TestQueryMatches:
@@ -217,7 +224,8 @@ class TestTrackStep:
 
 
 def gate_reference(region, proposals, matches, cfg):
-    """The per-proposal loop ``match_gate`` replaces."""
+    """The gate as its rule reads: match ratio, then overlap, per
+    proposal index."""
     if not len(matches):
         return []
     return [i for i, p in enumerate(proposals)
@@ -235,8 +243,10 @@ class TestMatchGate:
     """``match_gate`` against the scalar ``match_ratio`` and ``iou``."""
 
     def gate(self, region, proposals, matches, cfg):
-        return match_gate(region, box_array(proposals), matches,
-                          cfg).tolist()
+        """Indices of the proposals ``match_gate`` keeps, by identity."""
+        index = {id(p): i for i, p in enumerate(proposals)}
+        return [index[id(p)]
+                for p in match_gate(region, proposals, matches, cfg)]
 
     def test_matches_scalar_loop_on_lattice(self):
         # Integer coordinates put many points exactly on box edges and
