@@ -235,7 +235,9 @@ def parse_value(name: str, text: str):
 
 def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
     values: dict[str, object] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" only, so each report names the line an editor
+    # shows; other line breaks are whitespace of their line
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

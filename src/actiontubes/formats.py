@@ -12,10 +12,13 @@ beside its target and then renamed onto it, so a failed write never
 leaves a truncated file.  See FORMATS.md for the field-by-field
 reference.
 
-Every record kind is parsed column-wise, in blocks of rows; any failed
-check hands the file to one row-wise fallback, which reports the first
-problem in the order FORMATS.md gives under "Which problem is
-reported".
+Record files are read and written one video at a time.  A reader
+(``VideoRecords``) first finds where each video's lines are, then
+parses one video's lines column-wise, in blocks of rows; any failed
+check hands the whole file to one row-wise fallback, which reports the
+first problem in the order FORMATS.md gives under "Which problem is
+reported".  A writer takes ``(video_id, records)`` pairs in ascending
+video order, and the whole-file readers flatten the per-video ones.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, groupby, repeat
 from typing import TYPE_CHECKING
 
 from .errors import InputError, ProcessingError, SchemaError
@@ -106,13 +109,18 @@ def atomic_open(path, mode: str = "w", **kwargs) -> Iterator:
         raise
 
 
+def _header(kind: str) -> tuple[str, str]:
+    """The two header lines of a ``kind`` file, without their ``\\n``."""
+    schema = SCHEMAS[kind]
+    return (f"#{MAGIC_WORD} {schema.kind} {FORMAT_VERSION}",
+            "#columns\t" + "\t".join(schema.columns))
+
+
 @contextmanager
 def _record_file(path, kind: str) -> Iterator:
     """An atomically written record file of ``kind``, its header written."""
-    schema = SCHEMAS[kind]
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#{MAGIC_WORD} {schema.kind} {FORMAT_VERSION}\n")
-        fh.write("#columns\t" + "\t".join(schema.columns) + "\n")
+        fh.write("\n".join(_header(kind)) + "\n")
         yield fh
 
 
@@ -126,29 +134,32 @@ def write_records(path, kind: str, rows: Iterable[Sequence[str]]) -> None:
             fh.write("\t".join(row) + "\n")
 
 
+def _open_bytes(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise SchemaError(f"cannot read file: {exc}", path=str(path)) from None
+
+
 def _record_lines(path, kind: str) -> list[str]:
     """The lines after a record file's checked header, from line 3 on.
 
-    A byte that is not UTF-8 is reported at its line.
+    Lines end at ``\\n`` only.  A byte that is not UTF-8 is reported at
+    its line.
     """
     schema = SCHEMAS[kind]
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", path=str(path))
+    with _open_bytes(path) as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # numbered as the lines split below are
-        before = data[:exc.start].decode("utf-8") + "_"
         raise SchemaError(f"not UTF-8: byte {data[exc.start]:#04x}",
                           path=str(path),
-                          line=len(before.splitlines())) from None
+                          line=data.count(b"\n", 0, exc.start) + 1) from None
     del data    # no more than the text and its lines held at once
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise SchemaError("empty file, expected a header", path=str(path))
+    lines = text.split("\n")
     head = lines[0].split(" ")
     if len(head) != 3 or head[0] != f"#{MAGIC_WORD}":
         raise SchemaError(f"bad header line {lines[0]!r}",
@@ -160,8 +171,7 @@ def _record_lines(path, kind: str) -> list[str]:
     if head[2] != str(FORMAT_VERSION):
         raise SchemaError(f"unsupported format version {head[2]}",
                           path=str(path), line=1)
-    if len(lines) < 2 or lines[1].split("\t") != \
-            ["#columns", *schema.columns]:
+    if len(lines) < 2 or lines[1] != _header(kind)[1]:
         raise SchemaError("column header does not match the schema",
                           path=str(path), line=2)
     del lines[:2]
@@ -254,9 +264,9 @@ def _parse_box(fields: Sequence[str], start: int, path,
                           field="x0") from None
 
 
-# -- column-wise reading ------------------------------------------------
+# -- column-wise reading, one video at a time ----------------------------
 
-# Rows a reader splits and parses at a time.  Columns of the whole file
+# Rows a reader splits and parses at a time.  Columns of a whole video
 # would leave megabytes of freed heap behind, which the C allocator
 # returns or keeps depending on the heap's layout, so the peak RSS of
 # the work that follows would swing by ~3 MiB between runs of one input
@@ -264,12 +274,77 @@ def _parse_box(fields: Sequence[str], start: int, path,
 # small.
 _BLOCK_ROWS = 1024
 
+# Bytes the pass that finds each video's lines reads at a time.
+_CHUNK_BYTES = 1 << 20
+
 # A record file's rows as ``read_records`` gives them: (line, fields).
 _Rows = Iterable[tuple[int, Sequence[str]]]
 
 
-def _read_columns(path, kind: str, parse) -> dict[str, list]:
-    """A record file's rows as typed per-row lists, read block-wise.
+def _video_ranges(path, kind: str) -> dict[str, list[list[int]]]:
+    """Where each video's lines lie in a record file, as byte ranges.
+
+    One pass reads the file in chunks of ``_CHUNK_BYTES`` and splits
+    them at ``\\n``.  Each run of lines that start with the same
+    ``video_id`` field becomes one ``[start, end)`` range, merged into
+    the video's range before it when only a line break parts them, so a
+    file sorted by video holds one range per video.  Blank lines belong
+    to no video.  A header that is not exactly the kind's raises
+    ``ValueError`` and leaves the report to ``_row_checks``.
+    """
+    ranges: dict[bytes, list[list[int]]] = {}
+    with _open_bytes(path) as fh:
+        head = [fh.readline().removesuffix(b"\n") for _ in range(2)]
+        if head != [line.encode("utf-8") for line in _header(kind)]:
+            raise ValueError("header")
+        offset, rest = fh.tell(), b""
+        while True:
+            data = fh.read(_CHUNK_BYTES)
+            lines = (rest + data).split(b"\n")
+            # a chunk's last line may go on in the next chunk; the file's
+            # last line may end without a line break
+            rest = lines.pop() if data else b""
+            offset = _add_runs(ranges, lines, offset)
+            if not data:
+                break
+    return {video_id.decode("utf-8"): runs
+            for video_id, runs in ranges.items()}
+
+
+def _add_runs(ranges: dict, lines: list[bytes], offset: int) -> int:
+    """Adds each run of ``lines`` that share a video id to ``ranges``.
+
+    ``offset`` is where the first line starts; returns where the line
+    after the last one starts.
+    """
+    starts = list(map(operator.add,
+                      accumulate(map(len, lines), initial=offset), count()))
+    ids = [line.partition(b"\t")[0] for line in lines]
+    bounds = list(compress(count(), map(operator.ne, ids, [None, *ids])))
+    for a, b in zip(bounds, [*bounds[1:], len(lines)]):
+        if not ids[a] and not any(lines[a:b]):
+            continue
+        start, end = starts[a], starts[b] - 1
+        runs = ranges.setdefault(ids[a], [])
+        if runs and runs[-1][1] + 1 == start:
+            runs[-1][1] = end
+        else:
+            runs.append([start, end])
+    return starts[-1]
+
+
+def _range_lines(path, ranges: Iterable[Sequence[int]]) -> list[str]:
+    """The lines in ``ranges`` of a record file, decoded."""
+    lines: list[str] = []
+    with _open_bytes(path) as fh:
+        for start, end in ranges:
+            fh.seek(start)
+            lines += fh.read(end - start).decode("utf-8").split("\n")
+    return lines
+
+
+def _read_columns(lines: list[str], kind: str, parse) -> dict[str, list]:
+    """Record lines as typed per-row lists, read block-wise.
 
     Each block of ``_BLOCK_ROWS`` lines is split in one pass over its
     join and sliced into text columns by name, which ``parse`` turns
@@ -279,7 +354,6 @@ def _read_columns(path, kind: str, parse) -> dict[str, list]:
     ``_row_checks``.
     """
     names = SCHEMAS[kind].columns
-    lines = _record_lines(path, kind)
     columns: dict[str, list] = defaultdict(list)
     for at in range(0, len(lines), _BLOCK_ROWS):
         block = list(filter(None, lines[at:at + _BLOCK_ROWS]))
@@ -296,11 +370,11 @@ def _read_columns(path, kind: str, parse) -> dict[str, list]:
 
 
 @contextmanager
-def _row_checks(path, kind: str, check) -> Iterator[None]:
+def _row_checks(path, kind: str) -> Iterator[None]:
     """Reports a failed column-wise read of a ``kind`` file row-wise.
 
-    Should the body raise ``ValueError`` or ``KeyError``,
-    ``check(path, rows)`` runs the per-field parsers over the
+    Should the body raise ``ValueError`` or ``KeyError``, the kind's
+    row-wise check runs the per-field parsers over the whole file's
     ``read_records`` rows and raises the ``SchemaError`` of the first
     bad field, in its kind's order.  Should every row pass, the two
     paths disagree about the file: a fault of this module.
@@ -310,11 +384,98 @@ def _row_checks(path, kind: str, check) -> Iterator[None]:
     except SchemaError:
         raise
     except (ValueError, KeyError) as failure:
+        check = _record_kind(kind)[2]
         check(path, read_records(path, kind))
         raise ProcessingError(
             f"{path}: the column-wise {kind} reader rejected the file "
             f"({failure!r}) but every row passes the row-wise checks"
         ) from None
+
+
+def _record_kind(kind: str) -> tuple:
+    """``(parse, build, check, text)`` of a per-video record kind.
+
+    ``parse`` turns a block's text columns into typed per-row lists,
+    ``build`` one video's lists into its records, ``check`` reports the
+    first bad field of a whole file row-wise, and ``text`` gives one
+    video's records as rows.  Looked up at each use.
+    """
+    return {
+        "detections": (_parse_detection_block, _detections_of,
+                       _check_detections, _detection_text),
+        "proposals": (_parse_proposal_block, _proposals_of,
+                      _check_proposals, _proposal_text),
+        "tubes": (_parse_tube_block, _tubes_of, _check_tubes, _tube_text),
+        "gttubes": (_parse_gt_block, _gt_tubes_of, _check_gt_tubes,
+                    _gt_text),
+        "clipscores": (_parse_clip_block, _clip_scores_of,
+                       _check_clip_scores, _clip_text),
+    }[kind]
+
+
+class VideoRecords:
+    """A record file read one video at a time.
+
+    Building it makes one pass over the file's bytes that keeps where
+    each video's lines are, not the lines.  ``read(video_id)`` then
+    parses that video's lines alone and gives its records, empty for a
+    video the file does not hold; iterating gives ``(video_id,
+    records)`` for every video in ascending id order.  Rows may come in
+    any order.  Should any check fail, the whole file is checked row by
+    row and its first problem reported, in the order FORMATS.md gives.
+    """
+
+    def __init__(self, path, kind: str):
+        self.path = path
+        self.kind = kind
+        with _row_checks(path, kind):
+            self._ranges = _video_ranges(path, kind)
+        self.video_ids = sorted(self._ranges)
+
+    def read(self, video_id: str):
+        parse, build, _, _ = _record_kind(self.kind)
+        ranges = self._ranges.get(video_id)
+        if ranges is None:
+            return build(defaultdict(list))
+        with _row_checks(self.path, self.kind):
+            return build(_read_columns(_range_lines(self.path, ranges),
+                                       self.kind, parse))
+
+    def __iter__(self) -> Iterator[tuple[str, object]]:
+        for video_id in self.video_ids:
+            yield video_id, self.read(video_id)
+
+
+@contextmanager
+def record_writer(path, kind: str) -> Iterator:
+    """``put(video_id, records)`` into a ``kind`` file, video by video.
+
+    Each call writes one video's records in the kind's row order, and
+    videos must come in strictly ascending id order, so the file holds
+    the bytes of the whole scenario sorted at once.  The file appears,
+    atomically, when the body ends without an error.
+    """
+    text = _record_kind(kind)[3]
+    with _record_file(path, kind) as fh:
+        previous = None
+
+        def put(video_id: str, records) -> None:
+            nonlocal previous
+            _check_id(video_id, str(path), None, "video_id")
+            if previous is not None and video_id <= previous:
+                raise InputError(
+                    f"video {video_id!r} written after {previous!r}; "
+                    f"videos must come in strictly ascending order")
+            previous = video_id
+            fh.write(text(path, video_id, records))
+        yield put
+
+
+def _write_videos(path, kind: str, chunks: Iterable[tuple[str, object]]
+                  ) -> None:
+    with record_writer(path, kind) as put:
+        for video_id, records in chunks:
+            put(video_id, records)
 
 
 def _id_column(values: list[str]) -> list[str]:
@@ -366,39 +527,36 @@ def _score_column(column: Sequence[str]) -> list[tuple[float, ...]]:
 
 # -- detections ---------------------------------------------------------
 
-def write_detections(path,
-                     by_video: Mapping[str, Iterable[Detection]]) -> None:
-    rows = []
-    for video_id, dets in by_video.items():
-        _check_id(video_id, str(path), None, "video_id")
-        for det in dets:
-            rows.append((video_id, det.frame_index, det.score,
-                         det.box.as_tuple(), det.source.value,
-                         det.class_scores))
-    rows.sort()
-    with _record_file(path, "detections") as fh:
-        for vid, frame, _, (x0, y0, x1, y1), source, scores in rows:
-            fh.write(f"{vid}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
-                     f"\t{float(x1)!r}\t{float(y1)!r}\t{source}"
-                     f"\t{','.join(map(repr, scores))}\n")
+def write_detections(
+        path, chunks: Iterable[tuple[str, Iterable[Detection]]]) -> None:
+    """``(video_id, detections)`` pairs, in ascending video order."""
+    _write_videos(path, "detections", chunks)
+
+
+def _detection_text(path, video_id: str, dets: Iterable[Detection]) -> str:
+    rows = sorted((det.frame_index, det.score, det.box.as_tuple(),
+                   det.source.value, det.class_scores) for det in dets)
+    return "".join([
+        f"{video_id}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
+        f"\t{float(x1)!r}\t{float(y1)!r}\t{source}"
+        f"\t{','.join(map(repr, scores))}\n"
+        for frame, _, (x0, y0, x1, y1), source, scores in rows])
 
 
 def read_detections(path) -> dict[str, list[Detection]]:
-    with _row_checks(path, "detections", _check_detections):
-        columns = _read_columns(path, "detections", _parse_detection_block)
-    out: dict[str, list[Detection]] = {}
-    for video_id, det in zip(columns["video_ids"], columns["detections"]):
-        out.setdefault(video_id, []).append(det)
-    return out
+    return dict(VideoRecords(path, "detections"))
 
 
 def _parse_detection_block(text: dict) -> dict[str, list]:
-    """A block's video ids and detections."""
-    return {"video_ids": _id_column(text["video_id"]),
-            "detections": list(map(
-                Detection, _frame_column(text["frame"]), _box_column(text),
-                _score_column(text["scores"]),
-                _source_column(text["source"])))}
+    """A block's detections, its video ids checked."""
+    _id_column(text["video_id"])
+    return {"detections": list(map(
+        Detection, _frame_column(text["frame"]), _box_column(text),
+        _score_column(text["scores"]), _source_column(text["source"])))}
+
+
+def _detections_of(columns: dict) -> list[Detection]:
+    return columns["detections"]
 
 
 def _check_detections(path, rows: _Rows) -> None:
@@ -415,42 +573,48 @@ def _check_detections(path, rows: _Rows) -> None:
 
 def write_proposals(
         path,
-        by_video: Mapping[str, Mapping[int, Iterable[Proposal]]]) -> None:
+        chunks: Iterable[tuple[str, Mapping[int, Iterable[Proposal]]]]
+) -> None:
+    """``(video_id, {frame: proposals})`` pairs, in ascending video
+    order."""
+    _write_videos(path, "proposals", chunks)
+
+
+def _proposal_text(path, video_id: str,
+                   frames: Mapping[int, Iterable[Proposal]]) -> str:
     rows = []
-    for video_id, frames in by_video.items():
-        _check_id(video_id, str(path), None, "video_id")
-        for frame, props in frames.items():
-            for prop in props:
-                if prop.frame_index != frame:
-                    raise InputError(
-                        f"proposal at frame {prop.frame_index} of "
-                        f"{video_id!r} filed under frame {frame}")
-                rows.append((video_id, frame, prop.objectness,
-                             prop.box.as_tuple()))
+    for frame, props in frames.items():
+        for prop in props:
+            if prop.frame_index != frame:
+                raise InputError(
+                    f"proposal at frame {prop.frame_index} of "
+                    f"{video_id!r} filed under frame {frame}")
+            rows.append((frame, prop.objectness, prop.box.as_tuple()))
     rows.sort()
-    with _record_file(path, "proposals") as fh:
-        for vid, frame, obj, (x0, y0, x1, y1) in rows:
-            fh.write(f"{vid}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
-                     f"\t{float(x1)!r}\t{float(y1)!r}\t{float(obj)!r}\n")
+    return "".join([
+        f"{video_id}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
+        f"\t{float(x1)!r}\t{float(y1)!r}\t{float(obj)!r}\n"
+        for frame, obj, (x0, y0, x1, y1) in rows])
 
 
 def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
-    with _row_checks(path, "proposals", _check_proposals):
-        columns = _read_columns(path, "proposals", _parse_proposal_block)
-    acc: dict[str, dict[int, list[Proposal]]] = {}
-    for video_id, prop in zip(columns["video_ids"], columns["proposals"]):
-        acc.setdefault(video_id, {}).setdefault(
-            prop.frame_index, []).append(prop)
-    return {vid: {frame: tuple(props) for frame, props in frames.items()}
-            for vid, frames in acc.items()}
+    return dict(VideoRecords(path, "proposals"))
 
 
 def _parse_proposal_block(text: dict) -> dict[str, list]:
-    """A block's video ids and proposals."""
-    return {"video_ids": _id_column(text["video_id"]),
-            "proposals": list(map(
-                Proposal, _frame_column(text["frame"]), _box_column(text),
-                map(float, text["objectness"])))}
+    """A block's proposals, its video ids checked."""
+    _id_column(text["video_id"])
+    return {"proposals": list(map(
+        Proposal, _frame_column(text["frame"]), _box_column(text),
+        map(float, text["objectness"])))}
+
+
+def _proposals_of(columns: dict) -> dict[int, tuple[Proposal, ...]]:
+    """A video's proposals by frame, frames in file order."""
+    frames: dict[int, list[Proposal]] = {}
+    for prop in columns["proposals"]:
+        frames.setdefault(prop.frame_index, []).append(prop)
+    return {frame: tuple(props) for frame, props in frames.items()}
 
 
 def _check_proposals(path, rows: _Rows) -> None:
@@ -518,50 +682,64 @@ def _tube_rows(path, rows: _Rows, frame_column: int) -> Iterator[tuple]:
                           field="frame") from None
 
 
-def _sorted_tubes(path, tubes: Iterable) -> Iterator:
-    """``tubes`` by (video_id, tube_id), each id checked, none repeated."""
+def _video_tubes(path, video_id: str, tubes: Iterable) -> list:
+    """One video's tubes by tube id, each of that video and its id
+    checked, none repeated."""
+    out = sorted(tubes, key=lambda t: t.tube_id)
     previous = None
-    for tube in sorted(tubes, key=lambda t: (t.video_id, t.tube_id)):
-        key = (_check_id(tube.video_id, str(path), None, "video_id"),
-               _check_id(tube.tube_id, str(path), None, "tube_id"))
-        if key == previous:
+    for tube in out:
+        if tube.video_id != video_id:
+            raise InputError(f"tube {tube.tube_id!r} of {tube.video_id!r} "
+                             f"written with the tubes of {video_id!r}")
+        _check_id(tube.tube_id, str(path), None, "tube_id")
+        if tube.tube_id == previous:
             raise InputError(f"duplicate tube id {tube.tube_id!r} in "
-                             f"{tube.video_id!r}")
-        previous = key
-        yield tube
+                             f"{video_id!r}")
+        previous = tube.tube_id
+    return out
 
 
-def write_tubes(path, tubes: Iterable[Tube]) -> None:
-    with _record_file(path, "tubes") as fh:
-        for tube in _sorted_tubes(path, tubes):
-            head = f"{tube.video_id}\t{tube.tube_id}\t"
-            label = "-" if tube.label is None else tube.label
-            score = "-" if tube.score is None else repr(float(tube.score))
-            tail = f"\t{label}\t{score}\n"
-            fh.write("".join([
-                f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
-                f"\t{float(box.x_max)!r}\t{float(box.y_max)!r}"
-                f"\t{source.value}\t{','.join(map(repr, scores))}{tail}"
-                for frame, box, scores, source in zip(
-                    count(tube.start), tube.boxes, tube.class_scores,
-                    tube.sources)]))
+def write_tubes(path, chunks: Iterable[tuple[str, Iterable[Tube]]]) -> None:
+    """``(video_id, tubes)`` pairs, in ascending video order."""
+    _write_videos(path, "tubes", chunks)
+
+
+def _tube_text(path, video_id: str, tubes: Iterable[Tube]) -> str:
+    rows = []
+    for tube in _video_tubes(path, video_id, tubes):
+        head = f"{video_id}\t{tube.tube_id}\t"
+        label = "-" if tube.label is None else tube.label
+        score = "-" if tube.score is None else repr(float(tube.score))
+        tail = f"\t{label}\t{score}\n"
+        rows += [
+            f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
+            f"\t{float(box.x_max)!r}\t{float(box.y_max)!r}"
+            f"\t{source.value}\t{','.join(map(repr, scores))}{tail}"
+            for frame, box, scores, source in zip(
+                count(tube.start), tube.boxes, tube.class_scores,
+                tube.sources)]
+    return "".join(rows)
 
 
 def read_tubes(path) -> list[Tube]:
-    with _row_checks(path, "tubes", _check_tubes):
-        columns = _read_columns(path, "tubes", _parse_tube_block)
-        tubes = []
-        for video_id, tube_id, start, rows in _tube_runs(columns):
-            tails = columns["tails"][rows]
-            if len(set(tails)) != 1:
-                raise ValueError("conflicting label or score")
-            label, score = tails[0]
-            tubes.append(Tube(
-                video_id, tube_id, start, columns["boxes"][rows],
-                columns["scores"][rows], columns["sources"][rows],
-                label=None if label == "-" else _integer(label),
-                score=None if score == "-" else float(score)))
-        return tubes
+    return [tube for _, tubes in VideoRecords(path, "tubes")
+            for tube in tubes]
+
+
+def _tubes_of(columns: dict) -> list[Tube]:
+    """A video's tubes by tube id."""
+    tubes = []
+    for video_id, tube_id, start, rows in _tube_runs(columns):
+        tails = columns["tails"][rows]
+        if len(set(tails)) != 1:
+            raise ValueError("conflicting label or score")
+        label, score = tails[0]
+        tubes.append(Tube(
+            video_id, tube_id, start, columns["boxes"][rows],
+            columns["scores"][rows], columns["sources"][rows],
+            label=None if label == "-" else _integer(label),
+            score=None if score == "-" else float(score)))
+    return tubes
 
 
 def _parse_tube_block(text: dict) -> dict[str, list]:
@@ -601,27 +779,39 @@ def _check_tubes(path, rows: _Rows) -> None:
 
 # -- ground truth -------------------------------------------------------
 
-def write_gt_tubes(path, tubes: Iterable[GroundTruthTube]) -> None:
-    with _record_file(path, "gttubes") as fh:
-        for tube in _sorted_tubes(path, tubes):
-            head = f"{tube.video_id}\t{tube.tube_id}\t{tube.label}\t"
-            fh.write("".join([
-                f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
-                f"\t{float(box.x_max)!r}\t{float(box.y_max)!r}\n"
-                for frame, box in tube.iter_frames()]))
+def write_gt_tubes(
+        path, chunks: Iterable[tuple[str, Iterable[GroundTruthTube]]]
+) -> None:
+    """``(video_id, tubes)`` pairs, in ascending video order."""
+    _write_videos(path, "gttubes", chunks)
+
+
+def _gt_text(path, video_id: str, tubes: Iterable[GroundTruthTube]) -> str:
+    rows = []
+    for tube in _video_tubes(path, video_id, tubes):
+        head = f"{video_id}\t{tube.tube_id}\t{tube.label}\t"
+        rows += [
+            f"{head}{frame}\t{float(box.x_min)!r}\t{float(box.y_min)!r}"
+            f"\t{float(box.x_max)!r}\t{float(box.y_max)!r}\n"
+            for frame, box in tube.iter_frames()]
+    return "".join(rows)
 
 
 def read_gt_tubes(path) -> list[GroundTruthTube]:
-    with _row_checks(path, "gttubes", _check_gt_tubes):
-        columns = _read_columns(path, "gttubes", _parse_gt_block)
-        tubes = []
-        for video_id, tube_id, start, rows in _tube_runs(columns):
-            labels = set(columns["labels"][rows])
-            if len(labels) != 1:
-                raise ValueError("conflicting labels")
-            tubes.append(GroundTruthTube(video_id, tube_id, *labels, start,
-                                         columns["boxes"][rows]))
-        return tubes
+    return [tube for _, tubes in VideoRecords(path, "gttubes")
+            for tube in tubes]
+
+
+def _gt_tubes_of(columns: dict) -> list[GroundTruthTube]:
+    """A video's ground-truth tubes by tube id."""
+    tubes = []
+    for video_id, tube_id, start, rows in _tube_runs(columns):
+        labels = set(columns["labels"][rows])
+        if len(labels) != 1:
+            raise ValueError("conflicting labels")
+        tubes.append(GroundTruthTube(video_id, tube_id, *labels, start,
+                                     columns["boxes"][rows]))
+    return tubes
 
 
 def _parse_gt_block(text: dict) -> dict[str, list]:
@@ -653,30 +843,47 @@ def _check_gt_tubes(path, rows: _Rows) -> None:
 
 def write_clip_scores(
         path,
-        by_tube: Mapping[tuple[str, str], ClipScoreSequence]) -> None:
-    with _record_file(path, "clipscores") as fh:
-        for (video_id, tube_id), clips in sorted(by_tube.items()):
-            _check_id(video_id, str(path), None, "video_id")
-            _check_id(tube_id, str(path), None, "tube_id")
-            head = f"{video_id}\t{tube_id}\t{clips.clip_length}\t"
-            for interval, scores in zip(clips.intervals, clips.scores):
-                fh.write(f"{head}{interval.start}\t{interval.end}"
-                         f"\t{','.join(map(repr, scores))}\n")
+        chunks: Iterable[tuple[str, Mapping[tuple[str, str],
+                                            ClipScoreSequence]]]) -> None:
+    """``(video_id, {(video_id, tube_id): clips})`` pairs, in ascending
+    video order."""
+    _write_videos(path, "clipscores", chunks)
+
+
+def _clip_text(path, video_id: str,
+               by_tube: Mapping[tuple[str, str], ClipScoreSequence]) -> str:
+    rows = []
+    for (tube_video, tube_id), clips in sorted(by_tube.items()):
+        if tube_video != video_id:
+            raise InputError(f"clip scores of tube {tube_id!r} of "
+                             f"{tube_video!r} written with the clip scores "
+                             f"of {video_id!r}")
+        _check_id(tube_id, str(path), None, "tube_id")
+        head = f"{video_id}\t{tube_id}\t{clips.clip_length}\t"
+        rows += [f"{head}{interval.start}\t{interval.end}"
+                 f"\t{','.join(map(repr, scores))}\n"
+                 for interval, scores in zip(clips.intervals, clips.scores)]
+    return "".join(rows)
 
 
 def read_clip_scores(path) -> dict[tuple[str, str], ClipScoreSequence]:
-    with _row_checks(path, "clipscores", _check_clip_scores):
-        columns = _read_columns(path, "clipscores", _parse_clip_block)
-        lengths: dict[tuple[str, str], int] = {}
-        clips: dict[tuple[str, str], list] = {}
-        for key, length, *clip in zip(
-                columns["keys"], columns["lengths"], columns["starts"],
-                columns["ends"], columns["scores"]):
-            if lengths.setdefault(key, length) != length:
-                raise ValueError("mixed clip lengths")
-            clips.setdefault(key, []).append(clip)
-        return {key: _clip_sequence(lengths[key], clips[key])
-                for key in sorted(clips)}
+    return {key: clips for _, by_tube in VideoRecords(path, "clipscores")
+            for key, clips in by_tube.items()}
+
+
+def _clip_scores_of(columns: dict) -> dict[tuple[str, str],
+                                            ClipScoreSequence]:
+    """A video's clip score sequences by (video_id, tube_id)."""
+    lengths: dict[tuple[str, str], int] = {}
+    clips: dict[tuple[str, str], list] = {}
+    for key, length, *clip in zip(
+            columns["keys"], columns["lengths"], columns["starts"],
+            columns["ends"], columns["scores"]):
+        if lengths.setdefault(key, length) != length:
+            raise ValueError("mixed clip lengths")
+        clips.setdefault(key, []).append(clip)
+    return {key: _clip_sequence(lengths[key], clips[key])
+            for key in sorted(clips)}
 
 
 def _parse_clip_block(text: dict) -> dict[str, list]:
@@ -838,7 +1045,7 @@ def iter_arrays(path) -> Iterator[tuple[str, np.ndarray]]:
         if version != FORMAT_VERSION:
             raise SchemaError(f"unsupported container version {version}",
                               path=str(path))
-        seen = set()
+        previous = None
         for _ in range(count):
             name_len, = struct.unpack("<H", take(2))
             try:
@@ -846,10 +1053,12 @@ def iter_arrays(path) -> Iterator[tuple[str, np.ndarray]]:
             except UnicodeDecodeError:
                 raise SchemaError(f"array name at byte {offset - name_len} "
                                   f"is not UTF-8", path=str(path)) from None
-            if name in seen:
-                raise SchemaError(f"array {name!r} appears twice",
-                                  path=str(path))
-            seen.add(name)
+            if previous is not None and name <= previous:
+                raise SchemaError(
+                    f"array {name!r} appears twice" if name == previous
+                    else f"array {name!r} comes after {previous!r}; names "
+                    f"must be strictly ascending", path=str(path))
+            previous = name
             code, ndim = struct.unpack("<BB", take(2))
             if code not in _DTYPE_CODES:
                 raise SchemaError(f"array {name!r} has unknown dtype code "
@@ -938,21 +1147,38 @@ def write_matches(path,
     write_arrays(path, sorted(arrays.items()))
 
 
+def matches_by_video(path) -> Iterator[
+        tuple[str, dict[tuple[str, int], np.ndarray]]]:
+    """Each video's ``{(video_id, frame): rows}`` of a matches container.
+
+    Videos come one at a time in file order.  Array names ascend, so a
+    video's arrays are contiguous and videos come in the order of
+    ``<video_id>/``: ascending ids, unless one id extends another by
+    ``-`` or ``.`` (``a-b/`` sorts before ``a/``).
+    """
+    import numpy as np
+
+    def pairs():
+        for name, rows in iter_arrays(path):
+            video_id, frame = _parse_frame_name(name, path, "match")
+            if rows.dtype.kind != "f" or rows.ndim != 2 \
+                    or rows.shape[1] != 4:
+                raise SchemaError(
+                    f"match array {name!r} is {rows.dtype} {rows.shape}, "
+                    f"expected (N, 4) float64", path=str(path))
+            if not np.all(np.isfinite(rows)):
+                raise SchemaError(f"match array {name!r}: match points "
+                                  f"must be finite", path=str(path))
+            yield video_id, frame, rows
+
+    for video_id, group in groupby(pairs(), key=operator.itemgetter(0)):
+        yield video_id, {(video_id, frame): rows for _, frame, rows in group}
+
+
 def read_matches(path) -> dict[tuple[str, int], np.ndarray]:
     """``(video_id, frame) -> rows`` as written by ``write_matches``."""
-    import numpy as np
-    out = {}
-    for name, rows in read_arrays(path).items():
-        video_id, frame = _parse_frame_name(name, path, "match")
-        if rows.dtype.kind != "f" or rows.ndim != 2 or rows.shape[1] != 4:
-            raise SchemaError(
-                f"match array {name!r} is {rows.dtype} {rows.shape}, "
-                f"expected (N, 4) float64", path=str(path))
-        if not np.all(np.isfinite(rows)):
-            raise SchemaError(f"match array {name!r}: match points must "
-                              f"be finite", path=str(path))
-        out[(video_id, frame)] = rows
-    return out
+    return {key: rows for _, pairs in matches_by_video(path)
+            for key, rows in pairs.items()}
 
 
 def write_alphas(path, alphas: np.ndarray) -> None:

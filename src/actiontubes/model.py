@@ -9,6 +9,7 @@ implementation of frame access.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -261,6 +262,20 @@ class Tube(_FrameRun):
         object.__setattr__(self, "sources", tuple(self.sources))
         if self.score is not None:
             _require_finite("tube score", self.score)
+
+    def labeled(self, label: int, score: float) -> "Tube":
+        """This tube with ``label`` and ``score``.
+
+        Only the two new values are checked: the frames were checked when
+        this tube was built, so they are not validated a second time.
+        """
+        if label < 0:
+            raise InputError(f"label must be non-negative, got {label}")
+        _require_finite("tube score", score)
+        out = copy.copy(self)
+        object.__setattr__(out, "label", label)
+        object.__setattr__(out, "score", score)
+        return out
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,16 @@ its driver, so a stage's process loads only those.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from contextlib import ExitStack
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import formats
 from .config import PipelineConfig
 from .errors import ConfigError, InputError
-from .model import BoundingBox, Detection, FrameInterval, Tube
+from .model import BoundingBox, Detection, FrameInterval
 
 if TYPE_CHECKING:
     from .evaluation import EvalConfig, EvalReport
@@ -144,13 +146,15 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
     scenario = scenario_config(config)
     bundle = generate(scenario)
-    formats.write_gt_tubes(directory / FILE_GT, bundle.all_gt())
+    videos = sorted(bundle.videos, key=lambda v: v.video_id)
+    formats.write_gt_tubes(directory / FILE_GT,
+                           [(v.video_id, v.gt_tubes) for v in videos])
     for stream, name in FILE_DETECTIONS.items():
         formats.write_detections(
             directory / name,
-            {v.video_id: v.detections[stream] for v in bundle.videos})
+            [(v.video_id, v.detections[stream]) for v in videos])
     formats.write_proposals(directory / FILE_PROPOSALS,
-                            {v.video_id: v.proposals for v in bundle.videos})
+                            [(v.video_id, v.proposals) for v in videos])
     matcher = bundle.matcher()
     width, height = scenario.frame_size
     full = BoundingBox(0.0, 0.0, float(width), float(height))
@@ -176,36 +180,69 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
             for grid in video_flow(scenario, index, video.gt_tubes)))
     else:
         (directory / FILE_FLOW).unlink(missing_ok=True)
-    drift = [t for tubes in bundle.drift_tubes.values() for t in tubes]
+    drift = sorted((video_id, tubes)
+                   for video_id, tubes in bundle.drift_tubes.items() if tubes)
     if drift:
         formats.write_tubes(directory / FILE_DRIFT, drift)
     else:
         (directory / FILE_DRIFT).unlink(missing_ok=True)
     return {"videos": len(bundle.videos),
             "gt_tubes": len(bundle.all_gt()),
-            "drift_tubes": len(drift)}
+            "drift_tubes": sum(len(tubes) for _, tubes in drift)}
+
+
+def _video_ids(*readers) -> list[str]:
+    """Every video any of ``readers`` holds (``None`` holds none),
+    ascending."""
+    return sorted(set().union(*(r.video_ids for r in readers if r)))
+
+
+def _in_video_order(video_ids: list[str], chunks, process):
+    """``(video_id, process(video_id, chunk))`` for each of ``video_ids``.
+
+    ``video_ids`` ascend.  ``chunks`` are an array container's
+    ``(video_id, chunk)`` pairs, in its name order, where ``<video_id>/``
+    sorts: ascending ids, unless one id extends another by ``-`` or
+    ``.``.  Each chunk is processed as it is reached, and one of a video
+    not in ``video_ids`` is passed over; a video without a chunk is
+    processed with ``None`` once the container has gone past it.  A
+    result reached before its turn is held until then, so with ids in
+    the same order in both one result is held at a time.
+    """
+    wanted = set(video_ids)
+    held = {}
+    turn = 0
+
+    def due(passed):
+        nonlocal turn
+        while turn < len(video_ids) and (video_ids[turn] in held
+                                         or passed(video_ids[turn])):
+            video_id = video_ids[turn]
+            turn += 1
+            yield video_id, (held.pop(video_id) if video_id in held
+                             else process(video_id, None))
+
+    for video_id, chunk in chunks:
+        if video_id in wanted:
+            held[video_id] = process(video_id, chunk)
+        yield from due(lambda other: other + "/" < video_id + "/")
+    yield from due(lambda other: True)
 
 
 def run_fuse(directory: Path, config: PipelineConfig) -> dict:
     """Combine the detection streams; prune static proposals by flow."""
     from .fusion import late_fuse, merge_early_late, saliency_prune
-    streams = {
-        stream: formats.read_detections(
-            _require(directory, name, "synth"))
-        for stream, name in FILE_DETECTIONS.items()}
-    video_ids = sorted(set().union(*[set(s) for s in streams.values()]))
+    streams = [formats.VideoRecords(_require(directory, name, "synth"),
+                                    "detections")
+               for name in FILE_DETECTIONS.values()]
     overlap = config["fuse.nms_overlap"]
     enabled = config["fuse.enabled"]
 
     def fuse_one(video_id):
-        by_frame = {stream: _group_by_frame(streams[stream].get(video_id, []))
-                    for stream in streams}
-        frames = sorted(set().union(*[set(b) for b in by_frame.values()]))
+        by_frame = [_group_by_frame(s.read(video_id)) for s in streams]
         out = []
-        for frame in frames:
-            static = by_frame["static"].get(frame, [])
-            flow = by_frame["flow"].get(frame, [])
-            early = by_frame["early"].get(frame, [])
+        for frame in sorted(set().union(*by_frame)):
+            static, flow, early = (b.get(frame, []) for b in by_frame)
             if not enabled:
                 out.extend([*static, *flow, *early])
                 continue
@@ -213,29 +250,44 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
             out.extend(merge_early_late(early, late, overlap))
         return out
 
-    fused = {video_id: fuse_one(video_id) for video_id in video_ids}
-    result = {"videos": len(video_ids),
-              "detections": sum(len(d) for d in fused.values())}
+    video_ids = _video_ids(*streams)
+    result = {"videos": len(video_ids), "detections": 0}
     flow_path = directory / FILE_FLOW
-    if enabled and flow_path.exists():
-        salient = formats.read_proposals(
-            _require(directory, FILE_PROPOSALS, "synth"))
-        threshold = config["fuse.min_mean_magnitude"]
-        # each grid prunes its frame as it is read and is then dropped;
-        # frames without a grid keep their proposals
-        for video_id, grid in formats.read_flow(flow_path):
-            frames = salient.get(video_id, {})
-            props = frames.get(grid.frame_index)
-            if props is not None:
-                frames[grid.frame_index] = tuple(
-                    saliency_prune(props, grid, threshold))
-        formats.write_proposals(directory / FILE_SALIENT, salient)
-        result["salient_proposals"] = sum(
-            len(p) for frames in salient.values() for p in frames.values())
-    else:
-        # track reads salient proposals whenever they exist
-        (directory / FILE_SALIENT).unlink(missing_ok=True)
-    formats.write_detections(directory / FILE_FUSED, fused)
+    # both outputs appear only once every input has been read through
+    with ExitStack() as outputs:
+        write_fused = outputs.enter_context(
+            formats.record_writer(directory / FILE_FUSED, "detections"))
+        for video_id in video_ids:
+            fused = fuse_one(video_id)
+            write_fused(video_id, fused)
+            result["detections"] += len(fused)
+        if enabled and flow_path.exists():
+            proposals = formats.VideoRecords(
+                _require(directory, FILE_PROPOSALS, "synth"), "proposals")
+            threshold = config["fuse.min_mean_magnitude"]
+
+            def prune(video_id, grids):
+                # each grid prunes its frame as it is read and is then
+                # dropped; frames without a grid keep their proposals
+                frames = dict(proposals.read(video_id))
+                for _, grid in grids or ():
+                    props = frames.get(grid.frame_index)
+                    if props is not None:
+                        frames[grid.frame_index] = tuple(
+                            saliency_prune(props, grid, threshold))
+                return frames
+
+            write_salient = outputs.enter_context(
+                formats.record_writer(directory / FILE_SALIENT, "proposals"))
+            result["salient_proposals"] = 0
+            grids = groupby(formats.read_flow(flow_path), key=itemgetter(0))
+            for video_id, frames in _in_video_order(proposals.video_ids,
+                                                    grids, prune):
+                write_salient(video_id, frames)
+                result["salient_proposals"] += sum(map(len, frames.values()))
+        else:
+            # track reads salient proposals whenever they exist
+            (directory / FILE_SALIENT).unlink(missing_ok=True)
     return result
 
 
@@ -244,107 +296,98 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
     from .synth import SyntheticRegionScorer
     from .tracker import (PrecomputedMatcher, build_tubes,
                           build_tubes_neighborhood)
-    detections = formats.read_detections(
-        _require(directory, FILE_FUSED, "fuse"))
+    detections = formats.VideoRecords(
+        _require(directory, FILE_FUSED, "fuse"), "detections")
     salient_path = directory / FILE_SALIENT
-    if salient_path.exists():
-        proposals = formats.read_proposals(salient_path)
-    else:
-        proposals = formats.read_proposals(
-            _require(directory, FILE_PROPOSALS, "synth"))
-    ground_truth = formats.read_gt_tubes(
-        _require(directory, FILE_GT, "synth"))
+    proposals = formats.VideoRecords(
+        salient_path if salient_path.exists()
+        else _require(directory, FILE_PROPOSALS, "synth"), "proposals")
+    truth = formats.VideoRecords(_require(directory, FILE_GT, "synth"),
+                                 "gttubes")
     scenario = scenario_config(config)
-    gt_map: dict[str, list] = {}
-    for gt in ground_truth:
-        gt_map.setdefault(gt.video_id, []).append(gt)
-    scorer = SyntheticRegionScorer(scenario, gt_map)
     tcfg = tracker_config(config)
     baseline = config["track.baseline"]
-    matcher = None
-    if not baseline:
-        matcher = PrecomputedMatcher(formats.read_matches(
-            _require(directory, FILE_MATCHES, "synth")))
+    matches = () if baseline else formats.matches_by_video(
+        _require(directory, FILE_MATCHES, "synth"))
 
-    def track_one(video_id):
-        by_frame = _group_by_frame(detections.get(video_id, []))
+    def track_one(video_id, pairs):
+        ground_truth = truth.read(video_id)
+        props = proposals.read(video_id)
+        by_frame = _group_by_frame(detections.read(video_id))
         if not by_frame:
             return []
-        frames = set(by_frame) | set(proposals.get(video_id, {}))
+        scorer = SyntheticRegionScorer(
+            scenario, {video_id: ground_truth} if ground_truth else {})
+        frames = set(by_frame) | set(props)
         extent = FrameInterval(min(frames), max(frames) + 1)
-        props = proposals.get(video_id, {})
         if baseline:
             return build_tubes_neighborhood(
                 video_id, by_frame, props, extent, scorer, tcfg,
                 search_radius=config["track.search_radius"])
-        return build_tubes(video_id, by_frame, props, extent, matcher,
-                           scorer, tcfg)
+        return build_tubes(video_id, by_frame, props, extent,
+                           PrecomputedMatcher(pairs or {}), scorer, tcfg)
 
-    video_ids = sorted(detections)
-    tubes = [tube for video_id in video_ids for tube in track_one(video_id)]
-    formats.write_tubes(directory / FILE_TRACKED, tubes)
-    return {"videos": len(video_ids), "tubes": len(tubes)}
+    count = 0
+    with formats.record_writer(directory / FILE_TRACKED, "tubes") as write:
+        for video_id, tubes in _in_video_order(
+                _video_ids(detections, proposals, truth), matches,
+                track_one):
+            write(video_id, tubes)
+            count += len(tubes)
+    return {"videos": len(detections.video_ids), "tubes": count}
 
 
 def run_score(directory: Path, config: PipelineConfig) -> dict:
     """Label each tube from its clip features; injected tubes join here."""
     from .scoring import score_clips, score_tube, slice_clips
     from .synth import SyntheticFeaturizer
-    tubes = formats.read_tubes(_require(directory, FILE_TRACKED, "track"))
+    tracked = formats.VideoRecords(
+        _require(directory, FILE_TRACKED, "track"), "tubes")
     drift_path = directory / FILE_DRIFT
-    if drift_path.exists():
-        tubes = tubes + formats.read_tubes(drift_path)
+    drift = formats.VideoRecords(drift_path, "tubes") \
+        if drift_path.exists() else None
     weights = formats.read_weights(
         _require(directory, FILE_WEIGHTS, "synth"))
-    ground_truth = formats.read_gt_tubes(
-        _require(directory, FILE_GT, "synth"))
+    truth = formats.VideoRecords(_require(directory, FILE_GT, "synth"),
+                                 "gttubes")
     scenario = scenario_config(config)
-    gt_map: dict[str, list] = {}
-    for gt in ground_truth:
-        gt_map.setdefault(gt.video_id, []).append(gt)
-    indices = {video_id: i for i, video_id in enumerate(sorted(gt_map))}
-    featurizer = SyntheticFeaturizer(scenario, gt_map, indices)
+    indices = {video_id: i for i, video_id in enumerate(truth.video_ids)}
     clip_length = config["clip.length"]
 
-    by_video: dict[str, list[Tube]] = {}
-    for tube in tubes:
-        by_video.setdefault(tube.video_id, []).append(tube)
-
-    def score_one(video_id):
-        out = []
-        for tube in by_video[video_id]:
-            intervals = slice_clips(tube.interval(), clip_length)
-            features = featurizer.clip_features(tube, intervals)
-            clips = score_clips(features, weights, intervals, clip_length)
-            ts = score_tube(tube, clips, label=tube.label)
-            out.append((replace(tube, label=ts.label, score=ts.score), clips))
-        return out
-
-    scored = [pair for video_id in sorted(by_video)
-              for pair in score_one(video_id)]
-    labeled = [tube for tube, _ in scored]
-    clip_map = {(tube.video_id, tube.tube_id): clips
-                for tube, clips in scored}
-    formats.write_tubes(directory / FILE_SCORED, labeled)
-    formats.write_clip_scores(directory / FILE_CLIP_SCORES, clip_map)
-    return {"tubes": len(labeled)}
+    count = 0
+    with formats.record_writer(directory / FILE_SCORED, "tubes") as \
+            write_tubes, formats.record_writer(
+                directory / FILE_CLIP_SCORES, "clipscores") as write_clips:
+        for video_id in _video_ids(tracked, drift, truth):
+            featurizer = SyntheticFeaturizer(
+                scenario, {video_id: truth.read(video_id)}, indices)
+            labeled, clip_map = [], {}
+            for tube in tracked.read(video_id) + (
+                    drift.read(video_id) if drift else []):
+                intervals = slice_clips(tube.interval(), clip_length)
+                features = featurizer.clip_features(tube, intervals)
+                clips = score_clips(features, weights, intervals,
+                                    clip_length)
+                ts = score_tube(tube, clips, label=tube.label)
+                labeled.append(tube.labeled(ts.label, ts.score))
+                clip_map[(video_id, tube.tube_id)] = clips
+            write_tubes(video_id, labeled)
+            write_clips(video_id, clip_map)
+            count += len(labeled)
+    return {"tubes": count}
 
 
 def run_prune(directory: Path, config: PipelineConfig) -> dict:
     """Drop overlap duplicates, then tubes off their class footprint."""
     from .footprint import build_footprint_map, prune_drifted
     from .scoring import prune_overlapped, require_scored
-    tubes = formats.read_tubes(_require(directory, FILE_SCORED, "score"))
-    for tube in tubes:
-        require_scored(tube)
+    scored = formats.VideoRecords(
+        _require(directory, FILE_SCORED, "score"), "tubes")
     stats = {"removed_overlap": 0}
-    if config["prune.enabled"]:
-        kept = prune_overlapped(tubes, config["prune.st_overlap"])
-        stats["removed_overlap"] = len(tubes) - len(kept)
-        tubes = kept
     # a footprint prune that did not run says why, so it never reads as
     # one that ran and kept every tube
     alphas_path = directory / FILE_ALPHAS
+    fmap = None
     if not config["prune.footprint"]:
         stats["footprint"] = "skipped:disabled"
     elif not alphas_path.exists():
@@ -354,35 +397,55 @@ def run_prune(directory: Path, config: PipelineConfig) -> dict:
                                    cell_layout(config))
         frame_size = (float(config["synth.frame_width"]),
                       float(config["synth.frame_height"]))
-        kept = prune_drifted(tubes, fmap, frame_size)
-        stats["removed_footprint"] = len(tubes) - len(kept)
-        tubes = kept
-    formats.write_tubes(directory / FILE_PRUNED, tubes)
-    return {"tubes": len(tubes), **stats}
+        stats["removed_footprint"] = 0
+    count = 0
+    with formats.record_writer(directory / FILE_PRUNED, "tubes") as write:
+        for video_id, tubes in scored:
+            for tube in tubes:
+                require_scored(tube)
+            if config["prune.enabled"]:
+                kept = prune_overlapped(tubes, config["prune.st_overlap"])
+                stats["removed_overlap"] += len(tubes) - len(kept)
+                tubes = kept
+            if fmap is not None:
+                kept = prune_drifted(tubes, fmap, frame_size)
+                stats["removed_footprint"] += len(tubes) - len(kept)
+                tubes = kept
+            write(video_id, tubes)
+            count += len(tubes)
+    return {"tubes": count, **stats}
 
 
 def run_localize(directory: Path, config: PipelineConfig) -> dict:
     """Trim each tube to its confident clip span."""
     from .temporal import localize
-    tubes = formats.read_tubes(_require(directory, FILE_PRUNED, "prune"))
-    if not config["localize.enabled"]:
-        formats.write_tubes(directory / FILE_FINAL, tubes)
-        return {"tubes": len(tubes), "removed": 0}
-    clip_map = formats.read_clip_scores(
-        _require(directory, FILE_CLIP_SCORES, "score"))
+    pruned = formats.VideoRecords(
+        _require(directory, FILE_PRUNED, "prune"), "tubes")
+    clip_scores = formats.VideoRecords(
+        _require(directory, FILE_CLIP_SCORES, "score"), "clipscores") \
+        if config["localize.enabled"] else None
     tau = config["localize.tau"]
-    out = []
-    for tube in tubes:
-        clips = clip_map.get((tube.video_id, tube.tube_id))
-        if clips is None:
-            raise InputError(
-                f"no clip scores for tube {tube.tube_id!r} in "
-                f"{tube.video_id!r}; rerun the 'score' command")
-        result = localize(tube, clips, tau=tau)
-        if result is not None:
-            out.append(result)
-    formats.write_tubes(directory / FILE_FINAL, out)
-    return {"tubes": len(out), "removed": len(tubes) - len(out)}
+    kept = removed = 0
+    with formats.record_writer(directory / FILE_FINAL, "tubes") as write:
+        for video_id in _video_ids(pruned, clip_scores):
+            tubes = pruned.read(video_id)
+            out = tubes
+            if clip_scores is not None:
+                clip_map = clip_scores.read(video_id)
+                out = []
+                for tube in tubes:
+                    clips = clip_map.get((video_id, tube.tube_id))
+                    if clips is None:
+                        raise InputError(
+                            f"no clip scores for tube {tube.tube_id!r} in "
+                            f"{video_id!r}; rerun the 'score' command")
+                    result = localize(tube, clips, tau=tau)
+                    if result is not None:
+                        out.append(result)
+            write(video_id, out)
+            kept += len(out)
+            removed += len(tubes) - len(out)
+    return {"tubes": kept, "removed": removed}
 
 
 def _metric_rows(report: EvalReport, config: PipelineConfig) -> list[tuple]:

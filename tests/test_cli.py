@@ -13,10 +13,12 @@ import pytest
 from actiontubes import formats
 from actiontubes.cli import STAGES, main
 from actiontubes.errors import ProcessingError
-from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_FINAL,
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_SCORES,
+                                  FILE_DETECTIONS, FILE_DRIFT, FILE_FINAL,
                                   FILE_FLOW, FILE_FUSED, FILE_GT,
-                                  FILE_PROPOSALS, FILE_PRUNED, FILE_SALIENT,
-                                  FILE_SCORED, FILE_TRACKED, PIPELINE_ORDER)
+                                  FILE_MATCHES, FILE_PROPOSALS, FILE_PRUNED,
+                                  FILE_SALIENT, FILE_SCORED, FILE_TRACKED,
+                                  PIPELINE_ORDER, _in_video_order)
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -25,6 +27,11 @@ FAST = ("--stage-override", "synth.video_count=3",
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def record_kind(path):
+    """The record kind a file's header names."""
+    return path.read_text().split("\n")[0].split(" ")[1]
 
 
 def tree_bytes(directory):
@@ -257,6 +264,116 @@ class TestExitCodes:
         code = run_cli("track", "--out", tmp_path)
         assert code == 4
         assert "stage gave up" in capsys.readouterr().err
+
+
+class TestOneVideoAtATime:
+    """``fuse`` through ``localize`` read, process and write one video at
+    a time, yet commit nothing until every input has been read."""
+
+    FLOW = ("--stage-override", "synth.with_flow=true")
+
+    # stage -> (input damaged in its last video, its column to damage,
+    # the stage's outputs)
+    CASES = {
+        "fuse-detections": ("fuse", FILE_DETECTIONS["early"], "x0",
+                            (FILE_FUSED, FILE_SALIENT)),
+        "fuse-proposals": ("fuse", FILE_PROPOSALS, "objectness",
+                           (FILE_FUSED, FILE_SALIENT)),
+        "track": ("track", FILE_FUSED, "x0", (FILE_TRACKED,)),
+        "score": ("score", FILE_TRACKED, "x0",
+                  (FILE_SCORED, FILE_CLIP_SCORES)),
+        "prune": ("prune", FILE_SCORED, "x0", (FILE_PRUNED,)),
+        "localize": ("localize", FILE_CLIP_SCORES, "scores", (FILE_FINAL,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fault_in_the_last_video_leaves_no_output(self, tmp_path,
+                                                      capsys, case):
+        stage, name, column, outputs = self.CASES[case]
+        for earlier in PIPELINE_ORDER[:PIPELINE_ORDER.index(stage)]:
+            assert run_cli(earlier, "--out", tmp_path, *FAST,
+                           *self.FLOW) == 0
+        path = tmp_path / name
+        kind = record_kind(path)
+        rows = [list(fields) for _, fields in
+                formats.read_records(path, kind)]
+        last = max(range(len(rows)), key=lambda i: rows[i][0])
+        assert rows[last][0] == "v002"
+        rows[last][formats.SCHEMAS[kind].columns.index(column)] = "x"
+        formats.write_records(path, kind, rows)
+        capsys.readouterr()
+        assert run_cli(stage, "--out", tmp_path, *FAST, *self.FLOW) == 3
+        assert "not a number: 'x'" in capsys.readouterr().err
+        for output in outputs:
+            assert not (tmp_path / output).exists(), output
+
+    def test_trailing_match_bytes_leave_no_tubes(self, tmp_path, capsys):
+        """The matches are read to their end before the tubes appear."""
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        path = tmp_path / FILE_MATCHES
+        path.write_bytes(path.read_bytes() + b"\x00")
+        capsys.readouterr()
+        assert run_cli("track", "--out", tmp_path, *FAST) == 3
+        assert "trailing" in capsys.readouterr().err
+        assert not (tmp_path / FILE_TRACKED).exists()
+
+    # video ids whose array names sort in another order: "a-b/" and
+    # "a.c/" come before "a/"
+    RENAMED = {"v000": "a", "v001": "a-b", "v002": "a.c"}
+
+    def _renamed_copy(self, out, copy):
+        """``out``'s synth inputs with every video renamed."""
+        copy.mkdir()
+        rename = self.RENAMED
+        for name in (FILE_GT, FILE_PROPOSALS, *FILE_DETECTIONS.values()):
+            kind = record_kind(out / name)
+            rows = [(rename[fields[0]], *fields[1:]) for _, fields in
+                    formats.read_records(out / name, kind)]
+            formats.write_records(copy / name, kind, rows)
+        formats.write_matches(copy / FILE_MATCHES, {
+            (rename[video_id], frame): rows for (video_id, frame), rows
+            in formats.read_matches(out / FILE_MATCHES).items()})
+        formats.write_flow(copy / FILE_FLOW, sorted(
+            ((rename[video_id], grid) for video_id, grid
+             in formats.read_flow(out / FILE_FLOW)),
+            key=lambda pair: f"{pair[0]}/{pair[1].frame_index:08d}"))
+
+    def test_array_name_order_is_not_video_order(self, tmp_path):
+        """Matches and flow grids whose videos come in another order than
+        the record files' are joined to the right video."""
+        out, copy = tmp_path / "out", tmp_path / "renamed"
+        assert run_cli("synth", "--out", out, *FAST, *self.FLOW) == 0
+        self._renamed_copy(out, copy)
+        for stage in ("fuse", "track"):
+            for directory in (out, copy):
+                assert run_cli(stage, "--out", directory, *FAST,
+                               *self.FLOW) == 0
+        back = {new: old for old, new in self.RENAMED.items()}
+        for name in (FILE_FUSED, FILE_SALIENT):
+            read = formats.read_detections if name == FILE_FUSED \
+                else formats.read_proposals
+            assert {back[video_id]: records for video_id, records
+                    in read(copy / name).items()} == read(out / name)
+        assert sorted((back[t.video_id], t.tube_id, t.boxes) for t in
+                      formats.read_tubes(copy / FILE_TRACKED)) == \
+            [(t.video_id, t.tube_id, t.boxes)
+             for t in formats.read_tubes(out / FILE_TRACKED)]
+
+    def test_in_video_order_holds_what_comes_early(self):
+        calls = []
+
+        def process(video_id, chunk):
+            calls.append(video_id)
+            return chunk
+        # in name order, "a-b/" < "a.c/" < "a/" < "ab/"; "ab" and "z" are
+        # passed over
+        chunks = [("a-b", 1), ("a.c", 2), ("a", 3), ("ab", 0), ("z", 4)]
+        video_ids = ["a", "a-b", "a.c", "b", "c"]
+        assert list(_in_video_order(video_ids, iter(chunks), process)) == \
+            [("a", 3), ("a-b", 1), ("a.c", 2), ("b", None), ("c", None)]
+        # each chunk processed as it streams past; "b" once "z" passed it
+        assert calls == ["a-b", "a.c", "a", "b", "c"]
 
 
 class TestStaleArtifacts:

@@ -80,6 +80,16 @@ class TestConfigText:
             parse_config_text("synth.seed 5\n")
         assert "line 1" in str(info.value)
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1e",
+                                     "\x85", "\u2028", "\r"])
+    def test_lines_end_at_newline_only(self, brk):
+        """Another line break is whitespace of its line, so an error
+        names the line an editor shows."""
+        assert parse_config_text(f"synth.seed = 5{brk}\n")["synth.seed"] \
+            == 5
+        with pytest.raises(ConfigError, match="line 3"):
+            parse_config_text(f"synth.seed = 5{brk}\n\nsynth.seed 6\n")
+
     def test_duplicate_key_is_an_error(self):
         with pytest.raises(ConfigError):
             parse_config_text("synth.seed = 1\nsynth.seed = 2\n")

@@ -24,6 +24,15 @@ def bundle():
         frame_size=(160, 120), with_footprint=False))
 
 
+def by_video(tubes):
+    """``(video_id, tubes)`` pairs in video order, as the writers take
+    them."""
+    groups = {}
+    for tube in tubes:
+        groups.setdefault(tube.video_id, []).append(tube)
+    return sorted(groups.items())
+
+
 def flow_grids(bundle):
     """Every ``(video_id, grid)`` of a bundle, in flow-file order."""
     return [(video.video_id, grid)
@@ -54,7 +63,7 @@ class TestDetectionsRoundTrip:
     def test_bundle_detections(self, bundle, tmp_path):
         path = tmp_path / "d.tsv"
         data = {v.video_id: v.detections["static"] for v in bundle.videos}
-        formats.write_detections(path, data)
+        formats.write_detections(path, sorted(data.items()))
         back = formats.read_detections(path)
         assert set(back) == set(data)
         for video_id in data:
@@ -66,13 +75,13 @@ class TestDetectionsRoundTrip:
     def test_rewrite_is_byte_identical(self, bundle, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         data = {v.video_id: v.detections["early"] for v in bundle.videos}
-        formats.write_detections(a, data)
-        formats.write_detections(b, formats.read_detections(a))
+        formats.write_detections(a, sorted(data.items()))
+        formats.write_detections(b, formats.read_detections(a).items())
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_file_round_trips(self, tmp_path):
         path = tmp_path / "d.tsv"
-        formats.write_detections(path, {})
+        formats.write_detections(path, [])
         assert formats.read_detections(path) == {}
 
     @given(frame=st.integers(0, 10 ** 6), box=box_strategy(),
@@ -84,7 +93,7 @@ class TestDetectionsRoundTrip:
                                              box, scores, source):
         path = tmp_path_factory.mktemp("io") / "d.tsv"
         det = Detection(frame, box, tuple(scores), source)
-        formats.write_detections(path, {"v0": [det]})
+        formats.write_detections(path, [("v0", [det])])
         assert formats.read_detections(path) == {"v0": [det]}
 
 
@@ -92,7 +101,7 @@ class TestProposalsRoundTrip:
     def test_bundle_proposals(self, bundle, tmp_path):
         path = tmp_path / "p.tsv"
         data = {v.video_id: v.proposals for v in bundle.videos}
-        formats.write_proposals(path, data)
+        formats.write_proposals(path, sorted(data.items()))
         back = formats.read_proposals(path)
         assert set(back) == set(data)
         for video_id, frames in data.items():
@@ -107,7 +116,7 @@ class TestProposalsRoundTrip:
         path = tmp_path / "p.tsv"
         prop = Proposal(5, BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5)
         with pytest.raises(InputError) as info:
-            formats.write_proposals(path, {"v0": {3: (prop,)}})
+            formats.write_proposals(path, [("v0", {3: (prop,)})])
         for needle in ("'v0'", "frame 5", "frame 3"):
             assert needle in str(info.value)
         assert not path.exists()
@@ -165,6 +174,19 @@ class TestMatchesRoundTrip:
         for key, rows in pairs.items():
             want = np.array(sorted(map(tuple, rows))).reshape(-1, 4)
             assert back[key].tobytes() == want.tobytes()
+
+    def test_by_video_in_name_order(self, tmp_path):
+        """Each video's pairs together, in array-name order, where
+        ``v1-x/`` and ``v1.a/`` sort before ``v1/``."""
+        path = tmp_path / "m.atb"
+        pairs = {(vid, f): np.full((1, 4), float(f))
+                 for vid in ("v1", "v1-x", "v1.a", "v10") for f in (0, 1)}
+        formats.write_matches(path, pairs)
+        chunks = list(formats.matches_by_video(path))
+        assert [video_id for video_id, _ in chunks] == \
+            ["v1-x", "v1.a", "v1", "v10"]
+        for video_id, by_frame in chunks:
+            assert sorted(by_frame) == [(video_id, 0), (video_id, 1)]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.atb", tmp_path / "b.atb"
@@ -248,28 +270,28 @@ class TestTubesRoundTrip:
     def test_round_trip(self, bundle, tmp_path):
         path = tmp_path / "t.tsv"
         tubes = self._tubes(bundle)
-        formats.write_tubes(path, tubes)
+        formats.write_tubes(path, by_video(tubes))
         back = formats.read_tubes(path)
         assert back == sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
 
     def test_round_trip_keeps_every_source(self, bundle, tmp_path):
         path = tmp_path / "t.tsv"
         tubes = self._tubes(bundle)
-        formats.write_tubes(path, tubes)
+        formats.write_tubes(path, by_video(tubes))
         for tube, back in zip(tubes, formats.read_tubes(path)):
             assert back.sources == tube.sources
             assert set(back.sources) == {Source.TRACKED, Source.MERGED}
 
     def test_rewrite_is_byte_identical(self, bundle, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        formats.write_tubes(a, self._tubes(bundle))
-        formats.write_tubes(b, formats.read_tubes(a))
+        formats.write_tubes(a, by_video(self._tubes(bundle)))
+        formats.write_tubes(b, by_video(formats.read_tubes(a)))
         assert a.read_bytes() == b.read_bytes()
 
     def test_duplicate_tube_id_rejected_on_write(self, bundle, tmp_path):
         tube = self._tubes(bundle)[0]
         with pytest.raises(Exception):
-            formats.write_tubes(tmp_path / "t.tsv", [tube, tube])
+            formats.write_tubes(tmp_path / "t.tsv", by_video([tube, tube]))
 
     def test_conflicting_label_rows_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -330,7 +352,7 @@ class TestGroundTruthRoundTrip:
     def test_round_trip(self, bundle, tmp_path):
         path = tmp_path / "gt.tsv"
         tubes = [gt for v in bundle.videos for gt in v.gt_tubes]
-        formats.write_gt_tubes(path, tubes)
+        formats.write_gt_tubes(path, by_video(tubes))
         assert formats.read_gt_tubes(path) == \
             sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
 
@@ -366,7 +388,7 @@ class TestGroundTruthRoundTrip:
         tubes = [GroundTruthTube("v0", "a0", 0, 0, (box, box)),
                  GroundTruthTube("v0", "a0", label, start, (box,))]
         with pytest.raises(InputError, match="duplicate tube id 'a0' in"):
-            formats.write_gt_tubes(path, tubes)
+            formats.write_gt_tubes(path, by_video(tubes))
         assert not path.exists()
 
     def test_conflicting_labels_rejected(self, tmp_path):
@@ -951,7 +973,8 @@ class TestClipScoresRoundTrip:
         other = ClipScoreSequence(4, (FrameInterval(8, 12),),
                                   ((1.0, 0.0),))
         data = {("v0", "t0"): clips, ("v1", "t9"): other}
-        formats.write_clip_scores(path, data)
+        formats.write_clip_scores(path, [("v0", {("v0", "t0"): clips}),
+                                         ("v1", {("v1", "t9"): other})])
         assert formats.read_clip_scores(path) == data
 
     @given(st.lists(st.lists(st.floats(0.01, 1.0, width=64), min_size=3,
@@ -964,7 +987,7 @@ class TestClipScoresRoundTrip:
         intervals = tuple(FrameInterval(4 * i, 4 * (i + 1))
                           for i in range(len(scores)))
         clips = ClipScoreSequence(4, intervals, scores)
-        formats.write_clip_scores(path, {("v0", "t0"): clips})
+        formats.write_clip_scores(path, [("v0", {("v0", "t0"): clips})])
         assert formats.read_clip_scores(path) == {("v0", "t0"): clips}
 
     def test_mixed_clip_length_rejected(self, tmp_path):
@@ -1034,6 +1057,150 @@ def _gt_rows():
     """One ground-truth tube of label 1, v0/a0 on frames 0-4."""
     return [["v0", "a0", "1", str(f), "0.0", "0.0", "5.0", "5.0"]
             for f in range(5)]
+
+
+class TestLineBreaks:
+    """Rows end at ``\\n`` only: another line break is part of its row,
+    so every report names the line an editor shows."""
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x1e",
+                                     "\x85", "\u2028", "\r"])
+    def test_other_breaks_do_not_shift_lines(self, tmp_path, brk):
+        rows = _detection_rows()
+        rows[1][7] += brk               # line 4, after a float
+        rows[3][6] = "magic"            # line 6
+        path = tmp_path / "d.tsv"
+        _write_rows(path, "detections", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_detections(path)
+        try:                            # whitespace float() takes
+            float("0.7" + brk)
+            expected = (6, "source")
+        except ValueError:
+            expected = (4, "scores")
+        assert (info.value.line, info.value.field) == expected
+
+    def test_float_fields_take_surrounding_whitespace(self, tmp_path):
+        rows = _detection_rows()
+        rows[1][7] = " 0.3,0.7\x0c"
+        path = tmp_path / "d.tsv"
+        _write_rows(path, "detections", rows)
+        assert formats.read_detections(path)["v0"][1].class_scores == \
+            (0.3, 0.7)
+
+    def test_break_inside_an_identifier_is_rejected(self, tmp_path):
+        rows = _detection_rows()
+        rows[2][0] = "v1\x0c"
+        path = tmp_path / "d.tsv"
+        _write_rows(path, "detections", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.read_detections(path)
+        assert (info.value.line, info.value.field) == (5, "video_id")
+
+
+def _two_video_tube_rows():
+    """The tubes of ``_tube_rows`` in v0 and a copy in v1, interleaved."""
+    rows = []
+    for row in _tube_rows():
+        rows += [row, ["v1", *row[1:]]]
+    return rows
+
+
+def _two_video_gt_rows():
+    return [[video, *row[1:]] for row in _gt_rows() for video in ("v1", "v0")]
+
+
+class TestVideoRecords:
+    """The per-video reader gives each video's records, whatever the row
+    order, the chunk size of its first pass or the block size."""
+
+    CLEAN = {"detections": _detection_rows, "proposals": _proposal_rows,
+             "clipscores": _clip_rows, "tubes": _two_video_tube_rows,
+             "gttubes": _two_video_gt_rows}
+
+    @pytest.mark.parametrize("order", ["file", "reversed"])
+    @pytest.mark.parametrize("kind", sorted(CLEAN))
+    def test_sizes_do_not_change_the_records(self, tmp_path, monkeypatch,
+                                             kind, order):
+        rows = self.CLEAN[kind]()
+        if order == "reversed":
+            rows = rows[::-1]
+        path = tmp_path / "r.tsv"
+        formats.write_records(path, kind, [])
+        with open(path, "a", encoding="utf-8") as fh:
+            # blank lines, and a last row without its line break
+            fh.write("\n" + "\n\n".join("\t".join(row) for row in rows))
+        expected = list(formats.VideoRecords(path, kind))
+        assert [video_id for video_id, _ in expected] == ["v0", "v1"]
+        for chunk in (1, 2, 5, 64):
+            for block in (1, 2):
+                monkeypatch.setattr(formats, "_CHUNK_BYTES", chunk)
+                monkeypatch.setattr(formats, "_BLOCK_ROWS", block)
+                assert list(formats.VideoRecords(path, kind)) == expected
+
+    def test_a_sorted_file_holds_one_range_per_video(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "t.tsv"
+        formats.write_records(path, "tubes", sorted(_two_video_tube_rows()))
+        monkeypatch.setattr(formats, "_CHUNK_BYTES", 16)
+        ranges = formats._video_ranges(path, "tubes")
+        assert {video: len(runs) for video, runs in ranges.items()} == \
+            {"v0": 1, "v1": 1}
+
+    def test_read_by_video_id(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        _write_rows(path, "detections", _detection_rows())
+        records = formats.VideoRecords(path, "detections")
+        assert records.video_ids == ["v0", "v1"]
+        assert records.read("v1") == formats.read_detections(path)["v1"]
+        assert records.read("v9") == []
+
+    def test_fault_in_a_later_video_reported_row_wise(self, tmp_path):
+        """The first problem of the whole file is reported, in file
+        order, whichever video is read first."""
+        rows = _detection_rows()
+        rows[2][2] = "x"                # v1, line 5
+        rows[3][3] = "y"                # v0, line 6
+        path = tmp_path / "d.tsv"
+        _write_rows(path, "detections", rows)
+        with pytest.raises(SchemaError) as info:
+            formats.VideoRecords(path, "detections").read("v0")
+        assert (info.value.line, info.value.field) == (5, "x0")
+
+
+class TestVideoWriters:
+    def test_videos_out_of_order_rejected_leaving_no_file(self, tmp_path):
+        det = Detection(0, BoundingBox(0.0, 0.0, 5.0, 5.0), (1.0,))
+        path = tmp_path / "d.tsv"
+        with pytest.raises(InputError, match="ascending"):
+            formats.write_detections(path, [("v1", [det]), ("v0", [det])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tube_of_another_video_rejected(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 5.0, 5.0)
+        tube = GroundTruthTube("v1", "a0", 0, 0, (box,))
+        with pytest.raises(InputError, match="'v1' written with"):
+            formats.write_gt_tubes(tmp_path / "gt.tsv", [("v0", [tube])])
+
+    def test_clips_of_another_video_rejected(self, tmp_path):
+        clips = ClipScoreSequence(4, (FrameInterval(0, 4),), ((1.0,),))
+        with pytest.raises(InputError, match="'v1' written with"):
+            formats.write_clip_scores(tmp_path / "c.tsv",
+                                      [("v0", {("v1", "t0"): clips})])
+
+    def test_chunks_write_the_bytes_of_one_sorted_write(self, bundle,
+                                                        tmp_path):
+        """Detections of one video may come in any order; the rows come
+        out sorted, as a whole-scenario write sorted them."""
+        path = tmp_path / "d.tsv"
+        chunks = [(v.video_id, v.detections["static"][::-1])
+                  for v in bundle.videos]
+        formats.write_detections(path, chunks)
+        rows = [fields for _, fields in
+                formats.read_records(path, "detections")]
+        keys = [(f[0], int(f[1]), max(map(float, f[7].split(","))))
+                for f in rows]
+        assert [k[:2] for k in keys] == sorted(k[:2] for k in keys)
 
 
 class TestEncoding:
@@ -1129,6 +1296,14 @@ class TestArrayContainer:
         with pytest.raises(SchemaError) as info:
             formats.read_arrays(path)
         assert word in str(info.value)
+
+    def test_descending_names_detected(self, tmp_path):
+        path = tmp_path / "a.atb"
+        formats.write_arrays(path, [("b", np.zeros(2)), ("c", np.zeros(2))])
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00c",
+                                                   b"\x01\x00a"))
+        with pytest.raises(SchemaError, match="'a' comes after 'b'"):
+            formats.read_arrays(path)
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "a.atb"

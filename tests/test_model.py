@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from actiontubes import model
 from actiontubes.errors import InputError
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Source, Tube,
@@ -134,6 +135,25 @@ class TestTube:
         t = make_tube(start=2)
         with pytest.raises(InputError):
             t.box_at(3)
+
+
+    def test_labeled_checks_only_the_new_values(self, monkeypatch):
+        tube = make_tube(length=3)
+        calls = []
+        checked = model._validated_scores
+        monkeypatch.setattr(model, "_validated_scores",
+                            lambda scores: calls.append(scores)
+                            or checked(scores))
+        out = tube.labeled(1, 0.75)
+        assert calls == []
+        assert out == replace(tube, label=1, score=0.75)
+        assert (tube.label, tube.score) == (None, None)
+
+    @pytest.mark.parametrize("label, score", [(-1, 0.5), (0, math.nan),
+                                              (0, math.inf)])
+    def test_labeled_rejects_bad_values(self, label, score):
+        with pytest.raises(InputError):
+            make_tube().labeled(label, score)
 
 
 class TestGroundTruthTube:

@@ -28,14 +28,17 @@ STAGES = ("synth", "fuse", "track", "score", "prune", "localize",
 # public ``formats.read_*``/``write_*`` is a span, so a helper made
 # public would nest its own span and a reader reached under another name
 # would lose one; either moves time between the ``formats.*_s`` metrics.
+# ``fuse`` through ``localize`` read and write their record files video
+# by video, through ``formats.VideoRecords`` and ``formats.record_writer``
+# (and ``track`` its matches through ``formats.matches_by_video``),
+# which are not spans: only their whole-file reads are.
 FORMATS_CALLS = {
     "synth": {"other_write": 6, "matches_write": 1},
-    "fuse": {"other_read": 3, "other_write": 1},
-    "track": {"other_read": 3, "matches_read": 1, "tubes_write": 1},
-    "score": {"tubes_read": 1, "other_read": 2, "tubes_write": 1,
-              "other_write": 1},
-    "prune": {"tubes_read": 1, "tubes_write": 1},
-    "localize": {"tubes_read": 1, "other_read": 1, "tubes_write": 1},
+    "fuse": {},
+    "track": {},
+    "score": {"other_read": 1},
+    "prune": {},
+    "localize": {},
     "evaluate": {"tubes_read": 1, "other_read": 1, "other_write": 1},
 }
 
@@ -87,5 +90,4 @@ def test_drift_tubes_are_a_tubes_span(tmp_path, child_env):
                           "--stage-override", "synth.drift_rate=0.5")
     assert formats_calls(traces["synth"]) == \
         {**FORMATS_CALLS["synth"], "tubes_write": 1}
-    assert formats_calls(traces["score"]) == \
-        {**FORMATS_CALLS["score"], "tubes_read": 2}
+    assert formats_calls(traces["score"]) == FORMATS_CALLS["score"]
