@@ -13,12 +13,17 @@ leaves a truncated file.  See FORMATS.md for the field-by-field
 reference.
 
 Record files are read and written one video at a time.  A reader
-(``VideoRecords``) first finds where each video's lines are, then
-parses one video's lines column-wise, in blocks of rows; any failed
-check hands the whole file to one row-wise fallback, which reports the
-first problem in the order FORMATS.md gives under "Which problem is
-reported".  A writer takes ``(video_id, records)`` pairs in ascending
-video order, and the whole-file readers flatten the per-video ones.
+(``VideoRecords``) first finds where each video's lines are, then hands
+one video's lines to the kind's reader (``read_tubes`` …), which parses
+lines column-wise, in blocks of rows, whether they are one video's or
+the whole file's; any failed check hands the whole file to one
+row-wise fallback, which reports the first problem in the order
+FORMATS.md gives under "Which problem is reported".  A writer takes
+``(video_id, records)`` pairs in ascending video order; a stage's
+``record_writer`` writes each video through the kind's writer
+(``write_tubes`` …), so every per-video read and write is a call of a
+public ``read_*``/``write_*`` function, as ``perfbench/trace_stage.py``
+times them.
 """
 
 from __future__ import annotations
@@ -27,14 +32,15 @@ import math
 import operator
 import os
 import re
+import shutil
 import struct
 import threading
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, groupby, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, ProcessingError, SchemaError
 from .model import (SCORE_SUM_TOL, BoundingBox, ClipScoreSequence,
@@ -384,33 +390,23 @@ def _row_checks(path, kind: str) -> Iterator[None]:
     except SchemaError:
         raise
     except (ValueError, KeyError) as failure:
-        check = _record_kind(kind)[2]
-        check(path, read_records(path, kind))
+        _KINDS[kind].check(path, read_records(path, kind))
         raise ProcessingError(
             f"{path}: the column-wise {kind} reader rejected the file "
             f"({failure!r}) but every row passes the row-wise checks"
         ) from None
 
 
-def _record_kind(kind: str) -> tuple:
-    """``(parse, build, check, text)`` of a per-video record kind.
-
-    ``parse`` turns a block's text columns into typed per-row lists,
-    ``build`` one video's lists into its records, ``check`` reports the
-    first bad field of a whole file row-wise, and ``text`` gives one
-    video's records as rows.  Looked up at each use.
-    """
-    return {
-        "detections": (_parse_detection_block, _detections_of,
-                       _check_detections, _detection_text),
-        "proposals": (_parse_proposal_block, _proposals_of,
-                      _check_proposals, _proposal_text),
-        "tubes": (_parse_tube_block, _tubes_of, _check_tubes, _tube_text),
-        "gttubes": (_parse_gt_block, _gt_tubes_of, _check_gt_tubes,
-                    _gt_text),
-        "clipscores": (_parse_clip_block, _clip_scores_of,
-                       _check_clip_scores, _clip_text),
-    }[kind]
+def _read(path, kind: str, ranges: Iterable[Sequence[int]] | None):
+    """The records of a ``kind`` file, in its reader's shape: of every
+    line, or of the lines in ``ranges`` alone."""
+    parse, build = _KINDS[kind].parse, _KINDS[kind].build
+    with _row_checks(path, kind):
+        lines = _record_lines(path, kind) if ranges is None \
+            else _range_lines(path, ranges)
+        columns = _read_columns(lines, kind, parse)
+        del lines
+        return build(columns)
 
 
 class VideoRecords:
@@ -418,11 +414,12 @@ class VideoRecords:
 
     Building it makes one pass over the file's bytes that keeps where
     each video's lines are, not the lines.  ``read(video_id)`` then
-    parses that video's lines alone and gives its records, empty for a
-    video the file does not hold; iterating gives ``(video_id,
-    records)`` for every video in ascending id order.  Rows may come in
-    any order.  Should any check fail, the whole file is checked row by
-    row and its first problem reported, in the order FORMATS.md gives.
+    hands that video's lines alone to the kind's reader and gives its
+    records, empty for a video the file does not hold; iterating gives
+    ``(video_id, records)`` for every video in ascending id order.  Rows
+    may come in any order.  Should any check fail, the whole file is
+    checked row by row and its first problem reported, in the order
+    FORMATS.md gives.
     """
 
     def __init__(self, path, kind: str):
@@ -433,49 +430,74 @@ class VideoRecords:
         self.video_ids = sorted(self._ranges)
 
     def read(self, video_id: str):
-        parse, build, _, _ = _record_kind(self.kind)
-        ranges = self._ranges.get(video_id)
-        if ranges is None:
-            return build(defaultdict(list))
-        with _row_checks(self.path, self.kind):
-            return build(_read_columns(_range_lines(self.path, ranges),
-                                       self.kind, parse))
+        kind = _KINDS[self.kind]
+        # looked up at each call, so a wrapped reader is the one called
+        found = globals()[kind.reader](self.path,
+                                       self._ranges.get(video_id, []))
+        if kind.by_video is None:
+            return found
+        return found.get(video_id, kind.by_video())
 
     def __iter__(self) -> Iterator[tuple[str, object]]:
         for video_id in self.video_ids:
             yield video_id, self.read(video_id)
 
 
-@contextmanager
-def record_writer(path, kind: str) -> Iterator:
-    """``put(video_id, records)`` into a ``kind`` file, video by video.
-
-    Each call writes one video's records in the kind's row order, and
-    videos must come in strictly ascending id order, so the file holds
-    the bytes of the whole scenario sorted at once.  The file appears,
-    atomically, when the body ends without an error.
-    """
-    text = _record_kind(kind)[3]
-    with _record_file(path, kind) as fh:
-        previous = None
-
-        def put(video_id: str, records) -> None:
-            nonlocal previous
-            _check_id(video_id, str(path), None, "video_id")
-            if previous is not None and video_id <= previous:
-                raise InputError(
-                    f"video {video_id!r} written after {previous!r}; "
-                    f"videos must come in strictly ascending order")
-            previous = video_id
-            fh.write(text(path, video_id, records))
-        yield put
+def _next_video(path, previous: str | None, video_id: str) -> str:
+    """``video_id``, checked to be an identifier after ``previous``."""
+    _check_id(video_id, str(path), None, "video_id")
+    if previous is not None and video_id <= previous:
+        raise InputError(
+            f"video {video_id!r} written after {previous!r}; "
+            f"videos must come in strictly ascending order")
+    return video_id
 
 
 def _write_videos(path, kind: str, chunks: Iterable[tuple[str, object]]
                   ) -> None:
-    with record_writer(path, kind) as put:
+    text = _KINDS[kind].text
+    with _record_file(path, kind) as fh:
+        previous = None
         for video_id, records in chunks:
-            put(video_id, records)
+            previous = _next_video(path, previous, video_id)
+            fh.write(text(path, video_id, records))
+
+
+@contextmanager
+def record_writer(path, kind: str) -> Iterator:
+    """``put(video_id, records)`` into a ``kind`` file, video by video.
+
+    Videos must come in strictly ascending id order, so the file holds
+    the bytes of one whole-scenario write.  Each video is written by the
+    kind's writer (``write_tubes`` …) as a one-video file beside
+    ``path``, whose rows are then appended to ``path``'s temp file: each
+    per-video write is then one call that writes one whole file, which
+    is what ``perfbench/trace_stage.py`` times and sizes.  The file
+    appears, atomically, when the body ends without an error.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    part = os.path.join(
+        head, f".{name}.{os.getpid()}.{threading.get_ident()}.part")
+    header = ("\n".join(_header(kind)) + "\n").encode("utf-8")
+    with atomic_open(path, "wb") as out:
+        out.write(header)
+        previous = None
+
+        def put(video_id: str, records) -> None:
+            nonlocal previous
+            previous = _next_video(path, previous, video_id)
+            globals()[_KINDS[kind].writer](part, [(video_id, records)])
+            with open(part, "rb") as fh:
+                fh.seek(len(header))
+                shutil.copyfileobj(fh, out)
+        try:
+            yield put
+        finally:
+            try:
+                os.unlink(part)
+            except FileNotFoundError:
+                pass
 
 
 def _id_column(values: list[str]) -> list[str]:
@@ -543,20 +565,30 @@ def _detection_text(path, video_id: str, dets: Iterable[Detection]) -> str:
         for frame, _, (x0, y0, x1, y1), source, scores in rows])
 
 
-def read_detections(path) -> dict[str, list[Detection]]:
-    return dict(VideoRecords(path, "detections"))
+def read_detections(path, ranges=None) -> dict[str, list[Detection]]:
+    """Each video's detections, videos ascending, rows in file order."""
+    return _read(path, "detections", ranges)
 
 
 def _parse_detection_block(text: dict) -> dict[str, list]:
-    """A block's detections, its video ids checked."""
-    _id_column(text["video_id"])
-    return {"detections": list(map(
-        Detection, _frame_column(text["frame"]), _box_column(text),
-        _score_column(text["scores"]), _source_column(text["source"])))}
+    """A block's video ids and detections."""
+    return {"video_ids": _id_column(text["video_id"]),
+            "detections": list(map(
+                Detection, _frame_column(text["frame"]), _box_column(text),
+                _score_column(text["scores"]),
+                _source_column(text["source"])))}
 
 
-def _detections_of(columns: dict) -> list[Detection]:
-    return columns["detections"]
+def _by_video(video_ids: list[str], records: list) -> dict[str, list]:
+    """Each video's records, videos ascending, records in row order."""
+    out: dict[str, list] = {}
+    for video_id, record in zip(video_ids, records):
+        out.setdefault(video_id, []).append(record)
+    return dict(sorted(out.items()))
+
+
+def _detections_of(columns: dict) -> dict[str, list[Detection]]:
+    return _by_video(columns["video_ids"], columns["detections"])
 
 
 def _check_detections(path, rows: _Rows) -> None:
@@ -597,24 +629,31 @@ def _proposal_text(path, video_id: str,
         for frame, obj, (x0, y0, x1, y1) in rows])
 
 
-def read_proposals(path) -> dict[str, dict[int, tuple[Proposal, ...]]]:
-    return dict(VideoRecords(path, "proposals"))
+def read_proposals(path, ranges=None
+                   ) -> dict[str, dict[int, tuple[Proposal, ...]]]:
+    """Each video's proposals by frame, videos ascending, frames in file
+    order."""
+    return _read(path, "proposals", ranges)
 
 
 def _parse_proposal_block(text: dict) -> dict[str, list]:
-    """A block's proposals, its video ids checked."""
-    _id_column(text["video_id"])
-    return {"proposals": list(map(
-        Proposal, _frame_column(text["frame"]), _box_column(text),
-        map(float, text["objectness"])))}
+    """A block's video ids and proposals."""
+    return {"video_ids": _id_column(text["video_id"]),
+            "proposals": list(map(
+                Proposal, _frame_column(text["frame"]), _box_column(text),
+                map(float, text["objectness"])))}
 
 
-def _proposals_of(columns: dict) -> dict[int, tuple[Proposal, ...]]:
-    """A video's proposals by frame, frames in file order."""
-    frames: dict[int, list[Proposal]] = {}
-    for prop in columns["proposals"]:
-        frames.setdefault(prop.frame_index, []).append(prop)
-    return {frame: tuple(props) for frame, props in frames.items()}
+def _proposals_of(columns: dict
+                  ) -> dict[str, dict[int, tuple[Proposal, ...]]]:
+    out = {}
+    for video_id, props in _by_video(columns["video_ids"],
+                                     columns["proposals"]).items():
+        frames: dict[int, list[Proposal]] = {}
+        for prop in props:
+            frames.setdefault(prop.frame_index, []).append(prop)
+        out[video_id] = {frame: tuple(ps) for frame, ps in frames.items()}
+    return out
 
 
 def _check_proposals(path, rows: _Rows) -> None:
@@ -721,13 +760,12 @@ def _tube_text(path, video_id: str, tubes: Iterable[Tube]) -> str:
     return "".join(rows)
 
 
-def read_tubes(path) -> list[Tube]:
-    return [tube for _, tubes in VideoRecords(path, "tubes")
-            for tube in tubes]
+def read_tubes(path, ranges=None) -> list[Tube]:
+    """Tubes by (video_id, tube_id)."""
+    return _read(path, "tubes", ranges)
 
 
 def _tubes_of(columns: dict) -> list[Tube]:
-    """A video's tubes by tube id."""
     tubes = []
     for video_id, tube_id, start, rows in _tube_runs(columns):
         tails = columns["tails"][rows]
@@ -797,13 +835,12 @@ def _gt_text(path, video_id: str, tubes: Iterable[GroundTruthTube]) -> str:
     return "".join(rows)
 
 
-def read_gt_tubes(path) -> list[GroundTruthTube]:
-    return [tube for _, tubes in VideoRecords(path, "gttubes")
-            for tube in tubes]
+def read_gt_tubes(path, ranges=None) -> list[GroundTruthTube]:
+    """Ground-truth tubes by (video_id, tube_id)."""
+    return _read(path, "gttubes", ranges)
 
 
 def _gt_tubes_of(columns: dict) -> list[GroundTruthTube]:
-    """A video's ground-truth tubes by tube id."""
     tubes = []
     for video_id, tube_id, start, rows in _tube_runs(columns):
         labels = set(columns["labels"][rows])
@@ -866,14 +903,14 @@ def _clip_text(path, video_id: str,
     return "".join(rows)
 
 
-def read_clip_scores(path) -> dict[tuple[str, str], ClipScoreSequence]:
-    return {key: clips for _, by_tube in VideoRecords(path, "clipscores")
-            for key, clips in by_tube.items()}
+def read_clip_scores(path, ranges=None
+                     ) -> dict[tuple[str, str], ClipScoreSequence]:
+    """Clip score sequences by (video_id, tube_id), keys ascending."""
+    return _read(path, "clipscores", ranges)
 
 
 def _clip_scores_of(columns: dict) -> dict[tuple[str, str],
                                             ClipScoreSequence]:
-    """A video's clip score sequences by (video_id, tube_id)."""
     lengths: dict[tuple[str, str], int] = {}
     clips: dict[tuple[str, str], list] = {}
     for key, length, *clip in zip(
@@ -954,6 +991,39 @@ def _clip_fault(clip_length: int, first_line: int,
     gaps = (line for (_, end, _, _), (start, _, _, line)
             in zip(clips, clips[1:]) if end != start)
     return next(gaps, first_line), "start"
+
+
+# -- the record kinds ---------------------------------------------------
+
+class _Kind(NamedTuple):
+    """How one record kind is read and written."""
+
+    parse: Callable     # a block's text columns -> typed per-row lists
+    build: Callable     # those lists -> records, in the reader's shape
+    check: Callable     # raises the whole file's first bad field, row-wise
+    text: Callable      # one video's records -> their rows
+    reader: str         # names of the kind's reader and writer
+    writer: str
+    # for a reader that keys its records by video, the type of one
+    # video's records
+    by_video: type | None
+
+
+_KINDS = {
+    "detections": _Kind(_parse_detection_block, _detections_of,
+                        _check_detections, _detection_text,
+                        "read_detections", "write_detections", list),
+    "proposals": _Kind(_parse_proposal_block, _proposals_of,
+                       _check_proposals, _proposal_text,
+                       "read_proposals", "write_proposals", dict),
+    "tubes": _Kind(_parse_tube_block, _tubes_of, _check_tubes, _tube_text,
+                   "read_tubes", "write_tubes", None),
+    "gttubes": _Kind(_parse_gt_block, _gt_tubes_of, _check_gt_tubes,
+                     _gt_text, "read_gt_tubes", "write_gt_tubes", None),
+    "clipscores": _Kind(_parse_clip_block, _clip_scores_of,
+                        _check_clip_scores, _clip_text,
+                        "read_clip_scores", "write_clip_scores", None),
+}
 
 
 # -- metrics ------------------------------------------------------------
@@ -1147,38 +1217,42 @@ def write_matches(path,
     write_arrays(path, sorted(arrays.items()))
 
 
+def read_matches(path, arrays=None) -> dict[tuple[str, int], np.ndarray]:
+    """``(video_id, frame) -> rows`` as written by ``write_matches``.
+
+    ``arrays``, if given, are some of the container's ``(name, array)``
+    pairs as ``iter_arrays`` reads them, and only those are read.
+    """
+    import numpy as np
+    out = {}
+    for name, rows in iter_arrays(path) if arrays is None else arrays:
+        video_id, frame = _parse_frame_name(name, path, "match")
+        if rows.dtype.kind != "f" or rows.ndim != 2 or rows.shape[1] != 4:
+            raise SchemaError(
+                f"match array {name!r} is {rows.dtype} {rows.shape}, "
+                f"expected (N, 4) float64", path=str(path))
+        if not np.all(np.isfinite(rows)):
+            raise SchemaError(f"match array {name!r}: match points "
+                              f"must be finite", path=str(path))
+        out[(video_id, frame)] = rows
+    return out
+
+
 def matches_by_video(path) -> Iterator[
         tuple[str, dict[tuple[str, int], np.ndarray]]]:
-    """Each video's ``{(video_id, frame): rows}`` of a matches container.
+    """Each video's ``{(video_id, frame): rows}`` of a matches container,
+    read by ``read_matches``.
 
     Videos come one at a time in file order.  Array names ascend, so a
     video's arrays are contiguous and videos come in the order of
     ``<video_id>/``: ascending ids, unless one id extends another by
     ``-`` or ``.`` (``a-b/`` sorts before ``a/``).
     """
-    import numpy as np
+    def video_of(pair):
+        return pair[0].partition("/")[0]
 
-    def pairs():
-        for name, rows in iter_arrays(path):
-            video_id, frame = _parse_frame_name(name, path, "match")
-            if rows.dtype.kind != "f" or rows.ndim != 2 \
-                    or rows.shape[1] != 4:
-                raise SchemaError(
-                    f"match array {name!r} is {rows.dtype} {rows.shape}, "
-                    f"expected (N, 4) float64", path=str(path))
-            if not np.all(np.isfinite(rows)):
-                raise SchemaError(f"match array {name!r}: match points "
-                                  f"must be finite", path=str(path))
-            yield video_id, frame, rows
-
-    for video_id, group in groupby(pairs(), key=operator.itemgetter(0)):
-        yield video_id, {(video_id, frame): rows for _, frame, rows in group}
-
-
-def read_matches(path) -> dict[tuple[str, int], np.ndarray]:
-    """``(video_id, frame) -> rows`` as written by ``write_matches``."""
-    return {key: rows for _, pairs in matches_by_video(path)
-            for key, rows in pairs.items()}
+    for video_id, arrays in groupby(iter_arrays(path), key=video_of):
+        yield video_id, read_matches(path, arrays)
 
 
 def write_alphas(path, alphas: np.ndarray) -> None:

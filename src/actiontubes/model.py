@@ -227,6 +227,14 @@ class _FrameRun:
         return enumerate(self.boxes, self.start)
 
 
+def _check_label_score(label: int | None, score: float | None) -> None:
+    """A tube's label, if any, is non-negative and its score finite."""
+    if label is not None and label < 0:
+        raise InputError(f"label must be non-negative, got {label}")
+    if score is not None:
+        _require_finite("tube score", score)
+
+
 @dataclass(frozen=True)
 class Tube(_FrameRun):
     """Spatio-temporal action tube over consecutive frames from ``start``.
@@ -247,8 +255,7 @@ class Tube(_FrameRun):
     clip_scores: ClipScoreSequence | None = None
 
     def __post_init__(self):
-        if self.label is not None and self.label < 0:
-            raise InputError(f"label must be non-negative, got {self.label}")
+        _check_label_score(self.label, self.score)
         n = len(self.boxes)
         if not n or not n == len(self.class_scores) == len(self.sources):
             raise InputError(
@@ -260,8 +267,6 @@ class Tube(_FrameRun):
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "class_scores", scores)
         object.__setattr__(self, "sources", tuple(self.sources))
-        if self.score is not None:
-            _require_finite("tube score", self.score)
 
     def labeled(self, label: int, score: float) -> "Tube":
         """This tube with ``label`` and ``score``.
@@ -269,9 +274,7 @@ class Tube(_FrameRun):
         Only the two new values are checked: the frames were checked when
         this tube was built, so they are not validated a second time.
         """
-        if label < 0:
-            raise InputError(f"label must be non-negative, got {label}")
-        _require_finite("tube score", score)
+        _check_label_score(label, score)
         out = copy.copy(self)
         object.__setattr__(out, "label", label)
         object.__setattr__(out, "score", score)

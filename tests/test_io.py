@@ -557,7 +557,8 @@ class TestTubeReaderErrors:
         def spy(text):
             seen.append(len(text["source"]))
             return parse(text)
-        monkeypatch.setattr(formats, "_parse_tube_block", spy)
+        monkeypatch.setitem(formats._KINDS, "tubes",
+                            formats._KINDS["tubes"]._replace(parse=spy))
         monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
         path = tmp_path / "t.tsv"
         formats.write_records(path, "tubes", _tube_rows())

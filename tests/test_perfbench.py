@@ -14,6 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from actiontubes.pipeline import (FILE_CLIP_SCORES, FILE_FINAL, FILE_FUSED,
+                                  FILE_METRICS, FILE_PRUNED, FILE_SCORED,
+                                  FILE_TRACKED)
+
 TRACE_STAGE = Path(__file__).resolve().parent.parent / "perfbench" / \
     "trace_stage.py"
 
@@ -28,18 +32,33 @@ STAGES = ("synth", "fuse", "track", "score", "prune", "localize",
 # public ``formats.read_*``/``write_*`` is a span, so a helper made
 # public would nest its own span and a reader reached under another name
 # would lose one; either moves time between the ``formats.*_s`` metrics.
-# ``fuse`` through ``localize`` read and write their record files video
-# by video, through ``formats.VideoRecords`` and ``formats.record_writer``
-# (and ``track`` its matches through ``formats.matches_by_video``),
-# which are not spans: only their whole-file reads are.
+# ``fuse`` through ``localize`` read and write each record file, and
+# ``track`` the matches, once per video.
+VIDEOS = 2
 FORMATS_CALLS = {
     "synth": {"other_write": 6, "matches_write": 1},
-    "fuse": {},
-    "track": {},
-    "score": {"other_read": 1},
-    "prune": {},
-    "localize": {},
+    "fuse": {"other_read": 3 * VIDEOS, "other_write": VIDEOS},
+    "track": {"other_read": 3 * VIDEOS, "matches_read": VIDEOS,
+              "tubes_write": VIDEOS},
+    "score": {"tubes_read": VIDEOS, "other_read": VIDEOS + 1,
+              "tubes_write": VIDEOS, "other_write": VIDEOS},
+    "prune": {"tubes_read": VIDEOS, "tubes_write": VIDEOS},
+    "localize": {"tubes_read": VIDEOS, "other_read": VIDEOS,
+                 "tubes_write": VIDEOS},
     "evaluate": {"tubes_read": 1, "other_read": 1, "other_write": 1},
+}
+
+
+# The record files each stage writes through ``formats.write_*``.  A
+# stage writes each video as a one-video file, its header included, and
+# the tracer counts the size of every file a write call makes.
+OUTPUTS = {
+    "fuse": (FILE_FUSED,),
+    "track": (FILE_TRACKED,),
+    "score": (FILE_SCORED, FILE_CLIP_SCORES),
+    "prune": (FILE_PRUNED,),
+    "localize": (FILE_FINAL,),
+    "evaluate": (FILE_METRICS,),
 }
 
 
@@ -83,6 +102,15 @@ def test_traced_stages_record_their_spans(tmp_path, child_env):
     assert counts["track"].get("geometry.iou", 0) > 0
     for stage, traced in traces.items():
         assert formats_calls(traced) == FORMATS_CALLS[stage], stage
+    out = tmp_path / "run"
+    for stage, names in OUTPUTS.items():
+        writes = 1 if stage == "evaluate" else VIDEOS
+        expected = 0
+        for name in names:
+            blob = (out / name).read_bytes()
+            header = len(b"\n".join(blob.split(b"\n")[:2])) + 1
+            expected += len(blob) + (writes - 1) * header
+        assert counts[stage]["formats.bytes_written"] == expected, stage
 
 
 def test_drift_tubes_are_a_tubes_span(tmp_path, child_env):
@@ -90,4 +118,5 @@ def test_drift_tubes_are_a_tubes_span(tmp_path, child_env):
                           "--stage-override", "synth.drift_rate=0.5")
     assert formats_calls(traces["synth"]) == \
         {**FORMATS_CALLS["synth"], "tubes_write": 1}
-    assert formats_calls(traces["score"]) == FORMATS_CALLS["score"]
+    assert formats_calls(traces["score"]) == \
+        {**FORMATS_CALLS["score"], "tubes_read": 2 * VIDEOS}
