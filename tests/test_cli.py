@@ -306,6 +306,9 @@ class TestOneVideoAtATime:
         assert "not a number: 'x'" in capsys.readouterr().err
         for output in outputs:
             assert not (tmp_path / output).exists(), output
+        # nor a temp or per-video part file
+        assert not [p.name for p in tmp_path.iterdir()
+                    if p.name.startswith(".")]
 
     def test_trailing_match_bytes_leave_no_tubes(self, tmp_path, capsys):
         """The matches are read to their end before the tubes appear."""
