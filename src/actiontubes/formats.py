@@ -491,6 +491,10 @@ def record_writer(path, kind: str) -> Iterator:
             with open(part, "rb") as fh:
                 fh.seek(len(header))
                 shutil.copyfileobj(fh, out)
+            # gone before the next video's part is renamed onto its name:
+            # renaming onto an existing file makes the file system start
+            # writing the new one's data to disk
+            os.unlink(part)
         try:
             yield put
         finally:
