@@ -1195,30 +1195,53 @@ def _parse_frame_name(name: str, path, kind: str) -> tuple[str, int]:
     return found[1], int(found[2])
 
 
-def write_matches(path,
-                  pairs: Mapping[tuple[str, int], np.ndarray]) -> None:
-    """One (N, 4) array per adjacent frame pair, named by its earlier frame.
+def write_matches(
+        path,
+        chunks: Iterable[tuple[str, Mapping[tuple[str, int], np.ndarray]]]
+) -> None:
+    """``(video_id, {(video_id, frame): rows})`` pairs, one video at a time.
 
-    ``pairs`` maps ``(video_id, frame)`` to the matches from ``frame``
-    to ``frame + 1``.  Columns are ``from_x from_y to_x to_y`` and rows
-    are sorted lexicographically.
+    ``rows`` are the (N, 4) matches from ``frame`` to ``frame + 1``,
+    columns ``from_x from_y to_x to_y``; each is written as one array
+    named by its earlier frame, rows sorted lexicographically, frames
+    ascending.  Videos must come in array-name order, as
+    ``matches_by_video`` gives them back: ascending ids, unless one id
+    extends another by ``-`` or ``.``.  A video out of order, or a
+    pair filed under another video, is an ``InputError``.  One video's
+    arrays are held at a time.
     """
     import numpy as np
-    arrays = {}
-    for (video_id, frame), rows in pairs.items():
-        _check_id(video_id, str(path), None, "video_id")
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != 4:
-            raise InputError(f"matches at frame {frame} of {video_id!r} "
-                             f"are {rows.shape}, expected (N, 4)")
-        if not np.all(np.isfinite(rows)):
-            raise InputError(f"matches at frame {frame} of {video_id!r} "
-                             f"are not all finite")
-        if frame < 0:
-            raise InputError(f"matches in {video_id!r} start at negative "
-                             f"frame {frame}")
-        arrays[f"{video_id}/{frame:08d}"] = rows[np.lexsort(rows.T[::-1])]
-    write_arrays(path, sorted(arrays.items()))
+
+    def arrays():
+        previous = None
+        for video_id, pairs in chunks:
+            _check_id(video_id, str(path), None, "video_id")
+            if previous is not None and video_id + "/" <= previous + "/":
+                raise InputError(
+                    f"matches of video {video_id!r} written after "
+                    f"{previous!r}; videos must come in array-name order")
+            previous = video_id
+            named = {}
+            for (pair_video, frame), rows in pairs.items():
+                if pair_video != video_id:
+                    raise InputError(
+                        f"matches at frame {frame} of {pair_video!r} "
+                        f"written with the matches of {video_id!r}")
+                rows = np.asarray(rows, dtype=np.float64)
+                if rows.ndim != 2 or rows.shape[1] != 4:
+                    raise InputError(
+                        f"matches at frame {frame} of {video_id!r} are "
+                        f"{rows.shape}, expected (N, 4)")
+                if not np.all(np.isfinite(rows)):
+                    raise InputError(f"matches at frame {frame} of "
+                                     f"{video_id!r} are not all finite")
+                if frame < 0:
+                    raise InputError(f"matches in {video_id!r} start at "
+                                     f"negative frame {frame}")
+                named[f"{video_id}/{frame:08d}"] = \
+                    rows[np.lexsort(rows.T[::-1])]
+            yield from sorted(named.items())
+    write_arrays(path, arrays())
 
 
 def read_matches(path, arrays=None) -> dict[tuple[str, int], np.ndarray]:

@@ -10,6 +10,7 @@ its driver, so a stage's process loads only those.
 from __future__ import annotations
 
 from contextlib import ExitStack
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import formats
 from .config import PipelineConfig
 from .errors import ConfigError, InputError
-from .model import BoundingBox, Detection, FrameInterval
+from .model import Detection, FrameInterval
 
 if TYPE_CHECKING:
     from .evaluation import EvalConfig, EvalReport
@@ -141,30 +142,33 @@ def eval_config(config: PipelineConfig) -> EvalConfig:
 
 
 def run_synth(directory: Path, config: PipelineConfig) -> dict:
-    """Generate the scenario and write every input artifact."""
-    from .synth import generate, video_flow
+    """Generate the scenario and write every input artifact.
+
+    What spans videos (ground truth, weights, footprint statistics,
+    drift tubes) is made before any file is written, so a scenario that
+    cannot be made writes nothing.  Every other file is written from a
+    generator that makes one video's records for it as the writer takes
+    them, in video-id order, so the stage holds one video's records.
+    """
+    from .synth import generate, video_id, video_order
     directory.mkdir(parents=True, exist_ok=True)
     scenario = scenario_config(config)
     bundle = generate(scenario)
-    videos = sorted(bundle.videos, key=lambda v: v.video_id)
-    formats.write_gt_tubes(directory / FILE_GT,
-                           [(v.video_id, v.gt_tubes) for v in videos])
-    for stream, name in FILE_DETECTIONS.items():
-        formats.write_detections(
-            directory / name,
-            [(v.video_id, v.detections[stream]) for v in videos])
-    formats.write_proposals(directory / FILE_PROPOSALS,
-                            [(v.video_id, v.proposals) for v in videos])
-    matcher = bundle.matcher()
-    width, height = scenario.frame_size
-    full = BoundingBox(0.0, 0.0, float(width), float(height))
+    order = video_order(scenario.video_count)
 
-    pairs = {}
-    for video in bundle.videos:
-        for frame in list(video.extent.frames())[:-1]:
-            pairs[(video.video_id, frame)] = matcher.match(
-                video.video_id, frame, frame + 1, full)
-    formats.write_matches(directory / FILE_MATCHES, pairs)
+    def each_video(make):
+        return ((video_id(index), make(index)) for index in order)
+
+    formats.write_gt_tubes(directory / FILE_GT,
+                           each_video(bundle.gt_tubes.__getitem__))
+    for stream, name in FILE_DETECTIONS.items():
+        formats.write_detections(directory / name,
+                                 each_video(partial(bundle.detections,
+                                                    stream)))
+    formats.write_proposals(directory / FILE_PROPOSALS,
+                            each_video(bundle.proposals))
+    formats.write_matches(directory / FILE_MATCHES,
+                          each_video(bundle.matches))
     formats.write_weights(directory / FILE_WEIGHTS, bundle.weights)
     # an optional artifact this run does not write is removed, so a later
     # stage never reads one left by an earlier run
@@ -174,19 +178,18 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
         (directory / FILE_ALPHAS).unlink(missing_ok=True)
     if scenario.with_flow:
         # grids are made as they are written, in array-name order
-        order = sorted(enumerate(bundle.videos), key=lambda p: p[1].video_id)
         formats.write_flow(directory / FILE_FLOW, (
-            (video.video_id, grid) for index, video in order
-            for grid in video_flow(scenario, index, video.gt_tubes)))
+            (video, grid) for video, grids in each_video(bundle.flow)
+            for grid in grids))
     else:
         (directory / FILE_FLOW).unlink(missing_ok=True)
-    drift = sorted((video_id, tubes)
-                   for video_id, tubes in bundle.drift_tubes.items() if tubes)
+    drift = sorted((video, tubes)
+                   for video, tubes in bundle.drift_tubes.items() if tubes)
     if drift:
         formats.write_tubes(directory / FILE_DRIFT, drift)
     else:
         (directory / FILE_DRIFT).unlink(missing_ok=True)
-    return {"videos": len(bundle.videos),
+    return {"videos": scenario.video_count,
             "gt_tubes": len(bundle.all_gt()),
             "drift_tubes": sum(len(tubes) for _, tubes in drift)}
 

@@ -38,6 +38,7 @@ _ACTOR, _STATIC, _FLOW_DET, _EARLY, _PROPOSAL, _MATCH, _CLIP, _GRID, \
 
 _SOURCE_BY_STREAM = {_STATIC: Source.STATIC, _FLOW_DET: Source.FLOW,
                      _EARLY: Source.EARLY_FUSION}
+_STREAM_IDS = dict(zip(STREAMS, (_STATIC, _FLOW_DET, _EARLY)))
 
 _NEAR_MISS_SIGMA = 2.0
 
@@ -235,6 +236,21 @@ def _video_actors(config: ScenarioConfig,
             for a in range(config.actors_per_video)]
 
 
+def video_id(index: int) -> str:
+    """The id of the scenario's video ``index``."""
+    return f"v{index:03d}"
+
+
+def video_order(video_count: int) -> list[int]:
+    """Video indices in ascending video-id order, the order of every file.
+
+    Ids have at least three digits, so from 1,000 videos on this is not
+    index order: ``v1000`` comes before ``v101``.  Ids are ``v`` and
+    digits, so this is also the array-name order of the containers.
+    """
+    return sorted(range(video_count), key=video_id)
+
+
 @dataclass(frozen=True)
 class VideoBundle:
     video_id: str
@@ -247,21 +263,68 @@ class VideoBundle:
 
 @dataclass(frozen=True)
 class ScenarioBundle:
+    """A scenario: what spans its videos, and each video when asked.
+
+    It holds every video's ground truth (``gt_tubes``, in index order),
+    the scorer weights, the footprint statistics and the drift tubes.
+    A video's other inputs (detections, proposals, matches, flow) are
+    made from its ground truth when a method below is called, each from
+    its own (seed, stream, video) generator, so they are the same
+    whenever and in whatever order they are asked for, and a caller that
+    writes each before asking for the next holds one video's at a time.
+    ``videos[i]`` makes video ``i`` afresh each time it is taken.
+    """
+
     config: ScenarioConfig
-    videos: tuple[VideoBundle, ...]
+    gt_tubes: tuple[tuple[GroundTruthTube, ...], ...]
     weights: RecurrentScorerWeights
-    gmm: DiagonalGaussianMixture | None
-    alphas: np.ndarray | None
+    gmm: DiagonalGaussianMixture | None = None
+    alphas: np.ndarray | None = None
     drift_tubes: Mapping[str, tuple[Tube, ...]] = field(default_factory=dict)
 
+    @property
+    def videos(self) -> Sequence[VideoBundle]:
+        return _Videos(self)
+
+    def video(self, index: int) -> VideoBundle:
+        config = self.config
+        return VideoBundle(
+            video_id(index), FrameInterval(0, config.frames_per_video),
+            config.frame_size, self.gt_tubes[index],
+            {stream: self.detections(stream, index) for stream in STREAMS},
+            self.proposals(index))
+
+    def detections(self, stream: str, index: int) -> tuple[Detection, ...]:
+        """Video ``index``'s detections of ``stream`` (one of
+        ``STREAMS``)."""
+        return _stream_detections(self.config, index, self.gt_tubes[index],
+                                  _STREAM_IDS[stream])
+
+    def proposals(self, index: int) -> dict[int, tuple[Proposal, ...]]:
+        return _video_proposals(self.config, index, self.gt_tubes[index])
+
+    def matches(self, index: int) -> dict[tuple[str, int], np.ndarray]:
+        """Video ``index``'s full-frame matches from each frame to the
+        next, by ``(video_id, frame)``."""
+        vid = video_id(index)
+        matcher = SyntheticMatcher(self.config, {vid: self.gt_tubes[index]},
+                                   {vid: index})
+        w, h = self.config.frame_size
+        full = BoundingBox(0.0, 0.0, float(w), float(h))
+        return {(vid, frame): matcher.match(vid, frame, frame + 1, full)
+                for frame in range(self.config.frames_per_video - 1)}
+
+    def flow(self, index: int) -> Iterator[FlowMagnitudeGrid]:
+        return video_flow(self.config, index, self.gt_tubes[index])
+
     def gt_by_video(self) -> dict[str, tuple[GroundTruthTube, ...]]:
-        return {v.video_id: v.gt_tubes for v in self.videos}
+        return {video_id(i): gt for i, gt in enumerate(self.gt_tubes)}
 
     def all_gt(self) -> list[GroundTruthTube]:
-        return [gt for v in self.videos for gt in v.gt_tubes]
+        return [gt for tubes in self.gt_tubes for gt in tubes]
 
     def video_indices(self) -> dict[str, int]:
-        return {v.video_id: i for i, v in enumerate(self.videos)}
+        return {video_id(i): i for i in range(len(self.gt_tubes))}
 
     def matcher(self) -> "SyntheticMatcher":
         return SyntheticMatcher(self.config, self.gt_by_video(),
@@ -273,6 +336,21 @@ class ScenarioBundle:
     def featurizer(self) -> "SyntheticFeaturizer":
         return SyntheticFeaturizer(self.config, self.gt_by_video(),
                                    self.video_indices())
+
+
+class _Videos(Sequence):
+    """A bundle's videos, each made when it is taken."""
+
+    def __init__(self, bundle: ScenarioBundle):
+        self._bundle = bundle
+
+    def __len__(self) -> int:
+        return len(self._bundle.gt_tubes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return self._bundle.video(range(len(self))[index])
 
 
 def _one_hot(num_classes: int, label: int, value: float) -> tuple[float, ...]:
@@ -410,8 +488,8 @@ def video_flow(config: ScenarioConfig, video_index: int,
         yield FlowMagnitudeGrid(frame, mag)
 
 
-def _generate_video(config: ScenarioConfig, index: int) -> VideoBundle:
-    video_id = f"v{index:03d}"
+def _video_truth(config: ScenarioConfig,
+                 index: int) -> tuple[GroundTruthTube, ...]:
     rng = _rng(config.seed, _ACTOR, index)
     frames = config.frames_per_video
     length = max(1, round(config.span_fraction * frames))
@@ -421,17 +499,9 @@ def _generate_video(config: ScenarioConfig, index: int) -> VideoBundle:
         centers = _motion_path(spec, home_region(config, spec.label),
                                length, rng)
         boxes = tuple(_box_at_center(c, spec.size) for c in centers)
-        gt_tubes.append(GroundTruthTube(video_id, f"a{a}", spec.label,
-                                        start, boxes))
-    gt_tubes = tuple(gt_tubes)
-    detections = {
-        "static": _stream_detections(config, index, gt_tubes, _STATIC),
-        "flow": _stream_detections(config, index, gt_tubes, _FLOW_DET),
-        "early": _stream_detections(config, index, gt_tubes, _EARLY),
-    }
-    return VideoBundle(video_id, FrameInterval(0, frames),
-                       config.frame_size, gt_tubes, detections,
-                       _video_proposals(config, index, gt_tubes))
+        gt_tubes.append(GroundTruthTube(video_id(index), f"a{a}",
+                                        spec.label, start, boxes))
+    return tuple(gt_tubes)
 
 
 class SyntheticMatcher:
@@ -649,22 +719,30 @@ def analytic_weights(config: ScenarioConfig) -> RecurrentScorerWeights:
         w_cls=w_cls, b_cls=b_cls, activation="relu")
 
 
-def _footprint_stats(config: ScenarioConfig, videos: Sequence[VideoBundle],
+def _footprint_stats(config: ScenarioConfig,
+                     gt_tubes: Sequence[Sequence[GroundTruthTube]],
                      featurizer: SyntheticFeaturizer):
     """GMM plus per-cell classifier accuracies from the true tubes."""
     layout = config.layout
     grids = []
     labels = []
-    for video in videos:
-        for gt in video.gt_tubes:
+    for tubes in gt_tubes:
+        for gt in tubes:
             intervals = slice_clips(gt.interval(), config.clip_length)
-            grids.append(featurizer.feature_grid(video.video_id, intervals))
+            grids.append(featurizer.feature_grid(gt.video_id, intervals))
             labels.append(gt.label)
-    pool = np.concatenate([g.reshape(-1, config.feature_dim) for g in grids])
-    if len(pool) > config.descriptor_cap:
+    rows = [g.reshape(-1, config.feature_dim) for g in grids]
+    # the subsample is gathered grid by grid, so the grids' descriptors
+    # are never copied into one array
+    bounds = np.cumsum([0, *map(len, rows)])
+    idx = np.arange(bounds[-1])
+    if bounds[-1] > config.descriptor_cap:
         rng = _rng(config.seed, _GMM)
-        idx = rng.choice(len(pool), config.descriptor_cap, replace=False)
-        pool = pool[np.sort(idx)]
+        idx = np.sort(rng.choice(bounds[-1], config.descriptor_cap,
+                                 replace=False))
+    cuts = np.searchsorted(idx, bounds)
+    pool = np.concatenate([r[idx[a:b] - lo] for r, lo, a, b
+                           in zip(rows, bounds, cuts, cuts[1:])])
     gmm = fit_gmm(pool, config.gmm_components, seed=config.seed)
     items = [(label, aggregate_cells(FeatureGridSequence(grid), layout, gmm))
              for label, grid in zip(labels, grids)]
@@ -683,32 +761,36 @@ def _footprint_stats(config: ScenarioConfig, videos: Sequence[VideoBundle],
 
 
 def generate(config: ScenarioConfig) -> ScenarioBundle:
-    """Build the full scenario, drift tubes included when configured."""
-    videos = tuple(_generate_video(config, i)
-                   for i in range(config.video_count))
-    gmm = alphas = None
+    """The scenario, drift tubes included when configured.
+
+    Everything that spans videos is made here, so a scenario that
+    cannot be made fails before any video's other inputs are asked for.
+    """
+    bundle = ScenarioBundle(
+        config, tuple(_video_truth(config, i)
+                      for i in range(config.video_count)),
+        analytic_weights(config))
     if config.with_footprint:
-        featurizer = SyntheticFeaturizer(
-            config, {v.video_id: v.gt_tubes for v in videos},
-            {v.video_id: i for i, v in enumerate(videos)})
-        gmm, alphas = _footprint_stats(config, videos, featurizer)
-    bundle = ScenarioBundle(config, videos, analytic_weights(config),
-                            gmm, alphas)
+        gmm, alphas = _footprint_stats(config, bundle.gt_tubes,
+                                       bundle.featurizer())
+        bundle = replace(bundle, gmm=gmm, alphas=alphas)
     if config.drift_rate > 0:
         bundle = inject_drift(bundle, config.drift_rate)
     return bundle
 
 
-def _free_box(video: VideoBundle, side: float, rng: np.random.Generator,
+def _free_box(gt_tubes: Sequence[GroundTruthTube],
+              frame_size: tuple[int, int], side: float,
+              rng: np.random.Generator,
               keep_out: Sequence[tuple[float, float, float, float]] = (),
               ) -> BoundingBox | None:
-    """A box overlapping no ground-truth box on any frame, or None.
+    """A box overlapping none of ``gt_tubes``' boxes on any frame, or None.
 
     ``keep_out`` rectangles are avoided as well.
     """
-    w, h = video.frame_size
+    w, h = frame_size
     stacks = [np.array([b.as_tuple() for b in gt.boxes])
-              for gt in video.gt_tubes]
+              for gt in gt_tubes]
     if keep_out:
         stacks.append(np.array(keep_out, dtype=np.float64))
     for _ in range(500):
@@ -739,29 +821,28 @@ def inject_drift(bundle: ScenarioBundle, rate: float) -> ScenarioBundle:
     """
     if not 0.0 <= rate <= 1.0:
         raise InputError(f"drift rate must be in [0, 1], got {rate}")
-    total = sum(len(v.gt_tubes) for v in bundle.videos)
-    count = round(rate * total)
+    count = round(rate * len(bundle.all_gt()))
     if count == 0:
         return bundle
     config = bundle.config
     rng = _rng(config.seed, _DRIFT)
     side = min(40.0, config.frame_size[0] / 4.0, config.frame_size[1] / 4.0)
+    n = config.frames_per_video
     drift: dict[str, list[Tube]] = {}
     for k in range(count):
-        video = bundle.videos[k % len(bundle.videos)]
-        label = video.gt_tubes[k % len(video.gt_tubes)].label
-        box = _free_box(video, side, rng,
+        index = k % len(bundle.gt_tubes)
+        vid, gt_tubes = video_id(index), bundle.gt_tubes[index]
+        label = gt_tubes[k % len(gt_tubes)].label
+        box = _free_box(gt_tubes, config.frame_size, side, rng,
                         keep_out=(home_region(config, label),))
         if box is None:
             raise ProcessingError(
-                f"no actor-free space left in {video.video_id} for a "
-                f"drifted tube")
+                f"no actor-free space left in {vid} for a drifted tube")
         scores = tuple(0.1 + 0.02 * float(u)
                        for u in rng.uniform(size=config.num_classes))
-        n = len(video.extent)
-        drift.setdefault(video.video_id, []).append(Tube(
-            video.video_id, f"drift{k:03d}", video.extent.start, (box,) * n,
-            (scores,) * n, (Source.TRACKED,) * n, label=label))
+        drift.setdefault(vid, []).append(Tube(
+            vid, f"drift{k:03d}", 0, (box,) * n, (scores,) * n,
+            (Source.TRACKED,) * n, label=label))
     merged = {vid: tuple(tubes) for vid, tubes in drift.items()}
     for vid, tubes in bundle.drift_tubes.items():
         merged[vid] = merged.get(vid, ()) + tubes

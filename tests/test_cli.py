@@ -334,9 +334,11 @@ class TestOneVideoAtATime:
             rows = [(rename[fields[0]], *fields[1:]) for _, fields in
                     formats.read_records(out / name, kind)]
             formats.write_records(copy / name, kind, rows)
-        formats.write_matches(copy / FILE_MATCHES, {
-            (rename[video_id], frame): rows for (video_id, frame), rows
-            in formats.read_matches(out / FILE_MATCHES).items()})
+        formats.write_matches(copy / FILE_MATCHES, sorted((
+            (rename[video_id], {(rename[video_id], frame): rows
+                                for (_, frame), rows in pairs.items()})
+            for video_id, pairs in formats.matches_by_video(
+                out / FILE_MATCHES)), key=lambda chunk: chunk[0] + "/"))
         formats.write_flow(copy / FILE_FLOW, sorted(
             ((rename[video_id], grid) for video_id, grid
              in formats.read_flow(out / FILE_FLOW)),
@@ -377,6 +379,47 @@ class TestOneVideoAtATime:
             [("a", 3), ("a-b", 1), ("a.c", 2), ("b", None), ("c", None)]
         # each chunk processed as it streams past; "b" once "z" passed it
         assert calls == ["a-b", "a.c", "a", "b", "c"]
+
+
+class TestSynthFailsClosed:
+    """``synth`` makes everything that spans videos before it writes a
+    file, and each file appears only once its last video is written."""
+
+    EARLIER = ("--stage-override", "synth.with_flow=true",
+               "--stage-override", "synth.drift_rate=0.5")
+
+    def test_failed_drift_placement_leaves_an_earlier_run(self, tmp_path,
+                                                         capsys):
+        assert run_cli("synth", "--out", tmp_path, *FAST,
+                       *self.EARLIER) == 0
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        # one class roams the whole frame: no box stays clear of it
+        assert run_cli("synth", "--out", tmp_path, "--seed", 5, *FAST,
+                       "--stage-override", "synth.num_classes=1",
+                       "--stage-override", "synth.drift_rate=1") == 4
+        assert "no actor-free space" in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+
+    def test_fault_in_the_last_video_leaves_no_temp_file(
+            self, tmp_path, capsys, monkeypatch):
+        from actiontubes import synth
+        assert run_cli("synth", "--out", tmp_path, *FAST) == 0
+        before = (tmp_path / FILE_MATCHES).read_bytes()
+        match = synth.SyntheticMatcher.match
+
+        def faulty(self, video_id, *args):
+            if video_id == "v002":
+                raise ProcessingError("matcher gave up")
+            return match(self, video_id, *args)
+        monkeypatch.setattr(synth.SyntheticMatcher, "match", faulty)
+        capsys.readouterr()
+        assert run_cli("synth", "--out", tmp_path, "--seed", 5, *FAST) == 4
+        assert "matcher gave up" in capsys.readouterr().err
+        assert (tmp_path / FILE_MATCHES).read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir()
+                    if p.name.startswith(".")]
 
 
 class TestStaleArtifacts:

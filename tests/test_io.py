@@ -126,18 +126,28 @@ def lexsorted(rows):
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def match_chunks(pairs):
+    """A ``{(video_id, frame): rows}`` mapping as ``write_matches`` takes
+    it: one ``(video_id, pairs)`` chunk per video, in array-name order."""
+    groups = {}
+    for (video_id, frame), rows in pairs.items():
+        groups.setdefault(video_id, {})[(video_id, frame)] = rows
+    return sorted(groups.items(), key=lambda chunk: chunk[0] + "/")
+
+
 class TestMatchesRoundTrip:
     def test_matcher_equivalence(self, bundle, tmp_path):
         path = tmp_path / "m.atb"
         matcher = bundle.matcher()
-        pairs = {}
+        chunks = []
         for video in bundle.videos:
             w, h = video.frame_size
             full = BoundingBox(0, 0, w, h)
-            for frame in list(video.extent.frames())[:-1]:
-                pairs[(video.video_id, frame)] = \
+            chunks.append((video.video_id, {
+                (video.video_id, frame):
                     matcher.match(video.video_id, frame, frame + 1, full)
-        formats.write_matches(path, pairs)
+                for frame in list(video.extent.frames())[:-1]}))
+        formats.write_matches(path, chunks)
         reread = PrecomputedMatcher(formats.read_matches(path))
         answered = 0
         for video in bundle.videos:
@@ -157,7 +167,8 @@ class TestMatchesRoundTrip:
 
     def test_backward_queries_served_from_forward_records(self, tmp_path):
         path = tmp_path / "m.atb"
-        formats.write_matches(path, {("v0", 3): [[1.0, 2.0, 5.0, 6.0]]})
+        formats.write_matches(path,
+                              [("v0", {("v0", 3): [[1.0, 2.0, 5.0, 6.0]]})])
         matcher = PrecomputedMatcher(formats.read_matches(path))
         back = matcher.match("v0", 4, 3, BoundingBox(0, 0, 10, 10))
         assert np.array_equal(back, [[5.0, 6.0, 1.0, 2.0]])
@@ -168,7 +179,7 @@ class TestMatchesRoundTrip:
         pairs = {(vid, f): rng.normal(size=(n, 4))
                  for vid, f, n in (("v0", 0, 5), ("v0", 1, 0),
                                    ("v1.a", 7, 3))}
-        formats.write_matches(path, pairs)
+        formats.write_matches(path, match_chunks(pairs))
         back = formats.read_matches(path)
         assert set(back) == set(pairs)
         for key, rows in pairs.items():
@@ -181,7 +192,7 @@ class TestMatchesRoundTrip:
         path = tmp_path / "m.atb"
         pairs = {(vid, f): np.full((1, 4), float(f))
                  for vid in ("v1", "v1-x", "v1.a", "v10") for f in (0, 1)}
-        formats.write_matches(path, pairs)
+        formats.write_matches(path, match_chunks(pairs))
         chunks = list(formats.matches_by_video(path))
         assert [video_id for video_id, _ in chunks] == \
             ["v1-x", "v1.a", "v1", "v10"]
@@ -189,12 +200,30 @@ class TestMatchesRoundTrip:
             assert sorted(by_frame) == [(video_id, 0), (video_id, 1)]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
+        """A video's frames may come in any order."""
         a, b = tmp_path / "a.atb", tmp_path / "b.atb"
         rng = np.random.default_rng(5)
         pairs = {("v0", f): rng.uniform(size=(4, 4)) for f in range(3)}
-        formats.write_matches(a, pairs)
-        formats.write_matches(b, dict(reversed(pairs.items())))
+        formats.write_matches(a, [("v0", pairs)])
+        formats.write_matches(b, [("v0", dict(reversed(pairs.items())))])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("chunks, needle", [
+        ([("v1", {}), ("v0", {})], "'v0' written after 'v1'"),
+        ([("v0", {}), ("v0", {})], "'v0' written after 'v0'"),
+        # in array-name order "v0/" comes after "v0-a/"
+        ([("v0", {}), ("v0-a", {})], "'v0-a' written after 'v0'"),
+        ([("v0", {("v1", 2): np.zeros((1, 4))})],
+         "frame 2 of 'v1' written with the matches of 'v0'"),
+    ], ids=["descending", "repeated", "name-order", "other-video"])
+    def test_videos_out_of_order_rejected_on_write(self, tmp_path, chunks,
+                                                   needle):
+        path = tmp_path / "m.atb"
+        with pytest.raises(InputError) as info:
+            formats.write_matches(path, chunks)
+        assert needle in str(info.value)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key, rows, word", [
         (("v0", 0), np.zeros((2, 2)), "(N, 4)"),
@@ -208,7 +237,7 @@ class TestMatchesRoundTrip:
                                                word):
         path = tmp_path / "m.atb"
         with pytest.raises(InputError) as info:
-            formats.write_matches(path, {key: rows})
+            formats.write_matches(path, [(key[0], {key: rows})])
         assert word in str(info.value)
         assert not path.exists()
 
@@ -242,7 +271,7 @@ class TestMatchesRoundTrip:
 
     def test_truncated_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.atb"
-        formats.write_matches(path, {("v0", 0): np.ones((3, 4))})
+        formats.write_matches(path, [("v0", {("v0", 0): np.ones((3, 4))})])
         blob = path.read_bytes()
         for broken, word in ((blob[:-1], "truncated"),
                              (blob + b"\x00", "trailing")):

@@ -1,5 +1,5 @@
-"""Peak memory of every stage but ``synth`` and ``evaluate`` stays
-bounded by one video.
+"""Peak memory of every stage but ``evaluate`` stays bounded by one
+video.
 
 ``synth`` writes and ``fuse`` reads one flow grid at a time, so their
 peak RSS must not grow with the number of videos.  At the default
@@ -7,12 +7,18 @@ peak RSS must not grow with the number of videos.  At the default
 ~140 MiB of grids; a stage that kept them all in memory would peak that
 much above the 1-video run.
 
-``fuse``, ``track``, ``score``, ``prune`` and ``localize`` read,
+``synth`` makes and writes each video's records as its file is written,
+and ``fuse``, ``track``, ``score``, ``prune`` and ``localize`` read,
 process and write one video at a time, so on a crowded scenario (the
 center-search tracker, many tubes per video) their peaks must not grow
 with the videos either.  Holding all 12 videos' records at once, as
 whole-file readers do, peaks ``score`` ~12 MiB and ``prune`` ~14 MiB
-above the 1-video run (``fuse`` ~8, ``track`` ~9, ``localize`` ~4).
+above the 1-video run (``fuse`` ~8, ``track`` ~9, ``localize`` ~4),
+and a ``synth`` that generates the whole scenario before writing it
+~12 MiB.  ``synth`` still holds every video's ground truth, and with
+``synth.with_footprint`` every true tube's feature grid until the
+footprint statistics are made (~1.5 MiB at 12 crowded videos), so it
+is checked with the footprint statistics too.
 
 A child's ``ru_maxrss`` starts at the RSS of the process that forked
 it, so the stages are not started from the test runner, whose RSS
@@ -20,7 +26,7 @@ depends on the tests run before.  This file, run as a script, starts
 them from a fresh interpreter, reaps each with ``os.wait4`` and prints
 their peaks:
 
-    python tests/test_memory.py OUT_DIR VIDEO_COUNT [flow|crowd]
+    python tests/test_memory.py OUT_DIR VIDEO_COUNT [flow|crowd|footprint]
 """
 
 import json
@@ -28,25 +34,27 @@ import os
 import subprocess
 import sys
 
+CROWD = ("track.baseline=true", "synth.frames_per_video=40",
+         "synth.actors_per_video=5", "synth.num_classes=6",
+         "synth.false_positive_rate=0.5", "synth.duplicate_label_rate=0.3",
+         "synth.jitter_sigma=2")
 SCENARIOS = {
     "flow": (("synth", "fuse"), (
         "synth.frames_per_video=30", "synth.with_footprint=false",
         "synth.with_flow=true")),
-    "crowd": (("synth", "fuse", "track", "score", "prune", "localize"), (
-        "track.baseline=true", "synth.frames_per_video=40",
-        "synth.actors_per_video=5", "synth.num_classes=6",
-        "synth.false_positive_rate=0.5", "synth.duplicate_label_rate=0.3",
-        "synth.jitter_sigma=2", "synth.with_footprint=false")),
+    "crowd": (("synth", "fuse", "track", "score", "prune", "localize"),
+              (*CROWD, "synth.with_footprint=false")),
+    "footprint": (("synth",), (*CROWD, "synth.with_footprint=true")),
 }
 STAGES = SCENARIOS["flow"][0]
-CROWD_STAGES = SCENARIOS["crowd"][0][1:]
-# Everything but the grids still grows with the videos (detections,
-# proposals, matches); at 8 videos of 30 frames that is ~2 MiB.
+# What still grows with the videos is the ground truth (~0.1 MiB at 8
+# videos of 30 frames) and the grids' free lists.
 MARGIN_MIB = 16
 CROWD_VIDEOS = 12
-# What still grows with the videos is where each video's lines are and
-# the allocator's free lists: 12 videos peaked 0.6 (fuse) to 2.5 (prune)
-# MiB above one video, each within 0.2 MiB over 3 runs of each count.
+# What still grows with the videos is where each video's lines are (or,
+# in synth, its ground truth and feature grids) and the allocator's free
+# lists: 12 videos peaked 0.6 (fuse) to 2.5 (prune) MiB above one video,
+# each within 0.2 MiB over 3 runs of each count.
 CROWD_MARGIN_MIB = 5
 
 
@@ -84,12 +92,24 @@ def test_flow_stages_peak_independent_of_video_count(tmp_path, child_env):
         assert many[stage] - one[stage] < MARGIN_MIB, (stage, one, many)
 
 
+def _crowd_growth(tmp_path, env, scenario):
+    """Each stage's peak at 12 crowded videos less its peak at one."""
+    one = _peaks(tmp_path / "one", 1, env, scenario)
+    many = _peaks(tmp_path / "many", CROWD_VIDEOS, env, scenario)
+    return {stage: round(many[stage] - one[stage], 1)
+            for stage in SCENARIOS[scenario][0]}
+
+
 def test_crowd_stages_peak_independent_of_video_count(tmp_path, child_env):
-    one = _peaks(tmp_path / "one", 1, child_env, "crowd")
-    many = _peaks(tmp_path / "many", CROWD_VIDEOS, child_env, "crowd")
-    grown = {stage: round(many[stage] - one[stage], 1)
-             for stage in CROWD_STAGES}
+    grown = _crowd_growth(tmp_path, child_env, "crowd")
     assert max(grown.values()) < CROWD_MARGIN_MIB, grown
+
+
+def test_crowd_synth_with_footprint_peak_independent_of_video_count(
+        tmp_path, child_env):
+    grown = _crowd_growth(tmp_path, child_env, "footprint")
+    assert (tmp_path / "many" / "alphas.atb").exists()
+    assert grown["synth"] < CROWD_MARGIN_MIB, grown
 
 
 if __name__ == "__main__":

@@ -11,13 +11,17 @@ from actiontubes.errors import ConfigError, InputError
 from actiontubes.geometry import iou, st_iou
 from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
                                Source, Tube)
-from actiontubes.pipeline import FILE_FLOW, run_synth
+from actiontubes.pipeline import (FILE_DETECTIONS, FILE_DRIFT, FILE_FLOW,
+                                  FILE_GT, FILE_MATCHES, FILE_PROPOSALS,
+                                  run_synth, scenario_config)
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
+from actiontubes import synth
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
                                SyntheticFeaturizer, SyntheticRegionScorer,
                                analytic_weights, generate, home_region,
-                               inject_drift, video_flow)
+                               inject_drift, video_flow, video_id,
+                               video_order)
 from actiontubes.tracker import TrackerConfig, build_tubes, match_ratio
 
 
@@ -106,6 +110,23 @@ class TestDeterminism:
         assert a.drift_tubes == b.drift_tubes
         assert np.array_equal(a.alphas, b.alphas)
         assert np.array_equal(a.gmm.means, b.gmm.means)
+
+    def test_videos_are_the_same_in_any_order(self):
+        bundle = generate(small_config(jitter_sigma=2.0, miss_rate=0.1,
+                                       false_positive_rate=0.2,
+                                       match_noise=0.5))
+        forward = list(bundle.videos)
+        assert [v.video_id for v in forward] == \
+            [video_id(i) for i in range(6)]
+        assert list(reversed(bundle.videos)) == forward[::-1]
+        assert bundle.videos[-1] == bundle.videos[5] == forward[5]
+        assert bundle.videos[1:3] == forward[1:3]
+        with pytest.raises(IndexError):
+            bundle.videos[6]
+        for index in (3, 0):
+            for a, b in zip(bundle.matches(index).items(),
+                            generate(bundle.config).matches(index).items()):
+                assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_different_seed_different_noise(self):
         a = generate(small_config(seed=1, jitter_sigma=2.0))
@@ -595,3 +616,44 @@ class TestEndToEnd:
             clips = score_clips(feats, bundle.weights, intervals,
                                 config.clip_length)
             assert score_tube(tube, clips).label == gt.label
+
+
+class TestVideoOrder:
+    def test_id_order_is_not_index_order_from_1000_videos(self):
+        order = video_order(1001)
+        assert sorted(order) == list(range(1001))
+        ids = [video_id(i) for i in order]
+        assert ids == sorted(ids)
+        assert ids[ids.index("v100"):ids.index("v100") + 3] == \
+            ["v100", "v1000", "v101"]
+        assert video_order(1000) == list(range(1000))
+
+    def test_every_file_is_written_in_id_order(self, tmp_path, monkeypatch):
+        """With ids that sort against index order, every writer still
+        gets its videos in ascending id order (a writer given them out of
+        order raises)."""
+        monkeypatch.setattr(synth, "video_id", lambda index: f"v{3 - index}")
+        config = PipelineConfig({"synth.video_count": 4,
+                                 "synth.frames_per_video": 6,
+                                 "synth.with_footprint": False,
+                                 "synth.with_flow": True,
+                                 "synth.drift_rate": 1.0})
+        run_synth(tmp_path, config)
+        ids = ["v0", "v1", "v2", "v3"]
+        written = {
+            name: [row.split("\t")[0] for row in
+                   (tmp_path / name).read_text().splitlines()[2:]]
+            for name in (FILE_GT, FILE_PROPOSALS, FILE_DRIFT,
+                         *FILE_DETECTIONS.values())}
+        written[FILE_MATCHES] = [video for video, _ in
+                                 formats.matches_by_video(
+                                     tmp_path / FILE_MATCHES)]
+        written[FILE_FLOW] = [video for video, _ in
+                              formats.read_flow(tmp_path / FILE_FLOW)]
+        for name, videos in written.items():
+            assert sorted(set(videos)) == ids, name
+            assert videos == sorted(videos), name
+        # v3 is video 0
+        truth = generate(scenario_config(config)).gt_tubes[0]
+        assert formats.read_gt_tubes(tmp_path / FILE_GT)[-len(truth):] == \
+            list(truth)
