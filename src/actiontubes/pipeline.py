@@ -183,8 +183,8 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
             for grid in grids))
     else:
         (directory / FILE_FLOW).unlink(missing_ok=True)
-    drift = sorted((video, tubes)
-                   for video, tubes in bundle.drift_tubes.items() if tubes)
+    drift = sorted((video_id, tubes)
+                   for video_id, tubes in bundle.drift_tubes.items() if tubes)
     if drift:
         formats.write_tubes(directory / FILE_DRIFT, drift)
     else:

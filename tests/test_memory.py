@@ -15,7 +15,7 @@ with the videos either.  Holding all 12 videos' records at once, as
 whole-file readers do, peaks ``score`` ~12 MiB and ``prune`` ~14 MiB
 above the 1-video run (``fuse`` ~8, ``track`` ~9, ``localize`` ~4),
 and a ``synth`` that generates the whole scenario before writing it
-~12 MiB.  ``synth`` still holds every video's ground truth, and with
+~14 MiB.  ``synth`` still holds every video's ground truth, and with
 ``synth.with_footprint`` every true tube's feature grid until the
 footprint statistics are made (~1.5 MiB at 12 crowded videos), so it
 is checked with the footprint statistics too.
@@ -47,14 +47,16 @@ SCENARIOS = {
     "footprint": (("synth",), (*CROWD, "synth.with_footprint=true")),
 }
 STAGES = SCENARIOS["flow"][0]
-# What still grows with the videos is the ground truth (~0.1 MiB at 8
-# videos of 30 frames) and the grids' free lists.
+# What still grows with the videos is the ground truth: 8 videos of 30
+# frames peaked synth 0.2 MiB above one video (2.2 while synth held
+# every video's records).
 MARGIN_MIB = 16
 CROWD_VIDEOS = 12
-# What still grows with the videos is where each video's lines are (or,
-# in synth, its ground truth and feature grids) and the allocator's free
+# What still grows with the videos is where each video's lines are (in
+# synth, its ground truth and feature grids) and the allocator's free
 # lists: 12 videos peaked 0.6 (fuse) to 2.5 (prune) MiB above one video,
-# each within 0.2 MiB over 3 runs of each count.
+# each within 0.2 MiB over 3 runs of each count, and synth 1.3 MiB (3.5
+# to 3.7 with the footprint statistics, over 3 runs).
 CROWD_MARGIN_MIB = 5
 
 
