@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from actiontubes import formats
+from actiontubes import formats, synth
 from actiontubes.cli import STAGES, main
 from actiontubes.errors import ProcessingError
 from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_SCORES,
@@ -404,7 +404,6 @@ class TestSynthFailsClosed:
 
     def test_fault_in_the_last_video_leaves_no_temp_file(
             self, tmp_path, capsys, monkeypatch):
-        from actiontubes import synth
         assert run_cli("synth", "--out", tmp_path, *FAST) == 0
         before = (tmp_path / FILE_MATCHES).read_bytes()
         match = synth.SyntheticMatcher.match

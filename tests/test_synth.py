@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from actiontubes import formats
+from actiontubes import formats, synth
 from actiontubes.config import PipelineConfig
 from actiontubes.errors import ConfigError, InputError
 from actiontubes.geometry import iou, st_iou
@@ -16,7 +16,6 @@ from actiontubes.pipeline import (FILE_DETECTIONS, FILE_DRIFT, FILE_FLOW,
                                   run_synth, scenario_config)
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
-from actiontubes import synth
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
                                SyntheticFeaturizer, SyntheticRegionScorer,
                                analytic_weights, generate, home_region,
@@ -123,10 +122,12 @@ class TestDeterminism:
         assert bundle.videos[1:3] == forward[1:3]
         with pytest.raises(IndexError):
             bundle.videos[6]
+        again = generate(bundle.config)
         for index in (3, 0):
-            for a, b in zip(bundle.matches(index).items(),
-                            generate(bundle.config).matches(index).items()):
-                assert a[0] == b[0] and np.array_equal(a[1], b[1])
+            a, b = bundle.matches(index), again.matches(index)
+            assert list(a) == [(video_id(index), f) for f in range(23)]
+            assert list(b) == list(a)
+            assert all(np.array_equal(a[key], b[key]) for key in a)
 
     def test_different_seed_different_noise(self):
         a = generate(small_config(seed=1, jitter_sigma=2.0))
