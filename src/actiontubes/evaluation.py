@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import InputError
-from .geometry import iou, st_iou
-from .model import BoundingBox, GroundTruthTube, Tube
-from .scoring import require_scored
+from .geometry import hulls_meet, iou, st_iou
+from .model import (BoundingBox, GroundTruthTube, Tube, pairwise_sum,
+                    require_scored)
 
 @dataclass(frozen=True)
 class BoxPrediction:
@@ -98,12 +97,19 @@ class _OverlapTable:
     its class (video mode: matching and recall-track read no other
     pair), or on its frame and of any class (frame mode: the
     false-detection split reads the other classes), with its overlap,
-    in ground-truth order.  gt_labels is parallel to the ground-truth
-    items, which in frame mode are the per-frame boxes of every tube.
+    in ground-truth order.  A video-mode pair whose box hulls miss holds
+    0.0 without an ``st_iou`` call, and is kept like every other pair.
+    gt_labels is parallel to the ground-truth items, which in frame mode
+    are the per-frame boxes of every tube.
     """
 
     rows: tuple[tuple[int, float, tuple[tuple[int, float], ...]], ...]
     gt_labels: tuple[int, ...]
+
+
+def _tube_overlap(tube: Tube, gt: GroundTruthTube) -> float:
+    """``st_iou``, known to be 0.0 without it where the box hulls miss."""
+    return st_iou(tube, gt) if hulls_meet(tube, gt) else 0.0
 
 
 def _overlap_table(predictions, ground_truth: Sequence[GroundTruthTube],
@@ -113,7 +119,7 @@ def _overlap_table(predictions, ground_truth: Sequence[GroundTruthTube],
                  for t in predictions]
         gts = [((gt.video_id, gt.label), gt.label, gt)
                for gt in ground_truth]
-        overlap = st_iou
+        overlap = _tube_overlap
     elif mode == "frame":
         preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
                  for p in predictions]
@@ -178,13 +184,14 @@ def average_precision(tp_flags: Sequence[bool], num_gt: int) -> float:
         raise InputError(f"num_gt must be non-negative, got {num_gt}")
     if num_gt == 0 or len(tp_flags) == 0:
         return 0.0
-    flags = np.asarray(tp_flags, dtype=bool)
-    cum_tp = np.cumsum(flags)
-    precision = cum_tp / np.arange(1, flags.size + 1)
-    recall = cum_tp / num_gt
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    previous = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - previous) * envelope))
+    cum_tp = list(accumulate(1 if flag else 0 for flag in tp_flags))
+    precision = [tp / rank for rank, tp in enumerate(cum_tp, 1)]
+    recall = [tp / num_gt for tp in cum_tp]
+    envelope = list(accumulate(reversed(precision), max))[::-1]
+    previous = [0.0, *recall[:-1]]
+    # summed in numpy's order, so the AP is the one np.sum gave
+    return pairwise_sum([(r - p) * e for r, p, e
+                         in zip(recall, previous, envelope)])
 
 
 def class_average_precisions(result: MatchResult) -> dict[int, float]:
@@ -201,7 +208,8 @@ def mean_average_precision(result: MatchResult) -> float:
     per_class = class_average_precisions(result)
     if not per_class:
         return 0.0
-    return float(np.mean(list(per_class.values())))
+    # np.mean's bits: its pairwise sum over the count
+    return pairwise_sum(list(per_class.values())) / len(per_class)
 
 
 def auc_from_outcomes(outcomes: Sequence[MatchOutcome], num_gt: int,

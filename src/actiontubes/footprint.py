@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import BoundingBox, Tube
-from .scoring import require_scored
+from .model import BoundingBox, Tube, require_scored
+# CellLayout lives with the scenario's configuration, which loads no numpy
+from .scenario import CellLayout
 
 VARIANCE_FLOOR = 1e-6
 
@@ -162,28 +163,6 @@ def fisher_vector(descriptors, gmm: DiagonalGaussianMixture) -> np.ndarray:
     if norm > 0:
         fv = fv / norm
     return fv
-
-
-@dataclass(frozen=True)
-class CellLayout:
-    """Square map of cells, each covering a block of grid positions."""
-
-    cell_size: int = 2
-    map_side: int = 7
-
-    def __post_init__(self):
-        if self.cell_size < 1 or self.map_side < 1:
-            raise InputError(
-                f"cell_size and map_side must be >= 1, got "
-                f"{self.cell_size} and {self.map_side}")
-
-    @property
-    def grid_side(self) -> int:
-        return self.cell_size * self.map_side
-
-    @property
-    def num_cells(self) -> int:
-        return self.map_side * self.map_side
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,19 @@ def temporal_iou(a: FrameInterval, b: FrameInterval) -> float:
     return inter / union
 
 
+def hulls_meet(a: Tube | GroundTruthTube, b: Tube | GroundTruthTube) -> bool:
+    """Whether the box hulls of two tubes overlap with positive area.
+
+    When they do not (hulls that only share an edge do not), every box of
+    one is apart from or edge to edge with every box of the other, so
+    each ``iou`` between them is exactly 0.0, and so is their
+    ``st_iou``.
+    """
+    ax0, ay0, ax1, ay1 = a.hull
+    bx0, by0, bx1, by1 = b.hull
+    return ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1
+
+
 def st_iou(a: Tube | GroundTruthTube, b: Tube | GroundTruthTube) -> float:
     """Spatio-temporal overlap between two tubes of the same video.
 

@@ -13,6 +13,8 @@ import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, reduce
+from operator import add
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InputError
@@ -110,6 +112,32 @@ def _validated_scores(scores: Sequence[float]) -> tuple[float, ...]:
         raise InputError("class score vector must be non-empty")
     _require_finite("class score", *out)
     return out
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``values`` summed as numpy sums a float64 array, bit for bit.
+
+    numpy's ``np.add.reduce`` (and so ``np.sum`` and ``np.mean``) adds
+    its identity 0.0 to a pairwise sum: fewer than 8 items one by one;
+    up to 128 items in 8 interleaved accumulators, combined as a tree,
+    and then the rest one by one; above 128 items the sums of two parts,
+    split at ``n // 2`` rounded down to a multiple of 8.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        return reduce(add, values[lo:lo + n], 0.0)
+    if n <= 128:
+        stop = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = (
+            reduce(add, values[lo + j:stop:8]) for j in range(8))
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        return reduce(add, values[stop:lo + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
 def argmax_label(scores: Sequence[float]) -> int:
@@ -226,6 +254,16 @@ class _FrameRun:
     def iter_frames(self) -> Iterator[tuple[int, BoundingBox]]:
         return enumerate(self.boxes, self.start)
 
+    @cached_property
+    def hull(self) -> tuple[float, float, float, float]:
+        """The smallest box holding every box, as ``(x0, y0, x1, y1)``.
+
+        Computed on first use and kept: the boxes never change.
+        """
+        boxes = self.boxes
+        return (min(b.x_min for b in boxes), min(b.y_min for b in boxes),
+                max(b.x_max for b in boxes), max(b.y_max for b in boxes))
+
 
 def _check_label_score(label: int | None, score: float | None) -> None:
     """A tube's label, if any, is non-negative and its score finite."""
@@ -279,6 +317,19 @@ class Tube(_FrameRun):
         object.__setattr__(out, "label", label)
         object.__setattr__(out, "score", score)
         return out
+
+
+def require_scored(tube: Tube) -> float:
+    """The score the 'score' stage wrote onto a labeled tube.
+
+    The pruners rank by it and select by the label, so a tube that
+    never went through scoring is rejected rather than guessed at.
+    """
+    if tube.label is None or tube.score is None:
+        raise InputError(
+            f"tube {tube.tube_id!r} in {tube.video_id!r} has no label or "
+            f"no score; run the 'score' command first")
+    return tube.score
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from .model import Detection, FrameInterval
 
 if TYPE_CHECKING:
     from .evaluation import EvalConfig, EvalReport
-    from .footprint import CellLayout
-    from .synth import ScenarioConfig
+    from .scenario import CellLayout, ScenarioConfig
     from .tracker import TrackerConfig
 
 FILE_GT = "gt_tubes.tsv"
@@ -67,7 +66,7 @@ def _group_by_frame(detections) -> dict[int, list[Detection]]:
 # -- bridges from the key registry into the modules' config types ------
 
 def cell_layout(config: PipelineConfig) -> CellLayout:
-    from .footprint import CellLayout
+    from .scenario import CellLayout
     try:
         return CellLayout(cell_size=config["cells.cell_size"],
                           map_side=config["cells.map_side"])
@@ -76,7 +75,7 @@ def cell_layout(config: PipelineConfig) -> CellLayout:
 
 
 def scenario_config(config: PipelineConfig) -> ScenarioConfig:
-    from .synth import ActorSpec, ScenarioConfig
+    from .scenario import ActorSpec, ScenarioConfig
     actor = ActorSpec(label=0, size=config["synth.actor_size"],
                       motion=config["synth.actor_motion"],
                       speed=config["synth.actor_speed"])
@@ -296,7 +295,7 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
 
 def run_track(directory: Path, config: PipelineConfig) -> dict:
     """Grow tubes from the fused detections, one pass per video."""
-    from .synth import SyntheticRegionScorer
+    from .scenario import SyntheticRegionScorer
     from .tracker import (PrecomputedMatcher, build_tubes,
                           build_tubes_neighborhood)
     detections = formats.VideoRecords(
@@ -343,7 +342,7 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
 def run_score(directory: Path, config: PipelineConfig) -> dict:
     """Label each tube from its clip features; injected tubes join here."""
     from .scoring import score_clips, score_tube, slice_clips
-    from .synth import SyntheticFeaturizer
+    from .scenario import SyntheticFeaturizer
     tracked = formats.VideoRecords(
         _require(directory, FILE_TRACKED, "track"), "tubes")
     drift_path = directory / FILE_DRIFT

@@ -17,8 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import st_iou
-from .model import ClipScoreSequence, FrameInterval, Tube
+from .geometry import hulls_meet, st_iou
+# require_scored is re-exported: the pruners and their callers take it
+# from here
+from .model import ClipScoreSequence, FrameInterval, Tube, require_scored
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 
@@ -196,19 +198,6 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
         score=float(traj[label]))
 
 
-def require_scored(tube: Tube) -> float:
-    """The score the 'score' stage wrote onto a labeled tube.
-
-    The pruners rank by it and select by the label, so a tube that
-    never went through scoring is rejected rather than guessed at.
-    """
-    if tube.label is None or tube.score is None:
-        raise InputError(
-            f"tube {tube.tube_id!r} in {tube.video_id!r} has no label or "
-            f"no score; run the 'score' command first")
-    return tube.score
-
-
 def prune_overlapped(tubes: Sequence[Tube],
                      threshold: float = 0.3) -> list[Tube]:
     """Greedy removal of tubes overlapping a better scored kept tube.
@@ -217,9 +206,13 @@ def prune_overlapped(tubes: Sequence[Tube],
     ties) and dropped when their spatio-temporal overlap with any kept
     tube of the same video strictly exceeds ``threshold``.  Labels play
     no role: overlapping tubes suppress each other across classes.
+
     Kept tubes are held per video with their frame extents, and
-    ``st_iou`` runs only for extents that intersect: elsewhere it is 0,
-    which never exceeds a threshold in [0, 1].
+    ``st_iou`` runs only for a pair it may find above ``threshold``.  It
+    is the temporal IoU ``t`` times a mean of overlaps that are each at
+    most 1, so it is at most ``t`` in floating point too: a pair with
+    ``t <= threshold``, disjoint extents included, is passed over.  So
+    is a pair whose box hulls do not meet, where it is 0.0.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InputError(f"prune threshold must be in [0, 1], got {threshold}")
@@ -231,10 +224,15 @@ def prune_overlapped(tubes: Sequence[Tube],
         tube = tubes[idx]
         start, end = tube.start, tube.start + len(tube.boxes)
         same_video = kept_by_video.setdefault(tube.video_id, [])
-        if any(k_start < end and start < k_end
-               and st_iou(kept_tube, tube) > threshold
-               for k_start, k_end, kept_tube in same_video):
-            continue
-        same_video.append((start, end, tube))
-        kept.append(tube)
+        for k_start, k_end, kept_tube in same_video:
+            inter = min(end, k_end) - max(start, k_start)
+            if (inter > 0
+                    and inter / (end - start + k_end - k_start - inter)
+                    > threshold
+                    and hulls_meet(kept_tube, tube)
+                    and st_iou(kept_tube, tube) > threshold):
+                break
+        else:
+            same_video.append((start, end, tube))
+            kept.append(tube)
     return kept

@@ -4,10 +4,12 @@ Actors are axis-aligned squares moving inside class-specific home
 regions of the frame.  From their ground-truth paths the generator
 derives everything a detector stack would normally produce: per-stream
 noisy detections, region proposals, dense point matches, flow magnitude
-grids, clip features for the recurrent scorer and convolutional feature
-grids for the footprint map.  Every artifact is a pure function of
-(seed, stream, video) so bundles reproduce bit for bit and videos can
-be generated in any order.
+grids, scorer weights and the footprint statistics.  Every artifact is a
+pure function of (seed, stream, video) so bundles reproduce bit for bit
+and videos can be generated in any order.  The scenario's configuration
+and the simulated models the later stages query (clip features, region
+scores) live in ``scenario``, which loads no numpy; they are imported
+here too, so they can be taken from either module.
 """
 
 from __future__ import annotations
@@ -15,171 +17,29 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import TypeVar
 
 import numpy as np
 
-from .config import MOTIONS
-from .errors import ConfigError, InputError, ProcessingError
-from .footprint import (CellLayout, DiagonalGaussianMixture,
-                        FeatureGridSequence, aggregate_cells, fit_gmm,
-                        nearest_centroid_alphas)
+from .errors import InputError, ProcessingError
+from .footprint import (DiagonalGaussianMixture, FeatureGridSequence,
+                        aggregate_cells, fit_gmm, nearest_centroid_alphas)
 from .geometry import iou
 from .model import (BoundingBox, Detection, FlowMagnitudeGrid, FrameInterval,
                     GroundTruthTube, Proposal, Source, Tube)
+from .scenario import (_ACTOR, _DRIFT, _EARLY, _FLOW_DET, _FLOW_GRID, _GMM,
+                       _MATCH, _PROPOSAL, _STATIC, ActorSpec, ScenarioConfig,
+                       SyntheticFeaturizer, SyntheticRegionScorer, _rng,
+                       _video_index, home_region)
 from .scoring import RecurrentScorerWeights, slice_clips
 from .tracker import query_matches
 
 STREAMS = ("static", "flow", "early")
-
-# Stream ids feeding the per-(seed, stream, video) seed sequences.
-_ACTOR, _STATIC, _FLOW_DET, _EARLY, _PROPOSAL, _MATCH, _CLIP, _GRID, \
-    _DRIFT, _FLOW_GRID, _GMM, _BACKGROUND = range(12)
 
 _SOURCE_BY_STREAM = {_STATIC: Source.STATIC, _FLOW_DET: Source.FLOW,
                      _EARLY: Source.EARLY_FUSION}
 _STREAM_IDS = dict(zip(STREAMS, (_STATIC, _FLOW_DET, _EARLY)))
 
 _NEAR_MISS_SIGMA = 2.0
-
-
-def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, stream) + key)))
-
-
-_T = TypeVar("_T")
-
-
-def _video_index(indices: Mapping[str, _T], video_id: str) -> _T:
-    """The video's entry in a per-video table, such as its noise key.
-
-    A video outside the scenario is rejected.
-    """
-    if video_id not in indices:
-        raise InputError(f"no ground truth for video {video_id!r}")
-    return indices[video_id]
-
-
-@dataclass(frozen=True)
-class ActorSpec:
-    """One moving square: class, side length, motion model and speed."""
-
-    label: int
-    size: float = 40.0
-    motion: str = "linear"
-    speed: float = 4.0
-
-    def __post_init__(self):
-        if self.label < 0:
-            raise ConfigError(f"actor label must be >= 0, got {self.label}")
-        if not self.size > 0 or not math.isfinite(self.size):
-            raise ConfigError(f"actor size must be positive, got {self.size}")
-        if self.motion not in MOTIONS:
-            raise ConfigError(f"unknown motion model: {self.motion!r}")
-        if self.speed < 0 or not math.isfinite(self.speed):
-            raise ConfigError(f"speed must be >= 0, got {self.speed}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    seed: int = 0
-    video_count: int = 8
-    frames_per_video: int = 40
-    frame_size: tuple[int, int] = (320, 240)
-    num_classes: int = 3
-    actors: tuple[ActorSpec, ...] = ()
-    actors_per_video: int = 1
-    span_fraction: float = 1.0
-    jitter_sigma: float = 0.0
-    miss_rate: float = 0.0
-    false_positive_rate: float = 0.0
-    label_confusion: float = 0.0
-    duplicate_label_rate: float = 0.0
-    match_noise: float = 0.0
-    proposal_recall: float = 1.0
-    near_miss_count: int = 2
-    distractor_count: int = 1
-    drift_rate: float = 0.0
-    clip_length: int = 16
-    feature_dim: int = 8
-    feature_noise: float = 0.1
-    feature_margin: float = 2.0
-    layout: CellLayout = CellLayout()
-    gmm_components: int = 2
-    descriptor_cap: int = 2000
-    with_footprint: bool = True
-    with_flow: bool = False
-    grid_step: int = 32
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.video_count < 1 or self.frames_per_video < 2:
-            raise ConfigError("need at least 1 video of 2 frames")
-        w, h = self.frame_size
-        if w < 16 or h < 16:
-            raise ConfigError(f"frame size too small: {self.frame_size}")
-        if self.num_classes < 1:
-            raise ConfigError("need at least one class")
-        if self.actors_per_video < 1:
-            raise ConfigError("need at least one actor per video")
-        for name in ("span_fraction", "proposal_recall"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {value}")
-        for name in ("miss_rate", "false_positive_rate", "label_confusion",
-                     "duplicate_label_rate", "drift_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        for name in ("jitter_sigma", "match_noise", "feature_noise"):
-            value = getattr(self, name)
-            if value < 0 or not math.isfinite(value):
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.near_miss_count < 0 or self.distractor_count < 0:
-            raise ConfigError("proposal counts must be >= 0")
-        if self.clip_length < 1:
-            raise ConfigError("clip_length must be >= 1")
-        if self.feature_dim < self.num_classes:
-            raise ConfigError(
-                f"feature_dim {self.feature_dim} cannot hold "
-                f"{self.num_classes} class directions")
-        if self.feature_margin <= 0:
-            raise ConfigError("feature_margin must be positive")
-        if self.gmm_components < 1:
-            raise ConfigError("gmm_components must be >= 1")
-        if self.descriptor_cap < 10 * self.gmm_components:
-            raise ConfigError("descriptor_cap too small for the mixture")
-        if self.grid_step < 4:
-            raise ConfigError("grid_step must be >= 4")
-        for spec in self.resolved_actors():
-            if spec.label >= self.num_classes:
-                raise ConfigError(
-                    f"actor label {spec.label} outside {self.num_classes} "
-                    f"classes")
-            rx0, ry0, rx1, ry1 = home_region(self, spec.label)
-            if rx1 - rx0 < spec.size + 2 or ry1 - ry0 < spec.size + 2:
-                raise ConfigError(
-                    f"actor of size {spec.size} does not fit the home "
-                    f"region of class {spec.label}")
-
-    def resolved_actors(self) -> tuple[ActorSpec, ...]:
-        if self.actors:
-            return self.actors
-        return tuple(ActorSpec(label=c) for c in range(self.num_classes))
-
-
-def home_region(config: ScenarioConfig,
-                label: int) -> tuple[float, float, float, float]:
-    """Class-specific sub-rectangle of the frame the actor roams in."""
-    grid = math.ceil(math.sqrt(config.num_classes))
-    w, h = config.frame_size
-    cell_w, cell_h = w / grid, h / grid
-    col, row = label % grid, label // grid
-    inset_x, inset_y = cell_w * 0.08, cell_h * 0.08
-    return (col * cell_w + inset_x, row * cell_h + inset_y,
-            (col + 1) * cell_w - inset_x, (row + 1) * cell_h - inset_y)
 
 
 def _fold(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -577,129 +437,6 @@ class SyntheticMatcher:
         result = np.hstack([from_pts, to_pts])
         self._cache[key] = result
         return result
-
-
-class SyntheticRegionScorer:
-    """Per-class score of a region: its best IOU with that class's truth.
-
-    The truth present on each frame is indexed once per video, as
-    ``frame -> [(label, box)]`` in ground-truth order.  A video with no
-    ground truth is rejected, not scored as background.
-    """
-
-    def __init__(self, config: ScenarioConfig,
-                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
-        self._num_classes = config.num_classes
-        self._by_frame: dict[str, dict[int, list]] = {}
-        for video_id, tubes in gt_by_video.items():
-            index = self._by_frame[video_id] = {}
-            for gt in tubes:
-                for frame, box in gt.iter_frames():
-                    index.setdefault(frame, []).append((gt.label, box))
-
-    def class_scores(self, video_id: str, frame_index: int,
-                     box: BoundingBox) -> tuple[float, ...]:
-        scores = [0.0] * self._num_classes
-        for label, gt_box in _video_index(self._by_frame, video_id).get(
-                frame_index, ()):
-            ov = iou(box, gt_box)
-            if ov > scores[label]:
-                scores[label] = ov
-        return tuple(scores)
-
-
-class SyntheticFeaturizer:
-    """Clip features and conv-layer grids derived from ground truth.
-
-    Clip features describe what a tube's boxes cover: the class
-    direction of the best-overlapping actor, or nothing.  Feature grids
-    describe the frame itself: a class blob at each actor's location
-    over a video-specific background direction, so that background
-    regions look alike within a video but carry no class.  Noise is
-    keyed by (video, clip start) so repeated queries agree exactly.
-    """
-
-    def __init__(self, config: ScenarioConfig,
-                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]],
-                 video_indices: Mapping[str, int]):
-        self._config = config
-        self._gt = dict(gt_by_video)
-        self._indices = dict(video_indices)
-
-    def class_direction(self, label: int) -> np.ndarray:
-        mu = np.zeros(self._config.feature_dim)
-        mu[label] = self._config.feature_margin
-        return mu
-
-    def background_direction(self, video_id: str) -> np.ndarray:
-        """Unit direction of the video's background, scaled like a class."""
-        config = self._config
-        rng = _rng(config.seed, _BACKGROUND,
-                   _video_index(self._indices, video_id))
-        v = rng.normal(0.0, 1.0, config.feature_dim)
-        return config.feature_margin * v / np.linalg.norm(v)
-
-    def clip_features(self, tube: Tube | GroundTruthTube,
-                      intervals: Sequence[FrameInterval]) -> np.ndarray:
-        """Per clip, the class direction of the truth ``tube`` covers best."""
-        config = self._config
-        index = _video_index(self._indices, tube.video_id)
-        end = tube.start + len(tube.boxes)
-        out = np.zeros((len(intervals), config.feature_dim))
-        for t, interval in enumerate(intervals):
-            best_label, best_ov = None, 0.0
-            for gt in self._gt.get(tube.video_id, ()):
-                lo = max(interval.start, gt.start, tube.start)
-                hi = min(interval.end, gt.start + len(gt.boxes), end)
-                overlaps = [iou(tube.boxes[f - tube.start],
-                                gt.boxes[f - gt.start]) for f in range(lo, hi)]
-                if not overlaps:
-                    continue
-                ov = float(np.mean(overlaps))
-                if ov > best_ov:
-                    best_label, best_ov = gt.label, ov
-            if best_label is not None:
-                out[t] = self.class_direction(best_label)
-            if config.feature_noise > 0:
-                rng = _rng(config.seed, _CLIP, index, interval.start)
-                out[t] += rng.normal(0.0, config.feature_noise,
-                                     config.feature_dim)
-        return out
-
-    def feature_grid(self, video_id: str,
-                     intervals: Sequence[FrameInterval]) -> np.ndarray:
-        config = self._config
-        index = _video_index(self._indices, video_id)
-        side = config.layout.grid_side
-        dim = config.feature_dim
-        w, h = config.frame_size
-        cell_w, cell_h = w / side, h / side
-        out = np.zeros((len(intervals), side, side, dim))
-        background = self.background_direction(video_id)
-        for t, interval in enumerate(intervals):
-            covered = np.zeros((side, side), dtype=bool)
-            for gt in self._gt.get(video_id, ()):
-                lo = max(interval.start, gt.start)
-                hi = min(interval.end, gt.start + len(gt.boxes))
-                if lo >= hi:
-                    continue
-                stack = np.array([gt.boxes[f - gt.start].as_tuple()
-                                  for f in range(lo, hi)])
-                x0, y0 = stack[:, 0].min(), stack[:, 1].min()
-                x1, y1 = stack[:, 2].max(), stack[:, 3].max()
-                ci0 = max(0, int(math.floor(y0 / cell_h)))
-                ci1 = min(side, int(math.ceil(y1 / cell_h)))
-                cj0 = max(0, int(math.floor(x0 / cell_w)))
-                cj1 = min(side, int(math.ceil(x1 / cell_w)))
-                out[t, ci0:ci1, cj0:cj1, :] += \
-                    self.class_direction(gt.label)[None, None, :]
-                covered[ci0:ci1, cj0:cj1] = True
-            out[t][~covered] += background
-            if config.feature_noise > 0:
-                rng = _rng(config.seed, _GRID, index, interval.start)
-                out[t] += rng.normal(0.0, config.feature_noise,
-                                     (side, side, dim))
-        return out
 
 
 def analytic_weights(config: ScenarioConfig) -> RecurrentScorerWeights:

@@ -16,13 +16,16 @@ points moved to.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .errors import InputError, ScorerError
 from .geometry import iou
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
+
+# Match rows are arrays, so numpy is loaded on the point-match path
+# only: the center-search tracker runs without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PointMatcher(Protocol):
@@ -53,10 +56,11 @@ class _ScoreMemo:
     """A region scorer that answers each region once, for one tracker call.
 
     Each answer is checked once, when it arrives: a scorer that fails,
-    or answers with anything but a 1-D vector, raises ``ScorerError``,
-    except an ``InputError``, which passes.  Answers are kept as tuples
-    of floats; a failed query is not kept, so asking again asks the
-    scorer again.
+    or answers with anything but a 1-D vector of numbers (an answer with
+    an ``ndim`` other than 1, or whose items are not numbers), raises
+    ``ScorerError``, except an ``InputError``, which passes.  Answers
+    are kept as tuples of floats; a failed query is not kept, so asking
+    again asks the scorer again.
     """
 
     def __init__(self, scorer: RegionScorer):
@@ -70,18 +74,22 @@ class _ScoreMemo:
         scores = self._known.get(key)
         if scores is None:
             try:
-                answer = np.asarray(
-                    self._scorer.class_scores(video_id, frame_index, box),
-                    dtype=np.float64)
+                answer = self._scorer.class_scores(video_id, frame_index, box)
             except (ScorerError, InputError):
                 raise
             except Exception as exc:
                 raise ScorerError(f"region scorer failed at frame "
                                   f"{frame_index}: {exc}") from exc
-            if answer.ndim != 1:
-                raise ScorerError(f"scorer returned scores of shape "
-                                  f"{answer.shape}, expected one per class")
-            scores = self._known[key] = tuple(answer.tolist())
+            ndim = getattr(answer, "ndim", 1)
+            if ndim != 1:
+                raise ScorerError(f"scorer returned scores of {ndim} "
+                                  f"dimensions, expected one per class")
+            try:
+                scores = tuple(float(v) for v in answer)
+            except (TypeError, ValueError) as exc:
+                raise ScorerError(f"scorer returned scores that are not one "
+                                  f"number per class: {exc}") from exc
+            self._known[key] = scores
         return scores
 
 
@@ -120,6 +128,7 @@ class PrecomputedMatcher:
               box: BoundingBox) -> np.ndarray:
         pair = self._pairs.get((video_id, min(from_frame, to_frame)))
         if pair is None:
+            import numpy as np
             pair = np.empty((0, 4))
         return query_matches(pair, from_frame, to_frame, box)
 

@@ -251,3 +251,47 @@ def false_split_reference(boxes, truth, sigma, floor, overlap):
             false_neg += 1
     tp = sum(1 for _, j in pairs if j is not None)
     return false_cls, false_bbox, false_neg, tp
+
+
+def st_iou_float_reference(a, b) -> float:
+    """Spatio-temporal IOU in floating point, from the definition.
+
+    The temporal part is the shared frame count over the union frame
+    count, from frame sets; the spatial part adds ``float_iou`` over the
+    shared frames, one at a time in frame order, and divides by their
+    count.  Float boxes are allowed, unlike ``st_iou_reference``.
+    """
+    sa = set(a.interval().frames())
+    sb = set(b.interval().frames())
+    common = sorted(sa & sb)
+    if not common:
+        return 0.0
+    spatial = 0.0
+    for f in common:
+        spatial += float_iou(a.box_at(f), b.box_at(f))
+    return len(common) / len(sa | sb) * (spatial / len(common))
+
+
+def prune_overlapped_reference(tubes, threshold):
+    """Greedy overlap pruning over all pairs.
+
+    Tubes are visited by descending score, earlier input first on equal
+    scores.  A tube is dropped when its spatio-temporal IOU with some
+    tube kept before it, of the same video and of any label, is strictly
+    above threshold; otherwise it is kept.  Returns the kept tubes in
+    visiting order.
+    """
+    ranked = []
+    for i, tube in enumerate(tubes):
+        at = len(ranked)
+        while at > 0 and tubes[ranked[at - 1]].score < tube.score:
+            at -= 1
+        ranked.insert(at, i)
+    kept = []
+    for i in ranked:
+        tube = tubes[i]
+        if all(k.video_id != tube.video_id
+               or st_iou_float_reference(k, tube) <= threshold
+               for k in kept):
+            kept.append(tube)
+    return kept

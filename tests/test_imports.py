@@ -23,21 +23,24 @@ TINY = ("--stage-override", "synth.video_count=2",
 # What ``import actiontubes.cli`` loads: argument parsing, the key
 # registry, the stage table and the file formats.
 CLI = {"cli", "config", "errors", "formats", "model", "pipeline"}
-# synth builds the matches, features, scorer weights and footprint
-# inputs; track and score query its synthetic scorers.
-SYNTH = CLI | {"footprint", "geometry", "scoring", "synth", "tracker"}
+# Every stage from synth to prune checks the scenario's configuration,
+# which lives with the simulated models in scenario; track and score
+# query those models, which need neither the generator nor numpy.
+SCENARIO = CLI | {"geometry", "scenario"}
 LOADED = {
-    "synth": SYNTH,
+    "synth": SCENARIO | {"footprint", "scoring", "synth", "tracker"},
     "fuse": CLI | {"fusion", "geometry"},
-    "track": SYNTH,
-    "score": SYNTH,
-    "prune": CLI | {"footprint", "geometry", "scoring"},
+    "track": SCENARIO | {"tracker"},
+    "score": SCENARIO | {"scoring"},
+    "prune": SCENARIO | {"footprint", "scoring"},
     "localize": CLI | {"temporal"},
-    "evaluate": CLI | {"evaluation", "geometry", "scoring"},
+    "evaluate": CLI | {"evaluation", "geometry"},
 }
-# The stages that compute with arrays load numpy.  fuse loads it only to
-# read flow grids, which the tiny scenario does not have.
-NUMPY = {"synth", "track", "score", "prune", "evaluate"}
+# The stages that compute with arrays load numpy: track for the point
+# matches, score for the recurrent scorer, prune for the footprint map.
+# fuse loads it only to read flow grids, which the tiny scenario does
+# not have, and the center-search tracker reads no matches.
+NUMPY = {"synth", "track", "score", "prune"}
 
 CHILD = """
 import json, sys
@@ -82,3 +85,11 @@ def test_fuse_with_flow_loads_numpy_and_prunes(tmp_path, child_env):
     assert loaded_modules(child_env, "fuse", "--out", tmp_path, *TINY,
                           *flow) == (0, LOADED["fuse"], True)
     assert (tmp_path / FILE_SALIENT).exists()
+
+
+def test_center_search_track_runs_without_numpy(tmp_path, child_env):
+    baseline = ("--stage-override", "track.baseline=true")
+    for stage in ("synth", "fuse"):
+        assert main([stage, "--out", str(tmp_path), *TINY, *baseline]) == 0
+    assert loaded_modules(child_env, "track", "--out", tmp_path, *TINY,
+                          *baseline) == (0, LOADED["track"], False)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from actiontubes import model
@@ -173,3 +174,40 @@ class TestGroundTruthTube:
 def test_source_round_trips_through_value():
     for src in Source:
         assert Source(src.value) is src
+
+
+def summands(kind, rng, n):
+    if kind == "magnitudes":
+        # 1e-300 to 1e280: sums of 10,000 of them stay finite
+        return (rng.uniform(-1.0, 1.0, n)
+                * 10.0 ** rng.integers(-300, 281, n)).tolist()
+    if kind == "unit":
+        return rng.random(n).tolist()
+    if kind == "signed_zeros":
+        return rng.choice([0.0, -0.0], n).tolist()
+    if kind == "negative_zeros":
+        return [-0.0] * n
+    # cancellation makes the order of the additions show in the bits
+    return rng.choice([-0.0, 0.0, 1.0, -1.0, 1e-17, 1e16, -1e16, 0.1],
+                      n).tolist()
+
+
+@pytest.mark.parametrize("kind",
+                         ["magnitudes", "unit", "signed_zeros",
+                          "negative_zeros", "mixed"])
+def test_pairwise_sum_equals_numpy_add_reduce(kind):
+    rng = np.random.default_rng(71)
+    for n in [*range(300), 1000, 4097, 10000]:
+        values = summands(kind, rng, n)
+        want = float(np.add.reduce(np.array(values, dtype=np.float64)))
+        got = model.pairwise_sum(values)
+        assert got == want, n
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), n
+
+
+def test_hull_spans_every_box():
+    boxes = (BoundingBox(5, 0, 10, 10), BoundingBox(0, 3, 7, 12),
+             BoundingBox(2, 1, 9, 4))
+    tube = Tube("v0", "t0", 4, boxes, ((1.0,),) * 3, (Source.STATIC,) * 3)
+    gt = GroundTruthTube("v0", "g0", 0, 4, boxes)
+    assert tube.hull == gt.hull == (0, 0, 10, 12)

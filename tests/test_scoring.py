@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from actiontubes import formats
+from actiontubes import formats, scoring
 from actiontubes.config import apply_overrides, default_config
 from actiontubes.errors import InputError
 from actiontubes.geometry import st_iou
@@ -16,7 +16,8 @@ from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
                                  recurrent_forward,
                                  score_clips, score_tube, slice_clips,
                                  softmax)
-from oracles import recurrent_reference, softmax_reference
+from oracles import (prune_overlapped_reference, recurrent_reference,
+                     softmax_reference)
 
 
 def random_weights(rng, d_in=5, hidden=4, classes=3, activation="tanh",
@@ -244,18 +245,6 @@ class TestPruneOverlapped:
             prune_overlapped([good, bare], 0.3)
 
 
-def prune_reference(scored, threshold):
-    """The all-pairs loop ``prune_overlapped`` replaces."""
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
-    kept = []
-    for idx in order:
-        tube = scored[idx]
-        if not any(k.video_id == tube.video_id and st_iou(k, tube) > threshold
-                   for k in kept):
-            kept.append(tube)
-    return kept
-
-
 def random_scored(rng, count):
     out = []
     for i in range(count):
@@ -281,7 +270,7 @@ class TestPruneMatchesAllPairs:
         for _ in range(40):
             scored = random_scored(rng, int(rng.integers(0, 25)))
             got = prune_overlapped(scored, threshold)
-            want = prune_reference(scored, threshold)
+            want = prune_overlapped_reference(scored, threshold)
             assert [t.tube_id for t in got] == [t.tube_id for t in want]
 
     def test_abutting_extents_survive_threshold_zero(self):
@@ -290,7 +279,110 @@ class TestPruneMatchesAllPairs:
         b = scored_tube("v", "b", 5, 3, box, 0.5)
         c = scored_tube("v", "c", 4, 2, box, 0.4)
         assert prune_overlapped([a, b, c], 0.0) == [a, b]
-        assert prune_reference([a, b, c], 0.0) == [a, b]
+        assert prune_overlapped_reference([a, b, c], 0.0) == [a, b]
+
+
+def tie_heavy_scored(rng, count):
+    """Tubes on a 10-pixel lattice with few extents and scores.
+
+    Boxes are 10 or 20 pixels wide at multiples of 10, so hulls often
+    share just an edge; starts and lengths are small, so extents often
+    share 3 of 10 frames or abut; scores repeat.
+    """
+    out = []
+    for i in range(count):
+        start = int(rng.integers(0, 8))
+        n = int(rng.choice([1, 2, 3, 5, 7, 7, 10]))
+        x, y = (10.0 * float(v) for v in rng.integers(0, 4, 2))
+        side = float(rng.choice([10.0, 20.0]))
+        moves = rng.random() < 0.3
+        boxes = tuple(BoundingBox(x + 10.0 * f * moves, y,
+                                  x + 10.0 * f * moves + side, y + side)
+                      for f in range(n))
+        score = float(rng.choice([0.5, 0.9]))
+        out.append(Tube(f"v{int(rng.integers(0, 2))}", f"t{i}", start, boxes,
+                        ((1.0, 0.0),) * n, (Source.STATIC,) * n,
+                        label=int(rng.integers(0, 2)), score=score))
+    return out
+
+
+def hulls_overlap(a, b):
+    """Whether the boxes of a and b span rectangles sharing some area."""
+    def span(tube):
+        return (min(b.x_min for b in tube.boxes),
+                min(b.y_min for b in tube.boxes),
+                max(b.x_max for b in tube.boxes),
+                max(b.y_max for b in tube.boxes))
+    ax0, ay0, ax1, ay1 = span(a)
+    bx0, by0, bx1, by1 = span(b)
+    return min(ax1, bx1) > max(ax0, bx0) and min(ay1, by1) > max(ay0, by0)
+
+
+def temporal_overlap(a, b):
+    sa, sb = set(a.interval().frames()), set(b.interval().frames())
+    return len(sa & sb) / len(sa | sb)
+
+
+class TestPruneOracle:
+    """``prune_overlapped`` against the all-pairs oracle on ties.
+
+    Every ``st_iou`` call it makes is recorded: it may compute one only
+    for a pair whose box hulls share area and whose temporal IOU is
+    above the threshold, since no other pair can exceed the threshold.
+    """
+
+    @pytest.fixture
+    def st_iou_calls(self, monkeypatch):
+        calls = []
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return st_iou(a, b)
+
+        monkeypatch.setattr(scoring, "st_iou", recorded)
+        return calls
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.3, 0.5, 1.0])
+    def test_tie_heavy_inputs(self, threshold, st_iou_calls):
+        rng = np.random.default_rng(83)
+        for _ in range(60):
+            scored = tie_heavy_scored(rng, int(rng.integers(0, 16)))
+            st_iou_calls.clear()
+            got = prune_overlapped(scored, threshold)
+            want = prune_overlapped_reference(scored, threshold)
+            assert [t.tube_id for t in got] == [t.tube_id for t in want]
+            for a, b in st_iou_calls:
+                assert hulls_overlap(a, b)
+                assert temporal_overlap(a, b) > threshold
+
+    def test_temporal_iou_equal_to_the_threshold_is_passed_over(
+            self, st_iou_calls):
+        # 3 shared frames of a 10-frame union, identical boxes: the
+        # st-IOU would be exactly 0.3, which is not above 0.3
+        box = BoundingBox(0, 0, 20, 20)
+        a = scored_tube("v", "a", 0, 6, box, 0.9)
+        b = scored_tube("v", "b", 3, 7, box, 0.5)
+        assert prune_overlapped([a, b], 0.3) == [a, b]
+        assert prune_overlapped_reference([a, b], 0.3) == [a, b]
+        assert st_iou_calls == []
+        assert prune_overlapped([a, b], 0.29) == [a]
+        assert len(st_iou_calls) == 1
+
+    def test_hulls_sharing_one_edge_are_passed_over(self, st_iou_calls):
+        a = scored_tube("v", "a", 0, 10, BoundingBox(0, 0, 20, 20), 0.9)
+        b = scored_tube("v", "b", 0, 10, BoundingBox(20, 5, 40, 25), 0.5)
+        c = scored_tube("v", "c", 0, 10, BoundingBox(5, 20, 15, 30), 0.4)
+        assert prune_overlapped([a, b, c], 0.0) == [a, b, c]
+        assert prune_overlapped_reference([a, b, c], 0.0) == [a, b, c]
+        assert st_iou_calls == []
+
+    def test_equal_scores_keep_input_order(self, st_iou_calls):
+        box = BoundingBox(0, 0, 20, 20)
+        a = scored_tube("v", "a", 0, 10, box, 0.5)
+        b = scored_tube("v", "b", 0, 10, box, 0.5)
+        assert prune_overlapped([b, a], 0.3) == [b]
+        assert prune_overlapped_reference([b, a], 0.3) == [b]
+        assert prune_overlapped([a, b], 1.0) == [a, b]
 
 
 def test_score_stage_stores_the_exact_trajectory_score(tmp_path):

@@ -376,11 +376,10 @@ class TestFeaturizer:
 
     def test_clip_features_equal_scan_over_tube_frames(self):
         config = small_config(feature_noise=0.0)
+        noisy = small_config(feature_noise=0.5)
         rng = np.random.default_rng(67)
         for _ in range(20):
             tubes = random_gt_tubes(rng, "v0")
-            featurizer = SyntheticFeaturizer(config, {"v0": tubes},
-                                             {"v0": 0})
             # a tube wandering near the truth over frames 2-19, scored
             # on clips that run past both of its ends
             boxes = tuple(tubes[f % len(tubes)].boxes[0].translated(
@@ -388,6 +387,14 @@ class TestFeaturizer:
                           for f in range(2, 20))
             tube = Tube("v0", "w", 2, boxes, ((1.0,),) * len(boxes),
                         (Source.TRACKED,) * len(boxes))
+            # a truth right of the tube's hull, touching it at one edge
+            right = max(b.x_max for b in boxes)
+            top = min(b.y_min for b in boxes)
+            tubes.append(GroundTruthTube(
+                "v0", "edge", 1, 0,
+                (BoundingBox(right, top, right + 10.0, top + 10.0),) * 22))
+            featurizer = SyntheticFeaturizer(config, {"v0": tubes},
+                                             {"v0": 0})
             intervals = slice_clips(FrameInterval(0, 22), 4)
             want = np.zeros((len(intervals), config.feature_dim))
             for t, interval in enumerate(intervals):
@@ -403,6 +410,23 @@ class TestFeaturizer:
                     want[t] = featurizer.class_direction(best_label)
             got = featurizer.clip_features(tube, intervals)
             assert np.array_equal(got, want)
+
+            # clip noise is keyed by clip start: a second tube sharing
+            # the starts 4, 8, 12 and 16 gets the same bits, whichever
+            # of the two is asked first
+            other = Tube("v0", "u", 4, boxes[:14], ((1.0,),) * 14,
+                         (Source.TRACKED,) * 14)
+            queries = {"w": (tube, intervals),
+                       "u": (other, slice_clips(other.interval(), 4))}
+            answers = []
+            for order in (("w", "u"), ("u", "w")):
+                noisy_featurizer = SyntheticFeaturizer(
+                    noisy, {"v0": tubes}, {"v0": 0})
+                answers.append({name: noisy_featurizer.clip_features(
+                    *queries[name]) for name in order})
+            for name in queries:
+                assert np.array_equal(answers[0][name], answers[1][name])
+            assert not np.array_equal(answers[0]["w"], got)
 
     def test_off_actor_boxes_give_null_features(self):
         config = small_config(feature_noise=0.0)

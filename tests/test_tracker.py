@@ -59,12 +59,14 @@ def det(frame, box, scores=(1.0, 0.0), source=Source.MERGED):
 
 
 # Answers of a two-class scorer on a failing frame that are not one score
-# per class: too few, or not a 1-D vector at all.
+# per class: too few, or not a 1-D vector at all (an array, or a list of
+# lists).
 SCORER_FAILURES = {
     "too_few_classes": np.zeros(0),
     "scalar": np.array(0.5),
     "column": np.zeros((2, 1)),
     "row": np.zeros((1, 2)),
+    "nested": [[0.5, 0.5]],
 }
 
 
@@ -385,6 +387,24 @@ class TestBuildTubes:
                             ShiftMatcher(2.0, 0.0), WorldScorer(gt), cfg)
         assert len(tubes) == 1
         assert len(tubes[0].boxes) == 4  # seed plus three predictions
+
+    @pytest.mark.parametrize("answer", [tuple, list, np.array])
+    def test_scorer_answer_types_give_identical_tubes(self, answer):
+        # the gap at frame 2 is bridged with the scorer's own answer
+        gt, dets, props = self.make_inputs(miss=(2,))
+
+        class TypedScorer(WorldScorer):
+            def class_scores(self, video_id, frame_index, box):
+                scores = super().class_scores(video_id, frame_index, box)
+                return answer(scores.tolist())
+
+        run = lambda scorer: build_tubes(
+            "v", dets, props, FrameInterval(0, 5), ShiftMatcher(6.0, 0.0),
+            scorer)
+        tubes = run(TypedScorer(gt))
+        assert tubes == run(WorldScorer(gt))
+        assert tubes[0].sources[2] is Source.TRACKED
+        assert all(type(v) is float for v in tubes[0].class_scores[2])
 
     @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
     def test_scorer_failure_keeps_partial_tube(self, failure):
