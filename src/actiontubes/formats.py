@@ -12,9 +12,10 @@ beside its target and then renamed onto it, so a failed write never
 leaves a truncated file.  See FORMATS.md for the field-by-field
 reference.
 
-Record files are read and written one video at a time.  A reader
-(``VideoRecords``) first finds where each video's lines are, then hands
-one video's lines to the kind's reader (``read_tubes`` …), which parses
+Record files and per-frame array containers are read one video at a
+time.  A reader (``VideoRecords``, ``VideoArrays``) first finds where
+each video's lines or arrays are, then hands one video's to the kind's
+reader (``read_tubes``, ``read_matches`` …).  A record reader parses
 lines column-wise, in blocks of rows, whether they are one video's or
 the whole file's; any failed check hands the whole file to one
 row-wise fallback, which reports the first problem in the order
@@ -39,7 +40,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, groupby, repeat
+from itertools import accumulate, compress, count, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, ProcessingError, SchemaError
@@ -1079,74 +1080,115 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
         fh.write(struct.pack("<I", count))
 
 
-def iter_arrays(path) -> Iterator[tuple[str, np.ndarray]]:
-    """``(name, array)`` pairs of a container, in file order.
+def _walk(path, fh) -> Iterator[tuple[str, str, tuple[int, ...], int]]:
+    """Each array's ``(name, dtype, shape, offset)``, in file order.
 
-    The file is walked once and each array is read into its own
-    read-only buffer, so a consumer that drops an array before taking
-    the next holds one at a time.  Damage is reported where the walk
+    One pass over the open container ``fh`` makes every structural check
+    where it finds the damage and skips each array's data, which starts
+    at ``offset``.  A bad length is caught against the file size, so no
+    buffer is ever sized by it.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
+        raise SchemaError("not an array container (bad magic)",
+                          path=str(path))
+    offset = len(BINARY_MAGIC)
+
+    def take(count: int) -> bytes:
+        nonlocal offset
+        data = fh.read(count) if offset + count <= size else b""
+        if len(data) != count:
+            raise SchemaError(f"truncated container at byte {offset}",
+                              path=str(path))
+        offset += count
+        return data
+
+    version, count = struct.unpack("<HI", take(6))
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"unsupported container version {version}",
+                          path=str(path))
+    previous = None
+    for _ in range(count):
+        name_len, = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise SchemaError(f"array name at byte {offset - name_len} "
+                              f"is not UTF-8", path=str(path)) from None
+        if previous is not None and name <= previous:
+            raise SchemaError(
+                f"array {name!r} appears twice" if name == previous
+                else f"array {name!r} comes after {previous!r}; names "
+                f"must be strictly ascending", path=str(path))
+        previous = name
+        code, ndim = struct.unpack("<BB", take(2))
+        if code not in _DTYPE_CODES:
+            raise SchemaError(f"array {name!r} has unknown dtype code "
+                              f"{code}", path=str(path))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        dtype = _DTYPE_CODES[code]
+        # the item size is the code's digits: "<f8" -> 8 bytes
+        nbytes = math.prod(shape) * int(dtype[2:])
+        if offset + nbytes > size:
+            raise SchemaError(f"truncated container at byte {offset}",
+                              path=str(path))
+        yield name, dtype, shape, offset
+        offset += nbytes
+        fh.seek(offset)
+    if offset != size:
+        raise SchemaError(
+            f"{size - offset} trailing bytes after the last array",
+            path=str(path))
+
+
+def iter_arrays(path, entries=None) -> Iterator[tuple[str, np.ndarray]]:
+    """``(name, array)`` pairs of a container, in file order: of every
+    array, or of the ``entries`` a ``VideoArrays`` found alone.
+
+    Each array is read into its own read-only buffer as it is reached,
+    so a consumer that drops an array before taking the next holds one
+    at a time.  Without ``entries`` damage is reported where the walk
     finds it: only a consumer that exhausts the iterator has seen every
     check, trailing bytes included.
     """
     import numpy as np
-    try:
-        fh = open(path, "rb")
-        size = os.fstat(fh.fileno()).st_size
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", path=str(path))
-    with fh:
-        if fh.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
-            raise SchemaError("not an array container (bad magic)",
-                              path=str(path))
-        offset = len(BINARY_MAGIC)
-
-        def take(count: int, alloc=bytearray):
-            """The next ``count`` bytes, read into a new ``alloc(count)``.
-
-            The file size is checked first, so a damaged length never
-            allocates a buffer the file cannot fill.
-            """
-            nonlocal offset
-            if offset + count <= size:
-                buffer = alloc(count)
-                if fh.readinto(buffer) == count:
-                    offset += count
-                    return buffer
-            raise SchemaError(
-                f"truncated container at byte {offset}", path=str(path))
-
-        version, count = struct.unpack("<HI", take(6))
-        if version != FORMAT_VERSION:
-            raise SchemaError(f"unsupported container version {version}",
-                              path=str(path))
-        previous = None
-        for _ in range(count):
-            name_len, = struct.unpack("<H", take(2))
-            try:
-                name = take(name_len).decode("utf-8")
-            except UnicodeDecodeError:
-                raise SchemaError(f"array name at byte {offset - name_len} "
-                                  f"is not UTF-8", path=str(path)) from None
-            if previous is not None and name <= previous:
-                raise SchemaError(
-                    f"array {name!r} appears twice" if name == previous
-                    else f"array {name!r} comes after {previous!r}; names "
-                    f"must be strictly ascending", path=str(path))
-            previous = name
-            code, ndim = struct.unpack("<BB", take(2))
-            if code not in _DTYPE_CODES:
-                raise SchemaError(f"array {name!r} has unknown dtype code "
-                                  f"{code}", path=str(path))
-            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-            dtype = np.dtype(_DTYPE_CODES[code])
-            nbytes = math.prod(shape) * dtype.itemsize
-            arr = take(nbytes, lambda _: np.empty(shape, dtype))
+    with _open_bytes(path) as fh:
+        for name, dtype, shape, offset in (
+                _walk(path, fh) if entries is None else entries):
+            arr = np.empty(shape, dtype)
+            fh.seek(offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise SchemaError(f"truncated container at byte {offset}",
+                                  path=str(path))
             arr.flags.writeable = False
             yield name, arr
-        if offset != size:
-            raise SchemaError(
-                f"{size - offset} trailing bytes after the last array",
-                path=str(path))
+
+
+class VideoArrays:
+    """A container of ``<video_id>/<frame:08d>`` arrays read one video
+    at a time, as ``VideoRecords`` reads a record file.
+
+    Building it walks the container once, makes every structural check
+    and keeps where each video's arrays are, not their values.
+    ``read(video_id)`` hands those entries alone to the kind's reader
+    (``read_matches`` or ``read_flow``), which checks each array's name
+    and values; a video the container does not hold reads as empty.
+    """
+
+    def __init__(self, path, kind: str):
+        self.path = path
+        self.kind = kind
+        self._entries: dict[str, list] = {}
+        with _open_bytes(path) as fh:
+            for entry in _walk(path, fh):
+                self._entries.setdefault(entry[0].partition("/")[0],
+                                         []).append(entry)
+        self.video_ids = sorted(self._entries)
+
+    def read(self, video_id: str):
+        # looked up at each call, so a wrapped reader is the one called
+        return globals()[f"read_{self.kind}"](
+            self.path, self._entries.get(video_id, []))
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:
@@ -1204,9 +1246,9 @@ def write_matches(
     ``rows`` are the (N, 4) matches from ``frame`` to ``frame + 1``,
     columns ``from_x from_y to_x to_y``; each is written as one array
     named by its earlier frame, rows sorted lexicographically, frames
-    ascending.  Videos must come in array-name order, as
-    ``matches_by_video`` gives them back: ascending ids, unless one id
-    extends another by ``-`` or ``.``.  A video out of order, or a
+    ascending.  Videos must come in array-name order, the order of
+    ``<video_id>/``: ascending ids, unless one id extends another by
+    ``-`` or ``.``.  A video out of order, or a
     pair filed under another video, is an ``InputError``.  One video's
     arrays are held at a time.
     """
@@ -1244,15 +1286,12 @@ def write_matches(
     write_arrays(path, arrays())
 
 
-def read_matches(path, arrays=None) -> dict[tuple[str, int], np.ndarray]:
-    """``(video_id, frame) -> rows`` as written by ``write_matches``.
-
-    ``arrays``, if given, are some of the container's ``(name, array)``
-    pairs as ``iter_arrays`` reads them, and only those are read.
-    """
+def read_matches(path, entries=None) -> dict[tuple[str, int], np.ndarray]:
+    """``(video_id, frame) -> rows`` as written by ``write_matches``: of
+    every array, or of the ``entries`` a ``VideoArrays`` found alone."""
     import numpy as np
     out = {}
-    for name, rows in iter_arrays(path) if arrays is None else arrays:
+    for name, rows in iter_arrays(path, entries):
         video_id, frame = _parse_frame_name(name, path, "match")
         if rows.dtype.kind != "f" or rows.ndim != 2 or rows.shape[1] != 4:
             raise SchemaError(
@@ -1263,23 +1302,6 @@ def read_matches(path, arrays=None) -> dict[tuple[str, int], np.ndarray]:
                               f"must be finite", path=str(path))
         out[(video_id, frame)] = rows
     return out
-
-
-def matches_by_video(path) -> Iterator[
-        tuple[str, dict[tuple[str, int], np.ndarray]]]:
-    """Each video's ``{(video_id, frame): rows}`` of a matches container,
-    read by ``read_matches``.
-
-    Videos come one at a time in file order.  Array names ascend, so a
-    video's arrays are contiguous and videos come in the order of
-    ``<video_id>/``: ascending ids, unless one id extends another by
-    ``-`` or ``.`` (``a-b/`` sorts before ``a/``).
-    """
-    def video_of(pair):
-        return pair[0].partition("/")[0]
-
-    for video_id, arrays in groupby(iter_arrays(path), key=video_of):
-        yield video_id, read_matches(path, arrays)
 
 
 def write_alphas(path, alphas: np.ndarray) -> None:
@@ -1308,14 +1330,16 @@ def write_flow(path, grids: Iterable[tuple[str, FlowMagnitudeGrid]]
     write_arrays(path, arrays())
 
 
-def read_flow(path) -> Iterator[tuple[str, FlowMagnitudeGrid]]:
-    """``(video_id, grid)`` pairs of a flow container, in file order.
+def read_flow(path, entries=None) -> Iterator[tuple[str, FlowMagnitudeGrid]]:
+    """``(video_id, grid)`` pairs of a flow container, in file order: of
+    every array, or of the ``entries`` a ``VideoArrays`` found alone.
 
-    Grids are read and validated one at a time; the container's own
-    checks finish only when the iterator is exhausted, so a consumer
-    must exhaust it before it writes anything derived from the grids.
+    Grids are read and validated one at a time.  Without ``entries`` the
+    container's own checks finish only when the iterator is exhausted,
+    so a consumer must exhaust it before it writes anything derived from
+    the grids.
     """
-    for name, values in iter_arrays(path):
+    for name, values in iter_arrays(path, entries):
         video_id, frame = _parse_frame_name(name, path, "flow grid")
         try:
             grid = FlowMagnitudeGrid(frame, values)

@@ -2,24 +2,25 @@
 
 Every stage reads its inputs from the directory, transforms them, and
 writes its outputs back under fixed names, so running a stage twice on
-the same inputs produces byte-identical files.  Per-video work runs in
-canonical video order.  Each stage imports the modules it runs inside
-its driver, so a stage's process loads only those.
+the same inputs produces byte-identical files.  Per-video stages read
+each input, record file or array container, through a reader of one
+video at a time (``formats.VideoRecords``, ``formats.VideoArrays``) and
+work through the union of their videos in ascending id order.  Each
+stage imports the modules it runs inside its driver, so a stage's
+process loads only those.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import formats
 from .config import PipelineConfig
 from .errors import ConfigError, InputError
-from .model import Detection, FrameInterval
+from .model import Detection, FrameInterval, require_scored
 
 if TYPE_CHECKING:
     from .evaluation import EvalConfig, EvalReport
@@ -195,40 +196,9 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
 
 def _video_ids(*readers) -> list[str]:
     """Every video any of ``readers`` holds (``None`` holds none),
-    ascending."""
+    ascending: a record file's or an array container's, so an array of a
+    video no record file names is still read and checked."""
     return sorted(set().union(*(r.video_ids for r in readers if r)))
-
-
-def _in_video_order(video_ids: list[str], chunks, process):
-    """``(video_id, process(video_id, chunk))`` for each of ``video_ids``.
-
-    ``video_ids`` ascend.  ``chunks`` are an array container's
-    ``(video_id, chunk)`` pairs, in its name order, where ``<video_id>/``
-    sorts: ascending ids, unless one id extends another by ``-`` or
-    ``.``.  Each chunk is processed as it is reached, and one of a video
-    not in ``video_ids`` is passed over; a video without a chunk is
-    processed with ``None`` once the container has gone past it.  A
-    result reached before its turn is held until then, so with ids in
-    the same order in both one result is held at a time.
-    """
-    wanted = set(video_ids)
-    held = {}
-    turn = 0
-
-    def due(passed):
-        nonlocal turn
-        while turn < len(video_ids) and (video_ids[turn] in held
-                                         or passed(video_ids[turn])):
-            video_id = video_ids[turn]
-            turn += 1
-            yield video_id, (held.pop(video_id) if video_id in held
-                             else process(video_id, None))
-
-    for video_id, chunk in chunks:
-        if video_id in wanted:
-            held[video_id] = process(video_id, chunk)
-        yield from due(lambda other: other + "/" < video_id + "/")
-    yield from due(lambda other: True)
 
 
 def run_fuse(directory: Path, config: PipelineConfig) -> dict:
@@ -266,25 +236,20 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
         if enabled and flow_path.exists():
             proposals = formats.VideoRecords(
                 _require(directory, FILE_PROPOSALS, "synth"), "proposals")
+            flow = formats.VideoArrays(flow_path, "flow")
             threshold = config["fuse.min_mean_magnitude"]
-
-            def prune(video_id, grids):
+            write_salient = outputs.enter_context(
+                formats.record_writer(directory / FILE_SALIENT, "proposals"))
+            result["salient_proposals"] = 0
+            for video_id in _video_ids(proposals, flow):
                 # each grid prunes its frame as it is read and is then
                 # dropped; frames without a grid keep their proposals
                 frames = dict(proposals.read(video_id))
-                for _, grid in grids or ():
+                for _, grid in flow.read(video_id):
                     props = frames.get(grid.frame_index)
                     if props is not None:
                         frames[grid.frame_index] = tuple(
                             saliency_prune(props, grid, threshold))
-                return frames
-
-            write_salient = outputs.enter_context(
-                formats.record_writer(directory / FILE_SALIENT, "proposals"))
-            result["salient_proposals"] = 0
-            grids = groupby(formats.read_flow(flow_path), key=itemgetter(0))
-            for video_id, frames in _in_video_order(proposals.video_ids,
-                                                    grids, prune):
                 write_salient(video_id, frames)
                 result["salient_proposals"] += sum(map(len, frames.values()))
         else:
@@ -309,10 +274,12 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
     scenario = scenario_config(config)
     tcfg = tracker_config(config)
     baseline = config["track.baseline"]
-    matches = () if baseline else formats.matches_by_video(
-        _require(directory, FILE_MATCHES, "synth"))
+    matches = None if baseline else formats.VideoArrays(
+        _require(directory, FILE_MATCHES, "synth"), "matches")
 
-    def track_one(video_id, pairs):
+    def track_one(video_id):
+        # read first, so a video without detections has its matches checked
+        pairs = matches.read(video_id) if matches else None
         ground_truth = truth.read(video_id)
         props = proposals.read(video_id)
         by_frame = _group_by_frame(detections.read(video_id))
@@ -327,13 +294,12 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
                 video_id, by_frame, props, extent, scorer, tcfg,
                 search_radius=config["track.search_radius"])
         return build_tubes(video_id, by_frame, props, extent,
-                           PrecomputedMatcher(pairs or {}), scorer, tcfg)
+                           PrecomputedMatcher(pairs), scorer, tcfg)
 
     count = 0
     with formats.record_writer(directory / FILE_TRACKED, "tubes") as write:
-        for video_id, tubes in _in_video_order(
-                _video_ids(detections, proposals, truth), matches,
-                track_one):
+        for video_id in _video_ids(detections, proposals, truth, matches):
+            tubes = track_one(video_id)
             write(video_id, tubes)
             count += len(tubes)
     return {"videos": len(detections.video_ids), "tubes": count}
@@ -381,8 +347,7 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
 
 def run_prune(directory: Path, config: PipelineConfig) -> dict:
     """Drop overlap duplicates, then tubes off their class footprint."""
-    from .footprint import build_footprint_map, prune_drifted
-    from .scoring import prune_overlapped, require_scored
+    from .geometry import prune_overlapped
     scored = formats.VideoRecords(
         _require(directory, FILE_SCORED, "score"), "tubes")
     stats = {"removed_overlap": 0}
@@ -395,6 +360,7 @@ def run_prune(directory: Path, config: PipelineConfig) -> dict:
     elif not alphas_path.exists():
         stats["footprint"] = "skipped:no-alphas"
     else:
+        from .footprint import build_footprint_map, prune_drifted
         fmap = build_footprint_map(formats.read_alphas(alphas_path),
                                    cell_layout(config))
         frame_size = (float(config["synth.frame_width"]),

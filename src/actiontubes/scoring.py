@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import hulls_meet, st_iou
-# require_scored is re-exported: the pruners and their callers take it
-# from here
-from .model import ClipScoreSequence, FrameInterval, Tube, require_scored
+# prune_overlapped is re-exported: the benchmark's tracer and the tests
+# take it from here
+from .geometry import prune_overlapped  # noqa: F401
+from .model import ClipScoreSequence, FrameInterval, Tube
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 
@@ -196,43 +196,3 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
         s_traj=tuple(float(v) for v in traj),
         label=label,
         score=float(traj[label]))
-
-
-def prune_overlapped(tubes: Sequence[Tube],
-                     threshold: float = 0.3) -> list[Tube]:
-    """Greedy removal of tubes overlapping a better scored kept tube.
-
-    Tubes are visited by descending ``Tube.score`` (input order breaks
-    ties) and dropped when their spatio-temporal overlap with any kept
-    tube of the same video strictly exceeds ``threshold``.  Labels play
-    no role: overlapping tubes suppress each other across classes.
-
-    Kept tubes are held per video with their frame extents, and
-    ``st_iou`` runs only for a pair it may find above ``threshold``.  It
-    is the temporal IoU ``t`` times a mean of overlaps that are each at
-    most 1, so it is at most ``t`` in floating point too: a pair with
-    ``t <= threshold``, disjoint extents included, is passed over.  So
-    is a pair whose box hulls do not meet, where it is 0.0.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise InputError(f"prune threshold must be in [0, 1], got {threshold}")
-    scores = [require_scored(tube) for tube in tubes]
-    order = sorted(range(len(tubes)), key=lambda i: (-scores[i], i))
-    kept: list[Tube] = []
-    kept_by_video: dict[str, list[tuple[int, int, Tube]]] = {}
-    for idx in order:
-        tube = tubes[idx]
-        start, end = tube.start, tube.start + len(tube.boxes)
-        same_video = kept_by_video.setdefault(tube.video_id, [])
-        for k_start, k_end, kept_tube in same_video:
-            inter = min(end, k_end) - max(start, k_start)
-            if (inter > 0
-                    and inter / (end - start + k_end - k_start - inter)
-                    > threshold
-                    and hulls_meet(kept_tube, tube)
-                    and st_iou(kept_tube, tube) > threshold):
-                break
-        else:
-            same_video.append((start, end, tube))
-            kept.append(tube)
-    return kept

@@ -7,6 +7,7 @@ in the output directory.
 
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 
@@ -18,7 +19,7 @@ from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_SCORES,
                                   FILE_FLOW, FILE_FUSED, FILE_GT,
                                   FILE_MATCHES, FILE_PROPOSALS, FILE_PRUNED,
                                   FILE_SALIENT, FILE_SCORED, FILE_TRACKED,
-                                  PIPELINE_ORDER, _in_video_order)
+                                  PIPELINE_ORDER)
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -321,6 +322,33 @@ class TestOneVideoAtATime:
         assert "trailing" in capsys.readouterr().err
         assert not (tmp_path / FILE_TRACKED).exists()
 
+    @staticmethod
+    def _add_video_zz(path, values):
+        """Appends one array of a video no record file names."""
+        part = path.with_name("zz.atb")
+        formats.write_arrays(part, chain(formats.iter_arrays(path),
+                                         [("zz/00000000", values)]))
+        part.replace(path)
+
+    def test_matches_of_an_extra_video_are_checked(self, tmp_path, capsys):
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        self._add_video_zz(tmp_path / FILE_MATCHES,
+                           [[0.0, 1.0, float("nan"), 2.0]])
+        capsys.readouterr()
+        assert run_cli("track", "--out", tmp_path, *FAST) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / FILE_TRACKED).exists()
+
+    def test_flow_of_an_extra_video_is_checked(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path, *FAST, *self.FLOW) == 0
+        self._add_video_zz(tmp_path / FILE_FLOW, [[-1.0, 0.0], [0.0, 0.0]])
+        capsys.readouterr()
+        assert run_cli("fuse", "--out", tmp_path, *FAST, *self.FLOW) == 3
+        assert ">= 0" in capsys.readouterr().err
+        assert not (tmp_path / FILE_FUSED).exists()
+        assert not (tmp_path / FILE_SALIENT).exists()
+
     # video ids whose array names sort in another order: "a-b/" and
     # "a.c/" come before "a/"
     RENAMED = {"v000": "a", "v001": "a-b", "v002": "a.c"}
@@ -334,11 +362,13 @@ class TestOneVideoAtATime:
             rows = [(rename[fields[0]], *fields[1:]) for _, fields in
                     formats.read_records(out / name, kind)]
             formats.write_records(copy / name, kind, rows)
-        formats.write_matches(copy / FILE_MATCHES, sorted((
-            (rename[video_id], {(rename[video_id], frame): rows
-                                for (_, frame), rows in pairs.items()})
-            for video_id, pairs in formats.matches_by_video(
-                out / FILE_MATCHES)), key=lambda chunk: chunk[0] + "/"))
+        matches = {}
+        for (video_id, frame), rows in formats.read_matches(
+                out / FILE_MATCHES).items():
+            matches.setdefault(rename[video_id], {})[
+                (rename[video_id], frame)] = rows
+        formats.write_matches(copy / FILE_MATCHES, sorted(
+            matches.items(), key=lambda chunk: chunk[0] + "/"))
         formats.write_flow(copy / FILE_FLOW, sorted(
             ((rename[video_id], grid) for video_id, grid
              in formats.read_flow(out / FILE_FLOW)),
@@ -364,21 +394,6 @@ class TestOneVideoAtATime:
                       formats.read_tubes(copy / FILE_TRACKED)) == \
             [(t.video_id, t.tube_id, t.boxes)
              for t in formats.read_tubes(out / FILE_TRACKED)]
-
-    def test_in_video_order_holds_what_comes_early(self):
-        calls = []
-
-        def process(video_id, chunk):
-            calls.append(video_id)
-            return chunk
-        # in name order, "a-b/" < "a.c/" < "a/" < "ab/"; "ab" and "z" are
-        # passed over
-        chunks = [("a-b", 1), ("a.c", 2), ("a", 3), ("ab", 0), ("z", 4)]
-        video_ids = ["a", "a-b", "a.c", "b", "c"]
-        assert list(_in_video_order(video_ids, iter(chunks), process)) == \
-            [("a", 3), ("a-b", 1), ("a.c", 2), ("b", None), ("c", None)]
-        # each chunk processed as it streams past; "b" once "z" passed it
-        assert calls == ["a-b", "a.c", "a", "b", "c"]
 
 
 class TestSynthFailsClosed:

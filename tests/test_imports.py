@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from actiontubes.cli import main
-from actiontubes.pipeline import FILE_SALIENT, PIPELINE_ORDER
+from actiontubes.pipeline import FILE_ALPHAS, FILE_SALIENT, PIPELINE_ORDER
 
 TINY = ("--stage-override", "synth.video_count=2",
         "--stage-override", "synth.frames_per_video=12",
@@ -23,7 +23,7 @@ TINY = ("--stage-override", "synth.video_count=2",
 # What ``import actiontubes.cli`` loads: argument parsing, the key
 # registry, the stage table and the file formats.
 CLI = {"cli", "config", "errors", "formats", "model", "pipeline"}
-# Every stage from synth to prune checks the scenario's configuration,
+# Every stage from synth to score checks the scenario's configuration,
 # which lives with the simulated models in scenario; track and score
 # query those models, which need neither the generator nor numpy.
 SCENARIO = CLI | {"geometry", "scenario"}
@@ -32,15 +32,16 @@ LOADED = {
     "fuse": CLI | {"fusion", "geometry"},
     "track": SCENARIO | {"tracker"},
     "score": SCENARIO | {"scoring"},
-    "prune": SCENARIO | {"footprint", "scoring"},
+    "prune": CLI | {"geometry"},
     "localize": CLI | {"temporal"},
     "evaluate": CLI | {"evaluation", "geometry"},
 }
 # The stages that compute with arrays load numpy: track for the point
-# matches, score for the recurrent scorer, prune for the footprint map.
-# fuse loads it only to read flow grids, which the tiny scenario does
-# not have, and the center-search tracker reads no matches.
-NUMPY = {"synth", "track", "score", "prune"}
+# matches and score for the recurrent scorer.  fuse loads it only to
+# read flow grids and prune only for the footprint map, which the tiny
+# scenario has neither of, and the center-search tracker reads no
+# matches.
+NUMPY = {"synth", "track", "score"}
 
 CHILD = """
 import json, sys
@@ -93,3 +94,16 @@ def test_center_search_track_runs_without_numpy(tmp_path, child_env):
         assert main([stage, "--out", str(tmp_path), *TINY, *baseline]) == 0
     assert loaded_modules(child_env, "track", "--out", tmp_path, *TINY,
                           *baseline) == (0, LOADED["track"], False)
+
+
+def test_footprint_prune_loads_numpy(tmp_path, child_env):
+    # four videos of two classes give the footprint statistics both
+    # classes in both halves
+    footprint = ("--stage-override", "synth.video_count=4",
+                 "--stage-override", "synth.num_classes=2",
+                 "--stage-override", "synth.with_footprint=true")
+    for stage in PIPELINE_ORDER[:PIPELINE_ORDER.index("prune")]:
+        assert main([stage, "--out", str(tmp_path), *TINY, *footprint]) == 0
+    assert (tmp_path / FILE_ALPHAS).exists()
+    assert loaded_modules(child_env, "prune", "--out", tmp_path, *TINY,
+                          *footprint) == (0, SCENARIO | {"footprint"}, True)

@@ -186,19 +186,6 @@ class TestMatchesRoundTrip:
             want = np.array(sorted(map(tuple, rows))).reshape(-1, 4)
             assert back[key].tobytes() == want.tobytes()
 
-    def test_by_video_in_name_order(self, tmp_path):
-        """Each video's pairs together, in array-name order, where
-        ``v1-x/`` and ``v1.a/`` sort before ``v1/``."""
-        path = tmp_path / "m.atb"
-        pairs = {(vid, f): np.full((1, 4), float(f))
-                 for vid in ("v1", "v1-x", "v1.a", "v10") for f in (0, 1)}
-        formats.write_matches(path, match_chunks(pairs))
-        chunks = list(formats.matches_by_video(path))
-        assert [video_id for video_id, _ in chunks] == \
-            ["v1-x", "v1.a", "v1", "v10"]
-        for video_id, by_frame in chunks:
-            assert sorted(by_frame) == [(video_id, 0), (video_id, 1)]
-
     def test_rewrite_is_byte_identical(self, tmp_path):
         """A video's frames may come in any order."""
         a, b = tmp_path / "a.atb", tmp_path / "b.atb"
@@ -1196,6 +1183,69 @@ class TestVideoRecords:
         with pytest.raises(SchemaError) as info:
             formats.VideoRecords(path, "detections").read("v0")
         assert (info.value.line, info.value.field) == (5, "x0")
+
+
+class TestVideoArrays:
+    """The per-video container reader: one walk that checks the
+    container's structure, then each video's arrays alone."""
+
+    # "v1-x/" and "v1.a/" sort before "v1/", and "v10/" after it
+    IDS = ("v1", "v1-x", "v1.a", "v10")
+
+    def test_ids_that_extend_each_other_read_their_own_frames(self,
+                                                             tmp_path):
+        path = tmp_path / "m.atb"
+        pairs = {(vid, f): np.full((1, 4), 10.0 * i + f)
+                 for i, vid in enumerate(self.IDS) for f in (0, 1)}
+        formats.write_matches(path, match_chunks(pairs))
+        arrays = formats.VideoArrays(path, "matches")
+        assert arrays.video_ids == sorted(self.IDS)
+        for video_id in self.IDS:
+            assert {key: rows.tolist() for key, rows
+                    in arrays.read(video_id).items()} == \
+                {key: rows.tolist() for key, rows in pairs.items()
+                 if key[0] == video_id}
+
+    def test_flow_grids_of_each_video(self, tmp_path):
+        path = tmp_path / "f.atb"
+        grids = sorted(((vid, FlowMagnitudeGrid(f, np.full((2, 3), i + f)))
+                        for i, vid in enumerate(self.IDS) for f in (0, 4)),
+                       key=lambda pair: f"{pair[0]}/{pair[1].frame_index:08d}")
+        formats.write_flow(path, grids)
+        arrays = formats.VideoArrays(path, "flow")
+        for video_id in self.IDS:
+            got = [(vid, grid.frame_index, grid.values.tolist())
+                   for vid, grid in arrays.read(video_id)]
+            assert got == [(vid, grid.frame_index, grid.values.tolist())
+                           for vid, grid in grids if vid == video_id]
+
+    @pytest.mark.parametrize("kind, empty", [("matches", {}),
+                                             ("flow", [])])
+    def test_a_video_the_container_lacks_reads_empty(self, tmp_path, kind,
+                                                     empty):
+        path = tmp_path / "a.atb"
+        formats.write_arrays(path, [("v0/00000000", np.ones((1, 4)))])
+        arrays = formats.VideoArrays(path, kind)
+        assert arrays.video_ids == ["v0"]
+        read = arrays.read("v9")
+        assert (read if kind == "matches" else list(read)) == empty
+
+    def test_damage_raised_when_built(self, tmp_path):
+        """A trailing byte or a truncated array header fails the walk,
+        before any video is read."""
+        path = tmp_path / "m.atb"
+        formats.write_arrays(path, [("v0/00000000", np.ones((1, 4)))])
+        one = len(path.read_bytes())
+        formats.write_arrays(path, [("v0/00000000", np.ones((1, 4))),
+                                    ("v1/00000000", np.ones((1, 4)))])
+        blob = path.read_bytes()
+        for broken, word in ((blob + b"\x00", "trailing"),
+                             # inside the second array's header
+                             (blob[:one + 5], "truncated")):
+            path.write_bytes(broken)
+            with pytest.raises(SchemaError) as info:
+                formats.VideoArrays(path, "matches")
+            assert word in str(info.value)
 
 
 class TestVideoWriters:

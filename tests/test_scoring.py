@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from actiontubes import formats, scoring
+from actiontubes import formats, geometry
 from actiontubes.config import apply_overrides, default_config
 from actiontubes.errors import InputError
 from actiontubes.geometry import st_iou
@@ -339,7 +339,7 @@ class TestPruneOracle:
             calls.append((a, b))
             return st_iou(a, b)
 
-        monkeypatch.setattr(scoring, "st_iou", recorded)
+        monkeypatch.setattr(geometry, "st_iou", recorded)
         return calls
 
     @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.3, 0.5, 1.0])

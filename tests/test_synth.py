@@ -671,7 +671,7 @@ class TestVideoOrder:
             for name in (FILE_GT, FILE_PROPOSALS, FILE_DRIFT,
                          *FILE_DETECTIONS.values())}
         written[FILE_MATCHES] = [video for video, _ in
-                                 formats.matches_by_video(
+                                 formats.read_matches(
                                      tmp_path / FILE_MATCHES)]
         written[FILE_FLOW] = [video for video, _ in
                               formats.read_flow(tmp_path / FILE_FLOW)]
