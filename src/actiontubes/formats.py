@@ -1040,8 +1040,11 @@ def write_metrics(path, rows: Iterable[Sequence[str]]) -> None:
 # -- binary array container ---------------------------------------------
 
 BINARY_MAGIC = b"ATBN"
-_DTYPE_CODES = {0: "<f8", 1: "<i8", 2: "|u1"}
+_DTYPE_CODES = {0: "<f8", 1: "<i8", 2: "|u1", 3: "<f4"}
+# every float dtype but float32 is stored as float64, and every integer
+# dtype as int64 or bytes
 _CODE_FOR_KIND = {"f": 0, "i": 1, "u": 2}
+_F4 = 3
 
 
 def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
@@ -1064,7 +1067,8 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
                                  f"names must be strictly ascending")
             previous = name
             arr = np.asarray(arr)
-            code = _CODE_FOR_KIND.get(arr.dtype.kind)
+            code = _F4 if (arr.dtype.kind, arr.dtype.itemsize) == ("f", 4) \
+                else _CODE_FOR_KIND.get(arr.dtype.kind)
             if code is None:
                 raise InputError(
                     f"array {name!r} has unsupported dtype {arr.dtype}")
@@ -1080,19 +1084,31 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
         fh.write(struct.pack("<I", count))
 
 
-def _walk(path, fh) -> Iterator[tuple[str, str, tuple[int, ...], int]]:
-    """Each array's ``(name, dtype, shape, offset)``, in file order.
+class _Entry(NamedTuple):
+    """Where one array of a container is: its record starts at byte
+    ``start`` and its data at ``offset``."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+    start: int
+
+
+def _walk(path, fh, start: int | None = None,
+          count: int = 0) -> Iterator[_Entry]:
+    """Each array's entry, in file order: of the whole container, or of
+    the ``count`` arrays whose records follow one another from byte
+    ``start``.
 
     One pass over the open container ``fh`` makes every structural check
-    where it finds the damage and skips each array's data, which starts
-    at ``offset``.  A bad length is caught against the file size, so no
-    buffer is ever sized by it.
+    where it finds the damage and skips each array's data.  A bad length
+    is caught against the file size, so no buffer is ever sized by it.
+    Only a walk of the whole container checks the header and trailing
+    bytes.
     """
     size = os.fstat(fh.fileno()).st_size
-    if fh.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
-        raise SchemaError("not an array container (bad magic)",
-                          path=str(path))
-    offset = len(BINARY_MAGIC)
+    offset = start or 0
 
     def take(count: int) -> bytes:
         nonlocal offset
@@ -1103,12 +1119,20 @@ def _walk(path, fh) -> Iterator[tuple[str, str, tuple[int, ...], int]]:
         offset += count
         return data
 
-    version, count = struct.unpack("<HI", take(6))
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"unsupported container version {version}",
-                          path=str(path))
+    if start is None:
+        if fh.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
+            raise SchemaError("not an array container (bad magic)",
+                              path=str(path))
+        offset = len(BINARY_MAGIC)
+        version, count = struct.unpack("<HI", take(6))
+        if version != FORMAT_VERSION:
+            raise SchemaError(f"unsupported container version {version}",
+                              path=str(path))
+    else:
+        fh.seek(start)
     previous = None
     for _ in range(count):
+        record = offset
         name_len, = struct.unpack("<H", take(2))
         try:
             name = take(name_len).decode("utf-8")
@@ -1132,10 +1156,10 @@ def _walk(path, fh) -> Iterator[tuple[str, str, tuple[int, ...], int]]:
         if offset + nbytes > size:
             raise SchemaError(f"truncated container at byte {offset}",
                               path=str(path))
-        yield name, dtype, shape, offset
+        yield _Entry(name, dtype, shape, offset, record)
         offset += nbytes
         fh.seek(offset)
-    if offset != size:
+    if start is None and offset != size:
         raise SchemaError(
             f"{size - offset} trailing bytes after the last array",
             path=str(path))
@@ -1153,42 +1177,61 @@ def iter_arrays(path, entries=None) -> Iterator[tuple[str, np.ndarray]]:
     """
     import numpy as np
     with _open_bytes(path) as fh:
-        for name, dtype, shape, offset in (
-                _walk(path, fh) if entries is None else entries):
-            arr = np.empty(shape, dtype)
-            fh.seek(offset)
+        for entry in _walk(path, fh) if entries is None else entries:
+            arr = np.empty(entry.shape, entry.dtype)
+            fh.seek(entry.offset)
             if fh.readinto(arr) != arr.nbytes:
-                raise SchemaError(f"truncated container at byte {offset}",
-                                  path=str(path))
+                raise SchemaError(
+                    f"truncated container at byte {entry.offset}",
+                    path=str(path))
             arr.flags.writeable = False
-            yield name, arr
+            yield entry.name, arr
 
 
 class VideoArrays:
     """A container of ``<video_id>/<frame:08d>`` arrays read one video
     at a time, as ``VideoRecords`` reads a record file.
 
-    Building it walks the container once, makes every structural check
-    and keeps where each video's arrays are, not their values.
-    ``read(video_id)`` hands those entries alone to the kind's reader
-    (``read_matches`` or ``read_flow``), which checks each array's name
-    and values; a video the container does not hold reads as empty.
+    Building it walks the container once and makes every structural
+    check.  It keeps, per video, where the video's first array record
+    starts and how many arrays follow, not their values: every name of
+    a video starts with ``<video_id>/``, so the video's arrays are
+    contiguous in name order.  ``read(video_id)`` walks those records
+    again and hands their entries alone to the kind's reader
+    (``read_matches`` or ``read_flow``), which checks each array's name,
+    dtype and values; a video the container does not hold reads as
+    empty.
     """
 
     def __init__(self, path, kind: str):
         self.path = path
         self.kind = kind
-        self._entries: dict[str, list] = {}
+        # video -> [start of its first array record, its array count]
+        self._spans: dict[str, list[int]] = {}
+        video = None
         with _open_bytes(path) as fh:
             for entry in _walk(path, fh):
-                self._entries.setdefault(entry[0].partition("/")[0],
-                                         []).append(entry)
-        self.video_ids = sorted(self._entries)
+                previous, video = video, entry.name.partition("/")[0]
+                if video == previous:
+                    self._spans[video][1] += 1
+                elif video in self._spans:
+                    # only a name without "/" can sort apart from the
+                    # names of its video
+                    raise SchemaError(
+                        f"array {entry.name!r} is apart from the other "
+                        f"arrays of video {video!r}", path=str(path))
+                else:
+                    self._spans[video] = [entry.start, 1]
+        self.video_ids = sorted(self._spans)
 
     def read(self, video_id: str):
+        entries = []
+        if video_id in self._spans:
+            with _open_bytes(self.path) as fh:
+                entries = list(_walk(self.path, fh,
+                                     *self._spans[video_id]))
         # looked up at each call, so a wrapped reader is the one called
-        return globals()[f"read_{self.kind}"](
-            self.path, self._entries.get(video_id, []))
+        return globals()[f"read_{self.kind}"](self.path, entries)
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:
@@ -1197,6 +1240,14 @@ def read_arrays(path) -> dict[str, np.ndarray]:
 
 
 # -- typed container views ----------------------------------------------
+
+def _check_dtype(path, name: str, arr, *dtypes: str) -> None:
+    """Rejects an array whose dtype is none of ``dtypes`` (numpy names):
+    each typed reader takes only the codes its data is written in."""
+    if arr.dtype.name not in dtypes:
+        raise SchemaError(f"array {name!r} is {arr.dtype.name}, expected "
+                          f"{' or '.join(dtypes)}", path=str(path))
+
 
 def write_weights(path, weights) -> None:
     import numpy as np
@@ -1216,6 +1267,9 @@ def read_weights(path):
     if missing:
         raise SchemaError(f"weights container missing {sorted(missing)}",
                           path=str(path))
+    for name in sorted(required):
+        _check_dtype(path, name, arrays[name],
+                     "uint8" if name == "activation" else "float64")
     try:
         return RecurrentScorerWeights(
             w_io=arrays["w_io"], w_hh=arrays["w_hh"], b_y=arrays["b_y"],
@@ -1293,7 +1347,8 @@ def read_matches(path, entries=None) -> dict[tuple[str, int], np.ndarray]:
     out = {}
     for name, rows in iter_arrays(path, entries):
         video_id, frame = _parse_frame_name(name, path, "match")
-        if rows.dtype.kind != "f" or rows.ndim != 2 or rows.shape[1] != 4:
+        if rows.dtype.name != "float64" or rows.ndim != 2 \
+                or rows.shape[1] != 4:
             raise SchemaError(
                 f"match array {name!r} is {rows.dtype} {rows.shape}, "
                 f"expected (N, 4) float64", path=str(path))
@@ -1313,6 +1368,7 @@ def read_alphas(path) -> np.ndarray:
     if "alphas" not in arrays:
         raise SchemaError("alphas container missing 'alphas'",
                           path=str(path))
+    _check_dtype(path, "alphas", arrays["alphas"], "float64")
     return arrays["alphas"]
 
 
@@ -1322,6 +1378,8 @@ def write_flow(path, grids: Iterable[tuple[str, FlowMagnitudeGrid]]
 
     Pairs must come in array-name order, video by video and frame by
     frame, so a generator of grids is written without holding them.
+    Each grid is stored in its own dtype: float32 (code 3) as ``synth``
+    makes it, float64 (code 0) as older files hold it.
     """
     def arrays():
         for video_id, grid in grids:
@@ -1334,13 +1392,14 @@ def read_flow(path, entries=None) -> Iterator[tuple[str, FlowMagnitudeGrid]]:
     """``(video_id, grid)`` pairs of a flow container, in file order: of
     every array, or of the ``entries`` a ``VideoArrays`` found alone.
 
-    Grids are read and validated one at a time.  Without ``entries`` the
-    container's own checks finish only when the iterator is exhausted,
-    so a consumer must exhaust it before it writes anything derived from
-    the grids.
+    Grids are read and validated one at a time, float32 or float64 as
+    stored.  Without ``entries`` the container's own checks finish only
+    when the iterator is exhausted, so a consumer must exhaust it before
+    it writes anything derived from the grids.
     """
     for name, values in iter_arrays(path, entries):
         video_id, frame = _parse_frame_name(name, path, "flow grid")
+        _check_dtype(path, name, values, "float32", "float64")
         try:
             grid = FlowMagnitudeGrid(frame, values)
         except InputError as exc:

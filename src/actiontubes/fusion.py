@@ -20,7 +20,9 @@ from .model import Detection, FlowMagnitudeGrid, Proposal, Source
 def mean_magnitude_inside(grid: FlowMagnitudeGrid, proposal: Proposal) -> float | None:
     """Mean flow magnitude over pixel centers strictly inside the box.
 
-    Pixel (i, j) has its center at (i + 0.5, j + 0.5).  Returns None
+    Pixel (i, j) has its center at (i + 0.5, j + 0.5).  The sum is
+    accumulated in float64 whatever the grid's dtype, so a float32 grid
+    is compared with the threshold at float64 precision.  Returns None
     when no pixel center falls inside the box.
     """
     box = proposal.box
@@ -30,7 +32,7 @@ def mean_magnitude_inside(grid: FlowMagnitudeGrid, proposal: Proposal) -> float 
     y_hi = min(grid.height, math.ceil(box.y_max - 0.5))
     if x_lo >= x_hi or y_lo >= y_hi:
         return None
-    return float(grid.values[y_lo:y_hi, x_lo:x_hi].mean())
+    return float(grid.values[y_lo:y_hi, x_lo:x_hi].mean(dtype="float64"))
 
 
 def saliency_prune(proposals: Sequence[Proposal], flow: FlowMagnitudeGrid,

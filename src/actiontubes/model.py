@@ -352,14 +352,20 @@ class GroundTruthTube(_FrameRun):
 
 @dataclass(frozen=True, eq=False)
 class FlowMagnitudeGrid:
-    """Per-pixel optical flow magnitude for one frame, row major."""
+    """Per-pixel optical flow magnitude for one frame, row major.
+
+    A float32 grid, as flow estimators and ``synth`` write them, stays
+    float32; any other is held as float64.
+    """
 
     frame_index: int
     values: np.ndarray
 
     def __post_init__(self):
         import numpy as np
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.asarray(self.values)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise InputError(
                 f"flow grid must be a non-empty 2d array, got shape "

@@ -308,7 +308,7 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
 def run_score(directory: Path, config: PipelineConfig) -> dict:
     """Label each tube from its clip features; injected tubes join here."""
     from .scoring import score_clips, score_tube, slice_clips
-    from .scenario import SyntheticFeaturizer
+    from .scenario import SyntheticFeaturizer, video_index
     tracked = formats.VideoRecords(
         _require(directory, FILE_TRACKED, "track"), "tubes")
     drift_path = directory / FILE_DRIFT
@@ -319,7 +319,10 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
     truth = formats.VideoRecords(_require(directory, FILE_GT, "synth"),
                                  "gttubes")
     scenario = scenario_config(config)
-    indices = {video_id: i for i, video_id in enumerate(truth.video_ids)}
+    # a video's clip noise is keyed by its index in the scenario, as
+    # synth keys it, not by its position in this run's files
+    indices = {video_id: video_index(video_id)
+               for video_id in truth.video_ids}
     clip_length = config["clip.length"]
 
     count = 0

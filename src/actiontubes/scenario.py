@@ -14,6 +14,7 @@ of its key.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, TypeVar
@@ -39,6 +40,23 @@ def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
 
 
 _T = TypeVar("_T")
+
+_VIDEO_ID = re.compile(r"v([0-9]+)\Z")
+
+
+def video_index(video_id: str) -> int:
+    """The index synth made the video ``video_id`` from: the inverse of
+    ``synth.video_id``, keyed on the id alone, so a video's noise does
+    not depend on which other videos a file holds.
+
+    An id synth would not make (``v`` and at least three ASCII digits,
+    with no leading zero beyond those three) is rejected.
+    """
+    found = _VIDEO_ID.match(video_id)
+    if found is None or video_id != f"v{int(found[1]):03d}":
+        raise InputError(f"video id {video_id!r} is not one synth makes: "
+                         f"'v' and the video index, at least three digits")
+    return int(found[1])
 
 
 def _video_index(indices: Mapping[str, _T], video_id: str) -> _T:

@@ -97,7 +97,8 @@ def _video_actors(config: ScenarioConfig,
 
 
 def video_id(index: int) -> str:
-    """The id of the scenario's video ``index``."""
+    """The id of the scenario's video ``index``; ``scenario.video_index``
+    inverts it."""
     return f"v{index:03d}"
 
 
@@ -320,15 +321,19 @@ def _video_proposals(config: ScenarioConfig, video_index: int,
 def video_flow(config: ScenarioConfig, video_index: int,
                gt_tubes: Sequence[GroundTruthTube]
                ) -> Iterator[FlowMagnitudeGrid]:
-    """The video's flow magnitude grids, one per frame in frame order.
+    """The video's float32 flow magnitude grids, one per frame in frame
+    order.
 
     Grids are made as they are taken, so a consumer that writes each
-    one out before taking the next holds a single frame's grid.
+    one out before taking the next holds a single frame's grid.  Values
+    are drawn in float64 and rounded once: the background as it is
+    drawn, so no float64 grid outlives the draw, and each box fill as it
+    is assigned.
     """
     rng = _rng(config.seed, _FLOW_GRID, video_index)
     w, h = config.frame_size
     for frame in range(config.frames_per_video):
-        mag = rng.uniform(0.0, 0.2, (h, w))
+        mag = rng.uniform(0.0, 0.2, (h, w)).astype(np.float32)
         for gt in gt_tubes:
             if frame not in gt.interval():
                 continue

@@ -295,3 +295,41 @@ def prune_overlapped_reference(tubes, threshold):
                for k in kept):
             kept.append(tube)
     return kept
+
+
+def flow_grids_float64(config, video_index, gt_tubes):
+    """One video's flow magnitude grids in float64, never rounded: the
+    values ``synth.video_flow`` draws before it rounds them to float32,
+    and the grids a ``flow.atb`` of code-0 arrays holds.
+
+    The random stream is keyed as synth keys it, by (seed, the flow-grid
+    stream, video index); every draw is made in the same order.
+    """
+    from actiontubes.scenario import _FLOW_GRID
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        (config.seed, _FLOW_GRID, video_index))))
+    w, h = config.frame_size
+    for frame in range(config.frames_per_video):
+        grid = rng.uniform(0.0, 0.2, (h, w))
+        for gt in gt_tubes:
+            end = gt.start + len(gt.boxes)
+            if not gt.start <= frame < end:
+                continue
+            box = gt.boxes[frame - gt.start]
+            other = frame + 1 if frame + 1 < end else frame - 1
+            if gt.start <= other < end:
+                near = gt.boxes[other - gt.start]
+                disp = math.hypot(
+                    (box.x_min + box.x_max) / 2
+                    - (near.x_min + near.x_max) / 2,
+                    (box.y_min + box.y_max) / 2
+                    - (near.y_min + near.y_max) / 2)
+            else:
+                disp = 0.0
+            x0 = max(0, math.floor(box.x_min))
+            y0 = max(0, math.floor(box.y_min))
+            x1 = min(w, math.ceil(box.x_max))
+            y1 = min(h, math.ceil(box.y_max))
+            grid[y0:y1, x0:x1] = disp + rng.uniform(0.0, 0.2,
+                                                    (y1 - y0, x1 - x0))
+        yield frame, grid

@@ -14,9 +14,11 @@ Without ``--record`` the digests are compared with
 ``scenario_digests.json`` beside this file; every file that differs,
 is missing or is new is printed, and the exit code is 1 if any did.
 With ``--record`` the digests are written there instead.  ``--only``
-limits the run to the named scenarios.  A noisy-6 scenario needs about
-400 MB of temporary space.  Not a pytest module: the 13 scenarios take
-about a minute.
+limits the run to the named scenarios; with ``--record`` their digests
+replace those of the same scenarios and every other digest is kept.
+An unknown name exits 2 with the list of known ones.  A noisy-6
+scenario needs about 200 MB of temporary space.  Not a pytest module:
+the 13 scenarios take about a minute.
 """
 from __future__ import annotations
 
@@ -73,14 +75,20 @@ def main(argv: list[str]) -> int:
     options = parser.parse_args(argv)
     every = scenarios()
     names = options.only or list(every)
+    unknown = [name for name in names if name not in every]
+    if unknown:
+        parser.error(f"unknown scenario {', '.join(unknown)}; known: "
+                     f"{' '.join(every)}")
     found = {name: digest_scenario(every[name]) for name in names}
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8")) \
+        if DIGESTS.exists() else {}
     if options.record:
-        DIGESTS.write_text(json.dumps(found, indent=1, sort_keys=True)
-                           + "\n", encoding="utf-8")
+        DIGESTS.write_text(json.dumps({**expected, **found}, indent=1,
+                                      sort_keys=True) + "\n",
+                           encoding="utf-8")
         print(f"recorded {sum(map(len, found.values()))} files of "
               f"{len(found)} scenarios")
         return 0
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     differ = 0
     for name in names:
         want, got = expected.get(name, {}), found[name]

@@ -19,7 +19,8 @@ from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_SCORES,
                                   FILE_FLOW, FILE_FUSED, FILE_GT,
                                   FILE_MATCHES, FILE_PROPOSALS, FILE_PRUNED,
                                   FILE_SALIENT, FILE_SCORED, FILE_TRACKED,
-                                  PIPELINE_ORDER)
+                                  FILE_WEIGHTS, PIPELINE_ORDER)
+from test_golden import SCENARIOS
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -348,6 +349,37 @@ class TestOneVideoAtATime:
         assert ">= 0" in capsys.readouterr().err
         assert not (tmp_path / FILE_FUSED).exists()
         assert not (tmp_path / FILE_SALIENT).exists()
+
+    def test_one_video_alone_gives_its_rows_of_the_full_run(self, tmp_path):
+        """``score`` … ``localize`` on one video's slice of their inputs
+        write that video's rows of the full run: a video's clip noise is
+        keyed by its id, not by its place among the videos of a file."""
+        noisy = [arg for key, value in SCENARIOS["noisy"].items()
+                 for arg in ("--stage-override", f"{key}={value}")]
+        full = tmp_path / "full"
+        for stage in PIPELINE_ORDER[:-1]:
+            assert run_cli(stage, "--out", full, *noisy) == 0
+        assert (full / FILE_DRIFT).exists() and (full / FILE_ALPHAS).exists()
+        outputs = (FILE_SCORED, FILE_CLIP_SCORES, FILE_PRUNED, FILE_FINAL)
+
+        def rows(path, video_id):
+            return [fields for _, fields in
+                    formats.read_records(path, record_kind(path))
+                    if fields[0] == video_id]
+
+        for video_id in ("v000", "v001", "v002"):
+            part = tmp_path / video_id
+            part.mkdir()
+            for name in (FILE_WEIGHTS, FILE_ALPHAS):
+                (part / name).write_bytes((full / name).read_bytes())
+            for name in (FILE_TRACKED, FILE_DRIFT, FILE_GT):
+                formats.write_records(part / name, record_kind(full / name),
+                                      rows(full / name, video_id))
+            for stage in ("score", "prune", "localize"):
+                assert run_cli(stage, "--out", part, *noisy) == 0
+            for name in outputs:
+                assert rows(part / name, video_id) == \
+                    rows(full / name, video_id) != [], (video_id, name)
 
     # video ids whose array names sort in another order: "a-b/" and
     # "a.c/" come before "a/"

@@ -1,13 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from actiontubes import formats
+from actiontubes.config import apply_overrides, default_config
 from actiontubes.errors import InputError
 from actiontubes.fusion import (FlowMagnitudeGrid, late_fuse,
                                 mean_magnitude_inside, merge_early_late,
                                 saliency_prune)
 from actiontubes.geometry import iou
 from actiontubes.model import BoundingBox, Detection, Proposal, Source
-from oracles import nms_reference
+from actiontubes.pipeline import (FILE_FLOW, FILE_SALIENT, run_fuse,
+                                  run_synth, scenario_config)
+from actiontubes.synth import generate, video_flow, video_id, video_order
+from oracles import flow_grids_float64, nms_reference
+from test_golden import SCENARIOS
 
 
 def prop(x1, y1, x2, y2, frame=0):
@@ -69,6 +77,28 @@ class TestSaliencyPrune:
         with pytest.raises(InputError):
             FlowMagnitudeGrid(0, np.full((3, 3), -1.0))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_float32_flow(self, bad):
+        with pytest.raises(InputError):
+            FlowMagnitudeGrid(0, np.full((3, 3), bad, dtype=np.float32))
+
+    def test_float32_grid_kept_as_is_others_as_float64(self):
+        values = np.full((3, 3), 0.25, dtype=np.float32)
+        assert FlowMagnitudeGrid(0, values).values is values
+        for other in (np.float16, np.int64):
+            grid = FlowMagnitudeGrid(0, np.ones((3, 3), dtype=other))
+            assert grid.values.dtype == np.float64
+
+    def test_float32_mean_accumulates_in_float64(self):
+        """49 copies of float32(0.3) average to that value exactly in
+        float64; summed in float32 they fall below it."""
+        value = float(np.float32(0.3))
+        flow = FlowMagnitudeGrid(0, np.full((7, 7), value, np.float32))
+        box = prop(0, 0, 7, 7)
+        assert float(flow.values.mean()) < value
+        assert mean_magnitude_inside(flow, box) == value
+        assert saliency_prune([box], flow, value) == [box]
+
     def test_mean_matches_bruteforce(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(0, 3, size=(16, 16))
@@ -83,6 +113,62 @@ class TestSaliencyPrune:
                 assert got is None
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+# sha256 of the golden noisy scenario's flow.atb as synth wrote it
+# before flow grids were float32: every grid a float64 (code 0) array
+FLOAT64_FLOW = ("ade941752f0cad3e86ce4391606d597f"
+                "6cd266cc720bcd34a8889dc6e0d200b1")
+
+
+def noisy_config():
+    return apply_overrides(default_config(), [
+        f"{key}={value}" for key, value in SCENARIOS["noisy"].items()])
+
+
+def test_float32_grids_keep_every_float64_decision():
+    """On the golden noisy scenario, each grid synth makes is its
+    float64 draw rounded once, and every proposal is kept or dropped
+    alike from the float32 and the float64 grid."""
+    config = noisy_config()
+    scenario = scenario_config(config)
+    bundle = generate(scenario)
+    threshold = config["fuse.min_mean_magnitude"]
+    decisions = []
+    for index, truth in enumerate(bundle.gt_tubes):
+        proposals = bundle.proposals(index)
+        for grid, (frame, wide) in zip(
+                video_flow(scenario, index, truth),
+                flow_grids_float64(scenario, index, truth), strict=True):
+            assert grid.frame_index == frame
+            assert grid.values.dtype == np.float32
+            assert np.array_equal(grid.values, wide.astype(np.float32))
+            wide = FlowMagnitudeGrid(frame, wide)
+            for p in proposals.get(frame, ()):
+                kept = saliency_prune([p], grid, threshold) == [p]
+                assert kept == (saliency_prune([p], wide, threshold) == [p])
+                decisions.append(kept)
+    assert True in decisions and False in decisions
+
+
+def test_float64_flow_prunes_as_float32_flow(tmp_path):
+    """A flow.atb of float64 grids, byte for byte as older synth runs
+    wrote it, gives the same salient proposals as synth's float32 one."""
+    config = noisy_config()
+    run_synth(tmp_path, config)
+    run_fuse(tmp_path, config)
+    salient = (tmp_path / FILE_SALIENT).read_bytes()
+    scenario = scenario_config(config)
+    truth = generate(scenario).gt_tubes
+    flow = tmp_path / FILE_FLOW
+    formats.write_flow(flow, (
+        (video_id(index), FlowMagnitudeGrid(frame, values))
+        for index in video_order(scenario.video_count)
+        for frame, values in flow_grids_float64(scenario, index,
+                                                truth[index])))
+    assert hashlib.sha256(flow.read_bytes()).hexdigest() == FLOAT64_FLOW
+    run_fuse(tmp_path, config)
+    assert (tmp_path / FILE_SALIENT).read_bytes() == salient
 
 
 def det(x1, y1, x2, y2, scores, source=Source.STATIC, frame=0):

@@ -12,11 +12,13 @@ The metrics are pinned under non-default evaluation keys too.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from actiontubes.cli import main
 from actiontubes.pipeline import PIPELINE_ORDER
+import scenario_digests
 
 SCENARIOS = {
     "clean": {"synth.video_count": 2, "synth.frames_per_video": 16},
@@ -161,3 +163,25 @@ def test_metrics_under_other_eval_keys_match_golden_digest(name, tmp_path):
     _run_stages(PIPELINE_ORDER, tmp_path, SCENARIOS[name])
     _run_stages(["evaluate"], tmp_path, {**SCENARIOS[name], **EVAL_OVERRIDES})
     assert _digest(tmp_path / "metrics.tsv") == EVAL_GOLDEN[name]
+
+
+def test_recording_some_scenarios_keeps_the_other_digests(
+        tmp_path, monkeypatch, capsys):
+    """``scenario_digests.py --record --only`` replaces the named
+    scenarios' digests and keeps the rest; an unknown name exits 2 with
+    the known ones and records nothing."""
+    digests = tmp_path / "digests.json"
+    digests.write_text(json.dumps({"a:0": {"f": "old"}, "b:0": {"f": "old"}}))
+    monkeypatch.setattr(scenario_digests, "DIGESTS", digests)
+    monkeypatch.setattr(scenario_digests, "scenarios",
+                        lambda: {"a:0": ["a"], "b:0": ["b"]})
+    monkeypatch.setattr(scenario_digests, "digest_scenario",
+                        lambda args: {"f": f"new {args[0]}"})
+    assert scenario_digests.main(["--record", "--only", "b:0"]) == 0
+    assert json.loads(digests.read_text()) == \
+        {"a:0": {"f": "old"}, "b:0": {"f": "new b"}}
+    with pytest.raises(SystemExit) as info:
+        scenario_digests.main(["--record", "--only", "b:0", "c:9"])
+    assert info.value.code == 2
+    assert "unknown scenario c:9; known: a:0 b:0" in capsys.readouterr().err
+    assert json.loads(digests.read_text())["b:0"] == {"f": "new b"}

@@ -1,5 +1,8 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,7 +242,8 @@ class TestMatchesRoundTrip:
 
     @pytest.mark.parametrize("rows", [np.zeros((2, 3)), np.zeros(4),
                                       np.zeros((2, 4), dtype=np.int64),
-                                      np.zeros((1, 2, 4))])
+                                      np.zeros((1, 2, 4)),
+                                      np.zeros((2, 4), dtype=np.float32)])
     def test_bad_array_shape_or_dtype_rejected(self, tmp_path, rows):
         path = tmp_path / "m.atb"
         formats.write_arrays(path, [("v0/00000000", rows)])
@@ -1230,6 +1234,34 @@ class TestVideoArrays:
         read = arrays.read("v9")
         assert (read if kind == "matches" else list(read)) == empty
 
+    def test_memory_grows_with_videos_not_arrays(self, tmp_path):
+        """The reader keeps one span per video: two videos of 400
+        frames hold about what two videos of 4 frames hold."""
+        held = {}
+        for frames in (4, 400):
+            path = tmp_path / f"f{frames}.atb"
+            formats.write_arrays(path, [
+                (f"{video}/{f:08d}", np.ones((1, 1)))
+                for video in ("v0", "v1") for f in range(frames)])
+            tracemalloc.start()
+            try:
+                arrays = formats.VideoArrays(path, "flow")
+                held[frames] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(list(arrays.read("v1"))) == frames
+        # an entry per array held ~220 B each, ~175 kB for 792 arrays
+        assert held[400] - held[4] < 4096
+
+    def test_array_apart_from_its_video_rejected(self, tmp_path):
+        """A name without "/" sorts apart from its video's other
+        arrays; the walk that builds the reader rejects it."""
+        path = tmp_path / "m.atb"
+        formats.write_arrays(path, [(name, np.ones((1, 4))) for name in
+                                    ("v1", "v1-x/00000000", "v1/00000000")])
+        with pytest.raises(SchemaError, match="apart"):
+            formats.VideoArrays(path, "matches")
+
     def test_damage_raised_when_built(self, tmp_path):
         """A trailing byte or a truncated array header fails the walk,
         before any video is read."""
@@ -1334,6 +1366,8 @@ class TestArrayContainer:
             "bytes": np.frombuffer(b"relu", dtype=np.uint8),
             "vector": np.array([1.5, -2.5]),
             "deep": np.arange(24, dtype=np.float64).reshape(2, 3, 2, 2),
+            "single": np.array([[0.1, -3e38], [1e-45, 0.2]],
+                               dtype=np.float32),
         }
         formats.write_arrays(path, sorted(arrays.items()))
         back = formats.read_arrays(path)
@@ -1341,6 +1375,51 @@ class TestArrayContainer:
         for name, arr in arrays.items():
             assert back[name].dtype == np.asarray(arr).dtype
             assert np.array_equal(back[name], arr)
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+    def test_float32_stored_as_code_3(self, tmp_path, dtype):
+        path = tmp_path / "a.atb"
+        values = np.array([0.1, 1e-45, -3e38], dtype=dtype)
+        formats.write_arrays(path, [("x", values)])
+        assert path.read_bytes() == (
+            formats.BINARY_MAGIC + struct.pack("<HIH", 1, 1, 1) + b"x"
+            + struct.pack("<BBQ", 3, 1, 3)
+            + values.astype("<f4").tobytes())
+        back = formats.read_arrays(path)["x"]
+        assert back.dtype == np.float32
+        assert back.tobytes() == values.astype("<f4").tobytes()
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "a.atb"
+        formats.write_arrays(path, [("x", np.zeros(2, dtype=np.float32))])
+        blob = bytearray(path.read_bytes())
+        # the code byte follows the header (10 bytes) and the name "x"
+        assert blob[13] == 3
+        blob[13] = 4
+        path.write_bytes(bytes(blob))
+        for read in (formats.read_arrays,
+                     lambda p: formats.VideoArrays(p, "flow")):
+            with pytest.raises(SchemaError, match="unknown dtype code 4"):
+                read(path)
+
+    @pytest.mark.parametrize("kind", ["matches", "alphas", "weights"])
+    def test_float64_readers_reject_float32(self, tmp_path, kind):
+        path = tmp_path / "a.atb"
+        single = np.zeros((2, 4), dtype=np.float32)
+        if kind == "matches":
+            formats.write_arrays(path, [("v0/00000000", single)])
+        elif kind == "alphas":
+            formats.write_arrays(path, [("alphas", single)])
+        else:
+            formats.write_arrays(path, sorted({
+                "w_io": single[:, :2], "w_hh": np.zeros((2, 2)),
+                "b_y": np.zeros(2), "w_cls": np.zeros((1, 2)),
+                "b_cls": np.zeros(1),
+                "activation": np.frombuffer(b"tanh", dtype=np.uint8),
+            }.items()))
+        with pytest.raises(SchemaError, match="float32") as info:
+            getattr(formats, f"read_{kind}")(path)
+        assert info.value.path == str(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.atb"
@@ -1429,7 +1508,26 @@ class TestArrayContainer:
             assert [g.frame_index for v, g in back if v == video_id] == \
                 [g.frame_index for v, g in data if v == video_id]
         for (_, got), (_, grid) in zip(back, data):
+            assert got.values.dtype == np.float32
             assert np.array_equal(got.values, grid.values)
+
+    def test_flow_read_as_stored_float32_or_float64(self, tmp_path):
+        path = tmp_path / "f.atb"
+        grids = [np.full((2, 3), 0.1, dtype=np.float32), np.full((2, 3), 0.1)]
+        formats.write_flow(path, [("v0", FlowMagnitudeGrid(f, values))
+                                  for f, values in enumerate(grids)])
+        back = [grid.values for _, grid in formats.read_flow(path)]
+        assert [values.dtype for values in back] == \
+            [np.float32, np.float64]
+        assert all(np.array_equal(a, b) for a, b in zip(back, grids))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_flow_of_another_dtype_rejected(self, tmp_path, dtype):
+        path = tmp_path / "f.atb"
+        formats.write_arrays(path, [("v0/00000000",
+                                     np.ones((2, 2), dtype=dtype))])
+        with pytest.raises(SchemaError, match="float32 or float64"):
+            list(formats.read_flow(path))
 
     @pytest.mark.parametrize("name", ["v0/\u00b2", "v0/1", "v 0/00000001"])
     def test_flow_bad_name_rejected(self, tmp_path, name):

@@ -14,6 +14,7 @@ from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
 from actiontubes.pipeline import (FILE_DETECTIONS, FILE_DRIFT, FILE_FLOW,
                                   FILE_GT, FILE_MATCHES, FILE_PROPOSALS,
                                   run_synth, scenario_config)
+from actiontubes.scenario import video_index
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
@@ -652,6 +653,23 @@ class TestVideoOrder:
         assert ids[ids.index("v100"):ids.index("v100") + 3] == \
             ["v100", "v1000", "v101"]
         assert video_order(1000) == list(range(1000))
+
+    def test_id_inverts_to_its_index_whatever_the_order(self):
+        """``score`` keys a video's noise by ``video_index``: at 1,001
+        ids, where id order is not index order, each id maps back to the
+        index synth made it from."""
+        ids = [video_id(index) for index in video_order(1001)]
+        assert [video_index(vid) for vid in ids] == video_order(1001)
+        assert [video_index(video_id(i)) for i in range(1001)] == \
+            list(range(1001))
+
+    @pytest.mark.parametrize("bad", ["v01", "v0001", "v01000", "V001",
+                                     "x001", "v-01", "v+01", "v 001",
+                                     "v001 ", "v001\n", "v\u0661\u0662\u0663",
+                                     "v1_0", "", "v"])
+    def test_ids_synth_would_not_make_rejected(self, bad):
+        with pytest.raises(InputError, match="not one synth makes"):
+            video_index(bad)
 
     def test_every_file_is_written_in_id_order(self, tmp_path, monkeypatch):
         """With ids that sort against index order, every writer still
