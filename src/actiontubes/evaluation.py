@@ -256,19 +256,6 @@ def auc_from_outcomes(outcomes: Sequence[MatchOutcome], num_gt: int,
     return area / fpr_cap
 
 
-def recall_track(tubes: Sequence[Tube],
-                 ground_truth: Sequence[GroundTruthTube],
-                 sigma: float = 0.5) -> float:
-    """Fraction of ground-truth tubes covered by some same-class tube.
-
-    Coverage means spatio-temporal IOU of at least sigma.  Every tube
-    must be labeled and scored.  Vacuously 1.0 without ground truth.
-    """
-    _check_sigma(sigma)
-    return _covered_fraction(_overlap_table(tubes, ground_truth, "video"),
-                             sigma)
-
-
 def _covered_fraction(table: _OverlapTable, sigma: float) -> float:
     if not table.gt_labels:
         return 1.0
@@ -294,23 +281,6 @@ class FalseCounts:
     false_bbox: int
     false_neg: int
     true_positives: int
-
-    @property
-    def false_positives(self) -> int:
-        return self.false_cls + self.false_bbox
-
-
-def false_taxonomy(predictions: Sequence[BoxPrediction],
-                   ground_truth: Sequence[GroundTruthTube],
-                   sigma: float = 0.5,
-                   overlap_floor: float = 0.1) -> FalseCounts:
-    """Classify every frame-level mistake against the ground truth."""
-    _check_sigma(sigma)
-    if not 0.0 < overlap_floor <= 1.0:
-        raise InputError(
-            f"overlap floor must be in (0, 1], got {overlap_floor}")
-    return _false_counts(_overlap_table(predictions, ground_truth, "frame"),
-                         sigma, overlap_floor)
 
 
 def _false_counts(table: _OverlapTable, sigma: float,
@@ -365,33 +335,31 @@ class EvalReport:
     recall_track: float
     false_counts: FalseCounts
 
-    def map_table(self, level: str = "video",
-                  class_names: Mapping[int, str] | None = None) -> str:
+    def map_table(self, level: str = "video") -> str:
         """Per-class AP table with one column per IOU threshold."""
         per_sigma = self.video_ap if level == "video" else self.frame_ap
         means = self.video_map if level == "video" else self.frame_map
         classes = sorted({c for aps in per_sigma.values() for c in aps})
-        width = max([5] + [len(_class_name(c, class_names)) for c in classes])
+        width = max([5] + [len(str(c)) for c in classes])
         lines = [" ".join([f"{'class':<{width}}"]
                           + [f"{s:>7.2f}" for s in self.sigmas])]
         for c in classes:
             cells = [f"{per_sigma[s].get(c, 0.0):>7.4f}" for s in self.sigmas]
-            lines.append(" ".join([f"{_class_name(c, class_names):<{width}}"]
-                                  + cells))
+            lines.append(" ".join([f"{c:<{width}}"] + cells))
         lines.append(" ".join(
             [f"{'mAP':<{width}}"] + [f"{means[s]:>7.4f}" for s in self.sigmas]))
         return "\n".join(lines)
 
-    def to_text(self, class_names: Mapping[int, str] | None = None) -> str:
+    def to_text(self) -> str:
         fc = self.false_counts
         parts = [
             "action tube evaluation",
             "",
             "video-mAP by IOU threshold",
-            self.map_table("video", class_names),
+            self.map_table("video"),
             "",
             "frame-mAP by IOU threshold",
-            self.map_table("frame", class_names),
+            self.map_table("frame"),
             "",
             "AUC by IOU threshold",
             " ".join(f"{s:.2f}:{self.auc[s]:.4f}" for s in self.sigmas),
@@ -402,12 +370,6 @@ class EvalReport:
              f"(true positives {fc.true_positives})"),
         ]
         return "\n".join(parts) + "\n"
-
-
-def _class_name(label: int, names: Mapping[int, str] | None) -> str:
-    if names and label in names:
-        return names[label]
-    return str(label)
 
 
 def evaluate(tubes: Sequence[Tube], ground_truth: Sequence[GroundTruthTube],

@@ -1041,8 +1041,8 @@ def write_metrics(path, rows: Iterable[Sequence[str]]) -> None:
 
 BINARY_MAGIC = b"ATBN"
 _DTYPE_CODES = {0: "<f8", 1: "<i8", 2: "|u1", 3: "<f4"}
-# every float dtype but float32 is stored as float64, and every integer
-# dtype as int64 or bytes
+# every float dtype but float32 is stored as float64, every signed integer
+# dtype as int64, and unsigned bytes as bytes
 _CODE_FOR_KIND = {"f": 0, "i": 1, "u": 2}
 _F4 = 3
 
@@ -1069,7 +1069,8 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
             arr = np.asarray(arr)
             code = _F4 if (arr.dtype.kind, arr.dtype.itemsize) == ("f", 4) \
                 else _CODE_FOR_KIND.get(arr.dtype.kind)
-            if code is None:
+            # a wider unsigned integer would wrap when cast to bytes
+            if code is None or (code == 2 and arr.dtype.itemsize > 1):
                 raise InputError(
                     f"array {name!r} has unsupported dtype {arr.dtype}")
             arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
@@ -1271,10 +1272,15 @@ def read_weights(path):
         _check_dtype(path, name, arrays[name],
                      "uint8" if name == "activation" else "float64")
     try:
+        activation = arrays["activation"].tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise SchemaError("array 'activation' is not UTF-8 text",
+                          path=str(path)) from None
+    try:
         return RecurrentScorerWeights(
             w_io=arrays["w_io"], w_hh=arrays["w_hh"], b_y=arrays["b_y"],
             w_cls=arrays["w_cls"], b_cls=arrays["b_cls"],
-            activation=arrays["activation"].tobytes().decode("utf-8"))
+            activation=activation)
     except InputError as exc:
         raise SchemaError(str(exc), path=str(path)) from None
 

@@ -76,10 +76,6 @@ class BoundingBox:
         return (0.5 * (self.x_min + self.x_max),
                 0.5 * (self.y_min + self.y_max))
 
-    def translated(self, dx: float, dy: float) -> "BoundingBox":
-        return BoundingBox(self.x_min + dx, self.y_min + dy,
-                           self.x_max + dx, self.y_max + dy)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
@@ -290,7 +286,6 @@ class Tube(_FrameRun):
     sources: tuple[Source, ...]
     label: int | None = None
     score: float | None = None
-    clip_scores: ClipScoreSequence | None = None
 
     def __post_init__(self):
         _check_label_score(self.label, self.score)

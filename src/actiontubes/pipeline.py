@@ -285,8 +285,7 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
         by_frame = _group_by_frame(detections.read(video_id))
         if not by_frame:
             return []
-        scorer = SyntheticRegionScorer(
-            scenario, {video_id: ground_truth} if ground_truth else {})
+        scorer = SyntheticRegionScorer(scenario, {video_id: ground_truth})
         frames = set(by_frame) | set(props)
         extent = FrameInterval(min(frames), max(frames) + 1)
         if baseline:
@@ -308,7 +307,7 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
 def run_score(directory: Path, config: PipelineConfig) -> dict:
     """Label each tube from its clip features; injected tubes join here."""
     from .scoring import score_clips, score_tube, slice_clips
-    from .scenario import SyntheticFeaturizer, video_index
+    from .scenario import SyntheticFeaturizer
     tracked = formats.VideoRecords(
         _require(directory, FILE_TRACKED, "track"), "tubes")
     drift_path = directory / FILE_DRIFT
@@ -319,10 +318,6 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
     truth = formats.VideoRecords(_require(directory, FILE_GT, "synth"),
                                  "gttubes")
     scenario = scenario_config(config)
-    # a video's clip noise is keyed by its index in the scenario, as
-    # synth keys it, not by its position in this run's files
-    indices = {video_id: video_index(video_id)
-               for video_id in truth.video_ids}
     clip_length = config["clip.length"]
 
     count = 0
@@ -330,8 +325,10 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
             write_tubes, formats.record_writer(
                 directory / FILE_CLIP_SCORES, "clipscores") as write_clips:
         for video_id in _video_ids(tracked, drift, truth):
+            # a video's clip noise is keyed by its id, as synth keys it,
+            # not by its position in this run's files
             featurizer = SyntheticFeaturizer(
-                scenario, {video_id: truth.read(video_id)}, indices)
+                scenario, {video_id: truth.read(video_id)})
             labeled, clip_map = [], {}
             for tube in tracked.read(video_id) + (
                     drift.read(video_id) if drift else []):

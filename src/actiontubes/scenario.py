@@ -59,14 +59,15 @@ def video_index(video_id: str) -> int:
     return int(found[1])
 
 
-def _video_index(indices: Mapping[str, _T], video_id: str) -> _T:
-    """The video's entry in a per-video table, such as its noise key.
+def _of_video(table: Mapping[str, _T], video_id: str) -> _T:
+    """The video's entry in a per-video table of its ground truth.
 
-    A video outside the scenario is rejected.
+    A video without ground truth, absent or empty, is rejected.
     """
-    if video_id not in indices:
+    entry = table.get(video_id)
+    if not entry:
         raise InputError(f"no ground truth for video {video_id!r}")
-    return indices[video_id]
+    return entry
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ class SyntheticRegionScorer:
     def class_scores(self, video_id: str, frame_index: int,
                      box: BoundingBox) -> tuple[float, ...]:
         scores = [0.0] * self._num_classes
-        for label, gt_box in _video_index(self._by_frame, video_id).get(
+        for label, gt_box in _of_video(self._by_frame, video_id).get(
                 frame_index, ()):
             ov = iou(box, gt_box)
             if ov > scores[label]:
@@ -251,15 +252,14 @@ class SyntheticFeaturizer:
     regions look alike within a video but carry no class.  Noise is
     keyed by (video, clip start) so repeated queries agree exactly; a
     clip's noise is drawn once and kept, since tubes of one video share
-    clip starts.
+    clip starts.  A video's noise is keyed by its index in the scenario,
+    ``video_index`` of its id.
     """
 
     def __init__(self, config: ScenarioConfig,
-                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]],
-                 video_indices: Mapping[str, int]):
+                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
         self._config = config
         self._gt = dict(gt_by_video)
-        self._indices = dict(video_indices)
         self._clip_noise: dict[tuple[int, int], np.ndarray] = {}
 
     def class_direction(self, label: int) -> np.ndarray:
@@ -272,8 +272,8 @@ class SyntheticFeaturizer:
         """Unit direction of the video's background, scaled like a class."""
         import numpy as np
         config = self._config
-        rng = _rng(config.seed, _BACKGROUND,
-                   _video_index(self._indices, video_id))
+        _of_video(self._gt, video_id)
+        rng = _rng(config.seed, _BACKGROUND, video_index(video_id))
         v = rng.normal(0.0, 1.0, config.feature_dim)
         return config.feature_margin * v / np.linalg.norm(v)
 
@@ -288,9 +288,9 @@ class SyntheticFeaturizer:
         """
         import numpy as np
         config = self._config
-        index = _video_index(self._indices, tube.video_id)
-        truths = [gt for gt in self._gt.get(tube.video_id, ())
+        truths = [gt for gt in _of_video(self._gt, tube.video_id)
                   if hulls_meet(tube, gt)]
+        index = video_index(tube.video_id)
         end = tube.start + len(tube.boxes)
         out = np.zeros((len(intervals), config.feature_dim))
         for t, interval in enumerate(intervals):
@@ -326,7 +326,8 @@ class SyntheticFeaturizer:
                      intervals: Sequence[FrameInterval]) -> np.ndarray:
         import numpy as np
         config = self._config
-        index = _video_index(self._indices, video_id)
+        truths = _of_video(self._gt, video_id)
+        index = video_index(video_id)
         side = config.layout.grid_side
         dim = config.feature_dim
         w, h = config.frame_size
@@ -335,7 +336,7 @@ class SyntheticFeaturizer:
         background = self.background_direction(video_id)
         for t, interval in enumerate(intervals):
             covered = np.zeros((side, side), dtype=bool)
-            for gt in self._gt.get(video_id, ()):
+            for gt in truths:
                 lo = max(interval.start, gt.start)
                 hi = min(interval.end, gt.start + len(gt.boxes))
                 if lo >= hi:

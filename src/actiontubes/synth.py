@@ -28,8 +28,8 @@ from .model import (BoundingBox, Detection, FlowMagnitudeGrid, FrameInterval,
                     GroundTruthTube, Proposal, Source, Tube)
 from .scenario import (_ACTOR, _DRIFT, _EARLY, _FLOW_DET, _FLOW_GRID, _GMM,
                        _MATCH, _PROPOSAL, _STATIC, ActorSpec, ScenarioConfig,
-                       SyntheticFeaturizer, SyntheticRegionScorer, _rng,
-                       _video_index, home_region)
+                       SyntheticFeaturizer, SyntheticRegionScorer, _of_video,
+                       _rng, home_region, video_index)
 from .scoring import RecurrentScorerWeights, slice_clips
 from .tracker import query_matches
 
@@ -168,8 +168,7 @@ class ScenarioBundle:
         """Video ``index``'s full-frame matches from each frame to the
         next, by ``(video_id, frame)``."""
         vid = video_id(index)
-        matcher = SyntheticMatcher(self.config, {vid: self.gt_tubes[index]},
-                                   {vid: index})
+        matcher = SyntheticMatcher(self.config, {vid: self.gt_tubes[index]})
         w, h = self.config.frame_size
         full = BoundingBox(0.0, 0.0, float(w), float(h))
         return {(vid, frame): matcher.match(vid, frame, frame + 1, full)
@@ -178,25 +177,12 @@ class ScenarioBundle:
     def flow(self, index: int) -> Iterator[FlowMagnitudeGrid]:
         return video_flow(self.config, index, self.gt_tubes[index])
 
-    def gt_by_video(self) -> dict[str, tuple[GroundTruthTube, ...]]:
-        return {video_id(i): gt for i, gt in enumerate(self.gt_tubes)}
-
     def all_gt(self) -> list[GroundTruthTube]:
         return [gt for tubes in self.gt_tubes for gt in tubes]
 
-    def video_indices(self) -> dict[str, int]:
-        return {video_id(i): i for i in range(len(self.gt_tubes))}
-
-    def matcher(self) -> "SyntheticMatcher":
-        return SyntheticMatcher(self.config, self.gt_by_video(),
-                                self.video_indices())
-
-    def region_scorer(self) -> "SyntheticRegionScorer":
-        return SyntheticRegionScorer(self.config, self.gt_by_video())
-
     def featurizer(self) -> "SyntheticFeaturizer":
-        return SyntheticFeaturizer(self.config, self.gt_by_video(),
-                                   self.video_indices())
+        return SyntheticFeaturizer(self.config, {
+            video_id(i): gt for i, gt in enumerate(self.gt_tubes)})
 
 
 class _Videos(Sequence):
@@ -376,16 +362,13 @@ class SyntheticMatcher:
     points that stay put, minus any falling inside an actor box on
     either frame, plus a grid of points inside each actor box displaced
     by the actor's center motion.  Fields are pure functions of
-    (seed, video, frame), so caching never changes results.
+    (seed, video, frame), the video keyed by ``video_index`` of its id.
     """
 
     def __init__(self, config: ScenarioConfig,
-                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]],
-                 video_indices: Mapping[str, int]):
+                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
         self._config = config
         self._gt = dict(gt_by_video)
-        self._indices = dict(video_indices)
-        self._cache: dict[tuple[str, int], np.ndarray] = {}
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
               box: BoundingBox) -> np.ndarray:
@@ -393,11 +376,8 @@ class SyntheticMatcher:
         return query_matches(field, from_frame, to_frame, box)
 
     def _field(self, video_id: str, lo: int) -> np.ndarray:
-        key = (video_id, lo)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        index = _video_index(self._indices, video_id)
+        tubes = _of_video(self._gt, video_id)
+        index = video_index(video_id)
         config = self._config
         w, h = config.frame_size
         step = config.grid_step
@@ -405,7 +385,6 @@ class SyntheticMatcher:
         ys = np.arange(step / 2.0, h, step)
         gx, gy = np.meshgrid(xs, ys)
         bg = np.column_stack([gx.ravel(), gy.ravel()])
-        tubes = self._gt.get(video_id, ())
         keep = np.ones(len(bg), dtype=bool)
         for frame in (lo, lo + 1):
             for gt in tubes:
@@ -437,11 +416,7 @@ class SyntheticMatcher:
             noise_rng = _rng(config.seed, _MATCH, index, lo)
             to_pts = to_pts + noise_rng.normal(0.0, config.match_noise,
                                                to_pts.shape)
-        if len(self._cache) >= 512:
-            self._cache.clear()
-        result = np.hstack([from_pts, to_pts])
-        self._cache[key] = result
-        return result
+        return np.hstack([from_pts, to_pts])
 
 
 def analytic_weights(config: ScenarioConfig) -> RecurrentScorerWeights:

@@ -14,34 +14,24 @@ from .model import ClipScoreSequence, Tube
 
 def _sliced(tube: Tube, clips: ClipScoreSequence, first: int,
             last: int) -> Tube:
-    if first == 0 and last == len(clips) - 1:
-        return replace(tube, clip_scores=clips)
-    kept = ClipScoreSequence(
-        clip_length=clips.clip_length,
-        intervals=clips.intervals[first:last + 1],
-        scores=clips.scores[first:last + 1])
-    span = kept.span()
-    lo, hi = span.start - tube.start, span.end - tube.start
-    return replace(tube, start=span.start, boxes=tube.boxes[lo:hi],
+    lo = clips.intervals[first].start - tube.start
+    hi = clips.intervals[last].end - tube.start
+    if lo == 0 and hi == len(tube.boxes):
+        return tube
+    return replace(tube, start=tube.start + lo, boxes=tube.boxes[lo:hi],
                    class_scores=tube.class_scores[lo:hi],
-                   sources=tube.sources[lo:hi], clip_scores=kept)
+                   sources=tube.sources[lo:hi])
 
 
-def localize(tube: Tube, clips: ClipScoreSequence | None = None,
+def localize(tube: Tube, clips: ClipScoreSequence,
              tau: float = 0.3) -> Tube | None:
     """Restrict a tube to its high scoring clip span, or remove it.
 
-    ``clips`` defaults to the tube's attached clip scores.  Returns the
-    localized tube, or None when every clip scores below ``tau``.  The
-    result carries the surviving clip scores, so localizing it again
-    with the same threshold is the identity.
+    ``clips`` are the tube's clip scores, spanning its frames.  Returns
+    the localized tube, or None when every clip scores below ``tau``.
     """
     if tube.label is None:
         raise InputError("tube must be labeled before temporal localization")
-    if clips is None:
-        clips = tube.clip_scores
-    if clips is None:
-        raise InputError("tube has no clip scores to localize with")
     if clips.span() != tube.interval():
         raise InputError(
             f"clip span {clips.span()} does not cover tube extent "

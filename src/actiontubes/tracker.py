@@ -191,7 +191,6 @@ class UntrackedPool:
                 self._dets.append(det)
                 self._by_frame.setdefault(frame, []).append(idx)
         self._alive = [True] * len(self._dets)
-        self._remaining = len(self._dets)
 
         def seed_key(idx: int):
             det = self._dets[idx]
@@ -202,9 +201,6 @@ class UntrackedPool:
         self._order = sorted(range(len(self._dets)), key=seed_key)
         self._cursor = 0
 
-    def __len__(self) -> int:
-        return self._remaining
-
     def pending(self, frame: int) -> list[Detection]:
         return [self._dets[i] for i in self._by_frame.get(frame, [])
                 if self._alive[i]]
@@ -213,7 +209,6 @@ class UntrackedPool:
         for idx in self._by_frame.get(detection.frame_index, []):
             if self._alive[idx] and self._dets[idx] is detection:
                 self._alive[idx] = False
-                self._remaining -= 1
                 return
         raise InputError("detection not present in pool")
 
@@ -223,7 +218,6 @@ class UntrackedPool:
             self._cursor += 1
             if self._alive[idx]:
                 self._alive[idx] = False
-                self._remaining -= 1
                 return self._dets[idx]
         return None
 

@@ -20,7 +20,7 @@ from actiontubes import formats
 from actiontubes.config import apply_overrides, default_config
 from actiontubes.evaluation import (EvalConfig, MatchOutcome,
                                     auc_from_outcomes, average_precision,
-                                    evaluate, match_and_label, recall_track)
+                                    evaluate, match_and_label)
 from actiontubes.footprint import (DiagonalGaussianMixture,
                                    build_footprint_map, fisher_vector,
                                    prune_drifted)
@@ -37,8 +37,8 @@ from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
 from actiontubes.synth import (ActorSpec, ScenarioConfig, SyntheticFeaturizer,
                                SyntheticRegionScorer, generate)
 from actiontubes.temporal import localize
-from actiontubes.tracker import (TrackerConfig, build_tubes,
-                                 build_tubes_neighborhood)
+from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
+                                 build_tubes, build_tubes_neighborhood)
 
 from oracles import (ap_reference, fisher_reference, interval_iou_sets,
                      lattice_iou, nms_reference, recurrent_reference,
@@ -152,10 +152,9 @@ def _track_scenario(speed: float, baseline: bool) -> float:
     bundle = generate(scenario)
     gt_map = {v.video_id: list(v.gt_tubes) for v in bundle.videos}
     scorer = SyntheticRegionScorer(scenario, gt_map)
-    matcher = bundle.matcher()
     tcfg = TrackerConfig(min_prev_overlap=0.0)
     tubes = []
-    for video in bundle.videos:
+    for index, video in enumerate(bundle.videos):
         by_frame: dict[int, list[Detection]] = {}
         for det in video.detections["static"]:
             by_frame.setdefault(det.frame_index, []).append(det)
@@ -165,9 +164,12 @@ def _track_scenario(speed: float, baseline: bool) -> float:
                 scorer, tcfg, search_radius=20.0)
         else:
             built = build_tubes(video.video_id, by_frame, video.proposals,
-                                video.extent, matcher, scorer, tcfg)
+                                video.extent,
+                                PrecomputedMatcher(bundle.matches(index)),
+                                scorer, tcfg)
         tubes.extend(built)
-    return recall_track(_label_by_mean_score(tubes), bundle.all_gt(), 0.5)
+    return evaluate(_label_by_mean_score(tubes), bundle.all_gt(),
+                    EvalConfig(recall_track_sigma=0.5)).recall_track
 
 
 def test_criterion_04_point_matching_survives_large_displacement():
@@ -206,8 +208,7 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
             frame_size=(224, 224), with_footprint=False)
         bundle = generate(scenario)
         gt_map = {v.video_id: list(v.gt_tubes) for v in bundle.videos}
-        indices = {vid: i for i, vid in enumerate(sorted(gt_map))}
-        featurizer = SyntheticFeaturizer(scenario, gt_map, indices)
+        featurizer = SyntheticFeaturizer(scenario, gt_map)
 
         scored = []
         for video in bundle.videos:
@@ -422,7 +423,12 @@ def test_criterion_11_trimming_is_idempotent_and_monotone():
 
             once = localize(tube, clips, tau=hi)
             if once is not None:
-                again = localize(once, tau=hi)
+                kept = [i for i, clip in enumerate(clips.intervals)
+                        if clip.start in once.interval()]
+                survivors = ClipScoreSequence(
+                    clip_length, clips.intervals[kept[0]:kept[-1] + 1],
+                    clips.scores[kept[0]:kept[-1] + 1])
+                again = localize(once, survivors, tau=hi)
                 assert again == once, "trimming twice must change nothing"
 
             wide = localize(tube, clips, tau=lo)
@@ -436,7 +442,7 @@ def test_criterion_11_trimming_is_idempotent_and_monotone():
         trimmed = localize(tube, clips, tau=0.3)
         assert trimmed is not None
         assert trimmed.interval() == FrameInterval(4, 12)
-        assert tuple(v[0] for v in trimmed.clip_scores.scores) == (0.5, 0.6)
+        assert trimmed.boxes == tube.boxes[4:12]
 
 
 def test_criterion_12_throughput_and_determinism(tmp_path):

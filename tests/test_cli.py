@@ -5,10 +5,12 @@ shell user sees: exit codes, stdout, stderr, and the files left behind
 in the output directory.
 """
 
+import shutil
 import subprocess
 import sys
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from actiontubes import formats, synth
@@ -216,6 +218,35 @@ class TestExitCodes:
         assert run_cli("score", "--out", tmp_path, *FAST) == 3
         assert "'v999'" in capsys.readouterr().err
 
+    def test_tubes_of_a_video_without_truth_return_three(self, tmp_path,
+                                                         capsys):
+        """A video with tracked tubes but no rows in the ground truth has
+        no clip features: ``score`` names it, not scores it as
+        background."""
+        _, rows = self._tracked_rows(tmp_path)
+        assert any(row[0] == "v001" for row in rows)
+        gt = tmp_path / FILE_GT
+        formats.write_records(gt, "gttubes", [
+            fields for _, fields in formats.read_records(gt, "gttubes")
+            if fields[0] != "v001"])
+        capsys.readouterr()
+        assert run_cli("score", "--out", tmp_path, *FAST) == 3
+        assert "no ground truth for video 'v001'" in capsys.readouterr().err
+        assert not (tmp_path / FILE_SCORED).exists()
+
+    def test_activation_not_utf8_returns_three(self, tmp_path, capsys):
+        self._tracked_rows(tmp_path)
+        weights = tmp_path / FILE_WEIGHTS
+        arrays = formats.read_arrays(weights)
+        arrays["activation"] = np.frombuffer(b"\xfftanh", dtype=np.uint8)
+        formats.write_arrays(weights, sorted(arrays.items()))
+        capsys.readouterr()
+        assert run_cli("score", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert FILE_WEIGHTS in err
+        assert "'activation' is not UTF-8" in err
+        assert not (tmp_path / FILE_SCORED).exists()
+
     def test_detections_of_an_unknown_video_return_three(self, tmp_path,
                                                          capsys):
         baseline = ("--stage-override", "track.baseline=true")
@@ -380,6 +411,32 @@ class TestOneVideoAtATime:
             for name in outputs:
                 assert rows(part / name, video_id) == \
                     rows(full / name, video_id) != [], (video_id, name)
+
+    def test_reversed_synth_rows_give_the_same_outputs(self, tmp_path):
+        """Every output of ``fuse`` … ``evaluate`` is byte-identical when
+        the data rows of every synth record file come in reverse order:
+        no stage depends on where a video's rows sit in a file."""
+        noisy = [arg for key, value in SCENARIOS["noisy"].items()
+                 for arg in ("--stage-override", f"{key}={value}")]
+        ahead, flipped = tmp_path / "ahead", tmp_path / "flipped"
+        assert run_cli("synth", "--out", ahead, *noisy) == 0
+        shutil.copytree(ahead, flipped)
+        inputs = (FILE_GT, *FILE_DETECTIONS.values(), FILE_PROPOSALS,
+                  FILE_DRIFT)
+        for name in inputs:
+            lines = (flipped / name).read_bytes().splitlines(keepends=True)
+            assert len(lines) > 3, name
+            (flipped / name).write_bytes(
+                b"".join(lines[:2] + lines[2:][::-1]))
+        for stage in PIPELINE_ORDER[1:]:
+            for directory in (ahead, flipped):
+                assert run_cli(stage, "--out", directory, *noisy) == 0
+        a, b = tree_bytes(ahead), tree_bytes(flipped)
+        assert sorted(a) == sorted(b)
+        outputs = sorted(set(a) - set(inputs))
+        assert FILE_SALIENT in outputs and FILE_FINAL in outputs
+        for name in outputs:
+            assert a[name] == b[name], f"{name} differs"
 
     # video ids whose array names sort in another order: "a-b/" and
     # "a.c/" come before "a/"

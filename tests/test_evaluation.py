@@ -10,8 +10,7 @@ from actiontubes.evaluation import (BoxPrediction, EvalConfig,
                                     auc_from_outcomes, average_precision,
                                     box_predictions_from_tubes,
                                     class_average_precisions, evaluate,
-                                    false_taxonomy, match_and_label,
-                                    mean_average_precision, recall_track)
+                                    match_and_label, mean_average_precision)
 from actiontubes.geometry import iou, st_iou
 from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
                                Source, Tube)
@@ -37,6 +36,26 @@ def tube_from_boxes(video, tube_id, start, boxes, label, score):
 def tube_still(video, tube_id, start, length, box, label, score):
     return tube_from_boxes(video, tube_id, start, [box] * length, label,
                            score)
+
+
+def one_frame_tubes(preds):
+    """Each per-frame prediction as a one-frame tube, which ``evaluate``
+    explodes back into that prediction."""
+    return [tube_from_boxes(p.video_id, f"p{k}", p.frame_index, [p.box],
+                            p.label, p.score) for k, p in enumerate(preds)]
+
+
+def recall_track_of(tubes, truth, sigma=0.5):
+    return evaluate(tubes, truth,
+                    EvalConfig(recall_track_sigma=sigma)).recall_track
+
+
+def false_counts_of(preds, truth, sigma=0.5, floor=0.1):
+    """The false-detection split ``evaluate`` reports for per-frame
+    predictions."""
+    return evaluate(one_frame_tubes(preds), truth,
+                    EvalConfig(taxonomy_sigma=sigma,
+                               taxonomy_floor=floor)).false_counts
 
 
 BOX = BoundingBox(10, 10, 60, 60)
@@ -214,7 +233,7 @@ class TestAgainstReference:
                 self.assert_match_equal(
                     match_and_label(tubes, truth, sigma, mode="video"),
                     preds, items, sigma, st_iou)
-                assert recall_track(tubes, truth, sigma) == \
+                assert recall_track_of(tubes, truth, sigma) == \
                     recall_track_reference(tubes, truth, sigma, st_iou)
 
     def test_frame_mode_and_false_split(self):
@@ -231,7 +250,9 @@ class TestAgainstReference:
                     match_and_label(boxes, truth, sigma, mode="frame"),
                     preds, items, sigma, iou)
                 for floor in (0.125, 0.5):
-                    fc = false_taxonomy(boxes, truth, sigma, floor)
+                    fc = evaluate(tubes, truth, EvalConfig(
+                        taxonomy_sigma=sigma,
+                        taxonomy_floor=floor)).false_counts
                     assert (fc.false_cls, fc.false_bbox, fc.false_neg,
                             fc.true_positives) == \
                         false_split_reference(boxes, truth, sigma, floor, iou)
@@ -383,10 +404,10 @@ class TestRecallTrack:
     def test_identical_tubes(self):
         truth = [gt_still("v", 0, 0, 10, BOX)]
         tubes = [tube_still("v", "t0", 0, 10, BOX, 0, 0.9)]
-        assert recall_track(tubes, truth) == 1.0
+        assert recall_track_of(tubes, truth) == 1.0
 
     def test_no_tubes(self):
-        assert recall_track([], [gt_still("v", 0, 0, 10, BOX)]) == 0.0
+        assert recall_track_of([], [gt_still("v", 0, 0, 10, BOX)]) == 0.0
 
     def test_partial_coverage(self):
         truth = [gt_still("v", 0, 0, 10, BOX),
@@ -394,24 +415,24 @@ class TestRecallTrack:
                  gt_still("w", 0, 0, 10, BOX)]
         tubes = [tube_still("v", "t0", 0, 10, BOX, 0, 0.9),
                  tube_still("w", "t0", 0, 10, BOX, 0, 0.9)]
-        assert recall_track(tubes, truth) == pytest.approx(2 / 3)
+        assert recall_track_of(tubes, truth) == pytest.approx(2 / 3)
 
     def test_coverage_is_inclusive_at_sigma(self):
         truth = [gt_still("v", 0, 0, 10, BOX)]
         tubes = [tube_still("v", "t0", 0, 5, BOX, 0, 0.9)]
         assert st_iou(tubes[0], truth[0]) == pytest.approx(0.5)
-        assert recall_track(tubes, truth, sigma=0.5) == 1.0
+        assert recall_track_of(tubes, truth, sigma=0.5) == 1.0
 
     def test_wrong_class_does_not_cover(self):
         truth = [gt_still("v", 0, 0, 10, BOX)]
         tubes = [tube_still("v", "t0", 0, 10, BOX, 1, 0.9)]
-        assert recall_track(tubes, truth) == 0.0
+        assert recall_track_of(tubes, truth) == 0.0
 
     def test_unlabeled_tube_named(self):
         truth = [gt_still("v", 0, 0, 10, BOX)]
         bare = tube_still("v", "t7", 0, 10, BOX, None, 0.9)
         with pytest.raises(InputError) as info:
-            recall_track([bare], truth)
+            recall_track_of([bare], truth)
         assert "tube 't7' in 'v'" in str(info.value)
 
 
@@ -419,7 +440,7 @@ class TestFalseTaxonomy:
     def test_wrong_label_on_gt_location(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
         preds = [BoxPrediction("v", 0, BOX, 1, 0.9)]
-        fc = false_taxonomy(preds, truth)
+        fc = false_counts_of(preds, truth)
         assert (fc.false_cls, fc.false_bbox, fc.false_neg) == (1, 0, 0)
 
     def test_right_label_poor_box(self):
@@ -427,12 +448,12 @@ class TestFalseTaxonomy:
         loose = BoundingBox(30, 10, 80, 60)
         assert iou(loose, BOX) < 0.5
         preds = [BoxPrediction("v", 0, loose, 0, 0.9)]
-        fc = false_taxonomy(preds, truth)
+        fc = false_counts_of(preds, truth)
         assert (fc.false_cls, fc.false_bbox, fc.false_neg) == (0, 1, 0)
 
     def test_untouched_gt_is_false_neg(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
-        fc = false_taxonomy([], truth)
+        fc = false_counts_of([], truth)
         assert (fc.false_cls, fc.false_bbox, fc.false_neg) == (0, 0, 1)
 
     def test_poor_box_still_blocks_false_neg(self):
@@ -440,14 +461,14 @@ class TestFalseTaxonomy:
         truth = [gt_still("v", 0, 0, 1, BOX)]
         loose = BoundingBox(30, 10, 80, 60)
         preds = [BoxPrediction("v", 0, loose, 0, 0.9)]
-        fc = false_taxonomy(preds, truth)
+        fc = false_counts_of(preds, truth)
         assert fc.false_neg == 0
 
     def test_duplicate_counts_as_false_bbox(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
         preds = [BoxPrediction("v", 0, BOX, 0, 0.9),
                  BoxPrediction("v", 0, BOX, 0, 0.8)]
-        fc = false_taxonomy(preds, truth)
+        fc = false_counts_of(preds, truth)
         assert fc.true_positives == 1
         assert (fc.false_cls, fc.false_bbox) == (0, 1)
 
@@ -455,7 +476,7 @@ class TestFalseTaxonomy:
         rng = np.random.default_rng(67)
         for _ in range(60):
             preds, truth = random_frame_case(rng)
-            fc = false_taxonomy(preds, truth)
+            fc = false_counts_of(preds, truth)
             assert fc.true_positives + fc.false_cls + fc.false_bbox == \
                 len(preds)
             assert 0 <= fc.false_neg <= sum(
@@ -478,7 +499,8 @@ class TestEvalReport:
             assert report.frame_map[s] == 1.0
             assert report.auc[s] == 1.0
         assert report.recall_track == 1.0
-        assert report.false_counts.false_positives == 0
+        assert report.false_counts.false_cls == 0
+        assert report.false_counts.false_bbox == 0
         assert report.false_counts.false_neg == 0
 
     @pytest.mark.parametrize("label, score", [(None, 0.8), (1, None)])
@@ -505,11 +527,12 @@ class TestEvalReport:
     def test_map_table_layout(self):
         tubes, truth = self.make_perfect()
         report = evaluate(tubes, truth)
-        table = report.map_table("video", class_names={0: "walk", 1: "run"})
-        lines = table.splitlines()
+        lines = report.map_table("video").splitlines()
         # Header + one row per class + the mAP row.
         assert len(lines) == 4
-        assert lines[1].startswith("walk")
+        assert lines[0].startswith("class")
+        assert [line[:6] for line in lines[1:]] == ["0     ", "1     ",
+                                                    "mAP   "]
         assert lines[-1].startswith("mAP")
 
     def test_each_overlap_computed_once(self, monkeypatch):

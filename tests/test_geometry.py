@@ -62,8 +62,13 @@ class TestIou:
     @given(box_strategy, st.integers(-50, 50), st.integers(-50, 50))
     def test_translation_invariant(self, b, dx, dy):
         other = BoundingBox(b.x_min + 3, b.y_min + 3, b.x_max + 3, b.y_max + 3)
+
+        def moved(box):
+            return BoundingBox(box.x_min + dx, box.y_min + dy,
+                               box.x_max + dx, box.y_max + dy)
+
         assert iou(b, other) == pytest.approx(
-            iou(b.translated(dx, dy), other.translated(dx, dy)), abs=1e-12)
+            iou(moved(b), moved(other)), abs=1e-12)
 
     def test_scalar_iou_keeps_area_arithmetic(self):
         # iou computes both areas inline; the result must equal the

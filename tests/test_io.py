@@ -141,15 +141,10 @@ def match_chunks(pairs):
 class TestMatchesRoundTrip:
     def test_matcher_equivalence(self, bundle, tmp_path):
         path = tmp_path / "m.atb"
-        matcher = bundle.matcher()
-        chunks = []
-        for video in bundle.videos:
-            w, h = video.frame_size
-            full = BoundingBox(0, 0, w, h)
-            chunks.append((video.video_id, {
-                (video.video_id, frame):
-                    matcher.match(video.video_id, frame, frame + 1, full)
-                for frame in list(video.extent.frames())[:-1]}))
+        chunks = [(video.video_id, bundle.matches(index))
+                  for index, video in enumerate(bundle.videos)]
+        matcher = PrecomputedMatcher(
+            {key: rows for _, pairs in chunks for key, rows in pairs.items()})
         formats.write_matches(path, chunks)
         reread = PrecomputedMatcher(formats.read_matches(path))
         answered = 0
@@ -1389,6 +1384,18 @@ class TestArrayContainer:
         assert back.dtype == np.float32
         assert back.tobytes() == values.astype("<f4").tobytes()
 
+    @pytest.mark.parametrize("dtype", ["<u2", "<u4", "<u8"])
+    def test_wide_unsigned_rejected(self, tmp_path, dtype):
+        """Only bytes are stored unsigned; a wider value would wrap
+        (300 read back as 44)."""
+        path = tmp_path / "a.atb"
+        with pytest.raises(InputError) as info:
+            formats.write_arrays(path, [("counts", np.array([300, 7],
+                                                            dtype=dtype))])
+        assert "'counts'" in str(info.value)
+        assert np.dtype(dtype).name in str(info.value)
+        assert not path.exists()
+
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "a.atb"
         formats.write_arrays(path, [("x", np.zeros(2, dtype=np.float32))])
@@ -1484,6 +1491,18 @@ class TestArrayContainer:
         for name in ("w_io", "w_hh", "b_y", "w_cls", "b_cls"):
             assert np.array_equal(getattr(back, name),
                                   getattr(weights, name))
+
+    def test_weights_activation_not_utf8(self, tmp_path):
+        path = tmp_path / "w.atb"
+        formats.write_arrays(path, sorted({
+            "w_io": np.eye(2), "w_hh": np.zeros((2, 2)), "b_y": np.zeros(2),
+            "w_cls": np.ones((2, 2)), "b_cls": np.zeros(2),
+            "activation": np.frombuffer(b"\xfftanh", dtype=np.uint8),
+        }.items()))
+        with pytest.raises(SchemaError) as info:
+            formats.read_weights(path)
+        assert str(path) in str(info.value)
+        assert "'activation' is not UTF-8" in str(info.value)
 
     def test_weights_missing_entry(self, tmp_path):
         path = tmp_path / "w.atb"

@@ -18,11 +18,12 @@ from actiontubes.scenario import video_index
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
 from actiontubes.synth import (ActorSpec, ScenarioConfig,
-                               SyntheticFeaturizer, SyntheticRegionScorer,
-                               analytic_weights, generate, home_region,
-                               inject_drift, video_flow, video_id,
-                               video_order)
-from actiontubes.tracker import TrackerConfig, build_tubes, match_ratio
+                               SyntheticFeaturizer, SyntheticMatcher,
+                               SyntheticRegionScorer, analytic_weights,
+                               generate, home_region, inject_drift,
+                               video_flow, video_id, video_order)
+from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
+                                 build_tubes, match_ratio)
 
 
 def small_config(**kwargs):
@@ -250,18 +251,23 @@ class TestProposals:
                 assert len(video.proposals[frame]) == 2
 
 
+def stored_matcher(bundle, index=0):
+    """Video ``index``'s matches as ``track`` answers from them."""
+    return PrecomputedMatcher(bundle.matches(index))
+
+
 class TestMatcher:
     def test_adjacent_only(self):
         bundle = generate(small_config())
-        matcher = bundle.matcher()
+        matcher = stored_matcher(bundle)
         box = bundle.videos[0].gt_tubes[0].box_at(0)
         with pytest.raises(InputError):
             matcher.match("v000", 0, 2, box)
 
     def test_actor_points_follow_the_actor(self):
         bundle = generate(small_config())
-        matcher = bundle.matcher()
-        for video in bundle.videos[:3]:
+        for index, video in enumerate(bundle.videos[:3]):
+            matcher = stored_matcher(bundle, index)
             gt = video.gt_tubes[0]
             for frame in list(gt.interval().frames())[:-1]:
                 matches = matcher.match(video.video_id, frame, frame + 1,
@@ -271,18 +277,20 @@ class TestMatcher:
 
     def test_backward_equals_reversed_forward(self):
         bundle = generate(small_config(match_noise=0.3))
-        matcher = bundle.matcher()
+        matcher = stored_matcher(bundle)
         gt = bundle.videos[0].gt_tubes[0]
         fwd = matcher.match("v000", 4, 5, gt.box_at(4))
         back = matcher.match("v000", 5, 4, gt.box_at(5))
         assert np.allclose(np.sort(fwd[:, 2:], axis=0),
                            np.sort(back[:, :2], axis=0))
 
-    def test_pure_across_instances_and_cache(self):
+    def test_pure_across_instances(self):
+        """A field is the same whichever fields were made before it."""
         bundle = generate(small_config(match_noise=0.4))
         box = bundle.videos[0].gt_tubes[0].box_at(7)
-        a = bundle.matcher().match("v000", 7, 8, box)
-        m = bundle.matcher()
+        truth = {"v000": bundle.gt_tubes[0]}
+        a = SyntheticMatcher(bundle.config, truth).match("v000", 7, 8, box)
+        m = SyntheticMatcher(bundle.config, truth)
         for frame in range(20):
             m.match("v000", frame, frame + 1, box)
         b = m.match("v000", 7, 8, box)
@@ -290,7 +298,7 @@ class TestMatcher:
 
     def test_restrict_respected(self):
         bundle = generate(small_config())
-        matcher = bundle.matcher()
+        matcher = stored_matcher(bundle)
         box = bundle.videos[0].gt_tubes[0].box_at(0)
         matches = matcher.match("v000", 0, 1, box)
         fp = matches[:, :2]
@@ -299,7 +307,7 @@ class TestMatcher:
 
     def test_background_points_do_not_move(self):
         bundle = generate(small_config())
-        matcher = bundle.matcher()
+        matcher = stored_matcher(bundle)
         video = bundle.videos[0]
         w, h = video.frame_size
         full = BoundingBox(0, 0, w, h)
@@ -328,8 +336,9 @@ def random_gt_tubes(rng, video_id, count=4):
 class TestRegionScorer:
     def test_exact_box_scores_one_for_true_class(self):
         bundle = generate(small_config())
-        scorer = bundle.region_scorer()
         video = bundle.videos[0]
+        scorer = SyntheticRegionScorer(bundle.config,
+                                       {video.video_id: video.gt_tubes})
         gt = video.gt_tubes[0]
         scores = scorer.class_scores(video.video_id, 3, gt.box_at(3))
         assert scores[gt.label] == 1.0
@@ -337,7 +346,8 @@ class TestRegionScorer:
 
     def test_far_box_scores_zero(self):
         bundle = generate(small_config())
-        scorer = bundle.region_scorer()
+        scorer = SyntheticRegionScorer(bundle.config,
+                                       {"v000": bundle.gt_tubes[0]})
         scores = scorer.class_scores("v000", 3, BoundingBox(0, 0, 4, 4))
         assert scores == (0.0, 0.0, 0.0)
 
@@ -380,22 +390,25 @@ class TestFeaturizer:
         noisy = small_config(feature_noise=0.5)
         rng = np.random.default_rng(67)
         for _ in range(20):
-            tubes = random_gt_tubes(rng, "v0")
+            tubes = random_gt_tubes(rng, "v000")
             # a tube wandering near the truth over frames 2-19, scored
             # on clips that run past both of its ends
-            boxes = tuple(tubes[f % len(tubes)].boxes[0].translated(
-                              float(rng.integers(-4, 5)), 0.0)
-                          for f in range(2, 20))
-            tube = Tube("v0", "w", 2, boxes, ((1.0,),) * len(boxes),
+            boxes = []
+            for f in range(2, 20):
+                box = tubes[f % len(tubes)].boxes[0]
+                dx = float(rng.integers(-4, 5))
+                boxes.append(BoundingBox(box.x_min + dx, box.y_min,
+                                         box.x_max + dx, box.y_max))
+            boxes = tuple(boxes)
+            tube = Tube("v000", "w", 2, boxes, ((1.0,),) * len(boxes),
                         (Source.TRACKED,) * len(boxes))
             # a truth right of the tube's hull, touching it at one edge
             right = max(b.x_max for b in boxes)
             top = min(b.y_min for b in boxes)
             tubes.append(GroundTruthTube(
-                "v0", "edge", 1, 0,
+                "v000", "edge", 1, 0,
                 (BoundingBox(right, top, right + 10.0, top + 10.0),) * 22))
-            featurizer = SyntheticFeaturizer(config, {"v0": tubes},
-                                             {"v0": 0})
+            featurizer = SyntheticFeaturizer(config, {"v000": tubes})
             intervals = slice_clips(FrameInterval(0, 22), 4)
             want = np.zeros((len(intervals), config.feature_dim))
             for t, interval in enumerate(intervals):
@@ -415,14 +428,14 @@ class TestFeaturizer:
             # clip noise is keyed by clip start: a second tube sharing
             # the starts 4, 8, 12 and 16 gets the same bits, whichever
             # of the two is asked first
-            other = Tube("v0", "u", 4, boxes[:14], ((1.0,),) * 14,
+            other = Tube("v000", "u", 4, boxes[:14], ((1.0,),) * 14,
                          (Source.TRACKED,) * 14)
             queries = {"w": (tube, intervals),
                        "u": (other, slice_clips(other.interval(), 4))}
             answers = []
             for order in (("w", "u"), ("u", "w")):
-                noisy_featurizer = SyntheticFeaturizer(
-                    noisy, {"v0": tubes}, {"v0": 0})
+                noisy_featurizer = SyntheticFeaturizer(noisy,
+                                                       {"v000": tubes})
                 answers.append({name: noisy_featurizer.clip_features(
                     *queries[name]) for name in order})
             for name in queries:
@@ -464,19 +477,27 @@ class TestFeaturizer:
         assert np.allclose(flat[~on_blob], background)
 
     def test_video_outside_the_scenario_rejected(self):
-        # noise is keyed by the video's index; an unknown video has none
-        bundle = generate(small_config(feature_noise=0.2, match_noise=1.0))
+        # a video the models hold no ground truth for, whether its id is
+        # absent or names no tubes, is rejected, not made as background
+        config = small_config(feature_noise=0.2, match_noise=1.0)
+        bundle = generate(config)
         gt = bundle.videos[0].gt_tubes[0]
         stray = replace(gt, video_id="v999")
         intervals = slice_clips(gt.interval(), 4)
-        featurizer = bundle.featurizer()
-        calls = (lambda: featurizer.clip_features(stray, intervals),
-                 lambda: featurizer.feature_grid("v999", intervals),
-                 lambda: featurizer.background_direction("v999"),
-                 lambda: bundle.matcher().match("v999", 0, 1, gt.boxes[0]))
-        for call in calls:
-            with pytest.raises(InputError, match="'v999'"):
-                call()
+        known = {"v000": bundle.gt_tubes[0]}
+        for gt_map in (known, {**known, "v999": ()}):
+            featurizer = SyntheticFeaturizer(config, gt_map)
+            calls = (lambda: featurizer.clip_features(stray, intervals),
+                     lambda: featurizer.feature_grid("v999", intervals),
+                     lambda: featurizer.background_direction("v999"),
+                     lambda: SyntheticMatcher(config, gt_map).match(
+                         "v999", 0, 1, gt.boxes[0]),
+                     lambda: SyntheticRegionScorer(
+                         config, gt_map).class_scores("v999", 0, gt.boxes[0]))
+            for call in calls:
+                with pytest.raises(InputError,
+                                   match="no ground truth for video 'v999'"):
+                    call()
 
     def test_background_differs_between_videos(self):
         config = small_config()
@@ -624,9 +645,11 @@ class TestEndToEnd:
     def test_noiseless_tracking_recovers_truth(self):
         config = small_config()
         bundle = generate(config)
-        matcher, scorer = bundle.matcher(), bundle.region_scorer()
         featurizer = bundle.featurizer()
-        for video in bundle.videos:
+        for index, video in enumerate(bundle.videos):
+            matcher = stored_matcher(bundle, index)
+            scorer = SyntheticRegionScorer(config,
+                                           {video.video_id: video.gt_tubes})
             by_frame = {}
             for det in video.detections["static"]:
                 by_frame.setdefault(det.frame_index, []).append(det)
@@ -676,6 +699,7 @@ class TestVideoOrder:
         gets its videos in ascending id order (a writer given them out of
         order raises)."""
         monkeypatch.setattr(synth, "video_id", lambda index: f"v{3 - index}")
+        monkeypatch.setattr(synth, "video_index", lambda vid: 3 - int(vid[1:]))
         config = PipelineConfig({"synth.video_count": 4,
                                  "synth.frames_per_video": 6,
                                  "synth.with_footprint": False,

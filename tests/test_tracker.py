@@ -213,7 +213,9 @@ class TestTrackStep:
         # Proposal catches the points but shares no area with the
         # previous region, so the continuity gate rejects it.
         far_matcher = ShiftMatcher(100.0, 0.0)
-        far_box = self.gt[0].translated(100.0, 0.0)
+        near = self.gt[0]
+        far_box = BoundingBox(near.x_min + 100.0, near.y_min,
+                              near.x_max + 100.0, near.y_max)
         props = [Proposal(1, far_box)]
         matches = far_matcher.match("v", 0, 1, self.gt[0])
         pool = UntrackedPool({})
@@ -475,7 +477,7 @@ class TestNeighborhoodBaseline:
         # The frame-1 proposal's center is 12 right and 16 down of the
         # seed's: exactly 20 px away.
         seed = BoundingBox(40, 40, 60, 60)
-        moved = seed.translated(12.0, 16.0)
+        moved = BoundingBox(52, 56, 72, 76)
         dets = {0: [det(0, seed, (0.9, 0.0))]}
         props = {1: [Proposal(1, moved)]}
         for radius, frames in ((20.0, 2), (19.999, 1)):
@@ -543,7 +545,8 @@ class TestScoreMemo:
         gt = single_actor_world(frames, shift=(6.0, 0.0))
         dets = {f: [det(f, gt[f], (0.9 - 0.1 * k, 0.0)) for k in range(3)]
                 for f in (0, frames - 1)}
-        props = {f: [Proposal(f, gt[f]), Proposal(f, gt[f].translated(2, 2))]
+        props = {f: [Proposal(f, gt[f]), Proposal(
+                     f, BoundingBox(*(v + 2 for v in gt[f].as_tuple())))]
                  for f in range(frames)}
         return gt, dets, props
 
