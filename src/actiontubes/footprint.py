@@ -21,6 +21,9 @@ from .model import BoundingBox, Tube, require_scored
 from .scenario import CellLayout
 
 VARIANCE_FLOOR = 1e-6
+# EM stops once the mean log-likelihood moves by less than EM_TOL
+EM_TOL = 1e-6
+EM_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +83,8 @@ def posteriors(gmm: DiagonalGaussianMixture, descriptors) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def fit_gmm(descriptors, components: int, seed: int = 0, tol: float = 1e-6,
-            max_iter: int = 100) -> DiagonalGaussianMixture:
+def fit_gmm(descriptors, components: int,
+            seed: int = 0) -> DiagonalGaussianMixture:
     """Fit a diagonal mixture by EM with farthest-point initialization.
 
     The first center is a seeded uniform draw; each further center is
@@ -108,7 +111,7 @@ def fit_gmm(descriptors, components: int, seed: int = 0, tol: float = 1e-6,
     weights = np.full(components, 1.0 / components)
 
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         gmm = DiagonalGaussianMixture(weights, means, variances)
         log_p = _log_densities(gmm, x)
         row_max = log_p.max(axis=1, keepdims=True)
@@ -123,7 +126,7 @@ def fit_gmm(descriptors, components: int, seed: int = 0, tol: float = 1e-6,
         means = (resp.T @ x) / nk[:, None]
         second = (resp.T @ (x * x)) / nk[:, None]
         variances = np.maximum(second - means * means, VARIANCE_FLOOR)
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < EM_TOL:
             break
         prev_ll = ll
     return DiagonalGaussianMixture(weights, means, variances)

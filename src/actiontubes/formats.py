@@ -281,9 +281,6 @@ def _parse_box(fields: Sequence[str], start: int, path,
 # small.
 _BLOCK_ROWS = 1024
 
-# Bytes the pass that finds each video's lines reads at a time.
-_CHUNK_BYTES = 1 << 20
-
 # A record file's rows as ``read_records`` gives them: (line, fields).
 _Rows = Iterable[tuple[int, Sequence[str]]]
 
@@ -291,12 +288,11 @@ _Rows = Iterable[tuple[int, Sequence[str]]]
 def _video_ranges(path, kind: str) -> dict[str, list[list[int]]]:
     """Where each video's lines lie in a record file, as byte ranges.
 
-    One pass reads the file in chunks of ``_CHUNK_BYTES`` and splits
-    them at ``\\n``.  Each run of lines that start with the same
-    ``video_id`` field becomes one ``[start, end)`` range, merged into
-    the video's range before it when only a line break parts them, so a
-    file sorted by video holds one range per video.  Blank lines belong
-    to no video.  A header that is not exactly the kind's raises
+    One loop over the lines makes each run of lines that start with the
+    same ``video_id`` field one ``[start, end)`` range, ending before
+    the run's last line break, so a sorted file holds one range per
+    video.  Blank lines belong to no video; a last line may lack its
+    line break.  A header that is not exactly the kind's raises
     ``ValueError`` and leaves the report to ``_row_checks``.
     """
     ranges: dict[bytes, list[list[int]]] = {}
@@ -304,40 +300,21 @@ def _video_ranges(path, kind: str) -> dict[str, list[list[int]]]:
         head = [fh.readline().removesuffix(b"\n") for _ in range(2)]
         if head != [line.encode("utf-8") for line in _header(kind)]:
             raise ValueError("header")
-        offset, rest = fh.tell(), b""
-        while True:
-            data = fh.read(_CHUNK_BYTES)
-            lines = (rest + data).split(b"\n")
-            # a chunk's last line may go on in the next chunk; the file's
-            # last line may end without a line break
-            rest = lines.pop() if data else b""
-            offset = _add_runs(ranges, lines, offset)
-            if not data:
-                break
+        offset, video, run = fh.tell(), None, None
+        for line in fh:
+            start, offset = offset, offset + len(line)
+            if line == b"\n":
+                video = None
+                continue
+            end = offset - line.endswith(b"\n")
+            name = line.partition(b"\t")[0].removesuffix(b"\n")
+            if name == video:
+                run[1] = end
+            else:
+                video, run = name, [start, end]
+                ranges.setdefault(name, []).append(run)
     return {video_id.decode("utf-8"): runs
             for video_id, runs in ranges.items()}
-
-
-def _add_runs(ranges: dict, lines: list[bytes], offset: int) -> int:
-    """Adds each run of ``lines`` that share a video id to ``ranges``.
-
-    ``offset`` is where the first line starts; returns where the line
-    after the last one starts.
-    """
-    starts = list(map(operator.add,
-                      accumulate(map(len, lines), initial=offset), count()))
-    ids = [line.partition(b"\t")[0] for line in lines]
-    bounds = list(compress(count(), map(operator.ne, ids, [None, *ids])))
-    for a, b in zip(bounds, [*bounds[1:], len(lines)]):
-        if not ids[a] and not any(lines[a:b]):
-            continue
-        start, end = starts[a], starts[b] - 1
-        runs = ranges.setdefault(ids[a], [])
-        if runs and runs[-1][1] + 1 == start:
-            runs[-1][1] = end
-        else:
-            runs.append([start, end])
-    return starts[-1]
 
 
 def _range_lines(path, ranges: Iterable[Sequence[int]]) -> list[str]:
@@ -1298,19 +1275,17 @@ def _parse_frame_name(name: str, path, kind: str) -> tuple[str, int]:
 
 
 def write_matches(
-        path,
-        chunks: Iterable[tuple[str, Mapping[tuple[str, int], np.ndarray]]]
+        path, chunks: Iterable[tuple[str, Mapping[int, np.ndarray]]]
 ) -> None:
-    """``(video_id, {(video_id, frame): rows})`` pairs, one video at a time.
+    """``(video_id, {frame: rows})`` pairs, one video at a time.
 
     ``rows`` are the (N, 4) matches from ``frame`` to ``frame + 1``,
     columns ``from_x from_y to_x to_y``; each is written as one array
     named by its earlier frame, rows sorted lexicographically, frames
     ascending.  Videos must come in array-name order, the order of
     ``<video_id>/``: ascending ids, unless one id extends another by
-    ``-`` or ``.``.  A video out of order, or a
-    pair filed under another video, is an ``InputError``.  One video's
-    arrays are held at a time.
+    ``-`` or ``.``.  A video out of order is an ``InputError``.  One
+    video's arrays are held at a time.
     """
     import numpy as np
 
@@ -1324,11 +1299,7 @@ def write_matches(
                     f"{previous!r}; videos must come in array-name order")
             previous = video_id
             named = {}
-            for (pair_video, frame), rows in pairs.items():
-                if pair_video != video_id:
-                    raise InputError(
-                        f"matches at frame {frame} of {pair_video!r} "
-                        f"written with the matches of {video_id!r}")
+            for frame, rows in pairs.items():
                 rows = np.asarray(rows, dtype=np.float64)
                 if rows.ndim != 2 or rows.shape[1] != 4:
                     raise InputError(
@@ -1346,13 +1317,13 @@ def write_matches(
     write_arrays(path, arrays())
 
 
-def read_matches(path, entries=None) -> dict[tuple[str, int], np.ndarray]:
-    """``(video_id, frame) -> rows`` as written by ``write_matches``: of
-    every array, or of the ``entries`` a ``VideoArrays`` found alone."""
+def read_matches(path, entries: Iterable[_Entry]) -> dict[int, np.ndarray]:
+    """One video's ``frame -> rows`` as written by ``write_matches``, of
+    the ``entries`` a ``VideoArrays`` found for it."""
     import numpy as np
     out = {}
     for name, rows in iter_arrays(path, entries):
-        video_id, frame = _parse_frame_name(name, path, "match")
+        frame = _parse_frame_name(name, path, "match")[1]
         if rows.dtype.name != "float64" or rows.ndim != 2 \
                 or rows.shape[1] != 4:
             raise SchemaError(
@@ -1361,7 +1332,7 @@ def read_matches(path, entries=None) -> dict[tuple[str, int], np.ndarray]:
         if not np.all(np.isfinite(rows)):
             raise SchemaError(f"match array {name!r}: match points "
                               f"must be finite", path=str(path))
-        out[(video_id, frame)] = rows
+        out[frame] = rows
     return out
 
 
@@ -1378,36 +1349,30 @@ def read_alphas(path) -> np.ndarray:
     return arrays["alphas"]
 
 
-def write_flow(path, grids: Iterable[tuple[str, FlowMagnitudeGrid]]
-               ) -> None:
-    """``(video_id, grid)`` pairs to a flow container, one at a time.
-
-    Pairs must come in array-name order, video by video and frame by
-    frame, so a generator of grids is written without holding them.
-    Each grid is stored in its own dtype: float32 (code 3) as ``synth``
-    makes it, float64 (code 0) as older files hold it.
-    """
+def write_flow(
+        path, chunks: Iterable[tuple[str, Iterable[FlowMagnitudeGrid]]]
+) -> None:
+    """``(video_id, grids)`` pairs, videos in array-name order and grids
+    in frame order, written one grid at a time, so generators of grids
+    are never held.  Each grid is stored in its own dtype: float32 (code
+    3) as ``synth`` makes it, float64 (code 0) as older files hold it."""
     def arrays():
-        for video_id, grid in grids:
+        for video_id, grids in chunks:
             _check_id(video_id, str(path), None, "video_id")
-            yield f"{video_id}/{grid.frame_index:08d}", grid.values
+            for grid in grids:
+                yield f"{video_id}/{grid.frame_index:08d}", grid.values
     write_arrays(path, arrays())
 
 
-def read_flow(path, entries=None) -> Iterator[tuple[str, FlowMagnitudeGrid]]:
-    """``(video_id, grid)`` pairs of a flow container, in file order: of
-    every array, or of the ``entries`` a ``VideoArrays`` found alone.
-
-    Grids are read and validated one at a time, float32 or float64 as
-    stored.  Without ``entries`` the container's own checks finish only
-    when the iterator is exhausted, so a consumer must exhaust it before
-    it writes anything derived from the grids.
-    """
+def read_flow(path, entries: Iterable[_Entry]) -> Iterator[FlowMagnitudeGrid]:
+    """One video's grids, in frame order, of the ``entries`` a
+    ``VideoArrays`` found for it: each read and validated as it is
+    reached, float32 or float64 as stored."""
     for name, values in iter_arrays(path, entries):
-        video_id, frame = _parse_frame_name(name, path, "flow grid")
+        frame = _parse_frame_name(name, path, "flow grid")[1]
         _check_dtype(path, name, values, "float32", "float64")
         try:
             grid = FlowMagnitudeGrid(frame, values)
         except InputError as exc:
             raise SchemaError(str(exc), path=str(path)) from None
-        yield video_id, grid
+        yield grid

@@ -178,9 +178,7 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
         (directory / FILE_ALPHAS).unlink(missing_ok=True)
     if scenario.with_flow:
         # grids are made as they are written, in array-name order
-        formats.write_flow(directory / FILE_FLOW, (
-            (video, grid) for video, grids in each_video(bundle.flow)
-            for grid in grids))
+        formats.write_flow(directory / FILE_FLOW, each_video(bundle.flow))
     else:
         (directory / FILE_FLOW).unlink(missing_ok=True)
     drift = sorted((video_id, tubes)
@@ -245,7 +243,7 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
                 # each grid prunes its frame as it is read and is then
                 # dropped; frames without a grid keep their proposals
                 frames = dict(proposals.read(video_id))
-                for _, grid in flow.read(video_id):
+                for grid in flow.read(video_id):
                     props = frames.get(grid.frame_index)
                     if props is not None:
                         frames[grid.frame_index] = tuple(

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, ProcessingError
-from .footprint import (DiagonalGaussianMixture, FeatureGridSequence,
-                        aggregate_cells, fit_gmm, nearest_centroid_alphas)
+from .footprint import (FeatureGridSequence, aggregate_cells, fit_gmm,
+                        nearest_centroid_alphas)
 from .geometry import iou
 from .model import (BoundingBox, Detection, FlowMagnitudeGrid, FrameInterval,
                     GroundTruthTube, Proposal, Source, Tube)
@@ -127,7 +127,7 @@ class ScenarioBundle:
     """A scenario: what spans its videos, and each video when asked.
 
     It holds every video's ground truth (``gt_tubes``, in index order),
-    the scorer weights, the footprint statistics and the drift tubes.
+    the scorer weights, the footprint alphas and the drift tubes.
     A video's other inputs (detections, proposals, matches, flow) are
     made from its ground truth when a method below is called, each from
     its own (seed, stream, video) generator, so they are the same
@@ -139,7 +139,6 @@ class ScenarioBundle:
     config: ScenarioConfig
     gt_tubes: tuple[tuple[GroundTruthTube, ...], ...]
     weights: RecurrentScorerWeights
-    gmm: DiagonalGaussianMixture | None = None
     alphas: np.ndarray | None = None
     drift_tubes: Mapping[str, tuple[Tube, ...]] = field(default_factory=dict)
 
@@ -164,14 +163,14 @@ class ScenarioBundle:
     def proposals(self, index: int) -> dict[int, tuple[Proposal, ...]]:
         return _video_proposals(self.config, index, self.gt_tubes[index])
 
-    def matches(self, index: int) -> dict[tuple[str, int], np.ndarray]:
+    def matches(self, index: int) -> dict[int, np.ndarray]:
         """Video ``index``'s full-frame matches from each frame to the
-        next, by ``(video_id, frame)``."""
+        next, by frame."""
         vid = video_id(index)
         matcher = SyntheticMatcher(self.config, {vid: self.gt_tubes[index]})
         w, h = self.config.frame_size
         full = BoundingBox(0.0, 0.0, float(w), float(h))
-        return {(vid, frame): matcher.match(vid, frame, frame + 1, full)
+        return {frame: matcher.match(vid, frame, frame + 1, full)
                 for frame in range(self.config.frames_per_video - 1)}
 
     def flow(self, index: int) -> Iterator[FlowMagnitudeGrid]:
@@ -438,31 +437,34 @@ def analytic_weights(config: ScenarioConfig) -> RecurrentScorerWeights:
 
 def _footprint_stats(config: ScenarioConfig,
                      gt_tubes: Sequence[Sequence[GroundTruthTube]],
-                     featurizer: SyntheticFeaturizer):
-    """GMM plus per-cell classifier accuracies from the true tubes."""
+                     featurizer: SyntheticFeaturizer) -> np.ndarray | None:
+    """Per-cell classifier accuracies from the true tubes' feature grids,
+    each made when it is needed, once for the mixture's descriptor
+    subsample and once for its cell vectors, and dropped."""
     layout = config.layout
-    grids = []
-    labels = []
-    for tubes in gt_tubes:
-        for gt in tubes:
-            intervals = slice_clips(gt.interval(), config.clip_length)
-            grids.append(featurizer.feature_grid(gt.video_id, intervals))
-            labels.append(gt.label)
-    rows = [g.reshape(-1, config.feature_dim) for g in grids]
-    # the subsample is gathered grid by grid, so the grids' descriptors
-    # are never copied into one array
-    bounds = np.cumsum([0, *map(len, rows)])
+    tubes = [(gt, slice_clips(gt.interval(), config.clip_length))
+             for video in gt_tubes for gt in video]
+
+    def grids():
+        for gt, intervals in tubes:
+            yield gt.label, featurizer.feature_grid(gt.video_id, intervals)
+
+    # a grid holds grid_side**2 descriptors per clip; the subsample is
+    # gathered grid by grid, so no two grids are held at once
+    bounds = np.cumsum([0, *(len(intervals) * layout.grid_side ** 2
+                             for _, intervals in tubes)])
     idx = np.arange(bounds[-1])
     if bounds[-1] > config.descriptor_cap:
         rng = _rng(config.seed, _GMM)
         idx = np.sort(rng.choice(bounds[-1], config.descriptor_cap,
                                  replace=False))
     cuts = np.searchsorted(idx, bounds)
-    pool = np.concatenate([r[idx[a:b] - lo] for r, lo, a, b
-                           in zip(rows, bounds, cuts, cuts[1:])])
+    pool = np.concatenate([
+        grid.reshape(-1, config.feature_dim)[idx[a:b] - lo]
+        for (_, grid), lo, a, b in zip(grids(), bounds, cuts, cuts[1:])])
     gmm = fit_gmm(pool, config.gmm_components, seed=config.seed)
     items = [(label, aggregate_cells(FeatureGridSequence(grid), layout, gmm))
-             for label, grid in zip(labels, grids)]
+             for label, grid in grids()]
     # alternate within each class so both splits cover all classes
     train, test = [], []
     seen: dict[int, int] = {}
@@ -472,9 +474,8 @@ def _footprint_stats(config: ScenarioConfig,
         seen[label] = seen.get(label, 0) + 1
     for split in (train, test):
         if set(range(config.num_classes)) - {label for label, _ in split}:
-            return gmm, None
-    return gmm, nearest_centroid_alphas(train, test, config.num_classes,
-                                        layout)
+            return None
+    return nearest_centroid_alphas(train, test, config.num_classes, layout)
 
 
 def generate(config: ScenarioConfig) -> ScenarioBundle:
@@ -488,9 +489,8 @@ def generate(config: ScenarioConfig) -> ScenarioBundle:
                       for i in range(config.video_count)),
         analytic_weights(config))
     if config.with_footprint:
-        gmm, alphas = _footprint_stats(config, bundle.gt_tubes,
-                                       bundle.featurizer())
-        bundle = replace(bundle, gmm=gmm, alphas=alphas)
+        bundle = replace(bundle, alphas=_footprint_stats(
+            config, bundle.gt_tubes, bundle.featurizer()))
     if config.drift_rate > 0:
         bundle = inject_drift(bundle, config.drift_rate)
     return bundle

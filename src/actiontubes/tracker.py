@@ -114,19 +114,20 @@ def query_matches(pair: np.ndarray, from_frame: int, to_frame: int,
 
 
 class PrecomputedMatcher:
-    """Point matcher over stored match rows, keyed ``(video_id, frame)``.
+    """Point matcher over one video's stored match rows, keyed by frame.
 
     Each entry holds the full-frame matches from ``frame`` to
     ``frame + 1``, as ``read_matches`` returns them; an unknown pair
-    yields no matches.
+    yields no matches.  ``match`` keeps the ``PointMatcher`` signature
+    and ignores its video id.
     """
 
-    def __init__(self, pairs: Mapping[tuple[str, int], np.ndarray]):
+    def __init__(self, pairs: Mapping[int, np.ndarray]):
         self._pairs = dict(pairs)
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
               box: BoundingBox) -> np.ndarray:
-        pair = self._pairs.get((video_id, min(from_frame, to_frame)))
+        pair = self._pairs.get(min(from_frame, to_frame))
         if pair is None:
             import numpy as np
             pair = np.empty((0, 4))

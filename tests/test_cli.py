@@ -382,16 +382,22 @@ class TestOneVideoAtATime:
         assert not (tmp_path / FILE_SALIENT).exists()
 
     def test_one_video_alone_gives_its_rows_of_the_full_run(self, tmp_path):
-        """``score`` … ``localize`` on one video's slice of their inputs
-        write that video's rows of the full run: a video's clip noise is
-        keyed by its id, not by its place among the videos of a file."""
+        """``fuse`` … ``localize`` on one video's slice of the synth
+        outputs write that video's rows of the full run: no stage looks
+        at another video, and a video's clip noise is keyed by its id,
+        not by its place among the videos of a file."""
         noisy = [arg for key, value in SCENARIOS["noisy"].items()
                  for arg in ("--stage-override", f"{key}={value}")]
         full = tmp_path / "full"
         for stage in PIPELINE_ORDER[:-1]:
             assert run_cli(stage, "--out", full, *noisy) == 0
         assert (full / FILE_DRIFT).exists() and (full / FILE_ALPHAS).exists()
-        outputs = (FILE_SCORED, FILE_CLIP_SCORES, FILE_PRUNED, FILE_FINAL)
+        inputs = (FILE_GT, *FILE_DETECTIONS.values(), FILE_PROPOSALS,
+                  FILE_DRIFT)
+        outputs = (FILE_FUSED, FILE_SALIENT, FILE_TRACKED, FILE_SCORED,
+                   FILE_CLIP_SCORES, FILE_PRUNED, FILE_FINAL)
+        matches = formats.VideoArrays(full / FILE_MATCHES, "matches")
+        flow = formats.VideoArrays(full / FILE_FLOW, "flow")
 
         def rows(path, video_id):
             return [fields for _, fields in
@@ -403,10 +409,14 @@ class TestOneVideoAtATime:
             part.mkdir()
             for name in (FILE_WEIGHTS, FILE_ALPHAS):
                 (part / name).write_bytes((full / name).read_bytes())
-            for name in (FILE_TRACKED, FILE_DRIFT, FILE_GT):
+            for name in inputs:
                 formats.write_records(part / name, record_kind(full / name),
                                       rows(full / name, video_id))
-            for stage in ("score", "prune", "localize"):
+            formats.write_matches(part / FILE_MATCHES,
+                                  [(video_id, matches.read(video_id))])
+            formats.write_flow(part / FILE_FLOW,
+                               [(video_id, flow.read(video_id))])
+            for stage in PIPELINE_ORDER[1:-1]:
                 assert run_cli(stage, "--out", part, *noisy) == 0
             for name in outputs:
                 assert rows(part / name, video_id) == \
@@ -451,17 +461,14 @@ class TestOneVideoAtATime:
             rows = [(rename[fields[0]], *fields[1:]) for _, fields in
                     formats.read_records(out / name, kind)]
             formats.write_records(copy / name, kind, rows)
-        matches = {}
-        for (video_id, frame), rows in formats.read_matches(
-                out / FILE_MATCHES).items():
-            matches.setdefault(rename[video_id], {})[
-                (rename[video_id], frame)] = rows
-        formats.write_matches(copy / FILE_MATCHES, sorted(
-            matches.items(), key=lambda chunk: chunk[0] + "/"))
-        formats.write_flow(copy / FILE_FLOW, sorted(
-            ((rename[video_id], grid) for video_id, grid
-             in formats.read_flow(out / FILE_FLOW)),
-            key=lambda pair: f"{pair[0]}/{pair[1].frame_index:08d}"))
+        # the containers take videos in array-name order
+        order = sorted(rename.items(), key=lambda pair: pair[1] + "/")
+        matches = formats.VideoArrays(out / FILE_MATCHES, "matches")
+        formats.write_matches(copy / FILE_MATCHES,
+                              [(new, matches.read(old)) for old, new in order])
+        flow = formats.VideoArrays(out / FILE_FLOW, "flow")
+        formats.write_flow(copy / FILE_FLOW,
+                           [(new, flow.read(old)) for old, new in order])
 
     def test_array_name_order_is_not_video_order(self, tmp_path):
         """Matches and flow grids whose videos come in another order than

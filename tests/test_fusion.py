@@ -162,10 +162,10 @@ def test_float64_flow_prunes_as_float32_flow(tmp_path):
     truth = generate(scenario).gt_tubes
     flow = tmp_path / FILE_FLOW
     formats.write_flow(flow, (
-        (video_id(index), FlowMagnitudeGrid(frame, values))
-        for index in video_order(scenario.video_count)
-        for frame, values in flow_grids_float64(scenario, index,
-                                                truth[index])))
+        (video_id(index), (FlowMagnitudeGrid(frame, values)
+                           for frame, values in flow_grids_float64(
+                               scenario, index, truth[index])))
+        for index in video_order(scenario.video_count)))
     assert hashlib.sha256(flow.read_bytes()).hexdigest() == FLOAT64_FLOW
     run_fuse(tmp_path, config)
     assert (tmp_path / FILE_SALIENT).read_bytes() == salient

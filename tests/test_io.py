@@ -1,7 +1,9 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +38,20 @@ def by_video(tubes):
     return sorted(groups.items())
 
 
-def flow_grids(bundle):
-    """Every ``(video_id, grid)`` of a bundle, in flow-file order."""
-    return [(video.video_id, grid)
-            for index, video in enumerate(bundle.videos)
-            for grid in video_flow(bundle.config, index, video.gt_tubes)]
+def flow_chunks(bundle):
+    """Every ``(video_id, grids)`` of a bundle, in flow-file order."""
+    return [(video.video_id,
+             list(video_flow(bundle.config, index, video.gt_tubes)))
+            for index, video in enumerate(bundle.videos)]
+
+
+def read_videos(path, kind):
+    """``{video_id: its arrays}`` of every video of a container, read as
+    the stages read it, through ``VideoArrays``; flow grids as a list."""
+    arrays = formats.VideoArrays(path, kind)
+    return {video_id: arrays.read(video_id) if kind == "matches"
+            else list(arrays.read(video_id))
+            for video_id in arrays.video_ids}
 
 
 # header (magic, version 1, 3 arrays), then "a" (2 float64), "b" (1x2
@@ -131,10 +142,11 @@ def lexsorted(rows):
 
 def match_chunks(pairs):
     """A ``{(video_id, frame): rows}`` mapping as ``write_matches`` takes
-    it: one ``(video_id, pairs)`` chunk per video, in array-name order."""
+    it: one ``(video_id, {frame: rows})`` chunk per video, in array-name
+    order."""
     groups = {}
     for (video_id, frame), rows in pairs.items():
-        groups.setdefault(video_id, {})[(video_id, frame)] = rows
+        groups.setdefault(video_id, {})[frame] = rows
     return sorted(groups.items(), key=lambda chunk: chunk[0] + "/")
 
 
@@ -143,12 +155,12 @@ class TestMatchesRoundTrip:
         path = tmp_path / "m.atb"
         chunks = [(video.video_id, bundle.matches(index))
                   for index, video in enumerate(bundle.videos)]
-        matcher = PrecomputedMatcher(
-            {key: rows for _, pairs in chunks for key, rows in pairs.items()})
         formats.write_matches(path, chunks)
-        reread = PrecomputedMatcher(formats.read_matches(path))
+        arrays = formats.VideoArrays(path, "matches")
         answered = 0
-        for video in bundle.videos:
+        for video, (_, pairs) in zip(bundle.videos, chunks):
+            matcher = PrecomputedMatcher(pairs)
+            reread = PrecomputedMatcher(arrays.read(video.video_id))
             w, h = video.frame_size
             frames = list(video.extent.frames())
             for a, b in [*zip(frames, frames[1:]), *zip(frames[1:], frames)]:
@@ -165,9 +177,9 @@ class TestMatchesRoundTrip:
 
     def test_backward_queries_served_from_forward_records(self, tmp_path):
         path = tmp_path / "m.atb"
-        formats.write_matches(path,
-                              [("v0", {("v0", 3): [[1.0, 2.0, 5.0, 6.0]]})])
-        matcher = PrecomputedMatcher(formats.read_matches(path))
+        formats.write_matches(path, [("v0", {3: [[1.0, 2.0, 5.0, 6.0]]})])
+        matcher = PrecomputedMatcher(
+            formats.VideoArrays(path, "matches").read("v0"))
         back = matcher.match("v0", 4, 3, BoundingBox(0, 0, 10, 10))
         assert np.array_equal(back, [[5.0, 6.0, 1.0, 2.0]])
 
@@ -178,17 +190,18 @@ class TestMatchesRoundTrip:
                  for vid, f, n in (("v0", 0, 5), ("v0", 1, 0),
                                    ("v1.a", 7, 3))}
         formats.write_matches(path, match_chunks(pairs))
-        back = formats.read_matches(path)
-        assert set(back) == set(pairs)
-        for key, rows in pairs.items():
+        back = read_videos(path, "matches")
+        assert {(video_id, frame) for video_id, frames in back.items()
+                for frame in frames} == set(pairs)
+        for (video_id, frame), rows in pairs.items():
             want = np.array(sorted(map(tuple, rows))).reshape(-1, 4)
-            assert back[key].tobytes() == want.tobytes()
+            assert back[video_id][frame].tobytes() == want.tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         """A video's frames may come in any order."""
         a, b = tmp_path / "a.atb", tmp_path / "b.atb"
         rng = np.random.default_rng(5)
-        pairs = {("v0", f): rng.uniform(size=(4, 4)) for f in range(3)}
+        pairs = {f: rng.uniform(size=(4, 4)) for f in range(3)}
         formats.write_matches(a, [("v0", pairs)])
         formats.write_matches(b, [("v0", dict(reversed(pairs.items())))])
         assert a.read_bytes() == b.read_bytes()
@@ -198,9 +211,7 @@ class TestMatchesRoundTrip:
         ([("v0", {}), ("v0", {})], "'v0' written after 'v0'"),
         # in array-name order "v0/" comes after "v0-a/"
         ([("v0", {}), ("v0-a", {})], "'v0-a' written after 'v0'"),
-        ([("v0", {("v1", 2): np.zeros((1, 4))})],
-         "frame 2 of 'v1' written with the matches of 'v0'"),
-    ], ids=["descending", "repeated", "name-order", "other-video"])
+    ], ids=["descending", "repeated", "name-order"])
     def test_videos_out_of_order_rejected_on_write(self, tmp_path, chunks,
                                                    needle):
         path = tmp_path / "m.atb"
@@ -222,7 +233,7 @@ class TestMatchesRoundTrip:
                                                word):
         path = tmp_path / "m.atb"
         with pytest.raises(InputError) as info:
-            formats.write_matches(path, [(key[0], {key: rows})])
+            formats.write_matches(path, [(key[0], {key[1]: rows})])
         assert word in str(info.value)
         assert not path.exists()
 
@@ -232,7 +243,7 @@ class TestMatchesRoundTrip:
         path = tmp_path / "m.atb"
         formats.write_arrays(path, [(name, np.zeros((1, 4)))])
         with pytest.raises(SchemaError) as info:
-            formats.read_matches(path)
+            read_videos(path, "matches")
         assert "name" in str(info.value)
 
     @pytest.mark.parametrize("rows", [np.zeros((2, 3)), np.zeros(4),
@@ -243,7 +254,7 @@ class TestMatchesRoundTrip:
         path = tmp_path / "m.atb"
         formats.write_arrays(path, [("v0/00000000", rows)])
         with pytest.raises(SchemaError) as info:
-            formats.read_matches(path)
+            read_videos(path, "matches")
         assert "(N, 4)" in str(info.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -252,18 +263,18 @@ class TestMatchesRoundTrip:
         formats.write_arrays(path,
                             [("v0/00000000", np.array([[0, 1, bad, 2]]))])
         with pytest.raises(SchemaError) as info:
-            formats.read_matches(path)
+            read_videos(path, "matches")
         assert "finite" in str(info.value)
 
     def test_truncated_and_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.atb"
-        formats.write_matches(path, [("v0", {("v0", 0): np.ones((3, 4))})])
+        formats.write_matches(path, [("v0", {0: np.ones((3, 4))})])
         blob = path.read_bytes()
         for broken, word in ((blob[:-1], "truncated"),
                              (blob + b"\x00", "trailing")):
             path.write_bytes(broken)
             with pytest.raises(SchemaError) as info:
-                formats.read_matches(path)
+                read_videos(path, "matches")
             assert word in str(info.value)
 
 
@@ -1128,7 +1139,7 @@ def _two_video_gt_rows():
 
 class TestVideoRecords:
     """The per-video reader gives each video's records, whatever the row
-    order, the chunk size of its first pass or the block size."""
+    order or the block size."""
 
     CLEAN = {"detections": _detection_rows, "proposals": _proposal_rows,
              "clipscores": _clip_rows, "tubes": _two_video_tube_rows,
@@ -1148,17 +1159,13 @@ class TestVideoRecords:
             fh.write("\n" + "\n\n".join("\t".join(row) for row in rows))
         expected = list(formats.VideoRecords(path, kind))
         assert [video_id for video_id, _ in expected] == ["v0", "v1"]
-        for chunk in (1, 2, 5, 64):
-            for block in (1, 2):
-                monkeypatch.setattr(formats, "_CHUNK_BYTES", chunk)
-                monkeypatch.setattr(formats, "_BLOCK_ROWS", block)
-                assert list(formats.VideoRecords(path, kind)) == expected
+        for block in (1, 2):
+            monkeypatch.setattr(formats, "_BLOCK_ROWS", block)
+            assert list(formats.VideoRecords(path, kind)) == expected
 
-    def test_a_sorted_file_holds_one_range_per_video(self, tmp_path,
-                                                     monkeypatch):
+    def test_a_sorted_file_holds_one_range_per_video(self, tmp_path):
         path = tmp_path / "t.tsv"
         formats.write_records(path, "tubes", sorted(_two_video_tube_rows()))
-        monkeypatch.setattr(formats, "_CHUNK_BYTES", 16)
         ranges = formats._video_ranges(path, "tubes")
         assert {video: len(runs) for video, runs in ranges.items()} == \
             {"v0": 1, "v1": 1}
@@ -1183,6 +1190,26 @@ class TestVideoRecords:
             formats.VideoRecords(path, "detections").read("v0")
         assert (info.value.line, info.value.field) == (5, "x0")
 
+    @pytest.mark.parametrize("row, message, field", [
+        ("v0", "expected 8 fields, found 1", None),
+        ("\t3\t0.0\t0.0\t5.0\t5.0\tstatic\t1.0",
+         "invalid identifier ''", "video_id"),
+    ], ids=["no-tab", "empty-id"])
+    def test_odd_row_inside_a_run_reported_at_its_line(self, tmp_path, row,
+                                                       message, field):
+        """A malformed row set between two rows of one video is reported
+        at its own line when the videos are read."""
+        rows = ["\t".join(fields) for fields in sorted(_detection_rows())]
+        assert [r[:3] for r in rows[:3]] == ["v0\t"] * 3
+        path = tmp_path / "d.tsv"
+        formats.write_records(path, "detections", [])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n".join([*rows[:2], row, *rows[2:]]) + "\n")
+        with pytest.raises(SchemaError) as info:
+            list(formats.VideoRecords(path, "detections"))
+        assert message in str(info.value)
+        assert (info.value.line, info.value.field) == (5, field)
+
 
 class TestVideoArrays:
     """The per-video container reader: one walk that checks the
@@ -1200,23 +1227,23 @@ class TestVideoArrays:
         arrays = formats.VideoArrays(path, "matches")
         assert arrays.video_ids == sorted(self.IDS)
         for video_id in self.IDS:
-            assert {key: rows.tolist() for key, rows
+            assert {frame: rows.tolist() for frame, rows
                     in arrays.read(video_id).items()} == \
-                {key: rows.tolist() for key, rows in pairs.items()
-                 if key[0] == video_id}
+                {frame: rows.tolist() for (vid, frame), rows in pairs.items()
+                 if vid == video_id}
 
     def test_flow_grids_of_each_video(self, tmp_path):
         path = tmp_path / "f.atb"
-        grids = sorted(((vid, FlowMagnitudeGrid(f, np.full((2, 3), i + f)))
-                        for i, vid in enumerate(self.IDS) for f in (0, 4)),
-                       key=lambda pair: f"{pair[0]}/{pair[1].frame_index:08d}")
-        formats.write_flow(path, grids)
+        grids = {vid: [FlowMagnitudeGrid(f, np.full((2, 3), i + f))
+                       for f in (0, 4)] for i, vid in enumerate(self.IDS)}
+        formats.write_flow(path, sorted(grids.items(),
+                                        key=lambda chunk: chunk[0] + "/"))
         arrays = formats.VideoArrays(path, "flow")
         for video_id in self.IDS:
-            got = [(vid, grid.frame_index, grid.values.tolist())
-                   for vid, grid in arrays.read(video_id)]
-            assert got == [(vid, grid.frame_index, grid.values.tolist())
-                           for vid, grid in grids if vid == video_id]
+            got = [(grid.frame_index, grid.values.tolist())
+                   for grid in arrays.read(video_id)]
+            assert got == [(grid.frame_index, grid.values.tolist())
+                           for grid in grids[video_id]]
 
     @pytest.mark.parametrize("kind, empty", [("matches", {}),
                                              ("flow", [])])
@@ -1425,7 +1452,10 @@ class TestArrayContainer:
                 "activation": np.frombuffer(b"tanh", dtype=np.uint8),
             }.items()))
         with pytest.raises(SchemaError, match="float32") as info:
-            getattr(formats, f"read_{kind}")(path)
+            if kind == "matches":
+                read_videos(path, kind)
+            else:
+                getattr(formats, f"read_{kind}")(path)
         assert info.value.path == str(path)
 
     def test_bad_magic(self, tmp_path):
@@ -1519,23 +1549,24 @@ class TestArrayContainer:
 
     def test_flow_round_trip(self, bundle, tmp_path):
         path = tmp_path / "f.atb"
-        data = flow_grids(bundle)
-        formats.write_flow(path, (pair for pair in data))
-        back = list(formats.read_flow(path))
-        assert {v for v, _ in back} == {v for v, _ in data}
-        for video_id in {v for v, _ in data}:
-            assert [g.frame_index for v, g in back if v == video_id] == \
-                [g.frame_index for v, g in data if v == video_id]
-        for (_, got), (_, grid) in zip(back, data):
-            assert got.values.dtype == np.float32
-            assert np.array_equal(got.values, grid.values)
+        data = flow_chunks(bundle)
+        formats.write_flow(path, ((video_id, iter(grids))
+                                  for video_id, grids in data))
+        back = read_videos(path, "flow")
+        assert list(back) == [video_id for video_id, _ in data]
+        for video_id, grids in data:
+            assert [g.frame_index for g in back[video_id]] == \
+                [g.frame_index for g in grids]
+            for got, grid in zip(back[video_id], grids):
+                assert got.values.dtype == np.float32
+                assert np.array_equal(got.values, grid.values)
 
     def test_flow_read_as_stored_float32_or_float64(self, tmp_path):
         path = tmp_path / "f.atb"
         grids = [np.full((2, 3), 0.1, dtype=np.float32), np.full((2, 3), 0.1)]
-        formats.write_flow(path, [("v0", FlowMagnitudeGrid(f, values))
-                                  for f, values in enumerate(grids)])
-        back = [grid.values for _, grid in formats.read_flow(path)]
+        formats.write_flow(path, [("v0", [FlowMagnitudeGrid(f, values)
+                                          for f, values in enumerate(grids)])])
+        back = [grid.values for grid in read_videos(path, "flow")["v0"]]
         assert [values.dtype for values in back] == \
             [np.float32, np.float64]
         assert all(np.array_equal(a, b) for a, b in zip(back, grids))
@@ -1546,25 +1577,25 @@ class TestArrayContainer:
         formats.write_arrays(path, [("v0/00000000",
                                      np.ones((2, 2), dtype=dtype))])
         with pytest.raises(SchemaError, match="float32 or float64"):
-            list(formats.read_flow(path))
+            read_videos(path, "flow")
 
     @pytest.mark.parametrize("name", ["v0/\u00b2", "v0/1", "v 0/00000001"])
     def test_flow_bad_name_rejected(self, tmp_path, name):
         path = tmp_path / "f.atb"
         formats.write_arrays(path, [(name, np.ones((2, 2)))])
         with pytest.raises(SchemaError) as info:
-            list(formats.read_flow(path))
+            read_videos(path, "flow")
         assert "name" in str(info.value)
 
-    def test_flow_truncated_mid_grid_fails_when_reached(self, bundle,
-                                                          tmp_path):
+    def test_flow_truncated_mid_grid_fails_when_built(self, bundle,
+                                                        tmp_path):
+        """A grid cut short is reported before any video is read."""
         path = tmp_path / "f.atb"
-        formats.write_flow(path, flow_grids(bundle)[:3])
+        video_id, grids = flow_chunks(bundle)[0]
+        formats.write_flow(path, [(video_id, grids[:3])])
         path.write_bytes(path.read_bytes()[:-100])
-        grids = formats.read_flow(path)
-        assert [next(grids)[1].frame_index for _ in range(2)] == [0, 1]
         with pytest.raises(SchemaError) as info:
-            next(grids)
+            formats.VideoArrays(path, "flow")
         assert "truncated" in str(info.value)
 
     def test_flow_checks_every_grid(self, tmp_path):
@@ -1572,7 +1603,7 @@ class TestArrayContainer:
         formats.write_arrays(path, [("v0/00000000", np.ones((2, 2))),
                                     ("v0/00000001", -np.ones((2, 2)))])
         with pytest.raises(SchemaError) as info:
-            list(formats.read_flow(path))
+            read_videos(path, "flow")
         assert ">= 0" in str(info.value)
 
     @pytest.mark.parametrize("names", [("b", "a"), ("a", "a")])
@@ -1633,3 +1664,32 @@ class TestAtomicWrites:
                                         ("b", np.array(["text"]))])
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["a.atb"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeExample:
+    def test_evaluating_your_own_tracker_block_runs(self, tmp_path):
+        """The README's writer example, run as printed with ``DIR`` a
+        temp directory, writes files the stages read back."""
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Evaluating your own tracker", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S)[1]
+        box = BoundingBox(0.0, 0.0, 8.0, 8.0)
+
+        def tubes_of(video_id):
+            return [Tube(video_id, "t0", 3, (box, box), ((0.4, 0.6),) * 2,
+                         (Source.TRACKED,) * 2, label=1, score=0.6)]
+
+        rows = np.array([[4.0, 1.0, 5.0, 1.5], [1.0, 2.0, 1.5, 2.0]])
+        scope = {"rows": rows, "tubes_of_v000": tubes_of("v000"),
+                 "tubes_of_v001": tubes_of("v001")}
+        exec(block.replace("DIR", str(tmp_path)), scope)
+        matches = formats.VideoArrays(tmp_path / "matches.atb", "matches")
+        assert matches.video_ids == ["v000"]
+        assert {frame: pair.tolist() for frame, pair
+                in matches.read("v000").items()} == {7: sorted(rows.tolist())}
+        tubes = formats.VideoRecords(tmp_path / "tubes_final.tsv", "tubes")
+        assert list(tubes) == [("v000", tubes_of("v000")),
+                               ("v001", tubes_of("v001"))]

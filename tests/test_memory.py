@@ -16,9 +16,11 @@ whole-file readers do, peaks ``score`` ~12 MiB and ``prune`` ~14 MiB
 above the 1-video run (``fuse`` ~8, ``track`` ~9, ``localize`` ~4),
 and a ``synth`` that generates the whole scenario before writing it
 ~14 MiB.  ``synth`` still holds every video's ground truth, and with
-``synth.with_footprint`` every true tube's feature grid until the
-footprint statistics are made (~1.5 MiB at 12 crowded videos), so it
-is checked with the footprint statistics too.
+``synth.with_footprint`` makes each true tube's feature grid when the
+footprint statistics need it, one at a time; holding every grid until
+the statistics are made peaks it ~1.3 MiB higher at 12 crowded videos,
+so it is checked with the footprint statistics too, against a tighter
+margin.
 
 A child's ``ru_maxrss`` starts at the RSS of the process that forked
 it, so the stages are not started from the test runner, whose RSS
@@ -55,9 +57,12 @@ CROWD_VIDEOS = 12
 # What still grows with the videos is where each video's lines are (in
 # synth, its ground truth and feature grids) and the allocator's free
 # lists: 12 videos peaked 0.6 (fuse) to 2.5 (prune) MiB above one video,
-# each within 0.2 MiB over 3 runs of each count, and synth 1.3 MiB (3.5
-# to 3.7 with the footprint statistics, over 3 runs).
+# each within 0.2 MiB over 3 runs of each count, and synth 1.3 MiB.
 CROWD_MARGIN_MIB = 5
+# With the footprint statistics, synth grew 0.8 to 1.5 MiB from 1 to 12
+# videos over 3 runs, and 2.5 to 2.6 while it held every tube's feature
+# grid at once.
+FOOTPRINT_MARGIN_MIB = 2.2
 
 
 def stage_peaks(out: str, videos: int, scenario: str = "flow") -> dict:
@@ -111,7 +116,7 @@ def test_crowd_synth_with_footprint_peak_independent_of_video_count(
         tmp_path, child_env):
     grown = _crowd_growth(tmp_path, child_env, "footprint")
     assert (tmp_path / "many" / "alphas.atb").exists()
-    assert grown["synth"] < CROWD_MARGIN_MIB, grown
+    assert grown["synth"] < FOOTPRINT_MARGIN_MIB, grown
 
 
 if __name__ == "__main__":

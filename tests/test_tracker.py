@@ -107,7 +107,7 @@ class TestQueryMatches:
     def test_precomputed_reverses_direction(self):
         src = np.array([[5.0, 5.0]])
         dst = np.array([[8.0, 5.0]])
-        matcher = PrecomputedMatcher({("v", 0): rows(src, dst)})
+        matcher = PrecomputedMatcher({0: rows(src, dst)})
         back = matcher.match("v", 1, 0, BoundingBox(6, 3, 10, 7))
         assert back.tolist() == [[8.0, 5.0, 5.0, 5.0]]
         assert len(matcher.match("v", 4, 5, BoundingBox(0, 0, 9, 9))) == 0
