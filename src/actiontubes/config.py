@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-# The motion models of synth.actor_motion; scenario.ActorSpec checks the
-# same.
+# The motion models of synth.actor_motion; scenario.ScenarioConfig checks
+# the same.
 MOTIONS = ("linear", "sinusoidal", "random_walk")
 
 

@@ -11,45 +11,13 @@ full outcome list.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InputError
 from .geometry import hulls_meet, iou, st_iou
-from .model import (BoundingBox, GroundTruthTube, Tube, pairwise_sum,
-                    require_scored)
-
-@dataclass(frozen=True)
-class BoxPrediction:
-    """A single-frame prediction carrying one class label and a score."""
-
-    video_id: str
-    frame_index: int
-    box: BoundingBox
-    label: int
-    score: float
-
-    def __post_init__(self):
-        if self.label < 0:
-            raise InputError(f"label must be non-negative, got {self.label}")
-        if not math.isfinite(self.score):
-            raise InputError("prediction score must be finite")
-
-
-def box_predictions_from_tubes(tubes: Sequence[Tube]) -> list[BoxPrediction]:
-    """Explode scored tubes into per-frame predictions for frame metrics.
-
-    Every frame of a tube inherits the tube's label and score.
-    """
-    out = []
-    for tube in tubes:
-        require_scored(tube)
-        for frame, box in tube.iter_frames():
-            out.append(BoxPrediction(tube.video_id, frame, box, tube.label,
-                                     tube.score))
-    return out
+from .model import GroundTruthTube, Tube, pairwise_sum, require_scored
 
 
 @dataclass(frozen=True)
@@ -112,17 +80,18 @@ def _tube_overlap(tube: Tube, gt: GroundTruthTube) -> float:
     return st_iou(tube, gt) if hulls_meet(tube, gt) else 0.0
 
 
-def _overlap_table(predictions, ground_truth: Sequence[GroundTruthTube],
+def _overlap_table(tubes: Sequence[Tube],
+                   ground_truth: Sequence[GroundTruthTube],
                    mode: str) -> _OverlapTable:
     if mode == "video":
         preds = [((t.video_id, t.label), t.label, require_scored(t), t)
-                 for t in predictions]
+                 for t in tubes]
         gts = [((gt.video_id, gt.label), gt.label, gt)
                for gt in ground_truth]
         overlap = _tube_overlap
     elif mode == "frame":
-        preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
-                 for p in predictions]
+        preds = [((t.video_id, frame), t.label, require_scored(t), box)
+                 for t in tubes for frame, box in t.iter_frames()]
         gts = [((gt.video_id, frame), gt.label, box)
                for gt in ground_truth for frame, box in gt.iter_frames()]
         overlap = iou
@@ -158,19 +127,20 @@ def _greedy_match(table: _OverlapTable, sigma: float) -> MatchResult:
     return MatchResult(tuple(outcomes), table.gt_labels, tuple(claimed))
 
 
-def match_and_label(predictions, ground_truth: Sequence[GroundTruthTube],
+def match_and_label(tubes: Sequence[Tube],
+                    ground_truth: Sequence[GroundTruthTube],
                     sigma: float, mode: str = "video") -> MatchResult:
     """Label each prediction TP or FP against the ground truth.
 
-    Predictions are visited by descending score; each claims the
-    unclaimed same-class item with the highest overlap, provided that
-    overlap is strictly greater than sigma.  Overlap ties go to the
-    earliest ground-truth item.  In video mode predictions are tubes; in
-    frame mode they are BoxPrediction records.
+    The predictions are scored tubes in video mode, and each frame of a
+    scored tube, with the tube's label and score, in frame mode.  They
+    are visited by descending score, ties in tube then frame order; each
+    claims the unclaimed same-class item with the highest overlap,
+    provided that overlap is strictly greater than sigma.  Overlap ties
+    go to the earliest ground-truth item.
     """
     _check_sigma(sigma)
-    return _greedy_match(_overlap_table(predictions, ground_truth, mode),
-                         sigma)
+    return _greedy_match(_overlap_table(tubes, ground_truth, mode), sigma)
 
 
 def average_precision(tp_flags: Sequence[bool], num_gt: int) -> float:
@@ -379,9 +349,8 @@ def evaluate(tubes: Sequence[Tube], ground_truth: Sequence[GroundTruthTube],
     Each overlap is computed once per mode; matching at every sigma,
     recall-track and the false-detection split all read those tables.
     """
-    boxes = box_predictions_from_tubes(tubes)
     video = _overlap_table(tubes, ground_truth, "video")
-    frame = _overlap_table(boxes, ground_truth, "frame")
+    frame = _overlap_table(tubes, ground_truth, "frame")
     sigmas = tuple(float(s) for s in config.iou_thresholds)
     video_ap, video_map, frame_ap, frame_map, auc = {}, {}, {}, {}, {}
     for s in sigmas:

@@ -168,56 +168,30 @@ def fisher_vector(descriptors, gmm: DiagonalGaussianMixture) -> np.ndarray:
     return fv
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureGridSequence:
-    """Per-clip spatial descriptor grids for one tube, (T, s, s, d)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 4 or arr.shape[0] == 0:
-            raise InputError(
-                f"feature grid must be (T, s, s, d), got {arr.shape}")
-        if arr.shape[1] != arr.shape[2]:
-            raise InputError(
-                f"feature grid must be square, got {arr.shape[1]}x"
-                f"{arr.shape[2]}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("feature grid values must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def clips(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def grid_side(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[3]
-
-
-def aggregate_cells(features: FeatureGridSequence, layout: CellLayout,
+def aggregate_cells(grid, layout: CellLayout,
                     gmm: DiagonalGaussianMixture) -> np.ndarray:
     """One Fisher vector per cell over all clips, shape (cells, 2 K d).
 
-    Cell (r, c) pools the descriptors of its cell_size x cell_size
-    block of grid positions across every clip of the sequence.
+    ``grid`` holds a tube's per-clip descriptor grids, (T, s, s, d) with
+    s the layout's grid side.  Cell (r, c) pools the descriptors of its
+    cell_size x cell_size block of grid positions across every clip.
     """
-    if features.grid_side != layout.grid_side:
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 4 or grid.shape[0] == 0:
         raise InputError(
-            f"feature grid side {features.grid_side} does not match layout "
-            f"side {layout.grid_side}")
+            f"feature grid must be (T, s, s, d), got {grid.shape}")
+    if grid.shape[1:3] != (layout.grid_side,) * 2:
+        raise InputError(
+            f"feature grid is {grid.shape[1]}x{grid.shape[2]}, the layout "
+            f"needs {layout.grid_side}x{layout.grid_side}")
+    if not np.all(np.isfinite(grid)):
+        raise InputError("feature grid values must be finite")
     cs, side = layout.cell_size, layout.map_side
     out = np.empty((layout.num_cells, 2 * gmm.components * gmm.dim))
     for r in range(side):
         for c in range(side):
-            block = features.values[:, r * cs:(r + 1) * cs,
-                                    c * cs:(c + 1) * cs, :]
-            descriptors = block.reshape(-1, features.dim)
+            block = grid[:, r * cs:(r + 1) * cs, c * cs:(c + 1) * cs, :]
+            descriptors = block.reshape(-1, grid.shape[3])
             out[r * side + c] = fisher_vector(descriptors, gmm)
     return out
 

@@ -431,6 +431,14 @@ def _next_video(path, previous: str | None, video_id: str) -> str:
     return video_id
 
 
+def _check_first_frame(what: str, video_id: str, frame: int) -> None:
+    """Rejects records that start before frame 0, which every reader
+    rejects; ``what`` names them, as in "matches"."""
+    if frame < 0:
+        raise InputError(f"{what} in {video_id!r} start at negative "
+                         f"frame {frame}")
+
+
 def _write_videos(path, kind: str, chunks: Iterable[tuple[str, object]]
                   ) -> None:
     text = _KINDS[kind].text
@@ -540,6 +548,8 @@ def write_detections(
 def _detection_text(path, video_id: str, dets: Iterable[Detection]) -> str:
     rows = sorted((det.frame_index, det.score, det.box.as_tuple(),
                    det.source.value, det.class_scores) for det in dets)
+    if rows:
+        _check_first_frame("detections", video_id, rows[0][0])
     return "".join([
         f"{video_id}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
         f"\t{float(x1)!r}\t{float(y1)!r}\t{source}"
@@ -605,6 +615,8 @@ def _proposal_text(path, video_id: str,
                     f"{video_id!r} filed under frame {frame}")
             rows.append((frame, prop.objectness, prop.box.as_tuple()))
     rows.sort()
+    if rows:
+        _check_first_frame("proposals", video_id, rows[0][0])
     return "".join([
         f"{video_id}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
         f"\t{float(x1)!r}\t{float(y1)!r}\t{float(obj)!r}\n"
@@ -704,8 +716,8 @@ def _tube_rows(path, rows: _Rows, frame_column: int) -> Iterator[tuple]:
 
 
 def _video_tubes(path, video_id: str, tubes: Iterable) -> list:
-    """One video's tubes by tube id, each of that video and its id
-    checked, none repeated."""
+    """One video's tubes by tube id, each of that video, its id checked
+    and starting at frame 0 or later, none repeated."""
     out = sorted(tubes, key=lambda t: t.tube_id)
     previous = None
     for tube in out:
@@ -713,6 +725,8 @@ def _video_tubes(path, video_id: str, tubes: Iterable) -> list:
             raise InputError(f"tube {tube.tube_id!r} of {tube.video_id!r} "
                              f"written with the tubes of {video_id!r}")
         _check_id(tube.tube_id, str(path), None, "tube_id")
+        _check_first_frame(f"frames of tube {tube.tube_id!r}", video_id,
+                           tube.start)
         if tube.tube_id == previous:
             raise InputError(f"duplicate tube id {tube.tube_id!r} in "
                              f"{video_id!r}")
@@ -878,6 +892,8 @@ def _clip_text(path, video_id: str,
                              f"{tube_video!r} written with the clip scores "
                              f"of {video_id!r}")
         _check_id(tube_id, str(path), None, "tube_id")
+        _check_first_frame(f"clip scores of tube {tube_id!r}", video_id,
+                           clips.intervals[0].start)
         head = f"{video_id}\t{tube_id}\t{clips.clip_length}\t"
         rows += [f"{head}{interval.start}\t{interval.end}"
                  f"\t{','.join(map(repr, scores))}\n"
@@ -1308,9 +1324,7 @@ def write_matches(
                 if not np.all(np.isfinite(rows)):
                     raise InputError(f"matches at frame {frame} of "
                                      f"{video_id!r} are not all finite")
-                if frame < 0:
-                    raise InputError(f"matches in {video_id!r} start at "
-                                     f"negative frame {frame}")
+                _check_first_frame("matches", video_id, frame)
                 named[f"{video_id}/{frame:08d}"] = \
                     rows[np.lexsort(rows.T[::-1])]
             yield from sorted(named.items())

@@ -42,9 +42,9 @@ def saliency_prune(proposals: Sequence[Proposal], flow: FlowMagnitudeGrid,
     A proposal with no pixel center inside its box is dropped along with
     everything below ``min_mean_magnitude``.
     """
-    if min_mean_magnitude < 0:
-        raise InputError(
-            f"min_mean_magnitude must be >= 0, got {min_mean_magnitude}")
+    if not (min_mean_magnitude >= 0 and math.isfinite(min_mean_magnitude)):
+        raise InputError(f"min_mean_magnitude must be finite and >= 0, "
+                         f"got {min_mean_magnitude}")
     kept = []
     for prop in proposals:
         if prop.frame_index != flow.frame_index:

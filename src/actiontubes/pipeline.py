@@ -76,14 +76,7 @@ def cell_layout(config: PipelineConfig) -> CellLayout:
 
 
 def scenario_config(config: PipelineConfig) -> ScenarioConfig:
-    from .scenario import ActorSpec, ScenarioConfig
-    actor = ActorSpec(label=0, size=config["synth.actor_size"],
-                      motion=config["synth.actor_motion"],
-                      speed=config["synth.actor_speed"])
-    actors = tuple(
-        ActorSpec(label=c, size=actor.size, motion=actor.motion,
-                  speed=actor.speed)
-        for c in range(config["synth.num_classes"]))
+    from .scenario import ScenarioConfig
     return ScenarioConfig(
         seed=config["synth.seed"],
         video_count=config["synth.video_count"],
@@ -91,7 +84,9 @@ def scenario_config(config: PipelineConfig) -> ScenarioConfig:
         frame_size=(config["synth.frame_width"],
                     config["synth.frame_height"]),
         num_classes=config["synth.num_classes"],
-        actors=actors,
+        actor_size=config["synth.actor_size"],
+        actor_motion=config["synth.actor_motion"],
+        actor_speed=config["synth.actor_speed"],
         actors_per_video=config["synth.actors_per_video"],
         span_fraction=config["synth.span_fraction"],
         jitter_sigma=config["synth.jitter_sigma"],

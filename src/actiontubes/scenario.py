@@ -93,33 +93,22 @@ class CellLayout:
 
 
 @dataclass(frozen=True)
-class ActorSpec:
-    """One moving square: class, side length, motion model and speed."""
-
-    label: int
-    size: float = 40.0
-    motion: str = "linear"
-    speed: float = 4.0
-
-    def __post_init__(self):
-        if self.label < 0:
-            raise ConfigError(f"actor label must be >= 0, got {self.label}")
-        if not self.size > 0 or not math.isfinite(self.size):
-            raise ConfigError(f"actor size must be positive, got {self.size}")
-        if self.motion not in MOTIONS:
-            raise ConfigError(f"unknown motion model: {self.motion!r}")
-        if self.speed < 0 or not math.isfinite(self.speed):
-            raise ConfigError(f"speed must be >= 0, got {self.speed}")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's size, actors, noise and simulated models.
+
+    Every actor is a square of side ``actor_size`` moving by
+    ``actor_motion`` at ``actor_speed`` px per frame; actor ``a`` of
+    video ``i`` has class ``(i * actors_per_video + a) % num_classes``.
+    """
+
     seed: int = 0
     video_count: int = 8
     frames_per_video: int = 40
     frame_size: tuple[int, int] = (320, 240)
     num_classes: int = 3
-    actors: tuple[ActorSpec, ...] = ()
+    actor_size: float = 40.0
+    actor_motion: str = "linear"
+    actor_speed: float = 4.0
     actors_per_video: int = 1
     span_fraction: float = 1.0
     jitter_sigma: float = 0.0
@@ -164,7 +153,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        for name in ("jitter_sigma", "match_noise", "feature_noise"):
+        if self.actor_motion not in MOTIONS:
+            raise ConfigError(f"unknown motion model: {self.actor_motion!r}")
+        for name in ("actor_speed", "jitter_sigma", "match_noise",
+                     "feature_noise"):
             value = getattr(self, name)
             if value < 0 or not math.isfinite(value):
                 raise ConfigError(f"{name} must be >= 0, got {value}")
@@ -184,21 +176,15 @@ class ScenarioConfig:
             raise ConfigError("descriptor_cap too small for the mixture")
         if self.grid_step < 4:
             raise ConfigError("grid_step must be >= 4")
-        for spec in self.resolved_actors():
-            if spec.label >= self.num_classes:
+        size = self.actor_size
+        if not size > 0 or not math.isfinite(size):
+            raise ConfigError(f"actor size must be positive, got {size}")
+        for label in range(self.num_classes):
+            rx0, ry0, rx1, ry1 = home_region(self, label)
+            if rx1 - rx0 < size + 2 or ry1 - ry0 < size + 2:
                 raise ConfigError(
-                    f"actor label {spec.label} outside {self.num_classes} "
-                    f"classes")
-            rx0, ry0, rx1, ry1 = home_region(self, spec.label)
-            if rx1 - rx0 < spec.size + 2 or ry1 - ry0 < spec.size + 2:
-                raise ConfigError(
-                    f"actor of size {spec.size} does not fit the home "
-                    f"region of class {spec.label}")
-
-    def resolved_actors(self) -> tuple[ActorSpec, ...]:
-        if self.actors:
-            return self.actors
-        return tuple(ActorSpec(label=c) for c in range(self.num_classes))
+                    f"actor of size {size} does not fit the home region "
+                    f"of class {label}")
 
 
 def home_region(config: ScenarioConfig,

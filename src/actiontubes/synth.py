@@ -21,13 +21,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, ProcessingError
-from .footprint import (FeatureGridSequence, aggregate_cells, fit_gmm,
-                        nearest_centroid_alphas)
+from .footprint import aggregate_cells, fit_gmm, nearest_centroid_alphas
 from .geometry import iou
-from .model import (BoundingBox, Detection, FlowMagnitudeGrid, FrameInterval,
+from .model import (BoundingBox, Detection, FlowMagnitudeGrid,
                     GroundTruthTube, Proposal, Source, Tube)
 from .scenario import (_ACTOR, _DRIFT, _EARLY, _FLOW_DET, _FLOW_GRID, _GMM,
-                       _MATCH, _PROPOSAL, _STATIC, ActorSpec, ScenarioConfig,
+                       _MATCH, _PROPOSAL, _STATIC, ScenarioConfig,
                        SyntheticFeaturizer, SyntheticRegionScorer, _of_video,
                        _rng, home_region, video_index)
 from .scoring import RecurrentScorerWeights, slice_clips
@@ -51,32 +50,35 @@ def _fold(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + np.where(t <= span, t, 2.0 * span - t)
 
 
-def _motion_path(spec: ActorSpec, home: tuple[float, float, float, float],
+def _motion_path(config: ScenarioConfig,
+                 home: tuple[float, float, float, float],
                  frames: int, rng: np.random.Generator) -> np.ndarray:
-    """Center positions, one row per frame, kept inside the home region."""
-    half = spec.size / 2.0
+    """An actor's center positions, one row per frame, kept inside the
+    home region."""
+    speed = config.actor_speed
+    half = config.actor_size / 2.0
     lo = np.array([home[0] + half, home[1] + half])
     hi = np.array([home[2] - half, home[3] - half])
     t = np.arange(frames, dtype=np.float64)
-    if spec.motion == "linear":
+    if config.actor_motion == "linear":
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        vel = spec.speed * np.array([math.cos(theta), math.sin(theta)])
+        vel = speed * np.array([math.cos(theta), math.sin(theta)])
         start = rng.uniform(lo, hi)
         raw = start[None, :] + t[:, None] * vel[None, :]
         return np.column_stack([_fold(raw[:, 0], lo[0], hi[0]),
                                 _fold(raw[:, 1], lo[1], hi[1])])
-    if spec.motion == "sinusoidal":
+    if config.actor_motion == "sinusoidal":
         center = (lo + hi) / 2.0
         amp = (hi - lo) / 2.0 * rng.uniform(0.6, 1.0, 2)
         phase = rng.uniform(0.0, 2.0 * math.pi, 2)
-        omega = np.where(amp > 0, spec.speed / math.sqrt(2.0)
+        omega = np.where(amp > 0, speed / math.sqrt(2.0)
                          / np.maximum(amp, 1e-9), 0.0)
         return center[None, :] + amp[None, :] * np.sin(
             omega[None, :] * t[:, None] + phase[None, :])
     pos = rng.uniform(lo, hi)
     path = [pos]
     for _ in range(frames - 1):
-        pos = np.clip(pos + rng.normal(0.0, max(spec.speed, 1e-9), 2),
+        pos = np.clip(pos + rng.normal(0.0, max(speed, 1e-9), 2),
                       lo, hi)
         path.append(pos)
     return np.asarray(path)
@@ -86,14 +88,6 @@ def _box_at_center(center: np.ndarray, size: float) -> BoundingBox:
     half = size / 2.0
     return BoundingBox(float(center[0] - half), float(center[1] - half),
                        float(center[0] + half), float(center[1] + half))
-
-
-def _video_actors(config: ScenarioConfig,
-                  video_index: int) -> list[ActorSpec]:
-    pool = config.resolved_actors()
-    base = video_index * config.actors_per_video
-    return [pool[(base + a) % len(pool)]
-            for a in range(config.actors_per_video)]
 
 
 def video_id(index: int) -> str:
@@ -113,16 +107,6 @@ def video_order(video_count: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class VideoBundle:
-    video_id: str
-    extent: FrameInterval
-    frame_size: tuple[int, int]
-    gt_tubes: tuple[GroundTruthTube, ...]
-    detections: Mapping[str, tuple[Detection, ...]]
-    proposals: Mapping[int, tuple[Proposal, ...]]
-
-
-@dataclass(frozen=True)
 class ScenarioBundle:
     """A scenario: what spans its videos, and each video when asked.
 
@@ -133,7 +117,6 @@ class ScenarioBundle:
     its own (seed, stream, video) generator, so they are the same
     whenever and in whatever order they are asked for, and a caller that
     writes each before asking for the next holds one video's at a time.
-    ``videos[i]`` makes video ``i`` afresh each time it is taken.
     """
 
     config: ScenarioConfig
@@ -141,18 +124,6 @@ class ScenarioBundle:
     weights: RecurrentScorerWeights
     alphas: np.ndarray | None = None
     drift_tubes: Mapping[str, tuple[Tube, ...]] = field(default_factory=dict)
-
-    @property
-    def videos(self) -> Sequence[VideoBundle]:
-        return _Videos(self)
-
-    def video(self, index: int) -> VideoBundle:
-        config = self.config
-        return VideoBundle(
-            video_id(index), FrameInterval(0, config.frames_per_video),
-            config.frame_size, self.gt_tubes[index],
-            {stream: self.detections(stream, index) for stream in STREAMS},
-            self.proposals(index))
 
     def detections(self, stream: str, index: int) -> tuple[Detection, ...]:
         """Video ``index``'s detections of ``stream`` (one of
@@ -182,21 +153,6 @@ class ScenarioBundle:
     def featurizer(self) -> "SyntheticFeaturizer":
         return SyntheticFeaturizer(self.config, {
             video_id(i): gt for i, gt in enumerate(self.gt_tubes)})
-
-
-class _Videos(Sequence):
-    """A bundle's videos, each made when it is taken."""
-
-    def __init__(self, bundle: ScenarioBundle):
-        self._bundle = bundle
-
-    def __len__(self) -> int:
-        return len(self._bundle.gt_tubes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return self._bundle.video(range(len(self))[index])
 
 
 def _one_hot(num_classes: int, label: int, value: float) -> tuple[float, ...]:
@@ -345,12 +301,13 @@ def _video_truth(config: ScenarioConfig,
     length = max(1, round(config.span_fraction * frames))
     start = (frames - length) // 2
     gt_tubes = []
-    for a, spec in enumerate(_video_actors(config, index)):
-        centers = _motion_path(spec, home_region(config, spec.label),
-                               length, rng)
-        boxes = tuple(_box_at_center(c, spec.size) for c in centers)
-        gt_tubes.append(GroundTruthTube(video_id(index), f"a{a}",
-                                        spec.label, start, boxes))
+    for a in range(config.actors_per_video):
+        label = (index * config.actors_per_video + a) % config.num_classes
+        centers = _motion_path(config, home_region(config, label), length,
+                               rng)
+        boxes = tuple(_box_at_center(c, config.actor_size) for c in centers)
+        gt_tubes.append(GroundTruthTube(video_id(index), f"a{a}", label,
+                                        start, boxes))
     return tuple(gt_tubes)
 
 
@@ -463,7 +420,7 @@ def _footprint_stats(config: ScenarioConfig,
         grid.reshape(-1, config.feature_dim)[idx[a:b] - lo]
         for (_, grid), lo, a, b in zip(grids(), bounds, cuts, cuts[1:])])
     gmm = fit_gmm(pool, config.gmm_components, seed=config.seed)
-    items = [(label, aggregate_cells(FeatureGridSequence(grid), layout, gmm))
+    items = [(label, aggregate_cells(grid, layout, gmm))
              for label, grid in grids()]
     # alternate within each class so both splits cover all classes
     train, test = [], []
@@ -499,17 +456,14 @@ def generate(config: ScenarioConfig) -> ScenarioBundle:
 def _free_box(gt_tubes: Sequence[GroundTruthTube],
               frame_size: tuple[int, int], side: float,
               rng: np.random.Generator,
-              keep_out: Sequence[tuple[float, float, float, float]] = (),
+              keep_out: Sequence[tuple[float, float, float, float]]
               ) -> BoundingBox | None:
-    """A box overlapping none of ``gt_tubes``' boxes on any frame, or None.
-
-    ``keep_out`` rectangles are avoided as well.
-    """
+    """A box overlapping none of ``gt_tubes``' boxes on any frame nor
+    any ``keep_out`` rectangle, or None."""
     w, h = frame_size
     stacks = [np.array([b.as_tuple() for b in gt.boxes])
               for gt in gt_tubes]
-    if keep_out:
-        stacks.append(np.array(keep_out, dtype=np.float64))
+    stacks.append(np.array(keep_out, dtype=np.float64))
     for _ in range(500):
         x0 = rng.uniform(0.0, w - side)
         y0 = rng.uniform(0.0, h - side)
@@ -551,7 +505,7 @@ def inject_drift(bundle: ScenarioBundle, rate: float) -> ScenarioBundle:
         vid, gt_tubes = video_id(index), bundle.gt_tubes[index]
         label = gt_tubes[k % len(gt_tubes)].label
         box = _free_box(gt_tubes, config.frame_size, side, rng,
-                        keep_out=(home_region(config, label),))
+                        (home_region(config, label),))
         if box is None:
             raise ProcessingError(
                 f"no actor-free space left in {vid} for a drifted tube")
@@ -560,7 +514,5 @@ def inject_drift(bundle: ScenarioBundle, rate: float) -> ScenarioBundle:
         drift.setdefault(vid, []).append(Tube(
             vid, f"drift{k:03d}", 0, (box,) * n, (scores,) * n,
             (Source.TRACKED,) * n, label=label))
-    merged = {vid: tuple(tubes) for vid, tubes in drift.items()}
-    for vid, tubes in bundle.drift_tubes.items():
-        merged[vid] = merged.get(vid, ()) + tubes
-    return replace(bundle, drift_tubes=merged)
+    return replace(bundle, drift_tubes={
+        vid: tuple(tubes) for vid, tubes in drift.items()})

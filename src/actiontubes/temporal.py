@@ -28,8 +28,11 @@ def localize(tube: Tube, clips: ClipScoreSequence,
     """Restrict a tube to its high scoring clip span, or remove it.
 
     ``clips`` are the tube's clip scores, spanning its frames.  Returns
-    the localized tube, or None when every clip scores below ``tau``.
+    the localized tube, or None when every clip scores below ``tau``,
+    which lies in [0, 1].
     """
+    if not 0.0 <= tau <= 1.0:
+        raise InputError(f"tau must be in [0, 1], got {tau}")
     if tube.label is None:
         raise InputError("tube must be labeled before temporal localization")
     if clips.span() != tube.interval():

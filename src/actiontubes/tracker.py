@@ -15,6 +15,7 @@ points moved to.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
@@ -421,6 +422,9 @@ def build_tubes_neighborhood(
     larger than the radius between consecutive frames.  Proposal
     centers are computed once per frame.
     """
+    if not (search_radius > 0 and math.isfinite(search_radius)):
+        raise InputError(
+            f"search_radius must be finite and > 0, got {search_radius}")
     centers: dict[int, list[tuple[float, float]]] = {}
     radius_sq = search_radius ** 2
     scorer = _ScoreMemo(scorer)

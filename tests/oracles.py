@@ -217,9 +217,9 @@ def recall_track_reference(tubes, truth, sigma, overlap) -> float:
     return covered / len(truth)
 
 
-def false_split_reference(boxes, truth, sigma, floor, overlap):
-    """(false_cls, false_bbox, false_neg, true positives) of per-frame
-    predictions with video_id, frame_index, box, label and score.
+def false_split_reference(tubes, truth, sigma, floor, overlap):
+    """(false_cls, false_bbox, false_neg, true positives) of scored
+    tubes, each frame of a tube one prediction with its label and score.
 
     A false positive whose best overlap with a box on its frame, of any
     class and the earliest on equal overlaps, reaches sigma under
@@ -229,8 +229,8 @@ def false_split_reference(boxes, truth, sigma, floor, overlap):
     """
     items = [((gt.video_id, frame), gt.label, box)
              for gt in truth for frame, box in gt.iter_frames()]
-    preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
-             for p in boxes]
+    preds = [((t.video_id, t.start + k), t.label, t.score, box)
+             for t in tubes for k, box in enumerate(t.boxes)]
     pairs, claimed = greedy_match_reference(preds, items, sigma, overlap)
     false_cls = false_bbox = 0
     for i, j in pairs:
@@ -333,3 +333,63 @@ def flow_grids_float64(config, video_index, gt_tubes):
             grid[y0:y1, x0:x1] = disp + rng.uniform(0.0, 0.2,
                                                     (y1 - y0, x1 - x0))
         yield frame, grid
+
+
+def localize_reference(tube, clips, tau):
+    """The ``(start, end)`` frames trimming keeps of a labeled tube, or
+    None when it removes the tube.
+
+    Clips are dropped one at a time from the front while the first
+    one's score for the tube's label is below tau, then from the back
+    while the last one's is; what the remaining clips cover is kept.
+    """
+    spans = [(interval.start, interval.end, scores[tube.label])
+             for interval, scores in zip(clips.intervals, clips.scores)]
+    while spans and spans[0][2] < tau:
+        spans.pop(0)
+    while spans and spans[-1][2] < tau:
+        spans.pop()
+    if not spans:
+        return None
+    return spans[0][0], spans[-1][1]
+
+
+def cells_overlapping_reference(map_side, box, frame_size):
+    """Row-major indices of the cells of a ``map_side`` square map over
+    the frame that share positive area with ``box``, in exact
+    arithmetic: the overlap of the two x ranges and of the two y ranges
+    must both be longer than zero."""
+    width, height = (Fraction(v) for v in frame_size)
+    x0, y0, x1, y1 = (Fraction(v) for v in
+                      (box.x_min, box.y_min, box.x_max, box.y_max))
+    cells = []
+    for r in range(map_side):
+        for c in range(map_side):
+            cx0, cx1 = width * c / map_side, width * (c + 1) / map_side
+            cy0, cy1 = height * r / map_side, height * (r + 1) / map_side
+            if min(x1, cx1) - max(x0, cx0) > 0 \
+                    and min(y1, cy1) - max(y0, cy0) > 0:
+                cells.append(r * map_side + c)
+    return cells
+
+
+def prune_drifted_reference(tubes, weights, map_side, frame_size):
+    """The tubes footprint pruning keeps, in input order.
+
+    A tube's mean box averages each coordinate over its frames, exactly.
+    The tube is kept when the mean of its label's weights over the cells
+    that box overlaps is at least the mean over all cells; a mean box
+    overlapping no cell, off the frame, drops the tube.
+    """
+    kept = []
+    for tube in tubes:
+        n = len(tube.boxes)
+        mean = BoundingBox(*(
+            sum(Fraction(getattr(b, name)) for b in tube.boxes) / n
+            for name in ("x_min", "y_min", "x_max", "y_max")))
+        cells = cells_overlapping_reference(map_side, mean, frame_size)
+        row = [Fraction(w) for w in weights[tube.label]]
+        if cells and sum(row[k] for k in cells) / len(cells) \
+                >= sum(row) / len(row):
+            kept.append(tube)
+    return kept

@@ -34,8 +34,8 @@ from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_FINAL,
 from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
                                  recurrent_forward, score_clips, score_tube,
                                  slice_clips)
-from actiontubes.synth import (ActorSpec, ScenarioConfig, SyntheticFeaturizer,
-                               SyntheticRegionScorer, generate)
+from actiontubes.synth import (ScenarioConfig, SyntheticFeaturizer,
+                               SyntheticRegionScorer, generate, video_id)
 from actiontubes.temporal import localize
 from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
                                  build_tubes, build_tubes_neighborhood)
@@ -146,25 +146,24 @@ def _label_by_mean_score(tubes):
 def _track_scenario(speed: float, baseline: bool) -> float:
     scenario = ScenarioConfig(
         seed=4, video_count=9, frames_per_video=40, num_classes=3,
-        frame_size=(320, 240),
-        actors=tuple(ActorSpec(label=c, speed=speed) for c in range(3)),
-        with_footprint=False)
+        frame_size=(320, 240), actor_speed=speed, with_footprint=False)
     bundle = generate(scenario)
-    gt_map = {v.video_id: list(v.gt_tubes) for v in bundle.videos}
+    gt_map = {video_id(i): list(gt) for i, gt in enumerate(bundle.gt_tubes)}
     scorer = SyntheticRegionScorer(scenario, gt_map)
     tcfg = TrackerConfig(min_prev_overlap=0.0)
+    extent = FrameInterval(0, scenario.frames_per_video)
     tubes = []
-    for index, video in enumerate(bundle.videos):
+    for index in range(scenario.video_count):
+        vid, proposals = video_id(index), bundle.proposals(index)
         by_frame: dict[int, list[Detection]] = {}
-        for det in video.detections["static"]:
+        for det in bundle.detections("static", index):
             by_frame.setdefault(det.frame_index, []).append(det)
         if baseline:
             built = build_tubes_neighborhood(
-                video.video_id, by_frame, video.proposals, video.extent,
-                scorer, tcfg, search_radius=20.0)
+                vid, by_frame, proposals, extent, scorer, tcfg,
+                search_radius=20.0)
         else:
-            built = build_tubes(video.video_id, by_frame, video.proposals,
-                                video.extent,
+            built = build_tubes(vid, by_frame, proposals, extent,
                                 PrecomputedMatcher(bundle.matches(index)),
                                 scorer, tcfg)
         tubes.extend(built)
@@ -207,18 +206,18 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
             seed=6, video_count=6, frames_per_video=32, num_classes=3,
             frame_size=(224, 224), with_footprint=False)
         bundle = generate(scenario)
-        gt_map = {v.video_id: list(v.gt_tubes) for v in bundle.videos}
+        gt_map = {video_id(i): list(gt)
+                  for i, gt in enumerate(bundle.gt_tubes)}
         featurizer = SyntheticFeaturizer(scenario, gt_map)
 
         scored = []
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
+        for (gt,) in bundle.gt_tubes:
             twin_label = (gt.label + 1) % scenario.num_classes
             for tag, label in (("own", gt.label), ("twin", twin_label)):
                 onehot = tuple(1.0 if c == label else 0.0
                                for c in range(scenario.num_classes))
                 n = len(gt.boxes)
-                tube = Tube(video.video_id, tag, gt.start, gt.boxes,
+                tube = Tube(gt.video_id, tag, gt.start, gt.boxes,
                             (onehot,) * n, (Source.TRACKED,) * n)
                 intervals = slice_clips(tube.interval(),
                                         scenario.clip_length)
@@ -235,7 +234,7 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
             assert st_iou(twins[0], twins[1]) > 0.3
 
         kept = prune_overlapped(scored, 0.3)
-        assert len(kept) == len(bundle.videos), \
+        assert len(kept) == scenario.video_count, \
             "exactly one tube must survive per actor"
         for tube in kept:
             twins = by_video[tube.video_id]

@@ -127,6 +127,27 @@ class TestOverrides:
             apply_overrides(default_config(), ["clip.length=-3"])
 
 
+# Another valid value for every key ``scenario_config`` reads.
+SCENARIO_OVERRIDES = {
+    "synth.seed": "1", "synth.video_count": "9",
+    "synth.frames_per_video": "41", "synth.frame_width": "321",
+    "synth.frame_height": "241", "synth.num_classes": "2",
+    "synth.actors_per_video": "2", "synth.actor_size": "30.0",
+    "synth.actor_motion": "sinusoidal", "synth.actor_speed": "10.0",
+    "synth.span_fraction": "0.5", "synth.jitter_sigma": "3.0",
+    "synth.miss_rate": "0.2", "synth.false_positive_rate": "0.2",
+    "synth.label_confusion": "0.2", "synth.duplicate_label_rate": "0.2",
+    "synth.match_noise": "0.5", "synth.proposal_recall": "0.9",
+    "synth.near_miss_count": "3", "synth.distractor_count": "2",
+    "synth.drift_rate": "0.5", "synth.feature_dim": "9",
+    "synth.feature_noise": "0.2", "synth.feature_margin": "3.0",
+    "synth.gmm_components": "3", "synth.descriptor_cap": "1000",
+    "synth.with_footprint": "false", "synth.with_flow": "true",
+    "synth.grid_step": "16", "clip.length": "8", "cells.cell_size": "3",
+    "cells.map_side": "5",
+}
+
+
 class TestBridges:
     def test_scenario_config_carries_the_knobs(self):
         config = apply_overrides(default_config(), [
@@ -134,10 +155,22 @@ class TestBridges:
             "synth.jitter_sigma=3.0", "clip.length=8"])
         scenario = scenario_config(config)
         assert scenario.num_classes == 2
-        assert len(scenario.actors) == 2
-        assert all(a.speed == 10.0 for a in scenario.actors)
+        assert scenario.actor_speed == 10.0
+        assert scenario.jitter_sigma == 3.0
         assert scenario.clip_length == 8
         assert scenario.layout.map_side == 7
+
+    def test_every_scenario_key_has_an_override(self):
+        assert sorted(SCENARIO_OVERRIDES) == sorted(
+            name for name in KEYS
+            if name.startswith(("synth.", "cells.")) or name == "clip.length")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_OVERRIDES))
+    def test_every_scenario_key_reaches_the_scenario(self, name):
+        default = scenario_config(default_config())
+        changed = scenario_config(apply_overrides(
+            default_config(), [f"{name}={SCENARIO_OVERRIDES[name]}"]))
+        assert changed != default
 
     def test_scenario_cross_field_validation_surfaces(self):
         config = apply_overrides(default_config(), [

@@ -1,14 +1,14 @@
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from actiontubes import evaluation
 from actiontubes.errors import InputError
-from actiontubes.evaluation import (BoxPrediction, EvalConfig,
-                                    auc_from_outcomes, average_precision,
-                                    box_predictions_from_tubes,
+from actiontubes.evaluation import (EvalConfig, auc_from_outcomes,
+                                    average_precision,
                                     class_average_precisions, evaluate,
                                     match_and_label, mean_average_precision)
 from actiontubes.geometry import iou, st_iou
@@ -38,11 +38,9 @@ def tube_still(video, tube_id, start, length, box, label, score):
                            score)
 
 
-def one_frame_tubes(preds):
-    """Each per-frame prediction as a one-frame tube, which ``evaluate``
-    explodes back into that prediction."""
-    return [tube_from_boxes(p.video_id, f"p{k}", p.frame_index, [p.box],
-                            p.label, p.score) for k, p in enumerate(preds)]
+def pred(video, frame, box, label, score):
+    """A per-frame prediction: a one-frame scored tube."""
+    return tube_from_boxes(video, "p", frame, [box], label, score)
 
 
 def recall_track_of(tubes, truth, sigma=0.5):
@@ -53,7 +51,7 @@ def recall_track_of(tubes, truth, sigma=0.5):
 def false_counts_of(preds, truth, sigma=0.5, floor=0.1):
     """The false-detection split ``evaluate`` reports for per-frame
     predictions."""
-    return evaluate(one_frame_tubes(preds), truth,
+    return evaluate(preds, truth,
                     EvalConfig(taxonomy_sigma=sigma,
                                taxonomy_floor=floor)).false_counts
 
@@ -74,7 +72,7 @@ def random_frame_case(rng, num_videos=2, num_classes=3):
         for _ in range(int(rng.integers(0, 6))):
             x, y = rng.uniform(0, 60, 2)
             w, h = rng.uniform(10, 40, 2)
-            preds.append(BoxPrediction(
+            preds.append(pred(
                 f"v{v}", int(rng.integers(0, 3)),
                 BoundingBox(x, y, x + w, y + h),
                 int(rng.integers(0, num_classes)),
@@ -84,22 +82,22 @@ def random_frame_case(rng, num_videos=2, num_classes=3):
 
 class TestMatching:
     def test_exact_box_correct_label_is_tp(self):
-        preds = [BoxPrediction("v", 0, BOX, 1, 0.9)]
+        preds = [pred("v", 0, BOX, 1, 0.9)]
         res = match_and_label(preds, [gt_still("v", 1, 0, 1, BOX)], 0.5,
                               mode="frame")
         assert res.outcomes[0].tp
         assert res.gt_matched == (True,)
 
     def test_wrong_label_is_fp(self):
-        preds = [BoxPrediction("v", 0, BOX, 2, 0.9)]
+        preds = [pred("v", 0, BOX, 2, 0.9)]
         res = match_and_label(preds, [gt_still("v", 1, 0, 1, BOX)], 0.5,
                               mode="frame")
         assert not res.outcomes[0].tp
 
     def test_duplicate_on_one_gt_ranks_by_score(self):
         shifted = BoundingBox(12, 10, 62, 60)
-        preds = [BoxPrediction("v", 0, shifted, 1, 0.8),
-                 BoxPrediction("v", 0, BOX, 1, 0.9)]
+        preds = [pred("v", 0, shifted, 1, 0.8),
+                 pred("v", 0, BOX, 1, 0.9)]
         res = match_and_label(preds, [gt_still("v", 1, 0, 1, BOX)], 0.5,
                               mode="frame")
         # Outcomes are rank ordered: the 0.9 one first and matched.
@@ -109,7 +107,7 @@ class TestMatching:
     def test_threshold_is_strict(self):
         half = BoundingBox(10, 10, 60, 35)
         assert iou(half, BOX) == pytest.approx(0.5)
-        preds = [BoxPrediction("v", 0, half, 1, 0.9)]
+        preds = [pred("v", 0, half, 1, 0.9)]
         res = match_and_label(preds, [gt_still("v", 1, 0, 1, BOX)], 0.5,
                               mode="frame")
         assert not res.outcomes[0].tp
@@ -120,13 +118,13 @@ class TestMatching:
     def test_claims_highest_overlap(self):
         near = BoundingBox(11, 10, 61, 60)
         far = BoundingBox(20, 10, 70, 60)
-        preds = [BoxPrediction("v", 0, BOX, 1, 0.9)]
+        preds = [pred("v", 0, BOX, 1, 0.9)]
         truth = [gt_still("v", 1, 0, 1, far), gt_still("v", 1, 0, 1, near)]
         res = match_and_label(preds, truth, 0.1, mode="frame")
         assert res.outcomes[0].gt_index == 1
 
     def test_overlap_tie_takes_earliest_gt(self):
-        preds = [BoxPrediction("v", 0, BOX, 1, 0.9)]
+        preds = [pred("v", 0, BOX, 1, 0.9)]
         truth = [gt_still("v", 1, 0, 1, BOX), gt_still("v", 1, 0, 1, BOX)]
         res = match_and_label(preds, truth, 0.5, mode="frame")
         assert res.outcomes[0].gt_index == 0
@@ -168,8 +166,9 @@ class TestMatching:
 
     def test_unlabeled_tube_rejected(self):
         bare = Tube("v", "t", 0, (BOX,), ((1.0,),), (Source.STATIC,))
-        with pytest.raises(InputError):
-            match_and_label([bare], [], 0.5, mode="video")
+        for mode in ("video", "frame"):
+            with pytest.raises(InputError):
+                match_and_label([bare], [], 0.5, mode=mode)
 
     def test_bad_mode_and_sigma_rejected(self):
         with pytest.raises(InputError):
@@ -240,14 +239,13 @@ class TestAgainstReference:
         rng = np.random.default_rng(73)
         for _ in range(80):
             tubes, truth = tie_heavy_case(rng, max_length=2)
-            boxes = box_predictions_from_tubes(tubes)
-            preds = [((p.video_id, p.frame_index), p.label, p.score, p.box)
-                     for p in boxes]
+            preds = [((t.video_id, frame), t.label, t.score, box)
+                     for t in tubes for frame, box in t.iter_frames()]
             items = [((g.video_id, frame), g.label, box)
                      for g in truth for frame, box in g.iter_frames()]
             for sigma in self.SIGMAS:
                 self.assert_match_equal(
-                    match_and_label(boxes, truth, sigma, mode="frame"),
+                    match_and_label(tubes, truth, sigma, mode="frame"),
                     preds, items, sigma, iou)
                 for floor in (0.125, 0.5):
                     fc = evaluate(tubes, truth, EvalConfig(
@@ -255,7 +253,7 @@ class TestAgainstReference:
                         taxonomy_floor=floor)).false_counts
                     assert (fc.false_cls, fc.false_bbox, fc.false_neg,
                             fc.true_positives) == \
-                        false_split_reference(boxes, truth, sigma, floor, iou)
+                        false_split_reference(tubes, truth, sigma, floor, iou)
 
 
 class TestAveragePrecision:
@@ -298,8 +296,7 @@ class TestAveragePrecision:
         rng = np.random.default_rng(53)
         preds, truth = random_frame_case(rng)
         base = match_and_label(preds, truth, 0.3, mode="frame")
-        scaled = [BoxPrediction(p.video_id, p.frame_index, p.box, p.label,
-                                p.score * 3.7) for p in preds]
+        scaled = [replace(p, score=p.score * 3.7) for p in preds]
         res = match_and_label(scaled, truth, 0.3, mode="frame")
         assert mean_average_precision(res) == \
             pytest.approx(mean_average_precision(base))
@@ -308,9 +305,9 @@ class TestAveragePrecision:
 class TestMeanAP:
     def test_two_class_mean(self):
         truth = [gt_still("v", 0, 0, 1, BOX), gt_still("v", 1, 5, 1, BOX)]
-        preds = [BoxPrediction("v", 0, BOX, 0, 0.9),
-                 BoxPrediction("v", 5, BoundingBox(40, 10, 90, 60), 1, 0.8),
-                 BoxPrediction("v", 5, BOX, 1, 0.7)]
+        preds = [pred("v", 0, BOX, 0, 0.9),
+                 pred("v", 5, BoundingBox(40, 10, 90, 60), 1, 0.8),
+                 pred("v", 5, BOX, 1, 0.7)]
         res = match_and_label(preds, truth, 0.5, mode="frame")
         aps = class_average_precisions(res)
         assert aps[0] == 1.0
@@ -319,8 +316,8 @@ class TestMeanAP:
 
     def test_classes_without_gt_excluded(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
-        preds = [BoxPrediction("v", 0, BOX, 0, 0.9),
-                 BoxPrediction("v", 0, BOX, 7, 0.8)]
+        preds = [pred("v", 0, BOX, 0, 0.9),
+                 pred("v", 0, BOX, 7, 0.8)]
         res = match_and_label(preds, truth, 0.5, mode="frame")
         assert set(class_average_precisions(res)) == {0}
         assert mean_average_precision(res) == 1.0
@@ -375,7 +372,7 @@ def auc_sweep_reference(preds, truth, sigma, cap=0.6):
 class TestAuc:
     def test_perfect_detections(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
-        preds = [BoxPrediction("v", 0, BOX, 0, 0.9)]
+        preds = [pred("v", 0, BOX, 0, 0.9)]
         res = match_and_label(preds, truth, 0.5, mode="frame")
         assert auc_from_outcomes(res.outcomes, res.num_gt) == 1.0
 
@@ -439,7 +436,7 @@ class TestRecallTrack:
 class TestFalseTaxonomy:
     def test_wrong_label_on_gt_location(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
-        preds = [BoxPrediction("v", 0, BOX, 1, 0.9)]
+        preds = [pred("v", 0, BOX, 1, 0.9)]
         fc = false_counts_of(preds, truth)
         assert (fc.false_cls, fc.false_bbox, fc.false_neg) == (1, 0, 0)
 
@@ -447,7 +444,7 @@ class TestFalseTaxonomy:
         truth = [gt_still("v", 0, 0, 1, BOX)]
         loose = BoundingBox(30, 10, 80, 60)
         assert iou(loose, BOX) < 0.5
-        preds = [BoxPrediction("v", 0, loose, 0, 0.9)]
+        preds = [pred("v", 0, loose, 0, 0.9)]
         fc = false_counts_of(preds, truth)
         assert (fc.false_cls, fc.false_bbox, fc.false_neg) == (0, 1, 0)
 
@@ -460,14 +457,14 @@ class TestFalseTaxonomy:
         # IOU below sigma but above the floor: a false_bbox, not a miss.
         truth = [gt_still("v", 0, 0, 1, BOX)]
         loose = BoundingBox(30, 10, 80, 60)
-        preds = [BoxPrediction("v", 0, loose, 0, 0.9)]
+        preds = [pred("v", 0, loose, 0, 0.9)]
         fc = false_counts_of(preds, truth)
         assert fc.false_neg == 0
 
     def test_duplicate_counts_as_false_bbox(self):
         truth = [gt_still("v", 0, 0, 1, BOX)]
-        preds = [BoxPrediction("v", 0, BOX, 0, 0.9),
-                 BoxPrediction("v", 0, BOX, 0, 0.8)]
+        preds = [pred("v", 0, BOX, 0, 0.9),
+                 pred("v", 0, BOX, 0, 0.8)]
         fc = false_counts_of(preds, truth)
         assert fc.true_positives == 1
         assert (fc.false_cls, fc.false_bbox) == (0, 1)
@@ -512,10 +509,11 @@ class TestEvalReport:
         assert "tube 't5' in 'v1'" in str(info.value)
 
     def test_explode_tubes(self):
-        tubes, _ = self.make_perfect()
-        boxes = box_predictions_from_tubes(tubes)
-        assert len(boxes) == 20
-        assert boxes[0].label == 0 and boxes[0].score == 0.9
+        tubes, truth = self.make_perfect()
+        res = match_and_label(tubes, truth, 0.5, mode="frame")
+        assert len(res.outcomes) == 20
+        assert (res.outcomes[0].label, res.outcomes[0].score) == (0, 0.9)
+        assert [o.gt_index for o in res.outcomes] == list(range(20))
 
     def test_report_text_mentions_all_metrics(self):
         tubes, truth = self.make_perfect()

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actiontubes.errors import InputError
 from actiontubes.footprint import (CellLayout, DiagonalGaussianMixture,
-                                   FeatureGridSequence, build_footprint_map,
+                                   FootprintMap, build_footprint_map,
                                    cells_overlapping, aggregate_cells,
                                    fisher_vector, fit_gmm, mean_box,
                                    nearest_centroid_alphas, posteriors,
                                    prune_drifted)
 from actiontubes.model import BoundingBox, Source, Tube
-from oracles import fisher_reference, softmax_reference
+from oracles import (cells_overlapping_reference, fisher_reference,
+                     prune_drifted_reference, softmax_reference)
 
 
 def random_gmm(rng, k=3, d=4):
@@ -100,20 +103,28 @@ class TestCellLayout:
         rng = np.random.default_rng(6)
         layout = CellLayout(cell_size=2, map_side=3)
         gmm = random_gmm(rng, k=2, d=5)
-        grids = FeatureGridSequence(rng.normal(size=(4, 6, 6, 5)))
+        grids = rng.normal(size=(4, 6, 6, 5))
         cells = aggregate_cells(grids, layout, gmm)
         assert cells.shape == (9, 2 * 2 * 5)
         # Uniform grids produce identical vectors in every cell.
-        flat = FeatureGridSequence(np.ones((2, 6, 6, 5)))
+        flat = np.ones((2, 6, 6, 5))
         uniform = aggregate_cells(flat, layout, gmm)
         for row in uniform[1:]:
             np.testing.assert_allclose(row, uniform[0], atol=1e-12)
 
     def test_grid_side_mismatch_rejected(self):
+        # and every grid that is not (T, 6, 6, d), T >= 1, all finite
         rng = np.random.default_rng(3)
-        with pytest.raises(InputError):
-            aggregate_cells(FeatureGridSequence(np.ones((1, 8, 8, 2))),
-                            CellLayout(2, 3), random_gmm(rng, 2, 2))
+        gmm = random_gmm(rng, 2, 2)
+        nan, inf = np.ones((2, 1, 6, 6, 2))
+        nan[0, 2, 3, 1] = np.nan
+        inf[0, 5, 0, 0] = -np.inf
+        for grid in (np.ones((1, 8, 8, 2)), np.ones((6, 6, 2)),
+                     np.ones((0, 6, 6, 2)), np.ones((1, 6, 8, 2)),
+                     np.ones((1, 8, 6, 2)), nan, inf):
+            with pytest.raises(InputError, match="feature grid"):
+                aggregate_cells(grid, CellLayout(2, 3), gmm)
+        aggregate_cells(np.ones((1, 6, 6, 2)), CellLayout(2, 3), gmm)
 
 
 class TestFootprintMap:
@@ -223,6 +234,84 @@ class TestPruneDrifted:
                        score=score)
         with pytest.raises(InputError, match="'u'"):
             prune_drifted([bare], fmap, (140.0, 140.0))
+
+
+@st.composite
+def on_cell_edges(draw, side, cell_w, cell_h, reach=1):
+    """A box whose corners lie on half-cell steps, from ``reach`` cells
+    before the frame to ``reach`` cells past it, so that many of its
+    edges sit exactly on cell edges.  Cells are whole pixels wide, so
+    every coordinate and cell edge is exact in floating point."""
+    steps = st.integers(-2 * reach, 2 * (side + reach))
+    xs = sorted(draw(st.lists(steps, min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(steps, min_size=2, max_size=2, unique=True)))
+    return BoundingBox(xs[0] * cell_w / 2, ys[0] * cell_h / 2,
+                       xs[1] * cell_w / 2, ys[1] * cell_h / 2)
+
+
+@st.composite
+def map_geometry(draw, max_side=7):
+    """``(map_side, cell width, cell height)``, cells whole pixels."""
+    return (draw(st.integers(1, max_side)), draw(st.integers(1, 6)),
+            draw(st.integers(1, 6)))
+
+
+@st.composite
+def edge_box_case(draw):
+    side, cell_w, cell_h = draw(map_geometry())
+    return side, draw(on_cell_edges(side, cell_w, cell_h)), \
+        (side * cell_w, side * cell_h)
+
+
+# weights whose sums and means are exact, so that ties are ties
+WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def drift_case(draw):
+    """Scored tubes over a map of equal or few distinct weights, their
+    boxes on half-cell steps reaching two cells past the frame, so that
+    projected means tie the map mean and mean boxes leave the frame."""
+    side, cell_w, cell_h = draw(map_geometry(max_side=4))
+    classes = draw(st.integers(1, 3))
+    cells = side * side
+    if draw(st.booleans()):
+        weights = [[draw(WEIGHTS)] * cells for _ in range(classes)]
+    else:
+        weights = [draw(st.lists(WEIGHTS, min_size=cells, max_size=cells))
+                   for _ in range(classes)]
+    tubes = []
+    for k in range(draw(st.integers(0, 5))):
+        boxes = draw(st.lists(on_cell_edges(side, cell_w, cell_h, reach=2),
+                              min_size=1, max_size=4))
+        n = len(boxes)
+        tubes.append(Tube("v", f"t{k}", 0, tuple(boxes),
+                          ((0.5, 0.5),) * n, (Source.TRACKED,) * n,
+                          label=draw(st.integers(0, classes - 1)),
+                          score=1.0))
+    return side, weights, tubes, (side * cell_w, side * cell_h)
+
+
+class TestAgainstReference:
+    """Cell selection and footprint pruning equal the exact references
+    of ``oracles`` on boxes lying on cell edges and maps of tied
+    weights."""
+
+    @given(edge_box_case())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_overlapping(self, case):
+        side, box, frame = case
+        assert cells_overlapping(CellLayout(1, side), box, frame) == \
+            cells_overlapping_reference(side, box, frame)
+
+    @given(drift_case())
+    @settings(max_examples=200, deadline=None)
+    def test_prune_drifted(self, case):
+        side, weights, tubes, frame = case
+        fmap = FootprintMap(CellLayout(1, side), np.array(weights),
+                            np.array(weights))
+        assert prune_drifted(tubes, fmap, frame) == \
+            prune_drifted_reference(tubes, weights, side, frame)
 
 
 class TestMeanBox:

@@ -73,6 +73,12 @@ class TestSaliencyPrune:
         with pytest.raises(InputError):
             saliency_prune([prop(0, 0, 2, 2, frame=4)], flow)
 
+    @pytest.mark.parametrize("threshold", [-0.5, np.nan, np.inf])
+    def test_bad_threshold_rejected(self, threshold):
+        flow = FlowMagnitudeGrid(0, np.full((20, 20), 0.5))
+        with pytest.raises(InputError, match="min_mean_magnitude"):
+            saliency_prune([prop(2, 2, 10, 10)], flow, threshold)
+
     def test_rejects_negative_flow(self):
         with pytest.raises(InputError):
             FlowMagnitudeGrid(0, np.full((3, 3), -1.0))

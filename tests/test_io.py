@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actiontubes import formats
+from actiontubes import formats, synth
 from actiontubes.errors import InputError, ProcessingError, SchemaError
 from actiontubes.fusion import FlowMagnitudeGrid
 from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
                                FrameInterval, GroundTruthTube, Proposal,
                                Source, Tube)
 from actiontubes.scoring import RecurrentScorerWeights
-from actiontubes.synth import ScenarioConfig, generate, video_flow
+from actiontubes.synth import ScenarioConfig, generate
 from actiontubes.tracker import PrecomputedMatcher
 
 
@@ -40,9 +40,8 @@ def by_video(tubes):
 
 def flow_chunks(bundle):
     """Every ``(video_id, grids)`` of a bundle, in flow-file order."""
-    return [(video.video_id,
-             list(video_flow(bundle.config, index, video.gt_tubes)))
-            for index, video in enumerate(bundle.videos)]
+    return [(synth.video_id(index), list(bundle.flow(index)))
+            for index in range(bundle.config.video_count)]
 
 
 def read_videos(path, kind):
@@ -76,7 +75,8 @@ def box_strategy():
 class TestDetectionsRoundTrip:
     def test_bundle_detections(self, bundle, tmp_path):
         path = tmp_path / "d.tsv"
-        data = {v.video_id: v.detections["static"] for v in bundle.videos}
+        data = {synth.video_id(i): bundle.detections("static", i)
+                for i in range(bundle.config.video_count)}
         formats.write_detections(path, sorted(data.items()))
         back = formats.read_detections(path)
         assert set(back) == set(data)
@@ -88,7 +88,8 @@ class TestDetectionsRoundTrip:
 
     def test_rewrite_is_byte_identical(self, bundle, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        data = {v.video_id: v.detections["early"] for v in bundle.videos}
+        data = {synth.video_id(i): bundle.detections("early", i)
+                for i in range(bundle.config.video_count)}
         formats.write_detections(a, sorted(data.items()))
         formats.write_detections(b, formats.read_detections(a).items())
         assert a.read_bytes() == b.read_bytes()
@@ -114,7 +115,8 @@ class TestDetectionsRoundTrip:
 class TestProposalsRoundTrip:
     def test_bundle_proposals(self, bundle, tmp_path):
         path = tmp_path / "p.tsv"
-        data = {v.video_id: v.proposals for v in bundle.videos}
+        data = {synth.video_id(i): bundle.proposals(i)
+                for i in range(bundle.config.video_count)}
         formats.write_proposals(path, sorted(data.items()))
         back = formats.read_proposals(path)
         assert set(back) == set(data)
@@ -153,27 +155,26 @@ def match_chunks(pairs):
 class TestMatchesRoundTrip:
     def test_matcher_equivalence(self, bundle, tmp_path):
         path = tmp_path / "m.atb"
-        chunks = [(video.video_id, bundle.matches(index))
-                  for index, video in enumerate(bundle.videos)]
+        chunks = [(synth.video_id(index), bundle.matches(index))
+                  for index in range(bundle.config.video_count)]
         formats.write_matches(path, chunks)
         arrays = formats.VideoArrays(path, "matches")
         answered = 0
-        for video, (_, pairs) in zip(bundle.videos, chunks):
+        w, h = bundle.config.frame_size
+        frames = list(range(bundle.config.frames_per_video))
+        for gt_tubes, (vid, pairs) in zip(bundle.gt_tubes, chunks):
             matcher = PrecomputedMatcher(pairs)
-            reread = PrecomputedMatcher(arrays.read(video.video_id))
-            w, h = video.frame_size
-            frames = list(video.extent.frames())
+            reread = PrecomputedMatcher(arrays.read(vid))
             for a, b in [*zip(frames, frames[1:]), *zip(frames[1:], frames)]:
                 boxes = [BoundingBox(0, 0, w, h)] + [
-                    gt.box_at(a) for gt in video.gt_tubes
-                    if a in gt.interval()]
+                    gt.box_at(a) for gt in gt_tubes if a in gt.interval()]
                 for box in boxes:
-                    want = matcher.match(video.video_id, a, b, box)
-                    got = reread.match(video.video_id, a, b, box)
+                    want = matcher.match(vid, a, b, box)
+                    got = reread.match(vid, a, b, box)
                     assert np.array_equal(lexsorted(got), lexsorted(want)), \
-                        (video.video_id, a, b, box)
+                        (vid, a, b, box)
                     answered += len(got) > 0
-        assert answered > 2 * sum(len(v.gt_tubes) for v in bundle.videos)
+        assert answered > 2 * len(bundle.all_gt())
 
     def test_backward_queries_served_from_forward_records(self, tmp_path):
         path = tmp_path / "m.atb"
@@ -281,13 +282,12 @@ class TestMatchesRoundTrip:
 class TestTubesRoundTrip:
     def _tubes(self, bundle):
         tubes = []
-        for i, video in enumerate(bundle.videos):
-            gt = video.gt_tubes[0]
+        for i, (gt, *_) in enumerate(bundle.gt_tubes):
             frames = gt.interval().frames()
             label = None if i == 0 else 1
             score = None if i == 0 else 1.25
             tubes.append(Tube(
-                video.video_id, f"t{i}", gt.start, gt.boxes,
+                gt.video_id, f"t{i}", gt.start, gt.boxes,
                 ((0.3, 0.7),) * len(frames),
                 tuple(Source.TRACKED if f % 2 else Source.MERGED
                       for f in frames), label=label, score=score))
@@ -377,7 +377,7 @@ class TestTubesRoundTrip:
 class TestGroundTruthRoundTrip:
     def test_round_trip(self, bundle, tmp_path):
         path = tmp_path / "gt.tsv"
-        tubes = [gt for v in bundle.videos for gt in v.gt_tubes]
+        tubes = bundle.all_gt()
         formats.write_gt_tubes(path, by_video(tubes))
         assert formats.read_gt_tubes(path) == \
             sorted(tubes, key=lambda t: (t.video_id, t.tube_id))
@@ -990,6 +990,42 @@ class TestFrameFields:
         formats.write_records(path, kind, [row])
         self.READERS[kind](path)
 
+    @staticmethod
+    def _negative_write(kind, path):
+        """Writes ``kind`` records of v0 whose earliest frame is -2, the
+        records given out of frame order."""
+        box = BoundingBox(0.0, 0.0, 5.0, 5.0)
+        if kind == "detections":
+            formats.write_detections(path, [("v0", [
+                Detection(3, box, (1.0,)), Detection(-2, box, (1.0,))])])
+        elif kind == "proposals":
+            formats.write_proposals(path, [("v0", {
+                3: [Proposal(3, box)], -2: [Proposal(-2, box)]})])
+        elif kind == "tubes":
+            formats.write_tubes(path, [("v0", [
+                Tube("v0", f"t{start}", start, (box,) * 2, ((1.0,),) * 2,
+                     (Source.TRACKED,) * 2) for start in (3, -2)])])
+        elif kind == "gttubes":
+            formats.write_gt_tubes(path, [("v0", [
+                GroundTruthTube("v0", f"a{start}", 0, start, (box,) * 2)
+                for start in (3, -2)])])
+        else:
+            formats.write_clip_scores(path, [("v0", {
+                ("v0", f"t{start}"): ClipScoreSequence(
+                    4, (FrameInterval(start, start + 4),
+                        FrameInterval(start + 4, start + 8)),
+                    ((1.0,), (1.0,)))
+                for start in (3, -2)})])
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_negative_frames_rejected_on_write(self, tmp_path, kind):
+        """Every reader rejects a negative frame, so no writer writes
+        one, and the failed write leaves no file."""
+        with pytest.raises(InputError,
+                           match="in 'v0' start at negative frame -2"):
+            self._negative_write(kind, tmp_path / "r.tsv")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestClipScoresRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -1327,8 +1363,8 @@ class TestVideoWriters:
         """Detections of one video may come in any order; the rows come
         out sorted, as a whole-scenario write sorted them."""
         path = tmp_path / "d.tsv"
-        chunks = [(v.video_id, v.detections["static"][::-1])
-                  for v in bundle.videos]
+        chunks = [(synth.video_id(i), bundle.detections("static", i)[::-1])
+                  for i in range(bundle.config.video_count)]
         formats.write_detections(path, chunks)
         rows = [fields for _, fields in
                 formats.read_records(path, "detections")]

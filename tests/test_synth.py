@@ -17,7 +17,7 @@ from actiontubes.pipeline import (FILE_DETECTIONS, FILE_DRIFT, FILE_FLOW,
 from actiontubes.scenario import video_index
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
-from actiontubes.synth import (ActorSpec, ScenarioConfig,
+from actiontubes.synth import (STREAMS, ScenarioConfig,
                                SyntheticFeaturizer, SyntheticMatcher,
                                SyntheticRegionScorer, analytic_weights,
                                generate, home_region, inject_drift,
@@ -54,18 +54,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
 
-    def test_actor_label_out_of_range(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(num_classes=2, actors=(ActorSpec(label=2),))
-
     def test_actor_too_big_for_home_region(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="does not fit"):
             ScenarioConfig(frame_size=(100, 100), num_classes=4,
-                           actors=(ActorSpec(label=0, size=60.0),))
+                           actor_size=60.0)
 
     def test_bad_motion_name(self):
-        with pytest.raises(ConfigError):
-            ActorSpec(label=0, motion="teleport")
+        with pytest.raises(ConfigError, match="unknown motion"):
+            ScenarioConfig(actor_motion="teleport")
+
+    @pytest.mark.parametrize("size", [0.0, -4.0, float("nan"), float("inf")])
+    def test_bad_actor_size(self, size):
+        with pytest.raises(ConfigError, match="actor size"):
+            ScenarioConfig(actor_size=size)
+
+    @pytest.mark.parametrize("speed", [-1.0, float("nan"), float("inf")])
+    def test_bad_actor_speed(self, speed):
+        with pytest.raises(ConfigError, match="actor_speed"):
+            ScenarioConfig(actor_speed=speed)
+
+    def test_actor_labels_cycle_the_classes(self):
+        config = small_config(num_classes=3, actors_per_video=2,
+                              video_count=3)
+        labels = [[gt.label for gt in tubes]
+                  for tubes in generate(config).gt_tubes]
+        assert labels == [[0, 1], [2, 0], [1, 2]]
 
 
 class TestHomeRegions:
@@ -83,10 +96,9 @@ class TestHomeRegions:
         config = small_config(num_classes=2, actors_per_video=2,
                               video_count=2)
         bundle = generate(config)
-        for video in bundle.videos:
-            a, b = video.gt_tubes
+        for a, b in bundle.gt_tubes:
             assert a.label != b.label
-            for frame in video.extent.frames():
+            for frame in range(config.frames_per_video):
                 assert iou(a.box_at(frame), b.box_at(frame)) == 0.0
 
 
@@ -96,14 +108,14 @@ class TestDeterminism:
                               false_positive_rate=0.2, drift_rate=0.4,
                               match_noise=0.5, with_footprint=True)
         a, b = generate(config), generate(replace(config))
-        assert len(a.videos) == len(b.videos)
-        for index, (va, vb) in enumerate(zip(a.videos, b.videos)):
-            assert va.gt_tubes == vb.gt_tubes
-            for stream in va.detections:
-                assert va.detections[stream] == vb.detections[stream]
-            assert va.proposals == vb.proposals
-            flow_a = list(video_flow(a.config, index, va.gt_tubes))
-            flow_b = list(video_flow(b.config, index, vb.gt_tubes))
+        assert a.gt_tubes == b.gt_tubes
+        for index in range(config.video_count):
+            for stream in STREAMS:
+                assert a.detections(stream, index) == \
+                    b.detections(stream, index)
+            assert a.proposals(index) == b.proposals(index)
+            flow_a = list(a.flow(index))
+            flow_b = list(b.flow(index))
             assert len(flow_a) == len(flow_b) == config.frames_per_video
             for ga, gb in zip(flow_a, flow_b):
                 assert ga.frame_index == gb.frame_index
@@ -115,14 +127,14 @@ class TestDeterminism:
         bundle = generate(small_config(jitter_sigma=2.0, miss_rate=0.1,
                                        false_positive_rate=0.2,
                                        match_noise=0.5))
-        forward = list(bundle.videos)
-        assert [v.video_id for v in forward] == \
-            [video_id(i) for i in range(6)]
-        assert list(reversed(bundle.videos)) == forward[::-1]
-        assert bundle.videos[-1] == bundle.videos[5] == forward[5]
-        assert bundle.videos[1:3] == forward[1:3]
-        with pytest.raises(IndexError):
-            bundle.videos[6]
+
+        def inputs(index):
+            return ([bundle.detections(stream, index) for stream in STREAMS],
+                    bundle.proposals(index))
+
+        forward = [inputs(index) for index in range(6)]
+        assert [inputs(index) for index in reversed(range(6))] == \
+            forward[::-1]
         again = generate(bundle.config)
         for index in (3, 0):
             a, b = bundle.matches(index), again.matches(index)
@@ -133,40 +145,40 @@ class TestDeterminism:
     def test_different_seed_different_noise(self):
         a = generate(small_config(seed=1, jitter_sigma=2.0))
         b = generate(small_config(seed=2, jitter_sigma=2.0))
-        boxes_a = [d.box for d in a.videos[0].detections["static"]]
-        boxes_b = [d.box for d in b.videos[0].detections["static"]]
+        boxes_a = [d.box for d in a.detections("static", 0)]
+        boxes_b = [d.box for d in b.detections("static", 0)]
         assert boxes_a != boxes_b
 
 
 class TestDetections:
     def test_noiseless_detections_match_truth_exactly(self):
         bundle = generate(small_config())
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
-            for det in video.detections["static"]:
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            for det in bundle.detections("static", index):
                 assert det.box == gt.box_at(det.frame_index)
                 assert det.score == 1.0
                 assert det.label == gt.label
 
     def test_miss_rate_one_drops_everything(self):
         bundle = generate(small_config(miss_rate=1.0))
-        for video in bundle.videos:
-            for stream in video.detections.values():
-                assert stream == ()
+        for index in range(bundle.config.video_count):
+            for stream in STREAMS:
+                assert bundle.detections(stream, index) == ()
 
     def test_streams_report_their_source(self):
-        video = generate(small_config()).videos[0]
-        assert {d.source for d in video.detections["static"]} == {Source.STATIC}
-        assert {d.source for d in video.detections["flow"]} == {Source.FLOW}
-        assert {d.source for d in video.detections["early"]} == \
+        bundle = generate(small_config())
+        assert {d.source for d in bundle.detections("static", 0)} == \
+            {Source.STATIC}
+        assert {d.source for d in bundle.detections("flow", 0)} == \
+            {Source.FLOW}
+        assert {d.source for d in bundle.detections("early", 0)} == \
             {Source.EARLY_FUSION}
 
     def test_jitter_boxes_stay_close(self):
         bundle = generate(small_config(jitter_sigma=2.0))
         overlaps = []
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
-            for det in video.detections["static"]:
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            for det in bundle.detections("static", index):
                 overlaps.append(iou(det.box, gt.box_at(det.frame_index)))
         mean = float(np.mean(overlaps))
         assert 0.7 < mean < 0.999
@@ -174,17 +186,15 @@ class TestDetections:
 
     def test_score_tracks_overlap_with_truth(self):
         bundle = generate(small_config(jitter_sigma=2.0))
-        video = bundle.videos[0]
-        gt = video.gt_tubes[0]
-        for det in video.detections["static"]:
+        gt = bundle.gt_tubes[0][0]
+        for det in bundle.detections("static", 0):
             expected = max(iou(det.box, gt.box_at(det.frame_index)), 0.05)
             assert det.score == pytest.approx(expected)
 
     def test_label_confusion_flips_argmax(self):
         bundle = generate(small_config(label_confusion=1.0))
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
-            for det in video.detections["static"]:
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            for det in bundle.detections("static", index):
                 assert det.label != gt.label
                 assert det.class_scores[gt.label] == \
                     pytest.approx(0.3 * det.score)
@@ -192,9 +202,8 @@ class TestDetections:
     def test_duplicate_label_rate_adds_shifted_twin(self):
         config = small_config(duplicate_label_rate=1.0)
         bundle = generate(config)
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
-            dets = video.detections["static"]
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            dets = bundle.detections("static", index)
             assert len(dets) == 2 * config.frames_per_video
             dup_label = (gt.label + 1) % config.num_classes
             twins = [d for d in dets if d.label == dup_label]
@@ -206,48 +215,49 @@ class TestDetections:
     def test_false_positive_rate_adds_extra_boxes(self):
         clean = generate(small_config())
         noisy = generate(small_config(false_positive_rate=1.0))
-        for vc, vn in zip(clean.videos, noisy.videos):
-            assert len(vn.detections["static"]) == \
-                len(vc.detections["static"]) + len(vc.extent)
+        for index in range(clean.config.video_count):
+            assert len(noisy.detections("static", index)) == \
+                len(clean.detections("static", index)) + \
+                clean.config.frames_per_video
 
     def test_partial_span_centers_the_actor(self):
         config = small_config(span_fraction=0.5)
         bundle = generate(config)
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
+        for index, (gt,) in enumerate(bundle.gt_tubes):
             assert len(gt.interval()) == 12
             assert gt.start == 6
-            frames = {d.frame_index for d in video.detections["static"]}
+            frames = {d.frame_index for d in bundle.detections("static",
+                                                               index)}
             assert frames == set(gt.interval().frames())
 
 
 class TestProposals:
     def test_exact_proposal_present_at_full_recall(self):
         bundle = generate(small_config())
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            proposals = bundle.proposals(index)
             for frame in gt.interval().frames():
-                boxes = [p.box for p in video.proposals[frame]]
+                boxes = [p.box for p in proposals[frame]]
                 assert gt.box_at(frame) in boxes
 
     def test_near_misses_survive_recall_gap(self):
         config = small_config(proposal_recall=5e-324, near_miss_count=3)
         bundle = generate(config)
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            proposals = bundle.proposals(index)
             for frame in gt.interval().frames():
-                near = [p for p in video.proposals[frame]
+                near = [p for p in proposals[frame]
                         if iou(p.box, gt.box_at(frame)) > 0.5]
                 assert len(near) >= 3
 
     def test_distractor_count_honored(self):
         config = small_config(span_fraction=0.5, distractor_count=2)
         bundle = generate(config)
-        video = bundle.videos[0]
-        gt = video.gt_tubes[0]
-        for frame in video.extent.frames():
+        gt = bundle.gt_tubes[0][0]
+        proposals = bundle.proposals(0)
+        for frame in range(config.frames_per_video):
             if frame not in gt.interval():
-                assert len(video.proposals[frame]) == 2
+                assert len(proposals[frame]) == 2
 
 
 def stored_matcher(bundle, index=0):
@@ -259,17 +269,16 @@ class TestMatcher:
     def test_adjacent_only(self):
         bundle = generate(small_config())
         matcher = stored_matcher(bundle)
-        box = bundle.videos[0].gt_tubes[0].box_at(0)
+        box = bundle.gt_tubes[0][0].box_at(0)
         with pytest.raises(InputError):
             matcher.match("v000", 0, 2, box)
 
     def test_actor_points_follow_the_actor(self):
         bundle = generate(small_config())
-        for index, video in enumerate(bundle.videos[:3]):
+        for index, (gt,) in enumerate(bundle.gt_tubes[:3]):
             matcher = stored_matcher(bundle, index)
-            gt = video.gt_tubes[0]
             for frame in list(gt.interval().frames())[:-1]:
-                matches = matcher.match(video.video_id, frame, frame + 1,
+                matches = matcher.match(video_id(index), frame, frame + 1,
                                         gt.box_at(frame))
                 assert len(matches) >= 9
                 assert match_ratio(gt.box_at(frame + 1), matches) == 1.0
@@ -277,7 +286,7 @@ class TestMatcher:
     def test_backward_equals_reversed_forward(self):
         bundle = generate(small_config(match_noise=0.3))
         matcher = stored_matcher(bundle)
-        gt = bundle.videos[0].gt_tubes[0]
+        gt = bundle.gt_tubes[0][0]
         fwd = matcher.match("v000", 4, 5, gt.box_at(4))
         back = matcher.match("v000", 5, 4, gt.box_at(5))
         assert np.allclose(np.sort(fwd[:, 2:], axis=0),
@@ -286,7 +295,7 @@ class TestMatcher:
     def test_pure_across_instances(self):
         """A field is the same whichever fields were made before it."""
         bundle = generate(small_config(match_noise=0.4))
-        box = bundle.videos[0].gt_tubes[0].box_at(7)
+        box = bundle.gt_tubes[0][0].box_at(7)
         truth = {"v000": bundle.gt_tubes[0]}
         a = SyntheticMatcher(bundle.config, truth).match("v000", 7, 8, box)
         m = SyntheticMatcher(bundle.config, truth)
@@ -298,7 +307,7 @@ class TestMatcher:
     def test_restrict_respected(self):
         bundle = generate(small_config())
         matcher = stored_matcher(bundle)
-        box = bundle.videos[0].gt_tubes[0].box_at(0)
+        box = bundle.gt_tubes[0][0].box_at(0)
         matches = matcher.match("v000", 0, 1, box)
         fp = matches[:, :2]
         assert np.all((fp[:, 0] >= box.x_min) & (fp[:, 0] <= box.x_max))
@@ -307,8 +316,7 @@ class TestMatcher:
     def test_background_points_do_not_move(self):
         bundle = generate(small_config())
         matcher = stored_matcher(bundle)
-        video = bundle.videos[0]
-        w, h = video.frame_size
+        w, h = bundle.config.frame_size
         full = BoundingBox(0, 0, w, h)
         matches = matcher.match("v000", 0, 1, full)
         disp = np.linalg.norm(matches[:, 2:] - matches[:, :2], axis=1)
@@ -335,11 +343,10 @@ def random_gt_tubes(rng, video_id, count=4):
 class TestRegionScorer:
     def test_exact_box_scores_one_for_true_class(self):
         bundle = generate(small_config())
-        video = bundle.videos[0]
         scorer = SyntheticRegionScorer(bundle.config,
-                                       {video.video_id: video.gt_tubes})
-        gt = video.gt_tubes[0]
-        scores = scorer.class_scores(video.video_id, 3, gt.box_at(3))
+                                       {"v000": bundle.gt_tubes[0]})
+        gt = bundle.gt_tubes[0][0]
+        scores = scorer.class_scores("v000", 3, gt.box_at(3))
         assert scores[gt.label] == 1.0
         assert sum(scores) == 1.0
 
@@ -376,8 +383,7 @@ class TestFeaturizer:
         config = small_config(feature_noise=0.0)
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        video = bundle.videos[2]
-        gt = video.gt_tubes[0]
+        gt = bundle.gt_tubes[2][0]
         intervals = slice_clips(gt.interval(), config.clip_length)
         feats = featurizer.clip_features(gt, intervals)
         expected = np.zeros(config.feature_dim)
@@ -445,12 +451,10 @@ class TestFeaturizer:
         config = small_config(feature_noise=0.0)
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        video = bundle.videos[0]
-        n = len(video.extent)
-        tube = Tube(video.video_id, "t", video.extent.start,
-                    (BoundingBox(0, 0, 5, 5),) * n, ((1.0,),) * n,
-                    (Source.TRACKED,) * n)
-        intervals = slice_clips(video.extent, config.clip_length)
+        n = config.frames_per_video
+        tube = Tube("v000", "t", 0, (BoundingBox(0, 0, 5, 5),) * n,
+                    ((1.0,),) * n, (Source.TRACKED,) * n)
+        intervals = slice_clips(FrameInterval(0, n), config.clip_length)
         feats = featurizer.clip_features(tube, intervals)
         assert np.allclose(feats, 0.0)
 
@@ -458,16 +462,16 @@ class TestFeaturizer:
         config = small_config(feature_noise=0.0)
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        video = bundle.videos[0]
-        gt = video.gt_tubes[0]
-        intervals = slice_clips(video.extent, config.clip_length)
-        grid = featurizer.feature_grid(video.video_id, intervals)
+        gt = bundle.gt_tubes[0][0]
+        intervals = slice_clips(FrameInterval(0, config.frames_per_video),
+                                config.clip_length)
+        grid = featurizer.feature_grid("v000", intervals)
         assert grid.shape == (len(intervals), config.layout.grid_side,
                               config.layout.grid_side, config.feature_dim)
         channel = grid[..., gt.label]
         assert channel.max() == pytest.approx(config.feature_margin)
         # noiseless grid holds only the class blob and the background
-        background = featurizer.background_direction(video.video_id)
+        background = featurizer.background_direction("v000")
         assert np.linalg.norm(background) == pytest.approx(
             config.feature_margin)
         flat = grid.reshape(-1, config.feature_dim)
@@ -480,7 +484,7 @@ class TestFeaturizer:
         # absent or names no tubes, is rejected, not made as background
         config = small_config(feature_noise=0.2, match_noise=1.0)
         bundle = generate(config)
-        gt = bundle.videos[0].gt_tubes[0]
+        gt = bundle.gt_tubes[0][0]
         stray = replace(gt, video_id="v999")
         intervals = slice_clips(gt.interval(), 4)
         known = {"v000": bundle.gt_tubes[0]}
@@ -502,16 +506,15 @@ class TestFeaturizer:
         config = small_config()
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        a = featurizer.background_direction(bundle.videos[0].video_id)
-        b = featurizer.background_direction(bundle.videos[1].video_id)
+        a = featurizer.background_direction("v000")
+        b = featurizer.background_direction("v001")
         assert not np.allclose(a, b)
 
     def test_repeated_queries_identical(self):
         config = small_config(feature_noise=0.2)
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        video = bundle.videos[1]
-        gt = video.gt_tubes[0]
+        gt = bundle.gt_tubes[1][0]
         intervals = slice_clips(gt.interval(), config.clip_length)
         a = featurizer.clip_features(gt, intervals)
         b = bundle.featurizer().clip_features(gt, intervals)
@@ -523,8 +526,7 @@ class TestAnalyticWeights:
         config = small_config(feature_noise=0.3)
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        for video in bundle.videos:
-            gt = video.gt_tubes[0]
+        for (gt,) in bundle.gt_tubes:
             intervals = slice_clips(gt.interval(), config.clip_length)
             feats = featurizer.clip_features(gt, intervals)
             scores = recurrent_forward(feats, bundle.weights)
@@ -545,17 +547,14 @@ class TestDrift:
         assert len(injected) == 3
         for tube in injected:
             assert tube.tube_id.startswith("drift")
-            video = next(v for v in bundle.videos
-                         if v.video_id == tube.video_id)
-            for gt in video.gt_tubes:
+            for gt in bundle.gt_tubes[video_index(tube.video_id)]:
                 assert st_iou(tube, gt) == 0.0
 
     def test_injected_label_matches_a_video_actor(self):
         config = small_config(drift_rate=1.0)
         bundle = generate(config)
-        for video_id, tubes in bundle.drift_tubes.items():
-            video = next(v for v in bundle.videos if v.video_id == video_id)
-            labels = {gt.label for gt in video.gt_tubes}
+        for vid, tubes in bundle.drift_tubes.items():
+            labels = {gt.label for gt in bundle.gt_tubes[video_index(vid)]}
             for tube in tubes:
                 assert tube.label in labels
 
@@ -576,12 +575,21 @@ class TestDrift:
         again = inject_drift(bundle, 0.0)
         assert again is bundle
 
+    def test_injecting_again_remakes_the_same_tubes(self):
+        # the map is built from scratch: no drift id is repeated
+        bundle = generate(small_config(drift_rate=0.5))
+        again = inject_drift(bundle, 0.5)
+        assert again.drift_tubes == bundle.drift_tubes
+        for tubes in again.drift_tubes.values():
+            ids = [tube.tube_id for tube in tubes]
+            assert len(set(ids)) == len(ids)
+
     def test_injected_tubes_span_the_video(self):
         bundle = generate(small_config(drift_rate=1.0))
-        for video_id, tubes in bundle.drift_tubes.items():
-            video = next(v for v in bundle.videos if v.video_id == video_id)
+        for tubes in bundle.drift_tubes.values():
             for tube in tubes:
-                assert tube.interval() == video.extent
+                assert tube.interval() == FrameInterval(
+                    0, bundle.config.frames_per_video)
                 assert tube.score is None
 
     def test_real_tubes_not_flagged(self):
@@ -592,13 +600,10 @@ class TestDrift:
 
 class TestFlowGrids:
     def test_actor_region_carries_motion_magnitude(self):
-        config = small_config(actors=(ActorSpec(label=0, speed=4.0),
-                                      ActorSpec(label=1, speed=4.0),
-                                      ActorSpec(label=2, speed=4.0)))
+        config = small_config(actor_speed=4.0)
         bundle = generate(config)
-        video = bundle.videos[0]
-        gt = video.gt_tubes[0]
-        grids = list(video_flow(config, 0, video.gt_tubes))
+        gt = bundle.gt_tubes[0][0]
+        grids = list(video_flow(config, 0, bundle.gt_tubes[0]))
         assert [g.frame_index for g in grids] == \
             list(range(config.frames_per_video))
         grid = grids[5]
@@ -645,18 +650,17 @@ class TestEndToEnd:
         config = small_config()
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        for index, video in enumerate(bundle.videos):
+        for index, (gt,) in enumerate(bundle.gt_tubes):
+            vid = video_id(index)
             matcher = stored_matcher(bundle, index)
-            scorer = SyntheticRegionScorer(config,
-                                           {video.video_id: video.gt_tubes})
+            scorer = SyntheticRegionScorer(config, {vid: (gt,)})
             by_frame = {}
-            for det in video.detections["static"]:
+            for det in bundle.detections("static", index):
                 by_frame.setdefault(det.frame_index, []).append(det)
-            tubes = build_tubes(video.video_id, by_frame, video.proposals,
-                                video.extent, matcher, scorer,
-                                TrackerConfig())
+            tubes = build_tubes(vid, by_frame, bundle.proposals(index),
+                                FrameInterval(0, config.frames_per_video),
+                                matcher, scorer, TrackerConfig())
             assert len(tubes) == 1
-            gt = video.gt_tubes[0]
             assert st_iou(tubes[0], gt) == pytest.approx(1.0)
             tube = tubes[0]
             intervals = slice_clips(tube.interval(), config.clip_length)

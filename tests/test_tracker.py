@@ -486,6 +486,16 @@ class TestNeighborhoodBaseline:
                 WorldScorer({1: moved}), search_radius=radius)
             assert [len(t.boxes) for t in tubes] == [frames]
 
+    @pytest.mark.parametrize("radius", [0.0, -20.0, float("nan"),
+                                        float("inf")])
+    def test_radius_not_finite_and_positive_rejected(self, radius):
+        gt = single_actor_world(3, shift=(6.0, 0.0))
+        dets = {0: [det(0, gt[0], (0.9, 0.0))]}
+        props = {f: [Proposal(f, gt[f])] for f in range(3)}
+        with pytest.raises(InputError, match="search_radius"):
+            build_tubes_neighborhood("v", dets, props, FrameInterval(0, 3),
+                                     WorldScorer(gt), search_radius=radius)
+
     def test_center_gate_picks_from_the_right_frame(self):
         # Gating runs on centers cached per frame; the candidate that
         # wins must be a proposal of the frame being extended into.  The
