@@ -6,19 +6,24 @@ discriminative power, and a softmax over cells turns those accuracies
 into a per-class weight map.  A tube is kept when the mean weight of
 the cells under its temporally averaged box reaches the map's mean
 weight, and removed when it falls strictly below.
+
+numpy is imported inside the mixture, Fisher-vector, cell and centroid
+functions that ``synth`` runs; the map and the pruning use plain floats,
+so ``prune`` runs without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError
-from .model import BoundingBox, Tube, require_scored
+from .model import BoundingBox, Tube, pairwise_sum, require_scored
 # CellLayout lives with the scenario's configuration, which loads no numpy
 from .scenario import CellLayout
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VARIANCE_FLOOR = 1e-6
 # EM stops once the mean log-likelihood moves by less than EM_TOL
@@ -35,6 +40,7 @@ class DiagonalGaussianMixture:
     variances: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         w = np.asarray(self.weights, dtype=np.float64)
         m = np.asarray(self.means, dtype=np.float64)
         v = np.asarray(self.variances, dtype=np.float64)
@@ -64,6 +70,7 @@ class DiagonalGaussianMixture:
 
 def _log_densities(gmm: DiagonalGaussianMixture, x: np.ndarray) -> np.ndarray:
     """Component log densities plus log weights, shape (N, K)."""
+    import numpy as np
     diff = x[:, None, :] - gmm.means[None, :, :]
     quad = np.sum(diff * diff / gmm.variances[None, :, :], axis=2)
     log_norm = -0.5 * (gmm.dim * math.log(2.0 * math.pi)
@@ -73,6 +80,7 @@ def _log_densities(gmm: DiagonalGaussianMixture, x: np.ndarray) -> np.ndarray:
 
 def posteriors(gmm: DiagonalGaussianMixture, descriptors) -> np.ndarray:
     """Component membership probabilities per descriptor, rows sum to 1."""
+    import numpy as np
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != gmm.dim:
         raise InputError(
@@ -91,6 +99,7 @@ def fit_gmm(descriptors, components: int,
     the descriptor farthest from all chosen ones, which makes the whole
     fit reproducible for a given (descriptors, seed).
     """
+    import numpy as np
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise InputError(f"descriptors must be a (N, d) array, got {x.shape}")
@@ -144,6 +153,7 @@ def fisher_vector(descriptors, gmm: DiagonalGaussianMixture) -> np.ndarray:
 
     followed by signed square root and L2 normalization.
     """
+    import numpy as np
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise InputError(
@@ -176,6 +186,7 @@ def aggregate_cells(grid, layout: CellLayout,
     s the layout's grid side.  Cell (r, c) pools the descriptors of its
     cell_size x cell_size block of grid positions across every clip.
     """
+    import numpy as np
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 4 or grid.shape[0] == 0:
         raise InputError(
@@ -196,57 +207,84 @@ def aggregate_cells(grid, layout: CellLayout,
     return out
 
 
+def _class_rows(name: str, values) -> tuple[tuple[float, ...], ...]:
+    """A (classes, cells) table as one tuple of floats per class."""
+    try:
+        return tuple(tuple(map(float, row)) for row in values)
+    except TypeError:
+        raise InputError(
+            f"{name} must be one row of cells per class") from None
+
+
 @dataclass(frozen=True, eq=False)
 class FootprintMap:
-    """Per-class cell accuracies and their softmax weight maps."""
+    """Per-class cell accuracies and their softmax weight maps, each one
+    tuple of floats per class with one value per cell."""
 
     layout: CellLayout
-    alphas: np.ndarray
-    weights: np.ndarray
+    alphas: tuple[tuple[float, ...], ...]
+    weights: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != self.layout.num_cells:
-            raise InputError(
-                f"alphas must be (classes, {self.layout.num_cells}), got "
-                f"{a.shape}")
-        if w.shape != a.shape:
+        a = _class_rows("alphas", self.alphas)
+        w = _class_rows("weights", self.weights)
+        cells = self.layout.num_cells
+        for row in a:
+            if len(row) != cells:
+                raise InputError(f"alphas must be (classes, {cells}), got "
+                                 f"a class of {len(row)} cells")
+        if list(map(len, w)) != list(map(len, a)):
             raise InputError("weights shape must match alphas")
-        if np.any(a < 0) or np.any(a > 1):
-            raise InputError("cell accuracies must lie in [0, 1]")
+        if not all(0.0 <= v <= 1.0 for row in a for v in row):
+            raise InputError("cell accuracies must be finite and in [0, 1]")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "weights", w)
 
     @property
     def num_classes(self) -> int:
-        return self.alphas.shape[0]
+        return len(self.alphas)
+
+
+def _softmax(row: tuple[float, ...]) -> tuple[float, ...]:
+    if not row:
+        return ()
+    top = max(row)
+    e = [math.exp(v - top) for v in row]
+    # summed in numpy's pairwise order, so the weights keep the bits that
+    # dividing by np.sum gave
+    total = pairwise_sum(e)
+    return tuple(v / total for v in e)
 
 
 def build_footprint_map(alphas, layout: CellLayout = CellLayout()) -> FootprintMap:
     """Softmax each class's cell accuracies into a weight map."""
-    a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 2:
-        raise InputError(f"alphas must be 2d, got shape {a.shape}")
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    w = e / e.sum(axis=1, keepdims=True)
-    return FootprintMap(layout=layout, alphas=a, weights=w)
+    a = _class_rows("alphas", alphas)
+    return FootprintMap(layout=layout, alphas=a,
+                        weights=tuple(map(_softmax, a)))
 
 
 def mean_box(tube: Tube) -> BoundingBox:
-    """Coordinate-wise mean of the tube's boxes."""
-    coords = np.array([box.as_tuple() for box in tube.boxes])
-    x1, y1, x2, y2 = coords.mean(axis=0)
-    return BoundingBox(float(x1), float(y1), float(x2), float(y2))
+    """Coordinate-wise mean of the tube's boxes: each coordinate summed in
+    frame order and divided once, as numpy's mean over axis 0 does."""
+    boxes = tube.boxes
+    x1, y1, x2, y2 = boxes[0].as_tuple()
+    for box in boxes[1:]:
+        x1 += box.x_min
+        y1 += box.y_min
+        x2 += box.x_max
+        y2 += box.y_max
+    n = len(boxes)
+    return BoundingBox(x1 / n, y1 / n, x2 / n, y2 / n)
 
 
 def cells_overlapping(layout: CellLayout, box: BoundingBox,
                       frame_size: tuple[float, float]) -> list[int]:
     """Indices of map cells sharing positive area with a frame box."""
     width, height = frame_size
-    if width <= 0 or height <= 0:
-        raise InputError(f"frame size must be positive, got {frame_size}")
+    if not (width > 0 and height > 0) \
+            or not (math.isfinite(width) and math.isfinite(height)):
+        raise InputError(
+            f"frame size must be positive and finite, got {frame_size}")
     side = layout.map_side
     cell_w = width / side
     cell_h = height / side
@@ -270,8 +308,10 @@ def prune_drifted(tubes: Sequence[Tube], fmap: FootprintMap,
     the tube survives iff the mean weight over O is at least the mean
     weight over all cells (which is 1 / num_cells by construction).  A
     projection hitting no cell means the tube left the frame and it is
-    removed as well.
+    removed as well.  Both means sum in numpy's pairwise order, so a
+    box over every cell ties the map mean exactly.
     """
+    s_map = [pairwise_sum(w) / fmap.layout.num_cells for w in fmap.weights]
     kept = []
     for tube in tubes:
         require_scored(tube)
@@ -284,9 +324,8 @@ def prune_drifted(tubes: Sequence[Tube], fmap: FootprintMap,
         if not cells:
             continue
         w = fmap.weights[label]
-        s_proj = float(w[cells].sum()) / len(cells)
-        s_map = float(w.sum()) / fmap.layout.num_cells
-        if s_proj >= s_map:
+        s_proj = pairwise_sum([w[k] for k in cells]) / len(cells)
+        if s_proj >= s_map[label]:
             kept.append(tube)
     return kept
 
@@ -302,6 +341,7 @@ def nearest_centroid_alphas(
     train split and its accuracy per class on the test split becomes
     alpha[class, cell].  Every class must appear in both splits.
     """
+    import numpy as np
     if num_classes < 1:
         raise InputError(f"num_classes must be >= 1, got {num_classes}")
     for name, split in (("train", train), ("test", test)):

@@ -5,7 +5,9 @@ scores, metrics) live in tab-separated text files with a two-line
 header naming the record kind, format version and column layout.
 Dense numeric payloads (point matches, flow grids, scorer weights,
 cell accuracies) live in a little-endian container of named arrays,
-written and read back one read-only array at a time.  Writers emit
+written and read back one array at a time: weights and flow grids as
+read-only numpy arrays, point matches and cell accuracies as Python
+floats.  Writers emit
 records and arrays in a canonical order so identical data always
 produces identical bytes, and every file is written to a temp file
 beside its target and then renamed onto it, so a failed write never
@@ -35,7 +37,9 @@ import os
 import re
 import shutil
 import struct
+import sys
 import threading
+from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -48,8 +52,9 @@ from .model import (SCORE_SUM_TOL, BoundingBox, ClipScoreSequence,
                     Detection, FlowMagnitudeGrid, FrameInterval,
                     GroundTruthTube, Proposal, Source, Tube)
 
-# numpy is for annotations only: the array container functions import it,
-# so the record files load without it.
+# numpy is for annotations only: the container writer and the readers that
+# return arrays import it, so the record files, ``read_matches`` and
+# ``read_alphas`` load without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -1034,6 +1039,9 @@ def write_metrics(path, rows: Iterable[Sequence[str]]) -> None:
 
 BINARY_MAGIC = b"ATBN"
 _DTYPE_CODES = {0: "<f8", 1: "<i8", 2: "|u1", 3: "<f4"}
+# each stored dtype as numpy names it, for readers that use no numpy
+_DTYPE_NAMES = {"<f8": "float64", "<i8": "int64", "|u1": "uint8",
+                "<f4": "float32"}
 # every float dtype but float32 is stored as float64, every signed integer
 # dtype as int64, and unsigned bytes as bytes
 _CODE_FOR_KIND = {"f": 0, "i": 1, "u": 2}
@@ -1235,12 +1243,27 @@ def read_arrays(path) -> dict[str, np.ndarray]:
 
 # -- typed container views ----------------------------------------------
 
-def _check_dtype(path, name: str, arr, *dtypes: str) -> None:
+def _check_dtype(path, name: str, dtype: str, *dtypes: str) -> None:
     """Rejects an array whose dtype is none of ``dtypes`` (numpy names):
     each typed reader takes only the codes its data is written in."""
-    if arr.dtype.name not in dtypes:
-        raise SchemaError(f"array {name!r} is {arr.dtype.name}, expected "
+    if dtype not in dtypes:
+        raise SchemaError(f"array {name!r} is {dtype}, expected "
                           f"{' or '.join(dtypes)}", path=str(path))
+
+
+def _read_floats(path, fh, entry: _Entry) -> list[float]:
+    """A float64 array's values as Python floats, in row-major order,
+    read from the open container ``fh`` without numpy."""
+    values = array("d")
+    fh.seek(entry.offset)
+    try:
+        values.fromfile(fh, math.prod(entry.shape))
+    except EOFError:
+        raise SchemaError(f"truncated container at byte {entry.offset}",
+                          path=str(path)) from None
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()
 
 
 def write_weights(path, weights) -> None:
@@ -1262,7 +1285,7 @@ def read_weights(path):
         raise SchemaError(f"weights container missing {sorted(missing)}",
                           path=str(path))
     for name in sorted(required):
-        _check_dtype(path, name, arrays[name],
+        _check_dtype(path, name, arrays[name].dtype.name,
                      "uint8" if name == "activation" else "float64")
     try:
         activation = arrays["activation"].tobytes().decode("utf-8")
@@ -1331,22 +1354,28 @@ def write_matches(
     write_arrays(path, arrays())
 
 
-def read_matches(path, entries: Iterable[_Entry]) -> dict[int, np.ndarray]:
+def read_matches(path, entries: Iterable[_Entry]
+                 ) -> dict[int, list[tuple[float, float, float, float]]]:
     """One video's ``frame -> rows`` as written by ``write_matches``, of
-    the ``entries`` a ``VideoArrays`` found for it."""
-    import numpy as np
+    the ``entries`` a ``VideoArrays`` found for it; each row is a
+    ``(from_x, from_y, to_x, to_y)`` tuple of floats."""
     out = {}
-    for name, rows in iter_arrays(path, entries):
-        frame = _parse_frame_name(name, path, "match")[1]
-        if rows.dtype.name != "float64" or rows.ndim != 2 \
-                or rows.shape[1] != 4:
-            raise SchemaError(
-                f"match array {name!r} is {rows.dtype} {rows.shape}, "
-                f"expected (N, 4) float64", path=str(path))
-        if not np.all(np.isfinite(rows)):
-            raise SchemaError(f"match array {name!r}: match points "
-                              f"must be finite", path=str(path))
-        out[frame] = rows
+    with _open_bytes(path) as fh:
+        for entry in entries:
+            name = entry.name
+            frame = _parse_frame_name(name, path, "match")[1]
+            if entry.dtype != "<f8" or len(entry.shape) != 2 \
+                    or entry.shape[1] != 4:
+                raise SchemaError(
+                    f"match array {name!r} is {_DTYPE_NAMES[entry.dtype]} "
+                    f"{entry.shape}, expected (N, 4) float64",
+                    path=str(path))
+            values = _read_floats(path, fh, entry)
+            if not all(map(math.isfinite, values)):
+                raise SchemaError(f"match array {name!r}: match points "
+                                  f"must be finite", path=str(path))
+            points = iter(values)
+            out[frame] = list(zip(points, points, points, points))
     return out
 
 
@@ -1354,13 +1383,29 @@ def write_alphas(path, alphas: np.ndarray) -> None:
     write_arrays(path, [("alphas", alphas)])
 
 
-def read_alphas(path) -> np.ndarray:
-    arrays = read_arrays(path)
-    if "alphas" not in arrays:
-        raise SchemaError("alphas container missing 'alphas'",
-                          path=str(path))
-    _check_dtype(path, "alphas", arrays["alphas"], "float64")
-    return arrays["alphas"]
+def read_alphas(path) -> tuple[tuple[float, ...], ...]:
+    """The per-cell classifier accuracies, one tuple of floats per class;
+    each must be finite and in [0, 1]."""
+    with _open_bytes(path) as fh:
+        entries = {entry.name: entry for entry in _walk(path, fh)}
+        if "alphas" not in entries:
+            raise SchemaError("alphas container missing 'alphas'",
+                              path=str(path))
+        entry = entries["alphas"]
+        _check_dtype(path, "alphas", _DTYPE_NAMES[entry.dtype], "float64")
+        if len(entry.shape) != 2:
+            raise SchemaError(f"array 'alphas' is {entry.shape}, expected "
+                              f"(classes, cells)", path=str(path))
+        values = _read_floats(path, fh, entry)
+    classes, cells = entry.shape
+    for index, value in enumerate(values):
+        if not 0.0 <= value <= 1.0:
+            raise SchemaError(
+                f"alpha of class {index // cells}, cell {index % cells} is "
+                f"{value!r}; cell accuracies must be finite and in [0, 1]",
+                path=str(path))
+    return tuple(tuple(values[c * cells:(c + 1) * cells])
+                 for c in range(classes))
 
 
 def write_flow(
@@ -1384,7 +1429,7 @@ def read_flow(path, entries: Iterable[_Entry]) -> Iterator[FlowMagnitudeGrid]:
     reached, float32 or float64 as stored."""
     for name, values in iter_arrays(path, entries):
         frame = _parse_frame_name(name, path, "flow grid")[1]
-        _check_dtype(path, name, values, "float32", "float64")
+        _check_dtype(path, name, values.dtype.name, "float32", "float64")
         try:
             grid = FlowMagnitudeGrid(frame, values)
         except InputError as exc:

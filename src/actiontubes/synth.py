@@ -136,12 +136,15 @@ class ScenarioBundle:
 
     def matches(self, index: int) -> dict[int, np.ndarray]:
         """Video ``index``'s full-frame matches from each frame to the
-        next, by frame."""
+        next, by frame, each pair's rows as one (N, 4) array."""
         vid = video_id(index)
         matcher = SyntheticMatcher(self.config, {vid: self.gt_tubes[index]})
         w, h = self.config.frame_size
         full = BoundingBox(0.0, 0.0, float(w), float(h))
-        return {frame: matcher.match(vid, frame, frame + 1, full)
+        # an array per pair as it is answered: one video's rows as Python
+        # floats would take several times the memory
+        return {frame: np.array(matcher.match(vid, frame, frame + 1, full),
+                                dtype=np.float64).reshape(-1, 4)
                 for frame in range(self.config.frames_per_video - 1)}
 
     def flow(self, index: int) -> Iterator[FlowMagnitudeGrid]:
@@ -325,22 +328,23 @@ class SyntheticMatcher:
                  gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
         self._config = config
         self._gt = dict(gt_by_video)
+        # the background grid is the same for every frame pair
+        w, h = config.frame_size
+        step = config.grid_step
+        gx, gy = np.meshgrid(np.arange(step / 2.0, w, step),
+                             np.arange(step / 2.0, h, step))
+        self._background = np.column_stack([gx.ravel(), gy.ravel()])
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
-              box: BoundingBox) -> np.ndarray:
+              box: BoundingBox) -> list[Sequence[float]]:
         field = self._field(video_id, min(from_frame, to_frame))
-        return query_matches(field, from_frame, to_frame, box)
+        return query_matches(field.tolist(), from_frame, to_frame, box)
 
     def _field(self, video_id: str, lo: int) -> np.ndarray:
         tubes = _of_video(self._gt, video_id)
         index = video_index(video_id)
         config = self._config
-        w, h = config.frame_size
-        step = config.grid_step
-        xs = np.arange(step / 2.0, w, step)
-        ys = np.arange(step / 2.0, h, step)
-        gx, gy = np.meshgrid(xs, ys)
-        bg = np.column_stack([gx.ravel(), gy.ravel()])
+        bg = self._background
         keep = np.ones(len(bg), dtype=bool)
         for frame in (lo, lo + 1):
             for gt in tubes:

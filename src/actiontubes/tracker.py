@@ -17,26 +17,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import InputError, ScorerError
 from .geometry import iou
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
 
-# Match rows are arrays, so numpy is loaded on the point-match path
-# only: the center-search tracker runs without it.
-if TYPE_CHECKING:
-    import numpy as np
+# point matches: rows of floats, from_x from_y to_x to_y
+Matches = Sequence[Sequence[float]]
 
 
 class PointMatcher(Protocol):
     """Produces point matches between adjacent frames for a query box.
 
-    Matches are ``(N, 4)`` float64 rows ``from_x from_y to_x to_y``.
+    Matches are a list of ``(from_x, from_y, to_x, to_y)`` rows of
+    floats, one per matched point.
     """
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
-              box: BoundingBox) -> np.ndarray: ...
+              box: BoundingBox) -> list[Sequence[float]]: ...
 
 
 class RegionScorer(Protocol):
@@ -94,24 +93,25 @@ class _ScoreMemo:
         return scores
 
 
-def query_matches(pair: np.ndarray, from_frame: int, to_frame: int,
-                  box: BoundingBox) -> np.ndarray:
+def query_matches(pair: Matches, from_frame: int, to_frame: int,
+                  box: BoundingBox) -> list[Sequence[float]]:
     """The rows of an adjacent frame pair answering one matcher query.
 
     ``pair`` holds the pair's matches from its earlier frame to its
     later one.  A backward query swaps the point roles; either way only
     the rows whose from-point lies inside ``box`` (closed bounds) are
-    kept.
+    kept, in ``pair``'s order.
     """
     if abs(to_frame - from_frame) != 1:
         raise InputError(
             f"matcher queried across {abs(to_frame - from_frame)} "
             f"frames; only adjacent frames are supported")
-    backward = from_frame > to_frame
-    x, y = (pair[:, 2], pair[:, 3]) if backward else (pair[:, 0], pair[:, 1])
-    rows = pair[(x >= box.x_min) & (x <= box.x_max)
-                & (y >= box.y_min) & (y <= box.y_max)]
-    return rows[:, [2, 3, 0, 1]] if backward else rows
+    x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+    if from_frame > to_frame:
+        return [(tx, ty, fx, fy) for fx, fy, tx, ty in pair
+                if x_min <= tx <= x_max and y_min <= ty <= y_max]
+    return [row for row in pair
+            if x_min <= row[0] <= x_max and y_min <= row[1] <= y_max]
 
 
 class PrecomputedMatcher:
@@ -123,24 +123,20 @@ class PrecomputedMatcher:
     and ignores its video id.
     """
 
-    def __init__(self, pairs: Mapping[int, np.ndarray]):
+    def __init__(self, pairs: Mapping[int, Matches]):
         self._pairs = dict(pairs)
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
-              box: BoundingBox) -> np.ndarray:
-        pair = self._pairs.get(min(from_frame, to_frame))
-        if pair is None:
-            import numpy as np
-            pair = np.empty((0, 4))
+              box: BoundingBox) -> list[Sequence[float]]:
+        pair = self._pairs.get(min(from_frame, to_frame), ())
         return query_matches(pair, from_frame, to_frame, box)
 
 
-def match_ratio(box: BoundingBox,
-                matches: np.ndarray | list[list[float]]) -> float:
+def match_ratio(box: BoundingBox, matches: Matches) -> float:
     """Fraction of match points landing inside ``box`` on the target frame.
 
-    ``matches`` holds ``from_x from_y to_x to_y`` rows, as an ``(N, 4)``
-    array or its ``tolist()``; points on the box edges count as inside.
+    ``matches`` holds ``from_x from_y to_x to_y`` rows; points on the box
+    edges count as inside.
     """
     if not len(matches):
         return 0.0
@@ -283,7 +279,7 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
 
 
 def match_gate(region: BoundingBox, proposals: Sequence[Proposal],
-               matches: np.ndarray, cfg: TrackerConfig) -> list[Proposal]:
+               matches: Matches, cfg: TrackerConfig) -> list[Proposal]:
     """The proposals that may continue ``region``, in proposal order.
 
     A proposal passes when its ``iou`` with ``region`` is at least
@@ -294,14 +290,13 @@ def match_gate(region: BoundingBox, proposals: Sequence[Proposal],
     """
     if not len(matches):
         return []
-    rows = matches.tolist()
     return [p for p in proposals
             if iou(p.box, region) >= cfg.min_prev_overlap
-            and match_ratio(p.box, rows) >= cfg.min_match_ratio]
+            and match_ratio(p.box, matches) >= cfg.min_match_ratio]
 
 
 def track_step(region: BoundingBox, label: int, next_frame: int,
-               proposals: Sequence[Proposal], matches: np.ndarray,
+               proposals: Sequence[Proposal], matches: Matches,
                scorer: RegionScorer, pool: UntrackedPool,
                cfg: TrackerConfig, video_id: str = "") -> Detection | None:
     """Extend a tube by one frame; ``None`` means the tube terminates.

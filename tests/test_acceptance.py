@@ -163,8 +163,11 @@ def _track_scenario(speed: float, baseline: bool) -> float:
                 vid, by_frame, proposals, extent, scorer, tcfg,
                 search_radius=20.0)
         else:
-            built = build_tubes(vid, by_frame, proposals, extent,
-                                PrecomputedMatcher(bundle.matches(index)),
+            # the rows as track reads them from matches.atb
+            matcher = PrecomputedMatcher({
+                frame: list(map(tuple, rows.tolist()))
+                for frame, rows in bundle.matches(index).items()})
+            built = build_tubes(vid, by_frame, proposals, extent, matcher,
                                 scorer, tcfg)
         tubes.extend(built)
     return evaluate(_label_by_mean_score(tubes), bundle.all_gt(),

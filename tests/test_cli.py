@@ -247,6 +247,28 @@ class TestExitCodes:
         assert "'activation' is not UTF-8" in err
         assert not (tmp_path / FILE_SCORED).exists()
 
+    def test_alpha_not_finite_or_outside_unit_interval_returns_three(
+            self, tmp_path, capsys):
+        """One bad cell accuracy fails prune, where a NaN used to drop
+        every tube of its class with exit 0."""
+        footprint = ("--stage-override", "synth.video_count=6",
+                     "--stage-override", "synth.with_footprint=true")
+        for stage in ("synth", "fuse", "track", "score"):
+            assert run_cli(stage, "--out", tmp_path, *FAST, *footprint) == 0
+        path = tmp_path / FILE_ALPHAS
+        alphas = np.array(formats.read_alphas(path))
+        for bad in (np.nan, 1.5):
+            broken = alphas.copy()
+            broken[1, 24] = bad
+            formats.write_alphas(path, broken)
+            capsys.readouterr()
+            assert run_cli("prune", "--out", tmp_path, *FAST,
+                           *footprint) == 3
+            err = capsys.readouterr().err
+            assert FILE_ALPHAS in err
+            assert "class 1, cell 24" in err
+            assert not (tmp_path / FILE_PRUNED).exists()
+
     def test_detections_of_an_unknown_video_return_three(self, tmp_path,
                                                          capsys):
         baseline = ("--stage-override", "track.baseline=true")

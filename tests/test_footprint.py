@@ -1,3 +1,7 @@
+import math
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from actiontubes.footprint import (CellLayout, DiagonalGaussianMixture,
                                    fisher_vector, fit_gmm, mean_box,
                                    nearest_centroid_alphas, posteriors,
                                    prune_drifted)
-from actiontubes.model import BoundingBox, Source, Tube
+from actiontubes.model import BoundingBox, Source, Tube, pairwise_sum
 from oracles import (cells_overlapping_reference, fisher_reference,
                      prune_drifted_reference, softmax_reference)
 
@@ -136,7 +140,7 @@ class TestFootprintMap:
             np.testing.assert_allclose(fmap.weights[c],
                                        softmax_reference(alphas[c]),
                                        atol=1e-12)
-            assert fmap.weights[c].sum() == pytest.approx(1.0, abs=1e-12)
+            assert sum(fmap.weights[c]) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_alphas_give_uniform_weights(self):
         fmap = build_footprint_map(np.full((2, 49), 0.5))
@@ -145,6 +149,40 @@ class TestFootprintMap:
     def test_out_of_range_alphas_rejected(self):
         with pytest.raises(InputError):
             build_footprint_map(np.full((1, 49), 1.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_non_finite_alphas_rejected(self, bad):
+        alphas = np.full((2, 49), 0.5)
+        alphas[1, 24] = bad
+        with pytest.raises(InputError, match="finite and in"):
+            build_footprint_map(alphas)
+
+    @pytest.mark.parametrize("alphas", [np.full(49, 0.5), np.array(0.5),
+                                        np.full((2, 48), 0.5)])
+    def test_alphas_that_are_not_classes_by_cells_rejected(self, alphas):
+        with pytest.raises(InputError, match="alphas must be"):
+            build_footprint_map(alphas)
+
+    def test_map_holds_tuples_of_floats(self):
+        fmap = build_footprint_map(np.full((2, 49), 0.5))
+        for table in (fmap.alphas, fmap.weights):
+            assert type(table) is tuple and len(table) == 2
+            assert all(type(row) is tuple and len(row) == 49
+                       and all(type(v) is float for v in row)
+                       for row in table)
+
+    def test_weights_are_numpy_softmax_of_the_same_exponentials(self):
+        """Each weight is ``math.exp(a - max)`` over the row's pairwise
+        sum, bit for bit what numpy divides by."""
+        rng = np.random.default_rng(13)
+        # up to 196 cells, past the 128 where numpy's sum splits in two
+        for side in (1, 2, 3, 7, 8, 14):
+            alphas = rng.uniform(0, 1, size=(3, side * side))
+            shifted = alphas - alphas.max(axis=1, keepdims=True)
+            e = np.vectorize(math.exp)(shifted)
+            want = (e / e.sum(axis=1, keepdims=True)).tolist()
+            fmap = build_footprint_map(alphas, CellLayout(1, side))
+            assert [list(row) for row in fmap.weights] == want, side
 
 
 class TestCellsOverlapping:
@@ -175,6 +213,21 @@ class TestCellsOverlapping:
         cells = cells_overlapping(self.layout, BoundingBox(200, 200, 220, 220),
                                   (140.0, 140.0))
         assert cells == []
+
+    @pytest.mark.parametrize("frame_size", [
+        (math.nan, 140.0), (140.0, math.nan), (math.inf, 140.0),
+        (140.0, -math.inf), (0.0, 140.0), (140.0, -1.0)])
+    def test_frame_size_not_finite_and_positive_rejected(self, frame_size):
+        with pytest.raises(InputError, match="frame size"):
+            cells_overlapping(self.layout, BoundingBox(0, 0, 140, 140),
+                              frame_size)
+
+    def test_nan_frame_size_does_not_prune_every_tube(self):
+        fmap = build_footprint_map(np.full((1, 49), 0.5), self.layout)
+        tube = tube_at(BoundingBox(0, 0, 140, 140))
+        assert prune_drifted([tube], fmap, (140.0, 140.0)) == [tube]
+        with pytest.raises(InputError, match="frame size"):
+            prune_drifted([tube], fmap, (math.nan, 140.0))
 
 
 def tube_at(box, video="v", tube_id="t", frames=4, label=0, score=1.0):
@@ -220,6 +273,27 @@ class TestPruneDrifted:
         as_class0 = tube_at(corner_box, tube_id="z", label=0)
         kept = prune_drifted([as_class1, as_class0], fmap, (140.0, 140.0))
         assert kept == [as_class1]
+
+    def test_box_over_every_cell_ties_the_map_mean(self):
+        """Over every cell the projected mean is the map mean exactly, for
+        weights whose plain left-to-right sum differs from numpy's
+        pairwise one, so such a tube is always kept."""
+        rng = np.random.default_rng(17)
+        layout = CellLayout(2, 7)
+        frame = (140.0, 140.0)
+        orders_differ = 0
+        for trial in range(50):
+            fmap = build_footprint_map(rng.uniform(0, 1, size=(2, 49)),
+                                       layout)
+            weights = fmap.weights[trial % 2]
+            orders_differ += reduce(add, weights) != pairwise_sum(weights)
+            box = BoundingBox(*rng.uniform(-30, 0, 2),
+                              *rng.uniform(140, 170, 2))
+            tube = tube_at(box, label=trial % 2)
+            assert cells_overlapping(layout, mean_box(tube), frame) == \
+                list(range(49))
+            assert prune_drifted([tube], fmap, frame) == [tube], trial
+        assert orders_differ
 
     def test_unknown_label_rejected(self):
         fmap = self.center_heavy_map()
@@ -320,6 +394,18 @@ class TestMeanBox:
                  (BoundingBox(0, 0, 10, 10), BoundingBox(10, 10, 20, 20)),
                  ((1.0,), (1.0,)), (Source.STATIC, Source.STATIC))
         assert mean_box(t) == BoundingBox(5, 5, 15, 15)
+
+    def test_bit_equal_to_numpy_mean_over_frames(self):
+        rng = np.random.default_rng(23)
+        for frames in (1, 2, 7, 8, 9, 130, 400):
+            lo = rng.uniform(0, 200, size=(frames, 2))
+            hi = lo + rng.uniform(0.5, 60, size=(frames, 2))
+            coords = np.hstack([lo, hi])
+            tube = Tube("v", "t", 0,
+                        tuple(BoundingBox(*row) for row in coords.tolist()),
+                        ((1.0,),) * frames, (Source.STATIC,) * frames)
+            assert mean_box(tube).as_tuple() == \
+                tuple(coords.mean(axis=0).tolist()), frames
 
 
 class TestNearestCentroidAlphas:

@@ -36,12 +36,11 @@ LOADED = {
     "localize": CLI | {"temporal"},
     "evaluate": CLI | {"evaluation", "geometry"},
 }
-# The stages that compute with arrays load numpy: track for the point
-# matches and score for the recurrent scorer.  fuse loads it only to
-# read flow grids and prune only for the footprint map, which the tiny
-# scenario has neither of, and the center-search tracker reads no
-# matches.
-NUMPY = {"synth", "track", "score"}
+# The stages that compute with arrays load numpy: synth for the
+# generator and score for the recurrent scorer.  fuse loads it only to
+# read flow grids, which the tiny scenario has none of; track reads its
+# point matches and prune its footprint map as plain floats.
+NUMPY = {"synth", "score"}
 
 CHILD = """
 import json, sys
@@ -96,7 +95,7 @@ def test_center_search_track_runs_without_numpy(tmp_path, child_env):
                           *baseline) == (0, LOADED["track"], False)
 
 
-def test_footprint_prune_loads_numpy(tmp_path, child_env):
+def test_footprint_prune_runs_without_numpy(tmp_path, child_env):
     # four videos of two classes give the footprint statistics both
     # classes in both halves
     footprint = ("--stage-override", "synth.video_count=4",
@@ -106,4 +105,4 @@ def test_footprint_prune_loads_numpy(tmp_path, child_env):
         assert main([stage, "--out", str(tmp_path), *TINY, *footprint]) == 0
     assert (tmp_path / FILE_ALPHAS).exists()
     assert loaded_modules(child_env, "prune", "--out", tmp_path, *TINY,
-                          *footprint) == (0, SCENARIO | {"footprint"}, True)
+                          *footprint) == (0, SCENARIO | {"footprint"}, False)

@@ -138,10 +138,6 @@ class TestProposalsRoundTrip:
         assert not path.exists()
 
 
-def lexsorted(rows):
-    return rows[np.lexsort(rows.T[::-1])]
-
-
 def match_chunks(pairs):
     """A ``{(video_id, frame): rows}`` mapping as ``write_matches`` takes
     it: one ``(video_id, {frame: rows})`` chunk per video, in array-name
@@ -163,7 +159,9 @@ class TestMatchesRoundTrip:
         w, h = bundle.config.frame_size
         frames = list(range(bundle.config.frames_per_video))
         for gt_tubes, (vid, pairs) in zip(bundle.gt_tubes, chunks):
-            matcher = PrecomputedMatcher(pairs)
+            matcher = PrecomputedMatcher({
+                frame: list(map(tuple, rows.tolist()))
+                for frame, rows in pairs.items()})
             reread = PrecomputedMatcher(arrays.read(vid))
             for a, b in [*zip(frames, frames[1:]), *zip(frames[1:], frames)]:
                 boxes = [BoundingBox(0, 0, w, h)] + [
@@ -171,8 +169,7 @@ class TestMatchesRoundTrip:
                 for box in boxes:
                     want = matcher.match(vid, a, b, box)
                     got = reread.match(vid, a, b, box)
-                    assert np.array_equal(lexsorted(got), lexsorted(want)), \
-                        (vid, a, b, box)
+                    assert sorted(got) == sorted(want), (vid, a, b, box)
                     answered += len(got) > 0
         assert answered > 2 * len(bundle.all_gt())
 
@@ -182,7 +179,7 @@ class TestMatchesRoundTrip:
         matcher = PrecomputedMatcher(
             formats.VideoArrays(path, "matches").read("v0"))
         back = matcher.match("v0", 4, 3, BoundingBox(0, 0, 10, 10))
-        assert np.array_equal(back, [[5.0, 6.0, 1.0, 2.0]])
+        assert back == [(5.0, 6.0, 1.0, 2.0)]
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         path = tmp_path / "m.atb"
@@ -196,7 +193,34 @@ class TestMatchesRoundTrip:
                 for frame in frames} == set(pairs)
         for (video_id, frame), rows in pairs.items():
             want = np.array(sorted(map(tuple, rows))).reshape(-1, 4)
-            assert back[video_id][frame].tobytes() == want.tobytes()
+            got = np.array(back[video_id][frame]).reshape(-1, 4)
+            assert got.tobytes() == want.tobytes()
+            assert back[video_id][frame] == list(map(tuple, want.tolist()))
+
+    def test_rows_equal_the_container_arrays_bit_for_bit(self, tmp_path):
+        """Each row read as floats is its container array's row, with
+        negative zeros, subnormals and extremes kept."""
+        path = tmp_path / "m.atb"
+        rng = np.random.default_rng(4)
+        odd = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+               0.1, 1.0 / 3.0]
+        pairs = {("v0", 0): rng.normal(size=(40, 4)) * 1e3,
+                 ("v0", 2): np.array(odd[:4] + odd[2:]).reshape(2, 4),
+                 ("v0", 3): np.empty((0, 4)),
+                 ("v1", 5): rng.uniform(-1, 1, size=(3, 4))}
+        formats.write_matches(path, match_chunks(pairs))
+        back = read_videos(path, "matches")
+        arrays = dict(formats.iter_arrays(path))
+        assert len(arrays) == len(pairs)
+        for name, arr in arrays.items():
+            video_id, frame = name.split("/")
+            rows = back[video_id][int(frame)]
+            assert all(type(row) is tuple and len(row) == 4
+                       and all(type(v) is float for v in row)
+                       for row in rows)
+            assert len(rows) == len(arr)
+            for row, want in zip(rows, arr):
+                assert struct.pack("<4d", *row) == want.tobytes(), name
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         """A video's frames may come in any order."""
@@ -1263,10 +1287,9 @@ class TestVideoArrays:
         arrays = formats.VideoArrays(path, "matches")
         assert arrays.video_ids == sorted(self.IDS)
         for video_id in self.IDS:
-            assert {frame: rows.tolist() for frame, rows
-                    in arrays.read(video_id).items()} == \
-                {frame: rows.tolist() for (vid, frame), rows in pairs.items()
-                 if vid == video_id}
+            assert arrays.read(video_id) == \
+                {frame: list(map(tuple, rows.tolist()))
+                 for (vid, frame), rows in pairs.items() if vid == video_id}
 
     def test_flow_grids_of_each_video(self, tmp_path):
         path = tmp_path / "f.atb"
@@ -1581,7 +1604,51 @@ class TestArrayContainer:
         path = tmp_path / "al.atb"
         alphas = np.random.default_rng(0).uniform(size=(3, 49))
         formats.write_alphas(path, alphas)
-        assert np.array_equal(formats.read_alphas(path), alphas)
+        back = formats.read_alphas(path)
+        assert np.array_equal(back, alphas)
+        assert back == tuple(map(tuple, alphas.tolist()))
+        assert all(type(row) is tuple for row in back)
+
+    def test_alphas_at_the_bounds_accepted(self, tmp_path):
+        path = tmp_path / "al.atb"
+        formats.write_alphas(path, np.array([[0.0, 1.0], [-0.0, 0.5]]))
+        assert formats.read_alphas(path) == ((0.0, 1.0), (0.0, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.25])
+    def test_alphas_not_finite_or_outside_unit_interval_rejected(
+            self, tmp_path, bad):
+        path = tmp_path / "al.atb"
+        alphas = np.full((3, 49), 0.5)
+        alphas[1, 24] = bad
+        formats.write_alphas(path, alphas)
+        with pytest.raises(SchemaError, match="class 1, cell 24") as info:
+            formats.read_alphas(path)
+        assert "finite and in [0, 1]" in str(info.value)
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("arrays, needle", [
+        ([("alphas", np.full(49, 0.5))], "(classes, cells)"),
+        ([("alphas", np.array(0.5))], "(classes, cells)"),
+        ([("alphas", np.full((1, 2, 3), 0.5))], "(classes, cells)"),
+        ([("other", np.full((1, 49), 0.5))], "missing 'alphas'"),
+    ], ids=["1d", "0d", "3d", "missing"])
+    def test_alphas_not_one_row_per_class_rejected(self, tmp_path, arrays,
+                                                   needle):
+        path = tmp_path / "al.atb"
+        formats.write_arrays(path, arrays)
+        with pytest.raises(SchemaError) as info:
+            formats.read_alphas(path)
+        assert needle in str(info.value)
+
+    def test_alphas_truncated_or_trailing_rejected(self, tmp_path):
+        path = tmp_path / "al.atb"
+        formats.write_alphas(path, np.full((2, 4), 0.5))
+        blob = path.read_bytes()
+        for broken, word in ((blob[:-1], "truncated"),
+                             (blob + b"\x00", "trailing")):
+            path.write_bytes(broken)
+            with pytest.raises(SchemaError, match=word):
+                formats.read_alphas(path)
 
     def test_flow_round_trip(self, bundle, tmp_path):
         path = tmp_path / "f.atb"
@@ -1724,8 +1791,7 @@ class TestReadmeExample:
         exec(block.replace("DIR", str(tmp_path)), scope)
         matches = formats.VideoArrays(tmp_path / "matches.atb", "matches")
         assert matches.video_ids == ["v000"]
-        assert {frame: pair.tolist() for frame, pair
-                in matches.read("v000").items()} == {7: sorted(rows.tolist())}
+        assert matches.read("v000") == {7: sorted(map(tuple, rows.tolist()))}
         tubes = formats.VideoRecords(tmp_path / "tubes_final.tsv", "tubes")
         assert list(tubes) == [("v000", tubes_of("v000")),
                                ("v001", tubes_of("v001"))]

@@ -261,8 +261,11 @@ class TestProposals:
 
 
 def stored_matcher(bundle, index=0):
-    """Video ``index``'s matches as ``track`` answers from them."""
-    return PrecomputedMatcher(bundle.matches(index))
+    """Video ``index``'s matches as ``track`` answers from them: rows of
+    float tuples."""
+    return PrecomputedMatcher({
+        frame: list(map(tuple, rows.tolist()))
+        for frame, rows in bundle.matches(index).items()})
 
 
 class TestMatcher:
@@ -287,8 +290,8 @@ class TestMatcher:
         bundle = generate(small_config(match_noise=0.3))
         matcher = stored_matcher(bundle)
         gt = bundle.gt_tubes[0][0]
-        fwd = matcher.match("v000", 4, 5, gt.box_at(4))
-        back = matcher.match("v000", 5, 4, gt.box_at(5))
+        fwd = np.array(matcher.match("v000", 4, 5, gt.box_at(4)))
+        back = np.array(matcher.match("v000", 5, 4, gt.box_at(5)))
         assert np.allclose(np.sort(fwd[:, 2:], axis=0),
                            np.sort(back[:, :2], axis=0))
 
@@ -302,13 +305,13 @@ class TestMatcher:
         for frame in range(20):
             m.match("v000", frame, frame + 1, box)
         b = m.match("v000", 7, 8, box)
-        assert np.array_equal(a, b)
+        assert a == b
 
     def test_restrict_respected(self):
         bundle = generate(small_config())
         matcher = stored_matcher(bundle)
         box = bundle.gt_tubes[0][0].box_at(0)
-        matches = matcher.match("v000", 0, 1, box)
+        matches = np.array(matcher.match("v000", 0, 1, box))
         fp = matches[:, :2]
         assert np.all((fp[:, 0] >= box.x_min) & (fp[:, 0] <= box.x_max))
         assert np.all((fp[:, 1] >= box.y_min) & (fp[:, 1] <= box.y_max))
@@ -318,7 +321,7 @@ class TestMatcher:
         matcher = stored_matcher(bundle)
         w, h = bundle.config.frame_size
         full = BoundingBox(0, 0, w, h)
-        matches = matcher.match("v000", 0, 1, full)
+        matches = np.array(matcher.match("v000", 0, 1, full))
         disp = np.linalg.norm(matches[:, 2:] - matches[:, :2], axis=1)
         assert np.sum(disp < 1e-12) > len(disp) / 2
 

@@ -17,6 +17,11 @@ def rows(src, dst):
     return np.hstack([src, dst]).astype(np.float64)
 
 
+def row_tuples(src, dst):
+    """Match rows as matchers answer them: a list of float tuples."""
+    return list(map(tuple, rows(src, dst).tolist()))
+
+
 def grid_points(box, n=4):
     xs = np.linspace(box.x_min + 1, box.x_max - 1, n)
     ys = np.linspace(box.y_min + 1, box.y_max - 1, n)
@@ -101,16 +106,26 @@ class TestQueryMatches:
     def test_restrict_filters_from_points(self):
         src = np.array([[1.0, 1.0], [50.0, 50.0]])
         dst = np.array([[2.0, 2.0], [51.0, 51.0]])
-        kept = query_matches(rows(src, dst), 0, 1, BoundingBox(0, 0, 10, 10))
-        assert kept.tolist() == [[1.0, 1.0, 2.0, 2.0]]
+        kept = query_matches(row_tuples(src, dst), 0, 1,
+                             BoundingBox(0, 0, 10, 10))
+        assert kept == [(1.0, 1.0, 2.0, 2.0)]
 
     def test_precomputed_reverses_direction(self):
         src = np.array([[5.0, 5.0]])
         dst = np.array([[8.0, 5.0]])
-        matcher = PrecomputedMatcher({0: rows(src, dst)})
+        matcher = PrecomputedMatcher({0: row_tuples(src, dst)})
         back = matcher.match("v", 1, 0, BoundingBox(6, 3, 10, 7))
-        assert back.tolist() == [[8.0, 5.0, 5.0, 5.0]]
+        assert back == [(8.0, 5.0, 5.0, 5.0)]
         assert len(matcher.match("v", 4, 5, BoundingBox(0, 0, 9, 9))) == 0
+
+    def test_closed_bounds_and_order_both_ways(self):
+        pair = [(0.0, 0.0, 9.0, 9.0), (10.0, 10.0, 0.0, 0.0),
+                (10.5, 0.0, 5.0, 5.0), (5.0, 5.0, 10.0, 10.5)]
+        box = BoundingBox(0, 0, 10, 10)
+        assert query_matches(pair, 3, 4, box) == [pair[0], pair[1], pair[3]]
+        assert query_matches(pair, 4, 3, box) == [
+            (9.0, 9.0, 0.0, 0.0), (0.0, 0.0, 10.0, 10.0),
+            (5.0, 5.0, 10.5, 0.0)]
 
     def test_precomputed_rejects_non_adjacent(self):
         matcher = PrecomputedMatcher({})
