@@ -263,6 +263,17 @@ def build_footprint_map(alphas, layout: CellLayout = CellLayout()) -> FootprintM
                         weights=tuple(map(_softmax, a)))
 
 
+def uniform_classes(fmap: FootprintMap) -> list[int]:
+    """The classes whose weight map is the same in every cell.
+
+    Such a map carries no spatial evidence for its class (the synthetic
+    footprint statistics give one when a class's cell accuracies tie),
+    so the prune keeps or drops that class's tubes on rounding alone.
+    """
+    return [label for label, w in enumerate(fmap.weights)
+            if len(set(w)) == 1]
+
+
 def mean_box(tube: Tube) -> BoundingBox:
     """Coordinate-wise mean of the tube's boxes: each coordinate summed in
     frame order and divided once, as numpy's mean over axis 0 does."""

@@ -4,10 +4,9 @@ Sparse records (detections, proposals, tube frames, ground truth, clip
 scores, metrics) live in tab-separated text files with a two-line
 header naming the record kind, format version and column layout.
 Dense numeric payloads (point matches, flow grids, scorer weights,
-cell accuracies) live in a little-endian container of named arrays,
-written and read back one array at a time: weights and flow grids as
-read-only numpy arrays, point matches and cell accuracies as Python
-floats.  Writers emit
+clip noise, cell accuracies) live in a little-endian container of
+named arrays, written and read back one array at a time: flow grids as
+read-only numpy arrays, everything else as Python floats.  Writers emit
 records and arrays in a canonical order so identical data always
 produces identical bytes, and every file is written to a temp file
 beside its target and then renamed onto it, so a failed write never
@@ -53,8 +52,9 @@ from .model import (SCORE_SUM_TOL, BoundingBox, ClipScoreSequence,
                     GroundTruthTube, Proposal, Source, Tube)
 
 # numpy is for annotations only: the container writer and the readers that
-# return arrays import it, so the record files, ``read_matches`` and
-# ``read_alphas`` load without it.
+# return arrays import it, so the record files and the readers of floats
+# (``read_weights``, ``read_clip_noise``, ``read_matches``,
+# ``read_alphas``) load without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -1191,16 +1191,18 @@ def iter_arrays(path, entries=None) -> Iterator[tuple[str, np.ndarray]]:
 
 
 class VideoArrays:
-    """A container of ``<video_id>/<frame:08d>`` arrays read one video
-    at a time, as ``VideoRecords`` reads a record file.
+    """A container of ``<video_id>/<frame:08d>`` arrays, or of one array
+    per video named ``<video_id>``, read one video at a time, as
+    ``VideoRecords`` reads a record file.
 
     Building it walks the container once and makes every structural
     check.  It keeps, per video, where the video's first array record
     starts and how many arrays follow, not their values: every name of
-    a video starts with ``<video_id>/``, so the video's arrays are
-    contiguous in name order.  ``read(video_id)`` walks those records
+    a video starts with ``<video_id>/`` or is the id, so the video's
+    arrays are contiguous in name order.  ``read(video_id)`` walks those records
     again and hands their entries alone to the kind's reader
-    (``read_matches`` or ``read_flow``), which checks each array's name,
+    (``read_matches``, ``read_flow`` or ``read_clip_noise``), which
+    checks each array's name,
     dtype and values; a video the container does not hold reads as
     empty.
     """
@@ -1226,14 +1228,16 @@ class VideoArrays:
                     self._spans[video] = [entry.start, 1]
         self.video_ids = sorted(self._spans)
 
-    def read(self, video_id: str):
+    def read(self, video_id: str, *args):
+        """The video's arrays as the kind's reader returns them, called
+        with ``args`` after the entries."""
         entries = []
         if video_id in self._spans:
             with _open_bytes(self.path) as fh:
                 entries = list(_walk(self.path, fh,
                                      *self._spans[video_id]))
         # looked up at each call, so a wrapped reader is the one called
-        return globals()[f"read_{self.kind}"](self.path, entries)
+        return globals()[f"read_{self.kind}"](self.path, entries, *args)
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:
@@ -1277,28 +1281,45 @@ def write_weights(path, weights) -> None:
 
 
 def read_weights(path):
+    """The scorer weights, as tuples of floats; read without numpy."""
     from .scoring import RecurrentScorerWeights
-    arrays = read_arrays(path)
     required = {"w_io", "w_hh", "b_y", "w_cls", "b_cls", "activation"}
-    missing = required - arrays.keys()
-    if missing:
-        raise SchemaError(f"weights container missing {sorted(missing)}",
-                          path=str(path))
-    for name in sorted(required):
-        _check_dtype(path, name, arrays[name].dtype.name,
-                     "uint8" if name == "activation" else "float64")
+    with _open_bytes(path) as fh:
+        entries = {entry.name: entry for entry in _walk(path, fh)}
+        missing = required - entries.keys()
+        if missing:
+            raise SchemaError(f"weights container missing {sorted(missing)}",
+                              path=str(path))
+        for name in sorted(required):
+            _check_dtype(path, name, _DTYPE_NAMES[entries[name].dtype],
+                         "uint8" if name == "activation" else "float64")
+        arrays = {name: _nest(_read_floats(path, fh, entries[name]),
+                              entries[name].shape)
+                  for name in sorted(required - {"activation"})}
+        text = entries["activation"]
+        fh.seek(text.offset)
+        raw = fh.read(math.prod(text.shape))
     try:
-        activation = arrays["activation"].tobytes().decode("utf-8")
+        activation = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise SchemaError("array 'activation' is not UTF-8 text",
                           path=str(path)) from None
     try:
-        return RecurrentScorerWeights(
-            w_io=arrays["w_io"], w_hh=arrays["w_hh"], b_y=arrays["b_y"],
-            w_cls=arrays["w_cls"], b_cls=arrays["b_cls"],
-            activation=activation)
+        return RecurrentScorerWeights(**arrays, activation=activation)
     except InputError as exc:
         raise SchemaError(str(exc), path=str(path)) from None
+
+
+def _nest(values: list[float], shape: tuple[int, ...]):
+    """Row-major ``values`` as nested lists of ``shape``: a 0-d array as
+    its value, an array with an empty axis as ``[]``."""
+    if not shape:
+        return values[0]
+    for size in reversed(shape[1:]):
+        if not size:
+            return []
+        values = [values[i:i + size] for i in range(0, len(values), size)]
+    return values
 
 
 _FRAME_NAME = re.compile(r"([A-Za-z0-9_.:-]+)/([0-9]+)\Z")
@@ -1435,3 +1456,49 @@ def read_flow(path, entries: Iterable[_Entry]) -> Iterator[FlowMagnitudeGrid]:
         except InputError as exc:
             raise SchemaError(str(exc), path=str(path)) from None
         yield grid
+
+
+def write_clip_noise(path, tables: Iterable[tuple[str, np.ndarray]]) -> None:
+    """``(video_id, table)`` pairs, ascending ids, one array per video
+    named by its id: the (frames, feature_dim) float64 clip noise, row
+    ``s`` for a clip starting at frame ``s``."""
+    import numpy as np
+
+    def arrays():
+        for video_id, table in tables:
+            _check_id(video_id, str(path), None, "video_id")
+            yield video_id, np.asarray(table, dtype=np.float64)
+    write_arrays(path, arrays())
+
+
+def read_clip_noise(path, entries: Sequence[_Entry],
+                    shape: tuple[int, int] | None = None
+                    ) -> list[list[float]] | None:
+    """One video's clip noise table, one list of floats per clip start,
+    of the ``entries`` a ``VideoArrays`` found for it; ``None`` when the
+    container holds no table for the video.  The table must be a finite
+    2-d float64 array named by the video's id, of ``shape`` if given."""
+    if not entries:
+        return None
+    for entry in entries:
+        if not _ID_PATTERN.match(entry.name):
+            raise SchemaError(f"bad clip noise array name {entry.name!r}, "
+                              f"expected <video_id>", path=str(path))
+    # a name without "/" is the video's id itself, so it is the only one
+    entry, = entries
+    _check_dtype(path, entry.name, _DTYPE_NAMES[entry.dtype], "float64")
+    if len(entry.shape) != 2 or shape is not None and entry.shape != shape:
+        raise SchemaError(
+            f"clip noise of video {entry.name!r} is {entry.shape}, expected "
+            f"{'2-d' if shape is None else shape} (frames_per_video, "
+            f"feature_dim)", path=str(path))
+    with _open_bytes(path) as fh:
+        values = _read_floats(path, fh, entry)
+    for index, value in enumerate(values):
+        if not math.isfinite(value):
+            start, column = divmod(index, entry.shape[1])
+            raise SchemaError(
+                f"clip noise of video {entry.name!r} at clip start {start}, "
+                f"column {column} is {value!r}; noise must be finite",
+                path=str(path))
+    return _nest(values, entry.shape)

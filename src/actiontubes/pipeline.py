@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from . import formats
 from .config import PipelineConfig
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, SchemaError
 from .model import Detection, FrameInterval, require_scored
 
 if TYPE_CHECKING:
@@ -36,6 +36,7 @@ FILE_PROPOSALS = "proposals.tsv"
 FILE_SALIENT = "proposals_salient.tsv"
 FILE_MATCHES = "matches.atb"
 FILE_FLOW = "flow.atb"
+FILE_CLIP_NOISE = "clip_noise.atb"
 FILE_WEIGHTS = "weights.atb"
 FILE_ALPHAS = "alphas.atb"
 FILE_DRIFT = "drift_tubes.tsv"
@@ -165,6 +166,8 @@ def run_synth(directory: Path, config: PipelineConfig) -> dict:
     formats.write_matches(directory / FILE_MATCHES,
                           each_video(bundle.matches))
     formats.write_weights(directory / FILE_WEIGHTS, bundle.weights)
+    formats.write_clip_noise(directory / FILE_CLIP_NOISE,
+                             each_video(bundle.clip_noise))
     # an optional artifact this run does not write is removed, so a later
     # stage never reads one left by an earlier run
     if bundle.alphas is not None:
@@ -298,7 +301,11 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
 
 
 def run_score(directory: Path, config: PipelineConfig) -> dict:
-    """Label each tube from its clip features; injected tubes join here."""
+    """Label each tube from its clip features; injected tubes join here.
+
+    The clip noise comes from synth's ``clip_noise.atb``, one table per
+    video, so the scores do not depend on this stage's seed.
+    """
     from .scoring import score_clips, score_tube, slice_clips
     from .scenario import SyntheticFeaturizer
     tracked = formats.VideoRecords(
@@ -310,23 +317,29 @@ def run_score(directory: Path, config: PipelineConfig) -> dict:
         _require(directory, FILE_WEIGHTS, "synth"))
     truth = formats.VideoRecords(_require(directory, FILE_GT, "synth"),
                                  "gttubes")
+    noise = formats.VideoArrays(
+        _require(directory, FILE_CLIP_NOISE, "synth"), "clip_noise")
     scenario = scenario_config(config)
+    shape = (scenario.frames_per_video, scenario.feature_dim)
     clip_length = config["clip.length"]
 
     count = 0
     with formats.record_writer(directory / FILE_SCORED, "tubes") as \
             write_tubes, formats.record_writer(
                 directory / FILE_CLIP_SCORES, "clipscores") as write_clips:
-        for video_id in _video_ids(tracked, drift, truth):
-            # a video's clip noise is keyed by its id, as synth keys it,
-            # not by its position in this run's files
+        for video_id in _video_ids(tracked, drift, truth, noise):
+            table = noise.read(video_id, shape)
             featurizer = SyntheticFeaturizer(
                 scenario, {video_id: truth.read(video_id)})
+            tubes = tracked.read(video_id) + (
+                drift.read(video_id) if drift else [])
+            if tubes and table is None:
+                raise SchemaError(f"no clip noise for video {video_id!r}",
+                                  path=str(noise.path))
             labeled, clip_map = [], {}
-            for tube in tracked.read(video_id) + (
-                    drift.read(video_id) if drift else []):
+            for tube in tubes:
                 intervals = slice_clips(tube.interval(), clip_length)
-                features = featurizer.clip_features(tube, intervals)
+                features = featurizer.clip_features(tube, intervals, table)
                 clips = score_clips(features, weights, intervals,
                                     clip_length)
                 ts = score_tube(tube, clips, label=tube.label)
@@ -353,12 +366,17 @@ def run_prune(directory: Path, config: PipelineConfig) -> dict:
     elif not alphas_path.exists():
         stats["footprint"] = "skipped:no-alphas"
     else:
-        from .footprint import build_footprint_map, prune_drifted
+        from .footprint import (build_footprint_map, prune_drifted,
+                                uniform_classes)
         fmap = build_footprint_map(formats.read_alphas(alphas_path),
                                    cell_layout(config))
         frame_size = (float(config["synth.frame_width"]),
                       float(config["synth.frame_height"]))
         stats["removed_footprint"] = 0
+        # a class whose map is the same in every cell is not pruned on
+        # evidence, so the stats line names it
+        stats["footprint_uniform"] = ",".join(
+            map(str, uniform_classes(fmap))) or "none"
     count = 0
     with formats.record_writer(directory / FILE_PRUNED, "tubes") as write:
         for video_id, tubes in scored:

@@ -5,10 +5,10 @@ simulated models stand in for trained ones in the later stages:
 ``SyntheticRegionScorer`` scores regions for the trackers and
 ``SyntheticFeaturizer`` makes clip features for the recurrent scorer
 and feature grids for the footprint map, both from the ground truth.
-Nothing here loads numpy until an array is made, so a stage that only
-scores regions runs without it.  Random draws come from
-per-(seed, stream, key) generators, so every value is a pure function
-of its key.
+Nothing here loads numpy until a grid or a random draw is made, so the
+stages that only score regions or make clip features run without it.
+Random draws come from per-(seed, stream, key) generators, so every
+value is a pure function of its key.
 """
 
 from __future__ import annotations
@@ -232,25 +232,23 @@ class SyntheticFeaturizer:
     """Clip features and conv-layer grids derived from ground truth.
 
     Clip features describe what a tube's boxes cover: the class
-    direction of the best-overlapping actor, or nothing.  Feature grids
-    describe the frame itself: a class blob at each actor's location
-    over a video-specific background direction, so that background
-    regions look alike within a video but carry no class.  Noise is
-    keyed by (video, clip start) so repeated queries agree exactly; a
-    clip's noise is drawn once and kept, since tubes of one video share
-    clip starts.  A video's noise is keyed by its index in the scenario,
-    ``video_index`` of its id.
+    direction of the best-overlapping actor, or nothing, plus the
+    video's clip noise at the clip's start.  ``synth`` draws that noise
+    (``synth.clip_noise``) and writes it to ``clip_noise.atb``; the
+    caller hands over the video's table.  Feature grids describe the
+    frame itself: a class blob at each actor's location over a
+    video-specific background direction, so that background regions
+    look alike within a video but carry no class.  A video's grid noise
+    is keyed by its index in the scenario, ``video_index`` of its id.
     """
 
     def __init__(self, config: ScenarioConfig,
                  gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
         self._config = config
         self._gt = dict(gt_by_video)
-        self._clip_noise: dict[tuple[int, int], np.ndarray] = {}
 
-    def class_direction(self, label: int) -> np.ndarray:
-        import numpy as np
-        mu = np.zeros(self._config.feature_dim)
+    def class_direction(self, label: int) -> list[float]:
+        mu = [0.0] * self._config.feature_dim
         mu[label] = self._config.feature_margin
         return mu
 
@@ -264,22 +262,24 @@ class SyntheticFeaturizer:
         return config.feature_margin * v / np.linalg.norm(v)
 
     def clip_features(self, tube: Tube | GroundTruthTube,
-                      intervals: Sequence[FrameInterval]) -> np.ndarray:
-        """Per clip, the class direction of the truth ``tube`` covers best.
+                      intervals: Sequence[FrameInterval],
+                      noise: Sequence[Sequence[float]] | None = None
+                      ) -> list[list[float]]:
+        """Per clip, the class direction of the truth ``tube`` covers best,
+        plus row ``interval.start`` of ``noise``, the video's clip noise
+        table (``None`` adds none).
 
         A clip's overlap with a truth is the mean ``iou`` over the frames
         both cover, summed as ``np.mean`` sums.  A truth whose box hull
         misses the tube's is passed over: its overlap is 0, which never
-        beats the strict ``>`` against 0.0.
+        beats the strict ``>`` against 0.0.  A clip start outside the
+        noise table is rejected.
         """
-        import numpy as np
-        config = self._config
         truths = [gt for gt in _of_video(self._gt, tube.video_id)
                   if hulls_meet(tube, gt)]
-        index = video_index(tube.video_id)
         end = tube.start + len(tube.boxes)
-        out = np.zeros((len(intervals), config.feature_dim))
-        for t, interval in enumerate(intervals):
+        out = []
+        for interval in intervals:
             best_label, best_ov = None, 0.0
             for gt in truths:
                 lo = max(interval.start, gt.start, tube.start)
@@ -291,22 +291,18 @@ class SyntheticFeaturizer:
                 ov = pairwise_sum(overlaps) / len(overlaps)
                 if ov > best_ov:
                     best_label, best_ov = gt.label, ov
-            if best_label is not None:
-                out[t] = self.class_direction(best_label)
-            if config.feature_noise > 0:
-                out[t] += self._noise(index, interval.start)
+            features = [0.0] * self._config.feature_dim \
+                if best_label is None else self.class_direction(best_label)
+            if noise is not None:
+                if not 0 <= interval.start < len(noise):
+                    raise InputError(
+                        f"clip start {interval.start} of tube "
+                        f"{tube.tube_id!r} in {tube.video_id!r} is outside "
+                        f"the clip noise table of {len(noise)} rows")
+                features = [f + n for f, n in
+                            zip(features, noise[interval.start])]
+            out.append(features)
         return out
-
-    def _noise(self, index: int, start: int) -> np.ndarray:
-        """The clip noise of video ``index`` at clip start ``start``."""
-        key = (index, start)
-        noise = self._clip_noise.get(key)
-        if noise is None:
-            config = self._config
-            noise = self._clip_noise[key] = _rng(
-                config.seed, _CLIP, index, start).normal(
-                    0.0, config.feature_noise, config.feature_dim)
-        return noise
 
     def feature_grid(self, video_id: str,
                      intervals: Sequence[FrameInterval]) -> np.ndarray:
@@ -336,7 +332,7 @@ class SyntheticFeaturizer:
                 cj0 = max(0, int(math.floor(x0 / cell_w)))
                 cj1 = min(side, int(math.ceil(x1 / cell_w)))
                 out[t, ci0:ci1, cj0:cj1, :] += \
-                    self.class_direction(gt.label)[None, None, :]
+                    self.class_direction(gt.label)
                 covered[ci0:ci1, cj0:cj1] = True
             out[t][~covered] += background
             if config.feature_noise > 0:

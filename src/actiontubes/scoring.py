@@ -8,57 +8,88 @@ recurrent scorer running over externally supplied clip features:
 
 followed by a linear classifier and a softmax per clip.  With W_hh set
 to zero the scorer reduces exactly to a feed-forward network.
+
+The scorer computes with Python floats and ``math``, no numpy: dot
+products add left to right, and each sum numpy would take pairwise
+(the softmax's, a single column's mean) is taken with
+``model.pairwise_sum``.  Scores therefore do not depend on the SIMD
+paths a host's numpy takes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InputError
 # prune_overlapped is re-exported: the benchmark's tracer and the tests
 # take it from here
 from .geometry import prune_overlapped  # noqa: F401
-from .model import ClipScoreSequence, FrameInterval, Tube
+from .model import (ClipScoreSequence, FrameInterval, Tube, argmax_label,
+                    pairwise_sum)
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 
 
+def _nested(name: str, value) -> tuple[object, tuple[int, ...]]:
+    """``value`` (nested sequences of numbers, or an array) as nested
+    tuples of finite floats, and its shape; ragged nesting and empty
+    sequences are rejected."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            raise InputError(f"{name} holds {value!r}, not a number") \
+                from None
+        if not math.isfinite(number):
+            raise InputError(f"{name} contains non-finite values")
+        return number, ()
+    if not value:
+        raise InputError(f"{name} has an empty axis")
+    items = [_nested(name, v) for v in value]
+    shapes = {shape for _, shape in items}
+    if len(shapes) != 1:
+        raise InputError(f"{name} is ragged")
+    return tuple(v for v, _ in items), (len(items), *shapes.pop())
+
+
 @dataclass(frozen=True, eq=False)
 class RecurrentScorerWeights:
-    """Weights of the clip scorer; shapes are validated on construction."""
+    """Weights of the clip scorer, held as tuples of floats: a matrix as
+    one tuple per row.  Arrays or nested sequences are taken; shapes are
+    validated on construction."""
 
-    w_io: np.ndarray
-    w_hh: np.ndarray
-    b_y: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
+    w_io: tuple[tuple[float, ...], ...]
+    w_hh: tuple[tuple[float, ...], ...]
+    b_y: tuple[float, ...]
+    w_cls: tuple[tuple[float, ...], ...]
+    b_cls: tuple[float, ...]
     activation: str = "tanh"
 
     def __post_init__(self):
-        arrays = {}
+        shapes = {}
         for name in ("w_io", "w_hh", "b_y", "w_cls", "b_cls"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite values")
-            arrays[name] = arr
-            object.__setattr__(self, name, arr)
-        hidden = arrays["w_io"].shape[0]
-        if arrays["w_io"].ndim != 2:
+            values, shapes[name] = _nested(name, getattr(self, name))
+            object.__setattr__(self, name, values)
+        hidden = shapes["w_io"][0]
+        if len(shapes["w_io"]) != 2:
             raise InputError("w_io must be 2d")
-        if arrays["w_hh"].shape != (hidden, hidden):
+        if shapes["w_hh"] != (hidden, hidden):
             raise InputError(
-                f"w_hh shape {arrays['w_hh'].shape} does not match hidden "
+                f"w_hh shape {shapes['w_hh']} does not match hidden "
                 f"size {hidden}")
-        if arrays["b_y"].shape != (hidden,):
-            raise InputError(f"b_y shape {arrays['b_y'].shape} invalid")
-        if arrays["w_cls"].ndim != 2 or arrays["w_cls"].shape[1] != hidden:
+        if shapes["b_y"] != (hidden,):
+            raise InputError(f"b_y shape {shapes['b_y']} invalid")
+        if len(shapes["w_cls"]) != 2 or shapes["w_cls"][1] != hidden:
             raise InputError(
-                f"w_cls shape {arrays['w_cls'].shape} does not match hidden "
+                f"w_cls shape {shapes['w_cls']} does not match hidden "
                 f"size {hidden}")
-        if arrays["b_cls"].shape != (arrays["w_cls"].shape[0],):
-            raise InputError(f"b_cls shape {arrays['b_cls'].shape} invalid")
+        if shapes["b_cls"] != (shapes["w_cls"][0],):
+            raise InputError(f"b_cls shape {shapes['b_cls']} invalid")
         if self.activation not in ACTIVATIONS:
             raise InputError(
                 f"unknown activation {self.activation!r}; expected one of "
@@ -66,49 +97,75 @@ class RecurrentScorerWeights:
 
     @property
     def input_size(self) -> int:
-        return self.w_io.shape[1]
+        return len(self.w_io[0])
 
     @property
     def num_classes(self) -> int:
-        return self.w_cls.shape[0]
+        return len(self.w_cls)
 
 
-def _activate(values: np.ndarray, kind: str) -> np.ndarray:
+def _dot(row: Sequence[float], x: Sequence[float]) -> float:
+    """``row . x`` added left to right from 0.0 (``sum`` would compensate
+    on Python 3.12 and later)."""
+    return reduce(add, map(mul, row, x), 0.0)
+
+
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:   # exp(-v) beyond the float range: 1 / inf
+        return 0.0
+
+
+def _activate(values: Sequence[float], kind: str) -> list[float]:
     if kind == "tanh":
-        return np.tanh(values)
+        return list(map(math.tanh, values))
     if kind == "relu":
-        return np.maximum(values, 0.0)
-    return 1.0 / (1.0 + np.exp(-values))
+        # max keeps -0.0, as np.maximum does
+        return [max(v, 0.0) for v in values]
+    return list(map(_logistic, values))
 
 
-def softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - np.max(values)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+def softmax(values: Sequence[float]) -> list[float]:
+    """``exp(v - max)`` normalized; the sum is numpy's pairwise one."""
+    top = max(values)
+    e = [math.exp(v - top) for v in values]
+    total = pairwise_sum(e)
+    return [v / total for v in e]
 
 
 def recurrent_forward(features: Sequence[Sequence[float]],
-                      weights: RecurrentScorerWeights) -> np.ndarray:
+                      weights: RecurrentScorerWeights
+                      ) -> list[list[float]]:
     """Run the clip scorer over a feature sequence.
 
-    Returns one softmax distribution per input vector, shape (T, K).
+    Returns one softmax distribution per input vector, (T, K) as a list
+    of lists.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise InputError(f"features must be a (T, d) array, got {x.shape}")
-    if x.shape[1] != weights.input_size:
-        raise InputError(
-            f"feature size {x.shape[1]} does not match w_io input size "
-            f"{weights.input_size}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("clip features must be finite")
-    state = np.zeros(weights.w_io.shape[0])
-    out = np.empty((x.shape[0], weights.num_classes))
-    for t in range(x.shape[0]):
+    try:
+        x = [tuple(map(float, row)) for row in features]
+    except (TypeError, ValueError):
+        raise InputError("features must be a (T, d) sequence of numbers") \
+            from None
+    if not x:
+        raise InputError("features must be a (T, d) sequence, got no rows")
+    for row in x:
+        if len(row) != weights.input_size:
+            raise InputError(
+                f"feature size {len(row)} does not match w_io input size "
+                f"{weights.input_size}")
+        if not all(map(math.isfinite, row)):
+            raise InputError("clip features must be finite")
+    w = weights
+    state = [0.0] * len(w.w_io)
+    out = []
+    for step in x:
+        # (W_io x + W_hh y) + b_y, as numpy adds the three arrays
         state = _activate(
-            weights.w_io @ x[t] + weights.w_hh @ state + weights.b_y,
-            weights.activation)
-        out[t] = softmax(weights.w_cls @ state + weights.b_cls)
+            [(_dot(w_x, step) + _dot(w_y, state)) + b
+             for w_x, w_y, b in zip(w.w_io, w.w_hh, w.b_y)], w.activation)
+        out.append(softmax([_dot(row, state) + b
+                            for row, b in zip(w.w_cls, w.b_cls)]))
     return out
 
 
@@ -150,7 +207,7 @@ def score_clips(features: Sequence[Sequence[float]],
     return ClipScoreSequence(
         clip_length=clip_length,
         intervals=tuple(intervals),
-        scores=tuple(tuple(float(v) for v in row) for row in scores))
+        scores=tuple(map(tuple, scores)))
 
 
 @dataclass(frozen=True)
@@ -177,22 +234,33 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
         raise InputError(
             f"clip span {clip_scores.span()} does not cover tube extent "
             f"{tube.interval()}")
-    frame_scores = np.array(tube.class_scores, dtype=np.float64)
-    if frame_scores.shape[1] != clip_scores.num_classes:
+    frame_scores = tube.class_scores
+    classes = len(frame_scores[0])
+    if classes != clip_scores.num_classes:
         raise InputError(
-            f"frame scores have {frame_scores.shape[1]} classes, clip "
-            f"scores have {clip_scores.num_classes}")
-    avg_cnn = frame_scores.mean(axis=0)
-    avg_rnn = np.array(clip_scores.scores, dtype=np.float64).mean(axis=0)
-    traj = avg_cnn + avg_rnn
+            f"frame scores have {classes} classes, clip scores have "
+            f"{clip_scores.num_classes}")
+    avg_cnn = _mean_rows(frame_scores)
+    avg_rnn = _mean_rows(clip_scores.scores)
+    traj = tuple(a + b for a, b in zip(avg_cnn, avg_rnn))
     if label is None:
-        label = int(np.argmax(traj))
-    elif not 0 <= label < traj.shape[0]:
+        label = argmax_label(traj)
+    elif not 0 <= label < classes:
         raise InputError(
-            f"label {label} outside the {traj.shape[0]} scored classes")
-    return TubeScore(
-        s_avg_cnn=tuple(float(v) for v in avg_cnn),
-        s_avg_rnn=tuple(float(v) for v in avg_rnn),
-        s_traj=tuple(float(v) for v in traj),
-        label=label,
-        score=float(traj[label]))
+            f"label {label} outside the {classes} scored classes")
+    return TubeScore(s_avg_cnn=avg_cnn, s_avg_rnn=avg_rnn, s_traj=traj,
+                     label=label, score=traj[label])
+
+
+def _mean_rows(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """Column means of equally long ``rows``, each summed as numpy's mean
+    over axis 0 sums it and divided once: row by row in order, as
+    ``footprint.mean_box`` does, but pairwise for a single column, which
+    numpy reduces as one contiguous run."""
+    n = len(rows)
+    if len(rows[0]) == 1:
+        return (pairwise_sum([row[0] for row in rows]) / n,)
+    totals = list(rows[0])
+    for row in rows[1:]:
+        totals = [t + v for t, v in zip(totals, row)]
+    return tuple(t / n for t in totals)

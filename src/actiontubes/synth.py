@@ -25,8 +25,8 @@ from .footprint import aggregate_cells, fit_gmm, nearest_centroid_alphas
 from .geometry import iou
 from .model import (BoundingBox, Detection, FlowMagnitudeGrid,
                     GroundTruthTube, Proposal, Source, Tube)
-from .scenario import (_ACTOR, _DRIFT, _EARLY, _FLOW_DET, _FLOW_GRID, _GMM,
-                       _MATCH, _PROPOSAL, _STATIC, ScenarioConfig,
+from .scenario import (_ACTOR, _CLIP, _DRIFT, _EARLY, _FLOW_DET, _FLOW_GRID,
+                       _GMM, _MATCH, _PROPOSAL, _STATIC, ScenarioConfig,
                        SyntheticFeaturizer, SyntheticRegionScorer, _of_video,
                        _rng, home_region, video_index)
 from .scoring import RecurrentScorerWeights, slice_clips
@@ -149,6 +149,9 @@ class ScenarioBundle:
 
     def flow(self, index: int) -> Iterator[FlowMagnitudeGrid]:
         return video_flow(self.config, index, self.gt_tubes[index])
+
+    def clip_noise(self, index: int) -> np.ndarray:
+        return clip_noise(self.config, index)
 
     def all_gt(self) -> list[GroundTruthTube]:
         return [gt for tubes in self.gt_tubes for gt in tubes]
@@ -295,6 +298,17 @@ def video_flow(config: ScenarioConfig, video_index: int,
             mag[y0:y1, x0:x1] = disp + rng.uniform(0.0, 0.2,
                                                    (y1 - y0, x1 - x0))
         yield FlowMagnitudeGrid(frame, mag)
+
+
+def clip_noise(config: ScenarioConfig, video_index: int) -> np.ndarray:
+    """The video's clip noise table, (frames_per_video, feature_dim):
+    row ``s`` is the noise of a clip starting at frame ``s``, drawn from
+    its own (seed, clip, video, start) generator, so a row does not
+    depend on which clips a stage scores."""
+    return np.array([
+        _rng(config.seed, _CLIP, video_index, start).normal(
+            0.0, config.feature_noise, config.feature_dim)
+        for start in range(config.frames_per_video)])
 
 
 def _video_truth(config: ScenarioConfig,

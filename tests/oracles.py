@@ -89,6 +89,8 @@ def recurrent_reference(features, w_io, w_hh, b_y, activation,
             return 1.0 / (1.0 + np.exp(-v))
         raise ValueError(activation)
 
+    w_io, w_hh, b_y, w_cls, b_cls = (np.asarray(a, dtype=np.float64) for a
+                                     in (w_io, w_hh, b_y, w_cls, b_cls))
     y = np.zeros(w_io.shape[0])
     out = []
     for x in features:

@@ -214,7 +214,7 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
         featurizer = SyntheticFeaturizer(scenario, gt_map)
 
         scored = []
-        for (gt,) in bundle.gt_tubes:
+        for index, (gt,) in enumerate(bundle.gt_tubes):
             twin_label = (gt.label + 1) % scenario.num_classes
             for tag, label in (("own", gt.label), ("twin", twin_label)):
                 onehot = tuple(1.0 if c == label else 0.0
@@ -224,7 +224,8 @@ def test_criterion_06_overlap_pruning_keeps_the_better_label():
                             (onehot,) * n, (Source.TRACKED,) * n)
                 intervals = slice_clips(tube.interval(),
                                         scenario.clip_length)
-                features = featurizer.clip_features(tube, intervals)
+                features = featurizer.clip_features(
+                    tube, intervals, bundle.clip_noise(index))
                 clips = score_clips(features, bundle.weights, intervals,
                                     scenario.clip_length)
                 ts = score_tube(tube, clips, label=label)

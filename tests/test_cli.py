@@ -15,13 +15,18 @@ import pytest
 
 from actiontubes import formats, synth
 from actiontubes.cli import STAGES, main
+from actiontubes.config import apply_overrides, default_config
 from actiontubes.errors import ProcessingError
-from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_SCORES,
-                                  FILE_DETECTIONS, FILE_DRIFT, FILE_FINAL,
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_NOISE,
+                                  FILE_CLIP_SCORES, FILE_DETECTIONS,
+                                  FILE_DRIFT, FILE_FINAL,
                                   FILE_FLOW, FILE_FUSED, FILE_GT,
                                   FILE_MATCHES, FILE_PROPOSALS, FILE_PRUNED,
                                   FILE_SALIENT, FILE_SCORED, FILE_TRACKED,
-                                  FILE_WEIGHTS, PIPELINE_ORDER)
+                                  FILE_WEIGHTS, PIPELINE_ORDER,
+                                  scenario_config)
+from actiontubes.scenario import video_index
+from actiontubes.scoring import score_clips
 from test_golden import SCENARIOS
 
 FAST = ("--stage-override", "synth.video_count=3",
@@ -420,6 +425,7 @@ class TestOneVideoAtATime:
                    FILE_CLIP_SCORES, FILE_PRUNED, FILE_FINAL)
         matches = formats.VideoArrays(full / FILE_MATCHES, "matches")
         flow = formats.VideoArrays(full / FILE_FLOW, "flow")
+        noise = formats.VideoArrays(full / FILE_CLIP_NOISE, "clip_noise")
 
         def rows(path, video_id):
             return [fields for _, fields in
@@ -438,6 +444,8 @@ class TestOneVideoAtATime:
                                   [(video_id, matches.read(video_id))])
             formats.write_flow(part / FILE_FLOW,
                                [(video_id, flow.read(video_id))])
+            formats.write_clip_noise(part / FILE_CLIP_NOISE,
+                                     [(video_id, noise.read(video_id))])
             for stage in PIPELINE_ORDER[1:-1]:
                 assert run_cli(stage, "--out", part, *noisy) == 0
             for name in outputs:
@@ -593,6 +601,109 @@ class TestStaleArtifacts:
         assert not (tmp_path / FILE_ALPHAS).exists()
 
 
+class TestClipNoise:
+    """``score`` takes each video's clip noise from synth's
+    ``clip_noise.atb`` and fails closed on a table that cannot be the
+    scenario's; its own seed moves nothing."""
+
+    SCORE_INPUTS = ("synth", "fuse", "track")
+
+    def _inputs(self, out, *args):
+        for stage in self.SCORE_INPUTS:
+            assert run_cli(stage, "--out", out, *FAST, *args) == 0
+
+    @staticmethod
+    def _rewrite(path, edit):
+        """The container with ``edit(video_id, table)`` applied to each
+        table; a table edited to ``None`` is left out."""
+        tables = [(name, edit(name, np.array(table)))
+                  for name, table in formats.iter_arrays(path)]
+        formats.write_clip_noise(path, [(name, table) for name, table
+                                        in tables if table is not None])
+
+    def _fails(self, out, capsys, *needles, args=()):
+        capsys.readouterr()
+        assert run_cli("score", "--out", out, *FAST, *args) == 3
+        err = capsys.readouterr().err
+        for needle in needles:
+            assert needle in err
+        assert not (out / FILE_SCORED).exists()
+        assert not (out / FILE_CLIP_SCORES).exists()
+
+    def test_video_absent_from_the_table(self, tmp_path, capsys):
+        self._inputs(tmp_path)
+        self._rewrite(tmp_path / FILE_CLIP_NOISE,
+                      lambda name, table: None if name == "v001" else table)
+        self._fails(tmp_path, capsys, "no clip noise for video 'v001'",
+                    FILE_CLIP_NOISE)
+
+    def test_table_of_another_shape(self, tmp_path, capsys):
+        self._inputs(tmp_path)
+        self._fails(tmp_path, capsys, "is (24, 8), expected (16, 8)",
+                    args=("--stage-override", "synth.frames_per_video=16"))
+        self._fails(tmp_path, capsys, "is (24, 8), expected (24, 10)",
+                    args=("--stage-override", "synth.feature_dim=10"))
+
+    def test_clip_start_outside_the_table(self, tmp_path, capsys):
+        self._inputs(tmp_path)
+        path = tmp_path / FILE_TRACKED
+        frame = formats.SCHEMAS["tubes"].columns.index("frame")
+        rows = [list(fields) for _, fields in
+                formats.read_records(path, "tubes")]
+        for row in rows:
+            row[frame] = str(int(row[frame]) + 24)
+        formats.write_records(path, "tubes", rows)
+        self._fails(tmp_path, capsys, "clip start 24 of tube",
+                    "outside the clip noise table of 24 rows")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_noise(self, tmp_path, capsys, bad):
+        self._inputs(tmp_path)
+
+        def spoil(name, table):
+            if name == "v002":
+                table[5, 1] = bad
+            return table
+        self._rewrite(tmp_path / FILE_CLIP_NOISE, spoil)
+        self._fails(tmp_path, capsys, f"'v002' at clip start 5, column 1 "
+                    f"is {bad!r}")
+
+    def test_score_seed_moves_nothing(self, tmp_path):
+        """The noise is synth's, so ``score --seed 8`` over ``--seed 7``
+        artifacts writes what ``score --seed 7`` writes."""
+        out = tmp_path / "run"
+        self._inputs(out, "--seed", 7)
+        outputs = {}
+        for seed in (7, 8):
+            assert run_cli("score", "--out", out, *FAST, "--seed", seed) == 0
+            outputs[seed] = [(out / name).read_bytes()
+                             for name in (FILE_SCORED, FILE_CLIP_SCORES)]
+        assert outputs[7] == outputs[8]
+
+    def test_noiseless_features_get_no_noise(self, tmp_path):
+        """With ``synth.feature_noise=0`` the table is zeros and every clip
+        scores as its noiseless features do."""
+        quiet = ("--stage-override", "synth.feature_noise=0")
+        self._inputs(tmp_path, *quiet)
+        assert run_cli("score", "--out", tmp_path, *FAST, *quiet) == 0
+        config = scenario_config(apply_overrides(default_config(), [
+            "synth.video_count=3", "synth.frames_per_video=24",
+            "synth.with_footprint=false", "synth.feature_noise=0"]))
+        bundle = synth.generate(config)
+        weights = formats.read_weights(tmp_path / FILE_WEIGHTS)
+        clip_map = formats.read_clip_scores(tmp_path / FILE_CLIP_SCORES)
+        assert clip_map
+        for (video_id, _), clips in clip_map.items():
+            assert not any(map(any, synth.clip_noise(
+                config, video_index(video_id))))
+        for tube in formats.read_tubes(tmp_path / FILE_TRACKED):
+            clips = clip_map[(tube.video_id, tube.tube_id)]
+            features = bundle.featurizer().clip_features(
+                tube, clips.intervals)
+            assert score_clips(features, weights, clips.intervals,
+                               clips.clip_length) == clips
+
+
 class TestFootprintReport:
     """``prune`` prints ``removed_footprint`` only for a footprint prune
     that ran, and otherwise says why it did not."""
@@ -619,6 +730,32 @@ class TestFootprintReport:
         assert {"removed_footprint", "footprint"} & stats.keys() == {key}
         if value is not None:
             assert stats[key] == value
+
+
+    def test_prune_names_the_classes_of_a_uniform_map(self, tmp_path,
+                                                      capsys):
+        args = [arg for override in ("synth.with_footprint=true",
+                                     "synth.video_count=6")
+                for arg in ("--stage-override", override)]
+        for stage in ("synth", "fuse", "track", "score"):
+            assert run_cli(stage, "--out", tmp_path, *FAST, *args) == 0
+        alphas = np.full((3, 49), 0.5)
+        alphas[1, 10] = 0.9
+        alphas[2] = 0.0
+        varied = np.full((3, 49), 0.5)
+        varied[:, 10] = 0.9
+        for table, named in ((alphas, "0,2"), (varied, "none")):
+            formats.write_alphas(tmp_path / FILE_ALPHAS, table)
+            capsys.readouterr()
+            assert run_cli("prune", "--out", tmp_path, *FAST, *args) == 0
+            printed = capsys.readouterr().out.splitlines()[-1]
+            stats = dict(part.split("=") for part in printed[7:].split())
+            assert stats["footprint_uniform"] == named
+
+    def test_uniform_classes_only_with_a_map(self, tmp_path, capsys):
+        for stage in ("synth", "fuse", "track", "score", "prune"):
+            assert run_cli(stage, "--out", tmp_path, *FAST) == 0
+        assert "footprint_uniform" not in capsys.readouterr().out
 
 
 class TestFlags:

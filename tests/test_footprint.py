@@ -13,7 +13,7 @@ from actiontubes.footprint import (CellLayout, DiagonalGaussianMixture,
                                    cells_overlapping, aggregate_cells,
                                    fisher_vector, fit_gmm, mean_box,
                                    nearest_centroid_alphas, posteriors,
-                                   prune_drifted)
+                                   prune_drifted, uniform_classes)
 from actiontubes.model import BoundingBox, Source, Tube, pairwise_sum
 from oracles import (cells_overlapping_reference, fisher_reference,
                      prune_drifted_reference, softmax_reference)
@@ -145,6 +145,15 @@ class TestFootprintMap:
     def test_uniform_alphas_give_uniform_weights(self):
         fmap = build_footprint_map(np.full((2, 49), 0.5))
         np.testing.assert_allclose(fmap.weights, 1.0 / 49, atol=1e-12)
+
+    def test_uniform_classes_are_those_with_one_weight(self):
+        alphas = np.full((4, 49), 0.5)
+        alphas[0] = 1.0
+        alphas[1, 48] = 0.5 + 1e-16     # rounds to 0.5
+        alphas[2, 0] = 0.25
+        alphas[3] = 0.0
+        alphas[3, 7] = -0.0
+        assert uniform_classes(build_footprint_map(alphas)) == [0, 1, 3]
 
     def test_out_of_range_alphas_rejected(self):
         with pytest.raises(InputError):

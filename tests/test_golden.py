@@ -13,6 +13,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -76,8 +78,8 @@ GOLDEN = {
                             "b5a5555d2cdbee98cf49e533610dac9d",
         "tubes_final.tsv": "ff625a3c14112b5927376c7383f5d7c7"
                            "53c98931c721ad4f8e7df9e9558ae561",
-        "clip_scores.tsv": "c7a516f4d7f9fddbf98b86f7bff63039"
-                           "97c345506584a2e3e7edb648994eb87d",
+        "clip_scores.tsv": "2e52ed341afeb9f5b614d785d69ea9da"
+                           "01e02b8813625f0301dad7cb33a221ff",
         "metrics.tsv": "863b7e69b8bb301b6d67e240cf1eeb43"
                        "f7719a932778b42f7a86cf7a159cbc21",
         "gt_tubes.tsv": "3ae077e1201172c7f5fa035c1410e088"
@@ -100,14 +102,14 @@ GOLDEN = {
     "crowd": {
         "tubes_tracked.tsv": "1b302bb0d36b21885e67f3a7f4ada9dd"
                              "89831f3ae06dcd8b3c0fa870bca5d849",
-        "tubes_scored.tsv": "ca45b9ef688e9230df1b87b05e7790e9"
-                            "602aced392b70d02809be0a08ca32a11",
-        "tubes_pruned.tsv": "441b03d8bf4ad5183ffe8755be34f63f"
-                            "939d229b58ddb7c7d8e0cd66a0dec2e5",
+        "tubes_scored.tsv": "487be602de6bd15a24b04bd6e06a9273"
+                            "e4ef730bf0d0c5736e4ad82376ef70de",
+        "tubes_pruned.tsv": "35f64d9b6f4cbe714622587c1826ab8f"
+                            "c80d0887c909cd53abee1c74e9062fe6",
         "tubes_final.tsv": "2a8bb58d17a39c07aaec4c5b90bf2128"
                            "bd438eafec3e5532250e73cb7d00b3a9",
-        "clip_scores.tsv": "848ac3495aa53e9a7716f6f925ead4f1"
-                           "e45c12c4f90191143396d5d0558acc69",
+        "clip_scores.tsv": "ead88b792c322784105218d3b21ee0b6"
+                           "74d0c9e0cf0a92d0e692d710933478f5",
         "metrics.tsv": "54435815e69f5e1b4d8a3b5f81b88b17"
                        "90d11ee8237e14033b60c12789f18c03",
         "gt_tubes.tsv": "794f4ddf44884774035a9e77d4a49e88"
@@ -156,6 +158,46 @@ def test_stage_outputs_match_golden_digests(name, tmp_path):
     _run_stages(PIPELINE_ORDER, tmp_path, SCENARIOS[name])
     digests = {file: _digest(tmp_path / file) for file in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+# What numpy on a CPU without AVX-512 runs: every AVX-512 dispatch off.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+DISPATCH_CHILD = """
+import contextlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from actiontubes.cli import main
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+print(json.dumps(__cpu_features__["X86_V4"]))
+"""
+
+
+def test_golden_digests_hold_with_the_avx512_dispatch_off(tmp_path,
+                                                          child_env):
+    """The same digests in a process whose numpy takes no AVX-512 path,
+    as on a CPU without it: no pinned byte may follow the host's SIMD."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy runs no X86_V4 (AVX-512) dispatch here to "
+                    "turn off: the other golden tests already run without it")
+    runs = []
+    for name, settings in sorted(SCENARIOS.items()):
+        overrides = [arg for key, value in settings.items()
+                     for arg in ("--stage-override", f"{key}={value}")]
+        runs += [[stage, "--out", str(tmp_path / name), *overrides]
+                 for stage in PIPELINE_ORDER]
+    result = subprocess.run(
+        [sys.executable, "-c", DISPATCH_CHILD, json.dumps(runs)],
+        capture_output=True, text=True,
+        env=dict(child_env, NPY_DISABLE_CPU_FEATURES=NO_AVX512))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) is False
+    for name in SCENARIOS:
+        digests = {file: _digest(tmp_path / name / file)
+                   for file in GOLDEN[name]}
+        assert digests == GOLDEN[name], name
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_GOLDEN))

@@ -14,7 +14,8 @@ import sys
 import pytest
 
 from actiontubes.cli import main
-from actiontubes.pipeline import FILE_ALPHAS, FILE_SALIENT, PIPELINE_ORDER
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_SALIENT,
+                                  PIPELINE_ORDER)
 
 TINY = ("--stage-override", "synth.video_count=2",
         "--stage-override", "synth.frames_per_video=12",
@@ -36,11 +37,11 @@ LOADED = {
     "localize": CLI | {"temporal"},
     "evaluate": CLI | {"evaluation", "geometry"},
 }
-# The stages that compute with arrays load numpy: synth for the
-# generator and score for the recurrent scorer.  fuse loads it only to
-# read flow grids, which the tiny scenario has none of; track reads its
-# point matches and prune its footprint map as plain floats.
-NUMPY = {"synth", "score"}
+# Only synth, the generator, computes with arrays and loads numpy.  fuse
+# loads it only to read flow grids, which the tiny scenario has none of;
+# track reads its point matches, score its weights and clip noise, and
+# prune its footprint map as plain floats.
+NUMPY = {"synth"}
 
 CHILD = """
 import json, sys
@@ -95,14 +96,26 @@ def test_center_search_track_runs_without_numpy(tmp_path, child_env):
                           *baseline) == (0, LOADED["track"], False)
 
 
+# four videos of two classes give the footprint statistics both classes
+# in both halves
+FOOTPRINT = ("--stage-override", "synth.video_count=4",
+             "--stage-override", "synth.num_classes=2",
+             "--stage-override", "synth.with_footprint=true")
+
+
 def test_footprint_prune_runs_without_numpy(tmp_path, child_env):
-    # four videos of two classes give the footprint statistics both
-    # classes in both halves
-    footprint = ("--stage-override", "synth.video_count=4",
-                 "--stage-override", "synth.num_classes=2",
-                 "--stage-override", "synth.with_footprint=true")
     for stage in PIPELINE_ORDER[:PIPELINE_ORDER.index("prune")]:
-        assert main([stage, "--out", str(tmp_path), *TINY, *footprint]) == 0
+        assert main([stage, "--out", str(tmp_path), *TINY, *FOOTPRINT]) == 0
     assert (tmp_path / FILE_ALPHAS).exists()
     assert loaded_modules(child_env, "prune", "--out", tmp_path, *TINY,
-                          *footprint) == (0, SCENARIO | {"footprint"}, False)
+                          *FOOTPRINT) == (0, SCENARIO | {"footprint"}, False)
+
+
+def test_score_of_drift_tubes_runs_without_numpy(tmp_path, child_env):
+    drift = (*FOOTPRINT, "--stage-override", "synth.drift_rate=0.5")
+    for stage in PIPELINE_ORDER[:PIPELINE_ORDER.index("score")]:
+        assert main([stage, "--out", str(tmp_path), *TINY, *drift]) == 0
+    assert (tmp_path / FILE_ALPHAS).exists()
+    assert (tmp_path / FILE_DRIFT).exists()
+    assert loaded_modules(child_env, "score", "--out", tmp_path, *TINY,
+                          *drift) == (0, LOADED["score"], False)

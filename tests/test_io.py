@@ -1600,6 +1600,107 @@ class TestArrayContainer:
             formats.read_weights(path)
         assert "missing" in str(info.value)
 
+    def test_weights_read_as_tuples_of_floats(self, tmp_path):
+        path = tmp_path / "w.atb"
+        rng = np.random.default_rng(4)
+        arrays = {"w_io": rng.normal(size=(3, 5)),
+                  "w_hh": rng.normal(size=(3, 3)), "b_y": rng.normal(size=3),
+                  "w_cls": rng.normal(size=(2, 3)), "b_cls": np.array(
+                      [-0.0, 5e-324])}
+        formats.write_weights(path, RecurrentScorerWeights(**arrays))
+        back = formats.read_weights(path)
+        for name, arr in arrays.items():
+            value = getattr(back, name)
+            assert type(value) is tuple
+            assert value == tuple(map(tuple, arr.tolist())) \
+                if arr.ndim == 2 else value == tuple(arr.tolist())
+        assert np.signbit(back.b_cls[0])
+        assert (back.input_size, back.num_classes) == (5, 2)
+
+    @pytest.mark.parametrize("name, value, needle", [
+        ("w_io", np.eye(2).astype(np.int64), "'w_io' is int64, expected "
+         "float64"),
+        ("activation", np.zeros(2), "'activation' is float64, expected "
+         "uint8"),
+        ("w_io", np.zeros((2, 2, 1)), "w_io must be 2d"),
+        ("b_y", np.zeros((2, 1)), "b_y shape (2, 1) invalid"),
+        ("w_hh", np.zeros((2, 3)), "w_hh shape (2, 3) does not match hidden "
+         "size 2"),
+        ("b_cls", np.array([0.0, np.nan]), "b_cls contains non-finite"),
+        ("w_cls", np.zeros((2, 0)), "w_cls has an empty axis"),
+    ], ids=["int", "activation-float", "3d", "b_y-2d", "w_hh", "nan",
+            "empty"])
+    def test_weights_rejected_with_their_path(self, tmp_path, name, value,
+                                              needle):
+        path = tmp_path / "w.atb"
+        arrays = {"w_io": np.eye(2), "w_hh": np.zeros((2, 2)),
+                  "b_y": np.zeros(2), "w_cls": np.ones((2, 2)),
+                  "b_cls": np.zeros(2),
+                  "activation": np.frombuffer(b"tanh", dtype=np.uint8)}
+        arrays[name] = value
+        formats.write_arrays(path, sorted(arrays.items()))
+        with pytest.raises(SchemaError) as info:
+            formats.read_weights(path)
+        assert needle in str(info.value)
+        assert info.value.path == str(path)
+
+    def test_clip_noise_round_trip(self, tmp_path):
+        path = tmp_path / "n.atb"
+        rng = np.random.default_rng(2)
+        tables = [("v000", rng.normal(size=(6, 3))),
+                  ("v001", np.array([[-0.0, 5e-324, 1e308]] * 6))]
+        formats.write_clip_noise(path, iter(tables))
+        noise = formats.VideoArrays(path, "clip_noise")
+        assert noise.video_ids == ["v000", "v001"]
+        for video_id, table in tables:
+            back = noise.read(video_id, (6, 3))
+            assert back == table.tolist()
+            assert all(type(v) is float for row in back for v in row)
+        assert np.signbit(noise.read("v001")[0][0])
+        assert noise.read("v002", (6, 3)) is None
+
+    def test_clip_noise_videos_out_of_order_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="strictly ascending"):
+            formats.write_clip_noise(tmp_path / "n.atb",
+                                     [("v001", np.zeros((2, 2))),
+                                      ("v000", np.zeros((2, 2)))])
+
+    def test_clip_noise_of_another_shape_names_both(self, tmp_path):
+        path = tmp_path / "n.atb"
+        formats.write_clip_noise(path, [("v000", np.zeros((24, 8)))])
+        noise = formats.VideoArrays(path, "clip_noise")
+        with pytest.raises(SchemaError) as info:
+            noise.read("v000", (16, 8))
+        assert "clip noise of video 'v000' is (24, 8), expected (16, 8)" \
+            in str(info.value)
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_clip_noise_not_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "n.atb"
+        table = np.zeros((5, 4))
+        table[3, 2] = bad
+        formats.write_clip_noise(path, [("v007", table)])
+        with pytest.raises(SchemaError) as info:
+            formats.VideoArrays(path, "clip_noise").read("v007", (5, 4))
+        assert f"'v007' at clip start 3, column 2 is {bad!r}" in \
+            str(info.value)
+        assert "must be finite" in str(info.value)
+
+    @pytest.mark.parametrize("arrays, needle", [
+        ([("v000", np.zeros(4))], "is (4,), expected 2-d"),
+        ([("v000", np.zeros((2, 2), dtype=np.int64))], "is int64, expected "
+         "float64"),
+        ([("v000/00000000", np.zeros((2, 2)))], "bad clip noise array name "
+         "'v000/00000000'"),
+    ], ids=["1d", "int", "per-frame-name"])
+    def test_clip_noise_not_a_table_rejected(self, tmp_path, arrays, needle):
+        path = tmp_path / "n.atb"
+        formats.write_arrays(path, arrays)
+        with pytest.raises(SchemaError) as info:
+            formats.VideoArrays(path, "clip_noise").read("v000")
+        assert needle in str(info.value)
+
     def test_alphas_round_trip(self, tmp_path):
         path = tmp_path / "al.atb"
         alphas = np.random.default_rng(0).uniform(size=(3, 49))

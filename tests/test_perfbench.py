@@ -32,15 +32,15 @@ STAGES = ("synth", "fuse", "track", "score", "prune", "localize",
 # public ``formats.read_*``/``write_*`` is a span, so a helper made
 # public would nest its own span and a reader reached under another name
 # would lose one; either moves time between the ``formats.*_s`` metrics.
-# ``fuse`` through ``localize`` read and write each record file, and
-# ``track`` the matches, once per video.
+# ``fuse`` through ``localize`` read and write each record file, ``track``
+# the matches and ``score`` the clip noise, once per video.
 VIDEOS = 2
 FORMATS_CALLS = {
-    "synth": {"other_write": 6, "matches_write": 1},
+    "synth": {"other_write": 7, "matches_write": 1},
     "fuse": {"other_read": 3 * VIDEOS, "other_write": VIDEOS},
     "track": {"other_read": 3 * VIDEOS, "matches_read": VIDEOS,
               "tubes_write": VIDEOS},
-    "score": {"tubes_read": VIDEOS, "other_read": VIDEOS + 1,
+    "score": {"tubes_read": VIDEOS, "other_read": 2 * VIDEOS + 1,
               "tubes_write": VIDEOS, "other_write": VIDEOS},
     "prune": {"tubes_read": VIDEOS, "tubes_write": VIDEOS},
     "localize": {"tubes_read": VIDEOS, "other_read": VIDEOS,

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -94,7 +96,7 @@ class TestRecurrentForward:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(13)
         w = random_weights(rng)
-        out = recurrent_forward(rng.normal(size=(4, 5)), w)
+        out = np.asarray(recurrent_forward(rng.normal(size=(4, 5)), w))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0)
 
@@ -121,6 +123,78 @@ class TestRecurrentForward:
                 w_io=np.zeros((4, 5)), w_hh=np.zeros((4, 4)),
                 b_y=np.zeros(4), w_cls=np.zeros((2, 4)), b_cls=np.zeros(2),
                 activation="softplus")
+
+
+class TestPlainFloats:
+    """The scorer computes with Python floats in fixed orders, so its
+    bits do not depend on numpy's SIMD paths."""
+
+    @staticmethod
+    def one_unit(w_io, activation="relu", b_y=0.0):
+        """One hidden unit fed to class 0 of two: class 0 scores
+        ``softmax([y, 0])[0]``, which grows with the unit's value y."""
+        return RecurrentScorerWeights(
+            w_io=(w_io,), w_hh=((0.0,),), b_y=(b_y,),
+            w_cls=((1.0,), (0.0,)), b_cls=(0.0, 0.0), activation=activation)
+
+    def test_dot_products_add_left_to_right(self):
+        # left to right: (1e16 + 1) + -1e16 == 0.0; a compensated sum
+        # (``sum`` on Python 3.12 and later) gives 1.0
+        out = recurrent_forward([(1e16, 1.0, -1e16)],
+                                self.one_unit((1.0, 1.0, 1.0)))
+        assert out == [[0.5, 0.5]]
+
+    def test_weights_and_outputs_are_plain_floats(self):
+        rng = np.random.default_rng(19)
+        w = random_weights(rng)
+        assert type(w.w_io) is tuple and type(w.w_io[0]) is tuple
+        assert all(type(v) is float for v in w.b_cls)
+        assert RecurrentScorerWeights(
+            w_io=[list(row) for row in w.w_io], w_hh=w.w_hh, b_y=w.b_y,
+            w_cls=w.w_cls, b_cls=list(w.b_cls)).w_io == w.w_io
+        out = recurrent_forward(rng.normal(size=(3, 5)).tolist(), w)
+        assert all(type(v) is float for row in out for v in row)
+
+    def test_softmax_divides_by_numpy_pairwise_sum(self):
+        rng = np.random.default_rng(29)
+        for k in (1, 3, 8, 9, 130):
+            v = (rng.normal(size=k) * 5).tolist()
+            e = np.array([math.exp(x - max(v)) for x in v])
+            assert softmax(v) == (e / np.sum(e)).tolist()
+
+    def test_logistic_of_a_large_negative_input_is_zero(self):
+        w = self.one_unit((1.0,), activation="logistic")
+        assert recurrent_forward([(-1000.0,)], w) == [[0.5, 0.5]]
+
+    @pytest.mark.parametrize("classes", [1, 2, 5])
+    def test_tube_means_are_numpy_means_over_frames(self, classes):
+        rng = np.random.default_rng(classes)
+        for frames in (1, 7, 9, 40, 200):
+            scores = rng.uniform(0, 1, (frames, classes)) * \
+                10.0 ** rng.integers(-3, 3, (frames, classes))
+            tube = tube_with_scores([tuple(row) for row in scores.tolist()])
+            clip = (1.0,) if classes == 1 else tuple(
+                rng.dirichlet(np.ones(classes)).tolist())
+            ts = score_tube(tube, clips_for(tube, clip))
+            assert list(ts.s_avg_cnn) == scores.mean(axis=0).tolist()
+            assert all(type(v) is float for v in ts.s_traj)
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        ({"w_io": [[1.0, 2.0], [3.0]]}, "w_io is ragged"),
+        ({"b_y": []}, "b_y has an empty axis"),
+        ({"b_cls": ["x"]}, "b_cls holds 'x', not a number"),
+        ({"w_hh": [[float("inf")]]}, "w_hh contains non-finite values"),
+    ])
+    def test_malformed_weights_rejected(self, kwargs, needle):
+        base = {"w_io": [[1.0]], "w_hh": [[0.0]], "b_y": [0.0],
+                "w_cls": [[1.0], [0.0]], "b_cls": [0.0, 0.0]}
+        with pytest.raises(InputError, match=re.escape(needle)):
+            RecurrentScorerWeights(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("features", [[], [(1.0, "x")], [1.0]])
+    def test_malformed_features_rejected(self, features):
+        with pytest.raises(InputError, match="features must be"):
+            recurrent_forward(features, self.one_unit((1.0, 1.0)))
 
 
 def tube_with_scores(frame_scores, video="v", tube_id="t0", start=0):

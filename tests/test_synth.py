@@ -11,9 +11,10 @@ from actiontubes.errors import ConfigError, InputError
 from actiontubes.geometry import iou, st_iou
 from actiontubes.model import (BoundingBox, FrameInterval, GroundTruthTube,
                                Source, Tube)
-from actiontubes.pipeline import (FILE_DETECTIONS, FILE_DRIFT, FILE_FLOW,
-                                  FILE_GT, FILE_MATCHES, FILE_PROPOSALS,
-                                  run_synth, scenario_config)
+from actiontubes.pipeline import (FILE_CLIP_NOISE, FILE_DETECTIONS,
+                                  FILE_DRIFT, FILE_FLOW, FILE_GT,
+                                  FILE_MATCHES, FILE_PROPOSALS, run_synth,
+                                  scenario_config)
 from actiontubes.scenario import video_index
 from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
@@ -433,22 +434,23 @@ class TestFeaturizer:
             got = featurizer.clip_features(tube, intervals)
             assert np.array_equal(got, want)
 
-            # clip noise is keyed by clip start: a second tube sharing
-            # the starts 4, 8, 12 and 16 gets the same bits, whichever
-            # of the two is asked first
+            # clip noise is the table's row at the clip start: a second
+            # tube sharing the starts 4, 8, 12 and 16 gets the same bits
+            table = synth.clip_noise(noisy, 0)
             other = Tube("v000", "u", 4, boxes[:14], ((1.0,),) * 14,
                          (Source.TRACKED,) * 14)
-            queries = {"w": (tube, intervals),
-                       "u": (other, slice_clips(other.interval(), 4))}
-            answers = []
-            for order in (("w", "u"), ("u", "w")):
-                noisy_featurizer = SyntheticFeaturizer(noisy,
-                                                       {"v000": tubes})
-                answers.append({name: noisy_featurizer.clip_features(
-                    *queries[name]) for name in order})
-            for name in queries:
-                assert np.array_equal(answers[0][name], answers[1][name])
-            assert not np.array_equal(answers[0]["w"], got)
+            for query, spans in ((tube, intervals),
+                                 (other, slice_clips(other.interval(), 4))):
+                clean = featurizer.clip_features(query, spans)
+                assert featurizer.clip_features(query, spans, table) == [
+                    [f + n for f, n in zip(row, table[span.start])]
+                    for row, span in zip(clean, spans)]
+            assert not np.array_equal(
+                featurizer.clip_features(tube, intervals, table), got)
+            with pytest.raises(InputError, match="clip start 20 of tube "
+                               "'w' in 'v000' is outside the clip noise "
+                               "table of 20 rows"):
+                featurizer.clip_features(tube, intervals, table[:20])
 
     def test_off_actor_boxes_give_null_features(self):
         config = small_config(feature_noise=0.0)
@@ -519,9 +521,42 @@ class TestFeaturizer:
         featurizer = bundle.featurizer()
         gt = bundle.gt_tubes[1][0]
         intervals = slice_clips(gt.interval(), config.clip_length)
-        a = featurizer.clip_features(gt, intervals)
-        b = bundle.featurizer().clip_features(gt, intervals)
-        assert np.array_equal(a, b)
+        a = featurizer.clip_features(gt, intervals, bundle.clip_noise(1))
+        b = bundle.featurizer().clip_features(gt, intervals,
+                                              bundle.clip_noise(1))
+        assert a == b
+
+    def test_clip_noise_rows_are_the_per_clip_draws(self):
+        """Row ``s`` of a video's table is the draw keyed by (seed, clip,
+        video, start) that clip features took before the table, so no
+        clip feature moved when the noise moved into ``synth``."""
+        from actiontubes.scenario import _CLIP, _rng
+        config = small_config(feature_noise=0.2)
+        for index in (0, 4):
+            table = synth.clip_noise(config, index)
+            assert table.shape == (config.frames_per_video,
+                                   config.feature_dim)
+            for start in (0, 9, config.frames_per_video - 1):
+                draw = _rng(config.seed, _CLIP, index, start).normal(
+                    0.0, config.feature_noise, config.feature_dim)
+                assert np.array_equal(table[start], draw)
+        assert not np.array_equal(synth.clip_noise(config, 0),
+                                  synth.clip_noise(config, 1))
+        quiet = synth.clip_noise(small_config(feature_noise=0.0), 0)
+        assert not quiet.any() and not np.signbit(quiet).any()
+
+    def test_synth_writes_each_video_noise_table(self, tmp_path):
+        config = PipelineConfig({"synth.video_count": 3,
+                                 "synth.frames_per_video": 12,
+                                 "synth.with_footprint": False})
+        run_synth(tmp_path, config)
+        noise = formats.VideoArrays(tmp_path / FILE_CLIP_NOISE,
+                                    "clip_noise")
+        scenario = scenario_config(config)
+        assert noise.video_ids == ["v000", "v001", "v002"]
+        for index in range(3):
+            assert noise.read(video_id(index), (12, 8)) == \
+                synth.clip_noise(scenario, index).tolist()
 
 
 class TestAnalyticWeights:
@@ -529,9 +564,10 @@ class TestAnalyticWeights:
         config = small_config(feature_noise=0.3)
         bundle = generate(config)
         featurizer = bundle.featurizer()
-        for (gt,) in bundle.gt_tubes:
+        for index, (gt,) in enumerate(bundle.gt_tubes):
             intervals = slice_clips(gt.interval(), config.clip_length)
-            feats = featurizer.clip_features(gt, intervals)
+            feats = featurizer.clip_features(gt, intervals,
+                                             bundle.clip_noise(index))
             scores = recurrent_forward(feats, bundle.weights)
             assert np.all(np.argmax(scores, axis=1) == gt.label)
 
@@ -667,7 +703,8 @@ class TestEndToEnd:
             assert st_iou(tubes[0], gt) == pytest.approx(1.0)
             tube = tubes[0]
             intervals = slice_clips(tube.interval(), config.clip_length)
-            feats = featurizer.clip_features(tube, intervals)
+            feats = featurizer.clip_features(tube, intervals,
+                                             bundle.clip_noise(index))
             clips = score_clips(feats, bundle.weights, intervals,
                                 config.clip_length)
             assert score_tube(tube, clips).label == gt.label
