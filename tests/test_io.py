@@ -527,6 +527,15 @@ TUBE_CORRUPTIONS = {
     "two_bad_rows_in_one_tube": ({(1, "x1"): "1.0", (2, "x1"): "2.0"},
                                  "degenerate box (1.0, 0.0, 1.0, 5.0)", 4,
                                  "x0"),
+    "frames_before_boxes": ({(0, "x0"): "nan", (4, "frame"): "x"},
+                            "not an integer: 'x'", 7, "frame"),
+    "bad_label_on_one_row": ({(1, "label"): "zero"},
+                             "tube 't0' carries conflicting label or score",
+                             4, "label"),
+    "boxes_before_sources": ({(0, "source"): "magic", (1, "x0"): "nan"},
+                             "non-finite value: 'nan'", 4, "x0"),
+    "sources_before_scores": ({(0, "scores"): "x", (2, "source"): "magic"},
+                              "unknown source 'magic'", 5, "source"),
 }
 
 
@@ -661,6 +670,10 @@ class TestTubeReaderErrors:
         ({(0, 2): "٤", (1, 2): "٤"}, "not an integer: '٤'", 3, "label"),
         ({(0, 2): "4_0", (1, 2): "4_0"}, "not an integer: '4_0'", 3,
          "label"),
+        ({(0, 4): "nan", (1, 2): "2"},
+         "ground truth tube 'a0' has conflicting labels", 4, "label"),
+        ({(0, 2): "-1", (1, 2): "-1", (0, 6): "0.0"},
+         "degenerate box (0.0, 0.0, 0.0, 5.0)", 3, "x0"),
     ])
     def test_ground_truth_corruption(self, tmp_path, edits, message, line,
                                      field):
