@@ -267,8 +267,9 @@ def uniform_classes(fmap: FootprintMap) -> list[int]:
     """The classes whose weight map is the same in every cell.
 
     Such a map carries no spatial evidence for its class (the synthetic
-    footprint statistics give one when a class's cell accuracies tie),
-    so the prune keeps or drops that class's tubes on rounding alone.
+    footprint statistics give one when a class's cell accuracies tie):
+    every projection ties the map mean in exact arithmetic, so the prune
+    keeps every tube of the class whose mean box meets a cell.
     """
     return [label for label, w in enumerate(fmap.weights)
             if len(set(w)) == 1]
@@ -320,9 +321,12 @@ def prune_drifted(tubes: Sequence[Tube], fmap: FootprintMap,
     weight over all cells (which is 1 / num_cells by construction).  A
     projection hitting no cell means the tube left the frame and it is
     removed as well.  Both means sum in numpy's pairwise order, so a
-    box over every cell ties the map mean exactly.
+    box over every cell ties the map mean exactly; a tube of a class
+    whose map is uniform (``uniform_classes``) ties it whatever the box,
+    so rounding does not decide it.
     """
     s_map = [pairwise_sum(w) / fmap.layout.num_cells for w in fmap.weights]
+    uniform = set(uniform_classes(fmap))
     kept = []
     for tube in tubes:
         require_scored(tube)
@@ -335,8 +339,8 @@ def prune_drifted(tubes: Sequence[Tube], fmap: FootprintMap,
         if not cells:
             continue
         w = fmap.weights[label]
-        s_proj = pairwise_sum([w[k] for k in cells]) / len(cells)
-        if s_proj >= s_map[label]:
+        if label in uniform or pairwise_sum(
+                [w[k] for k in cells]) / len(cells) >= s_map[label]:
             kept.append(tube)
     return kept
 

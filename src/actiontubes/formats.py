@@ -18,9 +18,10 @@ time.  A reader (``VideoRecords``, ``VideoArrays``) first finds where
 each video's lines or arrays are, then hands one video's to the kind's
 reader (``read_tubes``, ``read_matches`` …).  A record reader parses
 lines column-wise, in blocks of rows, whether they are one video's or
-the whole file's; any failed check hands the whole file to one
-row-wise fallback, which reports the first problem in the order
-FORMATS.md gives under "Which problem is reported".  A writer takes
+the whole file's, with one parser per field.  Should any check fail,
+the same parsers run again over the whole file one row at a time,
+with the checks that span rows, to report its first problem in the
+order FORMATS.md gives under "Which problem is reported".  A writer takes
 ``(video_id, records)`` pairs in ascending video order; a stage's
 ``record_writer`` writes each video through the kind's writer
 (``write_tubes`` …), so every per-video read and write is a call of a
@@ -43,6 +44,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, compress, count, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -88,11 +90,11 @@ SCHEMAS = {
 }
 
 
-def _check_id(value: str, path, line: int | None, field: str) -> str:
+def _check_id(value: str, path, field: str) -> None:
+    """Rejects an identifier a writer was given that no reader takes."""
     if not _ID_PATTERN.match(value):
-        raise SchemaError(f"invalid identifier {value!r}",
-                          path=path, line=line, field=field)
-    return value
+        raise SchemaError(f"invalid identifier {value!r}", path=str(path),
+                          field=field)
 
 
 @contextmanager
@@ -190,92 +192,6 @@ def _record_lines(path, kind: str) -> list[str]:
     return lines
 
 
-def read_records(path, kind: str) -> list[tuple[int, tuple[str, ...]]]:
-    """Header-checked rows of a record file, as (line number, fields)."""
-    out = []
-    width = len(SCHEMAS[kind].columns)
-    for number, line in enumerate(_record_lines(path, kind), start=3):
-        if not line:
-            continue
-        fields = tuple(line.split("\t"))
-        if len(fields) != width:
-            raise SchemaError(
-                f"expected {width} fields, found {len(fields)}",
-                path=str(path), line=number)
-        out.append((number, fields))
-    return out
-
-
-def _integer(value: str) -> int:
-    """A label or clip length: ASCII base-10 digits after at most one
-    leading ``-``; ``ValueError`` otherwise."""
-    if _INT_PATTERN.match(value) is None:
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
-def _parse_int(value: str, path, line: int, field: str) -> int:
-    try:
-        return _integer(value)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=str(path), line=line,
-                          field=field) from None
-
-
-def _parse_frame(value: str, path, line: int, field: str = "frame") -> int:
-    """A frame index: a non-negative integer in ASCII base-10 digits.
-
-    A value Python reads as an integer in another form (``-2``, ``+3``,
-    `` 3``) is reported as such, anything else as not an integer.
-    """
-    if value.isascii() and value.isdigit():
-        return int(value)
-    try:
-        int(value)
-    except ValueError:
-        raise SchemaError(f"not an integer: {value!r}",
-                          path=str(path), line=line, field=field) from None
-    raise SchemaError(f"not a non-negative base-10 integer: {value!r}",
-                      path=str(path), line=line, field=field)
-
-
-def _parse_float(value: str, path, line: int, field: str) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise SchemaError(f"not a number: {value!r}",
-                          path=str(path), line=line, field=field) from None
-    if not math.isfinite(out):
-        raise SchemaError(f"non-finite value: {value!r}",
-                          path=str(path), line=line, field=field)
-    return out
-
-
-def _parse_scores(value: str, path, line: int) -> tuple[float, ...]:
-    return tuple(_parse_float(part, path, line, "scores")
-                 for part in value.split(","))
-
-
-def _parse_source(value: str, path, line: int) -> Source:
-    try:
-        return Source[value.upper()]
-    except KeyError:
-        raise SchemaError(f"unknown source {value!r}",
-                          path=str(path), line=line, field="source") from None
-
-
-def _parse_box(fields: Sequence[str], start: int, path,
-               line: int) -> BoundingBox:
-    names = ("x0", "y0", "x1", "y1")
-    coords = [_parse_float(fields[start + i], path, line, names[i])
-              for i in range(4)]
-    try:
-        return BoundingBox(*coords)
-    except InputError as exc:
-        raise SchemaError(str(exc), path=str(path), line=line,
-                          field="x0") from None
-
-
 # -- column-wise reading, one video at a time ----------------------------
 
 # Rows a reader splits and parses at a time.  Columns of a whole video
@@ -286,8 +202,6 @@ def _parse_box(fields: Sequence[str], start: int, path,
 # small.
 _BLOCK_ROWS = 1024
 
-# A record file's rows as ``read_records`` gives them: (line, fields).
-_Rows = Iterable[tuple[int, Sequence[str]]]
 
 
 def _video_ranges(path, kind: str) -> dict[str, list[list[int]]]:
@@ -298,7 +212,7 @@ def _video_ranges(path, kind: str) -> dict[str, list[list[int]]]:
     the run's last line break, so a sorted file holds one range per
     video.  Blank lines belong to no video; a last line may lack its
     line break.  A header that is not exactly the kind's raises
-    ``ValueError`` and leaves the report to ``_row_checks``.
+    ``ValueError`` and leaves the report to ``_located``.
     """
     ranges: dict[bytes, list[list[int]]] = {}
     with _open_bytes(path) as fh:
@@ -332,64 +246,83 @@ def _range_lines(path, ranges: Iterable[Sequence[int]]) -> list[str]:
     return lines
 
 
-def _read_columns(lines: list[str], kind: str, parse) -> dict[str, list]:
-    """Record lines as typed per-row lists, read block-wise.
+def _read_columns(lines: list[str], kind: str, fields: Sequence[tuple],
+                  rows: int, check: Callable | None = None
+                  ) -> dict[str, list]:
+    """Record lines as the typed lists of ``fields``, read block-wise.
 
-    Each block of ``_BLOCK_ROWS`` lines is split in one pass over its
-    join and sliced into text columns by name, which ``parse`` turns
-    into a dict of per-row lists.  The lists grow block by block, and a
-    list no row reached reads as empty.  A failed check raises
-    ``ValueError`` or ``KeyError`` and leaves the report to
-    ``_row_checks``.
+    Each block of ``rows`` lines is split in one pass over its join and
+    sliced into text columns by name for ``_parse``.  The lists grow
+    block by block; a list no row reached reads as empty.  A fault
+    raises at its block's first row, after ``check`` of the lists of the
+    blocks before it; with none, ``check`` of every block's ends the read.
     """
     names = SCHEMAS[kind].columns
     columns: dict[str, list] = defaultdict(list)
-    for at in range(0, len(lines), _BLOCK_ROWS):
-        block = list(filter(None, lines[at:at + _BLOCK_ROWS]))
+    for at in range(0, len(lines), rows):
+        block = list(filter(None, lines[at:at + rows]))
         if not block:
             continue
-        if set(map(str.count, block, repeat("\t"))) != {len(names) - 1}:
-            raise ValueError("row width")
-        fields = "\t".join(block).split("\t")
-        text = {name: fields[i::len(names)] for i, name in enumerate(names)}
-        del block, fields
-        for name, values in parse(text).items():
+        tabs = set(map(str.count, block, repeat("\t"))) - {len(names) - 1}
+        if tabs:
+            raise _Fault(f"expected {len(names)} fields, found "
+                         f"{max(tabs) + 1}", at)
+        split = "\t".join(block).split("\t")
+        text = {name: split[i::len(names)] for i, name in enumerate(names)}
+        del block, split
+        try:
+            parsed = _parse(fields, text)
+        except _Fault as fault:
+            fault.row += at
+            if check is not None:
+                check(columns)
+            raise
+        for name, values in parsed.items():
             columns[name] += values
+    if check is not None:
+        check(columns)
     return columns
 
 
 @contextmanager
-def _row_checks(path, kind: str) -> Iterator[None]:
-    """Reports a failed column-wise read of a ``kind`` file row-wise.
-
-    Should the body raise ``ValueError`` or ``KeyError``, the kind's
-    row-wise check runs the per-field parsers over the whole file's
-    ``read_records`` rows and raises the ``SchemaError`` of the first
-    bad field, in its kind's order.  Should every row pass, the two
-    paths disagree about the file: a fault of this module.
+def _located(path, kind: str) -> Iterator[None]:
+    """Reports a failed read of a ``kind`` file at its first problem,
+    in the order FORMATS.md gives under "Which problem is reported": the
+    encoding and header (``_record_lines``), each row's field count,
+    then the kind's ``locate``, which runs the field parsers one row at
+    a time and the checks that span rows.  Should no row be at fault,
+    the block pass failed on its own: a fault of this module.
     """
     try:
         yield
     except SchemaError:
         raise
-    except (ValueError, KeyError) as failure:
-        _KINDS[kind].check(path, read_records(path, kind))
+    except ValueError as failure:
+        numbered = [(number, line) for number, line in enumerate(
+            _record_lines(path, kind), start=3) if line]
+        lines = [line for _, line in numbered]
+        try:
+            _read_columns(lines, kind, (), 1)      # every row's width first
+            _KINDS[kind].locate(kind, lines)
+        except _Fault as fault:
+            raise SchemaError(str(fault), path=str(path),
+                              line=numbered[fault.row][0],
+                              field=fault.field) from None
         raise ProcessingError(
-            f"{path}: the column-wise {kind} reader rejected the file "
-            f"({failure!r}) but every row passes the row-wise checks"
-        ) from None
+            f"{path}: the {kind} reader rejected the file ({failure!r}) "
+            f"but no row of it is at fault") from None
 
 
 def _read(path, kind: str, ranges: Iterable[Sequence[int]] | None):
     """The records of a ``kind`` file, in its reader's shape: of every
     line, or of the lines in ``ranges`` alone."""
-    parse, build = _KINDS[kind].parse, _KINDS[kind].build
-    with _row_checks(path, kind):
+    with _located(path, kind):
         lines = _record_lines(path, kind) if ranges is None \
             else _range_lines(path, ranges)
-        columns = _read_columns(lines, kind, parse)
+        columns = _read_columns(lines, kind, _KINDS[kind].fields,
+                                _BLOCK_ROWS)
         del lines
-        return build(columns)
+        return _KINDS[kind].build(columns)
 
 
 class VideoRecords:
@@ -408,7 +341,7 @@ class VideoRecords:
     def __init__(self, path, kind: str):
         self.path = path
         self.kind = kind
-        with _row_checks(path, kind):
+        with _located(path, kind):
             self._ranges = _video_ranges(path, kind)
         self.video_ids = sorted(self._ranges)
 
@@ -428,7 +361,7 @@ class VideoRecords:
 
 def _next_video(path, previous: str | None, video_id: str) -> str:
     """``video_id``, checked to be an identifier after ``previous``."""
-    _check_id(video_id, str(path), None, "video_id")
+    _check_id(video_id, path, "video_id")
     if previous is not None and video_id <= previous:
         raise InputError(
             f"video {video_id!r} written after {previous!r}; "
@@ -495,51 +428,141 @@ def record_writer(path, kind: str) -> Iterator:
                 pass
 
 
+# -- one parser per field -------------------------------------------------
+
+class _Fault(ValueError):
+    """A bad value or row: the message that reports it, the index of its
+    row where the check knows it, and its field unless the parser's.
+
+    A column parser checks a column of one field's text values in bulk;
+    should that fail, it parses them one at a time, so that the field's
+    one-value parser raises a ``_Fault`` at the first bad one.
+    """
+
+    def __init__(self, message: str, row: int = 0, field: str | None = None):
+        super().__init__(message)
+        self.row, self.field = row, field
+
+
+def _by_set(parse: Callable, values: list[str]) -> list:
+    """``parse`` of each value of a column, run once per distinct value."""
+    try:
+        known = {value: parse(value) for value in set(values)}
+    except _Fault:
+        return list(map(parse, values))
+    return list(map(known.__getitem__, values))
+
+
+def _identifier(value: str) -> str:
+    if _ID_PATTERN.match(value) is None:
+        raise _Fault(f"invalid identifier {value!r}")
+    return value
+
+
 def _id_column(values: list[str]) -> list[str]:
     if not all(map(_ID_PATTERN.match, set(values))):
-        raise ValueError("invalid identifier")
+        list(map(_identifier, values))
     return values
 
 
-def _key_column(text: dict) -> list[tuple[str, str]]:
-    return list(zip(_id_column(text["video_id"]),
-                    _id_column(text["tube_id"])))
+def _frame(value: str) -> int:
+    """A frame index: a non-negative integer in ASCII base-10 digits.
+
+    A value Python reads as an integer in another form (``-2``, ``+3``,
+    `` 3``) is reported as such, anything else as not an integer.
+    """
+    if value.isascii() and value.isdigit():
+        return int(value)
+    try:
+        int(value)
+    except ValueError:
+        raise _Fault(f"not an integer: {value!r}") from None
+    raise _Fault(f"not a non-negative base-10 integer: {value!r}")
 
 
-def _frame_column(values: list[str]) -> list[int]:
-    """Frame indices, each in ASCII base-10 digits as ``_parse_frame``
-    takes them."""
-    digits = "".join(values)
-    if not (digits.isascii() and digits.isdigit() and all(values)):
-        raise ValueError("invalid frame")
-    return list(map(int, values))
+def _integer(value: str) -> int:
+    """A label or clip length: ASCII base-10 digits after at most one
+    leading ``-``."""
+    if _INT_PATTERN.match(value) is None:
+        raise _Fault(f"not an integer: {value!r}")
+    return int(value)
 
 
-def _int_column(values: list[str]) -> list[int]:
-    """Integers, each in the form ``_integer`` takes."""
-    if not all(map(_INT_PATTERN.match, set(values))):
-        raise ValueError("invalid integer")
-    return list(map(int, values))
+def _source(value: str) -> Source:
+    try:
+        return Source[value.upper()]
+    except KeyError:
+        raise _Fault(f"unknown source {value!r}") from None
 
 
-def _box_column(text: dict) -> list[BoundingBox]:
-    """One box per row, consuming the four coordinate columns."""
-    coords = [list(map(float, text.pop(name)))
-              for name in ("x0", "y0", "x1", "y1")]
-    return list(map(BoundingBox, *coords))
+def _finite(value: str, field: str | None = None) -> float:
+    """A float ``float()`` reads, but not NaN or an infinity."""
+    try:
+        out = float(value)
+    except ValueError:
+        raise _Fault(f"not a number: {value!r}", field=field) from None
+    if not math.isfinite(out):
+        raise _Fault(f"non-finite value: {value!r}", field=field)
+    return out
 
 
-def _source_column(names: list[str]) -> list[Source]:
-    known = {name: Source[name.upper()] for name in set(names)}
-    return list(map(known.__getitem__, names))
+def _float_column(values: list[str]) -> list[float]:
+    """Finite floats.  Should one not parse, or their sum not be finite
+    (a NaN, an infinity, or an overflow), each value is parsed alone."""
+    try:
+        out = list(map(float, values))
+        if math.isfinite(sum(out)):
+            return out
+    except ValueError:
+        pass
+    return list(map(_finite, values))
 
 
-def _score_column(column: Sequence[str]) -> list[tuple[float, ...]]:
+def _box(*coords: str) -> BoundingBox:
+    """A box of its coordinates' text; a degenerate one is reported at
+    ``x0``."""
+    try:
+        return BoundingBox(*map(_finite, coords, ("x0", "y0", "x1", "y1")))
+    except InputError as exc:
+        raise _Fault(str(exc), field="x0") from None
+
+
+def _box_column(*coords: list[str]) -> list[BoundingBox]:
+    try:
+        return list(map(BoundingBox, *[list(map(float, c)) for c in coords]))
+    except ValueError:          # a coordinate float() rejects, a bad box
+        return list(map(_box, *coords))
+
+
+def _score_column(column: list[str]) -> list[tuple[float, ...]]:
     """One class score tuple per row of a comma-separated column."""
-    values = list(map(float, ",".join(column).split(",")))
-    commas = map(str.count, column, repeat(","))
-    ends = list(accumulate(c + 1 for c in commas))
+    values = _float_column(",".join(column).split(","))
+    ends = list(accumulate(c + 1 for c in map(str.count, column,
+                                              repeat(","))))
     return [tuple(values[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _parse(fields: Sequence[tuple], text: dict[str, list[str]]
+           ) -> dict[str, list]:
+    """The typed lists of ``fields`` (a kind's, or some of them) of the
+    rows whose text columns ``text`` holds, each text column dropped
+    from ``text`` as it is parsed."""
+    out = {}
+    for name, columns, parse in fields:
+        try:
+            out[name] = parse(*[text.pop(column) for column in columns])
+        except _Fault as fault:
+            fault.field = fault.field or columns[0]
+            raise
+    return out
+
+
+def _locate_rows(kind: str, lines: list[str], check: Callable | None = None
+                 ) -> None:
+    """Every field of every row in row order, with ``check`` of each row
+    against the rows before it; then the checks of the kind's build."""
+    _KINDS[kind].build(_read_columns(lines, kind, _KINDS[kind].fields, 1,
+                                     check))
 
 
 # -- detections ---------------------------------------------------------
@@ -567,16 +590,7 @@ def read_detections(path, ranges=None) -> dict[str, list[Detection]]:
     return _read(path, "detections", ranges)
 
 
-def _parse_detection_block(text: dict) -> dict[str, list]:
-    """A block's video ids and detections."""
-    return {"video_ids": _id_column(text["video_id"]),
-            "detections": list(map(
-                Detection, _frame_column(text["frame"]), _box_column(text),
-                _score_column(text["scores"]),
-                _source_column(text["source"])))}
-
-
-def _by_video(video_ids: list[str], records: list) -> dict[str, list]:
+def _by_video(video_ids: list[str], records: Iterable) -> dict[str, list]:
     """Each video's records, videos ascending, records in row order."""
     out: dict[str, list] = {}
     for video_id, record in zip(video_ids, records):
@@ -585,17 +599,9 @@ def _by_video(video_ids: list[str], records: list) -> dict[str, list]:
 
 
 def _detections_of(columns: dict) -> dict[str, list[Detection]]:
-    return _by_video(columns["video_ids"], columns["detections"])
-
-
-def _check_detections(path, rows: _Rows) -> None:
-    """Raises the ``SchemaError`` of the first bad field, row by row."""
-    for line, fields in rows:
-        _check_id(fields[0], str(path), line, "video_id")
-        _parse_frame(fields[1], path, line)
-        _parse_box(fields, 2, path, line)
-        _parse_source(fields[6], path, line)
-        _parse_scores(fields[7], path, line)
+    return _by_video(columns["video_ids"], map(
+        Detection, columns["frames"], columns["boxes"], columns["scores"],
+        columns["sources"]))
 
 
 # -- proposals ----------------------------------------------------------
@@ -635,33 +641,17 @@ def read_proposals(path, ranges=None
     return _read(path, "proposals", ranges)
 
 
-def _parse_proposal_block(text: dict) -> dict[str, list]:
-    """A block's video ids and proposals."""
-    return {"video_ids": _id_column(text["video_id"]),
-            "proposals": list(map(
-                Proposal, _frame_column(text["frame"]), _box_column(text),
-                map(float, text["objectness"])))}
-
-
 def _proposals_of(columns: dict
                   ) -> dict[str, dict[int, tuple[Proposal, ...]]]:
     out = {}
-    for video_id, props in _by_video(columns["video_ids"],
-                                     columns["proposals"]).items():
+    for video_id, props in _by_video(columns["video_ids"], map(
+            Proposal, columns["frames"], columns["boxes"],
+            columns["objectness"])).items():
         frames: dict[int, list[Proposal]] = {}
         for prop in props:
             frames.setdefault(prop.frame_index, []).append(prop)
         out[video_id] = {frame: tuple(ps) for frame, ps in frames.items()}
     return out
-
-
-def _check_proposals(path, rows: _Rows) -> None:
-    """Raises the ``SchemaError`` of the first bad field, row by row."""
-    for line, fields in rows:
-        _check_id(fields[0], str(path), line, "video_id")
-        _parse_frame(fields[1], path, line)
-        _parse_box(fields, 2, path, line)
-        _parse_float(fields[6], path, line, "objectness")
 
 
 # -- tubes --------------------------------------------------------------
@@ -671,18 +661,18 @@ def _tube_runs(columns: dict) -> Iterator[tuple[str, str, int, slice]]:
 
     Every column is first put in (video_id, tube_id, frame) order,
     unless it already is, keeping file order among equals.  A tube
-    whose frames do not run consecutively, each once, raises
-    ``ValueError(message, row)`` when reached, ``row`` being the index
-    of its first row out of step.
+    whose frames do not run consecutively, each once, raises ``_Fault``
+    when reached, at its first row out of step.
     """
-    keys, frames = columns["keys"], columns["frames"]
-    order = list(zip(keys, frames))
+    order = list(zip(columns["video_ids"], columns["tube_ids"],
+                     columns["frames"]))
     if not all(map(operator.le, order, order[1:])):
         order = sorted(range(len(order)), key=order.__getitem__)
         for name in list(columns):
             columns[name] = [columns[name][i] for i in order]
-        keys, frames = columns["keys"], columns["frames"]
     del order
+    keys = list(zip(columns["video_ids"], columns["tube_ids"]))
+    frames = columns["frames"]
     starts = list(compress(count(), map(operator.ne, keys, [None, *keys])))
     for a, b in zip(starts, [*starts[1:], len(keys)]):
         start = frames[a]
@@ -690,34 +680,49 @@ def _tube_runs(columns: dict) -> Iterator[tuple[str, str, int, slice]]:
             row, want = next((row, want) for row, want in zip(
                 range(a, b), count(start)) if frames[row] != want)
             problem = "repeats" if frames[row] < want else "skips"
-            raise ValueError(f"tube {keys[a][1]!r} {problem} frame "
-                             f"{min(frames[row], want)}", row)
+            raise _Fault(f"tube {keys[a][1]!r} {problem} frame "
+                         f"{min(frames[row], want)}", row, "frame")
         yield (*keys[a], start, slice(a, b))
 
 
-def _tube_rows(path, rows: _Rows, frame_column: int) -> Iterator[tuple]:
-    """``_tube_runs`` of rows checked row-wise: each tube's
-    ``(video_id, tube_id, start, rows)``, its ``(line, fields)`` by frame.
+def _agreed(values: list, rows: slice, message: str, tube_id: str):
+    """The value the ``rows`` of ``values`` share; the first row whose
+    value differs from the first's raises ``message``, formatted with
+    the tube's id, at ``label``."""
+    run = values[rows]
+    if len(set(run)) > 1:
+        row = next(row for row, value in enumerate(run) if value != run[0])
+        raise _Fault(message.format(tube_id), rows.start + row, "label")
+    return run[0] if run else None
 
-    Identifiers and frames are checked in file order first, then each
-    tube's frame run as it is reached.
-    """
-    columns: dict[str, list] = defaultdict(list)
-    for line, fields in rows:
-        columns["keys"].append(
-            (_check_id(fields[0], str(path), line, "video_id"),
-             _check_id(fields[1], str(path), line, "tube_id")))
-        columns["frames"].append(
-            _parse_frame(fields[frame_column], path, line))
-        columns["rows"].append((line, fields))
+
+def _locate_tubes(kind: str, lines: list[str], agreed: Callable) -> None:
+    """Tubes and ground truth: ``video_id``, ``tube_id`` and ``frame`` of
+    every row, in row order.  Then tube by tube in id order, its rows by
+    frame: its frame run; its next field row by row, and whether the
+    rows agree on it (``agreed``); every other field, field by field;
+    then the checks of the kind's build."""
+    fields, build = _KINDS[kind].fields, _KINDS[kind].build
+    columns = _read_columns(lines, kind, fields[:3], 1)
+    columns.update(lines=lines, rows=list(range(len(lines))))
+    name = fields[3][0]
     try:
-        for video_id, tube_id, start, run in _tube_runs(columns):
-            yield video_id, tube_id, start, columns["rows"][run]
-    except ValueError as exc:
-        message, row = exc.args
-        raise SchemaError(message, path=str(path),
-                          line=columns["rows"][row][0],
-                          field="frame") from None
+        for _, tube_id, _, rows in _tube_runs(columns):
+            tube = {key: values[rows] for key, values in columns.items()}
+            try:
+                tube.update(_read_columns(
+                    tube["lines"], kind, fields[3:4], 1, lambda parsed:
+                    agreed(parsed[name], slice(0, None), tube_id)))
+                for field in fields[4:]:
+                    tube.update(_read_columns(tube["lines"], kind, (field,),
+                                              1))
+                build(tube)
+            except _Fault as fault:
+                fault.row += rows.start
+                raise
+    except _Fault as fault:
+        fault.row = columns["rows"][fault.row]
+        raise
 
 
 def _video_tubes(path, video_id: str, tubes: Iterable) -> list:
@@ -729,7 +734,7 @@ def _video_tubes(path, video_id: str, tubes: Iterable) -> list:
         if tube.video_id != video_id:
             raise InputError(f"tube {tube.tube_id!r} of {tube.video_id!r} "
                              f"written with the tubes of {video_id!r}")
-        _check_id(tube.tube_id, str(path), None, "tube_id")
+        _check_id(tube.tube_id, path, "tube_id")
         _check_first_frame(f"frames of tube {tube.tube_id!r}", video_id,
                            tube.start)
         if tube.tube_id == previous:
@@ -766,54 +771,33 @@ def read_tubes(path, ranges=None) -> list[Tube]:
     return _read(path, "tubes", ranges)
 
 
+def _tail_of(tails: list, rows: slice, tube_id: str
+             ) -> tuple[int | None, float | None]:
+    """A tube's label and score, ``None`` for ``-``, of the ``(label,
+    score)`` text its ``rows`` of ``tails`` share."""
+    label, score = _agreed(
+        tails, rows, "tube {!r} carries conflicting label or score", tube_id)
+    try:
+        return (None if label == "-" else _integer(label),
+                None if score == "-" else _finite(score, "score"))
+    except _Fault as fault:
+        fault.row, fault.field = rows.start, fault.field or "label"
+        raise
+
+
 def _tubes_of(columns: dict) -> list[Tube]:
     tubes = []
     for video_id, tube_id, start, rows in _tube_runs(columns):
-        tails = columns["tails"][rows]
-        if len(set(tails)) != 1:
-            raise ValueError("conflicting label or score")
-        label, score = tails[0]
-        tubes.append(Tube(
-            video_id, tube_id, start, columns["boxes"][rows],
-            columns["scores"][rows], columns["sources"][rows],
-            label=None if label == "-" else _integer(label),
-            score=None if score == "-" else float(score)))
-    return tubes
-
-
-def _parse_tube_block(text: dict) -> dict[str, list]:
-    """A block's keys, frames, boxes, sources, score tuples and
-    (label, score) text."""
-    return {"keys": _key_column(text), "frames": _frame_column(text["frame"]),
-            "boxes": _box_column(text),
-            "sources": _source_column(text["source"]),
-            "scores": _score_column(text["scores"]),
-            "tails": list(zip(text["label"], text["score"]))}
-
-
-def _check_tubes(path, rows: _Rows) -> None:
-    """Raises the ``SchemaError`` of the first bad field, tube by tube."""
-    for video_id, tube_id, start, rows in _tube_rows(path, rows, 2):
-        first_line, first = rows[0]
-        for line, fields in rows:
-            if fields[9:] != first[9:]:
-                raise SchemaError(
-                    f"tube {tube_id!r} carries conflicting label or score",
-                    path=str(path), line=line, field="label")
-        label = None if first[9] == "-" else \
-            _parse_int(first[9], path, first_line, "label")
-        score = None if first[10] == "-" else \
-            _parse_float(first[10], path, first_line, "score")
-        boxes = [_parse_box(f, 3, path, line) for line, f in rows]
-        sources = [_parse_source(f[7], path, line) for line, f in rows]
-        scores = [_parse_scores(f[8], path, line) for line, f in rows]
+        label, score = _tail_of(columns["tails"], rows, tube_id)
         try:
-            Tube(video_id, tube_id, start, boxes, scores, sources,
-                 label=label, score=score)
+            tubes.append(Tube(
+                video_id, tube_id, start, columns["boxes"][rows],
+                columns["scores"][rows], columns["sources"][rows],
+                label=label, score=score))
         except InputError as exc:
-            bad = "label" if label is not None and label < 0 else "scores"
-            raise SchemaError(str(exc), path=str(path), line=first_line,
-                              field=bad) from None
+            raise _Fault(str(exc), rows.start, "label" if label is not None
+                         and label < 0 else "scores") from None
+    return tubes
 
 
 # -- ground truth -------------------------------------------------------
@@ -841,40 +825,21 @@ def read_gt_tubes(path, ranges=None) -> list[GroundTruthTube]:
     return _read(path, "gttubes", ranges)
 
 
+def _label_of(labels: list[int], rows: slice, tube_id: str) -> int:
+    return _agreed(labels, rows,
+                   "ground truth tube {!r} has conflicting labels", tube_id)
+
+
 def _gt_tubes_of(columns: dict) -> list[GroundTruthTube]:
     tubes = []
     for video_id, tube_id, start, rows in _tube_runs(columns):
-        labels = set(columns["labels"][rows])
-        if len(labels) != 1:
-            raise ValueError("conflicting labels")
-        tubes.append(GroundTruthTube(video_id, tube_id, *labels, start,
-                                     columns["boxes"][rows]))
-    return tubes
-
-
-def _parse_gt_block(text: dict) -> dict[str, list]:
-    """A block's keys, frames, boxes and labels."""
-    return {"keys": _key_column(text), "frames": _frame_column(text["frame"]),
-            "boxes": _box_column(text),
-            "labels": _int_column(text["label"])}
-
-
-def _check_gt_tubes(path, rows: _Rows) -> None:
-    """Raises the ``SchemaError`` of the first bad field, tube by tube."""
-    for video_id, tube_id, start, rows in _tube_rows(path, rows, 3):
-        first_line, first = rows[0]
-        label = _parse_int(first[2], path, first_line, "label")
-        for line, fields in rows:
-            if _parse_int(fields[2], path, line, "label") != label:
-                raise SchemaError(
-                    f"ground truth tube {tube_id!r} has conflicting labels",
-                    path=str(path), line=line, field="label")
-        boxes = [_parse_box(f, 4, path, line) for line, f in rows]
+        label = _label_of(columns["labels"], rows, tube_id)
         try:
-            GroundTruthTube(video_id, tube_id, label, start, boxes)
+            tubes.append(GroundTruthTube(video_id, tube_id, label, start,
+                                         columns["boxes"][rows]))
         except InputError as exc:
-            raise SchemaError(str(exc), path=str(path), line=first_line,
-                              field="label") from None
+            raise _Fault(str(exc), rows.start, "label") from None
+    return tubes
 
 
 # -- clip scores --------------------------------------------------------
@@ -896,7 +861,7 @@ def _clip_text(path, video_id: str,
             raise InputError(f"clip scores of tube {tube_id!r} of "
                              f"{tube_video!r} written with the clip scores "
                              f"of {video_id!r}")
-        _check_id(tube_id, str(path), None, "tube_id")
+        _check_id(tube_id, path, "tube_id")
         _check_first_frame(f"clip scores of tube {tube_id!r}", video_id,
                            clips.intervals[0].start)
         head = f"{video_id}\t{tube_id}\t{clips.clip_length}\t"
@@ -912,88 +877,53 @@ def read_clip_scores(path, ranges=None
     return _read(path, "clipscores", ranges)
 
 
+def _clips_by_tube(columns: dict) -> dict[tuple[str, str], list]:
+    """Each tube's clip length, its first row's, followed by its
+    ``(start, end, scores, row)`` clips; a row whose clip length differs
+    from its tube's first row's raises."""
+    tubes: dict[tuple[str, str], list] = {}
+    for key, length, *clip in zip(
+            zip(columns["video_ids"], columns["tube_ids"]),
+            columns["lengths"], columns["starts"], columns["ends"],
+            columns["scores"], count()):
+        tube = tubes.setdefault(key, [length])
+        if tube[0] != length:
+            raise _Fault(f"tube {key[1]!r} mixes clip lengths", clip[3],
+                         "clip_length")
+        tube.append(clip)
+    return tubes
+
+
 def _clip_scores_of(columns: dict) -> dict[tuple[str, str],
                                             ClipScoreSequence]:
-    lengths: dict[tuple[str, str], int] = {}
-    clips: dict[tuple[str, str], list] = {}
-    for key, length, *clip in zip(
-            columns["keys"], columns["lengths"], columns["starts"],
-            columns["ends"], columns["scores"]):
-        if lengths.setdefault(key, length) != length:
-            raise ValueError("mixed clip lengths")
-        clips.setdefault(key, []).append(clip)
-    return {key: _clip_sequence(lengths[key], clips[key])
-            for key in sorted(clips)}
+    tubes = _clips_by_tube(columns)
+    return {key: _clip_sequence(*tubes[key]) for key in sorted(tubes)}
 
 
-def _parse_clip_block(text: dict) -> dict[str, list]:
-    """A block's keys, clip lengths, clip starts and ends and score
-    tuples."""
-    return {"keys": _key_column(text),
-            "lengths": _int_column(text["clip_length"]),
-            "starts": _frame_column(text["start"]),
-            "ends": _frame_column(text["end"]),
-            "scores": _score_column(text["scores"])}
-
-
-def _clip_sequence(clip_length: int, clips: Iterable[Sequence]
-                   ) -> ClipScoreSequence:
-    """The sequence of one tube's ``(start, end, scores)`` clips, which
-    may come in any order."""
+def _clip_sequence(clip_length: int, *clips: tuple) -> ClipScoreSequence:
+    """The sequence of one tube's ``(start, end, scores, row)`` clips,
+    which may come in any order.  A fault ``ClipScoreSequence`` finds
+    raises at the clip that carries it, in the order it checks them: an
+    empty interval, a clip length below 1 (at the tube's first row),
+    each score vector's class count and sum, then a clip that does not
+    start where the one before it ends."""
     clips = sorted(clips)
-    return ClipScoreSequence(
-        clip_length, tuple(FrameInterval(s, e) for s, e, _ in clips),
-        tuple(scores for _, _, scores in clips))
-
-
-def _check_clip_scores(path, rows: _Rows) -> None:
-    """Raises the ``SchemaError`` of the first bad field, row by row,
-    then of the first bad clip sequence, tube by tube in id order, at
-    the clip that carries the fault."""
-    firsts: dict[tuple[str, str], tuple[int, int]] = {}
-    clips: dict[tuple[str, str], list] = {}
-    for line, fields in rows:
-        key = (_check_id(fields[0], str(path), line, "video_id"),
-               _check_id(fields[1], str(path), line, "tube_id"))
-        clip_length = _parse_int(fields[2], path, line, "clip_length")
-        start = _parse_frame(fields[3], path, line, "start")
-        end = _parse_frame(fields[4], path, line, "end")
-        scores = _parse_scores(fields[5], path, line)
-        if firsts.setdefault(key, (clip_length, line))[0] != clip_length:
-            raise SchemaError(
-                f"tube {key[1]!r} mixes clip lengths",
-                path=str(path), line=line, field="clip_length")
-        clips.setdefault(key, []).append((start, end, scores, line))
-    for key in sorted(clips):
-        clip_length, first_line = firsts[key]
-        ordered = sorted(clips[key])
-        try:
-            _clip_sequence(clip_length, [clip[:3] for clip in ordered])
-        except InputError as exc:
-            line, field = _clip_fault(clip_length, first_line, ordered)
-            raise SchemaError(str(exc), path=str(path), line=line,
-                              field=field) from None
-
-
-def _clip_fault(clip_length: int, first_line: int,
-                clips: list[tuple]) -> tuple[int, str]:
-    """The line and field of the fault ``ClipScoreSequence`` reports
-    first for one tube's sorted ``(start, end, scores, line)`` clips:
-    an empty interval, a clip length below 1 (at the tube's first
-    line), a score vector's class count or sum, then a clip that does
-    not start where the one before it ends."""
-    for start, end, _, line in clips:
-        if start >= end:
-            return line, "start"
-    if clip_length < 1:
-        return first_line, "clip_length"
+    try:
+        return ClipScoreSequence(
+            clip_length, tuple(FrameInterval(s, e) for s, e, _, _ in clips),
+            tuple(scores for _, _, scores, _ in clips))
+    except InputError as exc:
+        message = str(exc)
     width = len(clips[0][2])
-    for _, _, scores, line in clips:
-        if len(scores) != width or abs(sum(scores) - 1.0) > SCORE_SUM_TOL:
-            return line, "scores"
-    gaps = (line for (_, end, _, _), (start, _, _, line)
-            in zip(clips, clips[1:]) if end != start)
-    return next(gaps, first_line), "start"
+    faults = [(row, "start") for start, end, _, row in clips if start >= end]
+    if clip_length < 1:
+        faults.append((min(row for *_, row in clips), "clip_length"))
+    faults += [(row, "scores") for _, _, scores, row in clips
+               if len(scores) != width
+               or abs(sum(scores) - 1.0) > SCORE_SUM_TOL]
+    faults += [(row, "start") for (_, end, _, _), (start, _, _, row)
+               in zip(clips, clips[1:]) if end != start]
+    raise _Fault(message, *faults[0])
 
 
 # -- the record kinds ---------------------------------------------------
@@ -1001,9 +931,12 @@ def _clip_fault(clip_length: int, first_line: int,
 class _Kind(NamedTuple):
     """How one record kind is read and written."""
 
-    parse: Callable     # a block's text columns -> typed per-row lists
-    build: Callable     # those lists -> records, in the reader's shape
-    check: Callable     # raises the whole file's first bad field, row-wise
+    # ``(name, columns, parser)`` of each field, in the order a row's are
+    # checked: the parser takes the text columns, gives the typed list
+    # ``name``, and serves both the block pass and ``_located``
+    fields: tuple
+    build: Callable     # the typed lists -> records, in the reader's shape
+    locate: Callable    # (kind, the file's rows) -> raises the first fault
     text: Callable      # one video's records -> their rows
     reader: str         # names of the kind's reader and writer
     writer: str
@@ -1013,19 +946,50 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "detections": _Kind(_parse_detection_block, _detections_of,
-                        _check_detections, _detection_text,
-                        "read_detections", "write_detections", list),
-    "proposals": _Kind(_parse_proposal_block, _proposals_of,
-                       _check_proposals, _proposal_text,
-                       "read_proposals", "write_proposals", dict),
-    "tubes": _Kind(_parse_tube_block, _tubes_of, _check_tubes, _tube_text,
-                   "read_tubes", "write_tubes", None),
-    "gttubes": _Kind(_parse_gt_block, _gt_tubes_of, _check_gt_tubes,
-                     _gt_text, "read_gt_tubes", "write_gt_tubes", None),
-    "clipscores": _Kind(_parse_clip_block, _clip_scores_of,
-                        _check_clip_scores, _clip_text,
-                        "read_clip_scores", "write_clip_scores", None),
+    "detections": _Kind((
+        ("video_ids", ("video_id",), _id_column),
+        ("frames", ("frame",), partial(_by_set, _frame)),
+        ("boxes", ("x0", "y0", "x1", "y1"), _box_column),
+        ("sources", ("source",), partial(_by_set, _source)),
+        ("scores", ("scores",), _score_column),
+    ), _detections_of, _locate_rows, _detection_text,
+        "read_detections", "write_detections", list),
+    "proposals": _Kind((
+        ("video_ids", ("video_id",), _id_column),
+        ("frames", ("frame",), partial(_by_set, _frame)),
+        ("boxes", ("x0", "y0", "x1", "y1"), _box_column),
+        ("objectness", ("objectness",), _float_column),
+    ), _proposals_of, _locate_rows, _proposal_text,
+        "read_proposals", "write_proposals", dict),
+    "tubes": _Kind((
+        ("video_ids", ("video_id",), _id_column),
+        ("tube_ids", ("tube_id",), _id_column),
+        ("frames", ("frame",), partial(_by_set, _frame)),
+        # checked tube by tube, by ``_tail_of``
+        ("tails", ("label", "score"),
+         lambda labels, scores: list(zip(labels, scores))),
+        ("boxes", ("x0", "y0", "x1", "y1"), _box_column),
+        ("sources", ("source",), partial(_by_set, _source)),
+        ("scores", ("scores",), _score_column),
+    ), _tubes_of, partial(_locate_tubes, agreed=_tail_of), _tube_text,
+        "read_tubes", "write_tubes", None),
+    "gttubes": _Kind((
+        ("video_ids", ("video_id",), _id_column),
+        ("tube_ids", ("tube_id",), _id_column),
+        ("frames", ("frame",), partial(_by_set, _frame)),
+        ("labels", ("label",), partial(_by_set, _integer)),
+        ("boxes", ("x0", "y0", "x1", "y1"), _box_column),
+    ), _gt_tubes_of, partial(_locate_tubes, agreed=_label_of), _gt_text,
+        "read_gt_tubes", "write_gt_tubes", None),
+    "clipscores": _Kind((
+        ("video_ids", ("video_id",), _id_column),
+        ("tube_ids", ("tube_id",), _id_column),
+        ("lengths", ("clip_length",), partial(_by_set, _integer)),
+        ("starts", ("start",), partial(_by_set, _frame)),
+        ("ends", ("end",), partial(_by_set, _frame)),
+        ("scores", ("scores",), _score_column),
+    ), _clip_scores_of, partial(_locate_rows, check=_clips_by_tube),
+        _clip_text, "read_clip_scores", "write_clip_scores", None),
 }
 
 
@@ -1074,7 +1038,7 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
             if code is None or (code == 2 and arr.dtype.itemsize > 1):
                 raise InputError(
                     f"array {name!r} has unsupported dtype {arr.dtype}")
-            arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
+            arr = np.asarray(arr, dtype=_DTYPE_CODES[code], order="C")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -1352,7 +1316,7 @@ def write_matches(
     def arrays():
         previous = None
         for video_id, pairs in chunks:
-            _check_id(video_id, str(path), None, "video_id")
+            _check_id(video_id, path, "video_id")
             if previous is not None and video_id + "/" <= previous + "/":
                 raise InputError(
                     f"matches of video {video_id!r} written after "
@@ -1438,7 +1402,7 @@ def write_flow(
     3) as ``synth`` makes it, float64 (code 0) as older files hold it."""
     def arrays():
         for video_id, grids in chunks:
-            _check_id(video_id, str(path), None, "video_id")
+            _check_id(video_id, path, "video_id")
             for grid in grids:
                 yield f"{video_id}/{grid.frame_index:08d}", grid.values
     write_arrays(path, arrays())
@@ -1466,7 +1430,7 @@ def write_clip_noise(path, tables: Iterable[tuple[str, np.ndarray]]) -> None:
 
     def arrays():
         for video_id, table in tables:
-            _check_id(video_id, str(path), None, "video_id")
+            _check_id(video_id, path, "video_id")
             yield video_id, np.asarray(table, dtype=np.float64)
     write_arrays(path, arrays())
 

@@ -28,6 +28,7 @@ from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_NOISE,
 from actiontubes.scenario import video_index
 from actiontubes.scoring import score_clips
 from test_golden import SCENARIOS
+from test_io import read_records
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -155,7 +156,7 @@ class TestExitCodes:
             assert run_cli(stage, "--out", tmp_path, *FAST) == 0
         pruned = tmp_path / FILE_PRUNED
         rows = [(*fields[:9], "-1", fields[10])
-                for _, fields in formats.read_records(pruned, "tubes")]
+                for _, fields in read_records(pruned, "tubes")]
         formats.write_records(pruned, "tubes", rows)
         capsys.readouterr()
         assert run_cli("localize", "--out", tmp_path, *FAST) == 3
@@ -171,7 +172,7 @@ class TestExitCodes:
                       "localize"):
             assert run_cli(stage, "--out", tmp_path, *FAST) == 0
         gt = tmp_path / FILE_GT
-        rows = [fields for _, fields in formats.read_records(gt, "gttubes")]
+        rows = [fields for _, fields in read_records(gt, "gttubes")]
         twin = list(rows[3])
         twin[4] = repr(float(twin[4]) + x0_shift)
         formats.write_records(gt, "gttubes", rows[:4] + [twin] + rows[4:])
@@ -186,7 +187,7 @@ class TestExitCodes:
             assert run_cli(stage, "--out", tmp_path, *FAST) == 0
         tracked = tmp_path / FILE_TRACKED
         return tracked, [list(fields) for _, fields
-                         in formats.read_records(tracked, "tubes")]
+                         in read_records(tracked, "tubes")]
 
     def test_unequal_class_counts_return_three(self, tmp_path, capsys):
         tracked, rows = self._tracked_rows(tmp_path)
@@ -232,7 +233,7 @@ class TestExitCodes:
         assert any(row[0] == "v001" for row in rows)
         gt = tmp_path / FILE_GT
         formats.write_records(gt, "gttubes", [
-            fields for _, fields in formats.read_records(gt, "gttubes")
+            fields for _, fields in read_records(gt, "gttubes")
             if fields[0] != "v001"])
         capsys.readouterr()
         assert run_cli("score", "--out", tmp_path, *FAST) == 3
@@ -283,7 +284,7 @@ class TestExitCodes:
                            (FILE_PROPOSALS, "proposals")):
             path = tmp_path / name
             rows = [(fields[0].replace("v000", "v999"), *fields[1:])
-                    for _, fields in formats.read_records(path, kind)]
+                    for _, fields in read_records(path, kind)]
             formats.write_records(path, kind, rows)
         capsys.readouterr()
         assert run_cli("track", "--out", tmp_path, *FAST, *baseline) == 3
@@ -356,7 +357,7 @@ class TestOneVideoAtATime:
         path = tmp_path / name
         kind = record_kind(path)
         rows = [list(fields) for _, fields in
-                formats.read_records(path, kind)]
+                read_records(path, kind)]
         last = max(range(len(rows)), key=lambda i: rows[i][0])
         assert rows[last][0] == "v002"
         rows[last][formats.SCHEMAS[kind].columns.index(column)] = "x"
@@ -429,7 +430,7 @@ class TestOneVideoAtATime:
 
         def rows(path, video_id):
             return [fields for _, fields in
-                    formats.read_records(path, record_kind(path))
+                    read_records(path, record_kind(path))
                     if fields[0] == video_id]
 
         for video_id in ("v000", "v001", "v002"):
@@ -489,7 +490,7 @@ class TestOneVideoAtATime:
         for name in (FILE_GT, FILE_PROPOSALS, *FILE_DETECTIONS.values()):
             kind = record_kind(out / name)
             rows = [(rename[fields[0]], *fields[1:]) for _, fields in
-                    formats.read_records(out / name, kind)]
+                    read_records(out / name, kind)]
             formats.write_records(copy / name, kind, rows)
         # the containers take videos in array-name order
         order = sorted(rename.items(), key=lambda pair: pair[1] + "/")
@@ -649,7 +650,7 @@ class TestClipNoise:
         path = tmp_path / FILE_TRACKED
         frame = formats.SCHEMAS["tubes"].columns.index("frame")
         rows = [list(fields) for _, fields in
-                formats.read_records(path, "tubes")]
+                read_records(path, "tubes")]
         for row in rows:
             row[frame] = str(int(row[frame]) + 24)
         formats.write_records(path, "tubes", rows)

@@ -261,11 +261,25 @@ class TestPruneDrifted:
         assert kept == [center]
 
     def test_uniform_map_keeps_everything(self):
-        fmap = build_footprint_map(np.full((2, 49), 0.4))
+        """A uniform map ties every projection with the map mean in exact
+        arithmetic, so it keeps every tube that meets a cell, whatever
+        rounding does to the two means (at map side 5 it dropped boxes
+        over 10 and 12 cells)."""
         frame = (140.0, 140.0)
-        tubes = [tube_at(BoundingBox(1, 1, 10, 10)),
-                 tube_at(BoundingBox(100, 100, 139, 139), tube_id="u")]
-        assert prune_drifted(tubes, fmap, frame) == tubes
+        for side in (5, 7, 9):
+            fmap = build_footprint_map(np.full((2, side * side), 0.4),
+                                       CellLayout(map_side=side))
+            cell = frame[0] / side
+            tubes = [tube_at(BoundingBox(1, 1, 10, 10)),
+                     tube_at(BoundingBox(100, 100, 139, 139), tube_id="u")]
+            for rows, cols in ((1, 5), (2, 5), (3, 4), (3, 5)):
+                box = BoundingBox(1, 1, cols * cell - 1, rows * cell - 1)
+                assert len(cells_overlapping(fmap.layout, box, frame)) == \
+                    rows * cols
+                tubes.append(tube_at(box, tube_id=f"{rows}x{cols}"))
+            assert prune_drifted_reference(tubes, fmap.weights, side,
+                                           frame) == tubes
+            assert prune_drifted(tubes, fmap, frame) == tubes, side
 
     def test_projection_outside_map_removed(self):
         fmap = self.center_heavy_map()

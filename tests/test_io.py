@@ -29,6 +29,23 @@ def bundle():
         frame_size=(160, 120), with_footprint=False))
 
 
+def read_records(path, kind):
+    """Header-checked rows of a record file, as (line number, fields)."""
+    out = []
+    width = len(formats.SCHEMAS[kind].columns)
+    for number, line in enumerate(formats._record_lines(path, kind),
+                                  start=3):
+        if not line:
+            continue
+        fields = tuple(line.split("\t"))
+        if len(fields) != width:
+            raise SchemaError(
+                f"expected {width} fields, found {len(fields)}",
+                path=str(path), line=number)
+        out.append((number, fields))
+    return out
+
+
 def by_video(tubes):
     """``(video_id, tubes)`` pairs in video order, as the writers take
     them."""
@@ -611,13 +628,17 @@ class TestTubeReaderErrors:
     def test_rows_parsed_in_blocks(self, tmp_path, monkeypatch):
         """No column spans the whole file: each parse sees one block."""
         seen = []
-        parse = formats._parse_tube_block
 
-        def spy(text):
-            seen.append(len(text["source"]))
-            return parse(text)
+        def spy(parse):
+            def counted(values):
+                seen.append(len(values))
+                return parse(values)
+            return counted
+        kind = formats._KINDS["tubes"]
+        fields = tuple((name, columns, spy(parse) if name == "sources"
+                        else parse) for name, columns, parse in kind.fields)
         monkeypatch.setitem(formats._KINDS, "tubes",
-                            formats._KINDS["tubes"]._replace(parse=spy))
+                            kind._replace(fields=fields))
         monkeypatch.setattr(formats, "_BLOCK_ROWS", 2)
         path = tmp_path / "t.tsv"
         formats.write_records(path, "tubes", _tube_rows())
@@ -640,22 +661,24 @@ class TestTubeReaderErrors:
                                       "proposals", "clipscores"])
     def test_disagreeing_checks_are_a_processing_error(
             self, tmp_path, monkeypatch, kind):
-        """A clean file the column-wise checks reject is not reported
-        as a schema error of some row."""
-        def reject(column):
-            raise ValueError("rejected")
-        monkeypatch.setattr(formats, "_frame_column", reject)
-        rows = {"tubes": _tube_rows(),
-                "gttubes": [["v0", "a0", "1", "0", "0.0", "0.0", "5.0",
-                             "5.0"]],
-                **{name: clean()
-                   for name, (clean, _) in RECORD_CORRUPTIONS.items()}}
-        path = tmp_path / "t.tsv"
-        formats.write_records(path, kind, rows[kind])
-        reader = {"tubes": formats.read_tubes,
-                  "gttubes": formats.read_gt_tubes, **RECORD_READERS}[kind]
+        """A frame parser that rejects every block of more than one row
+        fails the block pass but passes the locator, which parses one row
+        at a time: no row is at fault, so the reader reports its own."""
+        def reject_blocks(parse):
+            def parsed(values):
+                if len(values) > 1:
+                    raise ValueError("rejected")
+                return parse(values)
+            return parsed
+        spec = formats._KINDS[kind]
+        fields = tuple((name, columns, reject_blocks(parse)
+                        if columns[0] in ("frame", "start") else parse)
+                       for name, columns, parse in spec.fields)
+        monkeypatch.setitem(formats._KINDS, kind, spec._replace(fields=fields))
+        path = tmp_path / "r.tsv"
+        formats.write_records(path, kind, CLEAN_ROWS[kind]())
         with pytest.raises(ProcessingError, match="rejected"):
-            reader(path)
+            READERS[kind](path)
 
     @pytest.mark.parametrize("edits, message, line, field", [
         ({(1, 2): "x"}, "not an integer: 'x'", 4, "label"),
@@ -942,41 +965,35 @@ class TestRecordReaderErrors:
             assert reader(path) == expected
 
 
-# Field values near the edges of what the column-wise and the row-wise
-# parsers accept.
+# Field values near the edges of what the field parsers accept.
 EDGE_VALUES = ["", " ", "-", "0", "07", "+1", "-1", " 1", "1.5", "-0.0",
                "1e400", "nan", "inf", "x", "٣", "1_0", "v 0", "static",
                "STATIC", "0.5,0.5", "1,", ",1", "0.5,0.25,0.25"]
 
+CLEAN_ROWS = {"tubes": _tube_rows,
+              "gttubes": lambda: [["v0", "a0", "1", str(f), "0.0", "0.0",
+                                   "5.0", "5.0"] for f in (0, 1)],
+              **{name: rows for name, (rows, _) in RECORD_CORRUPTIONS.items()}}
+READERS = {"tubes": formats.read_tubes, "gttubes": formats.read_gt_tubes,
+           **RECORD_READERS}
 
-@pytest.mark.parametrize("kind", ["detections", "proposals", "clipscores",
-                                  "tubes", "gttubes"])
+
+@pytest.mark.parametrize("kind", sorted(CLEAN_ROWS))
 def test_column_and_row_checks_agree(tmp_path, kind):
-    """Whatever one field holds, the column-wise reader accepts the file
-    exactly when the row-wise checks do: a file it reads passes them, and
-    one it rejects is their schema error, not a ``ProcessingError``."""
-    clean = {"tubes": _tube_rows, **{
-        name: rows for name, (rows, _) in RECORD_CORRUPTIONS.items()}}.get(
-        kind, lambda: [["v0", "a0", "1", str(f), "0.0", "0.0", "5.0", "5.0"]
-                       for f in (0, 1)])
-    reader = {"tubes": formats.read_tubes,
-              "gttubes": formats.read_gt_tubes, **RECORD_READERS}[kind]
-    check = {"detections": formats._check_detections,
-             "proposals": formats._check_proposals,
-             "clipscores": formats._check_clip_scores,
-             "tubes": formats._check_tubes,
-             "gttubes": formats._check_gt_tubes}[kind]
+    """Whatever one field holds, the reader reads the file or reports a
+    schema error at a line and a field, never a ``ProcessingError``: the
+    locator places every failure of the block pass."""
     path = tmp_path / "r.tsv"
     for column in range(len(formats.SCHEMAS[kind].columns)):
         for value in EDGE_VALUES:
-            rows = clean()
+            rows = CLEAN_ROWS[kind]()
             rows[1][column] = value
             formats.write_records(path, kind, rows)
             try:
-                reader(path)
-            except SchemaError:
-                continue
-            check(path, formats.read_records(path, kind))
+                READERS[kind](path)
+            except SchemaError as exc:
+                assert exc.line is not None and exc.field is not None, \
+                    (column, value, str(exc))
 
 
 class TestFrameFields:
@@ -1403,7 +1420,7 @@ class TestVideoWriters:
                   for i in range(bundle.config.video_count)]
         formats.write_detections(path, chunks)
         rows = [fields for _, fields in
-                formats.read_records(path, "detections")]
+                read_records(path, "detections")]
         keys = [(f[0], int(f[1]), max(map(float, f[7].split(","))))
                 for f in rows]
         assert [k[:2] for k in keys] == sorted(k[:2] for k in keys)
@@ -1447,7 +1464,7 @@ class TestMetrics:
         rows = [("map", "video", "0.5", "-", "1.0"),
                 ("ap", "video", "0.5", "0", "1.0")]
         formats.write_metrics(path, rows)
-        assert [fields for _, fields in formats.read_records(path, "metrics")] \
+        assert [fields for _, fields in read_records(path, "metrics")] \
             == sorted(tuple(r) for r in rows)
 
 
@@ -1462,12 +1479,14 @@ class TestArrayContainer:
             "deep": np.arange(24, dtype=np.float64).reshape(2, 3, 2, 2),
             "single": np.array([[0.1, -3e38], [1e-45, 0.2]],
                                dtype=np.float32),
+            "scalar": np.array(0.5),
         }
         formats.write_arrays(path, sorted(arrays.items()))
         back = formats.read_arrays(path)
         assert set(back) == set(arrays)
         for name, arr in arrays.items():
             assert back[name].dtype == np.asarray(arr).dtype
+            assert back[name].shape == arr.shape
             assert np.array_equal(back[name], arr)
 
     @pytest.mark.parametrize("dtype", ["<f4", ">f4"])
