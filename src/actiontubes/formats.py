@@ -461,7 +461,8 @@ def _identifier(value: str) -> str:
 
 def _id_column(values: list[str]) -> list[str]:
     if not all(map(_ID_PATTERN.match, set(values))):
-        list(map(_identifier, values))
+        for value in values:
+            _identifier(value)
     return values
 
 

@@ -263,8 +263,8 @@ class TestPruneDrifted:
     def test_uniform_map_keeps_everything(self):
         """A uniform map ties every projection with the map mean in exact
         arithmetic, so it keeps every tube that meets a cell, whatever
-        rounding does to the two means (at map side 5 it dropped boxes
-        over 10 and 12 cells)."""
+        rounding does to the two means (over 25 cells, the float mean of
+        10 or 12 equal weights falls below the map mean)."""
         frame = (140.0, 140.0)
         for side in (5, 7, 9):
             fmap = build_footprint_map(np.full((2, side * side), 0.4),
