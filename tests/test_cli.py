@@ -133,8 +133,7 @@ class TestExitCodes:
         assert "not UTF-8: byte 0xff" in err
 
     def test_unscored_tubes_rejected_by_prune(self, tmp_path, capsys):
-        # Rejected whether or not a pruner runs (FAST writes no alphas,
-        # so with prune.enabled=false neither pruner reads the tubes).
+        # FAST writes no alphas, so only the overlap pruner reads the tubes
         for stage in ("synth", "fuse", "track", "score"):
             assert run_cli(stage, "--out", tmp_path, *FAST) == 0
         assert not (tmp_path / FILE_ALPHAS).exists()
@@ -142,14 +141,11 @@ class TestExitCodes:
         (tmp_path / FILE_SCORED).write_bytes(tracked.read_bytes())
         first = formats.read_tubes(tracked)[0]
         assert first.score is None
-        for enabled in ("true", "false"):
-            capsys.readouterr()
-            assert run_cli("prune", "--out", tmp_path, *FAST,
-                           "--stage-override",
-                           f"prune.enabled={enabled}") == 3, enabled
-            err = capsys.readouterr().err
-            assert f"tube {first.tube_id!r} in {first.video_id!r}" in err
-            assert not (tmp_path / FILE_PRUNED).exists()
+        capsys.readouterr()
+        assert run_cli("prune", "--out", tmp_path, *FAST) == 3
+        err = capsys.readouterr().err
+        assert f"tube {first.tube_id!r} in {first.video_id!r}" in err
+        assert not (tmp_path / FILE_PRUNED).exists()
 
     def test_negative_tube_label_returns_three(self, tmp_path, capsys):
         for stage in ("synth", "fuse", "track", "score", "prune"):
@@ -841,21 +837,24 @@ def _skipped_saliency(out, printed):
 
 
 class TestStageSwitches:
-    @pytest.mark.parametrize("key,skipped", [
-        ("prune.enabled", _skipped_prune),
-        ("localize.enabled", _skipped_localize),
-        ("fuse.enabled", _skipped_saliency),
+    # each stage acts at its default and does nothing at the value given:
+    # an st-IoU is never above 1.0 and a clip score never below 0.0
+    @pytest.mark.parametrize("key,value,skipped", [
+        ("prune.st_overlap", "1.0", _skipped_prune),
+        ("localize.tau", "0.0", _skipped_localize),
+        ("fuse.enabled", "false", _skipped_saliency),
     ], ids=["prune", "localize", "fuse"])
-    def test_switch_turns_its_stage_off(self, tmp_path, capsys, key,
+    def test_switch_turns_its_stage_off(self, tmp_path, capsys, key, value,
                                         skipped):
-        for enabled in ("true", "false"):
-            out = tmp_path / enabled
+        for off in (False, True):
+            out = tmp_path / str(off)
+            overrides = ("--stage-override", f"{key}={value}") if off else ()
             printed = {}
             for stage in PIPELINE_ORDER:
                 assert run_cli(stage, "--out", out, *SWITCHED,
-                               "--stage-override", f"{key}={enabled}") == 0
+                               *overrides) == 0
                 printed[stage] = capsys.readouterr().out
-            assert skipped(out, printed) == (enabled == "false")
+            assert skipped(out, printed) == off
 
 
 def test_module_runs_as_script(tmp_path, child_env):
