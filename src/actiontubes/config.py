@@ -165,14 +165,13 @@ _DECLARATIONS = [
     ("track.search_radius", 20.0, _parse_float(0.0, lo_open=True),
      "baseline center search radius, px"),
     # tube scoring and pruning
-    ("prune.enabled", True, _parse_bool, "run the overlap pruning stage"),
     ("prune.st_overlap", 0.3, _parse_float(0.0, 1.0),
-     "spatio-temporal overlap pruning threshold"),
+     "spatio-temporal overlap pruning threshold; 1.0 removes no tube"),
     ("prune.footprint", True, _parse_bool,
      "remove drifted tubes via the footprint map"),
     # temporal localization
-    ("localize.enabled", True, _parse_bool, "run temporal trimming"),
-    ("localize.tau", 0.3, _parse_float(0.0, 1.0), "clip score threshold"),
+    ("localize.tau", 0.3, _parse_float(0.0, 1.0),
+     "clip score threshold; 0.0 keeps every tube whole"),
     # evaluation
     ("eval.sigmas", (0.05, 0.1, 0.2, 0.3, 0.5), _parse_sigmas,
      "overlap thresholds, comma separated, increasing"),

@@ -175,7 +175,10 @@ def class_average_precisions(result: MatchResult) -> dict[int, float]:
 
 
 def mean_average_precision(result: MatchResult) -> float:
-    per_class = class_average_precisions(result)
+    return _mean_of(class_average_precisions(result))
+
+
+def _mean_of(per_class: Mapping[int, float]) -> float:
     if not per_class:
         return 0.0
     # np.mean's bits: its pairwise sum over the count
@@ -356,11 +359,11 @@ def evaluate(tubes: Sequence[Tube], ground_truth: Sequence[GroundTruthTube],
     for s in sigmas:
         vres = _greedy_match(video, s)
         video_ap[s] = class_average_precisions(vres)
-        video_map[s] = mean_average_precision(vres)
+        video_map[s] = _mean_of(video_ap[s])
         auc[s] = auc_from_outcomes(vres.outcomes, vres.num_gt, config.fpr_cap)
         fres = _greedy_match(frame, s)
         frame_ap[s] = class_average_precisions(fres)
-        frame_map[s] = mean_average_precision(fres)
+        frame_map[s] = _mean_of(frame_ap[s])
     return EvalReport(
         sigmas=sigmas,
         video_ap=video_ap,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError
-from .model import BoundingBox, Tube, pairwise_sum, require_scored
+from .model import (BoundingBox, Tube, pairwise_sum, require_scored,
+                    softmax)
 # CellLayout lives with the scenario's configuration, which loads no numpy
 from .scenario import CellLayout
 
@@ -245,22 +246,11 @@ class FootprintMap:
         return len(self.alphas)
 
 
-def _softmax(row: tuple[float, ...]) -> tuple[float, ...]:
-    if not row:
-        return ()
-    top = max(row)
-    e = [math.exp(v - top) for v in row]
-    # summed in numpy's pairwise order, so the weights keep the bits that
-    # dividing by np.sum gave
-    total = pairwise_sum(e)
-    return tuple(v / total for v in e)
-
-
 def build_footprint_map(alphas, layout: CellLayout = CellLayout()) -> FootprintMap:
     """Softmax each class's cell accuracies into a weight map."""
     a = _class_rows("alphas", alphas)
     return FootprintMap(layout=layout, alphas=a,
-                        weights=tuple(map(_softmax, a)))
+                        weights=tuple(map(softmax, a)))
 
 
 def uniform_classes(fmap: FootprintMap) -> list[int]:

@@ -136,6 +136,18 @@ def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
     return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
+def softmax(values: Sequence[float]) -> list[float]:
+    """``exp(v - max)`` divided by its sum in numpy's pairwise order, so
+    each value keeps the bits that dividing by ``np.sum`` gave; an empty
+    row gives an empty list."""
+    if len(values) == 0:
+        return []
+    top = max(values)
+    e = [math.exp(v - top) for v in values]
+    total = pairwise_sum(e)
+    return [v / total for v in e]
+
+
 def argmax_label(scores: Sequence[float]) -> int:
     """Index of the highest score; ties resolve to the lowest index."""
     best = 0

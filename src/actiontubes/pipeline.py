@@ -13,6 +13,7 @@ process loads only those.
 from __future__ import annotations
 
 from contextlib import ExitStack
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from . import formats
 from .config import PipelineConfig
 from .errors import ConfigError, InputError, SchemaError
-from .model import Detection, FrameInterval, require_scored
+from .model import Detection, FrameInterval
 
 if TYPE_CHECKING:
     from .evaluation import EvalConfig, EvalReport
@@ -67,74 +68,41 @@ def _group_by_frame(detections) -> dict[int, list[Detection]]:
 
 # -- bridges from the key registry into the modules' config types ------
 
-def cell_layout(config: PipelineConfig) -> CellLayout:
-    from .scenario import CellLayout
+def _section(config: PipelineConfig, cls, section: str, **given):
+    """A ``cls`` whose init fields come from keys ``<section>.<field>``,
+    apart from those ``given``; its ``InputError`` is a ``ConfigError``."""
+    values = {f.name: config[f"{section}.{f.name}"] for f in fields(cls)
+              if f.init and f.name not in given}
     try:
-        return CellLayout(cell_size=config["cells.cell_size"],
-                          map_side=config["cells.map_side"])
+        return cls(**values, **given)
     except InputError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def cell_layout(config: PipelineConfig) -> CellLayout:
+    from .scenario import CellLayout
+    return _section(config, CellLayout, "cells")
 
 
 def scenario_config(config: PipelineConfig) -> ScenarioConfig:
     from .scenario import ScenarioConfig
-    return ScenarioConfig(
-        seed=config["synth.seed"],
-        video_count=config["synth.video_count"],
-        frames_per_video=config["synth.frames_per_video"],
+    return _section(
+        config, ScenarioConfig, "synth",
         frame_size=(config["synth.frame_width"],
                     config["synth.frame_height"]),
-        num_classes=config["synth.num_classes"],
-        actor_size=config["synth.actor_size"],
-        actor_motion=config["synth.actor_motion"],
-        actor_speed=config["synth.actor_speed"],
-        actors_per_video=config["synth.actors_per_video"],
-        span_fraction=config["synth.span_fraction"],
-        jitter_sigma=config["synth.jitter_sigma"],
-        miss_rate=config["synth.miss_rate"],
-        false_positive_rate=config["synth.false_positive_rate"],
-        label_confusion=config["synth.label_confusion"],
-        duplicate_label_rate=config["synth.duplicate_label_rate"],
-        match_noise=config["synth.match_noise"],
-        proposal_recall=config["synth.proposal_recall"],
-        near_miss_count=config["synth.near_miss_count"],
-        distractor_count=config["synth.distractor_count"],
-        drift_rate=config["synth.drift_rate"],
-        clip_length=config["clip.length"],
-        feature_dim=config["synth.feature_dim"],
-        feature_noise=config["synth.feature_noise"],
-        feature_margin=config["synth.feature_margin"],
-        layout=cell_layout(config),
-        gmm_components=config["synth.gmm_components"],
-        descriptor_cap=config["synth.descriptor_cap"],
-        with_footprint=config["synth.with_footprint"],
-        with_flow=config["synth.with_flow"],
-        grid_step=config["synth.grid_step"])
+        clip_length=config["clip.length"], layout=cell_layout(config))
 
 
 def tracker_config(config: PipelineConfig) -> TrackerConfig:
     from .tracker import TrackerConfig
-    try:
-        return TrackerConfig(
-            min_match_ratio=config["track.min_match_ratio"],
-            min_prev_overlap=config["track.min_prev_overlap"],
-            consume_overlap=config["track.consume_overlap"],
-            max_predicted_run=config["track.max_predicted_run"])
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
+    return _section(config, TrackerConfig, "track")
 
 
 def eval_config(config: PipelineConfig) -> EvalConfig:
     from .evaluation import EvalConfig
-    try:
-        return EvalConfig(
-            iou_thresholds=config["eval.sigmas"],
-            recall_track_sigma=config["eval.recall_sigma"],
-            taxonomy_sigma=config["eval.taxonomy_sigma"],
-            taxonomy_floor=config["eval.taxonomy_floor"],
-            fpr_cap=config["eval.fpr_cap"])
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
+    return _section(config, EvalConfig, "eval",
+                    iou_thresholds=config["eval.sigmas"],
+                    recall_track_sigma=config["eval.recall_sigma"])
 
 
 def run_synth(directory: Path, config: PipelineConfig) -> dict:
@@ -380,12 +348,9 @@ def run_prune(directory: Path, config: PipelineConfig) -> dict:
     count = 0
     with formats.record_writer(directory / FILE_PRUNED, "tubes") as write:
         for video_id, tubes in scored:
-            for tube in tubes:
-                require_scored(tube)
-            if config["prune.enabled"]:
-                kept = prune_overlapped(tubes, config["prune.st_overlap"])
-                stats["removed_overlap"] += len(tubes) - len(kept)
-                tubes = kept
+            kept = prune_overlapped(tubes, config["prune.st_overlap"])
+            stats["removed_overlap"] += len(tubes) - len(kept)
+            tubes = kept
             if fmap is not None:
                 kept = prune_drifted(tubes, fmap, frame_size)
                 stats["removed_footprint"] += len(tubes) - len(kept)
@@ -401,26 +366,23 @@ def run_localize(directory: Path, config: PipelineConfig) -> dict:
     pruned = formats.VideoRecords(
         _require(directory, FILE_PRUNED, "prune"), "tubes")
     clip_scores = formats.VideoRecords(
-        _require(directory, FILE_CLIP_SCORES, "score"), "clipscores") \
-        if config["localize.enabled"] else None
+        _require(directory, FILE_CLIP_SCORES, "score"), "clipscores")
     tau = config["localize.tau"]
     kept = removed = 0
     with formats.record_writer(directory / FILE_FINAL, "tubes") as write:
         for video_id in _video_ids(pruned, clip_scores):
             tubes = pruned.read(video_id)
-            out = tubes
-            if clip_scores is not None:
-                clip_map = clip_scores.read(video_id)
-                out = []
-                for tube in tubes:
-                    clips = clip_map.get((video_id, tube.tube_id))
-                    if clips is None:
-                        raise InputError(
-                            f"no clip scores for tube {tube.tube_id!r} in "
-                            f"{video_id!r}; rerun the 'score' command")
-                    result = localize(tube, clips, tau=tau)
-                    if result is not None:
-                        out.append(result)
+            clip_map = clip_scores.read(video_id)
+            out = []
+            for tube in tubes:
+                clips = clip_map.get((video_id, tube.tube_id))
+                if clips is None:
+                    raise InputError(
+                        f"no clip scores for tube {tube.tube_id!r} in "
+                        f"{video_id!r}; rerun the 'score' command")
+                result = localize(tube, clips, tau=tau)
+                if result is not None:
+                    out.append(result)
             write(video_id, out)
             kept += len(out)
             removed += len(tubes) - len(out)

@@ -28,7 +28,7 @@ from .errors import InputError
 # take it from here
 from .geometry import prune_overlapped  # noqa: F401
 from .model import (ClipScoreSequence, FrameInterval, Tube, argmax_label,
-                    pairwise_sum)
+                    pairwise_sum, softmax)
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 
@@ -124,14 +124,6 @@ def _activate(values: Sequence[float], kind: str) -> list[float]:
         # max keeps -0.0, as np.maximum does
         return [max(v, 0.0) for v in values]
     return list(map(_logistic, values))
-
-
-def softmax(values: Sequence[float]) -> list[float]:
-    """``exp(v - max)`` normalized; the sum is numpy's pairwise one."""
-    top = max(values)
-    e = [math.exp(v - top) for v in values]
-    total = pairwise_sum(e)
-    return [v / total for v in e]
 
 
 def recurrent_forward(features: Sequence[Sequence[float]],

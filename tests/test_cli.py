@@ -83,11 +83,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "synth.bogus" in err
-        # a retired key that old config files may still set
+        # retired keys that old config files may still set
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("localize.mode = trim\n")
-        assert run_cli("synth", "--out", tmp_path, "--config", cfg) == 2
-        assert "localize.mode" in capsys.readouterr().err
+        for key, value in (("localize.mode", "trim"),
+                           ("prune.enabled", "false"),
+                           ("localize.enabled", "false")):
+            cfg.write_text(f"{key} = {value}\n")
+            assert run_cli("synth", "--out", tmp_path, "--config", cfg) == 2
+            assert key in capsys.readouterr().err
+            assert run_cli("synth", "--out", tmp_path, "--stage-override",
+                           f"{key}={value}") == 2
+            assert key in capsys.readouterr().err
 
     def test_unreadable_config_file_returns_two(self, tmp_path, capsys):
         code = run_cli("synth", "--out", tmp_path,

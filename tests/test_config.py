@@ -5,7 +5,11 @@ import pytest
 from actiontubes.config import (KEYS, apply_overrides, default_config,
                                 load_config, parse_config_text, parse_value)
 from actiontubes.errors import ConfigError
-from actiontubes.pipeline import eval_config, scenario_config, tracker_config
+from actiontubes.evaluation import EvalConfig
+from actiontubes.pipeline import (cell_layout, eval_config, scenario_config,
+                                  tracker_config)
+from actiontubes.scenario import CellLayout, ScenarioConfig
+from actiontubes.tracker import TrackerConfig
 
 
 class TestRegistry:
@@ -23,8 +27,9 @@ class TestRegistry:
         assert config["cells.map_side"] == 7
 
     def test_unknown_key_rejected(self):
-        # localize.mode is a retired key that old config files may still set
-        for name in ("track.typo", "localize.mode"):
+        # retired keys that old config files may still set
+        for name in ("track.typo", "localize.mode", "prune.enabled",
+                     "localize.enabled"):
             with pytest.raises(ConfigError) as info:
                 parse_value(name, "1")
             assert "unknown config key" in str(info.value)
@@ -184,3 +189,12 @@ class TestBridges:
         assert tracker.min_match_ratio == 0.5
         evaluation = eval_config(config)
         assert evaluation.iou_thresholds == (0.05, 0.1, 0.2, 0.3, 0.5)
+
+
+def test_dataclass_defaults_are_the_registry_defaults():
+    # each default is stated twice, in the registry and in its dataclass
+    config = default_config()
+    assert ScenarioConfig() == scenario_config(config)
+    assert TrackerConfig() == tracker_config(config)
+    assert EvalConfig() == eval_config(config)
+    assert CellLayout() == cell_layout(config)

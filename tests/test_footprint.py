@@ -172,6 +172,11 @@ class TestFootprintMap:
         with pytest.raises(InputError, match="alphas must be"):
             build_footprint_map(alphas)
 
+    def test_classes_without_cells_rejected(self):
+        # the shape check reports them, not max() of an empty row
+        with pytest.raises(InputError, match="alphas must be"):
+            build_footprint_map(((), ()))
+
     def test_map_holds_tuples_of_floats(self):
         fmap = build_footprint_map(np.full((2, 49), 0.5))
         for table in (fmap.alphas, fmap.weights):

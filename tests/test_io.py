@@ -983,11 +983,13 @@ def test_column_and_row_checks_agree(tmp_path, kind):
     """Whatever one field holds, the reader reads the file or reports a
     schema error at a line and a field, never a ``ProcessingError``: the
     locator places every failure of the block pass."""
-    path = tmp_path / "r.tsv"
     for column in range(len(formats.SCHEMAS[kind].columns)):
-        for value in EDGE_VALUES:
+        for number, value in enumerate(EDGE_VALUES):
             rows = CLEAN_ROWS[kind]()
             rows[1][column] = value
+            # a fresh name each time: replacing an existing file can wait
+            # on the disk
+            path = tmp_path / f"r{column}.{number}.tsv"
             formats.write_records(path, kind, rows)
             try:
                 READERS[kind](path)
