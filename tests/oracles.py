@@ -395,3 +395,33 @@ def prune_drifted_reference(tubes, weights, map_side, frame_size):
                 >= sum(row) / len(row):
             kept.append(tube)
     return kept
+
+
+def pixel_mean_reference(box, rows):
+    """The mean of the pixels whose centres lie strictly inside ``box``,
+    or None when no centre does.
+
+    ``rows`` is the grid as a list of rows of floats; the pixel in
+    column ``i`` of row ``j`` has its centre at ``(i + 0.5, j + 0.5)``.
+    The pixels are summed exactly, and the sum divided by their count
+    is rounded once to a float, as a float64 sum that makes no rounding
+    error divides.
+    """
+    x0, y0, x1, y1 = (Fraction(v) for v in box.as_tuple())
+    inside = [Fraction(value)
+              for j, row in enumerate(rows)
+              for i, value in enumerate(row)
+              if x0 < Fraction(2 * i + 1, 2) < x1
+              and y0 < Fraction(2 * j + 1, 2) < y1]
+    return float(sum(inside) / len(inside)) if inside else None
+
+
+def saliency_prune_reference(proposals, rows, threshold):
+    """The proposals saliency pruning keeps, in input order: those with
+    some pixel centre inside whose pixel mean reaches ``threshold``."""
+    kept = []
+    for prop in proposals:
+        mean = pixel_mean_reference(prop.box, rows)
+        if mean is not None and mean >= threshold:
+            kept.append(prop)
+    return kept

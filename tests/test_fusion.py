@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actiontubes import formats
 from actiontubes.config import apply_overrides, default_config
@@ -14,7 +16,8 @@ from actiontubes.model import BoundingBox, Detection, Proposal, Source
 from actiontubes.pipeline import (FILE_FLOW, FILE_SALIENT, run_fuse,
                                   run_synth, scenario_config)
 from actiontubes.synth import generate, video_flow, video_id, video_order
-from oracles import flow_grids_float64, nms_reference
+from oracles import (flow_grids_float64, nms_reference, pixel_mean_reference,
+                     saliency_prune_reference)
 from test_golden import SCENARIOS
 
 
@@ -32,6 +35,34 @@ def mean_inside_bruteforce(values, box):
                 total += values[j, i]
                 count += 1
     return None if count == 0 else total / count
+
+
+# values at the edges of "finite and >= 0", by name: (accepted, float32
+# bits, float64 bits).  A check of each value's top byte alone gets
+# these wrong: -0.0 has the sign bit set, and a finite value of 2**127 or
+# more (2**1009 in float64) shares its top byte with the infinities.
+FLOW_EDGES = {
+    "negative zero": (True, 0x80000000, 0x8000000000000000),
+    "largest float32": (True, 0x7F7FFFFF, 0x47EFFFFFE0000000),
+    "largest float": (True, 0x7F7FFFFF, 0x7FEFFFFFFFFFFFFF),
+    "negative subnormal": (False, 0x80000001, 0x8000000000000001),
+    "nan": (False, 0x7FC00000, 0x7FF8000000000000),
+    "negative nan": (False, 0xFFC00000, 0xFFF8000000000000),
+    "inf": (False, 0x7F800000, 0x7FF0000000000000),
+    "-inf": (False, 0xFF800000, 0xFFF0000000000000),
+}
+EDGE_CASES = [(name, dtype) for name in FLOW_EDGES
+              for dtype in (np.float32, np.float64)]
+
+
+def edge_grid(name, dtype):
+    """A 2x3 grid of ones with the named edge value at row 1, column 1."""
+    bits = FLOW_EDGES[name][1 if dtype == np.float32 else 2]
+    values = np.ones(6, dtype=dtype)
+    values[4:5] = np.array(
+        [bits], dtype=np.uint32 if dtype == np.float32 else np.uint64
+    ).view(dtype)
+    return values.reshape(2, 3)
 
 
 class TestSaliencyPrune:
@@ -88,6 +119,17 @@ class TestSaliencyPrune:
         with pytest.raises(InputError):
             FlowMagnitudeGrid(0, np.full((3, 3), bad, dtype=np.float32))
 
+    @pytest.mark.parametrize("name, dtype", EDGE_CASES)
+    def test_edge_values(self, name, dtype):
+        values = edge_grid(name, dtype)
+        if FLOW_EDGES[name][0]:
+            grid = FlowMagnitudeGrid(0, values)
+            assert grid.values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(InputError) as info:
+                FlowMagnitudeGrid(0, values)
+            assert str(info.value) == "flow magnitudes must be finite and >= 0"
+
     def test_float32_grid_kept_as_is_others_as_float64(self):
         values = np.full((3, 3), 0.25, dtype=np.float32)
         assert FlowMagnitudeGrid(0, values).values is values
@@ -119,6 +161,56 @@ class TestSaliencyPrune:
                 assert got is None
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+# a few dyadic rationals: each is exact in float32, and every sum of up
+# to 36 of them is exact in float64, so the pruner's sums are exact
+DYADIC = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 6.0)
+
+
+def box_edge(size):
+    """A box coordinate from 3 pixels before the grid to 3 after it: on
+    a pixel centre ``k + 0.5``, on a pixel edge ``k``, or anywhere."""
+    return st.one_of(st.integers(-3, size + 3).map(lambda k: k + 0.5),
+                     st.integers(-3, size + 3).map(float),
+                     st.floats(-3, size + 3))
+
+
+@st.composite
+def saliency_case(draw):
+    """A float32 or float64 grid of dyadic values, proposals partly or
+    wholly off it, and a threshold that is 0, a dyadic value, or some
+    proposal's mean exactly."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.sampled_from(DYADIC), min_size=width,
+                                  max_size=width),
+                         min_size=height, max_size=height))
+    props = []
+    for _ in range(draw(st.integers(1, 6))):
+        xs = sorted(draw(st.lists(box_edge(width), min_size=2, max_size=2,
+                                  unique=True)))
+        ys = sorted(draw(st.lists(box_edge(height), min_size=2, max_size=2,
+                                  unique=True)))
+        props.append(prop(xs[0], ys[0], xs[1], ys[1]))
+    means = [m for m in (pixel_mean_reference(p.box, rows) for p in props)
+             if m is not None]
+    ties = [st.sampled_from(means)] if means else []
+    threshold = draw(st.one_of(st.just(0.0), st.sampled_from(DYADIC),
+                               *ties))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return np.array(rows, dtype=dtype), rows, props, threshold
+
+
+class TestAgainstReference:
+    @given(saliency_case())
+    @settings(max_examples=400, deadline=None)
+    def test_saliency_prune(self, case):
+        """Pruning keeps what the exact pixel-centre reference of
+        ``oracles`` keeps, means often exactly at the threshold."""
+        values, rows, props, threshold = case
+        flow = FlowMagnitudeGrid(0, values)
+        assert saliency_prune(props, flow, threshold) == \
+            saliency_prune_reference(props, rows, threshold)
 
 
 # sha256 of the golden noisy scenario's flow.atb as synth wrote it

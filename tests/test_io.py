@@ -19,6 +19,7 @@ from actiontubes.model import (BoundingBox, ClipScoreSequence, Detection,
 from actiontubes.scoring import RecurrentScorerWeights
 from actiontubes.synth import ScenarioConfig, generate
 from actiontubes.tracker import PrecomputedMatcher
+from test_fusion import EDGE_CASES, FLOW_EDGES, edge_grid
 
 
 @pytest.fixture(scope="module")
@@ -1843,6 +1844,23 @@ class TestArrayContainer:
         with pytest.raises(SchemaError) as info:
             read_videos(path, "flow")
         assert ">= 0" in str(info.value)
+
+    @pytest.mark.parametrize("name, dtype", EDGE_CASES)
+    def test_flow_edge_values(self, tmp_path, name, dtype):
+        """Each edge value of "finite and >= 0" is read back bit for bit
+        or rejected with the grid's message, float32 and float64 alike."""
+        path = tmp_path / "f.atb"
+        values = edge_grid(name, dtype)
+        formats.write_arrays(path, [("v0/00000000", np.ones((2, 3), dtype)),
+                                    ("v0/00000001", values)])
+        if FLOW_EDGES[name][0]:
+            grids = read_videos(path, "flow")["v0"]
+            assert grids[1].values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(SchemaError) as info:
+                read_videos(path, "flow")
+            assert str(info.value) == \
+                f"{path}: flow magnitudes must be finite and >= 0"
 
     @pytest.mark.parametrize("names", [("b", "a"), ("a", "a")])
     def test_unordered_names_rejected_leaving_no_file(self, tmp_path,
