@@ -1220,10 +1220,11 @@ def _check_dtype(path, name: str, dtype: str, *dtypes: str) -> None:
                           f"{' or '.join(dtypes)}", path=str(path))
 
 
-def _read_floats(path, fh, entry: _Entry) -> list[float]:
-    """A float64 array's values as Python floats, in row-major order,
-    read from the open container ``fh`` without numpy."""
-    values = array("d")
+def _read_array(path, fh, entry: _Entry) -> array:
+    """A float64 or float32 array's values as one ``array("d")`` or
+    ``array("f")``, in row-major order, read from the open container
+    ``fh`` without numpy."""
+    values = array("f" if entry.dtype == "<f4" else "d")
     fh.seek(entry.offset)
     try:
         values.fromfile(fh, math.prod(entry.shape))
@@ -1232,7 +1233,12 @@ def _read_floats(path, fh, entry: _Entry) -> list[float]:
                           path=str(path)) from None
     if sys.byteorder == "big":
         values.byteswap()
-    return values.tolist()
+    return values
+
+
+def _read_floats(path, fh, entry: _Entry) -> list[float]:
+    """A float64 array's values as Python floats, in row-major order."""
+    return _read_array(path, fh, entry).tolist()
 
 
 def write_weights(path, weights) -> None:
@@ -1401,26 +1407,36 @@ def write_flow(
     in frame order, written one grid at a time, so generators of grids
     are never held.  Each grid is stored in its own dtype: float32 (code
     3) as ``synth`` makes it, float64 (code 0) as older files hold it."""
+    import numpy as np
+
     def arrays():
         for video_id, grids in chunks:
             _check_id(video_id, path, "video_id")
             for grid in grids:
-                yield f"{video_id}/{grid.frame_index:08d}", grid.values
+                yield (f"{video_id}/{grid.frame_index:08d}",
+                       np.frombuffer(grid.values, grid.values.typecode)
+                       .reshape(grid.height, grid.width))
     write_arrays(path, arrays())
 
 
 def read_flow(path, entries: Iterable[_Entry]) -> Iterator[FlowMagnitudeGrid]:
     """One video's grids, in frame order, of the ``entries`` a
     ``VideoArrays`` found for it: each read and validated as it is
-    reached, float32 or float64 as stored."""
-    for name, values in iter_arrays(path, entries):
-        frame = _parse_frame_name(name, path, "flow grid")[1]
-        _check_dtype(path, name, values.dtype.name, "float32", "float64")
-        try:
-            grid = FlowMagnitudeGrid(frame, values)
-        except InputError as exc:
-            raise SchemaError(str(exc), path=str(path)) from None
-        yield grid
+    reached, float32 or float64 as stored, without numpy."""
+    with _open_bytes(path) as fh:
+        for entry in entries:
+            frame = _parse_frame_name(entry.name, path, "flow grid")[1]
+            _check_dtype(path, entry.name, _DTYPE_NAMES[entry.dtype],
+                         "float32", "float64")
+            if len(entry.shape) != 2:
+                raise SchemaError(f"flow grid must be a non-empty 2d array, "
+                                  f"got shape {entry.shape}", path=str(path))
+            try:
+                grid = FlowMagnitudeGrid(frame, _read_array(path, fh, entry),
+                                         *entry.shape)
+            except InputError as exc:
+                raise SchemaError(str(exc), path=str(path)) from None
+            yield grid
 
 
 def write_clip_noise(path, tables: Iterable[tuple[str, np.ndarray]]) -> None:

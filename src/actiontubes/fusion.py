@@ -10,29 +10,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .geometry import nms
-from .model import Detection, FlowMagnitudeGrid, Proposal, Source
+from .model import (BoundingBox, Detection, FlowMagnitudeGrid, Proposal,
+                    Source)
 
 
-def mean_magnitude_inside(grid: FlowMagnitudeGrid, proposal: Proposal) -> float | None:
-    """Mean flow magnitude over pixel centers strictly inside the box.
-
-    Pixel (i, j) has its center at (i + 0.5, j + 0.5).  The sum is
-    accumulated in float64 whatever the grid's dtype, so a float32 grid
-    is compared with the threshold at float64 precision.  Returns None
-    when no pixel center falls inside the box.
-    """
-    box = proposal.box
+def _pixels_inside(grid: FlowMagnitudeGrid, box: BoundingBox
+                   ) -> tuple[range, int]:
+    """Where the pixels whose centers lie strictly inside ``box`` are in
+    the grid's flat values: the index that starts each row's run of
+    them, and the run's length; no rows when no center is inside."""
     x_lo = max(0, math.floor(box.x_min - 0.5) + 1)
     x_hi = min(grid.width, math.ceil(box.x_max - 0.5))
     y_lo = max(0, math.floor(box.y_min - 0.5) + 1)
     y_hi = min(grid.height, math.ceil(box.y_max - 0.5))
     if x_lo >= x_hi or y_lo >= y_hi:
+        return range(0), 0
+    return (range(y_lo * grid.width + x_lo, y_hi * grid.width, grid.width),
+            x_hi - x_lo)
+
+
+def _running_sums(values: Sequence[float], starts: range,
+                  length: int) -> Iterator[float]:
+    """The sum of the first row's run, then of the first two … of all:
+    each run summed exactly and rounded once (``math.fsum``), and the
+    run sums added in row order."""
+    total = 0.0
+    for start in starts:
+        total += math.fsum(values[start:start + length])
+        yield total
+
+
+def mean_magnitude_inside(grid: FlowMagnitudeGrid, proposal: Proposal) -> float | None:
+    """Mean flow magnitude over pixel centers strictly inside the box.
+
+    Pixel (i, j) has its center at (i + 0.5, j + 0.5).  Each row of the
+    box is summed exactly and rounded once to float64, the row sums are
+    added in row order and the total is divided by the pixel count, so a
+    float32 grid is compared with the threshold at float64 precision.
+    Returns None when no pixel center falls inside the box.
+    """
+    starts, length = _pixels_inside(grid, proposal.box)
+    if not starts:
         return None
-    return float(grid.values[y_lo:y_hi, x_lo:x_hi].mean(dtype="float64"))
+    *_, total = _running_sums(grid.values, starts, length)
+    return total / (len(starts) * length)
 
 
 def saliency_prune(proposals: Sequence[Proposal], flow: FlowMagnitudeGrid,
@@ -40,7 +65,11 @@ def saliency_prune(proposals: Sequence[Proposal], flow: FlowMagnitudeGrid,
     """Keep proposals whose mean flow magnitude reaches the threshold.
 
     A proposal with no pixel center inside its box is dropped along with
-    everything below ``min_mean_magnitude``.
+    everything below ``min_mean_magnitude``.  A proposal is kept as soon
+    as the sum of its first rows, divided by its pixel count, reaches
+    the threshold: no magnitude is negative and float addition and
+    division are monotone, so that is the decision of its whole
+    :func:`mean_magnitude_inside`.
     """
     if not (min_mean_magnitude >= 0 and math.isfinite(min_mean_magnitude)):
         raise InputError(f"min_mean_magnitude must be finite and >= 0, "
@@ -51,8 +80,10 @@ def saliency_prune(proposals: Sequence[Proposal], flow: FlowMagnitudeGrid,
             raise InputError(
                 f"proposal frame {prop.frame_index} does not match flow "
                 f"frame {flow.frame_index}")
-        mean = mean_magnitude_inside(flow, prop)
-        if mean is not None and mean >= min_mean_magnitude:
+        starts, length = _pixels_inside(flow, prop.box)
+        count = len(starts) * length
+        if any(total / count >= min_mean_magnitude
+               for total in _running_sums(flow.values, starts, length)):
             kept.append(prop)
     return kept
 

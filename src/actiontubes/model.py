@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
 from operator import add
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
-
-# numpy is for annotations only: ``FlowMagnitudeGrid`` imports it, so the
-# other types load without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 SCORE_SUM_TOL = 1e-6
 
@@ -359,32 +356,47 @@ class GroundTruthTube(_FrameRun):
 
 @dataclass(frozen=True, eq=False)
 class FlowMagnitudeGrid:
-    """Per-pixel optical flow magnitude for one frame, row major.
+    """Per-pixel optical flow magnitude for one frame: ``height`` rows of
+    ``width`` values in one flat row-major ``array``, held as given.
 
-    A float32 grid, as flow estimators and ``synth`` write them, stays
-    float32; any other is held as float64.
+    The array is float32 (typecode ``"f"``), as flow estimators and
+    ``synth`` write grids, or float64 (``"d"``).
     """
 
     frame_index: int
-    values: np.ndarray
+    values: array
+    height: int
+    width: int
 
     def __post_init__(self):
-        import numpy as np
-        arr = np.asarray(self.values)
-        if arr.dtype != np.float32:
-            arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
+        values = self.values
+        if not isinstance(values, array) or values.typecode not in ("f", "d"):
+            got = (f"array({values.typecode!r})" if isinstance(values, array)
+                   else type(values).__name__)
+            raise InputError(f"flow grid values must be an array('f') or "
+                             f"array('d'), got {got}")
+        if not (self.height > 0 and self.width > 0
+                and len(values) == self.height * self.width):
             raise InputError(
                 f"flow grid must be a non-empty 2d array, got shape "
-                f"{arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                f"{(self.height, self.width)} of {len(values)} values")
+        if not _finite_and_non_negative(values):
             raise InputError("flow magnitudes must be finite and >= 0")
-        object.__setattr__(self, "values", arr)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+def _finite_and_non_negative(values: array) -> bool:
+    """Whether no value is infinite, NaN or ``< 0``; ``-0.0`` passes.
+
+    A value's top byte holds its sign bit and high exponent bits: it is
+    ``0x7f`` or ``0xff`` for every infinity and NaN, and at least
+    ``0x80`` for every negative value.  A grid whose top bytes are all
+    below ``0x7f`` passes on one check of those bytes at C speed; only a
+    grid holding ``-0.0``, a value of 2**127 or more (2**1009 in
+    float64) or a bad value is checked value by value.
+    """
+    size = values.itemsize
+    top = memoryview(values).cast("B")[
+        size - 1 if sys.byteorder == "little" else 0::size].tobytes()
+    if top.isascii() and b"\x7f" not in top:
+        return True
+    return all(0.0 <= value < math.inf for value in values)

@@ -15,6 +15,7 @@ here too, so they can be taken from either module.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -273,14 +274,17 @@ def video_flow(config: ScenarioConfig, video_index: int,
 
     Grids are made as they are taken, so a consumer that writes each
     one out before taking the next holds a single frame's grid.  Values
-    are drawn in float64 and rounded once: the background as it is
-    drawn, so no float64 grid outlives the draw, and each box fill as it
-    is assigned.
+    are drawn in float64 and rounded once, as they are assigned through
+    a numpy view into the grid's own ``array("f")``: the background as
+    it is drawn, so no float64 grid outlives the draw, and each box
+    fill.
     """
     rng = _rng(config.seed, _FLOW_GRID, video_index)
     w, h = config.frame_size
     for frame in range(config.frames_per_video):
-        mag = rng.uniform(0.0, 0.2, (h, w)).astype(np.float32)
+        values = array("f", [0.0]) * (h * w)
+        mag = np.frombuffer(values, np.float32).reshape(h, w)
+        mag[...] = rng.uniform(0.0, 0.2, (h, w))
         for gt in gt_tubes:
             if frame not in gt.interval():
                 continue
@@ -297,7 +301,7 @@ def video_flow(config: ScenarioConfig, video_index: int,
             y1 = min(h, int(math.ceil(box.y_max)))
             mag[y0:y1, x0:x1] = disp + rng.uniform(0.0, 0.2,
                                                    (y1 - y0, x1 - x0))
-        yield FlowMagnitudeGrid(frame, mag)
+        yield FlowMagnitudeGrid(frame, values, h, w)
 
 
 def clip_noise(config: ScenarioConfig, video_index: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from array import array
 
 import numpy as np
 import pytest
@@ -19,6 +21,14 @@ from actiontubes.synth import generate, video_flow, video_id, video_order
 from oracles import (flow_grids_float64, nms_reference, pixel_mean_reference,
                      saliency_prune_reference)
 from test_golden import SCENARIOS
+
+
+def flow_grid(frame, values):
+    """The grid of a 2-d numpy array's values, in an ``array`` of the
+    array's typecode."""
+    values = np.asarray(values)
+    return FlowMagnitudeGrid(
+        frame, array(values.dtype.char, values.tobytes()), *values.shape)
 
 
 def prop(x1, y1, x2, y2, frame=0):
@@ -67,7 +77,7 @@ def edge_grid(name, dtype):
 
 class TestSaliencyPrune:
     def test_uniform_grid_threshold_inclusive(self):
-        flow = FlowMagnitudeGrid(0, np.full((20, 20), 0.5))
+        flow = flow_grid(0, np.full((20, 20), 0.5))
         p = prop(2, 2, 10, 10)
         assert saliency_prune([p], flow, 0.5) == [p]
         assert saliency_prune([p], flow, 0.5000001) == []
@@ -75,7 +85,7 @@ class TestSaliencyPrune:
     def test_moving_region_kept_static_dropped(self):
         values = np.zeros((20, 20))
         values[5:15, 5:15] = 2.0
-        flow = FlowMagnitudeGrid(0, values)
+        flow = flow_grid(0, values)
         moving = prop(5, 5, 15, 15)
         still = prop(0, 0, 4, 4)
         assert saliency_prune([moving, still], flow, 0.5) == [moving]
@@ -83,7 +93,7 @@ class TestSaliencyPrune:
     def test_strict_interior_pixel_centers(self):
         values = np.zeros((4, 4))
         values[1, 1] = 8.0
-        flow = FlowMagnitudeGrid(0, values)
+        flow = flow_grid(0, values)
         # Box only admits center (1.5, 1.5): boundary centers excluded.
         only_one = prop(1.0, 1.0, 2.0, 2.0)
         assert mean_magnitude_inside(flow, only_one) == 8.0
@@ -91,66 +101,83 @@ class TestSaliencyPrune:
         assert mean_magnitude_inside(flow, prop(1.1, 1.1, 1.4, 1.4)) is None
 
     def test_box_outside_grid_removed(self):
-        flow = FlowMagnitudeGrid(0, np.full((10, 10), 9.0))
+        flow = flow_grid(0, np.full((10, 10), 9.0))
         assert saliency_prune([prop(50, 50, 60, 60)], flow, 0.0) == []
 
     def test_zero_threshold_is_identity_for_covered_boxes(self):
-        flow = FlowMagnitudeGrid(0, np.zeros((10, 10)))
+        flow = flow_grid(0, np.zeros((10, 10)))
         props = [prop(0, 0, 5, 5), prop(3, 3, 9, 9)]
         assert saliency_prune(props, flow, 0.0) == props
 
     def test_frame_mismatch_rejected(self):
-        flow = FlowMagnitudeGrid(3, np.zeros((5, 5)))
+        flow = flow_grid(3, np.zeros((5, 5)))
         with pytest.raises(InputError):
             saliency_prune([prop(0, 0, 2, 2, frame=4)], flow)
 
     @pytest.mark.parametrize("threshold", [-0.5, np.nan, np.inf])
     def test_bad_threshold_rejected(self, threshold):
-        flow = FlowMagnitudeGrid(0, np.full((20, 20), 0.5))
+        flow = flow_grid(0, np.full((20, 20), 0.5))
         with pytest.raises(InputError, match="min_mean_magnitude"):
             saliency_prune([prop(2, 2, 10, 10)], flow, threshold)
 
     def test_rejects_negative_flow(self):
         with pytest.raises(InputError):
-            FlowMagnitudeGrid(0, np.full((3, 3), -1.0))
+            flow_grid(0, np.full((3, 3), -1.0))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_rejects_bad_float32_flow(self, bad):
         with pytest.raises(InputError):
-            FlowMagnitudeGrid(0, np.full((3, 3), bad, dtype=np.float32))
+            flow_grid(0, np.full((3, 3), bad, dtype=np.float32))
 
     @pytest.mark.parametrize("name, dtype", EDGE_CASES)
     def test_edge_values(self, name, dtype):
         values = edge_grid(name, dtype)
         if FLOW_EDGES[name][0]:
-            grid = FlowMagnitudeGrid(0, values)
+            grid = flow_grid(0, values)
             assert grid.values.tobytes() == values.tobytes()
         else:
             with pytest.raises(InputError) as info:
-                FlowMagnitudeGrid(0, values)
+                flow_grid(0, values)
             assert str(info.value) == "flow magnitudes must be finite and >= 0"
 
-    def test_float32_grid_kept_as_is_others_as_float64(self):
-        values = np.full((3, 3), 0.25, dtype=np.float32)
-        assert FlowMagnitudeGrid(0, values).values is values
-        for other in (np.float16, np.int64):
-            grid = FlowMagnitudeGrid(0, np.ones((3, 3), dtype=other))
-            assert grid.values.dtype == np.float64
+    def test_float32_or_float64_array_held_as_given(self):
+        for typecode in ("f", "d"):
+            values = array(typecode, [0.25] * 6)
+            assert FlowMagnitudeGrid(0, values, 2, 3).values is values
+        for other in (array("i", [1] * 6), [0.25] * 6, np.ones((2, 3))):
+            with pytest.raises(InputError, match="array\\('f'\\)"):
+                FlowMagnitudeGrid(0, other, 2, 3)
+        for height, width in ((0, 6), (6, 0), (3, 3), (1, 5)):
+            with pytest.raises(InputError, match="2d array"):
+                FlowMagnitudeGrid(0, array("f", [0.25] * 6), height, width)
 
     def test_float32_mean_accumulates_in_float64(self):
         """49 copies of float32(0.3) average to that value exactly in
         float64; summed in float32 they fall below it."""
         value = float(np.float32(0.3))
-        flow = FlowMagnitudeGrid(0, np.full((7, 7), value, np.float32))
+        values = np.full((7, 7), value, np.float32)
+        flow = flow_grid(0, values)
         box = prop(0, 0, 7, 7)
-        assert float(flow.values.mean()) < value
+        assert float(values.mean()) < value
         assert mean_magnitude_inside(flow, box) == value
         assert saliency_prune([box], flow, value) == [box]
+
+    def test_mean_adds_row_sums_in_row_order(self):
+        """Each row is summed exactly and rounded once, and the row sums
+        are added in row order: 1 + (2**53 + 1, rounded to 2**53).  The
+        six values summed in one pass, exactly or by numpy, give
+        2**53 + 2."""
+        values = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 2.0 ** 53]])
+        flow, box = flow_grid(0, values), prop(0, 0, 3, 2)
+        assert mean_magnitude_inside(flow, box) == 2.0 ** 53 / 6
+        assert math.fsum(values.flat) == float(values.sum()) == 2.0 ** 53 + 2
+        assert saliency_prune([box], flow, 2.0 ** 53 / 6) == [box]
+        assert saliency_prune([box], flow, (2.0 ** 53 + 2) / 6) == []
 
     def test_mean_matches_bruteforce(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(0, 3, size=(16, 16))
-        flow = FlowMagnitudeGrid(0, values)
+        flow = flow_grid(0, values)
         for _ in range(300):
             x1, y1 = rng.uniform(-2, 14, size=2)
             w, h = rng.uniform(0.2, 10, size=2)
@@ -208,7 +235,7 @@ class TestAgainstReference:
         """Pruning keeps what the exact pixel-centre reference of
         ``oracles`` keeps, means often exactly at the threshold."""
         values, rows, props, threshold = case
-        flow = FlowMagnitudeGrid(0, values)
+        flow = flow_grid(0, values)
         assert saliency_prune(props, flow, threshold) == \
             saliency_prune_reference(props, rows, threshold)
 
@@ -239,9 +266,10 @@ def test_float32_grids_keep_every_float64_decision():
                 video_flow(scenario, index, truth),
                 flow_grids_float64(scenario, index, truth), strict=True):
             assert grid.frame_index == frame
-            assert grid.values.dtype == np.float32
-            assert np.array_equal(grid.values, wide.astype(np.float32))
-            wide = FlowMagnitudeGrid(frame, wide)
+            assert grid.values.typecode == "f"
+            assert (grid.height, grid.width) == wide.shape
+            assert grid.values.tobytes() == wide.astype(np.float32).tobytes()
+            wide = flow_grid(frame, wide)
             for p in proposals.get(frame, ()):
                 kept = saliency_prune([p], grid, threshold) == [p]
                 assert kept == (saliency_prune([p], wide, threshold) == [p])
@@ -260,7 +288,7 @@ def test_float64_flow_prunes_as_float32_flow(tmp_path):
     truth = generate(scenario).gt_tubes
     flow = tmp_path / FILE_FLOW
     formats.write_flow(flow, (
-        (video_id(index), (FlowMagnitudeGrid(frame, values)
+        (video_id(index), (flow_grid(frame, values)
                            for frame, values in flow_grids_float64(
                                scenario, index, truth[index])))
         for index in video_order(scenario.video_count)))

@@ -14,8 +14,8 @@ import sys
 import pytest
 
 from actiontubes.cli import main
-from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_SALIENT,
-                                  PIPELINE_ORDER)
+from actiontubes.pipeline import (FILE_ALPHAS, FILE_DRIFT, FILE_FLOW,
+                                  FILE_SALIENT, PIPELINE_ORDER)
 
 TINY = ("--stage-override", "synth.video_count=2",
         "--stage-override", "synth.frames_per_video=12",
@@ -38,9 +38,9 @@ LOADED = {
     "evaluate": CLI | {"evaluation", "geometry"},
 }
 # Only synth, the generator, computes with arrays and loads numpy.  fuse
-# loads it only to read flow grids, which the tiny scenario has none of;
-# track reads its point matches, score its weights and clip noise, and
-# prune its footprint map as plain floats.
+# reads its flow grids into ``array``s, track its point matches, score
+# its weights and clip noise, and prune its footprint map as plain
+# floats.
 NUMPY = {"synth"}
 
 CHILD = """
@@ -80,11 +80,12 @@ def test_stage_loads_only_what_it_runs(stage, scenario, child_env):
         (0, LOADED[stage], stage in NUMPY)
 
 
-def test_fuse_with_flow_loads_numpy_and_prunes(tmp_path, child_env):
+def test_fuse_with_flow_runs_without_numpy(tmp_path, child_env):
     flow = ("--stage-override", "synth.with_flow=true")
     assert main(["synth", "--out", str(tmp_path), *TINY, *flow]) == 0
+    assert (tmp_path / FILE_FLOW).exists()
     assert loaded_modules(child_env, "fuse", "--out", tmp_path, *TINY,
-                          *flow) == (0, LOADED["fuse"], True)
+                          *flow) == (0, LOADED["fuse"], False)
     assert (tmp_path / FILE_SALIENT).exists()
 
 
