@@ -174,10 +174,6 @@ def class_average_precisions(result: MatchResult) -> dict[int, float]:
     return out
 
 
-def mean_average_precision(result: MatchResult) -> float:
-    return _mean_of(class_average_precisions(result))
-
-
 def _mean_of(per_class: Mapping[int, float]) -> float:
     if not per_class:
         return 0.0

@@ -5,13 +5,13 @@ scores, metrics) live in tab-separated text files with a two-line
 header naming the record kind, format version and column layout.
 Dense numeric payloads (point matches, flow grids, scorer weights,
 clip noise, cell accuracies) live in a little-endian container of
-named arrays, written and read back one array at a time: flow grids as
-read-only numpy arrays, everything else as Python floats.  Writers emit
-records and arrays in a canonical order so identical data always
-produces identical bytes, and every file is written to a temp file
-beside its target and then renamed onto it, so a failed write never
-leaves a truncated file.  See FORMATS.md for the field-by-field
-reference.
+named arrays, written one array at a time and read back one at a time
+without numpy: flow grids as flat standard-library ``array``s,
+everything else as Python floats.  Writers emit records and arrays in
+a canonical order so identical data always produces identical bytes,
+and every file is written to a temp file beside its target and then
+renamed onto it, so a failed write never leaves a truncated file.  See
+FORMATS.md for the field-by-field reference.
 
 Record files and per-frame array containers are read one video at a
 time.  A reader (``VideoRecords``, ``VideoArrays``) first finds where
@@ -53,10 +53,8 @@ from .model import (SCORE_SUM_TOL, BoundingBox, ClipScoreSequence,
                     Detection, FlowMagnitudeGrid, FrameInterval,
                     GroundTruthTube, Proposal, Source, Tube)
 
-# numpy is for annotations only: the container writer and the readers that
-# return arrays import it, so the record files and the readers of floats
-# (``read_weights``, ``read_clip_noise``, ``read_matches``,
-# ``read_alphas``) load without it.
+# numpy is for annotations only: the container writers import it, so the
+# record files and every container reader load without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -1132,29 +1130,6 @@ def _walk(path, fh, start: int | None = None,
             path=str(path))
 
 
-def iter_arrays(path, entries=None) -> Iterator[tuple[str, np.ndarray]]:
-    """``(name, array)`` pairs of a container, in file order: of every
-    array, or of the ``entries`` a ``VideoArrays`` found alone.
-
-    Each array is read into its own read-only buffer as it is reached,
-    so a consumer that drops an array before taking the next holds one
-    at a time.  Without ``entries`` damage is reported where the walk
-    finds it: only a consumer that exhausts the iterator has seen every
-    check, trailing bytes included.
-    """
-    import numpy as np
-    with _open_bytes(path) as fh:
-        for entry in _walk(path, fh) if entries is None else entries:
-            arr = np.empty(entry.shape, entry.dtype)
-            fh.seek(entry.offset)
-            if fh.readinto(arr) != arr.nbytes:
-                raise SchemaError(
-                    f"truncated container at byte {entry.offset}",
-                    path=str(path))
-            arr.flags.writeable = False
-            yield entry.name, arr
-
-
 class VideoArrays:
     """A container of ``<video_id>/<frame:08d>`` arrays, or of one array
     per video named ``<video_id>``, read one video at a time, as
@@ -1203,11 +1178,6 @@ class VideoArrays:
                                      *self._spans[video_id]))
         # looked up at each call, so a wrapped reader is the one called
         return globals()[f"read_{self.kind}"](self.path, entries, *args)
-
-
-def read_arrays(path) -> dict[str, np.ndarray]:
-    """Every named array of a container, read-only."""
-    return dict(iter_arrays(path))
 
 
 # -- typed container views ----------------------------------------------

@@ -28,7 +28,7 @@ from actiontubes.pipeline import (FILE_ALPHAS, FILE_CLIP_NOISE,
 from actiontubes.scenario import video_index
 from actiontubes.scoring import score_clips
 from test_golden import SCENARIOS
-from test_io import read_records
+from test_io import iter_arrays, read_arrays, read_records
 
 FAST = ("--stage-override", "synth.video_count=3",
         "--stage-override", "synth.frames_per_video=24",
@@ -245,7 +245,7 @@ class TestExitCodes:
     def test_activation_not_utf8_returns_three(self, tmp_path, capsys):
         self._tracked_rows(tmp_path)
         weights = tmp_path / FILE_WEIGHTS
-        arrays = formats.read_arrays(weights)
+        arrays = read_arrays(weights)
         arrays["activation"] = np.frombuffer(b"\xfftanh", dtype=np.uint8)
         formats.write_arrays(weights, sorted(arrays.items()))
         capsys.readouterr()
@@ -388,7 +388,7 @@ class TestOneVideoAtATime:
     def _add_video_zz(path, values):
         """Appends one array of a video no record file names."""
         part = path.with_name("zz.atb")
-        formats.write_arrays(part, chain(formats.iter_arrays(path),
+        formats.write_arrays(part, chain(iter_arrays(path),
                                          [("zz/00000000", values)]))
         part.replace(path)
 
@@ -620,7 +620,7 @@ class TestClipNoise:
         """The container with ``edit(video_id, table)`` applied to each
         table; a table edited to ``None`` is left out."""
         tables = [(name, edit(name, np.array(table)))
-                  for name, table in formats.iter_arrays(path)]
+                  for name, table in iter_arrays(path)]
         formats.write_clip_noise(path, [(name, table) for name, table
                                         in tables if table is not None])
 

@@ -46,6 +46,30 @@ def read_records(path, kind):
     return out
 
 
+def iter_arrays(path):
+    """``(name, array)`` pairs of a container, in file order, each read
+    into its own read-only numpy buffer as it is reached.
+
+    Damage is reported where the walk finds it: only a consumer that
+    exhausts the iterator has seen every check, trailing bytes included.
+    """
+    with formats._open_bytes(path) as fh:
+        for entry in formats._walk(path, fh):
+            arr = np.empty(entry.shape, entry.dtype)
+            fh.seek(entry.offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise SchemaError(
+                    f"truncated container at byte {entry.offset}",
+                    path=str(path))
+            arr.flags.writeable = False
+            yield entry.name, arr
+
+
+def read_arrays(path):
+    """Every named array of a container, read-only."""
+    return dict(iter_arrays(path))
+
+
 def by_video(tubes):
     """``(video_id, tubes)`` pairs in video order, as the writers take
     them."""
@@ -227,7 +251,7 @@ class TestMatchesRoundTrip:
                  ("v1", 5): rng.uniform(-1, 1, size=(3, 4))}
         formats.write_matches(path, match_chunks(pairs))
         back = read_videos(path, "matches")
-        arrays = dict(formats.iter_arrays(path))
+        arrays = dict(iter_arrays(path))
         assert len(arrays) == len(pairs)
         for name, arr in arrays.items():
             video_id, frame = name.split("/")
@@ -1484,7 +1508,7 @@ class TestArrayContainer:
             "scalar": np.array(0.5),
         }
         formats.write_arrays(path, sorted(arrays.items()))
-        back = formats.read_arrays(path)
+        back = read_arrays(path)
         assert set(back) == set(arrays)
         for name, arr in arrays.items():
             assert back[name].dtype == np.asarray(arr).dtype
@@ -1500,7 +1524,7 @@ class TestArrayContainer:
             formats.BINARY_MAGIC + struct.pack("<HIH", 1, 1, 1) + b"x"
             + struct.pack("<BBQ", 3, 1, 3)
             + values.astype("<f4").tobytes())
-        back = formats.read_arrays(path)["x"]
+        back = read_arrays(path)["x"]
         assert back.dtype == np.float32
         assert back.tobytes() == values.astype("<f4").tobytes()
 
@@ -1524,7 +1548,7 @@ class TestArrayContainer:
         assert blob[13] == 3
         blob[13] = 4
         path.write_bytes(bytes(blob))
-        for read in (formats.read_arrays,
+        for read in (read_arrays,
                      lambda p: formats.VideoArrays(p, "flow")):
             with pytest.raises(SchemaError, match="unknown dtype code 4"):
                 read(path)
@@ -1555,7 +1579,7 @@ class TestArrayContainer:
         path = tmp_path / "a.atb"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(SchemaError):
-            formats.read_arrays(path)
+            read_arrays(path)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "a.atb"
@@ -1563,14 +1587,14 @@ class TestArrayContainer:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(SchemaError) as info:
-            formats.read_arrays(path)
+            read_arrays(path)
         assert "truncated" in str(info.value)
 
     def test_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "a.atb"
         formats.write_arrays(path, [("x", np.arange(4.0)),
                                     ("y", np.eye(2, dtype=np.int64))])
-        for arr in formats.read_arrays(path).values():
+        for arr in read_arrays(path).values():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 7
@@ -1583,7 +1607,7 @@ class TestArrayContainer:
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00" + name))
         with pytest.raises(SchemaError) as info:
-            formats.read_arrays(path)
+            read_arrays(path)
         assert word in str(info.value)
 
     def test_descending_names_detected(self, tmp_path):
@@ -1592,14 +1616,14 @@ class TestArrayContainer:
         path.write_bytes(path.read_bytes().replace(b"\x01\x00c",
                                                    b"\x01\x00a"))
         with pytest.raises(SchemaError, match="'a' comes after 'b'"):
-            formats.read_arrays(path)
+            read_arrays(path)
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "a.atb"
         formats.write_arrays(path, [("x", np.arange(4.0))])
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(SchemaError) as info:
-            formats.read_arrays(path)
+            read_arrays(path)
         assert "trailing" in str(info.value)
 
     def test_weights_round_trip(self, tmp_path):
@@ -1877,7 +1901,7 @@ class TestArrayContainer:
                   "c": np.frombuffer(b"ok", dtype=np.uint8)}
         formats.write_arrays(path, (pair for pair in sorted(arrays.items())))
         assert path.read_bytes() == bytes.fromhex(GOLDEN_CONTAINER)
-        back = formats.read_arrays(path)
+        back = read_arrays(path)
         for name, arr in arrays.items():
             assert np.array_equal(back[name], arr)
 
@@ -1887,7 +1911,7 @@ class TestArrayContainer:
     def test_floats_survive_exactly(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("io") / "x.atb"
         formats.write_arrays(path, [("v", np.asarray(values))])
-        assert np.array_equal(formats.read_arrays(path)["v"],
+        assert np.array_equal(read_arrays(path)["v"],
                               np.asarray(values))
 
 

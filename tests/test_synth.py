@@ -25,6 +25,7 @@ from actiontubes.synth import (STREAMS, ScenarioConfig,
                                video_flow, video_id, video_order)
 from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
                                  build_tubes, match_ratio)
+from test_io import iter_arrays
 
 
 def small_config(**kwargs):
@@ -759,7 +760,7 @@ class TestVideoOrder:
                          *FILE_DETECTIONS.values())}
         for name in (FILE_MATCHES, FILE_FLOW):
             written[name] = [array.partition("/")[0] for array, _ in
-                             formats.iter_arrays(tmp_path / name)]
+                             iter_arrays(tmp_path / name)]
         for name, videos in written.items():
             assert sorted(set(videos)) == ids, name
             assert videos == sorted(videos), name
