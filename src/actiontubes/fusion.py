@@ -82,9 +82,10 @@ def saliency_prune(proposals: Sequence[Proposal], flow: FlowMagnitudeGrid,
                 f"frame {flow.frame_index}")
         starts, length = _pixels_inside(flow, prop.box)
         count = len(starts) * length
-        if any(total / count >= min_mean_magnitude
-               for total in _running_sums(flow.values, starts, length)):
-            kept.append(prop)
+        for total in _running_sums(flow.values, starts, length):
+            if total / count >= min_mean_magnitude:
+                kept.append(prop)
+                break
     return kept
 
 

@@ -395,8 +395,7 @@ def _finite_and_non_negative(values: array) -> bool:
     float64) or a bad value is checked value by value.
     """
     size = values.itemsize
-    top = memoryview(values).cast("B")[
-        size - 1 if sys.byteorder == "little" else 0::size].tobytes()
+    top = values.tobytes()[size - 1 if sys.byteorder == "little" else 0::size]
     if top.isascii() and b"\x7f" not in top:
         return True
     return all(0.0 <= value < math.inf for value in values)
