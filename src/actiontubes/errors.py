@@ -52,7 +52,3 @@ class ProcessingError(ActionTubesError):
     """A stage failed while processing otherwise well-formed inputs."""
 
     exit_code = 4
-
-
-class ScorerError(ProcessingError):
-    """Region scoring failed; aborts the tube under construction only."""

@@ -285,6 +285,10 @@ class EvalConfig:
             raise InputError("need at least one IOU threshold")
         for s in self.iou_thresholds:
             _check_sigma(s)
+        thresholds = self.iou_thresholds
+        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+            raise InputError(f"IOU thresholds must be strictly increasing, "
+                             f"got {thresholds}")
         _check_sigma(self.recall_track_sigma)
         _check_sigma(self.taxonomy_sigma)
         if not 0.0 < self.taxonomy_floor <= 1.0:

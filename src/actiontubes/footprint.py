@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError
-from .model import (BoundingBox, Tube, pairwise_sum, require_scored,
-                    softmax)
+from .model import (BoundingBox, Tube, mean_rows, pairwise_sum,
+                    require_scored, softmax)
 # CellLayout lives with the scenario's configuration, which loads no numpy
 from .scenario import CellLayout
 
@@ -268,15 +268,7 @@ def uniform_classes(fmap: FootprintMap) -> list[int]:
 def mean_box(tube: Tube) -> BoundingBox:
     """Coordinate-wise mean of the tube's boxes: each coordinate summed in
     frame order and divided once, as numpy's mean over axis 0 does."""
-    boxes = tube.boxes
-    x1, y1, x2, y2 = boxes[0].as_tuple()
-    for box in boxes[1:]:
-        x1 += box.x_min
-        y1 += box.y_min
-        x2 += box.x_max
-        y2 += box.y_max
-    n = len(boxes)
-    return BoundingBox(x1 / n, y1 / n, x2 / n, y2 / n)
+    return BoundingBox(*mean_rows([box.as_tuple() for box in tube.boxes]))
 
 
 def cells_overlapping(layout: CellLayout, box: BoundingBox,

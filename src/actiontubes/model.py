@@ -133,6 +133,20 @@ def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
     return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
+def mean_rows(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """Column means of equally long ``rows``, each summed as numpy's mean
+    over axis 0 sums it and divided once: row by row in order, but
+    pairwise for a single column, which numpy reduces as one contiguous
+    run."""
+    n = len(rows)
+    if len(rows[0]) == 1:
+        return (pairwise_sum([row[0] for row in rows]) / n,)
+    totals = list(rows[0])
+    for row in rows[1:]:
+        totals = [t + v for t, v in zip(totals, row)]
+    return tuple(t / n for t in totals)
+
+
 def softmax(values: Sequence[float]) -> list[float]:
     """``exp(v - max)`` divided by its sum in numpy's pairwise order, so
     each value keeps the bits that dividing by ``np.sum`` gave; an empty

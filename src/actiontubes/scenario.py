@@ -204,7 +204,8 @@ class SyntheticRegionScorer:
 
     The truth present on each frame is indexed once per video, as
     ``frame -> [(label, box)]`` in ground-truth order.  A video with no
-    ground truth is rejected, not scored as background.
+    ground truth is rejected, not scored as background, and so is a
+    truth tube of a class outside ``config.num_classes``.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -214,6 +215,11 @@ class SyntheticRegionScorer:
         for video_id, tubes in gt_by_video.items():
             index = self._by_frame[video_id] = {}
             for gt in tubes:
+                if gt.label >= self._num_classes:
+                    raise InputError(
+                        f"truth tube {gt.tube_id} of video {video_id!r} has "
+                        f"class {gt.label}, but synth.num_classes is "
+                        f"{self._num_classes}")
                 for frame, box in gt.iter_frames():
                     index.setdefault(frame, []).append((gt.label, box))
 

@@ -10,9 +10,9 @@ followed by a linear classifier and a softmax per clip.  With W_hh set
 to zero the scorer reduces exactly to a feed-forward network.
 
 The scorer computes with Python floats and ``math``, no numpy: dot
-products add left to right, and each sum numpy would take pairwise
-(the softmax's, a single column's mean) is taken with
-``model.pairwise_sum``.  Scores therefore do not depend on the SIMD
+products add left to right, means are ``model.mean_rows``, and each
+sum numpy would take pairwise (the softmax's, a single column's mean)
+is taken with ``model.pairwise_sum``.  Scores therefore do not depend on the SIMD
 paths a host's numpy takes.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import InputError
 # take it from here
 from .geometry import prune_overlapped  # noqa: F401
 from .model import (ClipScoreSequence, FrameInterval, Tube, argmax_label,
-                    pairwise_sum, softmax)
+                    mean_rows, softmax)
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 
@@ -232,8 +232,8 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
         raise InputError(
             f"frame scores have {classes} classes, clip scores have "
             f"{clip_scores.num_classes}")
-    avg_cnn = _mean_rows(frame_scores)
-    avg_rnn = _mean_rows(clip_scores.scores)
+    avg_cnn = mean_rows(frame_scores)
+    avg_rnn = mean_rows(clip_scores.scores)
     traj = tuple(a + b for a, b in zip(avg_cnn, avg_rnn))
     if label is None:
         label = argmax_label(traj)
@@ -242,17 +242,3 @@ def score_tube(tube: Tube, clip_scores: ClipScoreSequence,
             f"label {label} outside the {classes} scored classes")
     return TubeScore(s_avg_cnn=avg_cnn, s_avg_rnn=avg_rnn, s_traj=traj,
                      label=label, score=traj[label])
-
-
-def _mean_rows(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:
-    """Column means of equally long ``rows``, each summed as numpy's mean
-    over axis 0 sums it and divided once: row by row in order, as
-    ``footprint.mean_box`` does, but pairwise for a single column, which
-    numpy reduces as one contiguous run."""
-    n = len(rows)
-    if len(rows[0]) == 1:
-        return (pairwise_sum([row[0] for row in rows]) / n,)
-    totals = list(rows[0])
-    for row in rows[1:]:
-        totals = [t + v for t, v in zip(totals, row)]
-    return tuple(t / n for t in totals)

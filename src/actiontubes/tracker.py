@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .errors import InputError, ScorerError
+from .errors import InputError, ProcessingError
 from .geometry import iou
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
 
@@ -44,8 +44,9 @@ class RegionScorer(Protocol):
     An answer is a 1-D sequence of floats, one per class (a tuple, a
     list or a 1-D array).  Scores depend only on ``(video_id,
     frame_index, box)``, so the trackers ask about each region at most
-    once per call.  A scorer raises ``InputError`` for a video it has
-    no data for; that fails the whole run instead of one tube.
+    once per call.  Any exception a scorer raises fails the tracker
+    call; a scorer raises ``InputError`` for a video it has no data
+    for.
     """
 
     def class_scores(self, video_id: str, frame_index: int,
@@ -55,12 +56,11 @@ class RegionScorer(Protocol):
 class _ScoreMemo:
     """A region scorer that answers each region once, for one tracker call.
 
-    Each answer is checked once, when it arrives: a scorer that fails,
-    or answers with anything but a 1-D vector of numbers (an answer with
-    an ``ndim`` other than 1, or whose items are not numbers), raises
-    ``ScorerError``, except an ``InputError``, which passes.  Answers
-    are kept as tuples of floats; a failed query is not kept, so asking
-    again asks the scorer again.
+    The scorer's own exceptions propagate unchanged.  Each answer is
+    checked once, when it arrives: anything but a 1-D vector of numbers
+    (an answer with an ``ndim`` other than 1, or whose items are not
+    numbers) raises ``ProcessingError``.  Answers are kept as tuples of
+    floats.
     """
 
     def __init__(self, scorer: RegionScorer):
@@ -73,22 +73,16 @@ class _ScoreMemo:
                box.y_max)
         scores = self._known.get(key)
         if scores is None:
-            try:
-                answer = self._scorer.class_scores(video_id, frame_index, box)
-            except (ScorerError, InputError):
-                raise
-            except Exception as exc:
-                raise ScorerError(f"region scorer failed at frame "
-                                  f"{frame_index}: {exc}") from exc
+            answer = self._scorer.class_scores(video_id, frame_index, box)
             ndim = getattr(answer, "ndim", 1)
             if ndim != 1:
-                raise ScorerError(f"scorer returned scores of {ndim} "
-                                  f"dimensions, expected one per class")
+                raise ProcessingError(f"scorer returned scores of {ndim} "
+                                      f"dimensions, expected one per class")
             try:
                 scores = tuple(float(v) for v in answer)
             except (TypeError, ValueError) as exc:
-                raise ScorerError(f"scorer returned scores that are not one "
-                                  f"number per class: {exc}") from exc
+                raise ProcessingError(f"scorer returned scores that are not "
+                                      f"one number per class: {exc}") from exc
             self._known[key] = scores
         return scores
 
@@ -259,8 +253,7 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
     """The best scoring candidate for ``label``, merged or predicted.
 
     Ties break suppression-style (larger, then lexicographically smaller
-    box).  Any scorer failure, including too few classes for ``label``,
-    is raised as ``ScorerError``, except an ``InputError``, which passes.
+    box).  An answer with no score for ``label`` raises ``InputError``.
     """
     best = None
     best_key = None
@@ -268,9 +261,9 @@ def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
     for prop in candidates:
         scores = scorer.class_scores(video_id, next_frame, prop.box)
         if label >= len(scores):
-            raise ScorerError(
+            raise InputError(
                 f"scorer returned {len(scores)} classes, tube label is "
-                f"{label}")
+                f"{label}; is synth.num_classes too small?")
         key = _candidate_key(prop, scores[label])
         if best_key is None or key < best_key:
             best, best_key, best_scores = prop, key, scores
@@ -324,17 +317,13 @@ StepFn = Callable[[Detection, Detection, int, UntrackedPool],
 
 
 def _extend(seed: Detection, frames: range, step: StepFn,
-            pool: UntrackedPool,
-            cfg: TrackerConfig) -> tuple[list[Detection], bool]:
-    """Grow one direction until termination; True flags a scorer abort."""
+            pool: UntrackedPool, cfg: TrackerConfig) -> list[Detection]:
+    """Grow one direction until termination."""
     grown: list[Detection] = []
     current = seed
     predicted_run = 0
     for frame in frames:
-        try:
-            nxt = step(seed, current, frame, pool)
-        except ScorerError:
-            return grown, True
+        nxt = step(seed, current, frame, pool)
         if nxt is None:
             break
         if nxt.source is Source.TRACKED:
@@ -345,7 +334,7 @@ def _extend(seed: Detection, frames: range, step: StepFn,
             predicted_run = 0
         grown.append(nxt)
         current = nxt
-    return grown, False
+    return grown
 
 
 def _grow_tubes(video_id: str,
@@ -357,20 +346,17 @@ def _grow_tubes(video_id: str,
     Each tube is seeded from the best remaining detection, grown forward
     to the end of ``extent``, then backward to its start.  Consumed
     detections leave the shared pool, so the loop terminates exactly
-    when every detection has been used.  A scorer failure abandons
-    further growth of the tube it occurred in; the partial tube is kept
-    and seeding continues.
+    when every detection has been used.  A scorer failure fails the
+    call.
     """
     pool = UntrackedPool(detections_by_frame)
     tubes: list[Tube] = []
     while (seed := pool.take_best()) is not None:
-        forward, aborted = _extend(
+        forward = _extend(
             seed, range(seed.frame_index + 1, extent.end), step, pool, cfg)
-        backward: list[Detection] = []
-        if not aborted:
-            backward, _ = _extend(
-                seed, range(seed.frame_index - 1, extent.start - 1, -1),
-                step, pool, cfg)
+        backward = _extend(
+            seed, range(seed.frame_index - 1, extent.start - 1, -1),
+            step, pool, cfg)
         dets = list(reversed(backward)) + [seed] + forward
         tubes.append(Tube(
             video_id, f"t{len(tubes):03d}", dets[0].frame_index,
@@ -410,12 +396,12 @@ def build_tubes_neighborhood(
         search_radius: float = 20.0) -> list[Tube]:
     """Baseline tracker constrained to a spatial neighborhood.
 
-    Identical seeding, consumption and scorer-failure handling, but
-    continuation candidates are the proposals whose center lies within
-    ``search_radius`` pixels of the previous center, scored for the
-    current entry's class.  Kept for contrast: it cannot follow motion
-    larger than the radius between consecutive frames.  Proposal
-    centers are computed once per frame.
+    Identical seeding and consumption, and a scorer failure fails the
+    call likewise, but continuation candidates are the proposals whose
+    center lies within ``search_radius`` pixels of the previous center,
+    scored for the current entry's class.  Kept for contrast: it cannot
+    follow motion larger than the radius between consecutive frames.
+    Proposal centers are computed once per frame.
     """
     if not (search_radius > 0 and math.isfinite(search_radius)):
         raise InputError(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from actiontubes.model import BoundingBox, Detection, FrameInterval
+from actiontubes.model import BoundingBox, Detection, FrameInterval, Source
 
 
 def lattice_cells(box: BoundingBox) -> set[tuple[int, int]]:
@@ -425,3 +425,214 @@ def saliency_prune_reference(proposals, rows, threshold):
         if mean is not None and mean >= threshold:
             kept.append(prop)
     return kept
+
+
+def _exact_overlap(a, b) -> float:
+    """Box IoU computed exactly, then rounded once to a float."""
+    ax0, ay0, ax1, ay1 = (Fraction(v) for v in a.as_tuple())
+    bx0, by0, bx1, by1 = (Fraction(v) for v in b.as_tuple())
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return float(inter / union)
+
+
+def _first_argmax(scores) -> int:
+    """The lowest index holding the highest score."""
+    return list(scores).index(max(scores))
+
+
+def _area(box) -> Fraction:
+    return (Fraction(box.x_max) - Fraction(box.x_min)) \
+        * (Fraction(box.y_max) - Fraction(box.y_min))
+
+
+def _coords(box) -> tuple:
+    return (box.x_min, box.y_min, box.x_max, box.y_max)
+
+
+def grow_tubes_reference(video_id, detections_by_frame, proposals_by_frame,
+                         extent, scorer, *, consume_overlap, max_predicted_run,
+                         matcher=None, min_match_ratio=0.0,
+                         min_prev_overlap=0.0, search_radius=None):
+    """The tubes either tracker grows, one decision at a time.
+
+    With ``matcher`` this is the point-matching tracker, else the
+    center-search baseline with ``search_radius``.  Each tube is
+    returned as ``(tube_id, start, boxes, class_scores, sources,
+    label)``, boxes as coordinate tuples.
+
+    - Seeds: the untracked detection with the highest score seeds the
+      next tube; ties go to the earlier frame, then the larger box, then
+      the smaller ``(x_min, y_min, x_max, y_max)``, then the earlier
+      detection (frames ascending, each frame's list in order).  The
+      seed leaves the pool as it is.
+    - Growth: forward frame by frame to the end of ``extent``, then
+      backward to its start, each direction from the seed.
+    - Candidates (point matching): the matcher's rows from the current
+      entry's frame and box to the next frame; with none, growth stops.
+      A proposal is a candidate when its overlap with the current box
+      is at least ``min_prev_overlap`` and the share of rows whose
+      to-point lies in it (edges included) at least
+      ``min_match_ratio``.  (Center search): proposals whose center is
+      within ``search_radius`` of the current box's center, edge
+      included.  No candidate stops growth.
+    - Choice: the candidate scoring highest for the class (the seed's
+      class when point matching, the current entry's class in center
+      search); ties go to the larger box, then the smaller coordinates,
+      then the earlier proposal.
+    - Consumption: of the untracked detections on that frame with that
+      class and an overlap with the chosen box of at least
+      ``consume_overlap``, the one with the highest overlap, then the
+      higher score, the larger box, the smaller coordinates, the earlier
+      detection joins the tube as ``MERGED`` and leaves the pool.
+      Without one, the chosen box joins as ``TRACKED`` with the
+      scorer's class vector, its class being that vector's first
+      maximum.
+    - A ``TRACKED`` entry that would make more than
+      ``max_predicted_run`` of them in a row stops growth instead.
+    - Tube ids are ``t000``, ``t001``, … in seeding order, and a tube
+      keeps its seed's class.
+    """
+    pool = []  # [detection, still untracked], in input order
+    for frame in sorted(detections_by_frame):
+        for det in detections_by_frame[frame]:
+            pool.append([det, True])
+
+    def seeds_before(a, b) -> bool:
+        """Whether pool entry ``a`` seeds before pool entry ``b``."""
+        da, db = pool[a][0], pool[b][0]
+        sa, sb = max(da.class_scores), max(db.class_scores)
+        if sa != sb:
+            return sa > sb
+        if da.frame_index != db.frame_index:
+            return da.frame_index < db.frame_index
+        if _area(da.box) != _area(db.box):
+            return _area(da.box) > _area(db.box)
+        if _coords(da.box) != _coords(db.box):
+            return _coords(da.box) < _coords(db.box)
+        return a < b
+
+    def candidates(current, frame):
+        proposals = list(proposals_by_frame.get(frame, ()))
+        _, box, _, _, _ = current
+        if matcher is None:
+            cx = (Fraction(box.x_min) + Fraction(box.x_max)) / 2
+            cy = (Fraction(box.y_min) + Fraction(box.y_max)) / 2
+            kept = []
+            for prop in proposals:
+                px = (Fraction(prop.box.x_min) + Fraction(prop.box.x_max)) / 2
+                py = (Fraction(prop.box.y_min) + Fraction(prop.box.y_max)) / 2
+                if (px - cx) ** 2 + (py - cy) ** 2 \
+                        <= Fraction(search_radius) ** 2:
+                    kept.append(prop)
+            return kept
+        rows = [tuple(row) for row in
+                matcher.match(video_id, current[0], frame, box)]
+        if not rows:
+            return []
+        kept = []
+        for prop in proposals:
+            b = prop.box
+            inside = sum(1 for _, _, x, y in rows
+                         if b.x_min <= x <= b.x_max and b.y_min <= y <= b.y_max)
+            if _exact_overlap(b, box) >= min_prev_overlap \
+                    and inside / len(rows) >= min_match_ratio:
+                kept.append(prop)
+        return kept
+
+    def choose(cands, label, frame):
+        best = None
+        for prop in cands:
+            scores = tuple(float(v) for v in
+                           scorer.class_scores(video_id, frame, prop.box))
+            if best is None:
+                best = (prop.box, scores)
+                continue
+            box, top = best
+            mine, theirs = scores[label], top[label]
+            if mine != theirs:
+                better = mine > theirs
+            elif _area(prop.box) != _area(box):
+                better = _area(prop.box) > _area(box)
+            else:
+                better = _coords(prop.box) < _coords(box)
+            if better:
+                best = (prop.box, scores)
+        return best
+
+    def consume(box, label, frame):
+        best = None
+        for i, (det, alive) in enumerate(pool):
+            if not alive or det.frame_index != frame \
+                    or _first_argmax(det.class_scores) != label:
+                continue
+            overlap = _exact_overlap(box, det.box)
+            if overlap < consume_overlap:
+                continue
+            rank = (overlap, max(det.class_scores), _area(det.box))
+            if best is None:
+                best = (i, rank)
+                continue
+            top = pool[best[0]][0]
+            if rank != best[1]:
+                better = rank > best[1]
+            else:
+                better = _coords(det.box) < _coords(top.box)
+            if better:
+                best = (i, rank)
+        if best is None:
+            return None
+        pool[best[0]][1] = False
+        return pool[best[0]][0]
+
+    def grow(seed_entry, frames):
+        grown = []
+        current = seed_entry
+        in_a_row = 0
+        for frame in frames:
+            label = seed_entry[4] if matcher is not None else current[4]
+            cands = candidates(current, frame)
+            if not cands:
+                break
+            box, scores = choose(cands, label, frame)
+            det = consume(box, label, frame)
+            if det is not None:
+                entry = (frame, det.box, det.class_scores, Source.MERGED,
+                         label)
+                in_a_row = 0
+            else:
+                if in_a_row + 1 > max_predicted_run:
+                    break
+                entry = (frame, box, scores, Source.TRACKED,
+                         _first_argmax(scores))
+                in_a_row += 1
+            grown.append(entry)
+            current = entry
+        return grown
+
+    tubes = []
+    while True:
+        alive = [i for i, (_, on) in enumerate(pool) if on]
+        if not alive:
+            return tubes
+        first = alive[0]
+        for i in alive[1:]:
+            if seeds_before(i, first):
+                first = i
+        pool[first][1] = False
+        seed = pool[first][0]
+        seed_entry = (seed.frame_index, seed.box, seed.class_scores,
+                      seed.source, _first_argmax(seed.class_scores))
+        forward = grow(seed_entry,
+                       range(seed.frame_index + 1, extent.end))
+        backward = grow(seed_entry,
+                        range(seed.frame_index - 1, extent.start - 1, -1))
+        entries = backward[::-1] + [seed_entry] + forward
+        tubes.append((f"t{len(tubes):03d}", entries[0][0],
+                      tuple(_coords(e[1]) for e in entries),
+                      tuple(tuple(e[2]) for e in entries),
+                      tuple(e[3] for e in entries), seed_entry[4]))

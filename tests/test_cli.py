@@ -115,6 +115,26 @@ class TestExitCodes:
         assert "run the 'fuse' command first" in err
         assert FILE_FUSED in err
 
+    @pytest.mark.parametrize("num_classes", [2, 1])
+    def test_truth_class_beyond_num_classes_returns_three(
+            self, tmp_path, capsys, num_classes):
+        # a 3-class scenario tracked as if it had fewer classes: video i's
+        # actor has class i, so video num_classes holds the first actor
+        # the scorer cannot score
+        three = ("--stage-override", "synth.video_count=3",
+                 "--stage-override", "synth.frames_per_video=20",
+                 "--stage-override", "synth.num_classes=3",
+                 "--stage-override", "synth.with_footprint=false")
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, *three) == 0
+        capsys.readouterr()
+        assert run_cli("track", "--out", tmp_path, *three, "--stage-override",
+                       f"synth.num_classes={num_classes}") == 3
+        err = capsys.readouterr().err
+        assert f"video 'v00{num_classes}' has class {num_classes}" in err
+        assert f"synth.num_classes is {num_classes}" in err
+        assert not (tmp_path / FILE_TRACKED).exists()
+
     def test_malformed_input_returns_three_with_position(
             self, tmp_path, capsys):
         assert run_cli("synth", "--out", tmp_path, *FAST) == 0

@@ -577,5 +577,8 @@ class TestEvalReport:
             EvalConfig(iou_thresholds=())
         with pytest.raises(InputError):
             EvalConfig(iou_thresholds=(0.0,))
+        for thresholds in ((0.5, 0.5, 0.3), (0.5, 0.3), (0.3, 0.3)):
+            with pytest.raises(InputError, match="strictly increasing"):
+                EvalConfig(iou_thresholds=thresholds)
         with pytest.raises(InputError):
             EvalConfig(fpr_cap=1.5)

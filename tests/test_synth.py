@@ -382,6 +382,18 @@ class TestRegionScorer:
         with pytest.raises(InputError, match="'v9'"):
             scorer.class_scores("v9", 3, box)
 
+    def test_truth_class_outside_num_classes_rejected(self):
+        # classes 0..2 are scored; a class-3 actor fails at construction,
+        # not on the first query that meets it
+        box = BoundingBox(10, 10, 40, 40)
+        truth = [GroundTruthTube("v0", "g0", 2, 0, (box,)),
+                 GroundTruthTube("v0", "g1", 3, 0, (box,))]
+        with pytest.raises(InputError) as err:
+            SyntheticRegionScorer(small_config(), {"v0": truth})
+        for part in ("g1", "'v0'", "class 3", "synth.num_classes is 3"):
+            assert part in str(err.value)
+        SyntheticRegionScorer(small_config(num_classes=4), {"v0": truth})
+
 
 class TestFeaturizer:
     def test_clip_features_point_along_class_direction(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from actiontubes.errors import InputError, ScorerError
+from actiontubes.errors import InputError, ProcessingError
 from actiontubes.model import (BoundingBox, Detection, FrameInterval,
                                Proposal, Source)
 from actiontubes.geometry import iou
@@ -9,6 +10,7 @@ from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
                                  UntrackedPool, build_tubes,
                                  build_tubes_neighborhood, match_gate,
                                  match_ratio, query_matches, track_step)
+from oracles import grow_tubes_reference
 
 NO_MATCHES = np.empty((0, 4))
 
@@ -64,15 +66,40 @@ def det(frame, box, scores=(1.0, 0.0), source=Source.MERGED):
 
 
 # Answers of a two-class scorer on a failing frame that are not one score
-# per class: too few, or not a 1-D vector at all (an array, or a list of
-# lists).
+# per class, with the error each fails the tracker call with: too few
+# classes is a bad input, anything but a 1-D vector of numbers (an
+# array, or a list of lists) a processing fault.
 SCORER_FAILURES = {
-    "too_few_classes": np.zeros(0),
-    "scalar": np.array(0.5),
-    "column": np.zeros((2, 1)),
-    "row": np.zeros((1, 2)),
-    "nested": [[0.5, 0.5]],
+    "too_few_classes": (np.zeros(0), InputError),
+    "scalar": (np.array(0.5), ProcessingError),
+    "column": (np.zeros((2, 1)), ProcessingError),
+    "row": (np.zeros((1, 2)), ProcessingError),
+    "nested": ([[0.5, 0.5]], ProcessingError),
 }
+
+
+class FlakyScorer(WorldScorer):
+    """Fails on frame 3 only: raises ``RuntimeError`` for ``"raise"``,
+    else answers the failure's ``SCORER_FAILURES`` entry."""
+
+    def __init__(self, boxes_by_frame, failure):
+        super().__init__(boxes_by_frame)
+        self.failure = failure
+
+    def class_scores(self, video_id, frame_index, box):
+        if frame_index != 3:
+            return super().class_scores(video_id, frame_index, box)
+        if self.failure == "raise":
+            raise RuntimeError("no scores on this frame")
+        return SCORER_FAILURES[self.failure][0]
+
+
+def failure_error(failure):
+    """The error a ``FlakyScorer`` fails a tracker call with, and its text."""
+    if failure == "raise":
+        return RuntimeError, "no scores on this frame"
+    error = SCORER_FAILURES[failure][1]
+    return error, "synth.num_classes" if error is InputError else "scorer"
 
 
 class TestMatchRatio:
@@ -425,26 +452,12 @@ class TestBuildTubes:
 
     @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
     def test_scorer_failure_keeps_partial_tube(self, failure):
+        # No partial tube is kept: a failure on frame 3 fails the call.
         gt, dets, props = self.make_inputs()
-
-        class FlakyScorer(WorldScorer):
-            def __init__(self, boxes, fail_at):
-                super().__init__(boxes)
-                self.fail_at = fail_at
-
-            def class_scores(self, video_id, frame_index, box):
-                if frame_index != self.fail_at:
-                    return super().class_scores(video_id, frame_index, box)
-                if failure == "raise":
-                    raise ScorerError("no scores on this frame")
-                return SCORER_FAILURES[failure]
-
-        tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
-                            ShiftMatcher(6.0, 0.0), FlakyScorer(gt, 3))
-        # First tube stops before frame 3; the rest reseed.
-        assert tubes[0].interval().end == 3
-        covered = sorted(f for t in tubes for f in t.interval().frames())
-        assert 3 in covered and 4 in covered
+        error, text = failure_error(failure)
+        with pytest.raises(error, match=text):
+            build_tubes("v", dets, props, FrameInterval(0, 5),
+                        ShiftMatcher(6.0, 0.0), FlakyScorer(gt, failure))
 
     def test_scorer_input_error_fails_the_run(self):
         gt, dets, props = self.make_inputs()
@@ -527,25 +540,15 @@ class TestNeighborhoodBaseline:
 
     @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
     def test_scorer_failure_keeps_partial_tube(self, failure):
+        # No partial tube is kept: a failure on frame 3 fails the call.
         gt = single_actor_world(5, shift=(6.0, 0.0))
         dets = {f: [det(f, gt[f], (0.9, 0.0))] for f in range(5)}
         props = {f: [Proposal(f, gt[f])] for f in range(5)}
-
-        class FlakyScorer(WorldScorer):
-            def class_scores(self, video_id, frame_index, box):
-                if frame_index != 3:
-                    return super().class_scores(video_id, frame_index, box)
-                if failure == "raise":
-                    raise RuntimeError("no scores on this frame")
-                return SCORER_FAILURES[failure]
-
-        tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
-                                         FlakyScorer(gt), search_radius=20.0)
-        # The first tube stops before frame 3 and is kept; reseeding
-        # covers the rest.
-        assert tubes[0].interval() == FrameInterval(0, 3)
-        covered = {f for t in tubes for f in t.interval().frames()}
-        assert {3, 4} <= covered
+        error, text = failure_error(failure)
+        with pytest.raises(error, match=text):
+            build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
+                                     FlakyScorer(gt, failure),
+                                     search_radius=20.0)
 
 
 class CountingScorer(WorldScorer):
@@ -610,21 +613,115 @@ class TestScoreMemo:
                 assert scorer.asked[(video_id, frame, box)] == 2 * count
                 assert scorer.asked[("w", frame, box)] == count
 
-    def test_failures_are_asked_again(self):
-        gt, dets, props = self.crowded()
 
-        class FailsOnce(CountingScorer):
-            def class_scores(self, video_id, frame_index, box):
-                answer = super().class_scores(video_id, frame_index, box)
-                if frame_index == 3 and \
-                        self.asked[(video_id, frame_index, box)] == 1:
-                    raise RuntimeError("transient failure")
-                return answer
+# Boxes on a coarse lattice, so equal areas and duplicate boxes are
+# common, and few score values, so equal scores are too.
+LATTICE = [BoundingBox(x, y, x + w, y + h)
+           for x in (0, 4, 8) for y in (0, 4) for w in (4, 8) for h in (4, 8)]
+VALUES = (0.0, 0.5, 1.0)
+STEPS = (-4, 0, 4)
 
-        for track in self.trackers(dets, props, 6):
-            scorer = FailsOnce(gt)
-            tubes = track("v", scorer)
-            failed = [key for key in scorer.asked if key[1] == 3]
-            assert failed
-            assert max(scorer.asked[key] for key in failed) == 2
-            assert sum(len(t.boxes) for t in tubes) > 0
+
+class LatticeScorer:
+    """Two class scores read off a region's frame and integer coordinates."""
+
+    def __init__(self, salt):
+        self.salt = salt
+
+    def class_scores(self, video_id, frame_index, box):
+        x0, y0, x1, y1 = (int(v) for v in box.as_tuple())
+        return (VALUES[(self.salt + x0 + y1 + frame_index) % 3],
+                VALUES[(2 * self.salt + x1 + y0 + 2 * frame_index) % 3])
+
+
+class LatticeMatcher:
+    """A box's corners and center move by one step per frame pair.
+
+    ``steps`` maps a pair's earlier frame to its ``(dx, dy)``; a pair
+    mapped to ``None``, or absent, has no matches.
+    """
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def match(self, video_id, from_frame, to_frame, box):
+        step = self.steps.get(min(from_frame, to_frame))
+        if step is None:
+            return []
+        sign = to_frame - from_frame
+        dx, dy = step[0] * sign, step[1] * sign
+        cx, cy = box.center()
+        points = [(box.x_min, box.y_min), (box.x_max, box.y_min),
+                  (box.x_min, box.y_max), (box.x_max, box.y_max), (cx, cy)]
+        return [(x, y, x + dx, y + dy) for x, y in points]
+
+
+@st.composite
+def growth_cases(draw):
+    """Tie-heavy tracker inputs: equal scores and areas, duplicate
+    detections (equal values, distinct objects) and empty frames."""
+    start = draw(st.integers(0, 2))
+    extent = FrameInterval(start, start + draw(st.integers(1, 6)))
+    dets, props = {}, {}
+    for frame in extent.frames():
+        made = [Detection(frame, box, scores, source) for box, scores, source
+                in draw(st.lists(st.tuples(
+                    st.sampled_from(LATTICE),
+                    st.tuples(st.sampled_from(VALUES),
+                              st.sampled_from(VALUES)),
+                    st.sampled_from([Source.STATIC, Source.FLOW])),
+                    max_size=3))]
+        made += [Detection(frame, d.box, d.class_scores, d.source)
+                 for d in made[:draw(st.integers(0, len(made)))]]
+        if made or draw(st.booleans()):
+            dets[frame] = made
+        boxes = draw(st.lists(st.sampled_from(LATTICE), max_size=4))
+        if draw(st.booleans()):
+            boxes += [d.box for d in made]
+        boxes = draw(st.permutations(boxes))
+        if boxes or draw(st.booleans()):
+            props[frame] = [Proposal(frame, box) for box in boxes]
+    steps = {frame: draw(st.one_of(st.none(), st.tuples(
+                 st.sampled_from(STEPS), st.sampled_from(STEPS))))
+             for frame in range(extent.start, extent.end - 1)}
+    cfg = TrackerConfig(
+        min_match_ratio=draw(st.sampled_from((0.0, 0.4, 0.6, 1.0))),
+        min_prev_overlap=draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        consume_overlap=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        max_predicted_run=draw(st.sampled_from((0, 1, 2, 8))))
+    radius = draw(st.sampled_from((2.0, 4.0, 6.0, 20.0)))
+    return (dets, props, extent, LatticeMatcher(steps),
+            LatticeScorer(draw(st.integers(0, 5))), cfg, radius)
+
+
+def tube_fields(tube):
+    return (tube.tube_id, tube.start,
+            tuple(box.as_tuple() for box in tube.boxes), tube.class_scores,
+            tube.sources, tube.label)
+
+
+class TestGrowthReference:
+    """Both trackers against ``oracles.grow_tubes_reference``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(growth_cases())
+    def test_point_matching_equals_reference(self, case):
+        dets, props, extent, matcher, scorer, cfg, _ = case
+        got = build_tubes("v", dets, props, extent, matcher, scorer, cfg)
+        assert list(map(tube_fields, got)) == grow_tubes_reference(
+            "v", dets, props, extent, scorer,
+            consume_overlap=cfg.consume_overlap,
+            max_predicted_run=cfg.max_predicted_run, matcher=matcher,
+            min_match_ratio=cfg.min_match_ratio,
+            min_prev_overlap=cfg.min_prev_overlap)
+
+    @settings(max_examples=400, deadline=None)
+    @given(growth_cases())
+    def test_center_search_equals_reference(self, case):
+        dets, props, extent, _, scorer, cfg, radius = case
+        got = build_tubes_neighborhood("v", dets, props, extent, scorer, cfg,
+                                       search_radius=radius)
+        assert list(map(tube_fields, got)) == grow_tubes_reference(
+            "v", dets, props, extent, scorer,
+            consume_overlap=cfg.consume_overlap,
+            max_predicted_run=cfg.max_predicted_run, search_radius=radius)
