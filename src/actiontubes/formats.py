@@ -39,6 +39,7 @@ import shutil
 import struct
 import sys
 import threading
+import zlib
 from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -1009,15 +1010,25 @@ _DTYPE_NAMES = {"<f8": "float64", "<i8": "int64", "|u1": "uint8",
 # dtype as int64, and unsigned bytes as bytes
 _CODE_FOR_KIND = {"f": 0, "i": 1, "u": 2}
 _F4 = 3
+# each stored dtype's standard-library ``array`` typecode
+_TYPECODES = {"<f8": "d", "<i8": "q", "|u1": "B", "<f4": "f"}
+# the dtype-code bit of a record whose data is one zlib stream
+_DEFLATED = 0x80
+# deflate expands a stream by at most 1032:1 (a 258-byte match in two
+# bits), so a record whose shape needs more is damaged
+_MAX_EXPANSION = 1032
 
 
-def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]], *,
+                 deflate: bool = False) -> None:
     """``(name, array)`` pairs to the binary container, one at a time.
 
     Names must come in strictly ascending order; a mapping's caller
     passes ``sorted(mapping.items())``.  Each array is written as it
     arrives and the array count is patched into the header at the end,
-    so a generator of pairs is never held in memory as a whole.
+    so a generator of pairs is never held in memory as a whole.  With
+    ``deflate`` every record holds its data as one zlib stream (level
+    1) behind its stored byte count.
     """
     import numpy as np
     with atomic_open(path, "wb") as fh:
@@ -1041,9 +1052,14 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<BB", code, arr.ndim))
+            fh.write(struct.pack("<BB", code | _DEFLATED if deflate else code,
+                                 arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.data)
+            data = arr.data
+            if deflate:
+                data = zlib.compress(data, 1)
+                fh.write(struct.pack("<Q", len(data)))
+            fh.write(data)
             count += 1
         fh.seek(len(BINARY_MAGIC) + 2)
         fh.write(struct.pack("<I", count))
@@ -1051,13 +1067,16 @@ def write_arrays(path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
 
 class _Entry(NamedTuple):
     """Where one array of a container is: its record starts at byte
-    ``start`` and its data at ``offset``."""
+    ``start`` and its ``stored`` data bytes at ``offset``, raw or, if
+    ``deflated``, as one zlib stream."""
 
     name: str
     dtype: str
     shape: tuple[int, ...]
     offset: int
     start: int
+    stored: int
+    deflated: bool
 
 
 def _walk(path, fh, start: int | None = None,
@@ -1068,9 +1087,10 @@ def _walk(path, fh, start: int | None = None,
 
     One pass over the open container ``fh`` makes every structural check
     where it finds the damage and skips each array's data.  A bad length
-    is caught against the file size, so no buffer is ever sized by it.
-    Only a walk of the whole container checks the header and trailing
-    bytes.
+    is caught against the file size, and a deflated record's shape
+    against what its stored bytes can inflate to, so no buffer is ever
+    sized by it.  Only a walk of the whole container checks the header
+    and trailing bytes.
     """
     size = os.fstat(fh.fileno()).st_size
     offset = start or 0
@@ -1111,18 +1131,28 @@ def _walk(path, fh, start: int | None = None,
                 f"must be strictly ascending", path=str(path))
         previous = name
         code, ndim = struct.unpack("<BB", take(2))
-        if code not in _DTYPE_CODES:
+        dtype = _DTYPE_CODES.get(code & ~_DEFLATED)
+        if dtype is None:
             raise SchemaError(f"array {name!r} has unknown dtype code "
                               f"{code}", path=str(path))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        dtype = _DTYPE_CODES[code]
         # the item size is the code's digits: "<f8" -> 8 bytes
-        nbytes = math.prod(shape) * int(dtype[2:])
-        if offset + nbytes > size:
-            raise SchemaError(f"truncated container at byte {offset}",
-                              path=str(path))
-        yield _Entry(name, dtype, shape, offset, record)
-        offset += nbytes
+        stored = nbytes = math.prod(shape) * int(dtype[2:])
+        deflated = bool(code & _DEFLATED)
+        if deflated:
+            stored, = struct.unpack("<Q", take(8))
+            if nbytes > _MAX_EXPANSION * stored:
+                raise SchemaError(
+                    f"deflated array {name!r} of shape {shape} needs "
+                    f"{nbytes} bytes, more than its {stored} stored bytes "
+                    f"can inflate to", path=str(path))
+        if offset + stored > size:
+            raise SchemaError(
+                f"truncated container at byte {offset}: array {name!r} "
+                f"needs {stored} bytes, {size - offset} remain",
+                path=str(path))
+        yield _Entry(name, dtype, shape, offset, record, stored, deflated)
+        offset += stored
         fh.seek(offset)
     if start is None and offset != size:
         raise SchemaError(
@@ -1190,17 +1220,46 @@ def _check_dtype(path, name: str, dtype: str, *dtypes: str) -> None:
                           f"{' or '.join(dtypes)}", path=str(path))
 
 
-def _read_array(path, fh, entry: _Entry) -> array:
-    """A float64 or float32 array's values as one ``array("d")`` or
-    ``array("f")``, in row-major order, read from the open container
-    ``fh`` without numpy."""
-    values = array("f" if entry.dtype == "<f4" else "d")
-    fh.seek(entry.offset)
+def _inflate(path, name: str, data: bytes, want: int) -> bytes:
+    """The ``want`` bytes that array ``name``'s zlib stream ``data``
+    inflates to; a stream that is damaged, inflates to any other size,
+    does not end or has bytes after its end is a ``SchemaError``."""
+    stream = zlib.decompressobj()
     try:
-        values.fromfile(fh, math.prod(entry.shape))
-    except EOFError:
-        raise SchemaError(f"truncated container at byte {entry.offset}",
-                          path=str(path)) from None
+        raw = stream.decompress(data, want)
+    except zlib.error as exc:
+        problem = f"is damaged ({exc})"
+    else:
+        if len(raw) < want:
+            problem = f"inflates to {len(raw)} bytes, its shape needs {want}"
+        elif stream.unconsumed_tail:
+            problem = f"inflates to more than the {want} bytes its shape needs"
+        elif not stream.eof:
+            problem = "is cut before the end of its zlib stream"
+        elif stream.unused_data:
+            problem = (f"has {len(stream.unused_data)} bytes after the end "
+                       f"of its zlib stream")
+        else:
+            return raw
+    raise SchemaError(f"deflated array {name!r} {problem}", path=str(path))
+
+
+def _read_array(path, fh, entry: _Entry) -> array:
+    """An array's values as one standard-library ``array`` of its dtype
+    (``array("d")`` for float64 …), in row-major order, read from the
+    open container ``fh`` without numpy, raw or inflated as stored."""
+    values = array(_TYPECODES[entry.dtype])
+    count = math.prod(entry.shape)
+    fh.seek(entry.offset)
+    if entry.deflated:
+        values.frombytes(_inflate(path, entry.name, fh.read(entry.stored),
+                                  count * values.itemsize))
+    else:
+        try:
+            values.fromfile(fh, count)
+        except EOFError:
+            raise SchemaError(f"truncated container at byte {entry.offset}",
+                              path=str(path)) from None
     if sys.byteorder == "big":
         values.byteswap()
     return values
@@ -1237,9 +1296,7 @@ def read_weights(path):
         arrays = {name: _nest(_read_floats(path, fh, entries[name]),
                               entries[name].shape)
                   for name in sorted(required - {"activation"})}
-        text = entries["activation"]
-        fh.seek(text.offset)
-        raw = fh.read(math.prod(text.shape))
+        raw = _read_array(path, fh, entries["activation"]).tobytes()
     try:
         activation = raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -1283,10 +1340,10 @@ def write_matches(
     ``rows`` are the (N, 4) matches from ``frame`` to ``frame + 1``,
     columns ``from_x from_y to_x to_y``; each is written as one array
     named by its earlier frame, rows sorted lexicographically, frames
-    ascending.  Videos must come in array-name order, the order of
-    ``<video_id>/``: ascending ids, unless one id extends another by
-    ``-`` or ``.``.  A video out of order is an ``InputError``.  One
-    video's arrays are held at a time.
+    ascending, and deflated.  Videos must come in array-name order, the
+    order of ``<video_id>/``: ascending ids, unless one id extends
+    another by ``-`` or ``.``.  A video out of order is an
+    ``InputError``.  One video's arrays are held at a time.
     """
     import numpy as np
 
@@ -1313,7 +1370,7 @@ def write_matches(
                 named[f"{video_id}/{frame:08d}"] = \
                     rows[np.lexsort(rows.T[::-1])]
             yield from sorted(named.items())
-    write_arrays(path, arrays())
+    write_arrays(path, arrays(), deflate=True)
 
 
 def read_matches(path, entries: Iterable[_Entry]

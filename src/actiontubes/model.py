@@ -318,8 +318,12 @@ class Tube(_FrameRun):
                 f"tube has {n} boxes, {len(self.class_scores)} score vectors "
                 f"and {len(self.sources)} sources, expected one per frame")
         scores = tuple(map(_validated_scores, self.class_scores))
-        if len(set(map(len, scores))) != 1:
-            raise InputError("tube class score vectors differ in class count")
+        counts = sorted(set(map(len, scores)))
+        if len(counts) != 1:
+            raise InputError(
+                f"tube class score vectors differ in class count: tube "
+                f"{self.tube_id!r} of video {self.video_id!r} has vectors "
+                f"of {' and '.join(map(str, counts))} classes")
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "class_scores", scores)
         object.__setattr__(self, "sources", tuple(self.sources))

@@ -16,7 +16,14 @@ is missing or is new is printed, and the exit code is 1 if any did.
 With ``--record`` the digests are written there instead.  ``--only``
 limits the run to the named scenarios; with ``--record`` their digests
 replace those of the same scenarios and every other digest is kept.
-An unknown name exits 2 with the list of known ones.  A noisy-6
+An unknown name exits 2 with the list of known ones.
+
+``matches.atb`` holds deflated records, so its bytes follow the zlib
+build that deflated them, while the values they inflate to do not.
+Recording a scenario's ``matches.atb`` also records the host's
+``zlib.ZLIB_RUNTIME_VERSION`` under the key ``zlib``, and a differing
+``matches.atb`` is printed with the host's version and the recorded
+one, so a zlib difference reads as one.  A noisy-6
 scenario needs about 200 MB of temporary space.  Not a pytest module:
 the 13 scenarios take about a minute.
 """
@@ -29,11 +36,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.json"
 DIGESTS = Path(__file__).resolve().parent / "scenario_digests.json"
+# the file whose bytes follow the zlib build, and the key of the zlib
+# version each scenario's digests were recorded with
+DEFLATED = "matches.atb"
+ZLIB = "zlib"
 
 
 def scenarios() -> dict[str, list[str]]:
@@ -82,8 +94,15 @@ def main(argv: list[str]) -> int:
     found = {name: digest_scenario(every[name]) for name in names}
     expected = json.loads(DIGESTS.read_text(encoding="utf-8")) \
         if DIGESTS.exists() else {}
+    versions = expected.get(ZLIB, {})
     if options.record:
-        DIGESTS.write_text(json.dumps({**expected, **found}, indent=1,
+        recorded = {**expected, **found}
+        versions = {**versions, **{name: zlib.ZLIB_RUNTIME_VERSION
+                                   for name, files in found.items()
+                                   if DEFLATED in files}}
+        if versions:
+            recorded[ZLIB] = versions
+        DIGESTS.write_text(json.dumps(recorded, indent=1,
                                       sort_keys=True) + "\n",
                            encoding="utf-8")
         print(f"recorded {sum(map(len, found.values()))} files of "
@@ -96,6 +115,10 @@ def main(argv: list[str]) -> int:
             if want.get(file) != got.get(file):
                 state = ("missing" if file not in got
                          else "new" if file not in want else "differs")
+                if file == DEFLATED and state == "differs":
+                    state += (f" (zlib {zlib.ZLIB_RUNTIME_VERSION} here, "
+                              f"{versions.get(name, 'unknown')} "
+                              f"recorded)")
                 print(f"{name} {file}: {state}")
                 differ += 1
     checked = sum(map(len, found.values()))

@@ -135,6 +135,26 @@ class TestExitCodes:
         assert f"synth.num_classes is {num_classes}" in err
         assert not (tmp_path / FILE_TRACKED).exists()
 
+    def test_more_classes_than_the_detections_name_the_tube(
+            self, tmp_path, capsys):
+        # missed detections leave frames the scorer fills in with its
+        # 4-class vectors beside the detections' 3-class ones
+        three = ("--stage-override", "synth.video_count=3",
+                 "--stage-override", "synth.frames_per_video=20",
+                 "--stage-override", "synth.num_classes=3",
+                 "--stage-override", "synth.miss_rate=0.3",
+                 "--stage-override", "synth.with_footprint=false")
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", tmp_path, *three) == 0
+        capsys.readouterr()
+        assert run_cli("track", "--out", tmp_path, *three,
+                       "--stage-override", "synth.num_classes=4") == 3
+        err = capsys.readouterr().err
+        assert "tube class score vectors differ in class count" in err
+        assert "tube 't000' of video 'v000'" in err
+        assert "vectors of 3 and 4 classes" in err
+        assert not (tmp_path / FILE_TRACKED).exists()
+
     def test_malformed_input_returns_three_with_position(
             self, tmp_path, capsys):
         assert run_cli("synth", "--out", tmp_path, *FAST) == 0

@@ -1,8 +1,10 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import json
 import re
 import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,21 +50,25 @@ def read_records(path, kind):
 
 def iter_arrays(path):
     """``(name, array)`` pairs of a container, in file order, each read
-    into its own read-only numpy buffer as it is reached.
+    into its own read-only numpy buffer as it is reached; a deflated
+    record is inflated as the stages' readers inflate it.
 
     Damage is reported where the walk finds it: only a consumer that
     exhausts the iterator has seen every check, trailing bytes included.
     """
     with formats._open_bytes(path) as fh:
         for entry in formats._walk(path, fh):
-            arr = np.empty(entry.shape, entry.dtype)
+            dtype = np.dtype(entry.dtype)
+            want = dtype.itemsize * int(np.prod(entry.shape))
             fh.seek(entry.offset)
-            if fh.readinto(arr) != arr.nbytes:
+            data = fh.read(entry.stored)
+            if entry.deflated:
+                data = formats._inflate(path, entry.name, data, want)
+            if len(data) != want:
                 raise SchemaError(
                     f"truncated container at byte {entry.offset}",
                     path=str(path))
-            arr.flags.writeable = False
-            yield entry.name, arr
+            yield entry.name, np.frombuffer(data, dtype).reshape(entry.shape)
 
 
 def read_arrays(path):
@@ -344,6 +350,134 @@ class TestMatchesRoundTrip:
             assert word in str(info.value)
 
 
+def deflated_container(path, name, shape, stream, stored=None):
+    """A container of one float64 array ``name`` of ``shape`` whose
+    record is flagged deflated and holds ``stream`` behind the stored
+    byte count ``stored`` (the stream's length by default)."""
+    encoded = name.encode("utf-8")
+    path.write_bytes(
+        formats.BINARY_MAGIC + struct.pack("<HI", formats.FORMAT_VERSION, 1)
+        + struct.pack("<H", len(encoded)) + encoded
+        + struct.pack("<BB", 0x80, len(shape))
+        + struct.pack(f"<{len(shape)}Q", *shape)
+        + struct.pack("<Q", len(stream) if stored is None else stored)
+        + stream)
+
+
+# a (3, 4) float64 payload that is both valid match rows and valid alphas
+DEFLATED_VALUES = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+
+
+def _deflated_damage(raw):
+    """``{case: (stream, stored, shape, message needle)}`` of deflated
+    records of the (3, 4) float64 ``raw`` bytes that a reader rejects."""
+    stream = zlib.compress(raw, 1)
+    # level 0 stores the bytes, so a flipped data byte still inflates and
+    # only the adler-32 checksum catches it
+    flipped = bytearray(zlib.compress(raw, 0))
+    flipped[len(flipped) // 2] ^= 0x01
+    return {
+        "flipped-byte": (bytes(flipped), None, (3, 4), "incorrect data check"),
+        "item-short": (zlib.compress(raw[:-8], 1), None, (3, 4),
+                       "inflates to 88 bytes, its shape needs 96"),
+        "item-past": (zlib.compress(raw + raw[-8:], 1), None, (3, 4),
+                      "more than the 96 bytes"),
+        "cut-before-end": (stream[:-4], None, (3, 4), "is cut before the end"),
+        "bytes-after-end": (stream + b"\x00\x01", None, (3, 4),
+                            "2 bytes after the end"),
+        "stored-past-eof": (stream, len(stream) + 1, (3, 4),
+                            "truncated container"),
+        "shape-too-large": (stream, None,
+                            (1032 * len(stream) // 32 + 1, 4),
+                            "more than its"),
+    }
+
+
+DEFLATED_DAMAGE = _deflated_damage(DEFLATED_VALUES.tobytes())
+
+
+def _read_deflated(reader, path):
+    """The values of the container ``path`` read as ``track`` reads
+    ``matches.atb`` or as ``prune`` reads ``alphas.atb``."""
+    if reader == "matches":
+        return formats.VideoArrays(path, "matches").read("v0")
+    return formats.read_alphas(path)
+
+
+class TestDeflatedRecords:
+    NAMES = {"matches": "v0/00000000", "alphas": "alphas"}
+
+    @pytest.mark.parametrize("reader", ["matches", "alphas"])
+    def test_deflated_record_reads_like_raw(self, tmp_path, reader):
+        """A raw record reads bit for bit as before, and the same values
+        deflated read the same."""
+        name = self.NAMES[reader]
+        raw, deflated = tmp_path / "raw.atb", tmp_path / "deflated.atb"
+        formats.write_arrays(raw, [(name, DEFLATED_VALUES)])
+        # the dtype code byte follows the header and the name: no flag
+        assert raw.read_bytes()[12 + len(name)] == 0
+        values = _read_deflated(reader, raw)
+        rows = values[0] if reader == "matches" else values
+        assert struct.pack("<12d", *(v for row in rows for v in row)) == \
+            DEFLATED_VALUES.tobytes()
+        deflated_container(deflated, name, (3, 4),
+                           zlib.compress(DEFLATED_VALUES.tobytes(), 1))
+        assert _read_deflated(reader, deflated) == values
+
+    @pytest.mark.parametrize("reader", ["matches", "alphas"])
+    @pytest.mark.parametrize("case", sorted(DEFLATED_DAMAGE))
+    def test_damage_rejected_naming_array_and_path(self, tmp_path,
+                                                   monkeypatch, reader,
+                                                   case):
+        name = self.NAMES[reader]
+        stream, stored, shape, needle = DEFLATED_DAMAGE[case]
+        path = tmp_path / "d.atb"
+        deflated_container(path, name, shape, stream, stored)
+        if case == "shape-too-large":
+            def inflate(*args):
+                raise AssertionError("inflated a record it should reject")
+            monkeypatch.setattr(formats, "_inflate", inflate)
+        with pytest.raises(SchemaError) as info:
+            _read_deflated(reader, path)
+        message = str(info.value)
+        assert needle in message
+        assert repr(name) in message
+        assert info.value.path == str(path)
+
+    def test_largest_expansion_deflate_makes_is_accepted(self, tmp_path):
+        """Zeros at level 9 come near deflate's 1032:1 bound, and read."""
+        path = tmp_path / "d.atb"
+        zeros = bytes(1 << 22)
+        stream = zlib.compress(zeros, 9)
+        assert len(zeros) > 1000 * len(stream)
+        deflated_container(path, "v0/00000000", (len(zeros) // 32, 4), stream)
+        (name, arr), = iter_arrays(path)
+        assert arr.tobytes() == zeros
+
+
+def test_digests_record_and_report_the_zlib_build(tmp_path, monkeypatch,
+                                                  capsys):
+    """Recording a ``matches.atb`` digest records the host's zlib, and a
+    differing one is reported with the host's and the recorded zlib."""
+    import scenario_digests
+    digests = tmp_path / "digests.json"
+    monkeypatch.setattr(scenario_digests, "DIGESTS", digests)
+    monkeypatch.setattr(scenario_digests, "scenarios",
+                        lambda: {"a:0": ["a"], "b:0": ["b"]})
+    monkeypatch.setattr(scenario_digests, "digest_scenario",
+                        lambda args: {"matches.atb": args[0], "f": "x"})
+    assert scenario_digests.main(["--record"]) == 0
+    here = zlib.ZLIB_RUNTIME_VERSION
+    assert json.loads(digests.read_text())["zlib"] == \
+        {"a:0": here, "b:0": here}
+    monkeypatch.setattr(scenario_digests, "digest_scenario",
+                        lambda args: {"matches.atb": "other", "f": "x"})
+    capsys.readouterr()
+    assert scenario_digests.main(["--only", "a:0"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"a:0 matches.atb: differs (zlib {here} here, {here} recorded)"
+
+
 class TestTubesRoundTrip:
     def _tubes(self, bundle):
         tubes = []
@@ -550,7 +684,8 @@ TUBE_CORRUPTIONS = {
                               "not an integer: '4_0'", 3, "label"),
     "unequal_class_counts": ({(1, "scores"): "0.3,0.6,0.1"},
                              "tube class score vectors differ in class "
-                             "count", 3, "scores"),
+                             "count: tube 't0' of video 'v0' has vectors "
+                             "of 2 and 3 classes", 3, "scores"),
     "conflicting_label": ({(2, "label"): "0"},
                           "tube 't0' carries conflicting label or score",
                           5, "label"),

@@ -682,6 +682,33 @@ class TestFlowGrids:
             [(f"v00{i}", f) for i in range(2) for f in range(6)]
 
 
+class TestMatchesFile:
+    def test_records_are_deflated_and_inflate_to_the_matches(self,
+                                                             tmp_path):
+        config = PipelineConfig({"synth.video_count": 2,
+                                 "synth.frames_per_video": 8,
+                                 "synth.with_footprint": False})
+        run_synth(tmp_path, config)
+        path = tmp_path / FILE_MATCHES
+        with formats._open_bytes(path) as fh:
+            entries = list(formats._walk(path, fh))
+        assert entries and all(entry.deflated for entry in entries)
+        bundle = generate(scenario_config(config))
+        want = {}
+        for index in range(2):
+            for frame, rows in bundle.matches(index).items():
+                rows = np.asarray(rows, dtype=np.float64)
+                want[f"{video_id(index)}/{frame:08d}"] = \
+                    rows[np.lexsort(rows.T[::-1])]
+        arrays = dict(iter_arrays(path))
+        assert sorted(arrays) == sorted(want)
+        for name, rows in want.items():
+            assert arrays[name].dtype == np.float64
+            assert arrays[name].tobytes() == rows.tobytes(), name
+        raw = sum(rows.nbytes for rows in want.values())
+        assert sum(entry.stored for entry in entries) < raw / 2
+
+
 class TestFootprintStats:
     def test_alphas_cover_all_classes(self):
         config = small_config(with_footprint=True)
