@@ -1226,14 +1226,16 @@ def _inflate(path, name: str, data: bytes, want: int) -> bytes:
     does not end or has bytes after its end is a ``SchemaError``."""
     stream = zlib.decompressobj()
     try:
-        raw = stream.decompress(data, want)
+        # one byte past the shape shows a stream that inflates to more;
+        # a limit of ``want`` alone is no limit for an empty shape
+        raw = stream.decompress(data, want + 1)
     except zlib.error as exc:
         problem = f"is damaged ({exc})"
     else:
-        if len(raw) < want:
-            problem = f"inflates to {len(raw)} bytes, its shape needs {want}"
-        elif stream.unconsumed_tail:
+        if len(raw) > want:
             problem = f"inflates to more than the {want} bytes its shape needs"
+        elif len(raw) < want:
+            problem = f"inflates to {len(raw)} bytes, its shape needs {want}"
         elif not stream.eof:
             problem = "is cut before the end of its zlib stream"
         elif stream.unused_data:

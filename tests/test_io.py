@@ -387,6 +387,9 @@ def _deflated_damage(raw):
                             "2 bytes after the end"),
         "stored-past-eof": (stream, len(stream) + 1, (3, 4),
                             "truncated container"),
+        # a shape of no items bounds nothing unless the reader asks for
+        # a byte past it
+        "zero-items-past": (stream, None, (0, 4), "more than the 0 bytes"),
         "shape-too-large": (stream, None,
                             (1032 * len(stream) // 32 + 1, 4),
                             "more than its"),
