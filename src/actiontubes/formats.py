@@ -76,7 +76,7 @@ SCHEMAS = {
     "detections": RecordSchema("detections", (
         "video_id", "frame", "x0", "y0", "x1", "y1", "source", "scores")),
     "proposals": RecordSchema("proposals", (
-        "video_id", "frame", "x0", "y0", "x1", "y1", "objectness")),
+        "video_id", "frame", "x0", "y0", "x1", "y1", "scores")),
     "tubes": RecordSchema("tubes", (
         "video_id", "tube_id", "frame", "x0", "y0", "x1", "y1", "source",
         "scores", "label", "score")),
@@ -624,14 +624,14 @@ def _proposal_text(path, video_id: str,
                 raise InputError(
                     f"proposal at frame {prop.frame_index} of "
                     f"{video_id!r} filed under frame {frame}")
-            rows.append((frame, prop.objectness, prop.box.as_tuple()))
+            rows.append((frame, prop.box.as_tuple(), prop.class_scores))
     rows.sort()
     if rows:
         _check_first_frame("proposals", video_id, rows[0][0])
     return "".join([
         f"{video_id}\t{frame}\t{float(x0)!r}\t{float(y0)!r}"
-        f"\t{float(x1)!r}\t{float(y1)!r}\t{float(obj)!r}\n"
-        for frame, obj, (x0, y0, x1, y1) in rows])
+        f"\t{float(x1)!r}\t{float(y1)!r}\t{','.join(map(repr, scores))}\n"
+        for frame, (x0, y0, x1, y1), scores in rows])
 
 
 def read_proposals(path, ranges=None
@@ -646,7 +646,7 @@ def _proposals_of(columns: dict
     out = {}
     for video_id, props in _by_video(columns["video_ids"], map(
             Proposal, columns["frames"], columns["boxes"],
-            columns["objectness"])).items():
+            columns["scores"])).items():
         frames: dict[int, list[Proposal]] = {}
         for prop in props:
             frames.setdefault(prop.frame_index, []).append(prop)
@@ -958,7 +958,7 @@ _KINDS = {
         ("video_ids", ("video_id",), _id_column),
         ("frames", ("frame",), partial(_by_set, _frame)),
         ("boxes", ("x0", "y0", "x1", "y1"), _box_column),
-        ("objectness", ("objectness",), _float_column),
+        ("scores", ("scores",), _score_column),
     ), _proposals_of, _locate_rows, _proposal_text,
         "read_proposals", "write_proposals", dict),
     "tubes": _Kind((

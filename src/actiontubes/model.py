@@ -202,14 +202,19 @@ class Detection:
 
 @dataclass(frozen=True)
 class Proposal:
-    """Unscored candidate region from the proposal stage."""
+    """Candidate region from the proposal stage, scored for every class.
+
+    ``class_scores`` holds one real score per action class; a tracker
+    continues a tube with the candidate scoring highest for its class.
+    """
 
     frame_index: int
     box: BoundingBox
-    objectness: float = 0.0
+    class_scores: tuple[float, ...]
 
     def __post_init__(self):
-        _require_finite("objectness", self.objectness)
+        object.__setattr__(self, "class_scores",
+                           _validated_scores(self.class_scores))
 
 
 @dataclass(frozen=True)

@@ -223,19 +223,21 @@ def run_fuse(directory: Path, config: PipelineConfig) -> dict:
 
 
 def run_track(directory: Path, config: PipelineConfig) -> dict:
-    """Grow tubes from the fused detections, one pass per video."""
-    from .scenario import SyntheticRegionScorer
+    """Grow tubes from the fused detections, one pass per video.
+
+    Each proposal carries its class scores, so no ground truth is read;
+    a video whose detections and proposals carry different class counts
+    is rejected, naming both files.
+    """
     from .tracker import (PrecomputedMatcher, build_tubes,
-                          build_tubes_neighborhood)
+                          build_tubes_neighborhood, check_class_counts)
     detections = formats.VideoRecords(
         _require(directory, FILE_FUSED, "fuse"), "detections")
     salient_path = directory / FILE_SALIENT
     proposals = formats.VideoRecords(
         salient_path if salient_path.exists()
         else _require(directory, FILE_PROPOSALS, "synth"), "proposals")
-    truth = formats.VideoRecords(_require(directory, FILE_GT, "synth"),
-                                 "gttubes")
-    scenario = scenario_config(config)
+    names = (detections.path.name, proposals.path.name)
     tcfg = tracker_config(config)
     baseline = config["track.baseline"]
     matches = None if baseline else formats.VideoArrays(
@@ -244,24 +246,23 @@ def run_track(directory: Path, config: PipelineConfig) -> dict:
     def track_one(video_id):
         # read first, so a video without detections has its matches checked
         pairs = matches.read(video_id) if matches else None
-        ground_truth = truth.read(video_id)
         props = proposals.read(video_id)
         by_frame = _group_by_frame(detections.read(video_id))
+        check_class_counts(video_id, by_frame, props, names)
         if not by_frame:
             return []
-        scorer = SyntheticRegionScorer(scenario, {video_id: ground_truth})
         frames = set(by_frame) | set(props)
         extent = FrameInterval(min(frames), max(frames) + 1)
         if baseline:
             return build_tubes_neighborhood(
-                video_id, by_frame, props, extent, scorer, tcfg,
+                video_id, by_frame, props, extent, tcfg,
                 search_radius=config["track.search_radius"])
         return build_tubes(video_id, by_frame, props, extent,
-                           PrecomputedMatcher(pairs), scorer, tcfg)
+                           PrecomputedMatcher(pairs), tcfg)
 
     count = 0
     with formats.record_writer(directory / FILE_TRACKED, "tubes") as write:
-        for video_id in _video_ids(detections, proposals, truth, matches):
+        for video_id in _video_ids(detections, proposals, matches):
             tubes = track_one(video_id)
             write(video_id, tubes)
             count += len(tubes)

@@ -1,12 +1,13 @@
 """The synthetic scenario's configuration and its simulated models.
 
 ``ScenarioConfig`` describes a scenario; ``synth`` generates it.  The
-simulated models stand in for trained ones in the later stages:
-``SyntheticRegionScorer`` scores regions for the trackers and
+simulated model stands in for trained ones in the later stages:
 ``SyntheticFeaturizer`` makes clip features for the recurrent scorer
 and feature grids for the footprint map, both from the ground truth.
-Nothing here loads numpy until a grid or a random draw is made, so the
-stages that only score regions or make clip features run without it.
+Regions are scored for the trackers by ``synth``, which writes each
+proposal's class vector.  Nothing here loads numpy until a grid or a
+random draw is made, so a stage that only makes clip features runs
+without it.
 Random draws come from per-(seed, stream, key) generators, so every
 value is a pure function of its key.
 """
@@ -22,8 +23,7 @@ from typing import TYPE_CHECKING, TypeVar
 from .config import MOTIONS
 from .errors import ConfigError, InputError
 from .geometry import hulls_meet, iou
-from .model import (BoundingBox, FrameInterval, GroundTruthTube, Tube,
-                    pairwise_sum)
+from .model import FrameInterval, GroundTruthTube, Tube, pairwise_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,41 +197,6 @@ def home_region(config: ScenarioConfig,
     inset_x, inset_y = cell_w * 0.08, cell_h * 0.08
     return (col * cell_w + inset_x, row * cell_h + inset_y,
             (col + 1) * cell_w - inset_x, (row + 1) * cell_h - inset_y)
-
-
-class SyntheticRegionScorer:
-    """Per-class score of a region: its best IOU with that class's truth.
-
-    The truth present on each frame is indexed once per video, as
-    ``frame -> [(label, box)]`` in ground-truth order.  A video with no
-    ground truth is rejected, not scored as background, and so is a
-    truth tube of a class outside ``config.num_classes``.
-    """
-
-    def __init__(self, config: ScenarioConfig,
-                 gt_by_video: Mapping[str, Sequence[GroundTruthTube]]):
-        self._num_classes = config.num_classes
-        self._by_frame: dict[str, dict[int, list]] = {}
-        for video_id, tubes in gt_by_video.items():
-            index = self._by_frame[video_id] = {}
-            for gt in tubes:
-                if gt.label >= self._num_classes:
-                    raise InputError(
-                        f"truth tube {gt.tube_id} of video {video_id!r} has "
-                        f"class {gt.label}, but synth.num_classes is "
-                        f"{self._num_classes}")
-                for frame, box in gt.iter_frames():
-                    index.setdefault(frame, []).append((gt.label, box))
-
-    def class_scores(self, video_id: str, frame_index: int,
-                     box: BoundingBox) -> tuple[float, ...]:
-        scores = [0.0] * self._num_classes
-        for label, gt_box in _of_video(self._by_frame, video_id).get(
-                frame_index, ()):
-            ov = iou(box, gt_box)
-            if ov > scores[label]:
-                scores[label] = ov
-        return tuple(scores)
 
 
 class SyntheticFeaturizer:

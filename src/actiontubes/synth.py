@@ -3,13 +3,14 @@
 Actors are axis-aligned squares moving inside class-specific home
 regions of the frame.  From their ground-truth paths the generator
 derives everything a detector stack would normally produce: per-stream
-noisy detections, region proposals, dense point matches, flow magnitude
-grids, scorer weights and the footprint statistics.  Every artifact is a
+noisy detections, region proposals scored for every class, dense point
+matches, flow magnitude grids, scorer weights and the footprint
+statistics.  Every artifact is a
 pure function of (seed, stream, video) so bundles reproduce bit for bit
 and videos can be generated in any order.  The scenario's configuration
-and the simulated models the later stages query (clip features, region
-scores) live in ``scenario``, which loads no numpy; they are imported
-here too, so they can be taken from either module.
+and the simulated model the later stages query (clip features) live in
+``scenario``, which loads no numpy; they are imported here too, so they
+can be taken from either module.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .model import (BoundingBox, Detection, FlowMagnitudeGrid,
                     GroundTruthTube, Proposal, Source, Tube)
 from .scenario import (_ACTOR, _CLIP, _DRIFT, _EARLY, _FLOW_DET, _FLOW_GRID,
                        _GMM, _MATCH, _PROPOSAL, _STATIC, ScenarioConfig,
-                       SyntheticFeaturizer, SyntheticRegionScorer, _of_video,
-                       _rng, home_region, video_index)
+                       SyntheticFeaturizer, _of_video, _rng, home_region,
+                       video_index)
 from .scoring import RecurrentScorerWeights, slice_clips
 from .tracker import query_matches
 
@@ -233,36 +234,60 @@ def _stream_detections(config: ScenarioConfig, video_index: int,
     return tuple(out)
 
 
+def _region_scores(num_classes: int,
+                   truth: Sequence[tuple[int, BoundingBox]],
+                   box: BoundingBox) -> tuple[float, ...]:
+    """Per class, the best ``iou`` of ``box`` with that class's boxes of
+    the ``(label, box)`` pairs ``truth``; 0.0 for a class with none.
+
+    A truth box that ``box`` does not overlap with positive area has an
+    ``iou`` of 0.0, which raises no score, so it is passed over.
+    """
+    scores = [0.0] * num_classes
+    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+    for label, gt_box in truth:
+        if (gt_box.x_min < x1 and x0 < gt_box.x_max
+                and gt_box.y_min < y1 and y0 < gt_box.y_max):
+            ov = iou(box, gt_box)
+            if ov > scores[label]:
+                scores[label] = ov
+    return tuple(scores)
+
+
 def _video_proposals(config: ScenarioConfig, video_index: int,
                      gt_tubes: Sequence[GroundTruthTube]
                      ) -> dict[int, tuple[Proposal, ...]]:
+    """Each frame's proposals, each scored for every class by its best
+    overlap with that class's truth on the frame."""
     rng = _rng(config.seed, _PROPOSAL, video_index)
     w, h = config.frame_size
     out: dict[int, tuple[Proposal, ...]] = {}
     for frame in range(config.frames_per_video):
-        props: list[Proposal] = []
-        for gt in gt_tubes:
-            if frame not in gt.interval():
-                continue
-            gt_box = gt.box_at(frame)
+        truth = [(gt.label, gt.box_at(frame)) for gt in gt_tubes
+                 if frame in gt.interval()]
+        boxes: list[BoundingBox] = []
+        # each box is followed by the draw that once set its objectness,
+        # so every later box keeps its value
+        for _, gt_box in truth:
             if rng.uniform() < config.proposal_recall:
-                props.append(Proposal(frame, gt_box,
-                                      0.85 + 0.1 * rng.uniform()))
+                boxes.append(gt_box)
+                rng.uniform()
             # Near misses are unconditional so a recall gap on the exact
             # box never leaves the actor without any usable proposal.
             for _ in range(config.near_miss_count):
-                box = _jitter_box(gt_box, _NEAR_MISS_SIGMA, rng,
-                                  config.frame_size)
-                props.append(Proposal(frame, box,
-                                      0.55 + 0.15 * rng.uniform()))
+                boxes.append(_jitter_box(gt_box, _NEAR_MISS_SIGMA, rng,
+                                         config.frame_size))
+                rng.uniform()
         for _ in range(config.distractor_count):
             side = rng.uniform(20.0, min(60.0, w / 2.0, h / 2.0))
             x0 = rng.uniform(0.0, w - side)
             y0 = rng.uniform(0.0, h - side)
-            props.append(Proposal(frame,
-                                  BoundingBox(x0, y0, x0 + side, y0 + side),
-                                  0.1 + 0.15 * rng.uniform()))
-        out[frame] = tuple(props)
+            boxes.append(BoundingBox(x0, y0, x0 + side, y0 + side))
+            rng.uniform()
+        out[frame] = tuple(
+            Proposal(frame, box,
+                     _region_scores(config.num_classes, truth, box))
+            for box in boxes)
     return out
 
 

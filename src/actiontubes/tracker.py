@@ -3,10 +3,12 @@
 A tube starts from the highest scoring untracked detection and grows
 frame by frame in both directions.  Candidate regions for the next
 frame are proposals that capture enough of the point matches computed
-from the current region and that overlap it spatially; the best scoring
-candidate continues the tube.  When a yet untracked detection of the
-tube's class overlaps that candidate strongly, the detection replaces
-it and leaves the pool, so every detection is used by at most one tube.
+from the current region and that overlap it spatially; every proposal
+carries the detector's class scores for its region, and the candidate
+scoring highest for the tube's class continues the tube.  When a yet
+untracked detection of the tube's class overlaps that candidate
+strongly, the detection replaces it and leaves the pool, so every
+detection is used by at most one tube.
 
 Because candidates are gated by matched points rather than by a search
 window around the previous location, large inter-frame displacements do
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .errors import InputError, ProcessingError
+from .errors import InputError
 from .geometry import iou
 from .model import BoundingBox, Detection, FrameInterval, Proposal, Source, Tube
 
@@ -36,55 +38,6 @@ class PointMatcher(Protocol):
 
     def match(self, video_id: str, from_frame: int, to_frame: int,
               box: BoundingBox) -> list[Sequence[float]]: ...
-
-
-class RegionScorer(Protocol):
-    """Scores an arbitrary region on a frame for every action class.
-
-    An answer is a 1-D sequence of floats, one per class (a tuple, a
-    list or a 1-D array).  Scores depend only on ``(video_id,
-    frame_index, box)``, so the trackers ask about each region at most
-    once per call.  Any exception a scorer raises fails the tracker
-    call; a scorer raises ``InputError`` for a video it has no data
-    for.
-    """
-
-    def class_scores(self, video_id: str, frame_index: int,
-                     box: BoundingBox) -> Sequence[float]: ...
-
-
-class _ScoreMemo:
-    """A region scorer that answers each region once, for one tracker call.
-
-    The scorer's own exceptions propagate unchanged.  Each answer is
-    checked once, when it arrives: anything but a 1-D vector of numbers
-    (an answer with an ``ndim`` other than 1, or whose items are not
-    numbers) raises ``ProcessingError``.  Answers are kept as tuples of
-    floats.
-    """
-
-    def __init__(self, scorer: RegionScorer):
-        self._scorer = scorer
-        self._known: dict[tuple, tuple[float, ...]] = {}
-
-    def class_scores(self, video_id: str, frame_index: int,
-                     box: BoundingBox) -> tuple[float, ...]:
-        key = (video_id, frame_index, box.x_min, box.y_min, box.x_max,
-               box.y_max)
-        scores = self._known.get(key)
-        if scores is None:
-            answer = self._scorer.class_scores(video_id, frame_index, box)
-            ndim = getattr(answer, "ndim", 1)
-            if ndim != 1:
-                raise ProcessingError(f"scorer returned scores of {ndim} "
-                                      f"dimensions, expected one per class")
-            try:
-                scores = tuple(float(v) for v in answer)
-            except (TypeError, ValueError) as exc:
-                raise ProcessingError(f"scorer returned scores that are not "
-                                      f"one number per class: {exc}") from exc
-            self._known[key] = scores
-        return scores
 
 
 def query_matches(pair: Matches, from_frame: int, to_frame: int,
@@ -219,15 +172,15 @@ def _candidate_key(proposal: Proposal, score: float):
     return (-score, -b.area(), b.x_min, b.y_min, b.x_max, b.y_max)
 
 
-def _consume_or_predict(box: BoundingBox, scores: tuple[float, ...],
-                        label: int, next_frame: int, pool: UntrackedPool,
-                        cfg: TrackerConfig) -> Detection:
-    """Replace the chosen region with an overlapping pooled detection.
+def _consume_or_predict(chosen: Proposal, label: int, next_frame: int,
+                        pool: UntrackedPool, cfg: TrackerConfig) -> Detection:
+    """Replace the chosen proposal with an overlapping pooled detection.
 
     The best same-class detection with overlap at or above the consume
-    threshold takes over (and leaves the pool); otherwise the region is
-    carried as a predicted entry with the scorer's class vector.
+    threshold takes over (and leaves the pool); otherwise the proposal
+    is carried as a predicted entry with its own class vector.
     """
+    box = chosen.box
     best = None
     best_key = None
     for det in pool.pending(next_frame):
@@ -244,31 +197,24 @@ def _consume_or_predict(box: BoundingBox, scores: tuple[float, ...],
     if best is not None:
         pool.discard(best)
         return replace(best, source=Source.MERGED)
-    return Detection(next_frame, box, scores, Source.TRACKED)
+    return Detection(next_frame, box, chosen.class_scores, Source.TRACKED)
 
 
 def _continue(candidates: Sequence[Proposal], label: int, next_frame: int,
-              scorer: _ScoreMemo, pool: UntrackedPool, cfg: TrackerConfig,
-              video_id: str) -> Detection:
+              pool: UntrackedPool, cfg: TrackerConfig) -> Detection:
     """The best scoring candidate for ``label``, merged or predicted.
 
     Ties break suppression-style (larger, then lexicographically smaller
-    box).  An answer with no score for ``label`` raises ``InputError``.
+    box).  Equal keys mean equal boxes, so which of them wins does not
+    depend on the candidates' order.
     """
     best = None
     best_key = None
-    best_scores = None
     for prop in candidates:
-        scores = scorer.class_scores(video_id, next_frame, prop.box)
-        if label >= len(scores):
-            raise InputError(
-                f"scorer returned {len(scores)} classes, tube label is "
-                f"{label}; is synth.num_classes too small?")
-        key = _candidate_key(prop, scores[label])
+        key = _candidate_key(prop, prop.class_scores[label])
         if best_key is None or key < best_key:
-            best, best_key, best_scores = prop, key, scores
-    return _consume_or_predict(best.box, best_scores, label, next_frame,
-                               pool, cfg)
+            best, best_key = prop, key
+    return _consume_or_predict(best, label, next_frame, pool, cfg)
 
 
 def match_gate(region: BoundingBox, proposals: Sequence[Proposal],
@@ -290,8 +236,7 @@ def match_gate(region: BoundingBox, proposals: Sequence[Proposal],
 
 def track_step(region: BoundingBox, label: int, next_frame: int,
                proposals: Sequence[Proposal], matches: Matches,
-               scorer: RegionScorer, pool: UntrackedPool,
-               cfg: TrackerConfig, video_id: str = "") -> Detection | None:
+               pool: UntrackedPool, cfg: TrackerConfig) -> Detection | None:
     """Extend a tube by one frame; ``None`` means the tube terminates.
 
     Candidates are the proposals passing ``match_gate``: they capture
@@ -299,16 +244,12 @@ def track_step(region: BoundingBox, label: int, next_frame: int,
     and overlap it by at least ``min_prev_overlap``.  The best scoring
     candidate for the tube's class wins, with suppression-style tie
     breaking, and is then either merged with a pooled detection or kept
-    as a prediction.  A scorer that is not already a tracker call's
-    memo is asked through a memo of this step alone.
+    as a prediction.
     """
     candidates = match_gate(region, proposals, matches, cfg)
     if not candidates:
         return None
-    if not isinstance(scorer, _ScoreMemo):
-        scorer = _ScoreMemo(scorer)
-    return _continue(candidates, label, next_frame, scorer, pool, cfg,
-                     video_id)
+    return _continue(candidates, label, next_frame, pool, cfg)
 
 
 # (seed, current detection, next frame, pool) -> the next one, or None to stop
@@ -337,18 +278,41 @@ def _extend(seed: Detection, frames: range, step: StepFn,
     return grown
 
 
+def check_class_counts(video_id: str,
+                       detections_by_frame: Mapping[int, Sequence[Detection]],
+                       proposals_by_frame: Mapping[int, Sequence[Proposal]],
+                       names: tuple[str, str] = ("detections", "proposals")
+                       ) -> None:
+    """Rejects a video whose detections and proposals do not all carry
+    class vectors of one length.
+
+    The error names the video and, by ``names``, where the detections
+    and the proposals came from, with the class counts each carries.
+    """
+    counts = [sorted({len(record.class_scores) for records in
+                      by_frame.values() for record in records})
+              for by_frame in (detections_by_frame, proposals_by_frame)]
+    if len(set().union(*counts)) > 1:
+        det, prop = (" and ".join(map(str, c)) or "none" for c in counts)
+        raise InputError(
+            f"the class scores of video {video_id!r} must have one class "
+            f"count, but {names[0]} carries {det} and {names[1]} {prop}")
+
+
 def _grow_tubes(video_id: str,
                 detections_by_frame: dict[int, Sequence[Detection]],
+                proposals_by_frame: dict[int, Sequence[Proposal]],
                 extent: FrameInterval, step: StepFn,
                 cfg: TrackerConfig) -> list[Tube]:
     """Track every pooled detection into a tube, best seeds first.
 
-    Each tube is seeded from the best remaining detection, grown forward
-    to the end of ``extent``, then backward to its start.  Consumed
-    detections leave the shared pool, so the loop terminates exactly
-    when every detection has been used.  A scorer failure fails the
-    call.
+    The detections and proposals must carry one class count
+    (``check_class_counts``).  Each tube is seeded from the best
+    remaining detection, grown forward to the end of ``extent``, then
+    backward to its start.  Consumed detections leave the shared pool,
+    so the loop terminates exactly when every detection has been used.
     """
+    check_class_counts(video_id, detections_by_frame, proposals_by_frame)
     pool = UntrackedPool(detections_by_frame)
     tubes: list[Tube] = []
     while (seed := pool.take_best()) is not None:
@@ -369,46 +333,42 @@ def build_tubes(video_id: str,
                 detections_by_frame: dict[int, Sequence[Detection]],
                 proposals_by_frame: dict[int, Sequence[Proposal]],
                 extent: FrameInterval, matcher: PointMatcher,
-                scorer: RegionScorer,
                 cfg: TrackerConfig = TrackerConfig()) -> list[Tube]:
     """Point-matching tracker: every step follows ``track_step``.
 
     The tube keeps its seed's class; matches are queried from the
     current entry's frame and box to the next frame.
     """
-    scorer = _ScoreMemo(scorer)
-
     def step(seed, current, frame, pool):
         matches = matcher.match(video_id, current.frame_index, frame,
                                 current.box)
         return track_step(current.box, seed.label, frame,
                           proposals_by_frame.get(frame, ()), matches,
-                          scorer, pool, cfg, video_id)
+                          pool, cfg)
 
-    return _grow_tubes(video_id, detections_by_frame, extent, step, cfg)
+    return _grow_tubes(video_id, detections_by_frame, proposals_by_frame,
+                       extent, step, cfg)
 
 
 def build_tubes_neighborhood(
         video_id: str, detections_by_frame: dict[int, Sequence[Detection]],
         proposals_by_frame: dict[int, Sequence[Proposal]],
-        extent: FrameInterval, scorer: RegionScorer,
-        cfg: TrackerConfig = TrackerConfig(),
+        extent: FrameInterval, cfg: TrackerConfig = TrackerConfig(),
         search_radius: float = 20.0) -> list[Tube]:
     """Baseline tracker constrained to a spatial neighborhood.
 
-    Identical seeding and consumption, and a scorer failure fails the
-    call likewise, but continuation candidates are the proposals whose
-    center lies within ``search_radius`` pixels of the previous center,
-    scored for the current entry's class.  Kept for contrast: it cannot
-    follow motion larger than the radius between consecutive frames.
-    Proposal centers are computed once per frame.
+    Identical seeding and consumption, but continuation candidates are
+    the proposals whose center lies within ``search_radius`` pixels of
+    the previous center, scored for the current entry's class.  Kept
+    for contrast: it cannot follow motion larger than the radius
+    between consecutive frames.  Proposal centers are computed once per
+    frame.
     """
     if not (search_radius > 0 and math.isfinite(search_radius)):
         raise InputError(
             f"search_radius must be finite and > 0, got {search_radius}")
     centers: dict[int, list[tuple[float, float]]] = {}
     radius_sq = search_radius ** 2
-    scorer = _ScoreMemo(scorer)
 
     def step(seed, current, frame, pool):
         proposals = proposals_by_frame.get(frame, ())
@@ -423,7 +383,7 @@ def build_tubes_neighborhood(
                 candidates.append(prop)
         if not candidates:
             return None
-        return _continue(candidates, current.label, frame, scorer, pool,
-                         cfg, video_id)
+        return _continue(candidates, current.label, frame, pool, cfg)
 
-    return _grow_tubes(video_id, detections_by_frame, extent, step, cfg)
+    return _grow_tubes(video_id, detections_by_frame, proposals_by_frame,
+                       extent, step, cfg)

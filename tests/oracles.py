@@ -455,15 +455,16 @@ def _coords(box) -> tuple:
 
 
 def grow_tubes_reference(video_id, detections_by_frame, proposals_by_frame,
-                         extent, scorer, *, consume_overlap, max_predicted_run,
+                         extent, *, consume_overlap, max_predicted_run,
                          matcher=None, min_match_ratio=0.0,
                          min_prev_overlap=0.0, search_radius=None):
     """The tubes either tracker grows, one decision at a time.
 
     With ``matcher`` this is the point-matching tracker, else the
-    center-search baseline with ``search_radius``.  Each tube is
-    returned as ``(tube_id, start, boxes, class_scores, sources,
-    label)``, boxes as coordinate tuples.
+    center-search baseline with ``search_radius``.  Every proposal
+    carries its class vector.  Each tube is returned as ``(tube_id,
+    start, boxes, class_scores, sources, label)``, boxes as coordinate
+    tuples.
 
     - Seeds: the untracked detection with the highest score seeds the
       next tube; ties go to the earlier frame, then the larger box, then
@@ -480,17 +481,17 @@ def grow_tubes_reference(video_id, detections_by_frame, proposals_by_frame,
       ``min_match_ratio``.  (Center search): proposals whose center is
       within ``search_radius`` of the current box's center, edge
       included.  No candidate stops growth.
-    - Choice: the candidate scoring highest for the class (the seed's
-      class when point matching, the current entry's class in center
-      search); ties go to the larger box, then the smaller coordinates,
-      then the earlier proposal.
+    - Choice: the candidate whose vector scores highest for the class
+      (the seed's class when point matching, the current entry's class
+      in center search); ties go to the larger box, then the smaller
+      coordinates, then the earlier proposal.
     - Consumption: of the untracked detections on that frame with that
       class and an overlap with the chosen box of at least
       ``consume_overlap``, the one with the highest overlap, then the
       higher score, the larger box, the smaller coordinates, the earlier
       detection joins the tube as ``MERGED`` and leaves the pool.
-      Without one, the chosen box joins as ``TRACKED`` with the
-      scorer's class vector, its class being that vector's first
+      Without one, the chosen box joins as ``TRACKED`` with the chosen
+      proposal's class vector, its class being that vector's first
       maximum.
     - A ``TRACKED`` entry that would make more than
       ``max_predicted_run`` of them in a row stops growth instead.
@@ -544,11 +545,10 @@ def grow_tubes_reference(video_id, detections_by_frame, proposals_by_frame,
                 kept.append(prop)
         return kept
 
-    def choose(cands, label, frame):
+    def choose(cands, label):
         best = None
         for prop in cands:
-            scores = tuple(float(v) for v in
-                           scorer.class_scores(video_id, frame, prop.box))
+            scores = tuple(prop.class_scores)
             if best is None:
                 best = (prop.box, scores)
                 continue
@@ -598,7 +598,7 @@ def grow_tubes_reference(video_id, detections_by_frame, proposals_by_frame,
             cands = candidates(current, frame)
             if not cands:
                 break
-            box, scores = choose(cands, label, frame)
+            box, scores = choose(cands, label)
             det = consume(box, label, frame)
             if det is not None:
                 entry = (frame, det.box, det.class_scores, Source.MERGED,
@@ -636,3 +636,63 @@ def grow_tubes_reference(video_id, detections_by_frame, proposals_by_frame,
                       tuple(_coords(e[1]) for e in entries),
                       tuple(tuple(e[2]) for e in entries),
                       tuple(e[3] for e in entries), seed_entry[4]))
+
+
+def _fuse_reference(streams, threshold, source):
+    """Per-class greedy suppression over the union of ``streams``.
+
+    - The union is the streams' detections in stream order, each
+      stream's in its own order; every detection is of one frame.
+    - A detection's class is its vector's first maximum, and it meets
+      only detections of its class.
+    - Within a class, the best remaining detection is kept: the higher
+      score for the class, then the larger box, then the smaller
+      ``(x_min, y_min, x_max, y_max)``, then the earlier in the union.
+      Every remaining detection whose overlap with it exceeds
+      ``threshold`` is dropped, and the next best is kept, until none
+      remains.
+    - The kept detections come out by class, ascending, and within a
+      class in the order they were kept, each tagged ``source``.
+    """
+    pool = [det for stream in streams for det in stream]
+    assert len({det.frame_index for det in pool}) <= 1
+
+    def before(a, b, label) -> bool:
+        """Whether union entry ``a`` is kept before union entry ``b``."""
+        (i, da), (j, db) = a, b
+        sa, sb = da.class_scores[label], db.class_scores[label]
+        if sa != sb:
+            return sa > sb
+        if _area(da.box) != _area(db.box):
+            return _area(da.box) > _area(db.box)
+        if _coords(da.box) != _coords(db.box):
+            return _coords(da.box) < _coords(db.box)
+        return i < j
+
+    out = []
+    for label in sorted({_first_argmax(d.class_scores) for d in pool}):
+        remaining = [(i, d) for i, d in enumerate(pool)
+                     if _first_argmax(d.class_scores) == label]
+        while remaining:
+            best = remaining[0]
+            for entry in remaining[1:]:
+                if before(entry, best, label):
+                    best = entry
+            kept = best[1]
+            out.append(Detection(kept.frame_index, kept.box,
+                                 kept.class_scores, source))
+            remaining = [(i, d) for i, d in remaining if i != best[0]
+                         and not _exact_overlap(kept.box, d.box) > threshold]
+    return out
+
+
+def late_fuse_reference(static, flow, threshold):
+    """The static and flow streams of one frame fused late: per-class
+    suppression over their union, tagged ``LATE_FUSION``."""
+    return _fuse_reference((static, flow), threshold, Source.LATE_FUSION)
+
+
+def merge_early_late_reference(early, late, threshold):
+    """The early-fusion stream merged with the late-fused detections:
+    the same suppression over their union, tagged ``MERGED``."""
+    return _fuse_reference((early, late), threshold, Source.MERGED)

@@ -35,7 +35,7 @@ from actiontubes.scoring import (RecurrentScorerWeights, prune_overlapped,
                                  recurrent_forward, score_clips, score_tube,
                                  slice_clips)
 from actiontubes.synth import (ScenarioConfig, SyntheticFeaturizer,
-                               SyntheticRegionScorer, generate, video_id)
+                               generate, video_id)
 from actiontubes.temporal import localize
 from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
                                  build_tubes, build_tubes_neighborhood)
@@ -148,8 +148,6 @@ def _track_scenario(speed: float, baseline: bool) -> float:
         seed=4, video_count=9, frames_per_video=40, num_classes=3,
         frame_size=(320, 240), actor_speed=speed, with_footprint=False)
     bundle = generate(scenario)
-    gt_map = {video_id(i): list(gt) for i, gt in enumerate(bundle.gt_tubes)}
-    scorer = SyntheticRegionScorer(scenario, gt_map)
     tcfg = TrackerConfig(min_prev_overlap=0.0)
     extent = FrameInterval(0, scenario.frames_per_video)
     tubes = []
@@ -160,15 +158,14 @@ def _track_scenario(speed: float, baseline: bool) -> float:
             by_frame.setdefault(det.frame_index, []).append(det)
         if baseline:
             built = build_tubes_neighborhood(
-                vid, by_frame, proposals, extent, scorer, tcfg,
-                search_radius=20.0)
+                vid, by_frame, proposals, extent, tcfg, search_radius=20.0)
         else:
             # the rows as track reads them from matches.atb
             matcher = PrecomputedMatcher({
                 frame: list(map(tuple, rows.tolist()))
                 for frame, rows in bundle.matches(index).items()})
             built = build_tubes(vid, by_frame, proposals, extent, matcher,
-                                scorer, tcfg)
+                                tcfg)
         tubes.extend(built)
     return evaluate(_label_by_mean_score(tubes), bundle.all_gt(),
                     EvalConfig(recall_track_sigma=0.5)).recall_track

@@ -60,6 +60,24 @@ class TestStageComposition:
         for name in a:
             assert a[name] == b[name], f"{name} differs between runs"
 
+    @pytest.mark.parametrize("baseline", ["false", "true"])
+    def test_track_runs_without_ground_truth(self, tmp_path, baseline):
+        """``track`` reads no ground truth: without ``gt_tubes.tsv`` it
+        writes the bytes of a run beside one."""
+        with_truth, without = tmp_path / "with", tmp_path / "without"
+        tracker = ("--stage-override", f"track.baseline={baseline}")
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", with_truth, "--seed", 3, *FAST,
+                           *tracker) == 0
+        shutil.copytree(with_truth, without)
+        (without / FILE_GT).unlink()
+        for directory in (with_truth, without):
+            assert run_cli("track", "--out", directory, "--seed", 3, *FAST,
+                           *tracker) == 0
+        tracked = (with_truth / FILE_TRACKED).read_bytes()
+        assert (without / FILE_TRACKED).read_bytes() == tracked
+        assert tracked.count(b"\n") > 2
+
     def test_rerunning_a_stage_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
         for stage in ("synth", "fuse", "track"):
@@ -115,45 +133,39 @@ class TestExitCodes:
         assert "run the 'fuse' command first" in err
         assert FILE_FUSED in err
 
-    @pytest.mark.parametrize("num_classes", [2, 1])
-    def test_truth_class_beyond_num_classes_returns_three(
-            self, tmp_path, capsys, num_classes):
-        # a 3-class scenario tracked as if it had fewer classes: video i's
-        # actor has class i, so video num_classes holds the first actor
-        # the scorer cannot score
-        three = ("--stage-override", "synth.video_count=3",
-                 "--stage-override", "synth.frames_per_video=20",
-                 "--stage-override", "synth.num_classes=3",
-                 "--stage-override", "synth.with_footprint=false")
-        for stage in ("synth", "fuse"):
-            assert run_cli(stage, "--out", tmp_path, *three) == 0
-        capsys.readouterr()
-        assert run_cli("track", "--out", tmp_path, *three, "--stage-override",
-                       f"synth.num_classes={num_classes}") == 3
-        err = capsys.readouterr().err
-        assert f"video 'v00{num_classes}' has class {num_classes}" in err
-        assert f"synth.num_classes is {num_classes}" in err
-        assert not (tmp_path / FILE_TRACKED).exists()
+    # a 3-class scenario in which every tube has a detection on every
+    # frame, so no tube gets a predicted entry
+    THREE = ("--stage-override", "synth.video_count=3",
+             "--stage-override", "synth.frames_per_video=20",
+             "--stage-override", "synth.num_classes=3",
+             "--stage-override", "synth.with_footprint=false")
 
-    def test_more_classes_than_the_detections_name_the_tube(
-            self, tmp_path, capsys):
-        # missed detections leave frames the scorer fills in with its
-        # 4-class vectors beside the detections' 3-class ones
-        three = ("--stage-override", "synth.video_count=3",
-                 "--stage-override", "synth.frames_per_video=20",
-                 "--stage-override", "synth.num_classes=3",
-                 "--stage-override", "synth.miss_rate=0.3",
-                 "--stage-override", "synth.with_footprint=false")
+    def test_track_takes_no_class_count_from_the_config(self, tmp_path):
         for stage in ("synth", "fuse"):
-            assert run_cli(stage, "--out", tmp_path, *three) == 0
+            assert run_cli(stage, "--out", tmp_path, *self.THREE) == 0
+        tracked = {}
+        for num_classes in (2, 3, 4):
+            assert run_cli("track", "--out", tmp_path, *self.THREE,
+                           "--stage-override",
+                           f"synth.num_classes={num_classes}") == 0
+            tracked[num_classes] = (tmp_path / FILE_TRACKED).read_bytes()
+        assert tracked[2] == tracked[3] == tracked[4]
+
+    def test_proposals_of_more_classes_return_three(self, tmp_path, capsys):
+        out, four = tmp_path / "three", tmp_path / "four"
+        for stage in ("synth", "fuse"):
+            assert run_cli(stage, "--out", out, *self.THREE) == 0
+        assert run_cli("synth", "--out", four, *self.THREE,
+                       "--stage-override", "synth.num_classes=4") == 0
+        (out / FILE_PROPOSALS).write_bytes(
+            (four / FILE_PROPOSALS).read_bytes())
         capsys.readouterr()
-        assert run_cli("track", "--out", tmp_path, *three,
-                       "--stage-override", "synth.num_classes=4") == 3
+        assert run_cli("track", "--out", out, *self.THREE) == 3
         err = capsys.readouterr().err
-        assert "tube class score vectors differ in class count" in err
-        assert "tube 't000' of video 'v000'" in err
-        assert "vectors of 3 and 4 classes" in err
-        assert not (tmp_path / FILE_TRACKED).exists()
+        assert (f"the class scores of video 'v000' must have one class "
+                f"count, but {FILE_FUSED} carries 3 and {FILE_PROPOSALS} "
+                f"4") in err
+        assert not (out / FILE_TRACKED).exists()
 
     def test_malformed_input_returns_three_with_position(
             self, tmp_path, capsys):
@@ -319,6 +331,9 @@ class TestExitCodes:
 
     def test_detections_of_an_unknown_video_return_three(self, tmp_path,
                                                          capsys):
+        """``track`` reads no ground truth, so it tracks a video the
+        scenario does not hold; ``score``, which reads the truth, names
+        it."""
         baseline = ("--stage-override", "track.baseline=true")
         for stage in ("synth", "fuse"):
             assert run_cli(stage, "--out", tmp_path, *FAST, *baseline) == 0
@@ -328,10 +343,13 @@ class TestExitCodes:
             rows = [(fields[0].replace("v000", "v999"), *fields[1:])
                     for _, fields in read_records(path, kind)]
             formats.write_records(path, kind, rows)
+        assert run_cli("track", "--out", tmp_path, *FAST, *baseline) == 0
+        assert "v999" in {t.video_id for t in
+                          formats.read_tubes(tmp_path / FILE_TRACKED)}
         capsys.readouterr()
-        assert run_cli("track", "--out", tmp_path, *FAST, *baseline) == 3
+        assert run_cli("score", "--out", tmp_path, *FAST, *baseline) == 3
         assert "'v999'" in capsys.readouterr().err
-        assert not (tmp_path / FILE_TRACKED).exists()
+        assert not (tmp_path / FILE_SCORED).exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     def test_damaged_flow_returns_three_and_writes_nothing(
@@ -380,7 +398,7 @@ class TestOneVideoAtATime:
     CASES = {
         "fuse-detections": ("fuse", FILE_DETECTIONS["early"], "x0",
                             (FILE_FUSED, FILE_SALIENT)),
-        "fuse-proposals": ("fuse", FILE_PROPOSALS, "objectness",
+        "fuse-proposals": ("fuse", FILE_PROPOSALS, "scores",
                            (FILE_FUSED, FILE_SALIENT)),
         "track": ("track", FILE_FUSED, "x0", (FILE_TRACKED,)),
         "score": ("score", FILE_TRACKED, "x0",

@@ -18,8 +18,9 @@ from actiontubes.model import BoundingBox, Detection, Proposal, Source
 from actiontubes.pipeline import (FILE_FLOW, FILE_SALIENT, run_fuse,
                                   run_synth, scenario_config)
 from actiontubes.synth import generate, video_flow, video_id, video_order
-from oracles import (flow_grids_float64, nms_reference, pixel_mean_reference,
-                     saliency_prune_reference)
+from oracles import (flow_grids_float64, late_fuse_reference,
+                     merge_early_late_reference, nms_reference,
+                     pixel_mean_reference, saliency_prune_reference)
 from test_golden import SCENARIOS
 
 
@@ -32,7 +33,7 @@ def flow_grid(frame, values):
 
 
 def prop(x1, y1, x2, y2, frame=0):
-    return Proposal(frame, BoundingBox(x1, y1, x2, y2))
+    return Proposal(frame, BoundingBox(x1, y1, x2, y2), (1.0,))
 
 
 def mean_inside_bruteforce(values, box):
@@ -184,7 +185,7 @@ class TestSaliencyPrune:
             x1, y1 = rng.uniform(-2, 14, size=2)
             w, h = rng.uniform(0.2, 10, size=2)
             box = BoundingBox(x1, y1, x1 + w, y1 + h)
-            got = mean_magnitude_inside(flow, Proposal(0, box))
+            got = mean_magnitude_inside(flow, Proposal(0, box, (1.0,)))
             want = mean_inside_bruteforce(values, box)
             if want is None:
                 assert got is None
@@ -378,3 +379,52 @@ class TestMergeEarlyLate:
 
     def test_empty_both(self):
         assert merge_early_late([], []) == []
+
+
+# Boxes on a coarse lattice, so equal areas and overlaps exactly at the
+# thresholds below are common, and few score values, so equal scores are
+# too; two vectors may tie for a class yet differ in the other class.
+FUSE_LATTICE = [BoundingBox(x, y, x + w, y + h) for x in (0, 2, 4)
+                for y in (0, 2) for w in (2, 4) for h in (2, 4)]
+FUSE_SCORES = (0.0, 0.5, 1.0)
+FUSE_THRESHOLDS = (0.0, 0.2, 0.25, 1 / 3, 0.5, 1.0)
+
+
+@st.composite
+def fuse_streams(draw):
+    """Two detection streams of one frame, either of them empty, with
+    duplicates within and across streams, and a threshold that overlaps
+    often equal."""
+    frame = draw(st.integers(0, 3))
+    made = st.builds(
+        lambda box, scores, source: Detection(frame, box, scores, source),
+        st.sampled_from(FUSE_LATTICE),
+        st.tuples(*[st.sampled_from(FUSE_SCORES)] * 2),
+        st.sampled_from([Source.STATIC, Source.FLOW, Source.EARLY_FUSION]))
+    streams = [draw(st.lists(made, max_size=5)) for _ in range(2)]
+    for i, stream in enumerate(streams):
+        other = streams[draw(st.integers(0, 1))]
+        stream += other[:draw(st.integers(0, len(other)))]
+        streams[i] = draw(st.permutations(stream))
+    threshold = draw(st.one_of(st.sampled_from(FUSE_THRESHOLDS),
+                               st.floats(0.0, 1.0)))
+    return streams, threshold
+
+
+class TestFusionReference:
+    """``late_fuse`` and ``merge_early_late`` against the references of
+    ``oracles``, one decision at a time."""
+
+    @given(fuse_streams())
+    @settings(max_examples=400, deadline=None)
+    def test_late_fuse_equals_reference(self, case):
+        (static, flow), threshold = case
+        assert late_fuse(static, flow, threshold) == \
+            late_fuse_reference(static, flow, threshold)
+
+    @given(fuse_streams())
+    @settings(max_examples=400, deadline=None)
+    def test_merge_early_late_equals_reference(self, case):
+        (early, late), threshold = case
+        assert merge_early_late(early, late, threshold) == \
+            merge_early_late_reference(early, late, threshold)

@@ -66,8 +66,8 @@ GOLDEN = {
                                 "3f7530636e3377b449265480335938b0",
         "detections_fused.tsv": "91f6c1dfee06cb10eadad81120e7652b"
                                 "f16dcbbcb55901fb974bb986aabd6563",
-        "proposals.tsv": "70f1746b083497aee8c02abfb2f24b58"
-                         "01441e3b182c40b0c3b4a652a992bbf2",
+        "proposals.tsv": "a22aaefafc2c7a76a24155e70e833bb4"
+                         "04d2ad19a4e6e4f13106faec3ca741a5",
     },
     "noisy": {
         "tubes_tracked.tsv": "9a616af9f3b149844321497f7a9c6037"
@@ -92,10 +92,10 @@ GOLDEN = {
                                 "282469dbdbd47f1c508d67794683c1a4",
         "detections_fused.tsv": "53cf60ff1c589ca9ff955bd57244fc60"
                                 "3463c83ddd3ec48bf488ef812eae2f9c",
-        "proposals.tsv": "faf46404eb23f74b0a3d9c27e637f534"
-                         "3eac5ac9bc747ada3a9beccc6a9ce03d",
-        "proposals_salient.tsv": "d844f3c4efaeed69990597d2dfd4a7be"
-                                 "569db0a408c972e0e95e0bf57a1e23b6",
+        "proposals.tsv": "7a38914f13d8310193652d79af97dc0c"
+                         "b86a87199ec30f6697a5d5f6b06c8db4",
+        "proposals_salient.tsv": "4a3d381e7072dbe360ebeb4ad72c893f"
+                                 "f795a98539a69a86166790f5cce26e8e",
         "drift_tubes.tsv": "d80f7cf20037588cb8268653008ea201"
                            "b5a7149bea1504b761ea36ddc38545bf",
     },
@@ -122,8 +122,8 @@ GOLDEN = {
                                 "0bead360d7e62b34b5fa97e2b69a896a",
         "detections_fused.tsv": "c4ef6cfde4c1b05c078b83ca669ec945"
                                 "646c73d2abbaf7897b03609dc689bbde",
-        "proposals.tsv": "c5b68e960e3ba6dd647993c8be937af1"
-                         "a5104525698ce06652c585a0e53c3fe6",
+        "proposals.tsv": "e2f19e9d3297eef30fdf38af6e8331da"
+                         "e9dc19511a52f6d53b578a3ae308c2aa",
     },
 }
 

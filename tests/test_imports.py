@@ -24,14 +24,16 @@ TINY = ("--stage-override", "synth.video_count=2",
 # What ``import actiontubes.cli`` loads: argument parsing, the key
 # registry, the stage table and the file formats.
 CLI = {"cli", "config", "errors", "formats", "model", "pipeline"}
-# Every stage from synth to score checks the scenario's configuration,
-# which lives with the simulated models in scenario; track and score
-# query those models, which need neither the generator nor numpy.
+# synth and score check the scenario's configuration, which lives with
+# the simulated featurizer in scenario; score queries the featurizer,
+# which needs neither the generator nor numpy.  track reads each
+# proposal's class scores from its file, so it loads no scenario: no
+# ground truth and no simulated model reach the tracker.
 SCENARIO = CLI | {"geometry", "scenario"}
 LOADED = {
     "synth": SCENARIO | {"footprint", "scoring", "synth", "tracker"},
     "fuse": CLI | {"fusion", "geometry"},
-    "track": SCENARIO | {"tracker"},
+    "track": CLI | {"geometry", "tracker"},
     "score": SCENARIO | {"scoring"},
     "prune": CLI | {"geometry"},
     "localize": CLI | {"temporal"},

@@ -169,15 +169,15 @@ class TestProposalsRoundTrip:
         assert set(back) == set(data)
         for video_id, frames in data.items():
             for frame, props in frames.items():
-                assert sorted(back[video_id][frame],
-                              key=lambda p: p.objectness) == \
-                    sorted(props, key=lambda p: p.objectness)
+                key = lambda p: (p.box.as_tuple(), p.class_scores)
+                assert sorted(back[video_id][frame], key=key) == \
+                    sorted(props, key=key)
 
     def test_misfiled_proposal_rejected_on_write(self, tmp_path):
         """A proposal of frame 5 filed under frame 3 is not written as a
         proposal of frame 3."""
         path = tmp_path / "p.tsv"
-        prop = Proposal(5, BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5)
+        prop = Proposal(5, BoundingBox(0.0, 0.0, 5.0, 5.0), (0.5, 0.0))
         with pytest.raises(InputError) as info:
             formats.write_proposals(path, [("v0", {3: (prop,)})])
         for needle in ("'v0'", "frame 5", "frame 3"):
@@ -888,11 +888,11 @@ def _detection_rows():
 def _proposal_rows():
     """Five valid proposals of two videos, interleaved."""
     return [
-        ["v0", "0", "0.0", "0.0", "5.0", "5.0", "0.5"],
-        ["v0", "1", "1.0", "0.0", "6.0", "5.0", "0.25"],
-        ["v1", "0", "2.0", "0.0", "7.0", "5.0", "1.0"],
-        ["v0", "0", "0.0", "1.0", "5.0", "6.0", "0.75"],
-        ["v1", "3", "0.0", "2.0", "5.0", "7.0", "0.0"],
+        ["v0", "0", "0.0", "0.0", "5.0", "5.0", "0.5,0.0"],
+        ["v0", "1", "1.0", "0.0", "6.0", "5.0", "0.0,0.25"],
+        ["v1", "0", "2.0", "0.0", "7.0", "5.0", "1.0,0.0"],
+        ["v0", "0", "0.0", "1.0", "5.0", "6.0", "0.75,0.5"],
+        ["v1", "3", "0.0", "2.0", "5.0", "7.0", "0.0,0.0"],
     ]
 
 
@@ -962,15 +962,15 @@ RECORD_CORRUPTIONS = {
                            "non-finite value: 'inf'", 5, "y0"),
         "degenerate_box": ({(1, "y1"): "0.0"},
                            "degenerate box (1.0, 0.0, 6.0, 0.0)", 4, "x0"),
-        "bad_objectness": ({(2, "objectness"): "high"},
-                           "not a number: 'high'", 5, "objectness"),
-        "nan_objectness": ({(4, "objectness"): "nan"},
-                           "non-finite value: 'nan'", 7, "objectness"),
-        "empty_objectness": ({(1, "objectness"): ""},
-                             "not a number: ''", 4, "objectness"),
+        "bad_scores": ({(2, "scores"): "1.0,high"},
+                       "not a number: 'high'", 5, "scores"),
+        "nan_scores": ({(4, "scores"): "0.0,nan"},
+                       "non-finite value: 'nan'", 7, "scores"),
+        "empty_scores": ({(1, "scores"): ""},
+                         "not a number: ''", 4, "scores"),
         "row_width": ({(2, "+"): "extra"},
                       "expected 7 fields, found 8", 5, None),
-        "two_bad_rows": ({(3, "objectness"): "x", (1, "frame"): "y"},
+        "two_bad_rows": ({(3, "scores"): "x", (1, "frame"): "y"},
                          "not an integer: 'y'", 4, "frame"),
     }),
     "clipscores": (_clip_rows, {
@@ -1093,11 +1093,11 @@ class TestRecordReaderErrors:
         _write_rows(path, "proposals", _proposal_rows())
         back = formats.read_proposals(path)
         assert back == {
-            "v0": {0: (Proposal(0, box(0, 0, 5, 5), 0.5),
-                       Proposal(0, box(0, 1, 5, 6), 0.75)),
-                   1: (Proposal(1, box(1, 0, 6, 5), 0.25),)},
-            "v1": {0: (Proposal(0, box(2, 0, 7, 5), 1.0),),
-                   3: (Proposal(3, box(0, 2, 5, 7), 0.0),)}}
+            "v0": {0: (Proposal(0, box(0, 0, 5, 5), (0.5, 0.0)),
+                       Proposal(0, box(0, 1, 5, 6), (0.75, 0.5))),
+                   1: (Proposal(1, box(1, 0, 6, 5), (0.0, 0.25)),)},
+            "v1": {0: (Proposal(0, box(2, 0, 7, 5), (1.0, 0.0)),),
+                   3: (Proposal(3, box(0, 2, 5, 7), (0.0, 0.0)),)}}
         assert [list(frames) for frames in back.values()] == [[0, 1], [0, 3]]
         _write_rows(path, "clipscores", _clip_rows())
         back = formats.read_clip_scores(path)
@@ -1218,7 +1218,8 @@ class TestFrameFields:
                 Detection(3, box, (1.0,)), Detection(-2, box, (1.0,))])])
         elif kind == "proposals":
             formats.write_proposals(path, [("v0", {
-                3: [Proposal(3, box)], -2: [Proposal(-2, box)]})])
+                3: [Proposal(3, box, (1.0,))],
+                -2: [Proposal(-2, box, (1.0,))]})])
         elif kind == "tubes":
             formats.write_tubes(path, [("v0", [
                 Tube("v0", f"t{start}", start, (box,) * 2, ((1.0,),) * 2,

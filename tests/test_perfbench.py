@@ -38,7 +38,7 @@ VIDEOS = 2
 FORMATS_CALLS = {
     "synth": {"other_write": 7, "matches_write": 1},
     "fuse": {"other_read": 3 * VIDEOS, "other_write": VIDEOS},
-    "track": {"other_read": 3 * VIDEOS, "matches_read": VIDEOS,
+    "track": {"other_read": 2 * VIDEOS, "matches_read": VIDEOS,
               "tubes_write": VIDEOS},
     "score": {"tubes_read": VIDEOS, "other_read": 2 * VIDEOS + 1,
               "tubes_write": VIDEOS, "other_write": VIDEOS},

@@ -20,11 +20,12 @@ from actiontubes.scoring import recurrent_forward, score_clips, score_tube, \
     slice_clips
 from actiontubes.synth import (STREAMS, ScenarioConfig,
                                SyntheticFeaturizer, SyntheticMatcher,
-                               SyntheticRegionScorer, analytic_weights,
+                               analytic_weights,
                                generate, home_region, inject_drift,
                                video_flow, video_id, video_order)
 from actiontubes.tracker import (PrecomputedMatcher, TrackerConfig,
                                  build_tubes, match_ratio)
+from oracles import float_iou
 from test_io import iter_arrays
 
 
@@ -261,6 +262,28 @@ class TestProposals:
             if frame not in gt.interval():
                 assert len(proposals[frame]) == 2
 
+    def test_scores_are_each_class_best_overlap(self):
+        # three actors of two classes, on staggered spans: frames with no
+        # truth, with one class twice, and with both are all scored
+        config = small_config(actors_per_video=3, num_classes=2,
+                              span_fraction=0.6, jitter_sigma=2.0,
+                              proposal_recall=0.7, distractor_count=3,
+                              frame_size=(320, 240))
+        bundle = generate(config)
+        seen = set()
+        for index, truth in enumerate(bundle.gt_tubes):
+            for frame, props in bundle.proposals(index).items():
+                present = [gt for gt in truth if frame in gt.interval()]
+                seen.add(len(present))
+                for prop in props:
+                    want = [0.0] * config.num_classes
+                    for gt in present:
+                        want[gt.label] = max(
+                            want[gt.label],
+                            float_iou(prop.box, gt.box_at(frame)))
+                    assert prop.class_scores == tuple(want)
+        assert {0, 3} <= seen
+
 
 def stored_matcher(bundle, index=0):
     """Video ``index``'s matches as ``track`` answers from them: rows of
@@ -343,56 +366,6 @@ def random_gt_tubes(rng, video_id, count=4):
         out.append(GroundTruthTube(video_id, f"g{i}", int(rng.integers(0, 3)),
                                    start, (box,) * int(rng.integers(1, 9))))
     return out
-
-
-class TestRegionScorer:
-    def test_exact_box_scores_one_for_true_class(self):
-        bundle = generate(small_config())
-        scorer = SyntheticRegionScorer(bundle.config,
-                                       {"v000": bundle.gt_tubes[0]})
-        gt = bundle.gt_tubes[0][0]
-        scores = scorer.class_scores("v000", 3, gt.box_at(3))
-        assert scores[gt.label] == 1.0
-        assert sum(scores) == 1.0
-
-    def test_far_box_scores_zero(self):
-        bundle = generate(small_config())
-        scorer = SyntheticRegionScorer(bundle.config,
-                                       {"v000": bundle.gt_tubes[0]})
-        scores = scorer.class_scores("v000", 3, BoundingBox(0, 0, 4, 4))
-        assert scores == (0.0, 0.0, 0.0)
-
-    def test_frame_index_equals_scan_over_all_tubes(self):
-        # Truth with staggered spans and a repeated label, so frames
-        # with none, some and all of it present are all queried.
-        rng = np.random.default_rng(61)
-        gt_map = {"v0": random_gt_tubes(rng, "v0"),
-                  "v1": random_gt_tubes(rng, "v1")}
-        scorer = SyntheticRegionScorer(small_config(), gt_map)
-        for video_id, tubes in gt_map.items():
-            for frame in range(-1, 22):
-                box = random_box(rng)
-                want = [0.0] * 3
-                for gt in tubes:
-                    if frame in gt.interval():
-                        want[gt.label] = max(want[gt.label],
-                                             iou(box, gt.box_at(frame)))
-                assert scorer.class_scores(video_id, frame, box) == \
-                    tuple(want)
-        with pytest.raises(InputError, match="'v9'"):
-            scorer.class_scores("v9", 3, box)
-
-    def test_truth_class_outside_num_classes_rejected(self):
-        # classes 0..2 are scored; a class-3 actor fails at construction,
-        # not on the first query that meets it
-        box = BoundingBox(10, 10, 40, 40)
-        truth = [GroundTruthTube("v0", "g0", 2, 0, (box,)),
-                 GroundTruthTube("v0", "g1", 3, 0, (box,))]
-        with pytest.raises(InputError) as err:
-            SyntheticRegionScorer(small_config(), {"v0": truth})
-        for part in ("g1", "'v0'", "class 3", "synth.num_classes is 3"):
-            assert part in str(err.value)
-        SyntheticRegionScorer(small_config(num_classes=4), {"v0": truth})
 
 
 class TestFeaturizer:
@@ -512,9 +485,7 @@ class TestFeaturizer:
                      lambda: featurizer.feature_grid("v999", intervals),
                      lambda: featurizer.background_direction("v999"),
                      lambda: SyntheticMatcher(config, gt_map).match(
-                         "v999", 0, 1, gt.boxes[0]),
-                     lambda: SyntheticRegionScorer(
-                         config, gt_map).class_scores("v999", 0, gt.boxes[0]))
+                         "v999", 0, 1, gt.boxes[0]))
             for call in calls:
                 with pytest.raises(InputError,
                                    match="no ground truth for video 'v999'"):
@@ -734,13 +705,12 @@ class TestEndToEnd:
         for index, (gt,) in enumerate(bundle.gt_tubes):
             vid = video_id(index)
             matcher = stored_matcher(bundle, index)
-            scorer = SyntheticRegionScorer(config, {vid: (gt,)})
             by_frame = {}
             for det in bundle.detections("static", index):
                 by_frame.setdefault(det.frame_index, []).append(det)
             tubes = build_tubes(vid, by_frame, bundle.proposals(index),
                                 FrameInterval(0, config.frames_per_video),
-                                matcher, scorer, TrackerConfig())
+                                matcher, TrackerConfig())
             assert len(tubes) == 1
             assert st_iou(tubes[0], gt) == pytest.approx(1.0)
             tube = tubes[0]

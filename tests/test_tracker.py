@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actiontubes.errors import InputError, ProcessingError
+from actiontubes.errors import InputError
 from actiontubes.model import (BoundingBox, Detection, FrameInterval,
                                Proposal, Source)
 from actiontubes.geometry import iou
@@ -44,62 +44,23 @@ class ShiftMatcher:
         return rows(src, dst)
 
 
-class WorldScorer:
-    """Class scores are the overlap with per-class ground truth boxes."""
+def world_proposal(frame, box, world, num_classes=2, gt_class=0):
+    """A proposal scored as the detector scores one: its overlap with the
+    frame's true box for ``gt_class``, 0.0 for every other class."""
+    scores = [0.0] * num_classes
+    gt = world.get(frame)
+    if gt is not None:
+        scores[gt_class] = iou(box, gt)
+    return Proposal(frame, box, scores)
 
-    def __init__(self, boxes_by_frame, num_classes=2, gt_class=0):
-        self.boxes = boxes_by_frame
-        self.num_classes = num_classes
-        self.gt_class = gt_class
 
-    def class_scores(self, video_id, frame_index, box):
-        from actiontubes.geometry import iou
-        scores = np.zeros(self.num_classes)
-        gt = self.boxes.get(frame_index)
-        if gt is not None:
-            scores[self.gt_class] = iou(box, gt)
-        return scores
+def blank(frame, box):
+    """A two-class proposal that scores 0.0 for both classes."""
+    return Proposal(frame, box, (0.0, 0.0))
 
 
 def det(frame, box, scores=(1.0, 0.0), source=Source.MERGED):
     return Detection(frame, box, scores, source)
-
-
-# Answers of a two-class scorer on a failing frame that are not one score
-# per class, with the error each fails the tracker call with: too few
-# classes is a bad input, anything but a 1-D vector of numbers (an
-# array, or a list of lists) a processing fault.
-SCORER_FAILURES = {
-    "too_few_classes": (np.zeros(0), InputError),
-    "scalar": (np.array(0.5), ProcessingError),
-    "column": (np.zeros((2, 1)), ProcessingError),
-    "row": (np.zeros((1, 2)), ProcessingError),
-    "nested": ([[0.5, 0.5]], ProcessingError),
-}
-
-
-class FlakyScorer(WorldScorer):
-    """Fails on frame 3 only: raises ``RuntimeError`` for ``"raise"``,
-    else answers the failure's ``SCORER_FAILURES`` entry."""
-
-    def __init__(self, boxes_by_frame, failure):
-        super().__init__(boxes_by_frame)
-        self.failure = failure
-
-    def class_scores(self, video_id, frame_index, box):
-        if frame_index != 3:
-            return super().class_scores(video_id, frame_index, box)
-        if self.failure == "raise":
-            raise RuntimeError("no scores on this frame")
-        return SCORER_FAILURES[self.failure][0]
-
-
-def failure_error(failure):
-    """The error a ``FlakyScorer`` fails a tracker call with, and its text."""
-    if failure == "raise":
-        return RuntimeError, "no scores on this frame"
-    error = SCORER_FAILURES[failure][1]
-    return error, "synth.num_classes" if error is InputError else "scorer"
 
 
 class TestMatchRatio:
@@ -203,27 +164,29 @@ class TestTrackStep:
     def setup_method(self):
         self.gt = single_actor_world()
         self.cfg = TrackerConfig()
-        self.scorer = WorldScorer(self.gt)
         self.matcher = ShiftMatcher(6.0, 0.0)
+
+    def scored(self, frame, box):
+        return world_proposal(frame, box, self.gt)
 
     def test_follows_true_proposal(self):
         pool = UntrackedPool({})
-        props = [Proposal(1, self.gt[1]), Proposal(1, BoundingBox(200, 200, 230, 230))]
+        props = [self.scored(1, self.gt[1]),
+                 self.scored(1, BoundingBox(200, 200, 230, 230))]
         matches = self.matcher.match("v", 0, 1, self.gt[0])
-        out = track_step(self.gt[0], 0, 1, props, matches, self.scorer,
-                        pool, self.cfg)
+        out = track_step(self.gt[0], 0, 1, props, matches, pool, self.cfg)
         assert out is not None
         assert out.box == self.gt[1]
         assert out.source is Source.TRACKED
         assert out.frame_index == 1
+        assert out.class_scores == props[0].class_scores
 
     def test_consumes_overlapping_detection(self):
         hit = det(1, self.gt[1], (0.8, 0.1))
         pool = UntrackedPool({1: [hit]})
-        props = [Proposal(1, self.gt[1])]
+        props = [self.scored(1, self.gt[1])]
         matches = self.matcher.match("v", 0, 1, self.gt[0])
-        out = track_step(self.gt[0], 0, 1, props, matches, self.scorer,
-                        pool, self.cfg)
+        out = track_step(self.gt[0], 0, 1, props, matches, pool, self.cfg)
         assert out.source is Source.MERGED
         assert out.class_scores == hit.class_scores
         assert pool.pending(1) == []
@@ -231,25 +194,24 @@ class TestTrackStep:
     def test_other_class_detection_not_consumed(self):
         other = det(1, self.gt[1], (0.1, 0.8))
         pool = UntrackedPool({1: [other]})
-        props = [Proposal(1, self.gt[1])]
+        props = [self.scored(1, self.gt[1])]
         matches = self.matcher.match("v", 0, 1, self.gt[0])
-        out = track_step(self.gt[0], 0, 1, props, matches, self.scorer,
-                        pool, self.cfg)
+        out = track_step(self.gt[0], 0, 1, props, matches, pool, self.cfg)
         assert out.source is Source.TRACKED
         assert pool.pending(1) == [other]
 
     def test_terminates_without_matches(self):
         pool = UntrackedPool({})
-        props = [Proposal(1, self.gt[1])]
-        assert track_step(self.gt[0], 0, 1, props, NO_MATCHES,
-                          self.scorer, pool, self.cfg) is None
+        props = [self.scored(1, self.gt[1])]
+        assert track_step(self.gt[0], 0, 1, props, NO_MATCHES, pool,
+                          self.cfg) is None
 
     def test_terminates_when_no_candidate_passes_ratio(self):
         pool = UntrackedPool({})
-        props = [Proposal(1, BoundingBox(300, 300, 330, 330))]
+        props = [self.scored(1, BoundingBox(300, 300, 330, 330))]
         matches = self.matcher.match("v", 0, 1, self.gt[0])
-        assert track_step(self.gt[0], 0, 1, props, matches, self.scorer,
-                          pool, self.cfg) is None
+        assert track_step(self.gt[0], 0, 1, props, matches, pool,
+                          self.cfg) is None
 
     def test_overlap_gate_blocks_distant_candidate(self):
         # Proposal catches the points but shares no area with the
@@ -258,14 +220,13 @@ class TestTrackStep:
         near = self.gt[0]
         far_box = BoundingBox(near.x_min + 100.0, near.y_min,
                               near.x_max + 100.0, near.y_max)
-        props = [Proposal(1, far_box)]
+        props = [self.scored(1, far_box)]
         matches = far_matcher.match("v", 0, 1, self.gt[0])
         pool = UntrackedPool({})
-        assert track_step(self.gt[0], 0, 1, props, matches, self.scorer,
-                          pool, self.cfg) is None
+        assert track_step(self.gt[0], 0, 1, props, matches, pool,
+                          self.cfg) is None
         relaxed = TrackerConfig(min_prev_overlap=0.0)
-        out = track_step(self.gt[0], 0, 1, props, matches, self.scorer,
-                        pool, relaxed)
+        out = track_step(self.gt[0], 0, 1, props, matches, pool, relaxed)
         assert out is not None and out.box == far_box
 
 
@@ -300,7 +261,7 @@ class TestMatchGate:
         rng = np.random.default_rng(41)
         for trial in range(300):
             region = lattice_box(rng)
-            props = [Proposal(1, lattice_box(rng))
+            props = [blank(1, lattice_box(rng))
                      for _ in range(int(rng.integers(0, 8)))]
             pts = rng.integers(0, 40, (int(rng.integers(0, 12)), 2))
             matches = rows(pts, pts)
@@ -316,14 +277,14 @@ class TestMatchGate:
                         [10.0, 5.0]])
         matches = rows(pts, pts)
         cfg = TrackerConfig(min_match_ratio=1.0)
-        assert self.gate(box, [Proposal(1, box)], matches, cfg) == [0]
+        assert self.gate(box, [blank(1, box)], matches, cfg) == [0]
 
     def test_ratio_exactly_at_threshold_passes(self):
         box = BoundingBox(0, 0, 10, 10)
         pts = np.array([[1.0, 1.0], [9.0, 9.0], [20.0, 1.0], [30.0, 1.0]])
         matches = rows(pts, pts)
         assert match_ratio(box, matches) == 0.5
-        props = [Proposal(1, box)]
+        props = [blank(1, box)]
         assert self.gate(box, props, matches,
                          TrackerConfig(min_match_ratio=0.5)) == [0]
         assert self.gate(box, props, matches,
@@ -335,7 +296,7 @@ class TestMatchGate:
         assert iou(strip, region) == 0.2
         pts = np.array([[5.0, 1.0]])
         matches = rows(pts, pts)
-        props = [Proposal(1, strip)]
+        props = [blank(1, strip)]
         assert self.gate(region, props, matches,
                          TrackerConfig(min_prev_overlap=0.2)) == [0]
         assert self.gate(region, props, matches,
@@ -346,7 +307,7 @@ class TestMatchGate:
         touching = BoundingBox(10, 0, 20, 10)
         pts = np.array([[10.0, 5.0]])
         matches = rows(pts, pts)
-        props = [Proposal(1, touching)]
+        props = [blank(1, touching)]
         for overlap in (0.0, 0.2):
             cfg = TrackerConfig(min_prev_overlap=overlap)
             assert self.gate(region, props, matches, cfg) == \
@@ -359,8 +320,8 @@ class TestMatchGate:
         box = BoundingBox(0, 0, 10, 10)
         pts = np.array([[5.0, 5.0]])
         matches = rows(pts, pts)
-        props = [Proposal(1, box), Proposal(1, BoundingBox(50, 50, 60, 60)),
-                 Proposal(1, BoundingBox(1, 1, 10, 10)), Proposal(1, box)]
+        props = [blank(1, box), blank(1, BoundingBox(50, 50, 60, 60)),
+                 blank(1, BoundingBox(1, 1, 10, 10)), blank(1, box)]
         assert self.gate(box, props, matches, TrackerConfig()) == [0, 2, 3]
 
     def test_no_proposals_or_no_matches(self):
@@ -368,11 +329,18 @@ class TestMatchGate:
         pts = np.array([[5.0, 5.0]])
         assert self.gate(box, [], rows(pts, pts),
                          TrackerConfig()) == []
-        assert self.gate(box, [Proposal(1, box)], NO_MATCHES,
+        assert self.gate(box, [blank(1, box)], NO_MATCHES,
                          TrackerConfig()) == []
-        assert track_step(box, 0, 1, [], rows(pts, pts),
-                          WorldScorer({}), UntrackedPool({}),
+        assert track_step(box, 0, 1, [], rows(pts, pts), UntrackedPool({}),
                           TrackerConfig()) is None
+
+
+def world_proposals(world, frames, *extra):
+    """Each frame's true box, then the ``extra`` boxes, as proposals
+    scored against ``world``."""
+    return {f: [world_proposal(f, box, world)
+                for box in ([world[f]] if f in world else []) + list(extra)]
+            for f in frames}
 
 
 class TestBuildTubes:
@@ -380,15 +348,14 @@ class TestBuildTubes:
         gt = single_actor_world(frames)
         dets = {f: [det(f, gt[f], (0.9, 0.0))]
                 for f in range(frames) if f not in miss}
-        props = {f: [Proposal(f, gt[f]),
-                     Proposal(f, BoundingBox(200, 200, 230, 230))]
-                 for f in range(frames)}
+        props = world_proposals(gt, range(frames),
+                                BoundingBox(200, 200, 230, 230))
         return gt, dets, props
 
     def test_single_actor_single_tube(self):
         gt, dets, props = self.make_inputs()
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
-                            ShiftMatcher(6.0, 0.0), WorldScorer(gt))
+                            ShiftMatcher(6.0, 0.0))
         assert len(tubes) == 1
         tube = tubes[0]
         assert tube.interval() == FrameInterval(0, 5)
@@ -401,7 +368,7 @@ class TestBuildTubes:
         # Make the last frame's detection the strongest seed.
         dets[4] = [det(4, gt[4], (0.99, 0.0))]
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
-                            ShiftMatcher(6.0, 0.0), WorldScorer(gt))
+                            ShiftMatcher(6.0, 0.0))
         assert len(tubes) == 1
         assert tubes[0].interval() == FrameInterval(0, 5)
 
@@ -409,7 +376,7 @@ class TestBuildTubes:
         gt, dets, props = self.make_inputs()
         all_dets = [d for ds in dets.values() for d in ds]
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
-                            ShiftMatcher(6.0, 0.0), WorldScorer(gt))
+                            ShiftMatcher(6.0, 0.0))
         used = [s for t in tubes for s in t.sources
                 if s is not Source.TRACKED]
         assert len(used) == len(all_dets)
@@ -417,63 +384,40 @@ class TestBuildTubes:
     def test_predicted_gap_bridged(self):
         gt, dets, props = self.make_inputs(miss=(2,))
         tubes = build_tubes("v", dets, props, FrameInterval(0, 5),
-                            ShiftMatcher(6.0, 0.0), WorldScorer(gt))
+                            ShiftMatcher(6.0, 0.0))
         assert len(tubes) == 1
         assert tubes[0].sources[2] is Source.TRACKED
+        assert tubes[0].boxes[2] == props[2][0].box
+        assert tubes[0].class_scores[2] == props[2][0].class_scores
 
     def test_max_predicted_run_caps_extension(self):
         frames = 15
         gt = single_actor_world(frames, shift=(2.0, 0.0))
         dets = {0: [det(0, gt[0], (0.9, 0.0))]}
-        props = {f: [Proposal(f, gt[f])] for f in range(frames)}
+        props = world_proposals(gt, range(frames))
         cfg = TrackerConfig(max_predicted_run=3)
         tubes = build_tubes("v", dets, props, FrameInterval(0, frames),
-                            ShiftMatcher(2.0, 0.0), WorldScorer(gt), cfg)
+                            ShiftMatcher(2.0, 0.0), cfg)
         assert len(tubes) == 1
         assert len(tubes[0].boxes) == 4  # seed plus three predictions
 
-    @pytest.mark.parametrize("answer", [tuple, list, np.array])
-    def test_scorer_answer_types_give_identical_tubes(self, answer):
-        # the gap at frame 2 is bridged with the scorer's own answer
+    @pytest.mark.parametrize("vector", [tuple, list, np.array])
+    def test_score_vector_types_give_identical_tubes(self, vector):
+        # the gap at frame 2 is bridged with the proposal's own vector
         gt, dets, props = self.make_inputs(miss=(2,))
-
-        class TypedScorer(WorldScorer):
-            def class_scores(self, video_id, frame_index, box):
-                scores = super().class_scores(video_id, frame_index, box)
-                return answer(scores.tolist())
-
-        run = lambda scorer: build_tubes(
-            "v", dets, props, FrameInterval(0, 5), ShiftMatcher(6.0, 0.0),
-            scorer)
-        tubes = run(TypedScorer(gt))
-        assert tubes == run(WorldScorer(gt))
+        typed = {f: [Proposal(f, p.box, vector(list(p.class_scores)))
+                     for p in ps] for f, ps in props.items()}
+        run = lambda proposals: build_tubes(
+            "v", dets, proposals, FrameInterval(0, 5), ShiftMatcher(6.0, 0.0))
+        tubes = run(typed)
+        assert tubes == run(props)
         assert tubes[0].sources[2] is Source.TRACKED
         assert all(type(v) is float for v in tubes[0].class_scores[2])
-
-    @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
-    def test_scorer_failure_keeps_partial_tube(self, failure):
-        # No partial tube is kept: a failure on frame 3 fails the call.
-        gt, dets, props = self.make_inputs()
-        error, text = failure_error(failure)
-        with pytest.raises(error, match=text):
-            build_tubes("v", dets, props, FrameInterval(0, 5),
-                        ShiftMatcher(6.0, 0.0), FlakyScorer(gt, failure))
-
-    def test_scorer_input_error_fails_the_run(self):
-        gt, dets, props = self.make_inputs()
-
-        class UnknownVideoScorer(WorldScorer):
-            def class_scores(self, video_id, frame_index, box):
-                raise InputError(f"no ground truth for video {video_id!r}")
-
-        with pytest.raises(InputError, match="'v'"):
-            build_tubes("v", dets, props, FrameInterval(0, 5),
-                        ShiftMatcher(6.0, 0.0), UnknownVideoScorer(gt))
 
     def test_deterministic_output(self):
         gt, dets, props = self.make_inputs()
         run = lambda: build_tubes("v", dets, props, FrameInterval(0, 5),
-                                  ShiftMatcher(6.0, 0.0), WorldScorer(gt))
+                                  ShiftMatcher(6.0, 0.0))
         assert run() == run()
 
 
@@ -481,22 +425,22 @@ class TestNeighborhoodBaseline:
     def test_small_motion_tracked(self):
         gt = single_actor_world(5, shift=(6.0, 0.0))
         dets = {f: [det(f, gt[f], (0.9, 0.0))] for f in range(5)}
-        props = {f: [Proposal(f, gt[f])] for f in range(5)}
+        props = world_proposals(gt, range(5))
         tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
-                                         WorldScorer(gt), search_radius=20.0)
+                                         search_radius=20.0)
         assert len(tubes) == 1
         assert tubes[0].interval() == FrameInterval(0, 5)
 
     def test_large_motion_breaks(self):
         gt = single_actor_world(5, shift=(80.0, 0.0))
         dets = {f: [det(f, gt[f], (0.9, 0.0))] for f in range(5)}
-        props = {f: [Proposal(f, gt[f])] for f in range(5)}
+        props = world_proposals(gt, range(5))
         tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
-                                         WorldScorer(gt), search_radius=20.0)
+                                         search_radius=20.0)
         assert all(len(t.boxes) == 1 for t in tubes)
         # The point matcher handles the same motion.
         tracked = build_tubes("v", dets, props, FrameInterval(0, 5),
-                              ShiftMatcher(80.0, 0.0), WorldScorer(gt),
+                              ShiftMatcher(80.0, 0.0),
                               TrackerConfig(min_prev_overlap=0.0))
         assert len(tracked) == 1
         assert tracked[0].interval() == FrameInterval(0, 5)
@@ -507,11 +451,10 @@ class TestNeighborhoodBaseline:
         seed = BoundingBox(40, 40, 60, 60)
         moved = BoundingBox(52, 56, 72, 76)
         dets = {0: [det(0, seed, (0.9, 0.0))]}
-        props = {1: [Proposal(1, moved)]}
+        props = world_proposals({1: moved}, [1])
         for radius, frames in ((20.0, 2), (19.999, 1)):
             tubes = build_tubes_neighborhood(
-                "v", dets, props, FrameInterval(0, 2),
-                WorldScorer({1: moved}), search_radius=radius)
+                "v", dets, props, FrameInterval(0, 2), search_radius=radius)
             assert [len(t.boxes) for t in tubes] == [frames]
 
     @pytest.mark.parametrize("radius", [0.0, -20.0, float("nan"),
@@ -519,10 +462,10 @@ class TestNeighborhoodBaseline:
     def test_radius_not_finite_and_positive_rejected(self, radius):
         gt = single_actor_world(3, shift=(6.0, 0.0))
         dets = {0: [det(0, gt[0], (0.9, 0.0))]}
-        props = {f: [Proposal(f, gt[f])] for f in range(3)}
+        props = world_proposals(gt, range(3))
         with pytest.raises(InputError, match="search_radius"):
             build_tubes_neighborhood("v", dets, props, FrameInterval(0, 3),
-                                     WorldScorer(gt), search_radius=radius)
+                                     search_radius=radius)
 
     def test_center_gate_picks_from_the_right_frame(self):
         # Gating runs on centers cached per frame; the candidate that
@@ -531,87 +474,51 @@ class TestNeighborhoodBaseline:
         gt = single_actor_world(4, shift=(6.0, 0.0))
         dets = {0: [det(0, gt[0], (0.9, 0.0))]}
         far = BoundingBox(200, 200, 230, 230)
-        props = {f: [Proposal(f, far)] * f + [Proposal(f, gt[f])]
-                 for f in range(4)}
+        props = {f: [world_proposal(f, far, gt)] * f
+                 + [world_proposal(f, gt[f], gt)] for f in range(4)}
         tubes = build_tubes_neighborhood("v", dets, props, FrameInterval(0, 4),
-                                         WorldScorer(gt), search_radius=20.0)
+                                         search_radius=20.0)
         assert len(tubes) == 1
         assert list(tubes[0].boxes) == [gt[f] for f in range(4)]
 
-    @pytest.mark.parametrize("failure", ["raise", *SCORER_FAILURES])
-    def test_scorer_failure_keeps_partial_tube(self, failure):
-        # No partial tube is kept: a failure on frame 3 fails the call.
-        gt = single_actor_world(5, shift=(6.0, 0.0))
-        dets = {f: [det(f, gt[f], (0.9, 0.0))] for f in range(5)}
-        props = {f: [Proposal(f, gt[f])] for f in range(5)}
-        error, text = failure_error(failure)
-        with pytest.raises(error, match=text):
-            build_tubes_neighborhood("v", dets, props, FrameInterval(0, 5),
-                                     FlakyScorer(gt, failure),
-                                     search_radius=20.0)
 
-
-class CountingScorer(WorldScorer):
-    """Counts the queries for each ``(video, frame, box)``."""
-
-    def __init__(self, boxes_by_frame, **kwargs):
-        super().__init__(boxes_by_frame, **kwargs)
-        self.asked = {}
-
-    def class_scores(self, video_id, frame_index, box):
-        key = (video_id, frame_index, box)
-        self.asked[key] = self.asked.get(key, 0) + 1
-        return super().class_scores(video_id, frame_index, box)
-
-
-class TestScoreMemo:
-    """Each tracker call asks the scorer about a region at most once."""
-
-    def crowded(self, frames=6):
-        # three duplicate detections per frame seed three tubes that all
-        # gate the same proposals
-        gt = single_actor_world(frames, shift=(6.0, 0.0))
-        dets = {f: [det(f, gt[f], (0.9 - 0.1 * k, 0.0)) for k in range(3)]
-                for f in (0, frames - 1)}
-        props = {f: [Proposal(f, gt[f]), Proposal(
-                     f, BoundingBox(*(v + 2 for v in gt[f].as_tuple())))]
-                 for f in range(frames)}
-        return gt, dets, props
+class TestClassCounts:
+    """Both trackers reject detections and proposals of different class
+    counts before growing any tube."""
 
     def trackers(self, dets, props, frames):
         extent = FrameInterval(0, frames)
-        yield lambda video_id, scorer: build_tubes(
-            video_id, dets, props, extent, ShiftMatcher(6.0, 0.0), scorer)
-        yield lambda video_id, scorer: build_tubes_neighborhood(
-            video_id, dets, props, extent, scorer, search_radius=20.0)
+        yield lambda: build_tubes("v", dets, props, extent,
+                                  ShiftMatcher(6.0, 0.0))
+        yield lambda: build_tubes_neighborhood("v", dets, props, extent,
+                                               search_radius=20.0)
 
-    def test_each_region_scored_once_per_call(self):
-        gt, dets, props = self.crowded()
-        for track in self.trackers(dets, props, 6):
-            scorer = CountingScorer(gt)
-            tubes = track("v", scorer)
-            assert len(tubes) == 3
-            assert scorer.asked
-            assert max(scorer.asked.values()) == 1
+    @pytest.mark.parametrize("miss", [(), (2,)])
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_proposals_of_another_class_count_rejected(self, miss, classes):
+        # with a detection on every frame no tube gets a predicted entry,
+        # and the proposals' vectors would never reach a tube
+        gt = single_actor_world(5)
+        dets = {f: [det(f, gt[f], (0.0, 0.9))] for f in range(5)
+                if f not in miss}
+        props = {f: [world_proposal(f, gt[f], gt, num_classes=classes)]
+                 for f in range(5)}
+        for track in self.trackers(dets, props, 5):
+            with pytest.raises(InputError) as err:
+                track()
+            assert str(err.value) == (
+                f"the class scores of video 'v' must have one class count, "
+                f"but detections carries 2 and proposals {classes}")
 
-    def test_memo_matches_unmemoised_scoring(self):
-        # the same tubes as asking the scorer afresh every time
-        gt, dets, props = self.crowded()
-        for track in self.trackers(dets, props, 6):
-            assert track("v", CountingScorer(gt)) == \
-                track("v", WorldScorer(gt))
-
-    def test_nothing_kept_across_calls(self):
-        gt, dets, props = self.crowded()
-        for track in self.trackers(dets, props, 6):
-            scorer = CountingScorer(gt)
-            track("v", scorer)
-            first = dict(scorer.asked)
-            track("v", scorer)
-            track("w", scorer)
-            for (video_id, frame, box), count in first.items():
-                assert scorer.asked[(video_id, frame, box)] == 2 * count
-                assert scorer.asked[("w", frame, box)] == count
+    def test_detections_of_two_class_counts_rejected(self):
+        gt = single_actor_world(2)
+        dets = {0: [det(0, gt[0], (0.9, 0.0))],
+                1: [det(1, gt[1], (0.9, 0.0, 0.0))]}
+        for track in self.trackers(dets, {}, 2):
+            with pytest.raises(InputError,
+                               match="detections carries 2 and 3 and "
+                                     "proposals none"):
+                track()
 
 
 # Boxes on a coarse lattice, so equal areas and duplicate boxes are
@@ -622,16 +529,12 @@ VALUES = (0.0, 0.5, 1.0)
 STEPS = (-4, 0, 4)
 
 
-class LatticeScorer:
-    """Two class scores read off a region's frame and integer coordinates."""
-
-    def __init__(self, salt):
-        self.salt = salt
-
-    def class_scores(self, video_id, frame_index, box):
-        x0, y0, x1, y1 = (int(v) for v in box.as_tuple())
-        return (VALUES[(self.salt + x0 + y1 + frame_index) % 3],
-                VALUES[(2 * self.salt + x1 + y0 + 2 * frame_index) % 3])
+def lattice_scores(salt, frame, box):
+    """Two class scores read off a region's frame and integer
+    coordinates, so equal boxes on a frame carry equal vectors."""
+    x0, y0, x1, y1 = (int(v) for v in box.as_tuple())
+    return (VALUES[(salt + x0 + y1 + frame) % 3],
+            VALUES[(2 * salt + x1 + y0 + 2 * frame) % 3])
 
 
 class LatticeMatcher:
@@ -659,9 +562,11 @@ class LatticeMatcher:
 @st.composite
 def growth_cases(draw):
     """Tie-heavy tracker inputs: equal scores and areas, duplicate
-    detections (equal values, distinct objects) and empty frames."""
+    detections (equal values, distinct objects), duplicate proposals in
+    any order and empty frames."""
     start = draw(st.integers(0, 2))
     extent = FrameInterval(start, start + draw(st.integers(1, 6)))
+    salt = draw(st.integers(0, 5))
     dets, props = {}, {}
     for frame in extent.frames():
         made = [Detection(frame, box, scores, source) for box, scores, source
@@ -680,7 +585,9 @@ def growth_cases(draw):
             boxes += [d.box for d in made]
         boxes = draw(st.permutations(boxes))
         if boxes or draw(st.booleans()):
-            props[frame] = [Proposal(frame, box) for box in boxes]
+            props[frame] = [Proposal(frame, box,
+                                     lattice_scores(salt, frame, box))
+                            for box in boxes]
     steps = {frame: draw(st.one_of(st.none(), st.tuples(
                  st.sampled_from(STEPS), st.sampled_from(STEPS))))
              for frame in range(extent.start, extent.end - 1)}
@@ -690,8 +597,7 @@ def growth_cases(draw):
         consume_overlap=draw(st.sampled_from((0.0, 0.5, 1.0))),
         max_predicted_run=draw(st.sampled_from((0, 1, 2, 8))))
     radius = draw(st.sampled_from((2.0, 4.0, 6.0, 20.0)))
-    return (dets, props, extent, LatticeMatcher(steps),
-            LatticeScorer(draw(st.integers(0, 5))), cfg, radius)
+    return dets, props, extent, LatticeMatcher(steps), cfg, radius
 
 
 def tube_fields(tube):
@@ -706,10 +612,10 @@ class TestGrowthReference:
     @settings(max_examples=400, deadline=None)
     @given(growth_cases())
     def test_point_matching_equals_reference(self, case):
-        dets, props, extent, matcher, scorer, cfg, _ = case
-        got = build_tubes("v", dets, props, extent, matcher, scorer, cfg)
+        dets, props, extent, matcher, cfg, _ = case
+        got = build_tubes("v", dets, props, extent, matcher, cfg)
         assert list(map(tube_fields, got)) == grow_tubes_reference(
-            "v", dets, props, extent, scorer,
+            "v", dets, props, extent,
             consume_overlap=cfg.consume_overlap,
             max_predicted_run=cfg.max_predicted_run, matcher=matcher,
             min_match_ratio=cfg.min_match_ratio,
@@ -718,10 +624,10 @@ class TestGrowthReference:
     @settings(max_examples=400, deadline=None)
     @given(growth_cases())
     def test_center_search_equals_reference(self, case):
-        dets, props, extent, _, scorer, cfg, radius = case
-        got = build_tubes_neighborhood("v", dets, props, extent, scorer, cfg,
+        dets, props, extent, _, cfg, radius = case
+        got = build_tubes_neighborhood("v", dets, props, extent, cfg,
                                        search_radius=radius)
         assert list(map(tube_fields, got)) == grow_tubes_reference(
-            "v", dets, props, extent, scorer,
+            "v", dets, props, extent,
             consume_overlap=cfg.consume_overlap,
             max_predicted_run=cfg.max_predicted_run, search_radius=radius)
